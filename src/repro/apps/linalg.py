@@ -181,18 +181,12 @@ def gauss_jordan_compiled(
     *,
     spec: MachineSpec = AP1000,
     opt="auto",
-    parallel: bool = False,
-    workers: int | None = None,
 ) -> tuple[np.ndarray, RunResult]:
     """Run the §3 expression through the SCL compiler on the simulator.
 
     The column-block partition and the final gather bracket the compiled
     iteration, exactly as in :func:`gauss_jordan_solve`.  ``opt`` is the
-    plan-optimizer switch of :class:`repro.scl.compile.CompiledProgram`;
-    ``parallel``/``workers`` dispatch eligible fragment compute to the
-    host-parallel worker pool (the closure-registered batched kernel of
-    this app is unpicklable, so its applies transparently stay
-    in-process — results are identical either way).
+    plan-optimizer switch of :class:`repro.scl.compile.CompiledProgram`.
     """
     from repro.core import parmap, partition
     from repro.core import gather as cfg_gather
@@ -208,8 +202,7 @@ def gauss_jordan_compiled(
     blocks = partition(pattern, aug)
     machine = Machine(FullyConnected(p), spec=spec)
     expr = gauss_jordan_expression(n, p, aug.shape)
-    out, result = run_expression(expr, blocks, machine, opt=opt,
-                                 parallel=parallel, workers=workers)
+    out, result = run_expression(expr, blocks, machine, opt=opt)
     solved = np.asarray(cfg_gather(ParArray(out.to_list(), dist=pattern)))
     return solved[:, A.shape[1]:].reshape(b.shape), result
 

@@ -478,12 +478,8 @@ def hyperquicksort_machine_nested(
 # 5. Hyperquicksort as a compilable SCL expression
 # --------------------------------------------------------------------------
 
-#: Cost parameters for the module-level expression fragments below.  A
-#: module constant (not a per-expression closure) so the fragments are
-#: top-level callables — picklable by reference, which lets the
-#: host-parallel data plane (:mod:`repro.plan.pexec`) ship them to
-#: worker processes.  Workers re-import this module, so the ``scl_ops``
-#: tags resolve identically on both sides.
+#: Cost parameters for the module-level expression fragments below (one
+#: set of top-level callables shared by the expressions of every ``d``).
 _HQ_PARAMS = SortCostParams()
 
 
@@ -495,9 +491,9 @@ def _hq_split_on_leader_median(dp):
 
 
 class _HqSelect:
-    """The piece selector of one hyperquicksort step, as a picklable
-    callable: lower-half processors keep and receive the low pieces,
-    upper-half processors keep and receive the high pieces."""
+    """The piece selector of one hyperquicksort step: lower-half
+    processors keep and receive the low pieces, upper-half processors
+    keep and receive the high pieces."""
 
     scl_ops = 2.0
 
@@ -530,10 +526,9 @@ def hyperquicksort_expression(d: int):
     rewritten by the §4 rules, or **compiled** onto the simulated machine
     (`run_expression`), which mechanises the paper's full pipeline.
 
-    The fragments are module-level callables (see :data:`_HQ_PARAMS`), so
-    compiled runs can dispatch them to the host-parallel worker pool
-    (``parallel=True``); the index functions inside ``AlignFetch`` stay
-    local — they are evaluated once at lowering time, never shipped.
+    The fragments are module-level callables (see :data:`_HQ_PARAMS`);
+    the index functions inside ``AlignFetch`` stay local — they are
+    evaluated once at lowering time.
 
     Memoised on ``d``: repeated calls return the *same* expression object,
     so every compile after the first is a plan-cache hit (plans are keyed
@@ -563,8 +558,6 @@ def hyperquicksort_compiled(
     spec: MachineSpec = AP1000,
     params: SortCostParams = SortCostParams(),
     opt="auto",
-    parallel: bool = False,
-    workers: int | None = None,
 ) -> tuple[np.ndarray, RunResult]:
     """Run the §5 expression through the SCL compiler on the simulator.
 
@@ -572,9 +565,7 @@ def hyperquicksort_compiled(
     in the paper's program, where ``map SEQ_QUICKSORT . partition`` and
     ``gather`` bracket the ``iterfor``); the iterations themselves execute
     as compiled skeleton code.  ``opt`` is the plan-optimizer switch of
-    :class:`repro.scl.compile.CompiledProgram`; ``parallel``/``workers``
-    dispatch the fragment compute to the host-parallel worker pool
-    (virtual results and costs are bit-identical, only host time moves).
+    :class:`repro.scl.compile.CompiledProgram`.
     """
     from repro.scl.compile import run_expression
 
@@ -583,8 +574,7 @@ def hyperquicksort_compiled(
     machine = Machine(Hypercube(d), spec=spec)
     blocks = parmap(seq_quicksort, partition(Block(p), values))
     expr = hyperquicksort_expression(d)
-    out, result = run_expression(expr, blocks, machine, opt=opt,
-                                 parallel=parallel, workers=workers)
+    out, result = run_expression(expr, blocks, machine, opt=opt)
     return np.concatenate([np.asarray(b) for b in out]), result
 
 

@@ -21,10 +21,6 @@ bugs.  The hierarchy mirrors the layering of the system:
     fault-tolerant runtimes can dispatch on the failure mode.
 * :class:`RewriteError` — the transformation engine was asked to apply a
   rule whose side-conditions do not hold, or hit a malformed expression.
-* :class:`PoolError` — the host-parallel worker pool
-  (:mod:`repro.plan.pexec`) failed: a worker crashed, a pipe broke, or
-  the pool was used after breaking.  Callers treat it as "run in-process
-  instead" — it never signals a wrong result, only a lost backend.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ __all__ = [
     "FaultError",
     "RewriteError",
     "ParseError",
-    "PoolError",
 ]
 
 
@@ -90,13 +85,3 @@ class RewriteError(SclError):
 
 class ParseError(SclError):
     """Syntax or resolution error in a textual SCL program."""
-
-
-class PoolError(SclError):
-    """The host-parallel worker pool lost a worker or broke a pipe.
-
-    Raised by :mod:`repro.plan.pexec` when a dispatch cannot complete
-    (worker crash, closed connection, unpicklable work item on the
-    generic map path).  The vectorized data plane catches it and retries
-    in-process; results are never silently wrong, only slower.
-    """

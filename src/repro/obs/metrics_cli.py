@@ -73,10 +73,6 @@ def dashboard(snapshots: Sequence[MetricsSnapshot], *,
         p99 = snap.value("serve_slo_rolling_p99_ms")
         shed = _total(snap, "serve_rejections_total",
                       {"reason": "slo-shed"})
-        pool_w = snap.value("pexec_workers")
-        pool = ("-" if pool_w is None else
-                f"{int(pool_w)}/"
-                f"{int(snap.value('pexec_workers_busy') or 0)}")
         rows.append([
             f"{snap.t:.2f}",
             int(done),
@@ -85,7 +81,6 @@ def dashboard(snapshots: Sequence[MetricsSnapshot], *,
             int(shed),
             int(snap.value("serve_queue_depth") or 0),
             int(snap.value("serve_in_flight") or 0),
-            pool,
             "-" if p99 is None else f"{p99:.1f}",
             int(snap.value("plan_cache_hits") or 0),
             int(_total(snap, "stream_chunks_total")),
@@ -93,13 +88,11 @@ def dashboard(snapshots: Sequence[MetricsSnapshot], *,
     return render_table(
         f"metrics dashboard — {len(shown)}/{len(snapshots)} snapshots",
         ["t (s)", "done", "rps", "rej", "slo-shed", "queue", "busy",
-         "pool w/b", "p99 (ms)", "cache-hits", "chunks"],
+         "p99 (ms)", "cache-hits", "chunks"],
         rows,
         notes="counters are cumulative; 'rps' is the completion rate "
               "over the preceding interval; 'p99' is the rolling SLO "
-              "window (blank when no SloMonitor is bound); 'pool w/b' is "
-              "the pexec worker pool's configured width / busy workers "
-              "('-' when no pool is registered).")
+              "window (blank when no SloMonitor is bound).")
 
 
 def load_snapshots(path: str) -> list[MetricsSnapshot]:

@@ -52,19 +52,6 @@ reports.  Three workload families are measured at several machine sizes:
     makespans — the simulated win of declining the bad law.  The search
     row also cross-checks both strategies' outputs bit-for-bit.
 
-``parallel_hyperquicksort``
-    The hardware tier (PR 10): the compiled sort with its fragment
-    compute dispatched to the :mod:`repro.plan.pexec` shared-memory
-    worker pool, at a key count large enough to amortize dispatch.  One
-    row per machine size carries a three-way A/B measured in the same
-    process — in-process vexec (``host_seconds_vexec``,
-    ``speedup_vs_vexec``), a one-worker pool run pricing the dispatch
-    machinery itself (``host_seconds_w1``), and the workers=N run the
-    row's ``host_seconds`` reports (``speedup_workers`` = w1/wN) — plus
-    ``host_cpus``, because a worker pool cannot beat one core on a
-    single-core host no matter how correct it is.  Virtual results are
-    asserted bit-identical across all three arms.
-
 ``trace_overhead``
     The compiled sort three ways: tracing off, traced into memory, traced
     through a streaming JSONL sink.  The off/traced ratios are the price
@@ -134,7 +121,6 @@ __all__ = [
     "bench_compiled_hyperquicksort",
     "bench_hyperquicksort",
     "bench_metrics_overhead",
-    "bench_parallel_hyperquicksort",
     "bench_ring_sweep",
     "bench_service_sustained",
     "bench_stream_chunked",
@@ -159,11 +145,6 @@ LARGE_RING_PROCS = (1024, 4096)
 #: The large-p smoke row tracked by the CI perf gate in ``--quick`` mode
 #: (reduced rounds, one repeat) so scaling regressions fail the job.
 QUICK_LARGE_RING = 1024
-#: Machine sizes of the host-parallel ``parallel_hyperquicksort`` rows
-#: (full suite / quick mode).  The key counts are sized so dispatch
-#: amortizes: ``1 << 19`` keys full, ``1 << 17`` quick.
-PARALLEL_PROCS = (128, 1024)
-PARALLEL_QUICK_PROCS = (128,)
 
 #: Host-time results of this exact suite measured on the seed (pre-rewrite)
 #: simulator: O(p) ready-list scan, linear mailbox, uncached hop routing.
@@ -463,71 +444,6 @@ def bench_tuned_hyperquicksort(p: int, *, n: int = 100_000,
     return _record(name, p, host, result, n=n, **extra)
 
 
-def _host_cpus() -> int:
-    """CPUs actually usable by this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def bench_parallel_hyperquicksort(p: int, *, n: int = 1 << 19,
-                                  seed: int = 19950701,
-                                  workers: int | None = None,
-                                  repeats: int = 2) -> dict[str, Any]:
-    """The compiled sort on the host-parallel worker pool, A/B'd in-process.
-
-    Three arms on identical keys: the plain vexec path, a one-worker pool
-    run (same dispatch machinery, no parallelism — the honest baseline
-    for ``speedup_workers``), and the workers=N run this row reports.
-    All three must produce the same sorted output and the same virtual
-    makespan/messages — the pool only moves host time.  ``host_cpus``
-    records how many cores the A/B actually had; on a single-core host
-    ``speedup_workers`` near 1.0 is the *expected* honest result.
-    """
-    from repro.apps.sort import hyperquicksort_compiled
-    from repro.plan import pexec
-
-    d = int(p).bit_length() - 1
-    if 1 << d != p:
-        raise ValueError(f"hyperquicksort needs a power-of-two p, got {p}")
-    workers = int(workers) if workers else _host_cpus()
-    values = np.random.default_rng(seed).integers(
-        0, 2**31, size=n).astype(np.int32)
-    expected = np.sort(values)
-
-    def arm(parallel: bool, w: int | None) -> Callable[[], RunResult]:
-        def run() -> RunResult:
-            out, result = hyperquicksort_compiled(
-                values, d, parallel=parallel, workers=w)
-            if not np.array_equal(out, expected):
-                raise AssertionError(
-                    f"parallel sort produced a wrong sort at p={p}")
-            return result
-        return run
-
-    try:
-        host_vexec, res_vexec = _timed(arm(False, None), repeats=repeats)
-        host_w1, res_w1 = _timed(arm(True, 1), repeats=repeats)
-        host_wn, res_wn = _timed(arm(True, workers), repeats=repeats)
-    finally:
-        pexec.shutdown_pool()
-    for other in (res_w1, res_wn):
-        if other.makespan != res_vexec.makespan or \
-                other.total_messages != res_vexec.total_messages:
-            raise AssertionError(
-                "parallel run diverged from the vexec oracle in virtual "
-                f"time at p={p}")
-    return _record(
-        "parallel_hyperquicksort", p, host_wn, res_wn, n=n,
-        workers=workers, host_cpus=_host_cpus(),
-        host_seconds_w1=round(host_w1, 6),
-        host_seconds_vexec=round(host_vexec, 6),
-        speedup_workers=round(host_w1 / host_wn, 2) if host_wn > 0 else 0.0,
-        speedup_vs_vexec=round(host_vexec / host_wn, 2)
-        if host_wn > 0 else 0.0)
-
-
 def bench_trace_overhead(p: int, *, n: int = 100_000, seed: int = 19950701,
                          repeats: int = 3) -> dict[str, Any]:
     """The compiled sort untraced vs memory-traced vs JSONL-streamed.
@@ -781,8 +697,7 @@ METRICS_PROCS = (16, 128)
 
 
 def run_suite(*, procs: tuple[int, ...] | None = None, quick: bool = False,
-              only: str | None = None,
-              workers: int | None = None) -> dict[str, dict[str, Any]]:
+              only: str | None = None) -> dict[str, dict[str, Any]]:
     """Run every workload at every machine size; returns ``{key: record}``.
 
     Keys look like ``"hyperquicksort/p128"``.  ``quick=True`` shrinks both
@@ -794,8 +709,6 @@ def run_suite(*, procs: tuple[int, ...] | None = None, quick: bool = False,
     exactly those machine sizes — workloads that require a power-of-two
     size (hypercube-based) are skipped at sizes that aren't one; without
     it the default sizes run, plus large-p ``ring_sweep`` scaling rows.
-    ``workers`` (the ``--workers`` flag) sets the pool width of the
-    ``parallel_hyperquicksort`` rows (default: host CPU count).
     """
     explicit = procs is not None
     if quick:
@@ -851,11 +764,6 @@ def run_suite(*, procs: tuple[int, ...] | None = None, quick: bool = False,
         lambda: bench_compiled_gauss_jordan(gp, n=gn))
     run(f"compiled_gauss_jordan_noopt/p{gp}",
         lambda: bench_compiled_gauss_jordan(gp, n=gn, opt="off"))
-    pn = (1 << 17) if quick else (1 << 19)
-    for pp in PARALLEL_QUICK_PROCS if quick else PARALLEL_PROCS:
-        run(f"parallel_hyperquicksort/p{pp}",
-            lambda pp=pp: bench_parallel_hyperquicksort(
-                pp, n=pn, workers=workers, repeats=1 if quick else 2))
     tp = 1 << (QUICK_TUNED_DIM if quick else TUNED_DIM)
     tn = 20_000 if quick else 100_000
     run(f"tuned_hyperquicksort/p{tp}",
@@ -1025,10 +933,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the whole suite N times and report "
                              "per-workload paired medians (noise control "
                              "for the CI perf gate)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker-pool width for the "
-                             "parallel_hyperquicksort rows (default: host "
-                             "CPU count)")
     parser.add_argument("--emit-baseline", action="store_true",
                         help="print the suite results as a SEED_BASELINE "
                              "python literal (maintenance tool)")
@@ -1050,11 +954,7 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --procs and --quick are mutually exclusive",
                   file=sys.stderr)
             return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    runs = [run_suite(procs=procs, quick=args.quick, only=args.filter,
-                      workers=args.workers)
+    runs = [run_suite(procs=procs, quick=args.quick, only=args.filter)
             for _ in range(args.repeat)]
     if not runs[0]:
         print(f"error: --filter {args.filter!r} matches no workload",

@@ -42,7 +42,6 @@ frontier as a JSON artifact (schema ``repro.tune.frontier/v1``).
     python -m repro plan hyperquicksort --diff     # before/after the passes
     python -m repro plan hyperquicksort --no-opt   # raw lowering only
     python -m repro plan hyperquicksort --search --beam 4   # rewrite search
-    python -m repro plan hyperquicksort --parallel --workers 4  # pexec pool
 """
 
 from __future__ import annotations
@@ -103,8 +102,7 @@ def _run_hyperquicksort(args):
     blocks = parmap(seq_quicksort, partition(Block(p), values))
     out, res = run_expression(expr, blocks,
                               Machine(Hypercube(d), spec=args.spec),
-                              opt=args.opt_cfg, parallel=args.parallel,
-                              workers=args.workers)
+                              opt=args.opt_cfg)
     merged = np.concatenate([np.asarray(b) for b in out])
     assert np.array_equal(merged, np.sort(values)), "compiled sort incorrect"
     title = (f"hyperquicksort expression, d={d} (p={p}), "
@@ -120,9 +118,7 @@ def _run_gauss_jordan(args):
     rng = np.random.default_rng(args.seed)
     A = rng.normal(size=(n, n)) + n * np.eye(n)
     b = rng.normal(size=n)
-    x, res = gauss_jordan_compiled(A, b, p, spec=args.spec, opt=args.opt_cfg,
-                                   parallel=args.parallel,
-                                   workers=args.workers)
+    x, res = gauss_jordan_compiled(A, b, p, spec=args.spec, opt=args.opt_cfg)
     assert np.allclose(A @ x, b), "compiled solve incorrect"
     from repro.apps.linalg import gauss_jordan_expression
 
@@ -304,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "in the predicted column")
     parser.add_argument("--tables", action="store_true",
                         help="print full per-rank send/recv tables")
-    parser.add_argument("--parallel", action="store_true",
-                        help="dispatch fragment compute to the host-parallel "
-                             "worker pool (repro.plan.pexec); virtual "
-                             "results and costs are unchanged")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="pool width for --parallel (default: host "
-                             "CPU count)")
     opt_group = parser.add_mutually_exclusive_group()
     opt_group.add_argument("--opt", dest="opt", action="store_true",
                            default=True,
@@ -390,17 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"plan cache: size={stats['size']} hits={stats['hits']} "
           f"misses={stats['misses']} uncachable={stats['uncachable']} "
           f"optimized={stats['optimized']}")
-    if args.parallel:
-        from repro.plan import pexec
-
-        pool = pexec.get_pool(args.workers)
-        shm = pool.stats["tasks_shm"]
-        pick = pool.stats["tasks_pickle"]
-        fb = sum(pool.stats["fallbacks"].values())
-        print(f"worker pool: {pool!r} dispatches="
-              f"{pool.stats['dispatches']} tasks(shm/pickle)={shm}/{pick} "
-              f"fallbacks={fb}")
-        pexec.shutdown_pool()
     return 0
 
 

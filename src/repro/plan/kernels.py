@@ -10,10 +10,7 @@ the registry that makes a fragment "known":
 * :func:`vectorize_fragment` attaches a batched implementation to a
   fragment (``batched(values) -> values``, one call for all ranks).  The
   attribute travels with the callable, so registration survives lowering,
-  fusion and caching.  An optional *shard transform* additionally marks
-  the kernel row-independent, which lets the host-parallel backend
-  (:mod:`repro.plan.pexec`) run disjoint row slabs of the SoA stack on
-  separate OS processes.
+  fusion and caching.
 * :func:`batched_apply` is what the data plane
   (:mod:`repro.plan.vexec`) calls: the batched implementation when one is
   registered, a transparent per-rank fallback for opaque fragments.
@@ -24,8 +21,7 @@ the registry that makes a fragment "known":
   ragged distributions (e.g. column blocks differing by one column) still
   vectorise within each uniform group.  :func:`group_uniform` exposes the
   grouping itself (index sets plus the stacked C-contiguous array per
-  group) for backends that shard the stack instead of transforming it
-  in one call.
+  group).
 
 Virtual cost and results are unchanged by construction: the batched
 implementation must compute the same elementwise arithmetic, and the
@@ -42,48 +38,28 @@ import numpy as np
 from repro.plan.ir import base_fragment
 
 __all__ = ["vectorize_fragment", "batched_apply", "has_batched",
-           "elementwise", "stack_uniform", "group_uniform",
-           "shard_transform"]
+           "elementwise", "stack_uniform", "group_uniform"]
 
 #: Attribute carrying the batched implementation on a fragment callable.
 _ATTR = "scl_batched"
-#: Attribute carrying the row-independent shard transform (when the
-#: kernel's batched form is safe to evaluate on disjoint row slabs).
-_SHARD_ATTR = "scl_shard"
 
 
 def vectorize_fragment(fn: Callable[..., Any],
-                       batched: Callable[[Sequence[Any]], Sequence[Any]],
-                       *,
-                       shard: Callable[[np.ndarray], np.ndarray] | None = None):
+                       batched: Callable[[Sequence[Any]], Sequence[Any]]):
     """Register ``batched`` as the all-ranks implementation of ``fn``.
 
     ``batched(values)`` receives the per-rank values in rank order and
     must return the per-rank results in the same order, computing exactly
     what ``[fn(v) for v in values]`` would — bit-identical results are
     part of the executor's contract.  Returns ``fn`` (decorator-friendly).
-
-    ``shard`` (optional) is a transform over one stacked ``(g, ...)``
-    group that is **row-independent**: ``shard(stack)[i] ==
-    shard(stack[i:i+1])[0]`` bit-for-bit.  Registering it allows the
-    host-parallel backend to evaluate disjoint row slabs in separate
-    processes; elementwise numpy arithmetic qualifies, cross-rank
-    reductions do not.
     """
     setattr(fn, _ATTR, batched)
-    if shard is not None:
-        setattr(fn, _SHARD_ATTR, shard)
     return fn
 
 
 def has_batched(fn: Any) -> bool:
     """True when ``fn`` carries a registered batched implementation."""
     return getattr(fn, _ATTR, None) is not None
-
-
-def shard_transform(fn: Any):
-    """The registered row-independent shard transform, or ``None``."""
-    return getattr(fn, _SHARD_ATTR, None)
 
 
 def batched_apply(fn: Any, values: Sequence[Any]) -> list:
@@ -153,9 +129,7 @@ def elementwise(ufunc: Callable[[np.ndarray], np.ndarray], *,
 
     The per-rank form applies ``ufunc`` to one value; the batched form
     applies it once to the SoA stack.  Elementwise numpy arithmetic is
-    positionwise-identical either way, so the results are bit-identical
-    — which also makes ``ufunc`` itself a valid shard transform for the
-    host-parallel backend.
+    positionwise-identical either way, so the results are bit-identical.
     """
 
     @base_fragment(ops=lambda v: ops_per_elem * np.size(v))
@@ -163,5 +137,4 @@ def elementwise(ufunc: Callable[[np.ndarray], np.ndarray], *,
         return ufunc(np.asarray(value))
 
     frag.__name__ = name or getattr(ufunc, "__name__", "elementwise")
-    return vectorize_fragment(frag, lambda vals: stack_uniform(vals, ufunc),
-                              shard=ufunc)
+    return vectorize_fragment(frag, lambda vals: stack_uniform(vals, ufunc))

@@ -19,18 +19,6 @@ the interpreter's two jobs:
    all the interpreter's per-instruction dispatch, table indexing and
    collective generator frames are gone from the hot loop.
 
-The walk itself is split the same way — *scripting* (cost charges,
-message tables, collective generators: always in-process, always
-identical) versus *value evolution* (the actual fragment compute).
-Passing a :class:`~repro.plan.pexec.WorkerPool` via ``pool=`` dispatches
-the evolution half of eligible ``LocalApply`` steps — including each
-link of a :class:`~repro.plan.ir.FusedKernel` chain — to OS worker
-processes, shard-parallel; the pool declines (returns ``None``) or
-crashes (:class:`~repro.errors.PoolError`, caught here, pool dropped)
-and the step runs in-process instead.  Results are bit-identical either
-way, so the scripted request stream never depends on where the compute
-ran.
-
 Collectives are not re-derived by hand: :func:`precompute` drives the
 *actual* generators of :func:`repro.machine.plan_exec._collective` (one
 per rank) with an instant-delivery message pump, so any algorithm the
@@ -50,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Sequence
 
-from repro.errors import MachineError, PoolError
+from repro.errors import MachineError
 from repro.machine.cost import MachineSpec, estimate_nbytes
 from repro.machine.events import Compute, Recv, Send
 from repro.machine.plan_exec import EXCHANGE_TAG, _collective
@@ -110,33 +98,29 @@ class _SizeCache:
 class _Ctx:
     """Everything one precompute walk threads through its steps."""
 
-    __slots__ = ("plan", "spec", "default", "scripts", "sizes", "pool")
+    __slots__ = ("plan", "spec", "default", "scripts", "sizes")
 
-    def __init__(self, plan, spec, default, scripts, pool):
+    def __init__(self, plan, spec, default, scripts):
         self.plan = plan
         self.spec = spec
         self.default = default
         self.scripts = scripts
         self.sizes = _SizeCache(spec.word_bytes)
-        self.pool = pool
 
 
 def precompute(plan: ir.Plan, values: Sequence[Any], spec: MachineSpec,
-               default: float = ir.DEFAULT_FRAGMENT_OPS, *, pool=None):
+               default: float = ir.DEFAULT_FRAGMENT_OPS):
     """Script one execution of ``plan`` over ``values``.
 
     Returns ``(scripts, finals)`` — per-rank request lists and final
     local values — or ``None`` when the plan contains instructions the
-    scripted path does not cover.  ``pool`` (optional) is a
-    :class:`~repro.plan.pexec.WorkerPool`; eligible fragment compute
-    dispatches to it, everything else (and every fallback) runs
-    in-process with bit-identical results.
+    scripted path does not cover.
     """
     if not supported(plan):
         return None
     p = plan.nprocs
     scripts: list[list] = [[] for _ in range(p)]
-    ctx = _Ctx(plan, spec, default, scripts, pool)
+    ctx = _Ctx(plan, spec, default, scripts)
     finals = _run_seq(plan.instrs, ctx, list(values))
     return scripts, finals
 
@@ -172,7 +156,7 @@ def _step(instr, ctx, values):
             for a in instr.fn.applies:
                 for r in range(p):
                     ops[r] += ir.fragment_ops(a.fn, values[r], ctx.default)
-                values = _evolve_local(a, ctx, values)
+                values = _apply_one(a, ctx.plan, values)
             for r in range(p):
                 scripts[r].append(Compute(float(ops[r]) * flop_time))
             return values
@@ -180,7 +164,7 @@ def _step(instr, ctx, values):
             scripts[r].append(Compute(
                 float(ir.fragment_ops(instr.fn, values[r], ctx.default))
                 * flop_time))
-        return _evolve_local(instr, ctx, values)
+        return _apply_one(instr, ctx.plan, values)
 
     if isinstance(instr, ir.Rotate):
         k = instr.k
@@ -231,29 +215,6 @@ def _step(instr, ctx, values):
         return values
 
     raise AssertionError(f"unscriptable plan instruction {instr!r}")
-
-
-def _evolve_local(a: ir.LocalApply, ctx, values):
-    """Value evolution for one (possibly fused-constituent) apply.
-
-    Pool dispatch first when one is attached; any decline runs the
-    in-process path, and a crashed pool is dropped for the rest of the
-    walk — the results are bit-identical by the pool's contract, so the
-    scripts never see the difference.
-    """
-    pool = ctx.pool
-    if pool is not None:
-        grid = ctx.plan.grid
-        cols = grid[1] if (a.indexed and grid is not None) else None
-        try:
-            out = pool.apply_local(a.fn, values, indexed=a.indexed,
-                                   grid_cols=cols, farm_env=a.farm_env)
-        except PoolError:
-            ctx.pool = None
-            out = None
-        if out is not None:
-            return out
-    return _apply_one(a, ctx.plan, values)
 
 
 def _apply_one(a: ir.LocalApply, plan, values):

@@ -100,43 +100,11 @@ class ThreadExecutor(_PoolExecutor):
         return concurrent.futures.ThreadPoolExecutor(max_workers=self.max_workers)
 
 
-class ProcessExecutor(Executor):
-    """Process pool. Function and items must be picklable (top-level defs).
+class ProcessExecutor(_PoolExecutor):
+    """Process pool. Function and items must be picklable (top-level defs)."""
 
-    Backed by the persistent shared-memory worker pool of
-    :mod:`repro.plan.pexec` (which replaced the seed-era
-    ``concurrent.futures.ProcessPoolExecutor`` here): workers start
-    lazily on the first :meth:`map`, survive across calls, and uniform
-    ndarray results travel back through shared memory instead of the
-    pickle pipe.  A crashed worker raises
-    :class:`~repro.errors.PoolError`.
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers <= 0:
-            raise SkeletonError(
-                f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers or (os.cpu_count() or 1)
-        self._pool: Any = None
-
-    @property
-    def pool(self):
-        if self._pool is None:
-            from repro.plan.pexec import WorkerPool
-
-            self._pool = WorkerPool(self.max_workers)
-        return self._pool
-
-    def map(self, fn: Callable[[_T], _U], items: Iterable[_T]) -> list[_U]:
-        return self.pool.run_map(fn, list(items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __repr__(self) -> str:
-        return f"ProcessExecutor(max_workers={self.max_workers})"
+    def _make_pool(self) -> concurrent.futures.Executor:
+        return concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
 
 
 def get_executor(spec: "Executor | str | None") -> Executor:

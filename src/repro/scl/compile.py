@@ -103,14 +103,6 @@ class CompiledProgram:
     #: ``"off"`` / ``None`` (raw plan), or a prebuilt
     #: :class:`~repro.plan.opt.OptConfig`.
     opt: Any = "auto"
-    #: Host-parallel switch: dispatch the data plane's fragment compute
-    #: to the :mod:`repro.plan.pexec` worker pool.  Only affects runs
-    #: that take the scripted path — faults, tracing, ``opt="off"`` and
-    #: ineligible plans never touch the pool, and the pool itself starts
-    #: lazily on the first actual dispatch.
-    parallel: bool = False
-    #: Pool width for ``parallel=True`` (``None`` → host CPU count).
-    workers: int | None = None
 
     def run(self, pa: ParArray) -> tuple[Any, RunResult]:
         """Execute on the machine; returns (result, run statistics).
@@ -149,13 +141,7 @@ class CompiledProgram:
                 and not self.machine.record_trace:
             from repro.plan import vexec
 
-            pool = None
-            if self.parallel:
-                from repro.plan import pexec
-
-                pool = pexec.get_pool(self.workers)
-            pre = vexec.precompute(plan, values, self.machine.spec, default,
-                                   pool=pool)
+            pre = vexec.precompute(plan, values, self.machine.spec, default)
             if pre is not None:
                 res = self.machine.run(vexec.replay_program(*pre))
         if res is None:
@@ -181,10 +167,8 @@ class CompiledProgram:
 def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,
                    fragment_default_ops: float = DEFAULT_FRAGMENT_OPS,
                    label: str = "program",
-                   opt: Any = "auto",
-                   parallel: bool = False,
-                   workers: int | None = None) -> tuple[Any, RunResult]:
+                   opt: Any = "auto") -> tuple[Any, RunResult]:
     """Compile ``expr`` and run it on ``machine`` over ``pa`` (see
     :class:`CompiledProgram`)."""
     return CompiledProgram(expr, machine, fragment_default_ops, label,
-                           opt, parallel, workers).run(pa)
+                           opt).run(pa)

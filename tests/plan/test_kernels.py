@@ -5,7 +5,7 @@ batched implementation that silently returns the wrong shape of result
 would corrupt every rank downstream, so :func:`batched_apply` must
 reject malformed returns loudly; :func:`elementwise` must tag its
 fragments with the exact cost the per-rank interpreter would charge; and
-:func:`group_uniform` must hand backends C-contiguous stacks whatever
+:func:`group_uniform` must hand kernels C-contiguous stacks whatever
 the stride layout of the inputs.
 """
 
@@ -20,7 +20,6 @@ from repro.plan.kernels import (
     elementwise,
     group_uniform,
     has_batched,
-    shard_transform,
     stack_uniform,
     vectorize_fragment,
 )
@@ -70,8 +69,6 @@ class TestElementwiseCostTag:
         frag = elementwise(np.exp, name="exp")
         assert frag.__name__ == "exp"
         assert has_batched(frag)
-        # The ufunc itself doubles as the row-independent shard transform.
-        assert shard_transform(frag) is np.exp
 
 
 class TestGroupUniform:

@@ -41,10 +41,46 @@ class TestSequentialExecutor:
             assert ex.map(square, [2]) == [4]
 
 
-class TestThreadExecutor:
+def fail_on_one(x):
+    if x == 1:
+        raise ValueError("bad 1")
+    return x
+
+
+class _PoolExecutorCases:
+    """What both pool-backed executors must do; subclasses set ``make``."""
+
+    make: type
+
     def test_map_preserves_order(self):
-        with ThreadExecutor(max_workers=4) as ex:
+        with self.make(max_workers=4) as ex:
             assert ex.map(square, range(32)) == [x * x for x in range(32)]
+
+    def test_close_is_idempotent(self):
+        ex = self.make(max_workers=1)
+        ex.map(square, [1])
+        ex.close()
+        ex.close()
+
+    def test_pool_recreated_after_close(self):
+        ex = self.make(max_workers=1)
+        assert ex.map(square, [2]) == [4]
+        ex.close()
+        assert ex.map(square, [3]) == [9]
+        ex.close()
+
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(SkeletonError):
+            self.make(max_workers=0)
+
+    def test_worker_exception_keeps_its_type(self):
+        with self.make(max_workers=2) as ex:
+            with pytest.raises(ValueError, match="bad 1"):
+                ex.map(fail_on_one, [0, 1, 2])
+
+
+class TestThreadExecutor(_PoolExecutorCases):
+    make = ThreadExecutor
 
     def test_actually_uses_multiple_threads(self):
         seen = set()
@@ -59,25 +95,10 @@ class TestThreadExecutor:
             ex.map(record, [1, 2])
         assert len(seen) == 2
 
-    def test_close_is_idempotent(self):
-        ex = ThreadExecutor(max_workers=1)
-        ex.map(square, [1])
-        ex.close()
-        ex.close()
 
-    def test_pool_recreated_after_close(self):
-        ex = ThreadExecutor(max_workers=1)
-        assert ex.map(square, [2]) == [4]
-        ex.close()
-        assert ex.map(square, [3]) == [9]
-        ex.close()
+class TestProcessExecutor(_PoolExecutorCases):
+    make = ProcessExecutor
 
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(SkeletonError):
-            ThreadExecutor(max_workers=0)
-
-
-class TestProcessExecutor:
     def test_map_with_picklable_function(self):
         with ProcessExecutor(max_workers=2) as ex:
             assert ex.map(square, [1, 2, 3]) == [1, 4, 9]

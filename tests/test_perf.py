@@ -36,8 +36,6 @@ class TestRunSuite:
                      for ch in perf.QUICK_STREAM_CHUNKS}
         expected |= {f"metrics_overhead/p{mp}"
                      for mp in perf.METRICS_PROCS}
-        expected |= {f"parallel_hyperquicksort/p{pp}"
-                     for pp in perf.PARALLEL_QUICK_PROCS}
         tp = 1 << perf.QUICK_TUNED_DIM
         expected |= {f"tuned_hyperquicksort/p{tp}",
                      f"tuned_hyperquicksort_greedy/p{tp}"}
@@ -166,29 +164,6 @@ class TestTunedRows:
         tp = 1 << perf.QUICK_TUNED_DIM
         rec = quick_suite[f"tuned_hyperquicksort/p{tp}"]
         assert "search_was_cached" in rec
-
-
-class TestParallelRows:
-    def test_three_arms_and_speedup_columns(self, quick_suite):
-        key = f"parallel_hyperquicksort/p{perf.PARALLEL_QUICK_PROCS[0]}"
-        rec = quick_suite[key]
-        assert rec["host_seconds"] > 0          # pool, workers=N
-        assert rec["host_seconds_w1"] > 0       # pool, workers=1
-        assert rec["host_seconds_vexec"] > 0    # no pool at all
-        assert rec["speedup_workers"] == pytest.approx(
-            rec["host_seconds_w1"] / rec["host_seconds"], rel=0.02)
-        assert rec["speedup_vs_vexec"] == pytest.approx(
-            rec["host_seconds_vexec"] / rec["host_seconds"], rel=0.02)
-        assert rec["workers"] >= 1
-        assert rec["host_cpus"] >= 1
-
-    def test_bench_asserts_equivalence_itself(self):
-        # The bench raises if any arm's values or virtual costs diverge;
-        # a clean return at a small size is the equivalence check.
-        rec = perf.bench_parallel_hyperquicksort(128, n=1 << 14,
-                                                 workers=2, repeats=1)
-        assert rec["makespan"] > 0
-        assert rec["messages"] > 0
 
 
 class TestTraceOverhead:
