@@ -3,10 +3,11 @@
 :func:`ft_hyperquicksort_machine` is hyperquicksort on a lossy machine —
 but unlike the first generation of this module, it is no longer a hand
 port.  The sorting rounds are the *compiled* §5 expression
-(:func:`repro.apps.sort.hyperquicksort_expression`) executed through the
-fault-tolerant plan interpreter
-(:func:`repro.faults.plan_exec.execute_plan_ft`), and the bracketing
-distribution/collection steps are the shared crash-aware collectives
+(:func:`repro.apps.sort.hyperquicksort_expression`) executed by the plan
+walker (:func:`repro.machine.plan_exec.execute_plan`) over the reliable
+transport (:class:`repro.faults.plan_exec.ReliableTransport`), and the
+bracketing distribution/collection steps are the shared crash-aware
+collectives
 (:func:`~repro.machine.collectives_ft.ft_scatter` /
 :func:`~repro.machine.collectives_ft.ft_gather`).  The only app-specific
 code left is the app itself: pre-sort the local block, run the
@@ -35,13 +36,13 @@ from repro.apps.sort import SortCostParams, hyperquicksort_expression, seq_quick
 from repro.machine import AP1000, Hypercube, Machine, MachineSpec
 from repro.machine.api import Comm
 from repro.machine.collectives_ft import ft_gather, ft_scatter
-from repro.machine.plan_exec import Grouped
+from repro.machine.plan_exec import Grouped, execute_plan
 from repro.machine.reliable import ReliableChannel
 from repro.machine.simulator import RunResult
 from repro.plan.lower import lower
 from repro.runtime.chunking import chunk_indices
 from repro.faults.models import FaultInjector, FaultSpec
-from repro.faults.plan_exec import execute_plan_ft
+from repro.faults.plan_exec import ReliableTransport
 
 __all__ = ["ft_hyperquicksort_machine"]
 
@@ -60,8 +61,8 @@ def ft_hyperquicksort_machine(
     """Hyperquicksort on a lossy simulated hypercube; returns (sorted, run).
 
     Structure: reliable scatter, local sort, the compiled §5 expression's
-    ``d`` pivot/split/exchange/merge rounds through the fault-tolerant
-    plan interpreter, reliable gather.  With ``faults=None`` (or an
+    ``d`` pivot/split/exchange/merge rounds through the plan walker on
+    the reliable transport, reliable gather.  With ``faults=None`` (or an
     all-zero spec) the result matches the plain version
     element-for-element; under message faults it still sorts correctly,
     and the :class:`RunResult` carries the retransmit/timeout/drop
@@ -92,7 +93,8 @@ def ft_hyperquicksort_machine(
         yield env.work(params.sort_ops(local.size))
         local = seq_quicksort(local)
         # -- the compiled sorting rounds, fault-tolerantly
-        local = yield from execute_plan_ft(plan, env, comm, chan, local)
+        local = yield from execute_plan(plan, env, comm, local,
+                                        transport=ReliableTransport(chan))
         assert not isinstance(local, Grouped)
         # -- linear reliable gather to p0
         if p > 1:

@@ -1,10 +1,10 @@
 """Fault-tolerant plan execution: the same Plan IR over a reliable channel.
 
-The raw plan interpreter (:mod:`repro.machine.plan_exec`) assumes a
-perfect network.  This module executes the *identical*
-:class:`~repro.plan.ir.Plan` with every instruction's traffic moved onto
-the resilience layer, so any compiled SCL expression gets fault-tolerant
-execution without being hand-ported:
+The plan walker (:func:`repro.machine.plan_exec.execute_plan`) defaults to
+a transport that assumes a perfect network.  :class:`ReliableTransport`
+moves the *identical* :class:`~repro.plan.ir.Plan`'s traffic onto the
+resilience layer, so any compiled SCL expression gets fault-tolerant
+execution without being hand-ported (:func:`run_expression_ft`):
 
 * ``Exchange``/``Rotate`` tables replay as acked, retransmitted
   :class:`~repro.machine.reliable.ReliableChannel` transfers.  A
@@ -17,11 +17,12 @@ execution without being hand-ported:
   :mod:`repro.machine.collectives_ft` (``fold`` → ``ft_reduce`` +
   ``ft_bcast``; broadcasts → ``ft_bcast``; ``scan`` → a reliable linear
   chain),
-* group instructions behave exactly as in the raw interpreter — the
-  channel addresses peers by *pid*, so one channel serves every subgroup.
+* local applies, loops, group instructions and span frames are the
+  walker's, not the transport's — the channel addresses peers by *pid*,
+  so one channel serves every subgroup.
 
 The message pattern (and therefore the virtual cost) differs from the
-raw interpreter's; the computed values do not.
+direct transport's; the computed values do not.
 """
 
 from __future__ import annotations
@@ -29,67 +30,19 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.pararray import ParArray
-from repro.errors import SkeletonError
 from repro.machine import tags
 from repro.machine.api import Comm
 from repro.machine.collectives_ft import ft_bcast, ft_reduce
-from repro.machine.plan_exec import EXCHANGE_TAG, Grouped
+from repro.machine.plan_exec import EXCHANGE_TAG, bcast_piece, execute_plan
 from repro.machine.reliable import ReliableChannel
 from repro.machine.simulator import Machine, RunResult
 from repro.plan import ir
-from repro.plan.lower import lower
+from repro.scl.compile import run_lowered
 
-__all__ = ["execute_plan_ft", "run_expression_ft"]
+__all__ = ["ReliableTransport", "run_expression_ft"]
 
 #: Tag of the reliable scan chain (exchange traffic reuses EXCHANGE_TAG).
 SCAN_TAG = tags.reserve("plan", "scan-chain", 1)
-
-
-def execute_plan_ft(plan: ir.Plan, env, comm: Comm, chan: ReliableChannel,
-                    local: Any, default: float = ir.DEFAULT_FRAGMENT_OPS,
-                    label: str = "plan"):
-    """Run ``plan`` on this processor with all traffic on ``chan``.
-
-    On a traced machine the same span stack as the raw interpreter is
-    pushed (``label → [i] instruction → iter k``), so chaos-run traces
-    attribute retransmits/drops/timeouts to plan instructions too.
-    """
-    if env.tracing:
-        with env.span(label):
-            return (yield from _run_seq_spanned(plan.instrs, plan, env, comm,
-                                                chan, local, default))
-    return (yield from _run_seq(plan.instrs, plan, env, comm, chan, local,
-                                default))
-
-
-def _run_seq(instrs, plan, env, comm, chan, local, default):
-    for instr in instrs:
-        local = yield from _step(instr, plan, env, comm, chan, local, default)
-    return local
-
-
-def _run_seq_spanned(instrs, plan, env, comm, chan, local, default):
-    for i, instr in enumerate(instrs):
-        with env.span(ir.instr_title(instr), instr=i):
-            local = yield from _step_spanned(instr, plan, env, comm, chan,
-                                             local, default)
-    return local
-
-
-def _step_spanned(instr, plan, env, comm, chan, local, default):
-    if isinstance(instr, ir.Loop):
-        for it, body in enumerate(instr.bodies):
-            with env.span(f"iter {it}", iteration=it):
-                local = yield from _run_seq_spanned(body, plan, env, comm,
-                                                    chan, local, default)
-        return local
-    if isinstance(instr, ir.SubPlan):
-        subplan = instr.plans[local.gid]
-        inner = yield from _run_seq_spanned(subplan.instrs, subplan, env,
-                                            local.comm, chan, local.local,
-                                            default)
-        return Grouped(local.comm, local.parent, inner, local.gid)
-    return (yield from _step(instr, plan, env, comm, chan, local, default))
 
 
 def _is_pair_swap(instr: ir.Exchange, r: int) -> bool:
@@ -102,24 +55,19 @@ def _is_pair_swap(instr: ir.Exchange, r: int) -> bool:
     return instr.sends[peer] == (r,) and instr.recvs[peer] == (r,)
 
 
-def _step(instr, plan, env, comm, chan, local, default):
-    if isinstance(instr, ir.LocalApply):
-        if isinstance(instr.fn, ir.FusedKernel):
-            idx = (divmod(comm.rank, plan.grid[1])
-                   if plan.grid is not None else comm.rank)
-            result, ops = ir.apply_fused(instr.fn, idx, local, default)
-            yield env.work(ops)
-            return result
-        yield env.work(ir.fragment_ops(instr.fn, local, default))
-        if instr.indexed:
-            idx = (divmod(comm.rank, plan.grid[1])
-                   if plan.grid is not None else comm.rank)
-            return instr.fn(idx, local)
-        if instr.farm_env is not ir.NO_ENV:
-            return instr.fn(instr.farm_env, local)
-        return instr.fn(local)
+class ReliableTransport:
+    """Plan traffic on one processor's :class:`ReliableChannel` — the
+    ``transport`` of :func:`repro.machine.plan_exec.execute_plan` for
+    lossy machines."""
 
-    if isinstance(instr, ir.Rotate):
+    __slots__ = ("chan",)
+
+    def __init__(self, chan: ReliableChannel):
+        self.chan = chan
+
+    def rotate(self, instr: ir.Rotate, env, comm: Comm, local: Any):
+        """Reliable ring shift; a 2-cycle uses the symmetric exchange."""
+        chan = self.chan
         p = comm.size
         k = instr.k
         dst, src = (comm.rank - k) % p, (comm.rank + k) % p
@@ -129,7 +77,9 @@ def _step(instr, plan, env, comm, chan, local, default):
         yield from chan.send(comm.pid_of(dst), local, tag=EXCHANGE_TAG)
         return (yield from chan.recv(comm.pid_of(src), tag=EXCHANGE_TAG))
 
-    if isinstance(instr, ir.Exchange):
+    def exchange(self, instr: ir.Exchange, env, comm: Comm, local: Any):
+        """Replay this rank's table row as acked transfers."""
+        chan = self.chan
         r = comm.rank
         if _is_pair_swap(instr, r):
             (peer,) = instr.sends[r]
@@ -152,67 +102,34 @@ def _step(instr, plan, env, comm, chan, local, default):
             comm.pid_of(src), tag=EXCHANGE_TAG))
         return (local, fetched) if instr.mode == "pair" else fetched
 
-    if isinstance(instr, ir.Collective):
-        return (yield from _collective(instr, env, comm, chan, local,
-                                       default))
-
-    if isinstance(instr, ir.GroupSplit):
-        gid = instr.group_of[comm.rank]
-        sub = comm.subgroup(list(instr.groups[gid]))
-        return Grouped(sub, comm, local, gid)
-
-    if isinstance(instr, ir.SubPlan):
-        subplan = instr.plans[local.gid]
-        inner = yield from _run_seq(subplan.instrs, subplan, env, local.comm,
-                                    chan, local.local, default)
-        return Grouped(local.comm, local.parent, inner, local.gid)
-
-    if isinstance(instr, ir.GroupCombine):
-        return local.local
-
-    if isinstance(instr, ir.Loop):
-        for body in instr.bodies:
-            local = yield from _run_seq(body, plan, env, comm, chan, local,
-                                        default)
-        return local
-
-    raise AssertionError(f"unknown plan instruction {instr!r}")
-
-
-def _collective(instr, env, comm, chan, local, default):
-    # ``instr.algo`` is deliberately ignored here: the resilient
-    # collectives of :mod:`repro.machine.collectives_ft` are crash-aware
-    # linear patterns with their own message schedules — an optimizer
-    # algo choice priced for the fault-free interpreter has no meaning on
-    # this channel.  Optimized plans still run correctly (fusion and
-    # coalescing apply unchanged); only the schedule hint is dropped.
-    if instr.kind == "fold":
-        acc = yield from ft_reduce(chan, comm, local, instr.op, root=0)
-        acc = yield from ft_bcast(chan, comm, acc, root=0)
-        return ir.Scalar(acc)
-    if instr.kind == "scan":
-        # inclusive prefix as a reliable linear chain in rank order
-        r, p = comm.rank, comm.size
-        out = local
-        if r > 0:
-            prefix = yield from chan.recv(comm.pid_of(r - 1), tag=SCAN_TAG)
-            out = instr.op(prefix, local)
-        if r < p - 1:
-            yield from chan.send(comm.pid_of(r + 1), out, tag=SCAN_TAG)
-        return out
-    if instr.kind == "bcast":
-        value = yield from ft_bcast(
-            chan, comm, instr.value if comm.rank == 0 else None)
-        return (value, local)
-    if instr.kind == "apply_bcast":
-        if comm.rank == instr.root:
-            yield env.work(ir.fragment_ops(instr.op, local, default))
-            piece = instr.op(local)
-        else:
-            piece = None
+    def collective(self, instr: ir.Collective, env, comm: Comm, local: Any,
+                   default: float):
+        """Run the collective as a crash-aware linear pattern."""
+        # ``instr.algo`` is deliberately ignored here: the resilient
+        # collectives of :mod:`repro.machine.collectives_ft` are crash-aware
+        # linear patterns with their own message schedules — an optimizer
+        # algo choice priced for the fault-free interpreter has no meaning on
+        # this channel.  Optimized plans still run correctly (fusion and
+        # coalescing apply unchanged); only the schedule hint is dropped.
+        chan = self.chan
+        if instr.kind == "fold":
+            acc = yield from ft_reduce(chan, comm, local, instr.op, root=0)
+            acc = yield from ft_bcast(chan, comm, acc, root=0)
+            return ir.Scalar(acc)
+        if instr.kind == "scan":
+            # inclusive prefix as a reliable linear chain in rank order
+            r, p = comm.rank, comm.size
+            out = local
+            if r > 0:
+                prefix = yield from chan.recv(comm.pid_of(r - 1),
+                                              tag=SCAN_TAG)
+                out = instr.op(prefix, local)
+            if r < p - 1:
+                yield from chan.send(comm.pid_of(r + 1), out, tag=SCAN_TAG)
+            return out
+        piece = yield from bcast_piece(instr, env, comm, local, default)
         piece = yield from ft_bcast(chan, comm, piece, root=instr.root)
         return (piece, local)
-    raise AssertionError(f"unknown collective kind {instr.kind!r}")
 
 
 def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
@@ -232,37 +149,19 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
     timing-dependent), but execution over a :class:`ReliableChannel` per
     processor — use with a machine constructed with a fault injector.
     """
-    from repro.scl.compile import resolve_opt
+    def make_program(plan, values):
+        def program(env):
+            chan = ReliableChannel(env, timeout=channel_timeout,
+                                   max_retries=max_retries)
+            result = yield from execute_plan(
+                plan, env, Comm.world(env), values[env.pid],
+                fragment_default_ops, label, ReliableTransport(chan))
+            # Stay on the line until peers stop retransmitting: our last
+            # acks may have been lost, and an exited program can't re-ack.
+            with env.span("drain"):
+                yield from chan.drain()
+            return result
 
-    if not isinstance(pa, ParArray) or pa.ndim not in (1, 2):
-        raise SkeletonError("compiled programs take a 1-D or 2-D ParArray input")
-    if pa.size != machine.nprocs:
-        raise SkeletonError(
-            f"expression input has {pa.size} components but the machine "
-            f"has {machine.nprocs} processors")
-    values = pa.to_list()
-    shape = pa.shape
-    plan = lower(expr, machine.nprocs, shape if len(shape) == 2 else None,
-                 opt=resolve_opt(opt, machine))
+        return program
 
-    def program(env):
-        chan = ReliableChannel(env, timeout=channel_timeout,
-                               max_retries=max_retries)
-        result = yield from execute_plan_ft(plan, env, Comm.world(env), chan,
-                                            values[env.pid],
-                                            fragment_default_ops, label)
-        # Stay on the line until peers stop retransmitting: our last acks
-        # may have been lost, and an exited program can't re-ack.
-        with env.span("drain"):
-            yield from chan.drain()
-        return result
-
-    res = machine.run(program)
-    if res.values and isinstance(res.values[0], ir.Scalar):
-        return res.values[0].value, res
-    if len(shape) == 2:
-        rows, cols = shape
-        return ParArray(
-            {(i, j): res.values[i * cols + j]
-             for i in range(rows) for j in range(cols)}, shape), res
-    return ParArray(res.values), res
+    return run_lowered(expr, pa, machine, opt, make_program)

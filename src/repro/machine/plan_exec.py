@@ -8,6 +8,13 @@ time.  The interpreter is a generator (like every machine program):
 ``yield`` s are simulator requests, the return value is the processor's
 final local value (a :class:`~repro.plan.ir.Scalar` for reductions).
 
+The walker is written once; how bytes move is its *transport*: three
+generator methods ``rotate`` / ``exchange`` / ``collective`` taking
+``(instr, env, comm, local)`` (collectives also the fragment ``default``)
+and returning the new local value.  :class:`DirectTransport` here is the
+perfect network; :class:`repro.faults.plan_exec.ReliableTransport` the
+acked, retransmitting one.
+
 Group instructions maintain the same value discipline as the old
 tree-walking compiler: ``GroupSplit`` wraps the local value in a
 :class:`Grouped` frame carrying the subgroup communicator, ``SubPlan``
@@ -27,7 +34,8 @@ from repro.machine.cost import estimate_nbytes
 from repro.machine.simulator import ProcEnv
 from repro.plan import ir
 
-__all__ = ["execute_plan", "Grouped", "EXCHANGE_TAG"]
+__all__ = ["execute_plan", "Grouped", "EXCHANGE_TAG", "DirectTransport",
+           "DIRECT"]
 
 #: Tag of all point-to-point plan traffic (rotate / exchange tables).
 EXCHANGE_TAG = tags.reserve("plan", "exchange", 0)
@@ -43,60 +51,126 @@ class Grouped:
     gid: int
 
 
+def bcast_piece(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any,
+                default: float):
+    """What the root of a ``bcast`` / ``apply_bcast`` sends (``None`` off
+    the root): the constant, or ``op(local)`` charged as compute."""
+    if instr.kind not in ("bcast", "apply_bcast"):
+        raise AssertionError(f"unknown collective kind {instr.kind!r}")
+    if comm.rank != instr.root:
+        return None
+    if instr.kind == "bcast":
+        return instr.value
+    yield env.work(ir.fragment_ops(instr.op, local, default))
+    return instr.op(local)
+
+
+class DirectTransport:
+    """Plan traffic on a perfect network: raw point-to-point messages and
+    the tree / flat / ring collectives ``instr.algo`` selects."""
+
+    __slots__ = ()
+
+    def rotate(self, instr: ir.Rotate, env: ProcEnv, comm: Comm, local: Any):
+        """Send ``local`` ``k`` ranks down the ring, receive from ``k`` up."""
+        p = comm.size
+        k = instr.k
+        yield comm.send((comm.rank - k) % p, local, tag=EXCHANGE_TAG,
+                        nbytes=estimate_nbytes(local, env.spec.word_bytes))
+        msg = yield comm.recv((comm.rank + k) % p, tag=EXCHANGE_TAG)
+        return msg.payload
+
+    def exchange(self, instr: ir.Exchange, env: ProcEnv, comm: Comm,
+                 local: Any):
+        """Replay this rank's row of the send/recv tables."""
+        r = comm.rank
+        for dst in instr.sends[r]:
+            yield comm.send(dst, local, tag=EXCHANGE_TAG,
+                            nbytes=estimate_nbytes(local,
+                                                   env.spec.word_bytes))
+        if instr.mode == "collect":
+            arrivals = []
+            for src in instr.recvs[r]:
+                if src == r:
+                    arrivals.append(local)
+                else:
+                    msg = yield comm.recv(src, tag=EXCHANGE_TAG)
+                    arrivals.append(msg.payload)
+            return arrivals
+        (src,) = instr.recvs[r]
+        fetched = local if src == r else (
+            yield comm.recv(src, tag=EXCHANGE_TAG)).payload
+        return (local, fetched) if instr.mode == "pair" else fetched
+
+    def collective(self, instr: ir.Collective, env: ProcEnv, comm: Comm,
+                   local: Any, default: float):
+        """Run the collective with the schedule ``instr.algo`` names."""
+        # Reduction operators run synchronously inside the collectives'
+        # generator frames, so their CPU cost cannot be yielded from here;
+        # the message rounds carry the synchronisation cost (plan_cost
+        # prices the combines analytically).
+        algo = instr.algo
+        if instr.kind == "fold":
+            if algo == "flat":
+                acc = yield from CX.flat_reduce(comm, local, instr.op)
+                acc = yield from CX.flat_bcast(comm, acc, root=0)
+            else:
+                acc = yield from C.reduce(comm, local, instr.op)
+                acc = yield from C.bcast(comm, acc, root=0)
+            return ir.Scalar(acc)
+        if instr.kind == "scan":
+            if algo == "ring":
+                return (yield from CX.chain_scan(comm, local, instr.op))
+            return (yield from C.scan(comm, local, instr.op))
+        piece = yield from bcast_piece(instr, env, comm, local, default)
+        # binomial tree by default, flat/chain when the optimizer's
+        # collective selection rewrote the schedule
+        if algo == "flat":
+            piece = yield from CX.flat_bcast(comm, piece, root=instr.root)
+        elif algo == "ring":
+            piece = yield from CX.chain_bcast(comm, piece, root=instr.root)
+        else:
+            piece = yield from C.bcast(comm, piece, root=instr.root)
+        return (piece, local)
+
+
+#: The stateless direct transport every fault-free run shares.
+DIRECT = DirectTransport()
+
+
 def execute_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
                  default: float = ir.DEFAULT_FRAGMENT_OPS,
-                 label: str = "plan"):
-    """Run ``plan`` on this processor; returns the new local value.
+                 label: str = "plan", transport: Any = DIRECT):
+    """Run ``plan`` on this processor over ``transport`` (see the module
+    docstring); returns the new local value.
 
     On a traced machine every simulator request executes inside a span
     stack ``label → [i] instruction → iter k → …`` (see
-    :mod:`repro.machine.trace`), so each trace event is attributed to the
-    plan instruction that produced it.  Untraced runs take the original
-    span-free path — tracing off costs nothing.
+    :mod:`repro.machine.trace`), so each trace event — on the reliable
+    transport each retransmit/drop/timeout too — is attributed to the plan
+    instruction that produced it.  Untraced runs build no span scope.
     """
+    with env.span(label):
+        return (yield from _run_seq(plan.instrs, plan, env, comm, transport,
+                                    local, default))
+
+
+def _run_seq(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm, transport,
+             local: Any, default: float):
     if env.tracing:
-        with env.span(label):
-            return (yield from _run_seq_spanned(plan.instrs, plan, env, comm,
-                                                local, default))
-    return (yield from _run_seq(plan.instrs, plan, env, comm, local, default))
-
-
-def _run_seq(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
-             default: float):
-    for instr in instrs:
-        local = yield from _step(instr, plan, env, comm, local, default)
-    return local
-
-
-def _run_seq_spanned(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm,
-                     local: Any, default: float):
-    for i, instr in enumerate(instrs):
-        with env.span(ir.instr_title(instr), instr=i):
-            local = yield from _step_spanned(instr, plan, env, comm, local,
-                                             default)
-    return local
-
-
-def _step_spanned(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
-                  local: Any, default: float):
-    """Like :func:`_step`, but loop iterations and nested plans keep
-    pushing span frames (all leaf instructions delegate to ``_step``)."""
-    if isinstance(instr, ir.Loop):
-        for it, body in enumerate(instr.bodies):
-            with env.span(f"iter {it}", iteration=it):
-                local = yield from _run_seq_spanned(body, plan, env, comm,
-                                                    local, default)
+        for i, instr in enumerate(instrs):
+            with env.span(ir.instr_title(instr), instr=i):
+                local = yield from _step(instr, plan, env, comm, transport,
+                                         local, default)
         return local
-    if isinstance(instr, ir.SubPlan):
-        subplan = instr.plans[local.gid]
-        inner = yield from _run_seq_spanned(subplan.instrs, subplan, env,
-                                            local.comm, local.local, default)
-        return Grouped(local.comm, local.parent, inner, local.gid)
-    return (yield from _step(instr, plan, env, comm, local, default))
+    for instr in instrs:
+        local = yield from _step(instr, plan, env, comm, transport, local,
+                                 default)
+    return local
 
 
 def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
-          local: Any, default: float):
+          transport, local: Any, default: float):
     if isinstance(instr, ir.LocalApply):
         if isinstance(instr.fn, ir.FusedKernel):
             # each constituent charges on its actual input, so the single
@@ -116,40 +190,14 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
         return instr.fn(local)
 
     if isinstance(instr, ir.Rotate):
-        p = comm.size
-        k = instr.k
-        yield comm.send((comm.rank - k) % p, local, tag=EXCHANGE_TAG,
-                        nbytes=estimate_nbytes(local, env.spec.word_bytes))
-        msg = yield comm.recv((comm.rank + k) % p, tag=EXCHANGE_TAG)
-        return msg.payload
+        return (yield from transport.rotate(instr, env, comm, local))
 
     if isinstance(instr, ir.Exchange):
-        r = comm.rank
-        for dst in instr.sends[r]:
-            yield comm.send(dst, local, tag=EXCHANGE_TAG,
-                            nbytes=estimate_nbytes(local,
-                                                   env.spec.word_bytes))
-        if instr.mode == "collect":
-            arrivals = []
-            for src in instr.recvs[r]:
-                if src == r:
-                    arrivals.append(local)
-                else:
-                    msg = yield comm.recv(src, tag=EXCHANGE_TAG)
-                    arrivals.append(msg.payload)
-            return arrivals
-        (src,) = instr.recvs[r]
-        if src == r:
-            fetched = local
-        else:
-            msg = yield comm.recv(src, tag=EXCHANGE_TAG)
-            fetched = msg.payload
-        if instr.mode == "pair":
-            return (local, fetched)
-        return fetched
+        return (yield from transport.exchange(instr, env, comm, local))
 
     if isinstance(instr, ir.Collective):
-        return (yield from _collective(instr, env, comm, local, default))
+        return (yield from transport.collective(instr, env, comm, local,
+                                                default))
 
     if isinstance(instr, ir.GroupSplit):
         gid = instr.group_of[comm.rank]
@@ -159,60 +207,17 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
     if isinstance(instr, ir.SubPlan):
         subplan = instr.plans[local.gid]
         inner = yield from _run_seq(subplan.instrs, subplan, env, local.comm,
-                                    local.local, default)
+                                    transport, local.local, default)
         return Grouped(local.comm, local.parent, inner, local.gid)
 
     if isinstance(instr, ir.GroupCombine):
         return local.local
 
     if isinstance(instr, ir.Loop):
-        for body in instr.bodies:
-            local = yield from _run_seq(body, plan, env, comm, local, default)
+        for it, body in enumerate(instr.bodies):
+            with env.span(f"iter {it}", iteration=it):
+                local = yield from _run_seq(body, plan, env, comm, transport,
+                                            local, default)
         return local
 
     raise AssertionError(f"unknown plan instruction {instr!r}")
-
-
-def _bcast_algo(algo: str, comm: Comm, value: Any, root: int = 0):
-    """The broadcast generator for a :class:`~repro.plan.ir.Collective`
-    ``algo`` — binomial tree by default, flat/chain when the optimizer's
-    collective selection rewrote the schedule."""
-    if algo == "flat":
-        return CX.flat_bcast(comm, value, root=root)
-    if algo == "ring":
-        return CX.chain_bcast(comm, value, root=root)
-    return C.bcast(comm, value, root=root)
-
-
-def _collective(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any,
-                default: float):
-    # Reduction operators run synchronously inside the collectives'
-    # generator frames, so their CPU cost cannot be yielded from here; the
-    # message rounds carry the synchronisation cost (plan_cost prices the
-    # combines analytically).
-    algo = instr.algo
-    if instr.kind == "fold":
-        if algo == "flat":
-            acc = yield from CX.flat_reduce(comm, local, instr.op)
-            acc = yield from CX.flat_bcast(comm, acc, root=0)
-        else:
-            acc = yield from C.reduce(comm, local, instr.op)
-            acc = yield from C.bcast(comm, acc, root=0)
-        return ir.Scalar(acc)
-    if instr.kind == "scan":
-        if algo == "ring":
-            return (yield from CX.chain_scan(comm, local, instr.op))
-        return (yield from C.scan(comm, local, instr.op))
-    if instr.kind == "bcast":
-        value = yield from _bcast_algo(
-            algo, comm, instr.value if comm.rank == 0 else None)
-        return (value, local)
-    if instr.kind == "apply_bcast":
-        if comm.rank == instr.root:
-            yield env.work(ir.fragment_ops(instr.op, local, default))
-            piece = instr.op(local)
-        else:
-            piece = None
-        piece = yield from _bcast_algo(algo, comm, piece, root=instr.root)
-        return (piece, local)
-    raise AssertionError(f"unknown collective kind {instr.kind!r}")

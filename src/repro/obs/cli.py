@@ -26,74 +26,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from repro.machine import AP1000, MODERN_CLUSTER, PERFECT
 from repro.obs import analyze, report
 from repro.obs.sinks import ChromeTraceSink, JsonlSink
+from repro.plan.cli import APPS, SPECS
 from repro.plan.lower import lower
 
 __all__ = ["main"]
 
-_SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
-
 _DEFAULT_OUT = {"jsonl": "trace.jsonl", "chrome": "trace.json"}
-
-
-def _run_hyperquicksort(args, machine_kw):
-    from repro.apps.sort import hyperquicksort_expression, seq_quicksort
-    from repro.core import parmap, partition
-    from repro.core.partition import Block
-    from repro.machine import Hypercube, Machine
-    from repro.scl.compile import run_expression
-
-    d = args.dim
-    p = 1 << d
-    expr = hyperquicksort_expression(d)
-    plan = lower(expr, p)
-    rng = np.random.default_rng(args.seed)
-    values = rng.integers(0, 2**31, size=args.n).astype(np.int32)
-    blocks = parmap(seq_quicksort, partition(Block(p), values))
-    machine = Machine(Hypercube(d), spec=args.spec, **machine_kw)
-    out, res = run_expression(expr, blocks, machine, label="hyperquicksort")
-    merged = np.concatenate([np.asarray(b) for b in out])
-    assert np.array_equal(merged, np.sort(values)), "traced sort incorrect"
-    title = (f"traced hyperquicksort, d={d} (p={p}), {args.n} keys, "
-             f"{args.spec.name}")
-    eb = int(np.ceil(args.n / p)) * 4  # one block of int32 keys on the wire
-    return plan, res, title, eb
-
-
-def _run_gauss_jordan(args, machine_kw):
-    from repro.apps.linalg import gauss_jordan_expression
-    from repro.core import ColBlock, ParArray, gather, partition
-    from repro.machine import Machine
-    from repro.machine.topology import FullyConnected
-    from repro.scl.compile import run_expression
-
-    n, p = args.n, args.procs
-    rng = np.random.default_rng(args.seed)
-    A = rng.normal(size=(n, n)) + n * np.eye(n)
-    b = rng.normal(size=n)
-    aug = np.hstack([A, b.reshape(n, -1)])
-    pattern = ColBlock(p)
-    expr = gauss_jordan_expression(n, p, aug.shape)
-    plan = lower(expr, p)
-    machine = Machine(FullyConnected(p), spec=args.spec, **machine_kw)
-    out, res = run_expression(expr, partition(pattern, aug), machine,
-                              label="gauss-jordan")
-    solved = np.asarray(gather(ParArray(out.to_list(), dist=pattern)))
-    x = solved[:, n:].reshape(b.shape)
-    assert np.allclose(A @ x, b), "traced solve incorrect"
-    title = f"traced gauss-jordan, n={n}, p={p}, {args.spec.name}"
-    eb = n * int(np.ceil((n + 1) / p)) * 8  # one float64 column block
-    return plan, res, title, eb
-
-
-_APPS = {
-    "hyperquicksort": _run_hyperquicksort,
-    "gauss-jordan": _run_gauss_jordan,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run a compiled example app with span tracing on and "
                     "print per-instruction predicted-vs-observed costs, "
                     "rollups and the critical path.")
-    parser.add_argument("app", choices=sorted(_APPS))
+    parser.add_argument("app", choices=sorted(APPS))
     parser.add_argument("-n", type=int, default=None,
                         help="workload size (keys to sort / matrix order; "
                              "defaults: 4096 keys, n=24 system)")
@@ -111,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--procs", type=int, default=6,
                         help="processor count for gauss-jordan")
     parser.add_argument("--seed", type=int, default=19950701)
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="ap1000",
+    parser.add_argument("--spec", choices=sorted(SPECS), default="ap1000",
                         help="machine cost model")
     parser.add_argument("--fn-ops", type=float, default=50.0,
                         help="assumed ops per opaque function application "
@@ -136,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    args.spec = _SPECS[args.spec]
+    args.spec = SPECS[args.spec]
     if args.n is None:
         args.n = 4096 if args.app == "hyperquicksort" else 24
     if args.app == "hyperquicksort" and not (1 <= args.dim <= 10):
@@ -153,12 +93,15 @@ def main(argv: list[str] | None = None) -> int:
                   "trace_limit": args.limit}
 
     try:
-        plan, res, title, eb = _APPS[args.app](args, machine_kw)
+        expr, p, res, detail, eb = APPS[args.app](args, machine_kw, args.app,
+                                                  "auto")
     finally:
         if sink is not None:
             sink.close()
 
+    plan = lower(expr, p)
     trace = res.trace
+    title = f"traced {args.app}, {detail}"
     print(title)
     print("=" * len(title))
     print()

@@ -5,8 +5,9 @@ The paper treats a skeleton program as an object you can transform (§4)
 and then hand-compile (§5).  This package mechanises the hand-off: an
 expression is *lowered once* into a flat, typed SPMD instruction
 sequence (:mod:`repro.plan.ir`), and that one representation is then
-executed (:mod:`repro.machine.plan_exec`), executed fault-tolerantly
-(:mod:`repro.faults.plan_exec`), priced (:mod:`repro.plan.cost`),
+executed by one walker (:mod:`repro.machine.plan_exec`) over the direct
+or the fault-tolerant transport (:mod:`repro.faults.plan_exec`), priced
+(:mod:`repro.plan.cost`),
 optimized (:mod:`repro.plan.opt` — §4's transformation rules applied
 post-lowering, with the SoA data plane of :mod:`repro.plan.vexec` and
 the kernel registry of :mod:`repro.plan.kernels`) and pretty-printed

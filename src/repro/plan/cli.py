@@ -58,9 +58,9 @@ from repro.plan.lower import lower, plan_cache_stats
 from repro.plan.opt import OptConfig, optimize_plan_report
 from repro.util.tables import render_table
 
-__all__ = ["main"]
+__all__ = ["main", "run_hyperquicksort", "run_gauss_jordan", "APPS", "SPECS"]
 
-_SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
+SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
 
 
 def _cost_rows(plan: ir.Plan, spec, fn_ops: float, element_bytes: int | None):
@@ -86,7 +86,10 @@ def _cost_rows(plan: ir.Plan, spec, fn_ops: float, element_bytes: int | None):
     return rows, total
 
 
-def _run_hyperquicksort(args):
+def run_hyperquicksort(args, machine_kw, label, opt):
+    """Run the compiled sort on ``args.seed``'s keys and check it (shared
+    with ``python -m repro trace``); returns ``(expr, nprocs, run result,
+    title detail, element bytes on the wire)``."""
     from repro.apps.sort import hyperquicksort_expression, seq_quicksort
     from repro.core import parmap, partition
     from repro.core.partition import Block
@@ -96,43 +99,49 @@ def _run_hyperquicksort(args):
     d = args.dim
     p = 1 << d
     expr = hyperquicksort_expression(d)
-    plan = lower(expr, p, opt=args.opt_cfg)
     rng = np.random.default_rng(args.seed)
     values = rng.integers(0, 2**31, size=args.n).astype(np.int32)
     blocks = parmap(seq_quicksort, partition(Block(p), values))
-    out, res = run_expression(expr, blocks,
-                              Machine(Hypercube(d), spec=args.spec),
-                              opt=args.opt_cfg)
+    machine = Machine(Hypercube(d), spec=args.spec, **machine_kw)
+    out, res = run_expression(expr, blocks, machine, label=label, opt=opt)
     merged = np.concatenate([np.asarray(b) for b in out])
     assert np.array_equal(merged, np.sort(values)), "compiled sort incorrect"
-    title = (f"hyperquicksort expression, d={d} (p={p}), "
-             f"{args.n} keys, {args.spec.name}")
+    detail = f"d={d} (p={p}), {args.n} keys, {args.spec.name}"
     eb = int(np.ceil(args.n / p)) * 4  # one block of int32 keys on the wire
-    return expr, plan, res, title, eb
+    return expr, p, res, detail, eb
 
 
-def _run_gauss_jordan(args):
-    from repro.apps.linalg import gauss_jordan_compiled
+def run_gauss_jordan(args, machine_kw, label, opt):
+    """Run the compiled solve on ``args.seed``'s system and check it
+    (same contract as :func:`run_hyperquicksort`)."""
+    from repro.apps.linalg import gauss_jordan_expression
+    from repro.core import ColBlock, ParArray, gather, partition
+    from repro.machine import Machine
+    from repro.machine.topology import FullyConnected
+    from repro.scl.compile import run_expression
 
     n, p = args.n, args.procs
     rng = np.random.default_rng(args.seed)
     A = rng.normal(size=(n, n)) + n * np.eye(n)
     b = rng.normal(size=n)
-    x, res = gauss_jordan_compiled(A, b, p, spec=args.spec, opt=args.opt_cfg)
+    aug = np.hstack([A, b.reshape(n, -1)])
+    pattern = ColBlock(p)
+    expr = gauss_jordan_expression(n, p, aug.shape)
+    machine = Machine(FullyConnected(p), spec=args.spec, **machine_kw)
+    out, res = run_expression(expr, partition(pattern, aug), machine,
+                              label=label, opt=opt)
+    solved = np.asarray(gather(ParArray(out.to_list(), dist=pattern)))
+    x = solved[:, n:].reshape(b.shape)
     assert np.allclose(A @ x, b), "compiled solve incorrect"
-    from repro.apps.linalg import gauss_jordan_expression
-
-    aug_shape = (n, n + 1)
-    expr = gauss_jordan_expression(n, p, aug_shape)
-    plan = lower(expr, p, opt=args.opt_cfg)
-    title = f"gauss-jordan expression, n={n}, p={p}, {args.spec.name}"
+    detail = f"n={n}, p={p}, {args.spec.name}"
     eb = n * int(np.ceil((n + 1) / p)) * 8  # one float64 column block
-    return expr, plan, res, title, eb
+    return expr, p, res, detail, eb
 
 
-_APPS = {
-    "hyperquicksort": _run_hyperquicksort,
-    "gauss-jordan": _run_gauss_jordan,
+#: app name -> runner ``(args, machine_kw, label, opt)``.
+APPS = {
+    "hyperquicksort": run_hyperquicksort,
+    "gauss-jordan": run_gauss_jordan,
 }
 
 FRONTIER_SCHEMA = "repro.tune.frontier/v1"
@@ -283,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro plan",
         description="Lower a compiled example app to the Plan IR and dump "
                     "the program with predicted vs simulated cost.")
-    parser.add_argument("app", choices=sorted(_APPS))
+    parser.add_argument("app", choices=sorted(APPS))
     parser.add_argument("-n", type=int, default=None,
                         help="workload size (keys to sort / matrix order; "
                              "defaults: 4096 keys, n=24 system)")
@@ -293,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--procs", type=int, default=6,
                         help="processor count for gauss-jordan")
     parser.add_argument("--seed", type=int, default=19950701)
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="ap1000",
+    parser.add_argument("--spec", choices=sorted(SPECS), default="ap1000",
                         help="machine cost model")
     parser.add_argument("--fn-ops", type=float, default=50.0,
                         help="assumed ops per opaque function application "
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    args.spec = _SPECS[args.spec]
+    args.spec = SPECS[args.spec]
     if args.dim is None:
         args.dim = 5 if args.search else 3
     if args.n is None:
@@ -342,7 +351,10 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.scl.plan_pretty import pretty_plan
 
-    expr, plan, res, title, eb = _APPS[args.app](args)
+    expr, p, res, detail, eb = APPS[args.app](args, {}, "program",
+                                              args.opt_cfg)
+    plan = lower(expr, p, opt=args.opt_cfg)
+    title = f"{args.app} expression, {detail}"
     print(title + ("" if args.opt else "  [passes disabled]"))
     print("=" * len(title))
     print()

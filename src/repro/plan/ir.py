@@ -7,10 +7,11 @@ happens at lowering time — instructions carry *precomputed per-rank
 communication tables*, so the executor never re-walks the expression tree
 or re-evaluates an index map.  The same stream is the unit of pricing
 (:mod:`repro.plan.cost`), pretty-printing
-(:mod:`repro.scl.plan_pretty`), raw execution
-(:mod:`repro.machine.plan_exec`) and fault-tolerant execution
-(:mod:`repro.faults.plan_exec`): predicted cost, dump, simulated run and
-resilient run all describe the identical program.
+(:mod:`repro.scl.plan_pretty`) and execution — one walker
+(:mod:`repro.machine.plan_exec`) whose transport is either direct
+messages or the reliable channel (:mod:`repro.faults.plan_exec`):
+predicted cost, dump, simulated run and resilient run all describe the
+identical program.
 
 Instruction set:
 

@@ -20,8 +20,9 @@ the interpreter's two jobs:
    collective generator frames are gone from the hot loop.
 
 Collectives are not re-derived by hand: :func:`precompute` drives the
-*actual* generators of :func:`repro.machine.plan_exec._collective` (one
-per rank) with an instant-delivery message pump, so any algorithm the
+*actual* generators of the interpreter's direct transport
+(:meth:`repro.machine.plan_exec.DirectTransport.collective`, one per
+rank) with an instant-delivery message pump, so any algorithm the
 interpreter can run — including the optimizer's flat/ring selections —
 scripts correctly by construction.
 
@@ -41,7 +42,7 @@ from typing import Any, Sequence
 from repro.errors import MachineError
 from repro.machine.cost import MachineSpec, estimate_nbytes
 from repro.machine.events import Compute, Recv, Send
-from repro.machine.plan_exec import EXCHANGE_TAG, _collective
+from repro.machine.plan_exec import DIRECT, EXCHANGE_TAG
 from repro.plan import ir
 from repro.plan.kernels import batched_apply
 
@@ -278,7 +279,8 @@ def _script_collective(instr, values, spec, default, scripts):
     with instant in-order delivery — recording every request."""
     p = len(values)
     env = _ScriptEnv(spec.flop_time)
-    gens = [_collective(instr, env, _ScriptComm(r, p), values[r], default)
+    gens = [DIRECT.collective(instr, env, _ScriptComm(r, p), values[r],
+                              default)
             for r in range(p)]
     results: list[Any] = [None] * p
     done = [False] * p

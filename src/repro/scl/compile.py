@@ -21,7 +21,10 @@ stages:
    point-to-point messages, ``Fold``/``Scan``/``Brdcast`` use the tree /
    doubling collectives of :mod:`repro.machine.collectives`, and
    ``split``/``combine`` map to communicator groups exactly as §2.1
-   prescribes.
+   prescribes.  The walker's *transport* decides how the messages
+   move: direct here, acked and retransmitted under
+   :func:`repro.faults.plan_exec.run_expression_ft` — same walker, same
+   :func:`run_lowered` front end.
 
 Between the two stages sits the plan optimizer (:mod:`repro.plan.opt`),
 on by default: lowering is asked for the plan optimized for this
@@ -89,6 +92,33 @@ def resolve_opt(opt: Any, machine: Machine):
     return opt
 
 
+def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
+                make_program) -> tuple[Any, RunResult]:
+    """Validate ``pa``, lower ``expr``, run, unwrap — what
+    :meth:`CompiledProgram.run` and ``run_expression_ft`` share (internal).
+    ``make_program(plan, values)`` builds the machine program executing
+    ``plan`` over the row-major per-rank ``values``."""
+    if not isinstance(pa, ParArray) or pa.ndim not in (1, 2):
+        raise SkeletonError("compiled programs take a 1-D or 2-D ParArray input")
+    if pa.size != machine.nprocs:
+        raise SkeletonError(
+            f"expression input has {pa.size} components but the machine "
+            f"has {machine.nprocs} processors")
+    shape = pa.shape
+    plan = _plan_lower.lower(expr, machine.nprocs,
+                             shape if len(shape) == 2 else None,
+                             opt=resolve_opt(opt, machine))
+    res = machine.run(make_program(plan, pa.to_list()))
+    if res.values and isinstance(res.values[0], _Scalar):
+        return res.values[0].value, res
+    if len(shape) == 2:
+        rows, cols = shape
+        return ParArray(
+            {(i, j): res.values[i * cols + j]
+             for i in range(rows) for j in range(cols)}, shape), res
+    return ParArray(res.values), res
+
+
 @dataclasses.dataclass(frozen=True)
 class CompiledProgram:
     """A skeleton expression bound to a machine, ready to run."""
@@ -122,46 +152,23 @@ class CompiledProgram:
         from repro.machine.api import Comm
         from repro.machine.plan_exec import execute_plan
 
-        if not isinstance(pa, ParArray) or pa.ndim not in (1, 2):
-            raise SkeletonError("compiled programs take a 1-D or 2-D ParArray input")
-        if pa.size != self.machine.nprocs:
-            raise SkeletonError(
-                f"expression input has {pa.size} components but the machine "
-                f"has {self.machine.nprocs} processors")
-        values = pa.to_list()  # row-major
-        shape = pa.shape
+        machine = self.machine
         default = self.fragment_default_ops
-        config = resolve_opt(self.opt, self.machine)
-        plan = _plan_lower.lower(self.expr, self.machine.nprocs,
-                     shape if len(shape) == 2 else None, opt=config)
+        label = self.label
+        config = resolve_opt(self.opt, machine)
 
-        res: RunResult | None = None
-        if config is not None and config.vectorize \
-                and self.machine.faults is None \
-                and not self.machine.record_trace:
-            from repro.plan import vexec
+        def make_program(plan, values):
+            if config is not None and config.vectorize \
+                    and machine.faults is None and not machine.record_trace:
+                from repro.plan import vexec
 
-            pre = vexec.precompute(plan, values, self.machine.spec, default)
-            if pre is not None:
-                res = self.machine.run(vexec.replay_program(*pre))
-        if res is None:
-            label = self.label
+                pre = vexec.precompute(plan, values, machine.spec, default)
+                if pre is not None:
+                    return vexec.replay_program(*pre)
+            return lambda env: execute_plan(plan, env, Comm.world(env),
+                                            values[env.pid], default, label)
 
-            def program(env):
-                result = yield from execute_plan(plan, env, Comm.world(env),
-                                                 values[env.pid], default,
-                                                 label)
-                return result
-
-            res = self.machine.run(program)
-        if res.values and isinstance(res.values[0], _Scalar):
-            return res.values[0].value, res
-        if len(shape) == 2:
-            rows, cols = shape
-            return ParArray(
-                {(i, j): res.values[i * cols + j]
-                 for i in range(rows) for j in range(cols)}, shape), res
-        return ParArray(res.values), res
+        return run_lowered(self.expr, pa, machine, config, make_program)
 
 
 def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,

@@ -13,7 +13,8 @@ import concurrent.futures
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import SkeletonError
-from repro.runtime.executor import Executor, SequentialExecutor, _PoolExecutor, get_executor
+from repro.runtime.executor import (Executor, ProcessExecutor, SequentialExecutor,
+                                    ThreadExecutor, get_executor)
 
 __all__ = ["stream_map", "stream_farm", "stream_filter", "stream_reduce",
            "stream_scan"]
@@ -27,7 +28,7 @@ def _pool_of(executor: Executor | str | None):
     ex = get_executor(executor)
     if isinstance(ex, SequentialExecutor):
         return None
-    if isinstance(ex, _PoolExecutor):
+    if isinstance(ex, (ThreadExecutor, ProcessExecutor)):
         return ex.pool
     raise SkeletonError(
         f"stream skeletons need a pool-backed or sequential executor, "

@@ -151,3 +151,38 @@ class TestFaultTolerantAttribution:
         for e in res.trace.events():
             if e.kind in ("retransmit", "timeout"):
                 assert e.span is not None
+
+    def test_nested_group_spans_match_the_direct_transport(self):
+        # a SubPlan inside a Loop (and a Loop inside that SubPlan): both
+        # transports ride one walker, so the span paths are the same set
+        from repro.core.pararray import ParArray
+        from repro.faults.models import FaultInjector, FaultSpec
+        from repro.faults.plan_exec import run_expression_ft
+        from repro.machine.topology import FullyConnected
+        from repro.scl import (Combine, IterFor, Map, Rotate, Split,
+                               compose_nodes)
+
+        inner = IterFor(2, lambda j: compose_nodes(Map(lambda x: x + 1),
+                                                   Rotate(j + 1)))
+        expr = IterFor(2, lambda i: compose_nodes(Combine(), Map(inner),
+                                                  Split(Block(2))))
+        pa = ParArray(list(range(8)))
+
+        def span_paths(run, **machine_kw):
+            machine = Machine(FullyConnected(8), spec=AP1000,
+                              record_trace=True, **machine_kw)
+            out, res = run(expr, pa, machine, label="nest")
+            events = res.trace.events()
+            assert all(e.span is not None for e in events)
+            return list(out), {
+                tuple((f.label, f.instr, f.iteration)
+                      for f in e.span.frames()) for e in events}
+
+        want, direct = span_paths(run_expression)
+        got, reliable = span_paths(run_expression_ft,
+                                   faults=FaultInjector(FaultSpec()))
+        assert got == want
+        assert reliable == direct | {(("drain", None, None),)}
+        # the nesting really is label → loop → iter → subplan → loop → iter
+        assert max(len(path) for path in direct) == 7
+        assert any(f[0] == "subplan" for path in direct for f in path)

@@ -1,7 +1,7 @@
-"""The fault-tolerant plan interpreter: same plans, lossy network.
+"""The reliable transport: same plans, same walker, lossy network.
 
-``execute_plan_ft`` runs the identical :class:`~repro.plan.ir.Plan` the
-raw interpreter runs, with every instruction's traffic on the reliable
+``run_expression_ft`` runs the identical :class:`~repro.plan.ir.Plan` the
+direct transport runs, with every instruction's traffic on the reliable
 channel.  The contract: fault-free results equal the raw compiler's
 element-for-element; under message faults the values are still right and
 the retransmit counters show the protocol working.

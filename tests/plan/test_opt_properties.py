@@ -10,6 +10,10 @@ generated expressions and a sweep of machine shapes:
    run are bounded by the unoptimized run's.
 3. **Predicted cost never worse** — ``plan_cost`` of the optimized plan
    is bounded by the raw plan's on the spec the passes priced with.
+4. **One walker, any transport** — the same program on the reliable
+   transport (zero-rate fault injector) computes the same values, and on
+   a traced machine the direct transport reproduces the untraced
+   interpreter's values, makespan and message count exactly.
 
 Plus the two deterministic application anchors the perf harness tracks:
 compiled hyperquicksort and the gauss-jordan solver.
@@ -23,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pararray import ParArray
+from repro.faults.models import FaultInjector, FaultSpec
+from repro.faults.plan_exec import run_expression_ft
 from repro.machine import AP1000, Machine, PERFECT
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan.cost import plan_cost
@@ -104,20 +110,28 @@ def test_optimized_runs_are_bit_identical_and_never_cost_more(
     spec = SPECS[spec_name]
     pa = ParArray([float(3 * r + 1) for r in range(p)])
 
-    def machine():
-        return Machine(TOPOLOGIES[topo_name](p), spec=spec)
+    def machine(**kw):
+        return Machine(TOPOLOGIES[topo_name](p), spec=spec, **kw)
 
     m = machine()
     config = OptConfig.for_machine(m)
     want, res_off = run_expression(expr, pa, m, opt="off")
     got, res_opt = run_expression(expr, pa, machine(), opt=config)
+    got_ft, _ = run_expression_ft(
+        expr, pa, machine(faults=FaultInjector(FaultSpec())), opt=config)
+    got_tr, res_tr = run_expression(expr, pa, machine(record_trace=True),
+                                    opt="off")
 
-    if np.isscalar(want) or not isinstance(want, ParArray):
-        assert got == want
-    else:
-        assert list(got) == list(want)
+    for arm in (got, got_ft, got_tr):
+        if np.isscalar(want) or not isinstance(want, ParArray):
+            assert arm == want
+        else:
+            assert list(arm) == list(want)
     assert res_opt.total_messages <= res_off.total_messages
     assert res_opt.makespan <= res_off.makespan * SLACK
+    # the walker's traced and untraced paths issue the same requests
+    assert res_tr.makespan == res_off.makespan
+    assert res_tr.total_messages == res_off.total_messages
 
     raw = lower(expr, p)
     opt = optimize_plan(raw, config)

@@ -8,12 +8,15 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * every public function/class reachable through ``__all__`` has a
   docstring,
 * public callables have no positional-only surprises (inspectable
-  signatures).
+  signatures),
+* no module reaches into another module's underscore-prefixed names.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 
@@ -59,6 +62,30 @@ def test_public_callables_have_inspectable_signatures(modname):
         obj = getattr(mod, name)
         if inspect.isfunction(obj):
             inspect.signature(obj)  # raises if not inspectable
+
+
+def test_no_private_names_imported_across_modules():
+    """``from repro.x import _name`` couples the importer to another
+    module's internals.  Private *modules* (``stream._runner``,
+    ``machine._reference``) are exempt on both ends: they are part of
+    their package's implementation."""
+    offenders = []
+    for modname in MODULES:
+        if "._" in modname:
+            continue
+        with open(importlib.util.find_spec(modname).origin,
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level \
+                    or not (node.module or "").startswith("repro"):
+                continue
+            offenders += [
+                f"{modname}:{node.lineno} imports {node.module}.{a.name}"
+                for a in node.names
+                if a.name.startswith("_")
+                and f"{node.module}.{a.name}" not in MODULES]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_top_level_all_is_complete():
