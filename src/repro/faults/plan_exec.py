@@ -145,7 +145,7 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
     and plan optimizer (``opt`` as in
     :class:`~repro.scl.compile.CompiledProgram` — fusion and coalescing
     apply to the resilient run too; collective ``algo`` hints and the
-    scripted data plane do not, since traffic here is retransmitted and
+    whole-machine walk do not, since traffic here is retransmitted and
     timing-dependent), but execution over a :class:`ReliableChannel` per
     processor — use with a machine constructed with a fault injector.
     """
@@ -162,6 +162,6 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
                 yield from chan.drain()
             return result
 
-        return program
+        return program, None
 
     return run_lowered(expr, pa, machine, opt, make_program)

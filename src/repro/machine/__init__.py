@@ -10,6 +10,9 @@ a **discrete-event simulator** of a distributed-memory machine:
   interconnects with hop counting,
 * :mod:`repro.machine.simulator` — generator-based virtual processors driven
   by an event loop with per-processor virtual clocks,
+* :mod:`repro.machine.lockstep` — the same clock rules as plain arithmetic,
+  for callers (compiled plans) that can walk all processors' requests
+  themselves instead of having them scheduled,
 * :mod:`repro.machine.api` — an MPI-like communicator layer (groups, ranks,
   ``split``) on top of simulator point-to-point messages,
 * :mod:`repro.machine.collectives` — broadcast / reduce / scan / gather /

@@ -173,19 +173,25 @@ def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
     definition) without the per-element recursion.  Small hashable tuples
     are additionally memoized across calls: programs re-send the same
     header-style payloads thousands of times on the hot path, and one
-    C-level hash beats re-walking the structure.
+    C-level hash beats re-walking the structure.  A small tuple that
+    directly holds an ndarray (unhashable, so never memoized) is summed on
+    the spot instead.
     """
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if isinstance(payload, (bool, numbers.Number)):
-        return word_bytes
-    if payload is None:
-        return word_bytes
-    if isinstance(payload, (str, bytes, bytearray)):
-        return max(len(payload), 1)
-    if isinstance(payload, memoryview):
-        return max(payload.nbytes, 1)
     if type(payload) is tuple and len(payload) <= _NBYTES_CACHE_MAX_LEN:
+        # Before the scalar/str ABC checks, none of which a tuple can pass.
+        ndarray = np.ndarray
+        for item in payload:
+            if type(item) is ndarray:
+                # An array element makes the tuple unhashable, so the memo
+                # probe could only raise and fall through to the walk;
+                # take the walk's sum directly.
+                total = 0
+                for x in payload:
+                    total += (x.nbytes if type(x) is ndarray
+                              else estimate_nbytes(x, word_bytes))
+                return total if total > word_bytes else word_bytes
         try:
             return _NBYTES_CACHE[(word_bytes, payload)]
         except KeyError:
@@ -195,7 +201,16 @@ def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
             _NBYTES_CACHE[(word_bytes, payload)] = nb
             return nb
         except TypeError:
-            pass  # unhashable element somewhere inside; walk it
+            # unhashable element somewhere deeper inside; walk it
+            return _estimate_walk(payload, word_bytes)
+    if isinstance(payload, (bool, numbers.Number)):
+        return word_bytes
+    if payload is None:
+        return word_bytes
+    if isinstance(payload, (str, bytes, bytearray)):
+        return max(len(payload), 1)
+    if isinstance(payload, memoryview):
+        return max(payload.nbytes, 1)
     return _estimate_walk(payload, word_bytes)
 
 

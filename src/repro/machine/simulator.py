@@ -507,7 +507,8 @@ class Machine:
         #: fault-free, untraced, multi-port runs.  It produces bit-identical
         #: results and transparently falls back to the per-event engine;
         #: ``batch=False`` forces the per-event engine (the equivalence
-        #: suite uses this to compare the two directly).
+        #: suite uses this to compare the two directly) and, with it, the
+        #: per-processor programs over any ``walk`` handed to :meth:`run`.
         self.batch = batch
         self._clock: list[float] = []
         self._tx_free: list[float] = []
@@ -522,13 +523,24 @@ class Machine:
         return self.topology.size
 
     def run(self, program: Program | Sequence[Program], *,
-            args: Iterable[tuple] | None = None) -> RunResult:
+            args: Iterable[tuple] | None = None,
+            walk: Callable[[Any], list | None] | None = None) -> RunResult:
         """Execute one program per processor and return the result.
 
         ``program`` is either a single program (SPMD: every processor runs
         it, distinguished by ``env.pid``) or a sequence of ``nprocs``
         programs (MPMD).  ``args`` optionally supplies extra positional
         arguments per processor.
+
+        ``walk`` is an optional second form of the *same* computation for
+        callers whose communication structure is static (a lowered plan):
+        ``walk(timeline)`` makes every processor's requests directly on a
+        :class:`~repro.machine.lockstep.Lockstep` timeline and returns the
+        per-processor final values, or ``None`` to decline.  The machine —
+        not the caller — picks between the two: the walk on fault-free,
+        untraced, multi-port runs (the batched engine's predicate), the
+        per-processor programs otherwise.  Both produce the same
+        :class:`RunResult`.
         """
         n = self.nprocs
         if callable(program):
@@ -544,6 +556,12 @@ class Machine:
 
         if (self.batch and self.faults is None and not self.record_trace
                 and not self.single_port):
+            if walk is not None:
+                from repro.machine.lockstep import Lockstep
+                timeline = Lockstep(self)
+                values = walk(timeline)
+                if values is not None:
+                    return timeline.finish(values)
             from repro.machine.batch import BatchFallback, run_batched
             try:
                 return run_batched(self, programs, extra)

@@ -101,10 +101,14 @@ class OptConfig:
     fuse: bool = True
     coalesce: bool = True
     select_collectives: bool = True
-    #: Executor-side switch: run eligible plans through the precomputed
-    #: SoA data plane (:mod:`repro.plan.vexec`) instead of the
-    #: per-instruction interpreter.  Not a plan transformation, but part
-    #: of the config so one flag set describes the whole pipeline.
+    #: Executor-side switch: hand the machine the whole-machine SoA walk
+    #: (:mod:`repro.plan.vexec`) beside the per-instruction interpreter.
+    #: The *machine* then picks (:meth:`Machine.run
+    #: <repro.machine.simulator.Machine.run>`): the walk on fault-free,
+    #: untraced, multi-port runs of flat plans, the interpreter on
+    #: everything else — and always with ``vectorize=False``.  Not a plan
+    #: transformation, but part of the config so one flag set describes
+    #: the whole pipeline.
     vectorize: bool = True
     #: Cost model used by the guarded passes; ``None`` disables
     #: collective selection (no basis for pricing).

@@ -1,59 +1,60 @@
-"""The vectorized data plane: precomputed per-rank request scripts.
+"""The vectorized data plane: one whole-machine walk of a flat plan.
 
 Fault-free plan execution is fully deterministic: every message's source,
 tag, payload and size — and every compute charge — is a pure function of
-the plan and the input values.  This module exploits that by splitting
-the interpreter's two jobs:
+the plan and the input values.  :func:`precompute` exploits that: it
+walks the plan *once*, evolving all p ranks' values together, and makes
+each rank's simulator requests directly on the machine's lockstep
+timeline (:class:`repro.machine.lockstep.Lockstep`) as it goes.
 
-1. **Data plane** (:func:`precompute`): walk the plan *once*, evolving
-   all p ranks' values together.  Known elementwise kernels
-   (:mod:`repro.plan.kernels`) run as one SoA numpy op across the ranks
-   instead of p Python calls; opaque fragments fall back to the per-rank
-   loop.  The walk records, per rank, the exact sequence of simulator
-   requests the interpreter would have yielded — same constructors, same
-   arithmetic, same order.
-2. **Replay** (:func:`replay_program`): each virtual processor runs a
-   trivial generator that yields its prebuilt script.  The simulator
-   sees a bit-for-bit identical request stream, so makespan, message
-   counts and per-processor stats match the interpreted run exactly —
-   all the interpreter's per-instruction dispatch, table indexing and
-   collective generator frames are gone from the hot loop.
+* **Values**: known elementwise kernels (:mod:`repro.plan.kernels`) run
+  as one SoA numpy op across the ranks instead of p Python calls; opaque
+  fragments fall back to the per-rank loop.
+* **Time**: the walk issues, per rank, the exact request sequence the
+  interpreter would have yielded — same charges, same sizes, same order —
+  so the timeline's clocks, message counts and per-processor stats equal
+  an interpreted run's bit for bit.  The clock rules themselves live in
+  :mod:`repro.machine`; this module only decides *what* each rank asks
+  for.  Within one ``Rotate``/``Exchange`` every rank's sends are issued
+  before any rank's receives (each rank sends before it receives, so
+  that is a legal order), which is what lets a single pass resolve every
+  receive on the spot.
 
-Collectives are not re-derived by hand: :func:`precompute` drives the
-*actual* generators of the interpreter's direct transport
+Collectives are not re-derived by hand: the walk drives the *actual*
+generators of the interpreter's direct transport
 (:meth:`repro.machine.plan_exec.DirectTransport.collective`, one per
-rank) with an instant-delivery message pump, so any algorithm the
+rank) and feeds their requests to the timeline, so any algorithm the
 interpreter can run — including the optimizer's flat/ring selections —
-scripts correctly by construction.
+walks correctly by construction.
 
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
 only — ``LocalApply`` / ``Rotate`` / ``Exchange`` / ``Collective`` /
 ``Loop``.  Group instructions keep the interpreter path (their value is
-nesting, not throughput).  Callers must also skip scripting for traced
-or fault-injected machines, where per-request context matters
-(:func:`repro.scl.compile` gates on both).
+nesting, not throughput).  Whether a run takes the walk at all is the
+machine's decision (:meth:`repro.machine.simulator.Machine.run`): traced,
+fault-injected and single-port machines interpret.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Sequence
 
-from repro.errors import MachineError
-from repro.machine.cost import MachineSpec, estimate_nbytes
+from repro.errors import DeadlockError, MachineError
+from repro.machine.cost import estimate_nbytes
 from repro.machine.events import Compute, Recv, Send
+from repro.machine.lockstep import Lockstep
 from repro.machine.plan_exec import DIRECT, EXCHANGE_TAG
 from repro.plan import ir
 from repro.plan.kernels import batched_apply
 
-__all__ = ["precompute", "replay_program", "supported"]
+__all__ = ["precompute", "supported"]
 
 _FLAT_INSTRS = (ir.LocalApply, ir.Rotate, ir.Exchange, ir.Collective,
                 ir.Loop)
 
 
 def supported(plan: ir.Plan) -> bool:
-    """True when every instruction (recursively) can be scripted."""
+    """True when every instruction (recursively) can be walked."""
     return _seq_supported(plan.instrs)
 
 
@@ -68,7 +69,7 @@ def _seq_supported(instrs) -> bool:
 
 
 class _SizeCache:
-    """Per-precompute memo of ``estimate_nbytes`` keyed by value identity.
+    """Per-walk memo of ``estimate_nbytes`` keyed by value identity.
 
     ``estimate_nbytes`` already memoizes hashable tuples globally (PR 6),
     but ndarrays are unhashable, and the data plane re-sizes the *same*
@@ -97,44 +98,31 @@ class _SizeCache:
 
 
 class _Ctx:
-    """Everything one precompute walk threads through its steps."""
+    """Everything one walk threads through its steps."""
 
-    __slots__ = ("plan", "spec", "default", "scripts", "sizes")
+    __slots__ = ("plan", "timeline", "default", "sizes")
 
-    def __init__(self, plan, spec, default, scripts):
+    def __init__(self, plan, timeline, default):
         self.plan = plan
-        self.spec = spec
+        self.timeline = timeline
         self.default = default
-        self.scripts = scripts
-        self.sizes = _SizeCache(spec.word_bytes)
+        self.sizes = _SizeCache(timeline.spec.word_bytes)
 
 
-def precompute(plan: ir.Plan, values: Sequence[Any], spec: MachineSpec,
+def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
                default: float = ir.DEFAULT_FRAGMENT_OPS):
-    """Script one execution of ``plan`` over ``values``.
+    """Walk one execution of ``plan`` over ``values`` on ``timeline``.
 
-    Returns ``(scripts, finals)`` — per-rank request lists and final
-    local values — or ``None`` when the plan contains instructions the
-    scripted path does not cover.
+    Returns the final per-rank local values — with every rank's requests
+    made on ``timeline`` along the way — or ``None``, before touching the
+    timeline, when the plan contains instructions the walk does not
+    cover.  This is the ``walk`` :meth:`Machine.run
+    <repro.machine.simulator.Machine.run>` accepts (bind ``plan``,
+    ``values`` and ``default``).
     """
     if not supported(plan):
         return None
-    p = plan.nprocs
-    scripts: list[list] = [[] for _ in range(p)]
-    ctx = _Ctx(plan, spec, default, scripts)
-    finals = _run_seq(plan.instrs, ctx, list(values))
-    return scripts, finals
-
-
-def replay_program(scripts: list[list], finals: list):
-    """A machine program that replays rank ``env.pid``'s script."""
-
-    def program(env):
-        for req in scripts[env.pid]:
-            yield req
-        return finals[env.pid]
-
-    return program
+    return _run_seq(plan.instrs, _Ctx(plan, timeline, default), list(values))
 
 
 # ------------------------------------------------------------ data plane
@@ -147,75 +135,69 @@ def _run_seq(instrs, ctx, values):
 
 def _step(instr, ctx, values):
     p = len(values)
-    scripts = ctx.scripts
-    flop_time = ctx.spec.flop_time
+    timeline = ctx.timeline
 
     if isinstance(instr, ir.LocalApply):
         # charge first (matching the interpreter's clock order), apply SoA
+        work = timeline.work
+        default = ctx.default
         if isinstance(instr.fn, ir.FusedKernel):
             ops = [0.0] * p
             for a in instr.fn.applies:
                 for r in range(p):
-                    ops[r] += ir.fragment_ops(a.fn, values[r], ctx.default)
+                    ops[r] += ir.fragment_ops(a.fn, values[r], default)
                 values = _apply_one(a, ctx.plan, values)
             for r in range(p):
-                scripts[r].append(Compute(float(ops[r]) * flop_time))
+                work(r, ops[r])
             return values
         for r in range(p):
-            scripts[r].append(Compute(
-                float(ir.fragment_ops(instr.fn, values[r], ctx.default))
-                * flop_time))
+            work(r, ir.fragment_ops(instr.fn, values[r], default))
         return _apply_one(instr, ctx.plan, values)
 
     if isinstance(instr, ir.Rotate):
         k = instr.k
-        sizes = ctx.sizes
+        send = timeline.send
+        recv = timeline.recv
+        nbytes = ctx.sizes.nbytes
         for r in range(p):
-            scripts[r].append(Send(
-                (r - k) % p, values[r], EXCHANGE_TAG,
-                sizes.nbytes(values[r])))
-            scripts[r].append(Recv((r + k) % p, EXCHANGE_TAG, None))
-        return [values[(r + k) % p] for r in range(p)]
+            send(r, (r - k) % p, values[r], EXCHANGE_TAG, nbytes(values[r]))
+        return [recv(r, (r + k) % p, EXCHANGE_TAG).payload
+                for r in range(p)]
 
     if isinstance(instr, ir.Exchange):
-        sizes = ctx.sizes
+        send = timeline.send
+        recv = timeline.recv
+        nbytes = ctx.sizes.nbytes
+        for r, dsts in enumerate(instr.sends):
+            if dsts:
+                value = values[r]
+                nb = nbytes(value)
+                for dst in dsts:
+                    send(r, dst, value, EXCHANGE_TAG, nb)
+        mode = instr.mode
         out = []
-        for r in range(p):
-            if instr.sends[r]:
-                nbytes = sizes.nbytes(values[r])
-                for dst in instr.sends[r]:
-                    scripts[r].append(Send(dst, values[r], EXCHANGE_TAG,
-                                           nbytes))
-            if instr.mode == "collect":
-                arrivals = []
-                for src in instr.recvs[r]:
-                    if src == r:
-                        arrivals.append(values[r])
-                    else:
-                        scripts[r].append(Recv(src, EXCHANGE_TAG, None))
-                        arrivals.append(values[src])
-                out.append(arrivals)
+        for r, srcs in enumerate(instr.recvs):
+            local = values[r]
+            if mode == "collect":
+                out.append([local if src == r
+                            else recv(r, src, EXCHANGE_TAG).payload
+                            for src in srcs])
                 continue
-            (src,) = instr.recvs[r]
-            if src == r:
-                fetched = values[r]
-            else:
-                scripts[r].append(Recv(src, EXCHANGE_TAG, None))
-                fetched = values[src]
-            out.append((values[r], fetched) if instr.mode == "pair"
-                       else fetched)
+            (src,) = srcs
+            fetched = (local if src == r
+                       else recv(r, src, EXCHANGE_TAG).payload)
+            out.append((local, fetched) if mode == "pair" else fetched)
         return out
 
     if isinstance(instr, ir.Collective):
-        return _script_collective(instr, values, ctx.spec, ctx.default,
-                                  scripts)
+        return _walk_collective(instr, values, timeline, ctx.default)
 
     if isinstance(instr, ir.Loop):
         for body in instr.bodies:
             values = _run_seq(body, ctx, values)
         return values
 
-    raise AssertionError(f"unscriptable plan instruction {instr!r}")
+    raise AssertionError(f"unwalkable plan instruction {instr!r}")
 
 
 def _apply_one(a: ir.LocalApply, plan, values):
@@ -231,7 +213,7 @@ def _apply_one(a: ir.LocalApply, plan, values):
 
 # ----------------------------------------------------------- collectives
 
-class _ScriptComm:
+class _WalkComm:
     """Rank-addressed request factory (world group: rank == pid)."""
 
     __slots__ = ("rank", "size")
@@ -249,7 +231,7 @@ class _ScriptComm:
         return Recv(src_rank, tag, timeout)
 
 
-class _ScriptEnv:
+class _WalkEnv:
     """The slice of :class:`ProcEnv` collective generators touch."""
 
     __slots__ = ("_flop_time",)
@@ -264,70 +246,54 @@ class _ScriptEnv:
         return Compute(ops * self._flop_time)
 
 
-class _Arrival:
-    """What a scripted generator's ``yield Recv`` resumes with."""
-
-    __slots__ = ("payload", "nbytes")
-
-    def __init__(self, payload: Any, nbytes: int | None):
-        self.payload = payload
-        self.nbytes = nbytes
-
-
-def _script_collective(instr, values, spec, default, scripts):
+def _walk_collective(instr, values, timeline, default):
     """Drive the interpreter's own collective generators, one per rank,
-    with instant in-order delivery — recording every request."""
+    to completion — every request made on the timeline as it is yielded.
+    A rank whose receive has no message yet parks until a sweep finds one
+    sent; a sweep that moves nobody is a deadlock."""
     p = len(values)
-    env = _ScriptEnv(spec.flop_time)
-    gens = [DIRECT.collective(instr, env, _ScriptComm(r, p), values[r],
+    env = _WalkEnv(timeline.spec.flop_time)
+    gens = [DIRECT.collective(instr, env, _WalkComm(r, p), values[r],
                               default)
             for r in range(p)]
     results: list[Any] = [None] * p
-    done = [False] * p
-    pending: list[Recv | None] = [None] * p
-    started = [False] * p
-    queues: dict[tuple[int, int, int], deque] = {}
-    remaining = p
-    while remaining:
+    #: rank -> the Recv it is parked on (None: not started yet)
+    waiting: dict[int, Recv | None] = dict.fromkeys(range(p))
+    poll = timeline.poll
+    while waiting:
         progressed = False
-        for r in range(p):
-            if done[r]:
-                continue
-            if started[r]:
-                req = pending[r]
-                if req is None:
+        for r in list(waiting):
+            req = waiting[r]
+            resume = None
+            if req is not None:
+                resume = poll(r, req.src, req.tag)
+                if resume is None:
                     continue
-                q = queues.get((req.src, r, req.tag))
-                if not q:
-                    continue
-                resume: Any = q.popleft()
-                pending[r] = None
-            else:
-                resume = None
-                started[r] = True
             progressed = True
+            gen_send = gens[r].send
             while True:
                 try:
-                    req = gens[r].send(resume)
+                    req = gen_send(resume)
                 except StopIteration as stop:
                     results[r] = stop.value
-                    done[r] = True
-                    remaining -= 1
+                    del waiting[r]
                     break
-                resume = None
-                scripts[r].append(req)
-                if type(req) is Send:
-                    queues.setdefault((r, req.dst, req.tag), deque()) \
-                        .append(_Arrival(req.payload, req.nbytes))
-                elif type(req) is Recv:
-                    q = queues.get((req.src, r, req.tag))
-                    if q:
-                        resume = q.popleft()
-                    else:
-                        pending[r] = req
+                cls = type(req)
+                if cls is Send:
+                    timeline.send(r, req.dst, req.payload, req.tag,
+                                  req.nbytes)
+                    resume = None
+                elif cls is Compute:
+                    timeline.compute(r, req.seconds)
+                    resume = None
+                else:
+                    resume = poll(r, req.src, req.tag)
+                    if resume is None:
+                        waiting[r] = req
                         break
-        if remaining and not progressed:
-            raise MachineError(
-                f"collective {instr.kind}/{instr.algo} deadlocked while "
-                f"scripting — unmatched receives")
+        if not progressed:
+            raise DeadlockError(
+                f"deadlock: processors {sorted(waiting)} blocked in "
+                f"collective {instr.kind}/{instr.algo} on receives that "
+                f"can never be satisfied")
     return results

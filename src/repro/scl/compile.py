@@ -29,9 +29,10 @@ stages:
 Between the two stages sits the plan optimizer (:mod:`repro.plan.opt`),
 on by default: lowering is asked for the plan optimized for this
 machine's spec and topology (fusion, exchange coalescing, collective
-selection — all cost-guarded to never predict worse), and eligible
-fault-free, untraced runs execute through the scripted SoA data plane of
-:mod:`repro.plan.vexec` instead of the per-instruction interpreter.
+selection — all cost-guarded to never predict worse), and the machine is
+handed the whole-machine SoA walk of :mod:`repro.plan.vexec` alongside
+the per-instruction interpreter — it takes the walk on fault-free,
+untraced, multi-port runs and interprets otherwise.
 ``opt="off"`` (or a hand-built :class:`~repro.plan.opt.OptConfig`)
 restores the raw path — the cache keys raw and optimized plans
 separately, so the two never alias.
@@ -47,6 +48,7 @@ machine executes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any
 
 from repro.core.pararray import ParArray
@@ -96,8 +98,9 @@ def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
                 make_program) -> tuple[Any, RunResult]:
     """Validate ``pa``, lower ``expr``, run, unwrap — what
     :meth:`CompiledProgram.run` and ``run_expression_ft`` share (internal).
-    ``make_program(plan, values)`` builds the machine program executing
-    ``plan`` over the row-major per-rank ``values``."""
+    ``make_program(plan, values)`` builds the :meth:`Machine.run` arguments
+    ``(program, walk)`` executing ``plan`` over the row-major per-rank
+    ``values`` (``walk`` may be ``None``)."""
     if not isinstance(pa, ParArray) or pa.ndim not in (1, 2):
         raise SkeletonError("compiled programs take a 1-D or 2-D ParArray input")
     if pa.size != machine.nprocs:
@@ -108,7 +111,8 @@ def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
     plan = _plan_lower.lower(expr, machine.nprocs,
                              shape if len(shape) == 2 else None,
                              opt=resolve_opt(opt, machine))
-    res = machine.run(make_program(plan, pa.to_list()))
+    program, walk = make_program(plan, pa.to_list())
+    res = machine.run(program, walk=walk)
     if res.values and isinstance(res.values[0], _Scalar):
         return res.values[0].value, res
     if len(shape) == 2:
@@ -144,13 +148,17 @@ class CompiledProgram:
         shape as the input), or the reduction scalar for expressions
         ending in ``Fold``.
 
-        Fault-free, untraced runs of flat optimized plans go through the
-        scripted data plane (:mod:`repro.plan.vexec`) — bit-identical
-        request stream, so the returned statistics match the interpreter.
-        Traced or fault-injected machines always interpret.
+        The machine always gets the per-rank plan interpreter; with
+        ``OptConfig.vectorize`` it also gets the whole-machine walk of
+        :mod:`repro.plan.vexec`, which makes the same requests in the same
+        per-rank order.  Which of the two runs is the machine's choice
+        (:meth:`Machine.run`: the walk when fault-free, untraced and
+        multi-port and the plan is flat; the interpreter otherwise) — the
+        returned values and statistics are identical either way.
         """
         from repro.machine.api import Comm
         from repro.machine.plan_exec import execute_plan
+        from repro.plan import vexec
 
         machine = self.machine
         default = self.fragment_default_ops
@@ -158,15 +166,13 @@ class CompiledProgram:
         config = resolve_opt(self.opt, machine)
 
         def make_program(plan, values):
-            if config is not None and config.vectorize \
-                    and machine.faults is None and not machine.record_trace:
-                from repro.plan import vexec
-
-                pre = vexec.precompute(plan, values, machine.spec, default)
-                if pre is not None:
-                    return vexec.replay_program(*pre)
-            return lambda env: execute_plan(plan, env, Comm.world(env),
-                                            values[env.pid], default, label)
+            walk = None
+            if config is not None and config.vectorize:
+                walk = functools.partial(vexec.precompute, plan, values,
+                                         default=default)
+            return (lambda env: execute_plan(plan, env, Comm.world(env),
+                                             values[env.pid], default, label),
+                    walk)
 
         return run_lowered(self.expr, pa, machine, config, make_program)
 

@@ -162,3 +162,79 @@ class TestEstimateNbytesFlatFastPath:
     def test_fast_path_matches_recursive_definition(self, xs, wb):
         expected = max(wb, sum(estimate_nbytes(x, wb) for x in xs)) if xs else wb
         assert estimate_nbytes(xs, word_bytes=wb) == expected
+
+
+def _reference_nbytes(payload, wb):
+    """The documented recursive definition, with no fast path or memo."""
+    import numbers
+
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
+    if isinstance(payload, (bool, numbers.Number)) or payload is None:
+        return wb
+    if isinstance(payload, (str, bytes, bytearray)):
+        return max(len(payload), 1)
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return max(wb, sum(_reference_nbytes(x, wb) for x in payload))
+    if isinstance(payload, dict):
+        return max(wb, sum(_reference_nbytes(k, wb) + _reference_nbytes(v, wb)
+                           for k, v in payload.items()))
+    return wb
+
+
+_ARRAYS = st.builds(
+    lambda n, dtype: np.zeros(n, dtype=dtype),
+    st.integers(0, 9), st.sampled_from([np.int8, np.int32, np.float64]))
+_LEAVES = st.one_of(
+    _ARRAYS, st.integers(-5, 5), st.floats(allow_nan=False), st.booleans(),
+    st.none(), st.text(max_size=4), st.binary(max_size=4),
+    st.builds(np.float64, st.integers(0, 3)))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.integers(0, 5), inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestEstimateNbytesArrayTuples:
+    """A small tuple directly holding an ndarray — every partner exchange
+    of the compiled hyperquicksort — is unhashable, so it is summed on the
+    spot instead of probing the tuple memo; sizes are unchanged."""
+
+    @given(_PAYLOADS, st.sampled_from([4, 8]))
+    def test_every_shape_matches_the_recursive_definition(self, payload, wb):
+        assert estimate_nbytes(payload, wb) == _reference_nbytes(payload, wb)
+
+    @pytest.mark.parametrize("payload,expected", [
+        ((np.zeros(3, np.int32), np.zeros(5, np.int32)), 32),
+        ((np.zeros(0, np.int64), np.zeros(0, np.int64)), 4),   # floor: a word
+        ((7, np.zeros(2, np.float64), "ab", None), 4 + 16 + 2 + 4),
+        ((np.zeros(2, np.int8), (1, 2), [np.zeros(1, np.int8)]), 2 + 8 + 4),
+    ])
+    def test_pinned_sizes(self, payload, expected):
+        assert estimate_nbytes(payload, 4) == expected
+
+    def test_the_memo_is_not_consulted_for_array_tuples(self, monkeypatch):
+        from repro.machine import cost
+
+        probes = []
+
+        class Memo(dict):
+            def __getitem__(self, key):
+                probes.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(cost, "_NBYTES_CACHE", Memo())
+        halves = (np.arange(6), np.arange(3))
+        assert estimate_nbytes(halves, 4) == halves[0].nbytes + halves[1].nbytes
+        assert estimate_nbytes((1, halves[0]), 4) == 4 + halves[0].nbytes
+        assert probes == []
+        # ...while a hashable tuple still goes through it
+        assert estimate_nbytes((1, 2.5), 4) == 8
+        assert probes == [(4, (1, 2.5))]
+        # ...and so does an array nested one level down (unhashable: the
+        # probe raises and the walk answers)
+        assert estimate_nbytes((1, [halves[1]]), 4) == 4 + halves[1].nbytes
+        assert len(probes) == 2

@@ -7,7 +7,8 @@ for no more simulated cost).  The sweeping equivalence properties live in
 fusion (including through ``Loop`` bodies), routing composition with its
 hot-spot cost guard, cost-model-driven collective selection, the
 opt-aware plan cache, the vectorized data plane's eligibility gate and
-replay equality, and the SoA kernel registry.
+its equality with the interpreter on hand-lowered plans (the sweeping
+differential suite is ``test_vexec.py``), and the SoA kernel registry.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from repro.core.pararray import ParArray
 from repro.core.partition import Block
 from repro.machine import AP1000, Machine, PERFECT
+from repro.machine.lockstep import Lockstep
 from repro.machine.topology import FullyConnected, Hypercube
 from repro.plan import ir, kernels, vexec
 from repro.plan.lower import clear_plan_cache, lower, plan_cache_stats
@@ -60,7 +62,7 @@ def fresh_cache():
 
 
 def _interpret(plan: ir.Plan, values: list, machine: Machine):
-    """Drive ``plan`` through the per-rank interpreter (no scripting)."""
+    """Drive ``plan`` through the per-rank interpreter (no walk)."""
     from repro.machine.api import Comm
     from repro.machine.plan_exec import execute_plan
 
@@ -275,7 +277,8 @@ class TestVectorizedDataPlane:
         expr = compose_nodes(Combine(), Map(inner), Split(Block(2)))
         plan = lower(expr, 8)
         assert not vexec.supported(plan)
-        assert vexec.precompute(plan, PA8.to_list(), AP1000) is None
+        timeline = Lockstep(Machine(FullyConnected(8), spec=AP1000))
+        assert vexec.precompute(plan, PA8.to_list(), timeline) is None
 
     def test_group_plans_still_run_via_the_interpreter(self):
         inner = compose_nodes(Rotate(1), Map(lambda x: -x))
@@ -297,28 +300,17 @@ class TestVectorizedDataPlane:
                                            Rotate(i + 1))),
     ])
     def test_replay_is_bit_identical_to_the_interpreter(self, expr):
+        # the walk replays each rank's request sequence on the lockstep
+        # timeline; nothing in the result may tell it from the interpreter
+        from tests.plan.test_vexec import assert_identical_runs, run_plan
+
         plan = lower(expr, 8, opt=CFG)
-        res_i = _interpret(plan, PA8.to_list(),
-                           Machine(FullyConnected(8), spec=AP1000))
-        pre = vexec.precompute(plan, PA8.to_list(), AP1000)
-        assert pre is not None
-        res_v = Machine(FullyConnected(8), spec=AP1000).run(
-            vexec.replay_program(*pre))
-        assert res_v.values == res_i.values
-        assert res_v.makespan == res_i.makespan
-        assert res_v.total_messages == res_i.total_messages
-        assert [s.msgs_received for s in res_v.stats] \
-            == [s.msgs_received for s in res_i.stats]
-
-    def test_scripts_reuse_the_interpreters_request_types(self):
-        from repro.machine.events import Compute, Recv, Send
-
-        plan = lower(compose_nodes(Map(lambda x: x + 1), Rotate(1)), 4,
-                     opt=CFG)
-        scripts, finals = vexec.precompute(plan, [1, 2, 3, 4], AP1000)
-        kinds = {type(req) for script in scripts for req in script}
-        assert kinds == {Compute, Recv, Send}
-        assert finals == [3, 4, 5, 2]  # rotated then incremented
+        assert vexec.supported(plan)
+        res_i, res_v = (
+            run_plan(plan, PA8.to_list(),
+                     Machine(FullyConnected(8), spec=AP1000), walk=walk)
+            for walk in (False, True))
+        assert_identical_runs(res_v, res_i)
 
 
 class TestKernelRegistry:

@@ -1,73 +1,336 @@
-"""Data-plane scripting details: payload sizing is hoisted per value.
+"""The whole-machine walk against the interpreter, through ``run_expression``.
 
-A looped ``Rotate`` moves the *same* p array objects around for every
-iteration; sizing each payload once per rank value (instead of once per
-send) is PR 10's scripting-side win.  The cache is keyed by object
-identity, so correctness rests on the data plane never mutating values
-in place — these tests pin both the call-count win and the sizes landing
-in the scripts unchanged.
+``OptConfig.vectorize`` hands the machine :func:`repro.plan.vexec.precompute`
+beside the per-rank interpreter; on a fault-free, untraced, multi-port
+machine it takes the walk, which drives the lockstep timeline
+(:mod:`repro.machine.lockstep`) instead of any event engine.  The contract
+is that nobody can tell: values, ``events`` and *every*
+:class:`~repro.machine.simulator.ProcStats` field equal the
+``vectorize=False`` run's exactly (``==`` on floats — same additions in the
+same order).  One differential suite states that over the application
+anchors, every collective schedule, looped and ragged point-to-point
+traffic and three topologies, plus the random flat-plan strategy of
+``test_opt_properties``; the remaining tests pin the walk's payload-size
+hoisting, the machine-side routing (who chooses the interpreter) and error
+parity on malformed hand-built plans.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.machine import AP1000
-from repro.machine.events import Send
-from repro.plan import ir, vexec
+from repro.apps.linalg import ColBlock, gauss_jordan_expression
+from repro.apps.sort import hyperquicksort_expression, seq_quicksort
+from repro.core import parmap, partition
+from repro.core.pararray import ParArray
+from repro.core.partition import Block
+from repro.errors import DeadlockError, MachineError
+from repro.machine import AP1000, Comm, Machine
+from repro.machine.plan_exec import execute_plan
+from repro.machine.topology import FullyConnected, Hypercube, Ring
+from repro.plan import ir, opt as plan_opt, vexec
+from repro.plan.lower import clear_plan_cache
+from repro.plan.opt import OptConfig
+from repro.scl import (
+    Brdcast,
+    Fold,
+    IterFor,
+    Map,
+    Rotate,
+    Scan,
+    SendNode,
+    compose_nodes,
+)
+from repro.scl.compile import base_fragment, run_expression
+from tests.plan.test_opt_properties import programs
+
+TOPOLOGIES = {
+    "hypercube": Hypercube.of_size,
+    "ring": Ring,
+    "full": FullyConnected,
+}
 
 
-def _rotate_loop(p: int, iters: int) -> ir.Plan:
-    body = (ir.Rotate(1),)
-    return ir.Plan((ir.Loop(tuple(body for _ in range(iters))),), p)
+@pytest.fixture(autouse=True)
+def fresh_cache():
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
 
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
+def assert_identical_runs(res_walk, res_interp) -> None:
+    """Values, event count and every per-processor statistic equal."""
+    assert _same(res_walk.values, res_interp.values)
+    assert res_walk.events == res_interp.events
+    assert res_walk.crashed == res_interp.crashed == []
+    for got, want in zip(res_walk.stats, res_interp.stats, strict=True):
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert res_walk.makespan == res_interp.makespan
+
+
+def run_both(expr, pa, topology, **machine_kw):
+    """``(walk run, interpreter run)`` of ``expr`` on fresh machines."""
+    out = []
+    for vectorize in (True, False):
+        machine = Machine(topology(pa.size), spec=AP1000, **machine_kw)
+        config = OptConfig.for_machine(machine, vectorize=vectorize)
+        out.append(run_expression(expr, pa, machine, opt=config)[1])
+    return out
+
+
+# -- the differential suite -----------------------------------------------------
+
+@base_fragment(ops=lambda x: 30.0 + np.size(x))
+def _grow(x):
+    return np.append(x, np.sum(x))
+
+
+def _hyperquicksort(d):
+    rng = np.random.default_rng(40 + d)
+    keys = rng.integers(0, 10**6, size=37 << d).astype(np.int64)
+    return (hyperquicksort_expression(d),
+            parmap(seq_quicksort, partition(Block(1 << d), keys)))
+
+
+def _gauss_jordan():
+    n, p = 12, 4
+    rng = np.random.default_rng(5)
+    aug = np.hstack([rng.normal(size=(n, n)) + n * np.eye(n),
+                     rng.normal(size=(n, 1))])
+    return (gauss_jordan_expression(n, p, aug.shape),
+            partition(ColBlock(p), aug))
+
+
+def _vector(p=8):
+    return ParArray([np.arange(3 + r, dtype=np.float64) * (r + 1)
+                     for r in range(p)])
+
+
+def _numbers(p=8):
+    return ParArray([float(3 * r + 1) for r in range(p)])
+
+
+#: name -> (expression, input) builders.  Ragged array payloads wherever
+#: the traffic is point-to-point, so byte counters and arrival times
+#: differ per rank.
+CASES = {
+    "hyperquicksort-d3": functools.partial(_hyperquicksort, 3),
+    "hyperquicksort-d4": functools.partial(_hyperquicksort, 4),
+    "hyperquicksort-d5": functools.partial(_hyperquicksort, 5),
+    "gauss-jordan": _gauss_jordan,
+    "scan": lambda: (Scan(lambda a, b: a + b), _numbers()),
+    "fold": lambda: (Fold(lambda a, b: a + b), _numbers()),
+    "bcast": lambda: (compose_nodes(Map(lambda pair: pair[0] + pair[1]),
+                                    Brdcast(17.0)), _numbers()),
+    "looped-rotate": lambda: (
+        IterFor(5, lambda i: compose_nodes(Map(_grow), Rotate(i + 1))),
+        _vector()),
+    # rank r sends twice to rank 0 and once to its right neighbour: rank 0
+    # collects every source twice (FIFO per source), its own value locally
+    "collect-repeated-source": lambda: (
+        compose_nodes(Map(lambda got: sum(np.sum(v) for v in got)),
+                      SendNode(lambda r: (0, 0, (r + 1) % 8))),
+        _vector()),
+}
+
+#: Collective schedules the optimizer can pick, forced one at a time.
+FORCED_ALGOS = {"scan": ("tree", "ring"), "fold": ("tree", "flat"),
+                "bcast": ("tree", "flat", "ring")}
+
+
+def _force_algo(monkeypatch, algo):
+    monkeypatch.setattr(
+        plan_opt, "_select_collective",
+        lambda instr, plan, config, notes:
+            dataclasses.replace(instr, algo=algo))
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("case,algo", [
+    (case, algo) for case in CASES
+    for algo in FORCED_ALGOS.get(case, (None,))])
+def test_walk_is_indistinguishable_from_the_interpreter(case, algo, topology,
+                                                        monkeypatch):
+    if algo is not None:
+        _force_algo(monkeypatch, algo)
+    expr, pa = CASES[case]()
+    res_walk, res_interp = run_both(expr, pa, TOPOLOGIES[topology])
+    assert res_walk.total_messages > 0
+    assert_identical_runs(res_walk, res_interp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prog=programs(), topology=st.sampled_from(sorted(TOPOLOGIES)))
+def test_random_flat_plans_walk_identically(prog, topology):
+    p, expr = prog
+    if topology == "hypercube" and p & (p - 1):
+        p = 4
+    clear_plan_cache()
+    pa = ParArray([float(3 * r + 1) for r in range(p)])
+    res_walk, res_interp = run_both(expr, pa, TOPOLOGIES[topology])
+    assert_identical_runs(res_walk, res_interp)
+
+
+# -- payload sizes are hoisted per value ------------------------------------------
 
 class TestSizeHoisting:
-    def test_looped_rotate_sizes_each_value_once(self, monkeypatch):
+    """A looped ``Rotate`` moves the *same* p array objects around every
+    iteration; the walk sizes each once (keyed by identity — sound because
+    the data plane never mutates a value in place), and the sizes that
+    reach the timeline are the unhoisted ones."""
+
+    @staticmethod
+    def _count_sizings(monkeypatch):
         calls = []
         real = vexec.estimate_nbytes
         monkeypatch.setattr(
             vexec, "estimate_nbytes",
             lambda v, w: calls.append(id(v)) or real(v, w))
-        p, iters = 4, 6
-        values = [np.arange(16, dtype=np.int64) + r for r in range(p)]
-        pre = vexec.precompute(_rotate_loop(p, iters), values, AP1000)
-        assert pre is not None
-        # p distinct values, sized once each — not p * iters times.
-        assert len(calls) == p
-        assert len(set(calls)) == p
+        return calls
+
+    P, ITERS = 4, 6
+
+    def _looped_rotate(self):
+        pa = ParArray([np.arange(8 * (r + 1), dtype=np.float64)
+                       for r in range(self.P)])
+        return IterFor(self.ITERS, lambda i: Rotate(1)), pa
+
+    def test_looped_rotate_sizes_each_value_once(self, monkeypatch):
+        calls = self._count_sizings(monkeypatch)
+        run_both(*self._looped_rotate(), FullyConnected)
+        # p distinct values, sized once each — not p * iters times
+        assert len(calls) == len(set(calls)) == self.P
 
     def test_scripted_sizes_match_unhoisted(self):
-        p, iters = 4, 5
-        values = [np.arange(8 * (r + 1), dtype=np.float64)
-                  for r in range(p)]
-        scripts, finals = vexec.precompute(_rotate_loop(p, iters), values,
-                                           AP1000)
-        for script in scripts:
-            sends = [req for req in script if type(req) is Send]
-            assert len(sends) == iters
-            for s in sends:
-                assert s.nbytes == int(np.asarray(s.payload).nbytes)
-        # The rotation itself still lands correctly after caching.
-        for r, final in enumerate(finals):
-            assert np.array_equal(final,
-                                  values[(r + iters) % p])
+        expr, pa = self._looped_rotate()
+        res_walk, res_interp = run_both(expr, pa, FullyConnected)
+        # rank r forwards the values of ranks r, r+1, ... in turn
+        assert [s.bytes_sent for s in res_walk.stats] \
+            == [sum(pa[(r + i) % self.P].nbytes for i in range(self.ITERS))
+                for r in range(self.P)]
+        assert_identical_runs(res_walk, res_interp)
 
     def test_exchange_uses_cached_sizes(self, monkeypatch):
-        calls = []
-        real = vexec.estimate_nbytes
-        monkeypatch.setattr(
-            vexec, "estimate_nbytes",
-            lambda v, w: calls.append(id(v)) or real(v, w))
+        calls = self._count_sizings(monkeypatch)
         p = 4
-        # Every rank sends its value to all others ("collect" gather).
-        sends = tuple(tuple(d for d in range(p) if d != r)
-                      for r in range(p))
-        recvs = tuple(tuple(range(p)) for _ in range(p))
-        plan = ir.Plan((ir.Exchange("collect", sends, recvs),), p)
-        values = [np.arange(32) + r for r in range(p)]
-        pre = vexec.precompute(plan, values, AP1000)
-        assert pre is not None
-        # One sizing per rank value even though each value is sent p-1
-        # times.
+        pa = ParArray([np.arange(32) + r for r in range(p)])
+        # every rank sends its value to all the others
+        expr = SendNode(lambda r: tuple(d for d in range(p) if d != r))
+        res_walk, res_interp = run_both(expr, pa, FullyConnected)
         assert len(calls) == p
+        assert [s.bytes_sent for s in res_walk.stats] \
+            == [(p - 1) * pa[r].nbytes for r in range(p)]
+        assert_identical_runs(res_walk, res_interp)
+
+
+# -- the machine, not the compiler, picks the interpreter -------------------------
+
+class TestRouting:
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = vexec.precompute
+
+        def spy(plan, values, timeline, default=ir.DEFAULT_FRAGMENT_OPS):
+            calls.append(timeline)
+            return real(plan, values, timeline, default)
+
+        monkeypatch.setattr(vexec, "precompute", spy)
+        return calls
+
+    def test_plain_machines_take_the_walk(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        expr, pa = _hyperquicksort(3)
+        run_both(expr, pa, Hypercube.of_size)
+        assert len(calls) == 1  # the vectorize=True arm only
+
+    @pytest.mark.parametrize("machine_kw", [
+        {"single_port": True}, {"record_trace": True}, {"batch": False}],
+        ids=["single-port", "traced", "per-event"])
+    def test_other_machines_interpret_with_identical_results(
+            self, machine_kw, monkeypatch):
+        calls = self._spy(monkeypatch)
+        expr, pa = _hyperquicksort(5)  # p=32, the tune_cold shape
+        res_vec, res_interp = run_both(expr, pa, Hypercube.of_size,
+                                       **machine_kw)
+        assert calls == []  # the walk was handed over and not taken
+        assert_identical_runs(res_vec, res_interp)
+        if "record_trace" in machine_kw:
+            assert len(res_vec.trace) == len(res_interp.trace) > 0
+
+
+# -- error parity on malformed hand-built plans -----------------------------------
+
+def _exchange(p, sends=None, recvs=None):
+    """A ``replace`` exchange over ``p`` ranks: ``sends[r]`` destination
+    tuples, ``recvs[r]`` the one source (default: keep the local value)."""
+    sends = sends or {}
+    recvs = recvs or {}
+    return ir.Exchange(
+        "replace",
+        tuple(tuple(sends.get(r, ())) for r in range(p)),
+        tuple((recvs.get(r, r),) for r in range(p)))
+
+
+@base_fragment(ops=lambda x: -5.0 if x == 2.0 else 5.0)
+def _negative_on_rank_2(x):
+    return x
+
+
+BAD_PLANS = {
+    # rank 1 sends to rank 3, which never receives it
+    "dangling-send": (ir.Plan((_exchange(4, sends={1: (3,)}),), 4),
+                      MachineError, "3"),
+    # rank 2 waits for rank 0, which never sends
+    "unmatched-receive": (ir.Plan((_exchange(4, recvs={2: 0}),), 4),
+                          DeadlockError, "2"),
+    "self-send": (ir.Plan((_exchange(4, sends={1: (1,)}),), 4),
+                  MachineError, "1"),
+    "negative-ops": (ir.Plan((ir.LocalApply(_negative_on_rank_2),), 4),
+                     MachineError, "processor 2"),
+    "destination-out-of-range": (
+        ir.Plan((_exchange(4, sends={0: (7,)}),), 4), MachineError, "7"),
+}
+
+
+def run_plan(plan, values, machine, *, walk):
+    """Hand ``machine`` what ``CompiledProgram.run`` would for ``plan``:
+    the per-rank interpreter and, with ``walk``, the whole-machine walk."""
+    return machine.run(
+        lambda env: execute_plan(plan, env, Comm.world(env),
+                                 values[env.pid]),
+        walk=functools.partial(vexec.precompute, plan, values)
+        if walk else None)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PLANS))
+def test_malformed_plans_raise_the_same_error_class_on_every_path(name):
+    plan, error, names = BAD_PLANS[name]
+    values = [float(r) for r in range(plan.nprocs)]
+    with pytest.raises(error) as walk_err:
+        run_plan(plan, values, Machine(FullyConnected(4), spec=AP1000),
+                 walk=True)
+    # the lockstep path names the processor (or address) at fault
+    assert names in str(walk_err.value)
+    for batch in (True, False):
+        with pytest.raises(error) as interp_err:
+            run_plan(plan, values,
+                     Machine(FullyConnected(4), spec=AP1000, batch=batch),
+                     walk=False)
+        assert (isinstance(walk_err.value, DeadlockError)
+                == isinstance(interp_err.value, DeadlockError))
