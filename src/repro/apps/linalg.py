@@ -25,6 +25,7 @@ as a message-passing program on the simulated machine
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -118,6 +119,7 @@ def gauss_jordan_solve(A: np.ndarray, b: np.ndarray, p: int, *,
     return solved[:, A.shape[1]:].reshape(b.shape)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
     """The §3 Gauss–Jordan program as a compilable SCL expression.
 
@@ -127,6 +129,10 @@ def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
     interpreter and under the SCL compiler (one column block per
     processor), with base-fragment cost annotations for the machine's
     clock.
+
+    Memoised on ``(n, p, aug_shape)``: the ``iterFor`` is keyed by its
+    ``body`` closure, so only the *same* expression object makes a second
+    compile a plan-cache hit.
     """
     from repro.plan.kernels import stack_uniform, vectorize_fragment
     from repro.scl import ApplyBrdcast, IterFor, Map, compose_nodes

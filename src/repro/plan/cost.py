@@ -87,12 +87,9 @@ def plan_cost(plan: ir.Plan, *, spec: MachineSpec = PERFECT,
             return ExprCost(msg, n, 1)
 
         if isinstance(instr, ir.Exchange):
-            total = sum(len(s) for s in instr.sends)
+            total, degree = instr.traffic
             if total == 0:
                 return ZERO  # e.g. fetch id — no wire traffic at all
-            degree = max(max(len(instr.sends[r]),
-                             sum(1 for s in instr.recvs[r] if s != r))
-                         for r in range(len(instr.sends)))
             return ExprCost(msg * degree, total, 1)
 
         if isinstance(instr, ir.Collective):

@@ -35,7 +35,8 @@ machine clock is part of the IR's execution contract: every executor of a
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+import functools
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "DEFAULT_FRAGMENT_OPS", "base_fragment", "fragment_ops",
@@ -188,12 +189,59 @@ class Exchange(Instr):
       (``align id (fetch f)``),
     * ``"collect"`` — any number of sources in source-rank order; the
       result is the list of arrivals (the general ``send``).
+
+    The tables are built here, from whichever side a skeleton's index
+    function names (:meth:`from_sources` for the ``fetch`` family,
+    :meth:`from_destinations` for the ``send`` family), in one pass over
+    the ranks; what the tables cost on the wire is :attr:`traffic`.
     """
 
     mode: str
     sends: tuple[tuple[int, ...], ...]
     recvs: tuple[tuple[int, ...], ...]
     label: str = "exchange"
+
+    @classmethod
+    def from_sources(cls, mode: str, srcs: Sequence[int],
+                     label: str = "exchange") -> "Exchange":
+        """The exchange in which rank ``r`` reads from ``srcs[r]`` (itself:
+        no message).  Every entry must be a rank in ``0..len(srcs)-1``."""
+        sends: list[list[int]] = [[] for _ in srcs]
+        for r, src in enumerate(srcs):
+            if src != r:
+                sends[src].append(r)
+        return cls(mode, tuple(map(tuple, sends)),
+                   tuple((src,) for src in srcs), label)
+
+    @classmethod
+    def from_destinations(cls, mode: str, dsts: Sequence[Sequence[int]],
+                          label: str = "exchange") -> "Exchange":
+        """The exchange in which rank ``r`` sends to each of ``dsts[r]`` in
+        order (itself: kept locally), so ``recvs[r]`` lists the senders in
+        rank order, once per copy sent.  Every entry must be a rank in
+        ``0..len(dsts)-1``."""
+        recvs: list[list[int]] = [[] for _ in dsts]
+        for r, out in enumerate(dsts):
+            for dst in out:
+                recvs[dst].append(r)
+        return cls(mode,
+                   tuple(tuple(d for d in out if d != r)
+                         for r, out in enumerate(dsts)),
+                   tuple(map(tuple, recvs)), label)
+
+    @functools.cached_property
+    def traffic(self) -> tuple[int, int]:
+        """``(total messages, max port degree)`` of the tables: every send
+        is one message, and a rank's port carries the larger of what it
+        sends and what it receives from others.  Scanned once per
+        instruction object — the cost model prices the same exchange for
+        every plan that contains it."""
+        total = degree = 0
+        for r, out in enumerate(self.sends):
+            incoming = self.recvs[r]
+            total += len(out)
+            degree = max(degree, len(out), len(incoming) - incoming.count(r))
+        return total, degree
 
 
 @dataclasses.dataclass(frozen=True)

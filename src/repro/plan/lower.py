@@ -86,7 +86,7 @@ def _optimize(plan: ir.Plan, opt) -> ir.Plan:
 
 def lower_uncached(expr: N.Node, nprocs: int,
                    grid: tuple[int, int] | None = None,
-                   opt=None) -> ir.Plan:
+                   opt=None, *, memo: dict | None = None) -> ir.Plan:
     """Like :func:`lower` but without touching the cache or its counters.
 
     For callers that lower *throwaway* expressions — the beam search
@@ -95,8 +95,15 @@ def lower_uncached(expr: N.Node, nprocs: int,
     drown the hit-rate metric the service reports.  (Nested
     ``map``-of-sub-expression lowerings still share the cache: group
     sub-plans recur across candidates.)
+
+    Such a caller's expressions differ from one another by a rewrite
+    window, so it may pass one ``memo`` dict to all of its calls: every
+    composition step lowered outside a ``split`` is then lowered once per
+    ``(step, nprocs, grid)`` and its instruction objects are shared by
+    every plan containing the step.  The dict belongs to the caller and
+    lives no longer than it does.
     """
-    plan = _lower(expr, nprocs, grid)
+    plan = _lower(expr, nprocs, grid, memo)
     return plan if opt is None else _optimize(plan, opt)
 
 
@@ -209,31 +216,71 @@ def plan_cache_stats() -> dict[str, int]:
     return {"size": len(_CACHE), "tuned_size": len(_TUNED), **_STATS}
 
 
-def _lower(expr: N.Node, nprocs: int,
-           grid: tuple[int, int] | None) -> ir.Plan:
+def _lower(expr: N.Node, nprocs: int, grid: tuple[int, int] | None,
+           memo: dict | None = None) -> ir.Plan:
     out: list[ir.Instr] = []
-    _emit(expr, nprocs, grid, out, [])
+    _emit(expr, nprocs, grid, out, [], memo)
     returns_scalar = bool(out) and isinstance(out[-1], ir.Collective) \
         and out[-1].kind == "fold"
     return ir.Plan(tuple(out), nprocs, grid, returns_scalar)
 
 
 def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
-          out: list[ir.Instr],
-          splits: list[ir.GroupSplit]) -> None:
+          out: list[ir.Instr], splits: list[ir.GroupSplit],
+          memo: dict | None) -> None:
     """Append the instructions of ``node`` to ``out``.
 
     ``splits`` is the static stack of open ``split``s — the lowering-time
     image of the tree-walker's ``_Grouped`` value wrapper, used to resolve
     nesting errors and to find the group shapes a ``map`` of a
     sub-expression runs over.
-    """
-    if isinstance(node, N.Id):
-        return
 
+    ``memo`` (see :func:`lower_uncached`) maps ``(step, p, grid)`` to the
+    instructions of a step that was met with no ``split`` open and left
+    none open — only then are they a function of the key alone.  A step
+    that cannot be hashed, or whose lowering raises, is never recorded, so
+    it is lowered (and checked) afresh every time.
+    """
     if isinstance(node, N.Compose):
         for step in reversed(node.steps):
-            _emit(step, p, grid, out, splits)
+            _emit(step, p, grid, out, splits, memo)
+        return
+    key = (node, p, grid)
+    reusable = memo is not None and not splits
+    if reusable:
+        try:
+            known = memo.get(key)
+        except TypeError:
+            reusable = False
+        else:
+            if known is not None:
+                out.extend(known)
+                return
+    start = len(out)
+    _emit_step(node, p, grid, out, splits, memo)
+    if reusable and not splits:
+        memo[key] = tuple(out[start:])
+
+
+def _check_rank(rank, p: int, who: str, what: str) -> None:
+    if not (0 <= rank < p):
+        raise SkeletonError(f"{who}: {what} {rank} out of range 0..{p - 1}")
+
+
+def _index_map(f, p: int, who: str, what: str) -> list[int]:
+    """``[f(0), ..., f(p - 1)]``, each checked to name a rank."""
+    ranks = []
+    for r in range(p):
+        ranks.append(f(r))
+        _check_rank(ranks[-1], p, who, what)
+    return ranks
+
+
+def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
+               out: list[ir.Instr], splits: list[ir.GroupSplit],
+               memo: dict | None) -> None:
+    """:func:`_emit` for one non-``Compose`` node."""
+    if isinstance(node, N.Id):
         return
 
     if isinstance(node, N.Map):
@@ -313,53 +360,27 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
 
     if isinstance(node, N.Fetch):
         _no_grid(grid, "fetch")
-        srcs = []
-        for r in range(p):
-            src = node.f(r)
-            if not (0 <= src < p):
-                raise SkeletonError(
-                    f"fetch: source {src} out of range 0..{p - 1}")
-            srcs.append(src)
-        sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
-                      for r in range(p))
-        recvs = tuple((srcs[r],) for r in range(p))
-        out.append(ir.Exchange("replace", sends, recvs, label="fetch"))
+        srcs = _index_map(node.f, p, "fetch", "source")
+        out.append(ir.Exchange.from_sources("replace", srcs, "fetch"))
         return
 
     if isinstance(node, N.AlignFetch):
         _no_grid(grid, "align-fetch")
-        srcs = []
-        for r in range(p):
-            src = node.f(r)
-            if not (0 <= src < p):
-                raise SkeletonError(
-                    f"align-fetch: source {src} out of range 0..{p - 1}")
-            srcs.append(src)
-        sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
-                      for r in range(p))
-        recvs = tuple((srcs[r],) for r in range(p))
-        out.append(ir.Exchange("pair", sends, recvs, label="align-fetch"))
+        srcs = _index_map(node.f, p, "align-fetch", "source")
+        out.append(ir.Exchange.from_sources("pair", srcs, "align-fetch"))
         return
 
     if isinstance(node, N.PermSend):
         _no_grid(grid, "send")
-        dsts = []
-        for r in range(p):
-            dst = node.f(r)
-            if not (0 <= dst < p):
-                raise SkeletonError(
-                    f"send: destination {dst} out of range 0..{p - 1}")
-            dsts.append(dst)
-        for r in range(p):
-            sources = [k for k in range(p) if dsts[k] == r]
+        dsts = _index_map(node.f, p, "send", "destination")
+        exchange = ir.Exchange.from_destinations(
+            "replace", [(dst,) for dst in dsts], "send")
+        for r, sources in enumerate(exchange.recvs):
             if len(sources) != 1:
                 raise SkeletonError(
                     f"send: index {r} receives {len(sources)} elements — "
                     f"the index map is not a permutation")
-        sends = tuple((dsts[r],) if dsts[r] != r else () for r in range(p))
-        recvs = tuple(tuple(k for k in range(p) if dsts[k] == r)
-                      for r in range(p))
-        out.append(ir.Exchange("replace", sends, recvs, label="send"))
+        out.append(exchange)
         return
 
     if isinstance(node, N.SendNode):
@@ -368,16 +389,10 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
         for r in range(p):
             dsts = tuple(node.f(r))
             for dst in dsts:
-                if not (0 <= dst < p):
-                    raise SkeletonError(
-                        f"send: destination {dst} out of range 0..{p - 1}")
+                _check_rank(dst, p, "send", "destination")
             dst_lists.append(dsts)
-        sends = tuple(tuple(d for d in dst_lists[r] if d != r)
-                      for r in range(p))
-        recvs = tuple(tuple(k for k in range(p) for d in dst_lists[k]
-                            if d == r)
-                      for r in range(p))
-        out.append(ir.Exchange("collect", sends, recvs, label="send*"))
+        out.append(ir.Exchange.from_destinations("collect", dst_lists,
+                                                 "send*"))
         return
 
     if isinstance(node, N.Brdcast):
@@ -428,14 +443,14 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
                 out.append(ir.LocalApply(stage.local, indexed=stage.indexed,
                                          label="spmd-local"))
             if stage.global_ is not None:
-                _emit(stage.global_, p, grid, out, splits)
+                _emit(stage.global_, p, grid, out, splits, memo)
         return
 
     if isinstance(node, N.IterFor):
         bodies = []
         for i in range(node.n):
             body: list[ir.Instr] = []
-            _emit(node.body(i), p, grid, body, splits)
+            _emit(node.body(i), p, grid, body, splits, memo)
             bodies.append(tuple(body))
         out.append(ir.Loop(tuple(bodies)))
         return

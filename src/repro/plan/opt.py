@@ -231,14 +231,6 @@ def _route_map(instr: ir.Instr, p: int) -> tuple[int, ...] | None:
     return None
 
 
-def _exchange_from_srcs(srcs: tuple[int, ...], label: str) -> ir.Exchange:
-    p = len(srcs)
-    sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
-                  for r in range(p))
-    recvs = tuple((srcs[r],) for r in range(p))
-    return ir.Exchange("replace", sends, recvs, label=label)
-
-
 def _route_label(instr: ir.Instr) -> str:
     return (f"rot{instr.k}" if isinstance(instr, ir.Rotate)
             else instr.label)
@@ -298,7 +290,7 @@ def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
     if isinstance(a, ir.Rotate) and isinstance(b, ir.Rotate):
         merged: ir.Instr = ir.Rotate((a.k + b.k) % p)
     else:
-        merged = _exchange_from_srcs(composed, f"{la}+{lb}")
+        merged = ir.Exchange.from_sources("replace", composed, f"{la}+{lb}")
     sec_m, msg_m = _cost_of([merged], plan, spec)
     sec_ab, msg_ab = _cost_of([a, b], plan, spec)
     if sec_m > sec_ab or msg_m > msg_ab:

@@ -29,6 +29,7 @@ import dataclasses
 import sys
 from typing import Sequence
 
+from repro.errors import SkeletonError
 from repro.machine.cost import MachineSpec, PERFECT
 from repro.plan.cost import ExprCost, plan_cost
 from repro.scl import nodes as N
@@ -115,22 +116,27 @@ def score_expression(expr: N.Node, *, nprocs: int,
                      grid: tuple[int, int] | None = None,
                      opt=None, spec: MachineSpec = PERFECT,
                      fn_ops: float = 1.0,
-                     element_bytes: int | None = None) -> tuple[ExprCost, bool]:
+                     element_bytes: int | None = None,
+                     memo: dict | None = None) -> tuple[ExprCost, bool]:
     """Price ``expr`` through the real pipeline: lower with ``opt``, then
     :func:`plan_cost` on the optimized plan.
 
-    Returns ``(cost, lowerable)``; expressions with no plan form fall
-    back to :func:`repro.scl.optimize.estimate_cost`'s legacy model with
-    ``lowerable=False``.  Lowering bypasses the plan cache
+    Returns ``(cost, lowerable)``; expressions with no plan form (lowering
+    raises :class:`~repro.errors.SkeletonError`) fall back to
+    :func:`repro.scl.optimize.estimate_cost`'s legacy model with
+    ``lowerable=False`` — any other exception is a bug and propagates.
+    Lowering bypasses the plan cache
     (:func:`repro.plan.lower.lower_uncached`): search candidates are
     throwaway expressions that would otherwise evict hot entries and
-    distort the service-level hit-rate metric.
+    distort the service-level hit-rate metric.  ``memo`` is handed to it
+    unchanged, so one search lowers each step its candidates share once.
     """
     from repro.scl.optimize import estimate_cost
 
     try:
-        plan = _plan_lower.lower_uncached(expr, nprocs, grid, opt=opt)
-    except Exception:
+        plan = _plan_lower.lower_uncached(expr, nprocs, grid, opt=opt,
+                                          memo=memo)
+    except SkeletonError:
         return estimate_cost(expr, n=nprocs, spec=spec, fn_ops=fn_ops,
                              element_bytes=element_bytes), False
     return plan_cost(plan, spec=spec, fn_ops=fn_ops,
@@ -178,10 +184,15 @@ def tune_expression(expr: N.Node, *, nprocs: int,
         opt = OptConfig(spec=spec, topo=topo_sig)
     engine = RewriteEngine(ALL_RULES if rules is None else rules)
 
+    # Candidates differ from their parent by one rewrite window: the steps
+    # they share are lowered once for the whole search.
+    lowered_steps: dict = {}
+
     def score(e: N.Node) -> tuple[ExprCost, bool]:
         return score_expression(e, nprocs=nprocs, grid=grid, opt=opt,
                                 spec=spec, fn_ops=fn_ops,
-                                element_bytes=element_bytes)
+                                element_bytes=element_bytes,
+                                memo=lowered_steps)
 
     seen: set = set()
 

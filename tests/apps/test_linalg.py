@@ -162,6 +162,25 @@ class TestCompiledGauss:
         solved = np.asarray(gather(ParArray(out.to_list(), dist=ColBlock(p))))
         assert np.allclose(solved[:, -1], np.linalg.solve(A, b))
 
+    def test_second_compiled_call_is_a_plan_cache_hit(self, rng):
+        from repro.apps.linalg import gauss_jordan_compiled
+        from repro.plan.lower import clear_plan_cache, plan_cache_stats
+
+        A = well_conditioned(rng, 12)
+        b = rng.standard_normal(12)
+        clear_plan_cache()
+        _x, first = gauss_jordan_compiled(A, b, 3)
+        cold = plan_cache_stats()
+        assert cold["hits"] == 0 and cold["misses"] > 0
+        x, second = gauss_jordan_compiled(A, b, 3)
+        warm = plan_cache_stats()
+        # same expression object, so nothing is lowered or optimized again
+        assert warm["hits"] == 1
+        assert (warm["misses"], warm["optimized"]) == \
+            (cold["misses"], cold["optimized"])
+        assert np.allclose(x, np.linalg.solve(A, b))
+        assert second.makespan == first.makespan
+
     def test_compiled_time_close_to_handwritten(self, rng):
         from repro.apps.linalg import gauss_jordan_compiled
 

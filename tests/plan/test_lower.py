@@ -9,18 +9,27 @@ plans compute what the interpreter computes) lives in
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.partition import Block
 from repro.errors import SkeletonError
+from repro.machine import AP1000
 from repro.plan import ir
+from repro.plan.cost import ExprCost, plan_cost
 from repro.plan.lower import (
     clear_plan_cache,
     lower,
+    lower_uncached,
     plan_cache_reset,
     plan_cache_stats,
     tuned_lower,
 )
+from repro.plan.opt import OptConfig
 from repro.scl import (
     AlignFetch,
     Brdcast,
@@ -40,6 +49,7 @@ from repro.scl import (
     Split,
     compose_nodes,
 )
+from tests.plan.test_opt_properties import programs
 
 
 @pytest.fixture(autouse=True)
@@ -159,6 +169,220 @@ class TestLoweringErrors:
             with pytest.raises(SkeletonError):
                 lower(expr, 8)
         assert plan_cache_stats()["size"] == 0
+
+
+# The quadratic definitions of the communication tables and the in-line
+# traffic scan of ``plan_cost`` that ``Exchange.from_sources`` /
+# ``from_destinations`` / ``traffic`` replaced, kept as the reference.
+
+def _tables_from_sources(srcs):
+    p = len(srcs)
+    sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
+                  for r in range(p))
+    return sends, tuple((srcs[r],) for r in range(p))
+
+
+def _tables_from_destinations(dsts):
+    p = len(dsts)
+    sends = tuple(tuple(d for d in dsts[r] if d != r) for r in range(p))
+    recvs = tuple(tuple(k for k in range(p) for d in dsts[k] if d == r)
+                  for r in range(p))
+    return sends, recvs
+
+
+def _scanned_traffic(instr):
+    total = sum(len(s) for s in instr.sends)
+    degree = max(max(len(instr.sends[r]),
+                     sum(1 for s in instr.recvs[r] if s != r))
+                 for r in range(len(instr.sends)))
+    return total, degree
+
+
+def _out_of_range(who, what, bad, p):
+    return re.escape(f"{who}: {what} {bad} out of range 0..{p - 1}")
+
+
+#: Rank maps over ``p`` ranks whose entries may fall one outside the range.
+_rank_maps = st.integers(min_value=1, max_value=12).flatmap(
+    lambda p: st.lists(st.integers(min_value=-1, max_value=p),
+                       min_size=p, max_size=p))
+_rank_list_maps = st.integers(min_value=1, max_value=8).flatmap(
+    lambda p: st.lists(
+        st.lists(st.integers(min_value=-1, max_value=p), max_size=4),
+        min_size=p, max_size=p))
+
+
+class TestLinearTables:
+    """The one-pass builders equal the definitions they replaced, table
+    for table and error for error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(srcs=_rank_maps)
+    def test_fetch_family(self, srcs):
+        p = len(srcs)
+        bad = [s for s in srcs if not 0 <= s < p]
+        for node, who, mode in ((Fetch(srcs.__getitem__), "fetch", "replace"),
+                                (AlignFetch(srcs.__getitem__), "align-fetch",
+                                 "pair")):
+            if bad:
+                with pytest.raises(SkeletonError, match=_out_of_range(
+                        who, "source", bad[0], p)):
+                    lower_uncached(node, p)
+                continue
+            (instr,) = lower_uncached(node, p).instrs
+            assert (instr.mode, instr.label) == (mode, who)
+            assert (instr.sends, instr.recvs) == _tables_from_sources(srcs)
+            assert instr.traffic == _scanned_traffic(instr)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dsts=st.one_of(
+        _rank_maps,
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda p: st.permutations(range(p)))))
+    def test_permutation_send(self, dsts):
+        p = len(dsts)
+        node = PermSend(dsts.__getitem__)
+        bad = [d for d in dsts if not 0 <= d < p]
+        counts = [sum(1 for d in dsts if d == r) for r in range(p)]
+        if bad:
+            error = _out_of_range("send", "destination", bad[0], p)
+        elif counts != [1] * p:
+            r = next(r for r in range(p) if counts[r] != 1)
+            error = re.escape(f"send: index {r} receives {counts[r]} elements")
+        else:
+            (instr,) = lower_uncached(node, p).instrs
+            assert (instr.mode, instr.label) == ("replace", "send")
+            assert (instr.sends, instr.recvs) == _tables_from_destinations(
+                [(d,) for d in dsts])
+            assert instr.traffic == _scanned_traffic(instr)
+            return
+        with pytest.raises(SkeletonError, match=error):
+            lower_uncached(node, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dsts=_rank_list_maps)
+    def test_multicast_send(self, dsts):
+        p = len(dsts)
+        node = SendNode(dsts.__getitem__)
+        bad = [d for out in dsts for d in out if not 0 <= d < p]
+        if bad:
+            with pytest.raises(SkeletonError, match=_out_of_range(
+                    "send", "destination", bad[0], p)):
+                lower_uncached(node, p)
+            return
+        (instr,) = lower_uncached(node, p).instrs
+        assert (instr.mode, instr.label) == ("collect", "send*")
+        assert (instr.sends, instr.recvs) == _tables_from_destinations(dsts)
+        assert instr.traffic == _scanned_traffic(instr)
+
+    def test_fetch_id_has_no_traffic_and_costs_nothing(self):
+        plan = lower_uncached(Fetch(lambda r: r), 8)
+        (instr,) = plan.instrs
+        assert instr.traffic == _scanned_traffic(instr) == (0, 0)
+        assert plan_cost(plan, spec=AP1000) == ExprCost(0.0, 0, 0)
+
+    def test_traffic_is_scanned_once_per_instruction(self):
+        (instr,) = lower_uncached(Fetch(lambda r: 0), 8).instrs
+        assert instr.traffic == (7, 7)
+        assert instr.traffic is instr.traffic
+        # a derived fact, not a field: equality and replace() ignore it
+        assert instr == ir.Exchange(instr.mode, instr.sends, instr.recvs,
+                                    instr.label)
+
+
+def _unfused(instrs):
+    """``instrs`` with every fused kernel (compared by identity) replaced
+    by the ``LocalApply`` s it merged, so two optimized plans compare."""
+    out = []
+    for instr in instrs:
+        if isinstance(instr, ir.Loop):
+            out.append(tuple(_unfused(body) for body in instr.bodies))
+        elif isinstance(getattr(instr, "fn", None), ir.FusedKernel):
+            out.append((instr.label, instr.indexed, instr.fn.applies))
+        else:
+            out.append(instr)
+    return tuple(out)
+
+
+class TestStepReuse:
+    """``lower_uncached(..., memo=)``: steps shared between a caller's
+    expressions are lowered once, and the plans cannot tell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(prog=programs())
+    def test_reuse_equals_lowering_each_expression_fresh(self, prog):
+        p, expr = prog
+        steps = expr.steps if hasattr(expr, "steps") else (expr,)
+        # the expression, a second copy of it, and two rewrite-like
+        # neighbours sharing most of its steps
+        family = [expr, compose_nodes(*steps), compose_nodes(*steps[1:]),
+                  compose_nodes(*steps, *steps[1:])]
+        config = OptConfig(spec=AP1000)
+        memo: dict = {}
+        for e in family:
+            assert lower_uncached(e, p, memo=memo) == lower_uncached(e, p)
+            reused = lower_uncached(e, p, opt=config, memo=memo)
+            fresh = lower_uncached(e, p, opt=config)
+            assert _unfused(reused.instrs) == _unfused(fresh.instrs)
+            assert dataclasses.replace(reused, instrs=()) == \
+                dataclasses.replace(fresh, instrs=())
+
+    def test_shared_steps_share_instruction_objects(self):
+        calls = []
+
+        def leader(r):
+            calls.append(r)
+            return r - r % 4
+
+        fetch, f, g = Fetch(leader), Map(lambda x: x + 1), Map(lambda x: -x)
+        memo: dict = {}
+        a = lower_uncached(compose_nodes(f, fetch, g), 8, memo=memo)
+        b = lower_uncached(compose_nodes(g, fetch), 8, memo=memo)
+        assert a.instrs[1] is b.instrs[0]
+        assert calls == list(range(8))  # the index function ran once per rank
+        assert lower_uncached(fetch, 8).instrs[0] is not a.instrs[1]
+
+    def test_nothing_is_recorded_while_a_split_is_open(self):
+        before, after = Map(lambda x: x + 1), Map(lambda x: x * 2)
+        inner = compose_nodes(Rotate(1), Map(lambda x: -x))
+        expr = compose_nodes(after, Combine(), Map(inner), Map(inner),
+                             Split(Block(2)), before)
+        memo: dict = {}
+        plan = lower_uncached(expr, 8, memo=memo)
+        assert {key[0] for key in memo} == {before, after}
+        assert plan == lower_uncached(expr, 8)
+        # an iterFor that opens and closes a split is one reusable step,
+        # but the steps inside the split still are not
+        loop = IterFor(2, lambda i: compose_nodes(
+            Combine(), Map(inner), Split(Block(2))))
+        memo.clear()
+        first = lower_uncached(loop, 8, memo=memo)
+        assert list(memo) == [(loop, 8, None)]
+        assert lower_uncached(loop, 8, memo=memo).instrs[0] is first.instrs[0]
+
+    def test_the_key_includes_nprocs_and_grid(self):
+        step = Map(lambda x: x)
+        memo: dict = {}
+        lower_uncached(step, 4, memo=memo)
+        lower_uncached(step, 8, memo=memo)
+        lower_uncached(step, 8, (2, 4), memo=memo)
+        assert set(memo) == {(step, 4, None), (step, 8, None),
+                             (step, 8, (2, 4))}
+
+    def test_unhashable_and_failing_steps_are_never_recorded(self):
+        memo: dict = {}
+        plan = lower_uncached(Brdcast([1, 2, 3]), 4, memo=memo)
+        assert plan.instrs[0].value == [1, 2, 3]
+        calls = []
+
+        def far(r):
+            calls.append(r)
+            return 99
+
+        for _ in range(2):  # the range check fires every time
+            with pytest.raises(SkeletonError, match="source 99 out of range"):
+                lower_uncached(Fetch(far), 8, memo=memo)
+        assert calls == [0, 0] and memo == {}
 
 
 class TestPlanCache:

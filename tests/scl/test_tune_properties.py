@@ -27,13 +27,18 @@ property-suite pattern, applied to the *pre-lowering* optimizer):
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pararray import ParArray
 from repro.machine import AP1000, Machine, PERFECT
 from repro.machine.topology import FullyConnected, Hypercube, Ring
+from repro.plan.cost import ExprCost
+from repro.plan.lower import clear_plan_cache
 from repro.scl import (
     Brdcast,
     Fetch,
@@ -199,3 +204,64 @@ class TestSearchBeatsGreedyAnchor:
         # the traffic-concentrating fetch fusion greedy bundled in
         assert len(rep_s.steps) < len(rep_g.steps)
         assert "fetch" not in " ".join(s.rule for s in rep_s.steps)
+
+
+class TestSearchWorkAndAnswerArePinned:
+    """The ``tune_cold`` search, pinned: what it explores, what it picks,
+    and how much lowering it does to get there — candidates share the
+    steps their rewrite did not touch, but only within one search."""
+
+    DIM, REPEATS = 5, 3
+
+    def _search(self, expr):
+        topo = Hypercube(self.DIM)  # priced for the single-port AP1000 cube
+        return tune_expression(expr, nprocs=1 << self.DIM, spec=AP1000,
+                               topo=topo, beam=4)
+
+    def test_explored_set_winner_and_cost(self):
+        from repro.tune import tuned_sort_pipeline
+
+        res = self._search(tuned_sort_pipeline(self.DIM, self.REPEATS))
+        assert res.explored == 116 and res.rounds == 9
+        assert res.best.rules == ("map-fusion",) * 6
+        assert res.original.cost == res.best.cost
+        assert res.best.cost == ExprCost(0.0217724, 433, 29)
+
+    def test_each_fetch_is_lowered_once_per_search(self, monkeypatch):
+        from repro.tune import workloads
+
+        calls = collections.Counter()
+
+        def counted(fn):
+            def index_fn(r):
+                calls[fn.__name__] += 1
+                return fn(r)
+            return index_fn
+
+        for fn in (workloads._quarter_leader, workloads._block_pick):
+            monkeypatch.setattr(workloads, fn.__name__, counted(fn))
+        # built past the lru_cache so the nodes hold the counting wrappers
+        expr = workloads.tuned_sort_pipeline.__wrapped__(self.DIM,
+                                                         self.REPEATS)
+        p = 1 << self.DIM
+        # Three distinct Fetch nodes occur in the 116 candidates — the two
+        # originals and their fusion, which calls both — each evaluated
+        # over the p ranks exactly once, however many candidates hold it.
+        self._search(expr)
+        assert calls == {"_quarter_leader": 2 * p, "_block_pick": 2 * p}
+        # nothing lowered outlives the search: the next one starts cold
+        clear_plan_cache()
+        self._search(expr)
+        assert calls == {"_quarter_leader": 4 * p, "_block_pick": 4 * p}
+
+
+def test_a_bug_in_an_index_function_is_not_priced_as_unlowerable():
+    """Only "has no plan form" (``SkeletonError``) falls back to the legacy
+    expression-level model; anything else is a bug and must surface."""
+
+    def broken(r):
+        return r + None
+
+    expr = compose_nodes(Map(_inc), Fetch(broken))
+    with pytest.raises(TypeError):
+        tune_expression(expr, nprocs=4, spec=AP1000)
