@@ -33,9 +33,9 @@ Locking is deliberately cheap: one registry lock guards family/child
 two field updates, so concurrent workers updating disjoint label sets
 never contend.  Components treat the registry as optional — every
 instrumented hot path is behind an ``if metrics is not None`` guard, and
-the ``metrics_overhead/p*`` rows in ``BENCH_simulator.json`` hold the
-disabled path to the same "costs nothing" standard the
-``trace_overhead`` rows hold untraced tracing to.
+the disabled path is the one the ``serve_burst`` / ``serve_solo``
+workloads of ``BENCHMARK.json`` measure, so a cost creeping into it
+shows up there.
 
 Exports:
 

@@ -5,7 +5,7 @@ interpreter, :mod:`repro.machine.plan_exec`).  Lowering happens *once* per
 ``(expression, nprocs, grid)`` — every index function is evaluated over
 the whole index space here (index functions are pure), producing the
 static per-rank send/receive tables of :class:`~repro.plan.ir.Exchange` —
-and the resulting plan is cached, so repeated runs (the perf harness,
+and the resulting plan is cached, so repeated runs (benchmark loops,
 chaos sweeps, an ``iterFor`` driver re-running an expression) skip both
 the tree-walk and the table construction entirely.
 

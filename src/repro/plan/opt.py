@@ -38,7 +38,9 @@ flat instruction stream.  Three passes run in order:
 ``opt=`` cache key (so optimized and raw plans never share cache
 entries) and enabled by default in :mod:`repro.scl.compile`.  The fourth
 piece of the optimizer — the vectorized SoA kernel backend — lives in
-:mod:`repro.plan.vexec` and is switched by :attr:`OptConfig.vectorize`.
+:mod:`repro.plan.vexec`; it is no pass and has no switch: the machine
+takes it whenever the run allows (:meth:`Machine.run
+<repro.machine.simulator.Machine.run>`).
 """
 
 from __future__ import annotations
@@ -101,15 +103,6 @@ class OptConfig:
     fuse: bool = True
     coalesce: bool = True
     select_collectives: bool = True
-    #: Executor-side switch: hand the machine the whole-machine SoA walk
-    #: (:mod:`repro.plan.vexec`) beside the per-instruction interpreter.
-    #: The *machine* then picks (:meth:`Machine.run
-    #: <repro.machine.simulator.Machine.run>`): the walk on fault-free,
-    #: untraced, multi-port runs of flat plans, the interpreter on
-    #: everything else — and always with ``vectorize=False``.  Not a plan
-    #: transformation, but part of the config so one flag set describes
-    #: the whole pipeline.
-    vectorize: bool = True
     #: Cost model used by the guarded passes; ``None`` disables
     #: collective selection (no basis for pricing).
     spec: MachineSpec | None = None

@@ -33,9 +33,9 @@ selection — all cost-guarded to never predict worse), and the machine is
 handed the whole-machine SoA walk of :mod:`repro.plan.vexec` alongside
 the per-instruction interpreter — it takes the walk on fault-free,
 untraced, multi-port runs and interprets otherwise.
-``opt="off"`` (or a hand-built :class:`~repro.plan.opt.OptConfig`)
-restores the raw path — the cache keys raw and optimized plans
-separately, so the two never alias.
+``opt="off"`` runs the raw lowering (a hand-built
+:class:`~repro.plan.opt.OptConfig` switches single passes) — the cache
+keys raw and optimized plans separately, so the two never alias.
 
 The compiled program carries real data, so :func:`run_expression`'s
 result can be (and in the test-suite, is) cross-checked against the pure
@@ -82,16 +82,20 @@ def resolve_opt(opt: Any, machine: Machine):
 
     ``"auto"`` builds the machine's default config (all passes on, priced
     on its spec/topology); ``"off"``/``None``/``False`` disables the
-    optimizer; anything else must already be an
-    :class:`~repro.plan.opt.OptConfig` and passes through.
+    optimizer; an :class:`~repro.plan.opt.OptConfig` passes through.
+    Anything else is a :class:`~repro.errors.SkeletonError`.
     """
-    if opt == "auto":
-        from repro.plan.opt import OptConfig
+    from repro.plan.opt import OptConfig
 
-        return OptConfig.for_machine(machine)
-    if opt in ("off", None, False):
+    if isinstance(opt, OptConfig):
+        return opt
+    if opt is None or opt is False or opt == "off":
         return None
-    return opt
+    if opt == "auto":
+        return OptConfig.for_machine(machine)
+    raise SkeletonError(
+        f"opt must be 'auto', 'off' (or None/False) or an OptConfig, "
+        f"got {opt!r}")
 
 
 def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
@@ -148,33 +152,29 @@ class CompiledProgram:
         shape as the input), or the reduction scalar for expressions
         ending in ``Fold``.
 
-        The machine always gets the per-rank plan interpreter; with
-        ``OptConfig.vectorize`` it also gets the whole-machine walk of
-        :mod:`repro.plan.vexec`, which makes the same requests in the same
-        per-rank order.  Which of the two runs is the machine's choice
-        (:meth:`Machine.run`: the walk when fault-free, untraced and
-        multi-port and the plan is flat; the interpreter otherwise) — the
-        returned values and statistics are identical either way.
+        The machine gets the per-rank plan interpreter and the
+        whole-machine walk of :mod:`repro.plan.vexec`, which makes the
+        same requests in the same per-rank order.  Which of the two runs
+        is the machine's choice (:meth:`Machine.run`: the walk when
+        fault-free, untraced and multi-port and the plan is flat; the
+        interpreter otherwise) — the returned values and statistics are
+        identical either way.
         """
         from repro.machine.api import Comm
         from repro.machine.plan_exec import execute_plan
         from repro.plan import vexec
 
-        machine = self.machine
         default = self.fragment_default_ops
         label = self.label
-        config = resolve_opt(self.opt, machine)
 
         def make_program(plan, values):
-            walk = None
-            if config is not None and config.vectorize:
-                walk = functools.partial(vexec.precompute, plan, values,
-                                         default=default)
             return (lambda env: execute_plan(plan, env, Comm.world(env),
                                              values[env.pid], default, label),
-                    walk)
+                    functools.partial(vexec.precompute, plan, values,
+                                      default=default))
 
-        return run_lowered(self.expr, pa, machine, config, make_program)
+        return run_lowered(self.expr, pa, self.machine, self.opt,
+                           make_program)
 
 
 def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.errors import SkeletonError
 from repro.machine.cost import MachineSpec, PERFECT
 # sys.modules binding (see repro.scl.compile for why): survives both import
 # orders of the repro.plan <-> repro.scl cycle and the package-attribute
@@ -70,7 +71,7 @@ def estimate_cost(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,
     """
     try:
         plan = _plan_lower.lower(node, n, None)
-    except Exception:
+    except SkeletonError:
         return _legacy_estimate(node, n=n, spec=spec, fn_ops=fn_ops,
                                 element_bytes=element_bytes)
     return plan_cost(plan, spec=spec, fn_ops=fn_ops,

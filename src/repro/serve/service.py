@@ -55,7 +55,7 @@ __all__ = [
 
 
 def _run_events(result: RunResult) -> int:
-    """Engine-invariant event count (sends + receives), as in repro.perf."""
+    """Engine-invariant event count: one per send plus one per receive."""
     return result.total_messages + sum(s.msgs_received for s in result.stats)
 
 
@@ -284,8 +284,8 @@ class Service:
     rejection counters, queue-depth and in-flight gauges, per-worker
     latency histograms, and plan-cache gauges.  When ``None`` (the
     default) no instrument is ever touched — the disabled path costs
-    nothing (the ``metrics_overhead`` rows in BENCH_simulator.json hold
-    it to that).
+    nothing (it is the path the ``serve_burst`` / ``serve_solo`` workloads
+    of ``BENCHMARK.json`` measure).
 
     ``slo`` accepts a :class:`~repro.obs.metrics.SloMonitor`: completed
     request latencies feed its rolling window, and while the windowed

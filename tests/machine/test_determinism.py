@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.machine import AP1000, Machine
 from repro.machine.events import ANY
-from repro.machine.topology import FullyConnected, Hypercube
+from repro.machine.topology import FullyConnected, Hypercube, Ring
 
 
 def _racy_funnel(env):
@@ -56,6 +56,23 @@ class TestDeterminism:
             lambda: Machine(FullyConnected(6), spec=AP1000, single_port=True,
                             record_trace=True),
             _racy_funnel)
+
+    def test_ring_sweep_double_run(self):
+        p, rounds = 32, 30
+
+        def sweep(env):
+            right = (env.pid + 1) % env.nprocs
+            left = (env.pid - 1) % env.nprocs
+            for r in range(rounds):
+                yield env.work(ops=50)
+                yield env.send(right, r, tag=1, nbytes=64)
+                yield env.recv(left, tag=1)
+            return None
+
+        res = _run_twice(lambda: Machine(Ring(p), spec=AP1000), sweep)
+        # every processor sends and receives one message per round
+        assert res.total_messages == p * rounds
+        assert sum(s.msgs_received for s in res.stats) == p * rounds
 
     def test_hyperquicksort_double_run(self):
         from repro.apps.sort import hyperquicksort_machine

@@ -121,7 +121,7 @@ class TestCompiledAttribution:
         machine = Machine(Hypercube(2), spec=AP1000)
         _out, res_plain = run_expression(expr, blocks, machine,
                                          label="hyperquicksort")
-        assert res_plain.makespan == pytest.approx(res_traced.makespan)
+        assert res_plain.makespan == res_traced.makespan
         assert res_plain.total_messages == res_traced.total_messages
 
 

@@ -15,8 +15,10 @@ generated expressions and a sweep of machine shapes:
    a traced machine the direct transport reproduces the untraced
    interpreter's values, makespan and message count exactly.
 
-Plus the two deterministic application anchors the perf harness tracks:
-compiled hyperquicksort and the gauss-jordan solver.
+Plus two deterministic application anchors, compiled hyperquicksort and
+the gauss-jordan solver (the ``sort_warm`` / ``gauss_warm`` programs of
+``BENCHMARK.json``), where the passes must leave the simulated run as it
+was.
 """
 
 from __future__ import annotations
@@ -174,8 +176,9 @@ class TestApplicationAnchors:
         want, res_off = hyperquicksort_compiled(vals, d, opt="off")
         got, res_opt = hyperquicksort_compiled(vals, d)
         assert np.array_equal(got, want)
-        assert res_opt.total_messages <= res_off.total_messages
-        assert res_opt.makespan <= res_off.makespan * SLACK
+        # the passes find nothing in the sort that moves the timeline
+        assert res_opt.total_messages == res_off.total_messages
+        assert res_opt.makespan == res_off.makespan
 
     def test_gauss_jordan_bit_identical(self, rng):
         from repro.apps.linalg import gauss_jordan_compiled
@@ -186,5 +189,5 @@ class TestApplicationAnchors:
         want, res_off = gauss_jordan_compiled(A, b, p, opt="off")
         got, res_opt = gauss_jordan_compiled(A, b, p)
         assert np.array_equal(got, want)  # exact, not allclose
-        assert res_opt.total_messages <= res_off.total_messages
-        assert res_opt.makespan <= res_off.makespan * SLACK
+        assert res_opt.total_messages == res_off.total_messages
+        assert res_opt.makespan == res_off.makespan

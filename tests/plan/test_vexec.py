@@ -1,18 +1,18 @@
 """The whole-machine walk against the interpreter, through ``run_expression``.
 
-``OptConfig.vectorize`` hands the machine :func:`repro.plan.vexec.precompute`
+``CompiledProgram.run`` hands the machine :func:`repro.plan.vexec.precompute`
 beside the per-rank interpreter; on a fault-free, untraced, multi-port
 machine it takes the walk, which drives the lockstep timeline
 (:mod:`repro.machine.lockstep`) instead of any event engine.  The contract
 is that nobody can tell: values, ``events`` and *every*
-:class:`~repro.machine.simulator.ProcStats` field equal the
-``vectorize=False`` run's exactly (``==`` on floats — same additions in the
-same order).  One differential suite states that over the application
-anchors, every collective schedule, looped and ragged point-to-point
-traffic and three topologies, plus the random flat-plan strategy of
-``test_opt_properties``; the remaining tests pin the walk's payload-size
-hoisting, the machine-side routing (who chooses the interpreter) and error
-parity on malformed hand-built plans.
+:class:`~repro.machine.simulator.ProcStats` field equal those of the same
+program interpreted on a ``Machine(batch=False)`` exactly (``==`` on floats
+— same additions in the same order).  One differential suite states that
+over the application anchors, every collective schedule, looped and ragged
+point-to-point traffic and three topologies, plus the random flat-plan
+strategy of ``test_opt_properties``; the remaining tests pin the walk's
+payload-size hoisting, the machine-side routing (who chooses the
+interpreter) and error parity on malformed hand-built plans.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.machine.plan_exec import execute_plan
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan import ir, opt as plan_opt, vexec
 from repro.plan.lower import clear_plan_cache
-from repro.plan.opt import OptConfig
 from repro.scl import (
     Brdcast,
     Fold,
@@ -84,13 +83,11 @@ def assert_identical_runs(res_walk, res_interp) -> None:
 
 
 def run_both(expr, pa, topology, **machine_kw):
-    """``(walk run, interpreter run)`` of ``expr`` on fresh machines."""
-    out = []
-    for vectorize in (True, False):
-        machine = Machine(topology(pa.size), spec=AP1000, **machine_kw)
-        config = OptConfig.for_machine(machine, vectorize=vectorize)
-        out.append(run_expression(expr, pa, machine, opt=config)[1])
-    return out
+    """``(walk run, interpreter run)`` of ``expr`` on fresh machines: the
+    second is the same machine with ``batch=False``, which never walks."""
+    return [run_expression(expr, pa,
+                           Machine(topology(pa.size), spec=AP1000, **kw))[1]
+            for kw in (machine_kw, {**machine_kw, "batch": False})]
 
 
 # -- the differential suite -----------------------------------------------------
@@ -257,7 +254,7 @@ class TestRouting:
         calls = self._spy(monkeypatch)
         expr, pa = _hyperquicksort(3)
         run_both(expr, pa, Hypercube.of_size)
-        assert len(calls) == 1  # the vectorize=True arm only
+        assert len(calls) == 1  # the batch=False arm interprets
 
     @pytest.mark.parametrize("machine_kw", [
         {"single_port": True}, {"record_trace": True}, {"batch": False}],

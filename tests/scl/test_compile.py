@@ -286,6 +286,15 @@ class TestErrors:
         with pytest.raises(SkeletonError, match="out of range"):
             run_expression(Fetch(lambda i: 99), PA8, machine8())
 
+    @pytest.mark.parametrize("opt", ["on", True, "tuned"])
+    def test_unknown_opt_value_rejected_before_lowering(self, opt):
+        from repro.apps.sort import hyperquicksort_compiled
+
+        with pytest.raises(SkeletonError, match="'auto', 'off'"):
+            run_expression(Id(), PA8, machine8(), opt=opt)
+        with pytest.raises(SkeletonError, match="'auto', 'off'"):
+            hyperquicksort_compiled(np.arange(64, dtype=np.int32), 2, opt=opt)
+
 
 class TestCompiledHyperquicksort:
     """The full paper pipeline: §3 program -> §5 expression -> machine."""

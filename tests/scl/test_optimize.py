@@ -16,6 +16,7 @@ from repro.scl import (
     IterFor,
     Map,
     Rotate,
+    RotateRow,
     Scan,
     compose_nodes,
     estimate_cost,
@@ -109,6 +110,14 @@ class TestEstimateCost:
     def test_perfect_machine_maps_are_compute_only(self):
         c = estimate_cost(Map(lambda x: x), n=8, spec=PERFECT)
         assert c.seconds == pytest.approx(PERFECT.flop_time)
+
+    def test_only_no_plan_form_falls_back_to_the_expression_model(self):
+        # a grid skeleton priced without a grid has no plan form
+        # (SkeletonError from lowering) and is still priced ...
+        assert estimate_cost(RotateRow(1), n=16, spec=AP1000).messages == 16
+        # ... but a bug inside an index function is not "no plan form"
+        with pytest.raises(ZeroDivisionError):
+            estimate_cost(Fetch(lambda i: 1 // 0), n=4)
 
 
 class TestOptimize:

@@ -11,9 +11,11 @@ import pytest
 from repro.errors import SkeletonError
 from repro.scl import Fold, Scan
 from repro.serve import (
+    MetricsRegistry,
     PlanEndpoint,
     PyEndpoint,
     Service,
+    SloMonitor,
     closed_loop,
     open_loop,
 )
@@ -44,9 +46,10 @@ class TestClosedLoop:
 
     def test_deterministic_workload_content(self):
         """The same seed must execute the same simulated work regardless
-        of concurrency (thread interleaving changes latencies only)."""
-        def run(concurrency):
-            with make_service(workers=2) as svc:
+        of concurrency (thread interleaving changes latencies only) and
+        of whether the metrics plane and an SLO monitor are watching."""
+        def run(concurrency, **service_kw):
+            with make_service(workers=2, **service_kw) as svc:
                 closed_loop(svc, MIX, requests=30, seed=7,
                             concurrency=concurrency)
             return (svc.summary()["sim_events"],
@@ -54,6 +57,10 @@ class TestClosedLoop:
                            for r in svc.completions))
 
         assert run(1) == run(4)
+        # a p99 target no request can breach: every instrument updates on
+        # the hot path, nothing is shed
+        assert run(4, metrics=MetricsRegistry(),
+                   slo=SloMonitor(1e6, min_samples=8)) == run(1)
 
     def test_error_completions_counted(self):
         svc = Service(workers=2)

@@ -180,6 +180,7 @@ class TestPlanCacheAmortization:
         thr = list(mk().run(stats=thr_stats))
         assert seq == thr
         assert dataclass_tuple(seq_stats) == dataclass_tuple(thr_stats)
+        assert thr_stats.chunks == thr_stats.plan_runs == 20 // 4
 
 
 def dataclass_tuple(stats: StreamRunStats):

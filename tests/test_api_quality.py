@@ -9,7 +9,8 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
   docstring,
 * public callables have no positional-only surprises (inspectable
   signatures),
-* no module reaches into another module's underscore-prefixed names.
+* no module reaches into another module's underscore-prefixed names,
+* nothing current still points at the retired host-time harness.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -85,6 +87,27 @@ def test_no_private_names_imported_across_modules():
                 for a in node.names
                 if a.name.startswith("_")
                 and f"{node.module}.{a.name}" not in MODULES]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_nothing_current_mentions_the_retired_perf_harness():
+    """``benchmarks/e2e`` is the one host-time instrument.  Source, docs,
+    CI and the verify skill must not send a reader to the harness it
+    replaced; the history files (``CHANGES.md`` / ``CHANGELOG.md``) may."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    retired = ("repro.perf", "repro perf", "benchmarks/perf",
+               "benchmarks.perf", "BENCH_simulator")
+    offenders = []
+    for top in ("src", "docs", "README.md", "DESIGN.md", "CONTRIBUTING.md",
+                ".github", ".claude"):
+        path = root / top
+        files = [path] if path.is_file() else sorted(path.rglob("*"))
+        for file in files:
+            if not file.is_file() or "__pycache__" in file.parts:
+                continue
+            text = file.read_text(encoding="utf-8", errors="ignore")
+            offenders += [f"{file.relative_to(root)}: {name}"
+                          for name in retired if name in text]
     assert not offenders, "\n".join(offenders)
 
 

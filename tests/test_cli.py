@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -27,6 +30,27 @@ class TestParser:
     def test_spec_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--spec", "cray"])
+
+
+class TestDispatch:
+    def test_perf_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(set(re.findall(
+        r"^    python -m repro (\w+)", cli.__doc__, re.MULTILINE))))
+    def test_every_documented_command_dispatches(self, command, capsys):
+        if command == "all" or hasattr(cli, f"cmd_{command}"):
+            assert build_parser().parse_args([command]).command == command
+            return
+        # a subcommand with its own flag set answers for itself
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert (f"usage: python -m repro {command} "
+                in capsys.readouterr().out)
 
 
 class TestCommands:
