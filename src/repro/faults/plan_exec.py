@@ -104,13 +104,8 @@ class ReliableTransport:
 
     def collective(self, instr: ir.Collective, env, comm: Comm, local: Any,
                    default: float):
-        """Run the collective as a crash-aware linear pattern."""
-        # ``instr.algo`` is deliberately ignored here: the resilient
-        # collectives of :mod:`repro.machine.collectives_ft` are crash-aware
-        # linear patterns with their own message schedules — an optimizer
-        # algo choice priced for the fault-free interpreter has no meaning on
-        # this channel.  Optimized plans still run correctly (fusion and
-        # coalescing apply unchanged); only the schedule hint is dropped.
+        """Run the collective as a crash-aware linear pattern (the
+        schedules of :mod:`repro.machine.collectives_ft`)."""
         chan = self.chan
         if instr.kind == "fold":
             acc = yield from ft_reduce(chan, comm, local, instr.op, root=0)
@@ -144,10 +139,10 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
     :func:`repro.scl.compile.run_expression`: the same lowering, cache
     and plan optimizer (``opt`` as in
     :class:`~repro.scl.compile.CompiledProgram` — fusion and coalescing
-    apply to the resilient run too; collective ``algo`` hints and the
-    whole-machine walk do not, since traffic here is retransmitted and
-    timing-dependent), but execution over a :class:`ReliableChannel` per
-    processor — use with a machine constructed with a fault injector.
+    apply to the resilient run too; the whole-machine walk does not,
+    since traffic here is retransmitted and timing-dependent), but
+    execution over a :class:`ReliableChannel` per processor — use with a
+    machine constructed with a fault injector.
     """
     def make_program(plan, values):
         def program(env):

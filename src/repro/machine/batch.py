@@ -1,4 +1,4 @@
-"""Batched drive-order engine: whole-segment execution with SoA flushes.
+"""Batched drive-order engine: whole-segment execution with batched flushes.
 
 The per-event engine in :mod:`repro.machine.simulator` interleaves
 processors one heap-pop at a time.  This module runs the *same* programs
@@ -6,9 +6,8 @@ under a different schedule that produces bit-identical results: each
 processor is driven as far as it can go in one uninterrupted segment
 (computes and sends apply immediately; concrete receives consume from
 per-``(src, tag)`` message streams), and the segment's outgoing messages
-are flushed as one batch whose delivery times are computed with a single
-vectorised numpy expression — SoA parallel arrays instead of per-message
-heap traffic.
+are flushed as one batch straight onto their receivers' streams instead
+of through per-message heap traffic.
 
 Why this is sound
 -----------------
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Generator
-from itertools import repeat as _rep
 from typing import Any
 
 import numpy as np
@@ -60,10 +58,6 @@ from repro.machine.events import ANY, Compute, Message, Recv, Send
 __all__ = ["BatchFallback", "run_batched"]
 
 _INF = float("inf")
-
-#: Flush size at which the vectorised arrival computation beats the
-#: scalar loop (numpy call overhead amortises around a dozen messages).
-_VEC_MIN = 16
 
 _R, _B, _D = 0, 1, 2  # ready / blocked / done
 
@@ -215,7 +209,6 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
     word_bytes = spec.word_bytes
     flop_time = spec.flop_time
     hops_nocheck = topology._hops_nocheck
-    hop_array = topology.hop_array
 
     clock = [0.0] * n
     machine._clock = clock
@@ -336,8 +329,8 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         queued[pid] = 1
 
     def _flush(p: _BP) -> None:
-        """Distribute ``p``'s buffered sends: vectorised delivery times,
-        stream appends, concrete-waiter wakeups, finished-peer checks."""
+        """Distribute ``p``'s buffered sends: delivery times, stream
+        appends, concrete-waiter wakeups, finished-peer checks."""
         sb = p.sbuf
         m = len(sb)
         src = p.pid
@@ -347,63 +340,18 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         if hc is None:
             hc = hop_cache[src] = {}
         acc = p.acc
-        if m >= _VEC_MIN:
-            cols = list(zip(*sb))
-            dstc = cols[1]
-            uniq = set(dstc)
-            arr = np.fromiter(cols[0], np.float64, m)
-            arr += send_ovh
-            nbc = cols[4]
-            nbv = np.fromiter(nbc, np.float64, m)
-            if len(uniq) == 1:
-                d = dstc[0]
-                hops = hc.get(d)
-                if hops is None:
-                    h = hops_nocheck(src, d)
-                    hc[d] = hops = h if h >= 1 else 1
-                arr += (latency + per_hop * (hops - 1)) + nbv / bandwidth
-            else:
-                # Whole-row gather: one fancy index into the topology's
-                # cached (clamped) hop row replaces a dict lookup per
-                # message.  Values are identical to the hc entries, so
-                # the float expression below is unchanged bit for bit.
-                hv = hop_array(src)[np.fromiter(dstc, np.intp, m)]
-                arr += (latency + per_hop * (hv - 1.0)) + nbv / bandwidth
-            arrs = arr.tolist()
-            acc[_BYT_TX] += sum(nbc)  # exact: integer bytes
-        else:
-            arrs = []
-            nbt = 0
-            for t0, dst, tag, payload, nb in sb:
-                hops = hc.get(dst)
-                if hops is None:
-                    hops = hops_nocheck(src, dst)
-                    hc[dst] = hops = hops if hops >= 1 else 1
-                t1 = t0 + send_ovh
-                arrs.append(t1 + (latency + per_hop * (hops - 1)
-                                  + nb / bandwidth))
-                nbt += nb
-            acc[_BYT_TX] += nbt
-        # Whole-batch fast path: every send targets one (dst, tag)
-        # stream (fan-in, ring) — append rows with one C-level zip.
-        if m >= _VEC_MIN and len(uniq) == 1 and len(set(cols[2])) == 1:
-            dst = dstc[0]
-            tag = cols[2][0]
-            dp = bps[dst]
-            dstat = dp.status
-            if dstat != _D:
-                s = dp.streams.get((src, tag))
-                if s is None:
-                    s = dp.streams[(src, tag)] = _Stream()
-                s.msgs.extend(zip(cols[0], _rep(src), range(kb, kb + m),
-                                  cols[2], arrs, cols[3], nbc))
-                s.taken.extend(bytes(m))
-                if (dstat == _B and dp.pend_src == src
-                        and dp.pend_tag == tag and not queued[dst]):
-                    queued[dst] = 1
-                    wl.append(dst)
-                sb.clear()
-                return
+        arrs = []
+        nbt = 0
+        for t0, dst, tag, payload, nb in sb:
+            hops = hc.get(dst)
+            if hops is None:
+                hops = hops_nocheck(src, dst)
+                hc[dst] = hops = hops if hops >= 1 else 1
+            t1 = t0 + send_ovh
+            arrs.append(t1 + (latency + per_hop * (hops - 1)
+                              + nb / bandwidth))
+            nbt += nb
+        acc[_BYT_TX] += nbt
         # Consecutive sends usually target one (dst, tag) stream (fan-in
         # and ring patterns); memoise the stream lookup across the run.
         pdst = -1

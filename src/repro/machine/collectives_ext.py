@@ -18,17 +18,6 @@ real MPI library navigates:
 All operate on *lists of chunks* (for reduce-scatter/allreduce, one chunk
 per member) or raw payloads (broadcast); chunk combination uses the given
 associative operator, applied in rank order.
-
-The second half of the module is the *flat/chain* family the plan
-optimizer's collective selection targets (``Collective.algo`` in
-:mod:`repro.plan.ir`):
-
-* :func:`flat_bcast` / :func:`flat_reduce` — direct root↔member messages
-  (``p - 1`` messages, no intermediate hops: fewer total messages than a
-  tree whenever the tree uses internal forwarding),
-* :func:`chain_bcast` — ring-order forwarding from the root,
-* :func:`chain_scan` — the rank-order prefix chain: ``p - 1`` messages
-  against Hillis–Steele's ``Σ (p - 2^k)``, at the price of serial depth.
 """
 
 from __future__ import annotations
@@ -40,18 +29,13 @@ from repro.machine.api import Comm
 from repro.machine.cost import estimate_nbytes
 
 __all__ = ["reduce_scatter", "ring_allreduce", "pipelined_bcast",
-           "smart_bcast", "flat_bcast", "flat_reduce", "chain_bcast",
-           "chain_scan"]
+           "smart_bcast"]
 
 Gen = Generator[Any, Any, Any]
 
 _TAG_RS = 1_100_001
 _TAG_AG = 1_100_002
 _TAG_PB = 1_100_003
-_TAG_FB = 1_100_004
-_TAG_FR = 1_100_005
-_TAG_CB = 1_100_006
-_TAG_CS = 1_100_007
 
 
 def reduce_scatter(comm: Comm, chunks: Sequence[Any],
@@ -190,101 +174,3 @@ def smart_bcast(comm: Comm, value: Any = None, *, root: int = 0,
     result = yield from pipelined_bcast(comm, value, root=root,
                                         chunks=chunks, nbytes=nbytes)
     return result
-
-
-def flat_bcast(comm: Comm, value: Any = None, *, root: int = 0,
-               nbytes: int | None = None) -> Gen:
-    """Flat (linear) broadcast: the root sends to every member directly.
-
-    ``p - 1`` messages with no forwarding — the same total as the binomial
-    tree, but every message leaves the root, trading fan-out serialisation
-    for single-hop routes.  The plan optimizer selects it when the cost
-    model says root-adjacency beats log-depth (e.g. a star-like reach on a
-    fully connected topology with cheap sends).
-    """
-    size = comm.size
-    if not (0 <= root < size):
-        raise MachineError(f"root {root} out of range for size-{size} comm")
-    if size == 1:
-        return value
-    if comm.rank == root:
-        for dst in range(size):
-            if dst != root:
-                yield comm.send(dst, value, tag=_TAG_FB, nbytes=nbytes)
-        return value
-    msg = yield comm.recv(root, tag=_TAG_FB)
-    return msg.payload
-
-
-def flat_reduce(comm: Comm, value: Any, op: Callable[[Any, Any], Any], *,
-                root: int = 0, nbytes: int | None = None) -> Gen:
-    """Flat reduction: every member sends directly to the root.
-
-    The root folds contributions in **rank order** (its own value taking
-    its rank position), so associativity of ``op`` suffices — the same
-    contract as the tree :func:`repro.machine.collectives.reduce`.
-    Non-root members return ``None``.
-    """
-    size = comm.size
-    if not (0 <= root < size):
-        raise MachineError(f"root {root} out of range for size-{size} comm")
-    if size == 1:
-        return value
-    if comm.rank != root:
-        yield comm.send(root, value, tag=_TAG_FR, nbytes=nbytes)
-        return None
-    acc = None
-    for src in range(size):
-        if src == root:
-            part = value
-        else:
-            msg = yield comm.recv(src, tag=_TAG_FR)
-            part = msg.payload
-        acc = part if src == 0 else op(acc, part)
-    return acc
-
-
-def chain_bcast(comm: Comm, value: Any = None, *, root: int = 0,
-                nbytes: int | None = None) -> Gen:
-    """Ring-order forwarding broadcast: the root starts a chain.
-
-    ``p - 1`` single-hop messages around the ring — on a :class:`Ring`
-    topology every hop is a neighbour link, where the binomial tree's long
-    jumps pay per-hop latency.
-    """
-    size = comm.size
-    if not (0 <= root < size):
-        raise MachineError(f"root {root} out of range for size-{size} comm")
-    if size == 1:
-        return value
-    rank = comm.rank
-    v = (rank - root) % size
-    if v == 0:
-        yield comm.send((rank + 1) % size, value, tag=_TAG_CB, nbytes=nbytes)
-        return value
-    msg = yield comm.recv((rank - 1) % size, tag=_TAG_CB)
-    if v + 1 < size:
-        yield comm.send((rank + 1) % size, msg.payload, tag=_TAG_CB,
-                        nbytes=nbytes)
-    return msg.payload
-
-
-def chain_scan(comm: Comm, value: Any, op: Callable[[Any, Any], Any], *,
-               nbytes: int | None = None) -> Gen:
-    """Inclusive prefix reduction as a rank-order chain.
-
-    Rank ``r`` receives the prefix of ranks ``0..r-1`` from its left
-    neighbour, folds its own value (rank order, associativity suffices)
-    and forwards.  ``p - 1`` messages total versus Hillis–Steele's
-    ``Σ_k (p - 2^k)`` — the optimizer's pick when message count dominates
-    (it costs serial depth, so only when the model says rounds are cheap).
-    """
-    size = comm.size
-    rank = comm.rank
-    my = value
-    if rank > 0:
-        msg = yield comm.recv(rank - 1, tag=_TAG_CS)
-        my = op(msg.payload, my)
-    if rank + 1 < size:
-        yield comm.send(rank + 1, my, tag=_TAG_CS, nbytes=nbytes)
-    return my

@@ -27,7 +27,6 @@ import dataclasses
 from typing import Any
 
 from repro.machine import collectives as C
-from repro.machine import collectives_ext as CX
 from repro.machine import tags
 from repro.machine.api import Comm
 from repro.machine.cost import estimate_nbytes
@@ -67,7 +66,7 @@ def bcast_piece(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any,
 
 class DirectTransport:
     """Plan traffic on a perfect network: raw point-to-point messages and
-    the tree / flat / ring collectives ``instr.algo`` selects."""
+    the tree collectives of :mod:`repro.machine.collectives`."""
 
     __slots__ = ()
 
@@ -104,33 +103,19 @@ class DirectTransport:
 
     def collective(self, instr: ir.Collective, env: ProcEnv, comm: Comm,
                    local: Any, default: float):
-        """Run the collective with the schedule ``instr.algo`` names."""
+        """Run the collective on its binomial-tree schedule."""
         # Reduction operators run synchronously inside the collectives'
         # generator frames, so their CPU cost cannot be yielded from here;
         # the message rounds carry the synchronisation cost (plan_cost
         # prices the combines analytically).
-        algo = instr.algo
         if instr.kind == "fold":
-            if algo == "flat":
-                acc = yield from CX.flat_reduce(comm, local, instr.op)
-                acc = yield from CX.flat_bcast(comm, acc, root=0)
-            else:
-                acc = yield from C.reduce(comm, local, instr.op)
-                acc = yield from C.bcast(comm, acc, root=0)
+            acc = yield from C.reduce(comm, local, instr.op)
+            acc = yield from C.bcast(comm, acc, root=0)
             return ir.Scalar(acc)
         if instr.kind == "scan":
-            if algo == "ring":
-                return (yield from CX.chain_scan(comm, local, instr.op))
             return (yield from C.scan(comm, local, instr.op))
         piece = yield from bcast_piece(instr, env, comm, local, default)
-        # binomial tree by default, flat/chain when the optimizer's
-        # collective selection rewrote the schedule
-        if algo == "flat":
-            piece = yield from CX.flat_bcast(comm, piece, root=instr.root)
-        elif algo == "ring":
-            piece = yield from CX.chain_bcast(comm, piece, root=instr.root)
-        else:
-            piece = yield from C.bcast(comm, piece, root=instr.root)
+        piece = yield from C.bcast(comm, piece, root=instr.root)
         return (piece, local)
 
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import abc
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import TopologyError
 from repro.util.validation import ilog2, require_power_of_two
 
@@ -39,7 +37,6 @@ class Topology(abc.ABC):
             raise TopologyError(f"topology size must be a positive int, got {size!r}")
         self._size = size
         self._hop_rows: dict[int, list[int]] = {}
-        self._hop_arrays: dict[int, np.ndarray] = {}
         self._diameter: int | None = None
 
     @property
@@ -78,25 +75,6 @@ class Topology(abc.ABC):
         (one Python-level call per row instead of one per entry)."""
         nocheck = self._hops_nocheck
         return [nocheck(src, dst) for dst in range(self._size)]
-
-    def hop_array(self, src: int) -> np.ndarray:
-        """Hop counts from ``src`` as a float64 row, clamped to >= 1.
-
-        The batched engine gathers hop counts for a whole message flush
-        with one fancy index into this row instead of a Python dict
-        lookup per message.  The diagonal is clamped to 1 (self-sends
-        are rejected before any delivery cost is computed), so the row
-        feeds the vectorised ``per_hop * (hops - 1)`` term directly.
-        Rows are built lazily per source actually fanning out and are
-        shared across instances with identical routing, keeping memory
-        O(p · active multi-destination senders).
-        """
-        arr = self._hop_arrays.get(src)
-        if arr is None:
-            row = np.asarray(self.hop_row(src), dtype=np.float64)
-            np.maximum(row, 1.0, out=row)
-            arr = self._hop_arrays[src] = row
-        return arr
 
     @abc.abstractmethod
     def neighbors(self, node: int) -> tuple[int, ...]:
@@ -147,7 +125,6 @@ class Hypercube(Topology):
     """
 
     _SHARED_ROWS: dict[int, dict[int, list[int]]] = {}
-    _SHARED_ARRAYS: dict[int, dict[int, np.ndarray]] = {}
 
     def __init__(self, dim: int):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
@@ -157,7 +134,6 @@ class Hypercube(Topology):
         # Routing depends only on ``dim``: share the lazily built hop rows
         # across instances so repeated simulations don't rebuild them.
         self._hop_rows = Hypercube._SHARED_ROWS.setdefault(dim, {})
-        self._hop_arrays = Hypercube._SHARED_ARRAYS.setdefault(dim, {})
 
     @classmethod
     def of_size(cls, size: int) -> "Hypercube":
@@ -203,13 +179,11 @@ class Ring(Topology):
     """1-D torus: node ``i`` connects to ``(i±1) mod size``."""
 
     _SHARED_ROWS: dict[int, dict[int, list[int]]] = {}
-    _SHARED_ARRAYS: dict[int, dict[int, np.ndarray]] = {}
 
     def __init__(self, size: int):
         super().__init__(size)
         # Routing depends only on ``size``; share rows across instances.
         self._hop_rows = Ring._SHARED_ROWS.setdefault(size, {})
-        self._hop_arrays = Ring._SHARED_ARRAYS.setdefault(size, {})
 
     def hops(self, src: int, dst: int) -> int:
         self.check_node(src)
@@ -256,10 +230,8 @@ class Mesh2D(Topology):
         self._torus = torus
         # Routing depends only on the mesh parameters; share rows.
         self._hop_rows = Mesh2D._SHARED_ROWS.setdefault((rows, cols, torus), {})
-        self._hop_arrays = Mesh2D._SHARED_ARRAYS.setdefault((rows, cols, torus), {})
 
     _SHARED_ROWS: dict[tuple[int, int, bool], dict[int, list[int]]] = {}
-    _SHARED_ARRAYS: dict[tuple[int, int, bool], dict[int, np.ndarray]] = {}
 
     @property
     def rows(self) -> int:
@@ -330,13 +302,11 @@ class FullyConnected(Topology):
     """Complete graph: every distinct pair is one hop apart."""
 
     _SHARED_ROWS: dict[int, dict[int, list[int]]] = {}
-    _SHARED_ARRAYS: dict[int, dict[int, np.ndarray]] = {}
 
     def __init__(self, size: int):
         super().__init__(size)
         # Routing depends only on ``size``; share rows across instances.
         self._hop_rows = FullyConnected._SHARED_ROWS.setdefault(size, {})
-        self._hop_arrays = FullyConnected._SHARED_ARRAYS.setdefault(size, {})
 
     def hops(self, src: int, dst: int) -> int:
         self.check_node(src)

@@ -42,7 +42,6 @@ from repro.plan.opt import (
     PassNote,
     optimize_plan,
     optimize_plan_report,
-    topology_signature,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "lower", "clear_plan_cache", "plan_cache_reset", "plan_cache_stats",
     "plan_cost", "ExprCost",
     "OptConfig", "PassNote", "optimize_plan", "optimize_plan_report",
-    "topology_signature",
 ]

@@ -169,7 +169,6 @@ def _search_main(args) -> int:
     if args.app == "hyperquicksort":
         d, p = args.dim, 1 << args.dim
         expr = tuned_sort_pipeline(d)
-        topo = Hypercube(d)
         title = (f"rewrite search: tuned_sort_pipeline d={d} (p={p}), "
                  f"beam={args.beam}, {args.spec.name}")
     else:
@@ -177,11 +176,10 @@ def _search_main(args) -> int:
 
         n, p = args.n, args.procs
         expr = gauss_jordan_expression(n, p, (n, n + 1))
-        topo = None
         title = (f"rewrite search: gauss-jordan n={n}, p={p}, "
                  f"beam={args.beam}, {args.spec.name}")
 
-    res = tune_expression(expr, nprocs=p, spec=args.spec, topo=topo,
+    res = tune_expression(expr, nprocs=p, spec=args.spec,
                           beam=args.beam, fn_ops=args.fn_ops)
     print(title)
     print("=" * len(title))

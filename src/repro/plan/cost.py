@@ -94,22 +94,10 @@ def plan_cost(plan: ir.Plan, *, spec: MachineSpec = PERFECT,
 
         if isinstance(instr, ir.Collective):
             rounds = ceil_log2(n)
-            algo = instr.algo
             if instr.kind in ("fold", "scan"):
-                if algo == "ring":
-                    # rank-order chain: p-1 serial combine steps (scan)
-                    return ExprCost((n - 1) * (msg + fn_time),
-                                    max(n - 1, 0), 1)
-                if algo == "flat":
-                    # direct gather-to-root combine plus a flat broadcast
-                    return ExprCost((n - 1) * (msg + fn_time)
-                                    + (n - 1) * msg, 2 * max(n - 1, 0), 1)
-                # tree: log-n combine rounds; the rounds themselves are
-                # the synchronisation, so no separate barrier term
+                # log-n combine rounds; the rounds themselves are the
+                # synchronisation, so no separate barrier term
                 return ExprCost(rounds * (msg + fn_time), rounds * n // 2, 1)
-            if algo in ("flat", "ring"):
-                # root sends serially / chain forwards serially
-                return ExprCost(max(n - 1, 0) * msg, max(n - 1, 0), 1)
             return ExprCost(rounds * msg, max(n - 1, 0), 1)
 
         if isinstance(instr, (ir.GroupSplit, ir.GroupCombine)):

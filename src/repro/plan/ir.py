@@ -252,14 +252,8 @@ class Collective(Instr):
     in :class:`Scalar`), ``"scan"`` (Hillis–Steele prefix), ``"bcast"``
     (broadcast the constant ``value``, result ``(value, local)``) or
     ``"apply_bcast"`` (root applies ``op`` to its local value and
-    broadcasts, result ``(piece, local)``).
-
-    ``algo`` names the message schedule: ``"tree"`` (the binomial /
-    doubling defaults of :mod:`repro.machine.collectives`), ``"flat"``
-    (direct root↔member messages) or ``"ring"`` (a rank-order chain).
-    Lowering always emits ``"tree"``; the plan optimizer's collective
-    selection swaps it when the cost model predicts a strictly cheaper
-    schedule on the target machine.
+    broadcasts, result ``(piece, local)``).  All run the binomial /
+    doubling schedules of :mod:`repro.machine.collectives`.
     """
 
     kind: str
@@ -267,7 +261,6 @@ class Collective(Instr):
     value: Any = None
     root: int = 0
     label: str = "collective"
-    algo: str = "tree"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,8 +338,6 @@ def instr_title(instr: Instr) -> str:
     if isinstance(instr, Exchange):
         return f"exchange {instr.label}"
     if isinstance(instr, Collective):
-        if instr.algo != "tree":
-            return f"coll {instr.kind}/{instr.algo}"
         return f"coll {instr.kind}"
     if isinstance(instr, GroupSplit):
         return "group split"

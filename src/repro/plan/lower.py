@@ -21,6 +21,7 @@ virtual processor starts.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import OrderedDict
 
 from repro.errors import SkeletonError
@@ -39,6 +40,36 @@ _TUNED: OrderedDict[tuple, "TunedPlan"] = OrderedDict()
 _TUNED_CAP = 128
 _STATS = {"hits": 0, "misses": 0, "uncachable": 0, "optimized": 0,
           "tuned_hits": 0, "tuned_misses": 0}
+#: Serve workers and stream stages lower concurrently: every probe /
+#: reorder / insert / evict of either tier happens under this lock (the
+#: lowering itself does not — two threads may build the same plan, and
+#: the later insert wins).
+_LOCK = threading.Lock()
+
+
+def _cache_get(cache: OrderedDict, key: tuple, hit: str, miss: str):
+    """LRU probe: the entry, made youngest, or ``None`` — counted under
+    ``hit`` / ``miss``.  An unhashable key counts as ``uncachable`` and
+    raises ``TypeError``."""
+    with _LOCK:
+        try:
+            cached = cache.get(key)
+        except TypeError:
+            _STATS["uncachable"] += 1
+            raise
+        if cached is None:
+            _STATS[miss] += 1
+        else:
+            _STATS[hit] += 1
+            cache.move_to_end(key)
+        return cached
+
+
+def _cache_put(cache: OrderedDict, cap: int, key: tuple, value) -> None:
+    with _LOCK:
+        cache[key] = value
+        while len(cache) > cap:
+            cache.popitem(last=False)
 
 
 def lower(expr: N.Node, nprocs: int,
@@ -56,25 +87,19 @@ def lower(expr: N.Node, nprocs: int,
     """
     key = (expr, nprocs, grid, opt)
     try:
-        cached = _CACHE.get(key)
+        cached = _cache_get(_CACHE, key, "hits", "misses")
     except TypeError:
-        _STATS["uncachable"] += 1
         plan = _lower(expr, nprocs, grid)
         return plan if opt is None else _optimize(plan, opt)
     if cached is not None:
-        _STATS["hits"] += 1
-        _CACHE.move_to_end(key)
         return cached
-    _STATS["misses"] += 1
     if opt is None:
         plan = _lower(expr, nprocs, grid)
     else:
         # build on the raw plan's cache entry, then run the passes once
         plan = _optimize(lower(expr, nprocs, grid), opt)
         _STATS["optimized"] += 1
-    _CACHE[key] = plan
-    while len(_CACHE) > _CACHE_CAP:
-        _CACHE.popitem(last=False)
+    _cache_put(_CACHE, _CACHE_CAP, key, plan)
     return plan
 
 
@@ -142,9 +167,8 @@ def tuned_lower(expr: N.Node, nprocs: int,
     expressions for the plan cache's LRU to retain).  Keyed by
     ``(expr, nprocs, grid, opt, beam, fn_ops, element_bytes)``; ``opt``
     is the :class:`~repro.plan.opt.OptConfig` candidates are lowered and
-    priced with, so the machine spec and topology signature are part of
-    the key — a plan tuned for a single-port hypercube is never served
-    to a ring.
+    priced with, so the machine spec is part of the key — a plan tuned
+    for one cost model is never served to another.
     """
     from repro.plan.opt import OptConfig
 
@@ -152,21 +176,15 @@ def tuned_lower(expr: N.Node, nprocs: int,
         opt = OptConfig()
     key = (expr, nprocs, grid, opt, beam, fn_ops, element_bytes)
     try:
-        cached = _TUNED.get(key)
+        cached = _cache_get(_TUNED, key, "tuned_hits", "tuned_misses")
     except TypeError:
-        _STATS["uncachable"] += 1
         return _tune_and_lower(expr, nprocs, grid, opt, beam=beam,
                                fn_ops=fn_ops, element_bytes=element_bytes)
     if cached is not None:
-        _STATS["tuned_hits"] += 1
-        _TUNED.move_to_end(key)
         return cached
-    _STATS["tuned_misses"] += 1
     tuned = _tune_and_lower(expr, nprocs, grid, opt, beam=beam,
                             fn_ops=fn_ops, element_bytes=element_bytes)
-    _TUNED[key] = tuned
-    while len(_TUNED) > _TUNED_CAP:
-        _TUNED.popitem(last=False)
+    _cache_put(_TUNED, _TUNED_CAP, key, tuned)
     return tuned
 
 
@@ -178,8 +196,8 @@ def _tune_and_lower(expr: N.Node, nprocs: int, grid, opt, *,
 
     spec = opt.spec if opt.spec is not None else PERFECT
     res = tune_expression(expr, nprocs=nprocs, grid=grid, spec=spec,
-                          topo=opt.topo, opt=opt, beam=beam,
-                          fn_ops=fn_ops, element_bytes=element_bytes)
+                          opt=opt, beam=beam, fn_ops=fn_ops,
+                          element_bytes=element_bytes)
     winner = res.best if res.improved else res.original
     plan = lower(winner.expr, nprocs, grid, opt=opt)
     return TunedPlan(winner.expr, plan, winner.steps,
@@ -188,10 +206,10 @@ def _tune_and_lower(expr: N.Node, nprocs: int, grid, opt, *,
 
 def clear_plan_cache() -> None:
     """Drop all cached plans — both tiers — and reset the counters."""
-    _CACHE.clear()
-    _TUNED.clear()
-    _STATS.update(hits=0, misses=0, uncachable=0, optimized=0,
-                  tuned_hits=0, tuned_misses=0)
+    with _LOCK:
+        _CACHE.clear()
+        _TUNED.clear()
+    plan_cache_reset()
 
 
 def plan_cache_reset() -> None:

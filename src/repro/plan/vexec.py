@@ -23,9 +23,8 @@ timeline (:class:`repro.machine.lockstep.Lockstep`) as it goes.
 Collectives are not re-derived by hand: the walk drives the *actual*
 generators of the interpreter's direct transport
 (:meth:`repro.machine.plan_exec.DirectTransport.collective`, one per
-rank) and feeds their requests to the timeline, so any algorithm the
-interpreter can run — including the optimizer's flat/ring selections —
-walks correctly by construction.
+rank) and feeds their requests to the timeline, so whatever schedule
+the interpreter runs walks correctly by construction.
 
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
 only — ``LocalApply`` / ``Rotate`` / ``Exchange`` / ``Collective`` /
@@ -68,45 +67,15 @@ def _seq_supported(instrs) -> bool:
     return True
 
 
-class _SizeCache:
-    """Per-walk memo of ``estimate_nbytes`` keyed by value identity.
-
-    ``estimate_nbytes`` already memoizes hashable tuples globally (PR 6),
-    but ndarrays are unhashable, and the data plane re-sizes the *same*
-    array object every time it rotates or exchanges through another rank
-    — a looped ``Rotate`` sizes each payload once per iteration.  Values
-    never mutate in the data plane (fragments return fresh arrays), so
-    one size per object is exact.  The cache pins each value it has
-    sized so ids cannot be recycled within the walk.
-    """
-
-    __slots__ = ("_word_bytes", "_sizes", "_pins")
-
-    def __init__(self, word_bytes: int):
-        self._word_bytes = word_bytes
-        self._sizes: dict[int, int] = {}
-        self._pins: list[Any] = []
-
-    def nbytes(self, value: Any) -> int:
-        key = id(value)
-        n = self._sizes.get(key)
-        if n is None:
-            n = estimate_nbytes(value, self._word_bytes)
-            self._sizes[key] = n
-            self._pins.append(value)
-        return n
-
-
 class _Ctx:
     """Everything one walk threads through its steps."""
 
-    __slots__ = ("plan", "timeline", "default", "sizes")
+    __slots__ = ("plan", "timeline", "default")
 
     def __init__(self, plan, timeline, default):
         self.plan = plan
         self.timeline = timeline
         self.default = default
-        self.sizes = _SizeCache(timeline.spec.word_bytes)
 
 
 def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
@@ -158,20 +127,21 @@ def _step(instr, ctx, values):
         k = instr.k
         send = timeline.send
         recv = timeline.recv
-        nbytes = ctx.sizes.nbytes
+        word_bytes = timeline.spec.word_bytes
         for r in range(p):
-            send(r, (r - k) % p, values[r], EXCHANGE_TAG, nbytes(values[r]))
+            send(r, (r - k) % p, values[r], EXCHANGE_TAG,
+                 estimate_nbytes(values[r], word_bytes))
         return [recv(r, (r + k) % p, EXCHANGE_TAG).payload
                 for r in range(p)]
 
     if isinstance(instr, ir.Exchange):
         send = timeline.send
         recv = timeline.recv
-        nbytes = ctx.sizes.nbytes
+        word_bytes = timeline.spec.word_bytes
         for r, dsts in enumerate(instr.sends):
             if dsts:
                 value = values[r]
-                nb = nbytes(value)
+                nb = estimate_nbytes(value, word_bytes)
                 for dst in dsts:
                     send(r, dst, value, EXCHANGE_TAG, nb)
         mode = instr.mode
@@ -294,6 +264,6 @@ def _walk_collective(instr, values, timeline, default):
         if not progressed:
             raise DeadlockError(
                 f"deadlock: processors {sorted(waiting)} blocked in "
-                f"collective {instr.kind}/{instr.algo} on receives that "
+                f"collective {instr.kind} on receives that "
                 f"can never be satisfied")
     return results

@@ -28,14 +28,15 @@ stages:
 
 Between the two stages sits the plan optimizer (:mod:`repro.plan.opt`),
 on by default: lowering is asked for the plan optimized for this
-machine's spec and topology (fusion, exchange coalescing, collective
-selection — all cost-guarded to never predict worse), and the machine is
+machine's spec (exchange coalescing, cost-guarded to never predict
+worse, then fusion), and the machine is
 handed the whole-machine SoA walk of :mod:`repro.plan.vexec` alongside
 the per-instruction interpreter — it takes the walk on fault-free,
 untraced, multi-port runs and interprets otherwise.
 ``opt="off"`` runs the raw lowering (a hand-built
-:class:`~repro.plan.opt.OptConfig` switches single passes) — the cache
-keys raw and optimized plans separately, so the two never alias.
+:class:`~repro.plan.opt.OptConfig` prices the passes on another spec) —
+the cache keys raw and optimized plans separately, so the two never
+alias.
 
 The compiled program carries real data, so :func:`run_expression`'s
 result can be (and in the test-suite, is) cross-checked against the pure
@@ -80,8 +81,8 @@ __all__ = ["base_fragment", "fragment_ops", "CompiledProgram",
 def resolve_opt(opt: Any, machine: Machine):
     """Normalise an ``opt`` argument to an OptConfig (or ``None``).
 
-    ``"auto"`` builds the machine's default config (all passes on, priced
-    on its spec/topology); ``"off"``/``None``/``False`` disables the
+    ``"auto"`` builds the machine's config (priced on its spec);
+    ``"off"``/``None``/``False`` disables the
     optimizer; an :class:`~repro.plan.opt.OptConfig` passes through.
     Anything else is a :class:`~repro.errors.SkeletonError`.
     """

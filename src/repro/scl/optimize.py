@@ -185,14 +185,12 @@ class OptimizeReport:
 def optimize(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,
              fn_ops: float = 1.0, element_bytes: int | None = None,
              rules=None, strategy: str = "search", beam: int = 4,
-             topo=None, grid: tuple[int, int] | None = None) -> OptimizeReport:
+             grid: tuple[int, int] | None = None) -> OptimizeReport:
     """Optimise ``node`` with the §4 rules under ``strategy`` (see the
     module docstring for the two strategies).
 
-    ``beam`` and ``topo`` (a Topology or its signature — the target
-    interconnect the candidate plans are priced for) only apply to
-    ``strategy="search"``; ``grid`` names the 2-D process grid for
-    expressions using grid skeletons.  Under ``"greedy"`` all the
+    ``beam`` only applies to ``strategy="search"``; ``grid`` names the
+    2-D process grid for expressions using grid skeletons.  Under ``"greedy"`` all the
     paper's rules are individually improving against the raw lowering,
     so in practice the rewritten form always wins; the cost guard
     protects against user-supplied rule sets.
@@ -201,8 +199,8 @@ def optimize(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,
         from repro.tune import tune_expression
 
         res = tune_expression(node, nprocs=n, grid=grid, spec=spec,
-                              topo=topo, rules=rules, beam=beam,
-                              fn_ops=fn_ops, element_bytes=element_bytes)
+                              rules=rules, beam=beam, fn_ops=fn_ops,
+                              element_bytes=element_bytes)
         if not res.improved:
             return OptimizeReport(node, node, res.original.cost,
                                   res.original.cost, ())

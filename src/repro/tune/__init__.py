@@ -4,7 +4,7 @@ One cost model for both optimizers: candidates produced by the §4
 rewrite rules (:mod:`repro.scl.rules`) are scored by lowering them
 through the existing pipeline — ``scl.compile`` → ``plan.opt`` →
 ``plan.cost`` — so pre-lowering rewrites are priced by what the
-post-lowering passes make of them on one machine spec + topology.
+post-lowering passes make of them on one machine spec.
 :func:`tune_expression` is the beam searcher; ``scl.optimize`` builds
 its default ``strategy="search"`` on it, ``plan.lower``'s tuned-plan
 cache tier memoises its winners per machine, and ``python -m repro plan

@@ -6,10 +6,10 @@ rewrote greedily to fixpoint and priced the *raw* lowering, while
 :mod:`repro.plan.opt` ran unconditionally after lowering.  This module
 puts one cost model in charge of both: every candidate expression is
 scored by lowering it through the existing pipeline —
-``lower(expr, nprocs, grid, opt=OptConfig(spec, topo))`` followed by
+``lower(expr, nprocs, grid, opt=OptConfig(spec))`` followed by
 :func:`repro.plan.cost.plan_cost` — so a *pre-lowering* rewrite is
 priced by what the *post-lowering* passes make of it on one machine
-spec + topology.  That is what lets the search decline a symbolic law
+spec.  That is what lets the search decline a symbolic law
 that is locally plausible but globally bad (e.g. fusing two sparse
 ``fetch`` steps into one traffic-concentrating exchange) while still
 taking the fusions that the plan optimizer cannot recover on its own.
@@ -143,31 +143,20 @@ def score_expression(expr: N.Node, *, nprocs: int,
                      element_bytes=element_bytes), True
 
 
-def _resolve_topo(topo) -> tuple | None:
-    """Accept a Topology instance or a prebuilt signature tuple."""
-    if topo is None or isinstance(topo, tuple):
-        return topo
-    from repro.plan.opt import topology_signature
-
-    return topology_signature(topo)
-
-
 def tune_expression(expr: N.Node, *, nprocs: int,
                     grid: tuple[int, int] | None = None,
-                    spec: MachineSpec = PERFECT, topo=None,
-                    opt=None, rules: Sequence[Rule] | None = None,
+                    spec: MachineSpec = PERFECT, opt=None,
+                    rules: Sequence[Rule] | None = None,
                     beam: int = 4, max_rounds: int = 32,
                     frontier_size: int | None = None,
                     fn_ops: float = 1.0,
                     element_bytes: int | None = None) -> TuneResult:
     """Beam-search the rewrite space of ``expr`` for the cheapest plan.
 
-    ``spec``/``topo`` name the machine the candidates are priced for
-    (``topo`` is a :class:`~repro.machine.topology.Topology` or its
-    :func:`~repro.plan.opt.topology_signature`); ``opt`` overrides the
-    :class:`~repro.plan.opt.OptConfig` the candidates are lowered with
-    (default: all passes on, priced on ``spec``/``topo`` — the same
-    config ``scl.compile`` would build for that machine).  ``beam``
+    ``spec`` names the machine the candidates are priced for; ``opt``
+    overrides the :class:`~repro.plan.opt.OptConfig` the candidates are
+    lowered with (default: priced on ``spec`` — the same config
+    ``scl.compile`` would build for that machine).  ``beam``
     candidates survive each expansion round; ``max_rounds`` bounds the
     search depth.  The result's ``best`` is the cheapest candidate seen
     anywhere — including the original, so search never *predicts* a
@@ -179,9 +168,8 @@ def tune_expression(expr: N.Node, *, nprocs: int,
 
     if beam <= 0:
         raise ValueError(f"beam must be positive, got {beam}")
-    topo_sig = _resolve_topo(topo)
     if opt is None:
-        opt = OptConfig(spec=spec, topo=topo_sig)
+        opt = OptConfig(spec=spec)
     engine = RewriteEngine(ALL_RULES if rules is None else rules)
 
     # Candidates differ from their parent by one rewrite window: the steps

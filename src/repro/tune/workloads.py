@@ -138,8 +138,7 @@ def run_tuned_hyperquicksort(values, d: int, *,
         report = OptimizeReport(expr, tuned.expr, tuned.cost_before,
                                 tuned.cost_after, tuned.steps)
     else:
-        report = optimize(expr, n=p, spec=spec, strategy=strategy,
-                          beam=beam, topo=machine.topology)
+        report = optimize(expr, n=p, spec=spec, strategy=strategy, beam=beam)
     blocks = parmap(seq_quicksort, partition(Block(p), values))
     out, result = run_expression(report.optimized, blocks, machine,
                                  opt="auto")

@@ -473,8 +473,7 @@ class TestTunedCache:
 
         expr = compose_nodes(Map(_inc), Rotate(1), Rotate(-1))
         tuned_lower(expr, 8, opt=OptConfig())
-        tuned_lower(expr, 8, opt=OptConfig(spec=AP1000,
-                                           topo=("Ring", 8)))
+        tuned_lower(expr, 8, opt=OptConfig(spec=AP1000))
         assert plan_cache_stats()["tuned_misses"] == 2
 
     def test_clear_drops_the_tuned_tier(self):
@@ -483,3 +482,66 @@ class TestTunedCache:
         clear_plan_cache()
         stats = plan_cache_stats()
         assert stats["tuned_size"] == 0 and stats["tuned_misses"] == 0
+
+
+class TestCacheUnderThreads:
+    """Serve workers and stream stages lower concurrently.  With the cap
+    squeezed to two entries and the interpreter switching threads every
+    microsecond, an eviction lands between a probe and its reorder within
+    a fraction of a second — a cache *hit* must not raise."""
+
+    SECONDS = 0.5
+
+    @pytest.fixture(autouse=True)
+    def squeezed(self, monkeypatch):
+        import sys
+
+        lower_mod = sys.modules["repro.plan.lower"]
+        monkeypatch.setattr(lower_mod, "_CACHE_CAP", 2)
+        monkeypatch.setattr(lower_mod, "_TUNED_CAP", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def _hammer(self, call):
+        """One thread re-lowers a hot expression while two churn twelve
+        others through the two-entry cache; whatever a thread raises
+        propagates."""
+        import itertools
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        # a long composition: hashing the key is forty Python calls, so
+        # the gap between probe and reorder is wide enough to land in
+        hot = compose_nodes(*[Scan(lambda a, b: a + b)] * 40)
+        churn = [Rotate(k) for k in range(1, 13)]
+        done = threading.Event()
+
+        def hit():
+            end = time.monotonic() + self.SECONDS
+            try:
+                while time.monotonic() < end:
+                    call(hot)
+            finally:
+                done.set()
+
+        def evict():
+            for expr in itertools.cycle(churn):
+                if done.is_set():
+                    return
+                call(expr)
+
+        with ThreadPoolExecutor(3) as pool:
+            for thread in [pool.submit(hit), pool.submit(evict),
+                           pool.submit(evict)]:
+                thread.result()
+
+    def test_a_hit_survives_concurrent_eviction(self):
+        self._hammer(lambda e: lower(e, 8))
+        assert plan_cache_stats()["size"] <= 2
+
+    def test_a_tuned_hit_survives_concurrent_eviction(self):
+        self._hammer(lambda e: tuned_lower(e, 8, beam=1))
+        assert plan_cache_stats()["tuned_size"] <= 2

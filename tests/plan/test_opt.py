@@ -5,7 +5,7 @@ becomes) and behaviourally (the optimized plan computes the same values
 for no more simulated cost).  The sweeping equivalence properties live in
 ``test_opt_properties.py``; this file pins the individual mechanisms:
 fusion (including through ``Loop`` bodies), routing composition with its
-hot-spot cost guard, cost-model-driven collective selection, the
+hot-spot cost guard, a witness program per pass, the
 opt-aware plan cache, the vectorized data plane's eligibility gate and
 its equality with the interpreter on hand-lowered plans (the sweeping
 differential suite is ``test_vexec.py``), and the SoA kernel registry.
@@ -20,9 +20,9 @@ import pytest
 
 from repro.core.pararray import ParArray
 from repro.core.partition import Block
-from repro.machine import AP1000, Machine, PERFECT
+from repro.machine import AP1000, MODERN_CLUSTER, Machine, PERFECT
 from repro.machine.lockstep import Lockstep
-from repro.machine.topology import FullyConnected, Hypercube
+from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan import ir, kernels, vexec
 from repro.plan.lower import clear_plan_cache, lower, plan_cache_stats
 from repro.plan.opt import OptConfig, optimize_plan, optimize_plan_report
@@ -40,17 +40,18 @@ from repro.scl import (
     Split,
     compose_nodes,
 )
+from repro.apps.sort import hyperquicksort_expression
 from repro.scl.compile import run_expression
 
-#: A spec where only message *counts* distinguish schedules: with zero
-#: flop time and infinite bandwidth every predicted second is exactly 0,
-#: so collective selection decides purely on the message axis.
+#: A spec where only message *counts* distinguish plans: with zero flop
+#: time and infinite bandwidth every predicted second is exactly 0, so
+#: the coalescing guard decides purely on the message axis.
 ZERO_COST = dataclasses.replace(PERFECT, flop_time=0.0,
                                 bandwidth=float("inf"))
 
 PA8 = ParArray([3, 1, 4, 1, 5, 9, 2, 6])
 
-#: All passes, priced on AP1000, no topology hop term.
+#: Priced on AP1000.
 CFG = OptConfig(spec=AP1000)
 
 
@@ -184,61 +185,48 @@ class TestCoalesce:
         assert res_opt.makespan <= res_off.makespan
 
 
-class TestCollectiveSelection:
-    def test_scan_selects_the_ring_when_only_messages_matter(self):
-        plan, notes = optimize_plan_report(
-            lower(Scan(lambda a, b: a + b), 8), OptConfig(spec=ZERO_COST))
-        assert plan.instrs[0].algo == "ring"
-        assert any(n.pass_name == "select" for n in notes)
+#: Pass name -> (program it must change, nprocs).  A pass without a row
+#: here is a pass nobody has shown firing.
+WITNESSES = {
+    "fuse": (lambda: hyperquicksort_expression(3), 8),
+    "coalesce": (lambda: compose_nodes(Rotate(2), Rotate(3)), 8),
+}
 
-    def test_fold_selects_flat_once_the_tree_sends_more(self):
-        # tree fold: rounds*n/2 = 32 msgs at p=16; flat: 2(n-1) = 30
-        plan = optimize_plan(lower(Fold(lambda a, b: a + b), 16),
-                             OptConfig(spec=ZERO_COST))
-        assert plan.instrs[0].algo == "flat"
 
-    def test_small_fold_keeps_the_tree(self):
-        # at p=8 the tree's 12 messages beat flat's 14
-        plan = optimize_plan(lower(Fold(lambda a, b: a + b), 8),
-                             OptConfig(spec=ZERO_COST))
-        assert plan.instrs[0].algo == "tree"
+#: Every shipped spec prices a one-word message above zero seconds.
+shipped_specs = pytest.mark.parametrize(
+    "spec", [AP1000, MODERN_CLUSTER, PERFECT], ids=lambda s: s.name)
 
-    def test_latency_dominated_specs_never_switch(self):
-        # On real Hockney-model specs the binomial tree is predicted
-        # fastest everywhere; the pass is deliberately conservative.
-        for expr in (Scan(lambda a, b: a + b), Fold(lambda a, b: a + b)):
-            for spec in (AP1000, PERFECT):
-                plan = optimize_plan(lower(expr, 16), OptConfig(spec=spec))
-                assert plan.instrs[0].algo == "tree"
 
-    def test_selection_requires_a_spec(self):
-        plan = optimize_plan(lower(Scan(lambda a, b: a + b), 8),
-                             OptConfig(spec=None))
-        assert plan.instrs[0].algo == "tree"
+class TestPassWitnesses:
+    def test_every_pass_that_can_leave_a_note_has_a_witness(self):
+        import inspect
+        import re
 
-    @pytest.mark.parametrize("expr,algo,messages", [
-        (Scan(lambda a, b: a + b), "ring", 7),       # n-1 chain hops
-        (Fold(lambda a, b: a + b), "flat", 14),      # (n-1) up + (n-1) down
-        (Brdcast(7.5), "flat", 7),                   # root sends n-1
-        (Brdcast(7.5), "ring", 7),                   # chain forwards n-1
-    ])
-    def test_simulated_messages_match_the_cost_formulas(self, expr, algo,
-                                                        messages):
-        # Run the algo directly (bypassing selection) and cross-check the
-        # simulator's message count against plan_cost's formula row.
-        from repro.plan.cost import plan_cost
+        from repro.plan import opt
 
-        raw = lower(expr, 8)
-        forced = ir.Plan(
-            tuple(dataclasses.replace(i, algo=algo) for i in raw.instrs),
-            raw.nprocs, raw.grid, raw.returns_scalar)
-        predicted = plan_cost(forced, spec=AP1000)
-        res_tree = _interpret(raw, PA8.to_list(),
-                              Machine(FullyConnected(8), spec=AP1000))
-        res = _interpret(forced, PA8.to_list(),
-                         Machine(FullyConnected(8), spec=AP1000))
-        assert res.values == res_tree.values
-        assert res.total_messages == predicted.messages == messages
+        reported = set(re.findall(r'PassNote\(\s*"(\w+)"',
+                                  inspect.getsource(opt)))
+        assert reported == set(WITNESSES)
+
+    @shipped_specs
+    @pytest.mark.parametrize("pass_name", sorted(WITNESSES))
+    def test_the_pass_fires_on_its_witness(self, pass_name, spec):
+        build, p = WITNESSES[pass_name]
+        raw = lower(build(), p)
+        plan, notes = optimize_plan_report(raw, OptConfig(spec=spec))
+        assert any(n.pass_name == pass_name for n in notes)
+        assert plan != raw
+
+    @shipped_specs
+    def test_coalescing_sends_strictly_fewer_messages(self, spec):
+        build, p = WITNESSES["coalesce"]
+        want, res_off = run_expression(
+            build(), PA8, Machine(FullyConnected(p), spec=spec), opt="off")
+        got, res_opt = run_expression(
+            build(), PA8, Machine(FullyConnected(p), spec=spec), opt="auto")
+        assert list(got) == list(want)
+        assert res_opt.total_messages < res_off.total_messages
 
 
 class TestOptAwareCache:
@@ -264,11 +252,25 @@ class TestOptAwareCache:
         assert stats["size"] == 2
 
     def test_different_configs_are_different_keys(self):
-        expr = compose_nodes(Map(lambda x: x + 1), Map(lambda x: x * 2))
-        a = lower(expr, 8, opt=OptConfig(spec=AP1000))
-        b = lower(expr, 8, opt=OptConfig(spec=AP1000, fuse=False))
+        # the hot-spot pair of TestCoalesce: kept apart where a message
+        # costs time, merged where only the (equal) message count counts
+        expr = compose_nodes(Fetch(lambda r: 4 * (r // 4)),
+                             Fetch(lambda r: 0 if r % 4 == 0 else r))
+        a = lower(expr, 16, opt=OptConfig(spec=AP1000))
+        b = lower(expr, 16, opt=OptConfig(spec=ZERO_COST))
         assert a is not b
-        assert len(a.instrs) == 1 and len(b.instrs) == 2
+        assert len(a.instrs) == 2 and len(b.instrs) == 1
+
+    def test_one_entry_serves_every_topology_of_a_spec(self):
+        cube = OptConfig.for_machine(Machine(Hypercube(3), spec=AP1000))
+        ring = OptConfig.for_machine(Machine(Ring(8), spec=AP1000))
+        assert cube == ring
+        expr = compose_nodes(Rotate(1), Rotate(2))
+        assert lower(expr, 8, opt=cube) is lower(expr, 8, opt=ring)
+        assert plan_cache_stats()["optimized"] == 1
+
+    def test_the_spec_is_the_whole_config(self):
+        assert [f.name for f in dataclasses.fields(OptConfig)] == ["spec"]
 
 
 class TestVectorizedDataPlane:

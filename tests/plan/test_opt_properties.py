@@ -143,29 +143,6 @@ def test_optimized_runs_are_bit_identical_and_never_cost_more(
     assert c_opt.seconds <= c_raw.seconds * SLACK
 
 
-@settings(max_examples=25, deadline=None)
-@given(prog=programs())
-def test_zero_cost_selection_still_preserves_values(prog):
-    """Collective selection actually fires on the zero-cost spec; the
-    switched schedules must still compute identical values."""
-    import dataclasses
-
-    p, expr = prog
-    zero = dataclasses.replace(PERFECT, flop_time=0.0,
-                               bandwidth=float("inf"))
-    pa = ParArray([float(3 * r + 1) for r in range(p)])
-    want, _ = run_expression(expr, pa,
-                             Machine(FullyConnected(p), spec=zero),
-                             opt="off")
-    got, _ = run_expression(expr, pa,
-                            Machine(FullyConnected(p), spec=zero),
-                            opt=OptConfig(spec=zero))
-    if np.isscalar(want) or not isinstance(want, ParArray):
-        assert got == want
-    else:
-        assert list(got) == list(want)
-
-
 class TestApplicationAnchors:
     @pytest.mark.parametrize("d", [2, 3])
     def test_hyperquicksort_bit_identical_and_never_more_traffic(self, d,

@@ -120,7 +120,6 @@ def test_searched_winner_is_bit_identical_and_never_regresses(
         p = 4  # hypercubes need a power of two
     spec = SPECS[spec_name]
     res = tune_expression(expr, nprocs=p, spec=spec,
-                          topo=TOPOLOGIES[topo_name](p),
                           beam=2, max_rounds=8)
 
     # predicted: the original never leaves the pool, so the winner's
@@ -149,9 +148,8 @@ def test_searched_winner_is_bit_identical_and_never_regresses(
 def test_beam1_search_never_loses_to_greedy(prog, spec_name):
     p, expr = prog
     spec = SPECS[spec_name]
-    topo = FullyConnected(p)
     rep_search = optimize(expr, n=p, spec=spec, strategy="search",
-                          beam=1, topo=topo)
+                          beam=1)
     rep_greedy = optimize(expr, n=p, spec=spec, strategy="greedy")
 
     # both strategies preserve meaning
@@ -214,9 +212,8 @@ class TestSearchWorkAndAnswerArePinned:
     DIM, REPEATS = 5, 3
 
     def _search(self, expr):
-        topo = Hypercube(self.DIM)  # priced for the single-port AP1000 cube
         return tune_expression(expr, nprocs=1 << self.DIM, spec=AP1000,
-                               topo=topo, beam=4)
+                               beam=4)
 
     def test_explored_set_winner_and_cost(self):
         from repro.tune import tuned_sort_pipeline

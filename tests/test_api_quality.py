@@ -10,7 +10,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * public callables have no positional-only surprises (inspectable
   signatures),
 * no module reaches into another module's underscore-prefixed names,
-* nothing current still points at the retired host-time harness.
+* nothing current still points at the retired host-time harness,
+* the optimizer's config carries no field, and the compile/tune surface
+  no ``topo`` parameter, that exists only to be passed along.
 """
 
 from __future__ import annotations
@@ -109,6 +111,42 @@ def test_nothing_current_mentions_the_retired_perf_harness():
             offenders += [f"{file.relative_to(root)}: {name}"
                           for name in retired if name in text]
     assert not offenders, "\n".join(offenders)
+
+
+def test_every_opt_config_field_is_read_by_the_optimizer():
+    """A field of ``OptConfig`` splits the plan cache per value, so it
+    must decide something: ``config.<field>`` / ``opt.<field>`` is read in
+    ``plan/opt.py`` or ``plan/lower.py`` outside the class itself."""
+    import dataclasses
+
+    from repro.plan.opt import OptConfig
+
+    read = set()
+    for modname in ("repro.plan.opt", "repro.plan.lower"):
+        with open(importlib.util.find_spec(modname).origin,
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, ast.ClassDef)
+                             and node.name == "OptConfig")]
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("config", "opt")}
+    unread = {f.name for f in dataclasses.fields(OptConfig)} - read
+    assert not unread, f"OptConfig fields nothing reads: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("modname", ["repro.plan", "repro.tune",
+                                     "repro.scl.optimize"])
+def test_no_compile_or_tune_callable_takes_a_topology(modname):
+    """Plans are priced on a ``MachineSpec`` alone; a ``topo`` parameter
+    on this surface has nothing to feed."""
+    mod = importlib.import_module(modname)
+    offenders = [name for name in mod.__all__
+                 if callable(getattr(mod, name))
+                 and "topo" in inspect.signature(getattr(mod, name)).parameters]
+    assert not offenders, f"{modname}: {offenders} take topo="
 
 
 def test_top_level_all_is_complete():
