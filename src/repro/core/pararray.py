@@ -14,6 +14,7 @@ what makes the transformation laws of §4 equational.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from repro.errors import ConfigurationError
@@ -86,7 +87,7 @@ class ParArray:
                     f"sequence construction supports 1-D/2-D shapes, got {shape}")
         if not all(isinstance(d, int) and d > 0 for d in shape):
             raise ConfigurationError(f"invalid ParArray shape {shape!r}")
-        expected = {idx for idx in _grid(shape)}
+        expected = set(_grid(shape))
         if set(data) != expected:
             missing = sorted(expected - set(data))[:3]
             extra = sorted(set(data) - expected)[:3]
@@ -200,14 +201,8 @@ class ParArray:
 
 
 def _grid(shape: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Row-major iteration over a dense grid."""
-    if not shape:
-        yield ()
-        return
-    head, *rest = shape
-    for i in range(head):
-        for tail in _grid(rest):
-            yield (i, *tail)
+    """Row-major iteration over a dense grid (``()`` once for no axes)."""
+    return itertools.product(*map(range, shape))
 
 
 def _values_equal(a: Any, b: Any) -> bool:

@@ -28,14 +28,26 @@ collective     algorithm                     rounds
 commutativity): partial results are always combined in rank order, matching
 the paper's ``fold``/``scan`` contract ("the argument must be associative
 ... otherwise the result is undefined").
+
+A generator states its schedule one request at a time, to whichever
+engine pumps it.  The three schedules lowered plans use are also stated
+*statically*, as per-round send/receive tables a whole-machine walk can
+follow without running p generators: :func:`bcast_rounds`,
+:func:`reduce_rounds` and :func:`scan_rounds` (see :class:`Round`).  The
+generators remain the definition — the interpreter, the reliable
+transport and every hand-written program run them — and
+``tests/machine/test_collectives.py::TestRoundTables`` holds each table
+to the request sequence its generator yields.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Sequence
+import functools
+from typing import Any, Callable, Generator, NamedTuple, Sequence
 
 from repro.errors import MachineError
 from repro.machine.api import Comm
+from repro.machine.lockstep import wire
 
 __all__ = [
     "bcast",
@@ -47,6 +59,10 @@ __all__ = [
     "allgather",
     "alltoall",
     "barrier",
+    "Round",
+    "bcast_rounds",
+    "reduce_rounds",
+    "scan_rounds",
 ]
 
 # Reserved tag block; user programs should keep tags below this.  The
@@ -294,3 +310,73 @@ def barrier(comm: Comm) -> Gen:
         yield comm.send((rank + d) % size, None, tag=_TAG_BARRIER, nbytes=1)
         yield comm.recv((rank - d) % size, tag=_TAG_BARRIER)
     return None
+
+
+# ------------------------------------------------------------ round tables
+
+class Round(NamedTuple):
+    """One round of a collective's schedule, for all members at once.
+
+    Member ``r`` sends what it holds to each of ``sends[r]`` and then
+    receives from each of ``recvs[r]`` — in these schedules at most one of
+    each per round.  ``slots`` is the :func:`~repro.machine.lockstep.wire`
+    matching of the two tables, the form
+    :meth:`Lockstep.exchange <repro.machine.lockstep.Lockstep.exchange>`
+    takes.
+    """
+
+    sends: tuple[tuple[int, ...], ...]
+    recvs: tuple[tuple[int, ...], ...]
+    slots: tuple[tuple[int, ...], ...]
+
+
+def _round(size: int, pairs: Sequence[tuple[int, int]]) -> Round:
+    """The round in which ``src`` sends to ``dst`` for each ``(src, dst)``."""
+    sends: list[tuple[int, ...]] = [()] * size
+    recvs: list[tuple[int, ...]] = [()] * size
+    for src, dst in pairs:
+        sends[src] = (dst,)
+        recvs[dst] = (src,)
+    return Round(tuple(sends), tuple(recvs), wire(sends, recvs))
+
+
+@functools.lru_cache(maxsize=256)
+def bcast_rounds(size: int, root: int = 0) -> tuple[Round, ...]:
+    """The rounds of :func:`bcast` over ``size`` members from ``root``: in
+    round ``k`` the first ``2**k`` members of the tree (ranks renamed so the
+    root is 0) each pass the value ``2**k`` places on."""
+    if not 0 <= root < size:
+        raise MachineError(f"root {root} out of range for size-{size} comm")
+    rounds = []
+    mask = 1
+    while mask < size:
+        rounds.append(_round(size, [
+            ((v + root) % size, (v + mask + root) % size)
+            for v in range(min(mask, size - mask))]))
+        mask <<= 1
+    return tuple(rounds)
+
+
+@functools.lru_cache(maxsize=256)
+def reduce_rounds(size: int) -> tuple[Round, ...]:
+    """The rounds of :func:`reduce` to rank 0 over ``size`` members: in
+    round ``k`` every member whose lowest set bit is ``2**k`` sends its
+    partial result ``2**k`` ranks down, where it is combined on the right
+    (``op(acc, payload)``)."""
+    rounds = []
+    mask = 1
+    while mask < size:
+        rounds.append(_round(size, [
+            (rank, rank - mask) for rank in range(mask, size, 2 * mask)]))
+        mask <<= 1
+    return tuple(rounds)
+
+
+@functools.lru_cache(maxsize=256)
+def scan_rounds(size: int) -> tuple[Round, ...]:
+    """The rounds of :func:`scan` over ``size`` members: in round ``k``
+    every member sends its running value ``2**k`` ranks up, where it is
+    combined on the left (``op(payload, my)``)."""
+    return tuple(
+        _round(size, [(rank, rank + d) for rank in range(size - d)])
+        for d in (1 << k for k in range(_ceil_log2(size))))

@@ -11,47 +11,114 @@ requests of all processors in any order consistent with "a message is
 sent before it is received" therefore computes the same clocks by plain
 arithmetic, with no generators, heap or request objects.
 
-:class:`Lockstep` is that arithmetic, once: the send / receive / compute
-clock rules, the per-``(src, dst, tag)`` FIFO mailboxes, and every check
-the engines make on the same requests.  :meth:`Machine.run
-<repro.machine.simulator.Machine.run>` hands one to a program's ``walk``
-on fault-free, untraced, multi-port runs and turns the walk's final
-values into the :class:`~repro.machine.simulator.RunResult` the engines
-would have produced — equal in values, ``events`` and every
+:class:`Lockstep` is that arithmetic, at two grains:
+
+* **per request** — :meth:`~Lockstep.work` / :meth:`~Lockstep.compute` /
+  :meth:`~Lockstep.send` / :meth:`~Lockstep.poll` / :meth:`~Lockstep.recv`:
+  the send / receive / compute clock rules, the per-``(src, dst, tag)``
+  FIFO mailboxes, and every check the engines make on the same requests.
+  This is the API of a walk written by hand, and the reference the bulk
+  steps are tested against;
+* **per instruction** — :meth:`~Lockstep.work_all` and
+  :meth:`~Lockstep.exchange`: one call charges every processor, or moves
+  every message of a static send/receive pattern.  Which send each
+  receive consumes is not rediscovered message by message: :func:`wire`
+  works it out from the tables alone, once, and ``exchange`` follows it
+  with no request checks, ``Message`` or mailbox.  Per processor the bulk
+  steps make *exactly* the float additions the per-request rules make, in
+  the same order, so the two grains agree in every clock and statistic
+  with ``==`` (``tests/machine/test_lockstep.py::TestBulkSteps``).
+
+:meth:`Machine.run <repro.machine.simulator.Machine.run>` hands a
+``Lockstep`` to a program's ``walk`` on fault-free, untraced, multi-port
+runs and turns the walk's final values into the
+:class:`~repro.machine.simulator.RunResult` the engines would have
+produced — equal in values, ``events`` and every
 :class:`~repro.machine.simulator.ProcStats` field, because each
 processor's float sums see the same additions in the same order.
 
 One restriction follows from walking instead of scheduling: a receive
-must find its message already sent.  A receive that does not raises
-:class:`~repro.errors.DeadlockError` immediately, where an engine would
-have waited for a send later in some other processor's program; lowered
-plans match every receive within its own instruction, so the walk never
-meets that case.
+must find its message already sent.  A per-request receive that does not
+raises :class:`~repro.errors.DeadlockError` immediately, where an engine
+would have waited for a send later in some other processor's program; a
+pattern :func:`wire` cannot match is not walked at all.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
 from repro.machine.events import Message
 from repro.machine.simulator import ProcStats, RunResult
 
-__all__ = ["Lockstep"]
+__all__ = ["Lockstep", "wire"]
 
 # Message is a NamedTuple; the raw tuple constructor skips its Python-level
 # __new__ wrapper (the same shortcut the batched engine takes per delivery).
 _tnew = tuple.__new__
 
 
+def wire(sends: Sequence[Sequence[int]], recvs: Sequence[Sequence[int]]
+         ) -> tuple[tuple[int, ...], ...] | None:
+    """Match a static pattern's receives to its sends, from the tables alone.
+
+    ``sends[r]`` lists the destinations processor ``r`` sends to, in order;
+    ``recvs[r]`` the sources it then receives from, in order, an entry
+    equal to ``r`` meaning "take the local value" (no message).  Sends are
+    numbered in table order — processor 0's first, then its second, …,
+    then processor 1's — and the result gives, per processor, the number
+    (*slot*) of the send each of its receives consumes: first-in first-out
+    per repeated ``(src, dst)`` pair, ``-1`` for a local entry.  This is
+    the matching a run of the same requests would discover message by
+    message, and what :meth:`Lockstep.exchange` follows.
+
+    Returns ``None`` when no such matching exists — the tables differ in
+    length, a destination is not a processor, a processor sends to itself,
+    a send is never received or a receive never sent — so that a caller
+    can leave the pattern to a path that reports the error.
+    """
+    n = len(sends)
+    if len(recvs) != n:
+        return None
+    unmatched: dict[tuple[int, int], deque[int]] = {}
+    slot = 0
+    for src, dsts in enumerate(sends):
+        for dst in dsts:
+            if dst.__class__ is not int or not 0 <= dst < n or dst == src:
+                return None
+            queue = unmatched.get((src, dst))
+            if queue is None:
+                unmatched[src, dst] = queue = deque()
+            queue.append(slot)
+            slot += 1
+    unreceived = slot
+    slots = []
+    for dst, srcs in enumerate(recvs):
+        row = []
+        for src in srcs:
+            if src == dst:
+                row.append(-1)
+                continue
+            queue = unmatched.get((src, dst))
+            if not queue:
+                return None
+            row.append(queue.popleft())
+            unreceived -= 1
+        slots.append(tuple(row))
+    return tuple(slots) if unreceived == 0 else None
+
+
 class Lockstep:
     """Clocks, mailboxes and accounting of all p processors of one run.
 
-    Every method is one simulator request made by processor ``pid``;
-    requests of one processor must be made in its program order, requests
-    of different processors in any order that sends before it receives.
+    A per-request method is one simulator request made by processor
+    ``pid``; requests of one processor must be made in its program order,
+    requests of different processors in any order that sends before it
+    receives.  :meth:`work_all` and :meth:`exchange` are one such request
+    sequence for *every* processor at once.
     """
 
     __slots__ = ("spec", "clock", "_topology", "_n", "_stats", "_boxes",
@@ -92,6 +159,21 @@ class Lockstep:
         self.clock[pid] += seconds
         self._stats[pid].compute_seconds += seconds
         self._events += 1
+
+    def work_all(self, ops: Sequence[float]) -> None:
+        """Charge processor ``pid`` ``ops[pid]`` elementary operations, for
+        every processor: :meth:`work` in rank order."""
+        flop_time = self.spec.flop_time
+        clock = self.clock
+        stats = self._stats
+        for pid, n in enumerate(ops):
+            if not n >= 0:
+                raise MachineError(
+                    f"processor {pid}: ops must be non-negative, got {n!r}")
+            seconds = n * flop_time
+            clock[pid] += seconds
+            stats[pid].compute_seconds += seconds
+        self._events += len(ops)
 
     def send(self, pid: int, dst: int, payload: Any, tag: Any = 0,
              nbytes: int | None = None) -> None:
@@ -166,6 +248,84 @@ class Lockstep:
                 f"deadlock: processor {pid} blocked on a receive from "
                 f"{src} (tag {tag}) that no send matches")
         return msg
+
+    def exchange(self, sends: Sequence[Sequence[int]],
+                 slots: Sequence[Sequence[int]],
+                 sizes: Sequence[int]) -> None:
+        """One static pattern for the whole machine: every processor's
+        sends in table order, then every processor's receives in table
+        order.
+
+        ``sends`` is the pattern's send table and ``slots`` what
+        :func:`wire` returned for it (not ``None``); processor ``pid``
+        sends ``sizes[pid]`` bytes to each of its destinations (the entry
+        of a processor that sends nothing is not read).  Only time and
+        statistics move here — the caller knows from its receive table
+        whose value each receive delivers.  Equal, in every clock and
+        :class:`~repro.machine.simulator.ProcStats` field, to the same
+        requests made through :meth:`send` and :meth:`recv`.
+        """
+        spec = self.spec
+        clock = self.clock
+        stats = self._stats
+        hop_rows = self._hop_rows
+        send_overhead = spec.send_overhead
+        latency = spec.latency
+        per_hop = spec.per_hop_latency
+        bandwidth = spec.bandwidth
+        #: per send slot: when the message arrives, and its size
+        arrivals: list[float] = []
+        carried: list[int] = []
+        for pid, dsts in enumerate(sends):
+            if not dsts:
+                continue
+            nbytes = sizes[pid]
+            if nbytes < 0:
+                raise MachineError(
+                    f"processor {pid}: nbytes must be non-negative, "
+                    f"got {nbytes}")
+            hops = hop_rows[pid]
+            if hops is None:
+                hops = hop_rows[pid] = self._topology.hop_row(pid)
+            wire_time = nbytes / bandwidth
+            st = stats[pid]
+            t = clock[pid]
+            overhead = st.overhead_seconds
+            for dst in dsts:
+                # the per-request rule, addition for addition: pay the
+                # overhead, then MachineSpec.transfer_time on top of it
+                t = t + send_overhead
+                overhead += send_overhead
+                arrivals.append(
+                    t + (latency + per_hop * (hops[dst] - 1) + wire_time))
+            clock[pid] = t
+            st.overhead_seconds = overhead
+            st.msgs_sent += len(dsts)
+            st.bytes_sent += nbytes * len(dsts)
+            carried += [nbytes] * len(dsts)
+        recv_overhead = spec.recv_overhead
+        for pid, row in enumerate(slots):
+            if not row:
+                continue
+            st = stats[pid]
+            now = clock[pid]
+            received = nbytes = 0
+            for slot in row:
+                if slot < 0:
+                    continue
+                arrival = arrivals[slot]
+                if arrival > now:
+                    st.idle_seconds += arrival - now
+                    now = arrival
+                now = now + recv_overhead
+                st.overhead_seconds += recv_overhead
+                received += 1
+                nbytes += carried[slot]
+            if received:
+                clock[pid] = now
+                st.msgs_received += received
+                st.bytes_received += nbytes
+        self._events += 2 * len(arrivals)
 
     def finish(self, values: list) -> RunResult:
         """Every processor returns: check the mailboxes are empty and

@@ -83,10 +83,12 @@ class DirectTransport:
                  local: Any):
         """Replay this rank's row of the send/recv tables."""
         r = comm.rank
-        for dst in instr.sends[r]:
-            yield comm.send(dst, local, tag=EXCHANGE_TAG,
-                            nbytes=estimate_nbytes(local,
-                                                   env.spec.word_bytes))
+        dsts = instr.sends[r]
+        if dsts:
+            # one value, however many copies go out: size it once
+            nbytes = estimate_nbytes(local, env.spec.word_bytes)
+            for dst in dsts:
+                yield comm.send(dst, local, tag=EXCHANGE_TAG, nbytes=nbytes)
         if instr.mode == "collect":
             arrivals = []
             for src in instr.recvs[r]:

@@ -40,6 +40,7 @@ from typing import Any, Callable, Sequence
 
 __all__ = [
     "DEFAULT_FRAGMENT_OPS", "base_fragment", "fragment_ops",
+    "fragment_ops_all",
     "Instr", "LocalApply", "Rotate", "Exchange", "Collective",
     "GroupSplit", "SubPlan", "GroupCombine", "Loop",
     "Plan", "Scalar", "NO_ENV", "instr_title",
@@ -75,6 +76,16 @@ def fragment_ops(fn: Any, value: Any, default: float = DEFAULT_FRAGMENT_OPS) -> 
     if callable(ops):
         return float(ops(value))
     return float(ops)
+
+
+def fragment_ops_all(fn: Any, values: Sequence[Any],
+                     default: float = DEFAULT_FRAGMENT_OPS) -> list[float]:
+    """:func:`fragment_ops` of one fragment for each of ``values`` (every
+    rank's input to one instruction); the annotation is read once."""
+    ops = getattr(fn, "scl_ops", default)
+    if callable(ops):
+        return [float(ops(value)) for value in values]
+    return [float(ops)] * len(values)
 
 
 class _NoEnv:
@@ -193,7 +204,12 @@ class Exchange(Instr):
     The tables are built here, from whichever side a skeleton's index
     function names (:meth:`from_sources` for the ``fetch`` family,
     :meth:`from_destinations` for the ``send`` family), in one pass over
-    the ranks; what the tables cost on the wire is :attr:`traffic`.
+    the ranks.  Two facts about the tables are worked out once per
+    instruction object and kept beside them (outside ``==``, ``hash`` and
+    ``dataclasses.replace``): what they cost on the wire
+    (:attr:`traffic`), and which send each receive consumes
+    (:attr:`wiring`) — ``None`` when the tables do not match up, which
+    hand-built tables can fail to and the two constructors cannot.
     """
 
     mode: str
@@ -242,6 +258,18 @@ class Exchange(Instr):
             total += len(out)
             degree = max(degree, len(out), len(incoming) - incoming.count(r))
         return total, degree
+
+    @functools.cached_property
+    def wiring(self) -> tuple[tuple[int, ...], ...] | None:
+        """Per rank, the send each of its receives consumes
+        (:func:`repro.machine.lockstep.wire` of the tables), or ``None``
+        when some send has no receive, some receive no send, or a
+        destination is not another rank.  A static property of the
+        instruction: the whole-machine walk follows it instead of matching
+        messages as they fly, and leaves an unwired exchange to the
+        interpreter, whose engines report what is wrong with it."""
+        from repro.machine.lockstep import wire
+        return wire(self.sends, self.recvs)
 
 
 @dataclasses.dataclass(frozen=True)

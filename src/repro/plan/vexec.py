@@ -1,70 +1,84 @@
 """The vectorized data plane: one whole-machine walk of a flat plan.
 
 Fault-free plan execution is fully deterministic: every message's source,
-tag, payload and size — and every compute charge — is a pure function of
-the plan and the input values.  :func:`precompute` exploits that: it
-walks the plan *once*, evolving all p ranks' values together, and makes
-each rank's simulator requests directly on the machine's lockstep
-timeline (:class:`repro.machine.lockstep.Lockstep`) as it goes.
+payload and size — and every compute charge — is a pure function of the
+plan and the input values.  :func:`precompute` exploits that: it walks
+the plan *once*, evolving all p ranks' values together, and advances the
+machine's lockstep timeline (:class:`repro.machine.lockstep.Lockstep`)
+one whole instruction at a time.
 
 * **Values**: known elementwise kernels (:mod:`repro.plan.kernels`) run
   as one SoA numpy op across the ranks instead of p Python calls; opaque
-  fragments fall back to the per-rank loop.
-* **Time**: the walk issues, per rank, the exact request sequence the
-  interpreter would have yielded — same charges, same sizes, same order —
-  so the timeline's clocks, message counts and per-processor stats equal
-  an interpreted run's bit for bit.  The clock rules themselves live in
+  fragments fall back to the per-rank loop.  What a rank receives is read
+  straight off the instruction's receive table — no message carries it.
+* **Time**: each instruction is one bulk step of the timeline — a
+  ``LocalApply`` one :meth:`~repro.machine.lockstep.Lockstep.work_all`
+  of the charges the interpreter would have yielded, an ``Exchange`` (or
+  a ``Rotate``, which is the exchange of its shift) one
+  :meth:`~repro.machine.lockstep.Lockstep.exchange` over its tables with
+  each sender's value sized once, a ``Collective`` one ``exchange`` per
+  round of its schedule (:func:`repro.machine.collectives.bcast_rounds`
+  and friends — the static form of the generators the interpreter runs)
+  followed by that round's combines.  The clock rules themselves live in
   :mod:`repro.machine`; this module only decides *what* each rank asks
-  for.  Within one ``Rotate``/``Exchange`` every rank's sends are issued
-  before any rank's receives (each rank sends before it receives, so
-  that is a legal order), which is what lets a single pass resolve every
-  receive on the spot.
-
-Collectives are not re-derived by hand: the walk drives the *actual*
-generators of the interpreter's direct transport
-(:meth:`repro.machine.plan_exec.DirectTransport.collective`, one per
-rank) and feeds their requests to the timeline, so whatever schedule
-the interpreter runs walks correctly by construction.
+  for, and the timeline's clocks, message counts and per-processor stats
+  equal an interpreted run's bit for bit.
+* **Matching** is static.  Which send each receive of an exchange
+  consumes is :attr:`repro.plan.ir.Exchange.wiring`, worked out once per
+  instruction; a plan holding an exchange whose tables do not match up is
+  declined before the timeline is touched, so the interpreter reports the
+  error and the walk has no per-request path to fall back on.
 
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
 only — ``LocalApply`` / ``Rotate`` / ``Exchange`` / ``Collective`` /
-``Loop``.  Group instructions keep the interpreter path (their value is
-nesting, not throughput).  Whether a run takes the walk at all is the
-machine's decision (:meth:`repro.machine.simulator.Machine.run`): traced,
-fault-injected and single-port machines interpret.
+``Loop`` — whose exchanges are all wired.  Group instructions keep the
+interpreter path (their value is nesting, not throughput).  Whether a run
+takes the walk at all is the machine's decision
+(:meth:`repro.machine.simulator.Machine.run`): traced, fault-injected and
+single-port machines interpret.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
-from repro.errors import DeadlockError, MachineError
+from repro.machine import collectives as C
 from repro.machine.cost import estimate_nbytes
-from repro.machine.events import Compute, Recv, Send
 from repro.machine.lockstep import Lockstep
-from repro.machine.plan_exec import DIRECT, EXCHANGE_TAG
 from repro.plan import ir
 from repro.plan.kernels import batched_apply
 
 __all__ = ["precompute", "supported"]
 
-_FLAT_INSTRS = (ir.LocalApply, ir.Rotate, ir.Exchange, ir.Collective,
-                ir.Loop)
-
 
 def supported(plan: ir.Plan) -> bool:
     """True when every instruction (recursively) can be walked."""
-    return _seq_supported(plan.instrs)
+    return _seq_supported(plan.instrs, plan.nprocs)
 
 
-def _seq_supported(instrs) -> bool:
+def _seq_supported(instrs, p: int) -> bool:
     for instr in instrs:
-        if not isinstance(instr, _FLAT_INSTRS):
-            return False
-        if isinstance(instr, ir.Loop) and \
-                not all(_seq_supported(b) for b in instr.bodies):
+        if isinstance(instr, ir.Rotate):
+            instr = _rotation(instr.k, p)
+        if isinstance(instr, ir.Exchange):
+            if instr.wiring is None or len(instr.sends) != p:
+                return False
+        elif isinstance(instr, ir.Loop):
+            if not all(_seq_supported(body, p) for body in instr.bodies):
+                return False
+        elif not isinstance(instr, (ir.LocalApply, ir.Collective)):
             return False
     return True
+
+
+@functools.lru_cache(maxsize=256)
+def _rotation(k: int, p: int) -> ir.Exchange:
+    """``Rotate(k)`` over ``p`` ranks as the exchange it is (a shift that
+    is a multiple of ``p`` is a self-send, which leaves it unwired)."""
+    return ir.Exchange("replace",
+                       tuple(((r - k) % p,) for r in range(p)),
+                       tuple(((r + k) % p,) for r in range(p)), "rotate")
 
 
 class _Ctx:
@@ -103,64 +117,36 @@ def _run_seq(instrs, ctx, values):
 
 
 def _step(instr, ctx, values):
-    p = len(values)
     timeline = ctx.timeline
 
     if isinstance(instr, ir.LocalApply):
         # charge first (matching the interpreter's clock order), apply SoA
-        work = timeline.work
         default = ctx.default
         if isinstance(instr.fn, ir.FusedKernel):
-            ops = [0.0] * p
+            ops = [0.0] * len(values)
             for a in instr.fn.applies:
-                for r in range(p):
-                    ops[r] += ir.fragment_ops(a.fn, values[r], default)
+                ops = [total + charge for total, charge in
+                       zip(ops, ir.fragment_ops_all(a.fn, values, default))]
                 values = _apply_one(a, ctx.plan, values)
-            for r in range(p):
-                work(r, ops[r])
+            timeline.work_all(ops)
             return values
-        for r in range(p):
-            work(r, ir.fragment_ops(instr.fn, values[r], default))
+        timeline.work_all(ir.fragment_ops_all(instr.fn, values, default))
         return _apply_one(instr, ctx.plan, values)
 
     if isinstance(instr, ir.Rotate):
-        k = instr.k
-        send = timeline.send
-        recv = timeline.recv
-        word_bytes = timeline.spec.word_bytes
-        for r in range(p):
-            send(r, (r - k) % p, values[r], EXCHANGE_TAG,
-                 estimate_nbytes(values[r], word_bytes))
-        return [recv(r, (r + k) % p, EXCHANGE_TAG).payload
-                for r in range(p)]
+        instr = _rotation(instr.k, ctx.plan.nprocs)
 
     if isinstance(instr, ir.Exchange):
-        send = timeline.send
-        recv = timeline.recv
-        word_bytes = timeline.spec.word_bytes
-        for r, dsts in enumerate(instr.sends):
-            if dsts:
-                value = values[r]
-                nb = estimate_nbytes(value, word_bytes)
-                for dst in dsts:
-                    send(r, dst, value, EXCHANGE_TAG, nb)
-        mode = instr.mode
-        out = []
-        for r, srcs in enumerate(instr.recvs):
-            local = values[r]
-            if mode == "collect":
-                out.append([local if src == r
-                            else recv(r, src, EXCHANGE_TAG).payload
-                            for src in srcs])
-                continue
-            (src,) = srcs
-            fetched = (local if src == r
-                       else recv(r, src, EXCHANGE_TAG).payload)
-            out.append((local, fetched) if mode == "pair" else fetched)
-        return out
+        _exchange(timeline, instr.sends, instr.wiring, values)
+        if instr.mode == "collect":
+            return [[values[src] for src in srcs] for srcs in instr.recvs]
+        if instr.mode == "pair":
+            return [(local, values[src])
+                    for local, (src,) in zip(values, instr.recvs)]
+        return [values[src] for (src,) in instr.recvs]
 
     if isinstance(instr, ir.Collective):
-        return _walk_collective(instr, values, timeline, ctx.default)
+        return _collective(instr, values, timeline, ctx.default)
 
     if isinstance(instr, ir.Loop):
         for body in instr.bodies:
@@ -168,6 +154,15 @@ def _step(instr, ctx, values):
         return values
 
     raise AssertionError(f"unwalkable plan instruction {instr!r}")
+
+
+def _exchange(timeline, sends, slots, values) -> None:
+    """One bulk step in which every rank with destinations sends the value
+    it holds, sized once however many copies go out."""
+    word_bytes = timeline.spec.word_bytes
+    timeline.exchange(sends, slots, [
+        estimate_nbytes(value, word_bytes) if dsts else 0
+        for value, dsts in zip(values, sends)])
 
 
 def _apply_one(a: ir.LocalApply, plan, values):
@@ -183,87 +178,45 @@ def _apply_one(a: ir.LocalApply, plan, values):
 
 # ----------------------------------------------------------- collectives
 
-class _WalkComm:
-    """Rank-addressed request factory (world group: rank == pid)."""
-
-    __slots__ = ("rank", "size")
-
-    def __init__(self, rank: int, size: int):
-        self.rank = rank
-        self.size = size
-
-    def send(self, dst_rank: int, payload: Any, *, tag: int = 0,
-             nbytes: int | None = None) -> Send:
-        return Send(dst_rank, payload, tag, nbytes)
-
-    def recv(self, src_rank: int, *, tag: int = 0,
-             timeout: float | None = None) -> Recv:
-        return Recv(src_rank, tag, timeout)
-
-
-class _WalkEnv:
-    """The slice of :class:`ProcEnv` collective generators touch."""
-
-    __slots__ = ("_flop_time",)
-
-    def __init__(self, flop_time: float):
-        self._flop_time = flop_time
-
-    def work(self, ops: float) -> Compute:
-        ops = float(ops)
-        if ops < 0:
-            raise MachineError(f"ops must be non-negative, got {ops}")
-        return Compute(ops * self._flop_time)
-
-
-def _walk_collective(instr, values, timeline, default):
-    """Drive the interpreter's own collective generators, one per rank,
-    to completion — every request made on the timeline as it is yielded.
-    A rank whose receive has no message yet parks until a sweep finds one
-    sent; a sweep that moves nobody is a deadlock."""
+def _collective(instr, values, timeline, default):
+    """A collective as the rounds of its schedule: each round one bulk
+    exchange of what its senders hold *at that round*, then the receivers'
+    combines — the requests, sizes and operand order of
+    :meth:`repro.machine.plan_exec.DirectTransport.collective`."""
     p = len(values)
-    env = _WalkEnv(timeline.spec.flop_time)
-    gens = [DIRECT.collective(instr, env, _WalkComm(r, p), values[r],
-                              default)
-            for r in range(p)]
-    results: list[Any] = [None] * p
-    #: rank -> the Recv it is parked on (None: not started yet)
-    waiting: dict[int, Recv | None] = dict.fromkeys(range(p))
-    poll = timeline.poll
-    while waiting:
-        progressed = False
-        for r in list(waiting):
-            req = waiting[r]
-            resume = None
-            if req is not None:
-                resume = poll(r, req.src, req.tag)
-                if resume is None:
-                    continue
-            progressed = True
-            gen_send = gens[r].send
-            while True:
-                try:
-                    req = gen_send(resume)
-                except StopIteration as stop:
-                    results[r] = stop.value
-                    del waiting[r]
-                    break
-                cls = type(req)
-                if cls is Send:
-                    timeline.send(r, req.dst, req.payload, req.tag,
-                                  req.nbytes)
-                    resume = None
-                elif cls is Compute:
-                    timeline.compute(r, req.seconds)
-                    resume = None
-                else:
-                    resume = poll(r, req.src, req.tag)
-                    if resume is None:
-                        waiting[r] = req
-                        break
-        if not progressed:
-            raise DeadlockError(
-                f"deadlock: processors {sorted(waiting)} blocked in "
-                f"collective {instr.kind} on receives that "
-                f"can never be satisfied")
-    return results
+    kind = instr.kind
+    op = instr.op
+    if kind == "scan":
+        for rnd in C.scan_rounds(p):
+            _exchange(timeline, rnd.sends, rnd.slots, values)
+            values = [op(values[srcs[0]], my) if srcs else my
+                      for my, srcs in zip(values, rnd.recvs)]
+        return values
+    if kind == "fold":
+        for rnd in C.reduce_rounds(p):
+            _exchange(timeline, rnd.sends, rnd.slots, values)
+            values = [op(acc, values[srcs[0]]) if srcs else acc
+                      for acc, srcs in zip(values, rnd.recvs)]
+        _bcast(timeline, values[0], C.bcast_rounds(p))
+        return [ir.Scalar(values[0])] * p
+    if kind not in ("bcast", "apply_bcast"):
+        raise AssertionError(f"unknown collective kind {kind!r}")
+    rounds = C.bcast_rounds(p, instr.root)
+    if kind == "bcast":
+        piece = instr.value
+    else:
+        local = values[instr.root]
+        timeline.work(instr.root, ir.fragment_ops(op, local, default))
+        piece = op(local)
+    _bcast(timeline, piece, rounds)
+    return [(piece, mine) for mine in values]
+
+
+def _bcast(timeline, piece, rounds) -> None:
+    """Every sender of a broadcast forwards the one object it received,
+    so one sizing serves all the rounds."""
+    if rounds:
+        sizes = [estimate_nbytes(piece, timeline.spec.word_bytes)] \
+            * timeline.nprocs
+        for rnd in rounds:
+            timeline.exchange(rnd.sends, rnd.slots, sizes)

@@ -412,13 +412,33 @@ class Service:
         return self
 
     def stop(self, *, drain: bool = True) -> None:
-        """Stop the service; with ``drain`` (default) finish queued work."""
+        """Stop the service; with ``drain`` (default) finish queued work.
+
+        Without it, requests already executing still complete, and every
+        request still queued is shed: its ticket raises
+        :class:`AdmissionError` (reason ``"not-running"``), so no caller is
+        left waiting on a request no worker will ever take.
+        """
+        shed: list[tuple[Ticket, AdmissionError]] = []
         with self._lock:
             if not self._running:
                 return
             self._draining = drain
             self._running = False
+            if not drain:
+                for tenant in self._tenants.values():
+                    shed += [(ticket, self._reject(ticket.request_id,
+                                                   ticket.endpoint,
+                                                   ticket.tenant,
+                                                   "not-running"))
+                             for ticket, *_request in tenant.queue]
+                    tenant.queue.clear()
+                self._queued = 0
+                self._idle.notify_all()
             self._work_ready.notify_all()
+        for ticket, error in shed:
+            ticket._resolve(None, error, {"status": "rejected",
+                                          **error.rejection.to_dict()})
         for t in self._threads:
             t.join()
         self._threads = []
@@ -457,18 +477,7 @@ class Service:
             elif self._queued >= self.max_queue:
                 reason = "queue-full"
             if reason is not None:
-                rejection = Rejection(
-                    request_id, endpoint, tenant, reason,
-                    queue_depth=self._queued, in_flight=self._in_flight,
-                    max_queue=self.max_queue, t=self._now())
-                self.rejections.append(rejection)
-                if self._metrics is not None:
-                    self._m_rejections.labels(endpoint, tenant, reason).inc()
-                self._emit_event(0, "reject", rejection.t, rejection.t, {
-                    "endpoint": endpoint, "tenant": tenant,
-                    "reason": reason, "queue_depth": rejection.queue_depth,
-                }, endpoint)
-                raise AdmissionError(rejection)
+                raise self._reject(request_id, endpoint, tenant, reason)
             state = self._tenants.get(tenant)
             if state is None:
                 state = self._add_tenant(tenant, self.default_weight)
@@ -482,6 +491,23 @@ class Service:
             self._queued += 1
             self._work_ready.notify()
         return ticket
+
+    def _reject(self, request_id: int, endpoint: str, tenant: str,
+                reason: str) -> AdmissionError:
+        """Record one shed decision — rejection log, counter, sink — and
+        return the error that reports it.  Caller holds the lock."""
+        rejection = Rejection(
+            request_id, endpoint, tenant, reason,
+            queue_depth=self._queued, in_flight=self._in_flight,
+            max_queue=self.max_queue, t=self._now())
+        self.rejections.append(rejection)
+        if self._metrics is not None:
+            self._m_rejections.labels(endpoint, tenant, reason).inc()
+        self._emit_event(0, "reject", rejection.t, rejection.t, {
+            "endpoint": endpoint, "tenant": tenant,
+            "reason": reason, "queue_depth": rejection.queue_depth,
+        }, endpoint)
+        return AdmissionError(rejection)
 
     def _next_request(self) -> "tuple[Ticket, Endpoint, Any, float] | None":
         """Dequeue from the backlogged tenant with the least pass value.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -189,3 +191,24 @@ def test_roundtrip_list_property(xs):
 def test_with_items_identity_property(xs):
     pa = ParArray(xs)
     assert pa.with_items(lambda _i, v: v) == pa
+
+
+def _recursive_grid(shape):
+    """The definition of row-major order ``ParArray.indices`` must keep."""
+    if not shape:
+        yield ()
+        return
+    head, *rest = shape
+    for i in range(head):
+        for tail in _recursive_grid(rest):
+            yield (i, *tail)
+
+
+def test_indices_are_the_recursive_row_major_grid():
+    # every shape up to 3-D with extents 1..4, the empty shape included
+    for ndim in range(4):
+        for shape in itertools.product(range(1, 5), repeat=ndim):
+            want = list(_recursive_grid(shape))
+            pa = ParArray({idx: sum(idx) for idx in want}, shape=shape)
+            assert list(pa.indices()) == want
+            assert [v for v in pa] == [sum(idx) for idx in want]

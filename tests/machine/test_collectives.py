@@ -9,6 +9,7 @@ non-commutative operators where order matters.
 from __future__ import annotations
 
 import operator
+import types
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.errors import MachineError
 from repro.machine import collectives as C
 from repro.machine.api import Comm
 from repro.machine.cost import AP1000, PERFECT
+from repro.machine.lockstep import wire
 from repro.machine.simulator import Machine
 from repro.machine.topology import Hypercube
 
@@ -290,3 +292,81 @@ class TestCollectiveCostScaling:
         t_tree = run_world(32, tree, spec=AP1000).makespan
         t_linear = run_world(32, linear, spec=AP1000).makespan
         assert t_tree < t_linear
+
+
+class _RecordingComm:
+    """The slice of ``Comm`` a collective generator touches; a request is
+    just its name and peer."""
+
+    def __init__(self, rank, size):
+        self.rank, self.size = rank, size
+
+    def send(self, dst, payload, *, tag=0, nbytes=None):
+        return ("send", dst)
+
+    def recv(self, src, *, tag=0, timeout=None):
+        return ("recv", src)
+
+
+def requests_of(collective, rank, size, **kwargs):
+    """The ordered requests ``collective`` yields on ``rank``."""
+    gen = collective(_RecordingComm(rank, size), (rank,), **kwargs)
+    trace, resume = [], None
+    while True:
+        try:
+            request = gen.send(resume)
+        except StopIteration:
+            return trace
+        trace.append(request)
+        resume = (types.SimpleNamespace(payload=("arrived",))
+                  if request[0] == "recv" else None)
+
+
+def requests_in(rounds, rank):
+    """What the tables say ``rank`` does: per round its sends, then its
+    receives."""
+    return [request for rnd in rounds
+            for request in ([("send", dst) for dst in rnd.sends[rank]]
+                            + [("recv", src) for src in rnd.recvs[rank]])]
+
+
+class TestRoundTables:
+    """A schedule has a second definition (the static tables a
+    whole-machine walk follows) only because these tests tie it to the
+    first (the generator every engine runs)."""
+
+    SIZES = range(1, 34)
+
+    @staticmethod
+    def assert_tables_are_the_schedule(rounds, size, collective, **kwargs):
+        for rank in range(size):
+            assert requests_in(rounds, rank) \
+                == requests_of(collective, rank, size, **kwargs), rank
+        for rnd in rounds:
+            assert rnd.slots is not None
+            assert rnd.slots == wire(rnd.sends, rnd.recvs)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bcast_from_every_root(self, size):
+        for root in range(size):
+            self.assert_tables_are_the_schedule(
+                C.bcast_rounds(size, root), size, C.bcast, root=root)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_reduce(self, size):
+        self.assert_tables_are_the_schedule(
+            C.reduce_rounds(size), size, C.reduce, op=operator.add)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_scan(self, size):
+        self.assert_tables_are_the_schedule(
+            C.scan_rounds(size), size, C.scan, op=operator.add)
+
+    @pytest.mark.parametrize("size, root", [(4, 4), (4, -1), (1, 1)])
+    def test_a_root_outside_the_group_is_the_generators_error(self, size,
+                                                              root):
+        with pytest.raises(MachineError) as table_err:
+            C.bcast_rounds(size, root)
+        with pytest.raises(MachineError) as generator_err:
+            requests_of(C.bcast, 0, size, root=root)
+        assert str(table_err.value) == str(generator_err.value)

@@ -4,7 +4,10 @@
 tests drive it by hand with the request sequence of a small generator
 program and require the ``RunResult`` the engines produce for that
 program — then pin each check it owns and the ``Machine.run(walk=...)``
-gateway.  The plan-level differential suite is ``tests/plan/test_vexec.py``.
+gateway.  The per-request methods are in turn the reference for the two
+whole-instruction steps (``TestBulkSteps``) and for the static matching
+they follow (``TestWiring``).  The plan-level differential suite is
+``tests/plan/test_vexec.py``.
 """
 
 from __future__ import annotations
@@ -12,11 +15,14 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, MachineError, TopologyError
-from repro.machine import AP1000, Machine
-from repro.machine.lockstep import Lockstep
+from repro.machine import AP1000, MODERN_CLUSTER, PERFECT, Machine
+from repro.machine.lockstep import Lockstep, wire
 from repro.machine.topology import FullyConnected, Hypercube, Ring
+from repro.plan import ir
 
 P = 8
 TAG = 7
@@ -170,3 +176,155 @@ class TestChecks:
         assert msg.nbytes == 3 * AP1000.word_bytes
         assert msg.arrival == AP1000.send_overhead \
             + AP1000.transfer_time(msg.nbytes, 1)
+
+
+# -- the whole-instruction steps against the per-request rules ------------------
+
+@st.composite
+def patterns(draw, p):
+    """Matched ``(sends, recvs)`` tables over ``p`` ranks: any multiset of
+    messages (fan-out, fan-in, the same ``(src, dst)`` pair repeated), each
+    rank receiving its arrivals in any order with "take the local value"
+    entries mixed in."""
+    ranks = st.integers(0, p - 1)
+    messages = draw(st.lists(
+        st.tuples(ranks, ranks).filter(lambda m: m[0] != m[1]), max_size=3 * p)
+        if p > 1 else st.just([]))
+    sends = [[] for _ in range(p)]
+    arrivals = [[r] * draw(st.integers(0, 2)) for r in range(p)]
+    for src, dst in messages:
+        sends[src].append(dst)
+        arrivals[dst].append(src)
+    return (tuple(map(tuple, sends)),
+            tuple(tuple(draw(st.permutations(row))) for row in arrivals))
+
+
+@st.composite
+def bulk_programs(draw):
+    """``(machine, steps)``: each step ``("work", ops)`` or
+    ``("exchange", sends, recvs, sizes)``."""
+    p = draw(st.integers(1, 17))
+    shapes = [Ring, FullyConnected]
+    if p & (p - 1) == 0:
+        shapes.append(Hypercube.of_size)
+    machine = Machine(draw(st.sampled_from(shapes))(p),
+                      spec=draw(st.sampled_from(
+                          [AP1000, MODERN_CLUSTER, PERFECT])))
+    work = st.tuples(st.just("work"), st.lists(
+        st.floats(0.0, 1e9) | st.integers(0, 10**6), min_size=p, max_size=p))
+    sizes = st.lists(st.sampled_from([0, 1, 8, 4096]) | st.integers(0, 10**12),
+                     min_size=p, max_size=p)
+    exchange = st.tuples(st.just("exchange"), patterns(p), sizes).map(
+        lambda step: (step[0], *step[1], step[2]))
+    return machine, draw(st.lists(work | exchange, max_size=8))
+
+
+class TestBulkSteps:
+    @settings(max_examples=150, deadline=None)
+    @given(bulk_programs())
+    def test_bulk_steps_equal_the_same_requests_one_by_one(self, program):
+        machine, steps = program
+        p = machine.nprocs
+        bulk, ref = Lockstep(machine), Lockstep(machine)
+        for kind, *step in steps:
+            if kind == "work":
+                (ops,) = step
+                bulk.work_all(ops)
+                for pid in range(p):
+                    ref.work(pid, ops[pid])
+            else:
+                sends, recvs, sizes = step
+                bulk.exchange(sends, wire(sends, recvs), sizes)
+                for pid in range(p):
+                    for dst in sends[pid]:
+                        ref.send(pid, dst, None, TAG, sizes[pid])
+                for pid in range(p):
+                    for src in recvs[pid]:
+                        if src != pid:
+                            ref.recv(pid, src, TAG)
+            assert bulk.clock == ref.clock
+        got, want = bulk.finish([None] * p), ref.finish([None] * p)
+        assert got.events == want.events
+        assert [dataclasses.asdict(s) for s in got.stats] \
+            == [dataclasses.asdict(s) for s in want.stats]
+
+    def test_work_all_names_the_first_negative_rank(self):
+        timeline = Lockstep(Machine(Hypercube(2), spec=AP1000))
+        with pytest.raises(MachineError, match="processor 1: ops must be "
+                                               "non-negative"):
+            timeline.work_all([1.0, -2.0, float("nan"), 3.0])
+
+    def test_exchange_rejects_a_negative_size(self):
+        timeline = Lockstep(Machine(Hypercube(2), spec=AP1000))
+        sends, recvs = ((1,), (), (), ()), ((), (0,), (), ())
+        with pytest.raises(MachineError, match="processor 0.*nbytes"):
+            timeline.exchange(sends, wire(sends, recvs), [-8, 0, 0, 0])
+
+
+class TestWiring:
+    @staticmethod
+    def assert_wired(sends, recvs, slots):
+        """Every send consumed by exactly one receive of its own
+        ``(src, dst)`` pair, first sent first received."""
+        flat = [(src, dst) for src, dsts in enumerate(sends) for dst in dsts]
+        taken = []
+        for dst, (srcs, row) in enumerate(zip(recvs, slots, strict=True)):
+            for src, slot in zip(srcs, row, strict=True):
+                if slot == -1:
+                    assert src == dst
+                else:
+                    assert flat[slot] == (src, dst)
+                    taken.append(slot)
+            per_source = {}
+            for src, slot in zip(srcs, row):
+                per_source.setdefault(src, []).append(slot)
+            assert all(q == sorted(q) for q in per_source.values())
+        assert sorted(taken) == list(range(len(flat)))
+
+    def test_slots_number_the_sends_in_table_order(self):
+        sends = ((1, 2, 1), (0,), ())
+        recvs = ((1, 0), (0, 1, 0), (0,))
+        assert wire(sends, recvs) == ((3, -1), (0, -1, 2), (1,))
+
+    @given(st.integers(1, 17).flatmap(patterns))
+    def test_any_matched_pattern_is_wired(self, tables):
+        sends, recvs = tables
+        self.assert_wired(sends, recvs, wire(sends, recvs))
+
+    @pytest.mark.parametrize("sends, recvs", [
+        (((4,), (), (), ()), ((), (), (), ())),
+        (((-1,), (), (), ()), ((), (), (), ())),
+        (((True,), (), (), ()), ((), (0,), (), ())),
+        (((), (), (), ()), ((7,), (), (), ())),
+        (((), (1,), (), ()), ((), (1,), (), ())),
+        (((), (3,), (), ()), ((), (), (), ())),
+        (((), (), (), ()), ((), (), (0,), ())),
+        (((1, 1), (), (), ()), ((), (0,), (), ())),
+        (((1,), (), (), ()), ((), (0, 0), (), ())),
+        (((1,), (), (), ()), ((), (0,), ())),
+    ], ids=["destination-too-large", "destination-negative",
+            "destination-not-an-int", "source-out-of-range", "self-send",
+            "dangling-send", "unmatched-receive", "second-copy-dangling",
+            "second-receive-unmatched", "row-count-mismatch"])
+    def test_unmatched_tables_are_not_wired(self, sends, recvs):
+        assert wire(sends, recvs) is None
+
+    @given(st.integers(1, 17).flatmap(lambda p: st.lists(
+        st.integers(0, p - 1), min_size=p, max_size=p)))
+    def test_from_sources_is_always_wired(self, srcs):
+        ex = ir.Exchange.from_sources("replace", srcs)
+        self.assert_wired(ex.sends, ex.recvs, ex.wiring)
+
+    @given(st.integers(1, 17).flatmap(lambda p: st.lists(
+        st.lists(st.integers(0, p - 1), max_size=4), min_size=p, max_size=p)))
+    def test_from_destinations_is_always_wired(self, dsts):
+        ex = ir.Exchange.from_destinations("collect", dsts)
+        self.assert_wired(ex.sends, ex.recvs, ex.wiring)
+
+    def test_wiring_is_cached_beside_the_tables_not_in_them(self):
+        ex = ir.Exchange.from_sources("pair", [1, 2, 0])
+        twin = ir.Exchange.from_sources("pair", [1, 2, 0])
+        assert ex.wiring is ex.wiring
+        assert ex == twin and hash(ex) == hash(twin)  # twin has no cache yet
+        moved = dataclasses.replace(ex, recvs=((2,), (0,), (1,)))
+        assert moved.wiring is None  # recomputed for the new tables

@@ -10,15 +10,19 @@ program interpreted on a ``Machine(batch=False)`` exactly (``==`` on floats
 — same additions in the same order).  One differential suite states that
 over the application anchors, every collective kind, looped and ragged
 point-to-point traffic and three topologies, plus the random flat-plan
-strategy of ``test_opt_properties``; the remaining tests pin the payload
-sizes the walk reports, the machine-side routing (who chooses the
-interpreter) and error parity on malformed hand-built plans.
+strategy of ``test_opt_properties`` — and each comparison first checks
+that the walk arm really walked, so a plan the walk declines can never
+turn the suite into interpreter-against-interpreter.  The remaining tests
+pin the payload sizes the walk reports, the machine-side routing (who
+chooses the interpreter) and error parity on malformed hand-built plans.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,11 +36,13 @@ from repro.core.pararray import ParArray
 from repro.core.partition import Block
 from repro.errors import DeadlockError, MachineError
 from repro.machine import AP1000, Comm, Machine
+from repro.machine.lockstep import Lockstep
 from repro.machine.plan_exec import execute_plan
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan import ir, vexec
 from repro.plan.lower import clear_plan_cache
 from repro.scl import (
+    ApplyBrdcast,
     Brdcast,
     Fold,
     IterFor,
@@ -90,6 +96,30 @@ def run_both(expr, pa, topology, **machine_kw):
             for kw in (machine_kw, {**machine_kw, "batch": False})]
 
 
+@contextlib.contextmanager
+def walks_recorded():
+    """What every call of ``vexec.precompute`` inside the block returned:
+    the walk's values, or ``None`` where it declined the plan."""
+    outcomes = []
+    real = vexec.precompute
+
+    def spy(*args, **kwargs):
+        outcomes.append(real(*args, **kwargs))
+        return outcomes[-1]
+
+    with mock.patch.object(vexec, "precompute", spy):
+        yield outcomes
+
+
+def run_walked_and_interpreted(expr, pa, topology):
+    """:func:`run_both`, having checked that the first arm was walked to
+    the end (and the second never offered to the walk)."""
+    with walks_recorded() as outcomes:
+        runs = run_both(expr, pa, topology)
+    assert len(outcomes) == 1 and outcomes[0] is not None
+    return runs
+
+
 # -- the differential suite -----------------------------------------------------
 
 @base_fragment(ops=lambda x: 30.0 + np.size(x))
@@ -122,6 +152,12 @@ def _numbers(p=8):
     return ParArray([float(3 * r + 1) for r in range(p)])
 
 
+def _runs(p):
+    """Ragged lists under concatenation: the operand order of every combine
+    shows in the value, and what a rank holds grows from round to round."""
+    return ParArray([[float(r)] * (r + 1) for r in range(p)])
+
+
 #: name -> (expression, input) builders.  Ragged array payloads wherever
 #: the traffic is point-to-point, so byte counters and arrival times
 #: differ per rank.
@@ -134,6 +170,7 @@ CASES = {
     "fold": lambda: (Fold(lambda a, b: a + b), _numbers()),
     "bcast": lambda: (compose_nodes(Map(lambda pair: pair[0] + pair[1]),
                                     Brdcast(17.0)), _numbers()),
+    "applybrdcast-root-5": lambda: (ApplyBrdcast(_grow, 5), _vector()),
     "looped-rotate": lambda: (
         IterFor(5, lambda i: compose_nodes(Map(_grow), Rotate(i + 1))),
         _vector()),
@@ -152,7 +189,29 @@ CASES = {
 @pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case}-None")
 def test_walk_is_indistinguishable_from_the_interpreter(case, topology):
     expr, pa = CASES[case]()
-    res_walk, res_interp = run_both(expr, pa, TOPOLOGIES[topology])
+    res_walk, res_interp = run_walked_and_interpreted(expr, pa,
+                                                      TOPOLOGIES[topology])
+    assert res_walk.total_messages > 0
+    assert_identical_runs(res_walk, res_interp)
+
+
+#: collective -> expression over ``p`` ranks
+COLLECTIVES = {
+    "fold": lambda p: Fold(lambda a, b: a + b),
+    "scan": lambda p: Scan(lambda a, b: a + b),
+    "bcast": lambda p: Brdcast([17.0] * 5),
+    "applybrdcast-last-root": lambda p: ApplyBrdcast(_grow, p - 1),
+}
+
+
+@pytest.mark.parametrize("topology", ["full", "ring"])
+@pytest.mark.parametrize("p", [5, 6, 7])
+@pytest.mark.parametrize("collective", COLLECTIVES)
+def test_collective_rounds_walk_identically_off_the_powers_of_two(
+        collective, p, topology):
+    pa = _vector(p) if collective.startswith("applybrdcast") else _runs(p)
+    res_walk, res_interp = run_walked_and_interpreted(
+        COLLECTIVES[collective](p), pa, TOPOLOGIES[topology])
     assert res_walk.total_messages > 0
     assert_identical_runs(res_walk, res_interp)
 
@@ -165,7 +224,8 @@ def test_random_flat_plans_walk_identically(prog, topology):
         p = 4
     clear_plan_cache()
     pa = ParArray([float(3 * r + 1) for r in range(p)])
-    res_walk, res_interp = run_both(expr, pa, TOPOLOGIES[topology])
+    res_walk, res_interp = run_walked_and_interpreted(expr, pa,
+                                                      TOPOLOGIES[topology])
     assert_identical_runs(res_walk, res_interp)
 
 
@@ -218,33 +278,21 @@ class TestSizeHoisting:
 # -- the machine, not the compiler, picks the interpreter -------------------------
 
 class TestRouting:
-    @staticmethod
-    def _spy(monkeypatch):
-        calls = []
-        real = vexec.precompute
-
-        def spy(plan, values, timeline, default=ir.DEFAULT_FRAGMENT_OPS):
-            calls.append(timeline)
-            return real(plan, values, timeline, default)
-
-        monkeypatch.setattr(vexec, "precompute", spy)
-        return calls
-
-    def test_plain_machines_take_the_walk(self, monkeypatch):
-        calls = self._spy(monkeypatch)
+    def test_plain_machines_take_the_walk(self):
         expr, pa = _hyperquicksort(3)
-        run_both(expr, pa, Hypercube.of_size)
+        with walks_recorded() as calls:
+            run_both(expr, pa, Hypercube.of_size)
         assert len(calls) == 1  # the batch=False arm interprets
 
     @pytest.mark.parametrize("machine_kw", [
         {"single_port": True}, {"record_trace": True}, {"batch": False}],
         ids=["single-port", "traced", "per-event"])
     def test_other_machines_interpret_with_identical_results(
-            self, machine_kw, monkeypatch):
-        calls = self._spy(monkeypatch)
+            self, machine_kw):
         expr, pa = _hyperquicksort(5)  # p=32, the tune_cold shape
-        res_vec, res_interp = run_both(expr, pa, Hypercube.of_size,
-                                       **machine_kw)
+        with walks_recorded() as calls:
+            res_vec, res_interp = run_both(expr, pa, Hypercube.of_size,
+                                           **machine_kw)
         assert calls == []  # the walk was handed over and not taken
         assert_identical_runs(res_vec, res_interp)
         if "record_trace" in machine_kw:
@@ -299,10 +347,22 @@ def run_plan(plan, values, machine, *, walk):
 def test_malformed_plans_raise_the_same_error_class_on_every_path(name):
     plan, error, names = BAD_PLANS[name]
     values = [float(r) for r in range(plan.nprocs)]
+    timeline = Lockstep(Machine(FullyConnected(4), spec=AP1000))
+    if name == "negative-ops":
+        # a charge is data, not structure: only the walk itself finds it
+        assert vexec.supported(plan)
+        with pytest.raises(error, match=names):
+            vexec.precompute(plan, values, timeline)
+    else:
+        # tables that do not match up are declined on sight, before any
+        # clock moves; the engines then say what is wrong with them
+        assert not vexec.supported(plan)
+        assert vexec.precompute(plan, values, timeline) is None
+        assert timeline.finish([None] * 4).events == 0
     with pytest.raises(error) as walk_err:
         run_plan(plan, values, Machine(FullyConnected(4), spec=AP1000),
                  walk=True)
-    # the lockstep path names the processor (or address) at fault
+    # whichever path reports it names the processor (or address) at fault
     assert names in str(walk_err.value)
     for batch in (True, False):
         with pytest.raises(error) as interp_err:
@@ -311,3 +371,21 @@ def test_malformed_plans_raise_the_same_error_class_on_every_path(name):
                      walk=False)
         assert (isinstance(walk_err.value, DeadlockError)
                 == isinstance(interp_err.value, DeadlockError))
+
+
+def test_an_exchange_built_for_another_size_is_declined():
+    rotate_3 = ir.Exchange.from_sources("replace", [1, 2, 0])
+    assert rotate_3.wiring is not None
+    assert not vexec.supported(ir.Plan((rotate_3,), 4))
+    assert not vexec.supported(ir.Plan((ir.Loop(((rotate_3,),)),), 2))
+
+
+@pytest.mark.parametrize("k", [0, 4, -8])
+def test_a_rotate_by_a_multiple_of_p_is_left_to_the_interpreter(k):
+    # every rank would send to itself: the engines' error, not a silent no-op
+    plan = ir.Plan((ir.Rotate(k),), 4)
+    assert not vexec.supported(plan)
+    for walk in (True, False):
+        with pytest.raises(MachineError, match="sent a message to itself"):
+            run_plan(plan, [0.0] * 4, Machine(FullyConnected(4), spec=AP1000),
+                     walk=walk)

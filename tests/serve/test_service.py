@@ -418,6 +418,39 @@ class TestLifecycle:
         svc.stop(drain=True)
         assert all(t.done() for t in tickets)
 
+    def test_stop_without_drain_sheds_queued_requests(self):
+        reg = MetricsRegistry()
+        gate = threading.Event()
+        svc = Service(workers=1, metrics=reg)
+        svc.register(PyEndpoint("gate", lambda p: gate.wait(10)))
+        svc.start()
+        running = svc.submit("gate")
+        deadline = time.monotonic() + 5
+        while svc.queue_depth() > 0:  # the one worker holds it
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        queued = [svc.submit("gate", tenant="t1") for _ in range(3)]
+        # stop() joins the worker, which is parked on the gate
+        stopper = threading.Thread(target=svc.stop, kwargs={"drain": False})
+        stopper.start()
+        for ticket in queued:
+            with pytest.raises(AdmissionError) as excinfo:
+                ticket.result(timeout=10)
+            assert excinfo.value.rejection.reason == "not-running"
+            assert ticket.record["status"] == "rejected"
+        assert svc.queue_depth() == 0
+        gate.set()
+        stopper.join(10)
+        assert not stopper.is_alive()
+        assert running.result(timeout=10) is True
+        assert svc.wait_idle(timeout=10)
+        assert [(r.request_id, r.reason) for r in svc.rejections] \
+            == [(t.request_id, "not-running") for t in queued]
+        assert reg.snapshot().value(
+            "serve_rejections_total",
+            {"endpoint": "gate", "tenant": "t1",
+             "reason": "not-running"}) == 3.0
+
     def test_validation(self):
         with pytest.raises(SkeletonError, match="workers"):
             Service(workers=0)

@@ -12,7 +12,8 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * no module reaches into another module's underscore-prefixed names,
 * nothing current still points at the retired host-time harness,
 * the optimizer's config carries no field, and the compile/tune surface
-  no ``topo`` parameter, that exists only to be passed along.
+  no ``topo`` parameter, that exists only to be passed along,
+* the whole-machine walk makes no per-request timeline call.
 """
 
 from __future__ import annotations
@@ -147,6 +148,25 @@ def test_no_compile_or_tune_callable_takes_a_topology(modname):
                  if callable(getattr(mod, name))
                  and "topo" in inspect.signature(getattr(mod, name)).parameters]
     assert not offenders, f"{modname}: {offenders} take topo="
+
+
+def test_the_walk_makes_no_per_request_timeline_call():
+    """``plan.vexec`` advances the lockstep timeline one instruction at a
+    time (``work_all`` / ``exchange``).  A ``send`` / ``recv`` / ``poll``
+    call, or the request classes and the direct transport that pumping a
+    generator needs, would be the per-request path creeping back."""
+    with open(importlib.util.find_spec("repro.plan.vexec").origin,
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    calls = sorted({node.func.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)}
+                   & {"send", "recv", "poll"})
+    imports = sorted({alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names}
+                     & {"Send", "Recv", "Compute", "DIRECT"})
+    assert not calls and not imports, (calls, imports)
 
 
 def test_top_level_all_is_complete():
