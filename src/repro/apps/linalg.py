@@ -192,7 +192,7 @@ def gauss_jordan_compiled(
 
     The column-block partition and the final gather bracket the compiled
     iteration, exactly as in :func:`gauss_jordan_solve`.  ``opt`` is the
-    plan-optimizer switch of :class:`repro.scl.compile.CompiledProgram`.
+    plan-optimizer switch of :func:`repro.scl.compile.run_expression`.
     """
     from repro.core import parmap, partition
     from repro.core import gather as cfg_gather

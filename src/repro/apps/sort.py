@@ -556,7 +556,6 @@ def hyperquicksort_compiled(
     d: int,
     *,
     spec: MachineSpec = AP1000,
-    params: SortCostParams = SortCostParams(),
     opt="auto",
 ) -> tuple[np.ndarray, RunResult]:
     """Run the §5 expression through the SCL compiler on the simulator.
@@ -564,8 +563,10 @@ def hyperquicksort_compiled(
     Local pre-sorting and the final gather are outside the expression (as
     in the paper's program, where ``map SEQ_QUICKSORT . partition`` and
     ``gather`` bracket the ``iterfor``); the iterations themselves execute
-    as compiled skeleton code.  ``opt`` is the plan-optimizer switch of
-    :class:`repro.scl.compile.CompiledProgram`.
+    as compiled skeleton code.  The expression's fragments are module-level
+    and charge the default :class:`SortCostParams` (``_HQ_PARAMS``), so
+    there is no cost parameter here.  ``opt`` is the plan-optimizer switch
+    of :func:`repro.scl.compile.run_expression`.
     """
     from repro.scl.compile import run_expression
 

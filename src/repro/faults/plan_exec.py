@@ -6,13 +6,14 @@ moves the *identical* :class:`~repro.plan.ir.Plan`'s traffic onto the
 resilience layer, so any compiled SCL expression gets fault-tolerant
 execution without being hand-ported (:func:`run_expression_ft`):
 
-* ``Exchange``/``Rotate`` tables replay as acked, retransmitted
+* ``Exchange`` tables replay as acked, retransmitted
   :class:`~repro.machine.reliable.ReliableChannel` transfers.  A
-  symmetric pairwise pattern (hyperquicksort's partner exchange) is
-  detected from the tables and uses :meth:`ReliableChannel.exchange`,
-  which services the partner's data while awaiting its own ack; all
-  other patterns send first and then receive — safe for arbitrary cycles
-  because every channel wait *pumps* (acks and stashes incoming frames),
+  symmetric pairwise pattern (hyperquicksort's partner exchange, a
+  rotate by half the ring) is detected from the tables and uses
+  :meth:`ReliableChannel.exchange`, which services the partner's data
+  while awaiting its own ack; all other patterns send first and then
+  receive — safe for arbitrary cycles because every channel wait *pumps*
+  (acks and stashes incoming frames),
 * collectives become the linear, crash-aware patterns of
   :mod:`repro.machine.collectives_ft` (``fold`` → ``ft_reduce`` +
   ``ft_bcast``; broadcasts → ``ft_bcast``; ``scan`` → a reliable linear
@@ -65,18 +66,6 @@ class ReliableTransport:
     def __init__(self, chan: ReliableChannel):
         self.chan = chan
 
-    def rotate(self, instr: ir.Rotate, env, comm: Comm, local: Any):
-        """Reliable ring shift; a 2-cycle uses the symmetric exchange."""
-        chan = self.chan
-        p = comm.size
-        k = instr.k
-        dst, src = (comm.rank - k) % p, (comm.rank + k) % p
-        if dst == src and dst != comm.rank:
-            return (yield from chan.exchange(comm.pid_of(dst), local,
-                                             tag=EXCHANGE_TAG))
-        yield from chan.send(comm.pid_of(dst), local, tag=EXCHANGE_TAG)
-        return (yield from chan.recv(comm.pid_of(src), tag=EXCHANGE_TAG))
-
     def exchange(self, instr: ir.Exchange, env, comm: Comm, local: Any):
         """Replay this rank's table row as acked transfers."""
         chan = self.chan
@@ -102,8 +91,7 @@ class ReliableTransport:
             comm.pid_of(src), tag=EXCHANGE_TAG))
         return (local, fetched) if instr.mode == "pair" else fetched
 
-    def collective(self, instr: ir.Collective, env, comm: Comm, local: Any,
-                   default: float):
+    def collective(self, instr: ir.Collective, env, comm: Comm, local: Any):
         """Run the collective as a crash-aware linear pattern (the
         schedules of :mod:`repro.machine.collectives_ft`)."""
         chan = self.chan
@@ -122,13 +110,12 @@ class ReliableTransport:
             if r < p - 1:
                 yield from chan.send(comm.pid_of(r + 1), out, tag=SCAN_TAG)
             return out
-        piece = yield from bcast_piece(instr, env, comm, local, default)
+        piece = yield from bcast_piece(instr, env, comm, local)
         piece = yield from ft_bcast(chan, comm, piece, root=instr.root)
         return (piece, local)
 
 
 def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
-                      fragment_default_ops: float = ir.DEFAULT_FRAGMENT_OPS,
                       channel_timeout: float | None = None,
                       max_retries: int = 8,
                       label: str = "program",
@@ -138,7 +125,7 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
     The plan-level counterpart of
     :func:`repro.scl.compile.run_expression`: the same lowering, cache
     and plan optimizer (``opt`` as in
-    :class:`~repro.scl.compile.CompiledProgram` — fusion and coalescing
+    :func:`~repro.scl.compile.run_expression` — fusion and coalescing
     apply to the resilient run too; the whole-machine walk does not,
     since traffic here is retransmitted and timing-dependent), but
     execution over a :class:`ReliableChannel` per processor — use with a
@@ -149,8 +136,8 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
             chan = ReliableChannel(env, timeout=channel_timeout,
                                    max_retries=max_retries)
             result = yield from execute_plan(
-                plan, env, Comm.world(env), values[env.pid],
-                fragment_default_ops, label, ReliableTransport(chan))
+                plan, env, Comm.world(env), values[env.pid], label,
+                ReliableTransport(chan))
             # Stay on the line until peers stop retransmitting: our last
             # acks may have been lost, and an exited program can't re-ack.
             with env.span("drain"):

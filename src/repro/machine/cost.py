@@ -144,20 +144,6 @@ PERFECT = MachineSpec(
 #: the flat fast path too.
 _NUMERIC_SCALAR_TYPES: set[type] = {int, float, bool, complex}
 
-#: Memo for small hashable tuple payloads, keyed ``(word_bytes, payload)``.
-#: Sound because a hashable tuple is deeply immutable for costing purposes
-#: (anything mutable inside — list, bytearray, ndarray — makes the key
-#: unhashable and falls through to the walk), and equal keys cost equally:
-#: every numeric scalar costs one word regardless of type, so ``(1, 2)``
-#: and ``(1.0, 2.0)`` colliding under dict equality is harmless.  Cleared
-#: wholesale when full; sends repeat a few payload shapes, so the cache
-#: stays tiny in practice.
-_NBYTES_CACHE: dict[tuple, int] = {}
-_NBYTES_CACHE_MAX = 4096
-#: Tuples longer than this are not memoized (hashing and key retention
-#: would outweigh the walk they save).
-_NBYTES_CACHE_MAX_LEN = 64
-
 
 def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
     """Estimate the wire size of a message payload.
@@ -170,39 +156,24 @@ def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
 
     A flat list or tuple whose elements are all the same numeric type is
     costed as ``len * word_bytes`` directly (identical to the recursive
-    definition) without the per-element recursion.  Small hashable tuples
-    are additionally memoized across calls: programs re-send the same
-    header-style payloads thousands of times on the hot path, and one
-    C-level hash beats re-walking the structure.  A small tuple that
-    directly holds an ndarray (unhashable, so never memoized) is summed on
-    the spot instead.
+    definition) without the per-element recursion, and a tuple that
+    directly holds an ndarray (every partner exchange of the compiled
+    sort) is summed on the spot.
     """
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if type(payload) is tuple and len(payload) <= _NBYTES_CACHE_MAX_LEN:
+    if type(payload) is tuple:
         # Before the scalar/str ABC checks, none of which a tuple can pass.
         ndarray = np.ndarray
         for item in payload:
             if type(item) is ndarray:
-                # An array element makes the tuple unhashable, so the memo
-                # probe could only raise and fall through to the walk;
-                # take the walk's sum directly.
+                # the walk's sum, without a call per array
                 total = 0
                 for x in payload:
                     total += (x.nbytes if type(x) is ndarray
                               else estimate_nbytes(x, word_bytes))
                 return total if total > word_bytes else word_bytes
-        try:
-            return _NBYTES_CACHE[(word_bytes, payload)]
-        except KeyError:
-            nb = _estimate_walk(payload, word_bytes)
-            if len(_NBYTES_CACHE) >= _NBYTES_CACHE_MAX:
-                _NBYTES_CACHE.clear()
-            _NBYTES_CACHE[(word_bytes, payload)] = nb
-            return nb
-        except TypeError:
-            # unhashable element somewhere deeper inside; walk it
-            return _estimate_walk(payload, word_bytes)
+        return _estimate_walk(payload, word_bytes)
     if isinstance(payload, (bool, numbers.Number)):
         return word_bytes
     if payload is None:

@@ -8,10 +8,9 @@ time.  The interpreter is a generator (like every machine program):
 ``yield`` s are simulator requests, the return value is the processor's
 final local value (a :class:`~repro.plan.ir.Scalar` for reductions).
 
-The walker is written once; how bytes move is its *transport*: three
-generator methods ``rotate`` / ``exchange`` / ``collective`` taking
-``(instr, env, comm, local)`` (collectives also the fragment ``default``)
-and returning the new local value.  :class:`DirectTransport` here is the
+The walker is written once; how bytes move is its *transport*: two
+generator methods ``exchange`` / ``collective`` taking
+``(instr, env, comm, local)`` and returning the new local value.  :class:`DirectTransport` here is the
 perfect network; :class:`repro.faults.plan_exec.ReliableTransport` the
 acked, retransmitting one.
 
@@ -36,7 +35,7 @@ from repro.plan import ir
 __all__ = ["execute_plan", "Grouped", "EXCHANGE_TAG", "DirectTransport",
            "DIRECT"]
 
-#: Tag of all point-to-point plan traffic (rotate / exchange tables).
+#: Tag of all point-to-point plan traffic (exchange tables).
 EXCHANGE_TAG = tags.reserve("plan", "exchange", 0)
 
 
@@ -50,8 +49,7 @@ class Grouped:
     gid: int
 
 
-def bcast_piece(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any,
-                default: float):
+def bcast_piece(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any):
     """What the root of a ``bcast`` / ``apply_bcast`` sends (``None`` off
     the root): the constant, or ``op(local)`` charged as compute."""
     if instr.kind not in ("bcast", "apply_bcast"):
@@ -60,7 +58,7 @@ def bcast_piece(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any,
         return None
     if instr.kind == "bcast":
         return instr.value
-    yield env.work(ir.fragment_ops(instr.op, local, default))
+    yield env.work(ir.fragment_ops(instr.op, local))
     return instr.op(local)
 
 
@@ -69,15 +67,6 @@ class DirectTransport:
     the tree collectives of :mod:`repro.machine.collectives`."""
 
     __slots__ = ()
-
-    def rotate(self, instr: ir.Rotate, env: ProcEnv, comm: Comm, local: Any):
-        """Send ``local`` ``k`` ranks down the ring, receive from ``k`` up."""
-        p = comm.size
-        k = instr.k
-        yield comm.send((comm.rank - k) % p, local, tag=EXCHANGE_TAG,
-                        nbytes=estimate_nbytes(local, env.spec.word_bytes))
-        msg = yield comm.recv((comm.rank + k) % p, tag=EXCHANGE_TAG)
-        return msg.payload
 
     def exchange(self, instr: ir.Exchange, env: ProcEnv, comm: Comm,
                  local: Any):
@@ -104,7 +93,7 @@ class DirectTransport:
         return (local, fetched) if instr.mode == "pair" else fetched
 
     def collective(self, instr: ir.Collective, env: ProcEnv, comm: Comm,
-                   local: Any, default: float):
+                   local: Any):
         """Run the collective on its binomial-tree schedule."""
         # Reduction operators run synchronously inside the collectives'
         # generator frames, so their CPU cost cannot be yielded from here;
@@ -116,7 +105,7 @@ class DirectTransport:
             return ir.Scalar(acc)
         if instr.kind == "scan":
             return (yield from C.scan(comm, local, instr.op))
-        piece = yield from bcast_piece(instr, env, comm, local, default)
+        piece = yield from bcast_piece(instr, env, comm, local)
         piece = yield from C.bcast(comm, piece, root=instr.root)
         return (piece, local)
 
@@ -126,7 +115,6 @@ DIRECT = DirectTransport()
 
 
 def execute_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
-                 default: float = ir.DEFAULT_FRAGMENT_OPS,
                  label: str = "plan", transport: Any = DIRECT):
     """Run ``plan`` on this processor over ``transport`` (see the module
     docstring); returns the new local value.
@@ -139,35 +127,34 @@ def execute_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
     """
     with env.span(label):
         return (yield from _run_seq(plan.instrs, plan, env, comm, transport,
-                                    local, default))
+                                    local))
 
 
 def _run_seq(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm, transport,
-             local: Any, default: float):
+             local: Any):
     if env.tracing:
         for i, instr in enumerate(instrs):
             with env.span(ir.instr_title(instr), instr=i):
                 local = yield from _step(instr, plan, env, comm, transport,
-                                         local, default)
+                                         local)
         return local
     for instr in instrs:
-        local = yield from _step(instr, plan, env, comm, transport, local,
-                                 default)
+        local = yield from _step(instr, plan, env, comm, transport, local)
     return local
 
 
 def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
-          transport, local: Any, default: float):
+          transport, local: Any):
     if isinstance(instr, ir.LocalApply):
         if isinstance(instr.fn, ir.FusedKernel):
             # each constituent charges on its actual input, so the single
             # Compute below equals the sum the unfused run would charge
             idx = (divmod(comm.rank, plan.grid[1])
                    if plan.grid is not None else comm.rank)
-            result, ops = ir.apply_fused(instr.fn, idx, local, default)
+            result, ops = ir.apply_fused(instr.fn, idx, local)
             yield env.work(ops)
             return result
-        yield env.work(ir.fragment_ops(instr.fn, local, default))
+        yield env.work(ir.fragment_ops(instr.fn, local))
         if instr.indexed:
             idx = (divmod(comm.rank, plan.grid[1])
                    if plan.grid is not None else comm.rank)
@@ -176,15 +163,11 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
             return instr.fn(instr.farm_env, local)
         return instr.fn(local)
 
-    if isinstance(instr, ir.Rotate):
-        return (yield from transport.rotate(instr, env, comm, local))
-
     if isinstance(instr, ir.Exchange):
         return (yield from transport.exchange(instr, env, comm, local))
 
     if isinstance(instr, ir.Collective):
-        return (yield from transport.collective(instr, env, comm, local,
-                                                default))
+        return (yield from transport.collective(instr, env, comm, local))
 
     if isinstance(instr, ir.GroupSplit):
         gid = instr.group_of[comm.rank]
@@ -194,7 +177,7 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
     if isinstance(instr, ir.SubPlan):
         subplan = instr.plans[local.gid]
         inner = yield from _run_seq(subplan.instrs, subplan, env, local.comm,
-                                    transport, local.local, default)
+                                    transport, local.local)
         return Grouped(local.comm, local.parent, inner, local.gid)
 
     if isinstance(instr, ir.GroupCombine):
@@ -204,7 +187,7 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
         for it, body in enumerate(instr.bodies):
             with env.span(f"iter {it}", iteration=it):
                 local = yield from _run_seq(body, plan, env, comm, transport,
-                                            local, default)
+                                            local)
         return local
 
     raise AssertionError(f"unknown plan instruction {instr!r}")

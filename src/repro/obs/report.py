@@ -49,7 +49,7 @@ def skeleton_report(trace: Trace | Iterable) -> str:
 
 def _predicted(plan: ir.Plan, instrs, spec: MachineSpec, fn_ops: float,
                element_bytes: int | None):
-    return plan_cost(ir.Plan(tuple(instrs), plan.nprocs, plan.grid, False),
+    return plan_cost(ir.Plan(tuple(instrs), plan.nprocs, plan.grid),
                      spec=spec, fn_ops=fn_ops, element_bytes=element_bytes)
 
 

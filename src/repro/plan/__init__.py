@@ -28,7 +28,6 @@ from repro.plan.ir import (
     LocalApply,
     Loop,
     Plan,
-    Rotate,
     Scalar,
     SubPlan,
     apply_fused,
@@ -45,7 +44,7 @@ from repro.plan.opt import (
 )
 
 __all__ = [
-    "Plan", "Instr", "LocalApply", "Rotate", "Exchange", "Collective",
+    "Plan", "Instr", "LocalApply", "Exchange", "Collective",
     "GroupSplit", "SubPlan", "GroupCombine", "Loop", "Scalar",
     "FusedKernel", "apply_fused",
     "base_fragment", "fragment_ops", "DEFAULT_FRAGMENT_OPS",

@@ -69,14 +69,13 @@ def _cost_rows(plan: ir.Plan, spec, fn_ops: float, element_bytes: int | None):
     total = plan_cost(plan, spec=spec, fn_ops=fn_ops,
                       element_bytes=element_bytes)
     for i, instr in enumerate(plan.instrs):
-        one = plan_cost(ir.Plan((instr,), plan.nprocs, plan.grid, False),
+        one = plan_cost(ir.Plan((instr,), plan.nprocs, plan.grid),
                         spec=spec, fn_ops=fn_ops, element_bytes=element_bytes)
         rows.append([f"[{i:>2}] {ir.instr_title(instr)}",
                      f"{one.seconds:.3e}", one.messages, one.barriers])
         if isinstance(instr, ir.Loop):
             for it, body in enumerate(instr.bodies):
-                c = plan_cost(ir.Plan(tuple(body), plan.nprocs, plan.grid,
-                                      False),
+                c = plan_cost(ir.Plan(tuple(body), plan.nprocs, plan.grid),
                               spec=spec, fn_ops=fn_ops,
                               element_bytes=element_bytes)
                 rows.append([f"      iter {it}", f"{c.seconds:.3e}",

@@ -82,10 +82,6 @@ def plan_cost(plan: ir.Plan, *, spec: MachineSpec = PERFECT,
             passes = len(parts) if parts is not None else 1
             return ExprCost(fn_time * passes + barrier, 0, 1)
 
-        if isinstance(instr, ir.Rotate):
-            # one message in and out per component, overlapped across procs
-            return ExprCost(msg, n, 1)
-
         if isinstance(instr, ir.Exchange):
             total, degree = instr.traffic
             if total == 0:

@@ -17,8 +17,7 @@ Instruction set:
 
 ==================  =====================================================
 :class:`LocalApply`  apply a base-language fragment to the local value
-:class:`Rotate`      cyclic shift by ``k`` (dst/src are rank arithmetic)
-:class:`Exchange`    static point-to-point pattern (fetch / send family)
+:class:`Exchange`    static point-to-point pattern (rotate / fetch / send)
 :class:`Collective`  fold / scan / broadcast via the machine collectives
 :class:`GroupSplit`  enter a processor group (communicator split)
 :class:`SubPlan`     run a nested plan inside the current group
@@ -41,13 +40,13 @@ from typing import Any, Callable, Sequence
 __all__ = [
     "DEFAULT_FRAGMENT_OPS", "base_fragment", "fragment_ops",
     "fragment_ops_all",
-    "Instr", "LocalApply", "Rotate", "Exchange", "Collective",
+    "Instr", "LocalApply", "Exchange", "rotation", "Collective",
     "GroupSplit", "SubPlan", "GroupCombine", "Loop",
     "Plan", "Scalar", "NO_ENV", "instr_title",
     "FusedKernel", "apply_fused",
 ]
 
-#: Default operation count charged per opaque base-language application.
+#: Operation count charged per application of an un-annotated fragment.
 DEFAULT_FRAGMENT_OPS = 10.0
 
 
@@ -70,19 +69,18 @@ def base_fragment(ops: float | Callable[[Any], float]):
     return wrap
 
 
-def fragment_ops(fn: Any, value: Any, default: float = DEFAULT_FRAGMENT_OPS) -> float:
+def fragment_ops(fn: Any, value: Any) -> float:
     """The operation count a fragment application charges for ``value``."""
-    ops = getattr(fn, "scl_ops", default)
+    ops = getattr(fn, "scl_ops", DEFAULT_FRAGMENT_OPS)
     if callable(ops):
         return float(ops(value))
     return float(ops)
 
 
-def fragment_ops_all(fn: Any, values: Sequence[Any],
-                     default: float = DEFAULT_FRAGMENT_OPS) -> list[float]:
+def fragment_ops_all(fn: Any, values: Sequence[Any]) -> list[float]:
     """:func:`fragment_ops` of one fragment for each of ``values`` (every
     rank's input to one instruction); the annotation is read once."""
-    ops = getattr(fn, "scl_ops", default)
+    ops = getattr(fn, "scl_ops", DEFAULT_FRAGMENT_OPS)
     if callable(ops):
         return [float(ops(value)) for value in values]
     return [float(ops)] * len(values)
@@ -154,8 +152,7 @@ class FusedKernel:
         return f"FusedKernel({'+'.join(a.label for a in self.applies)})"
 
 
-def apply_fused(fk: FusedKernel, idx: Any, local: Any,
-                default: float = DEFAULT_FRAGMENT_OPS) -> tuple[Any, float]:
+def apply_fused(fk: FusedKernel, idx: Any, local: Any) -> tuple[Any, float]:
     """Run every constituent of a fused kernel; returns ``(result, ops)``.
 
     Each part charges :func:`fragment_ops` on its *actual* input (the
@@ -164,7 +161,7 @@ def apply_fused(fk: FusedKernel, idx: Any, local: Any,
     """
     total = 0.0
     for a in fk.applies:
-        total += fragment_ops(a.fn, local, default)
+        total += fragment_ops(a.fn, local)
         if a.indexed:
             local = a.fn(idx, local)
         elif a.farm_env is not NO_ENV:
@@ -172,16 +169,6 @@ def apply_fused(fk: FusedKernel, idx: Any, local: Any,
         else:
             local = a.fn(local)
     return local, total
-
-
-@dataclasses.dataclass(frozen=True)
-class Rotate(Instr):
-    """Cyclic shift: rank ``r`` sends to ``(r - k) % p``, receives from
-    ``(r + k) % p`` (so ``out[i] = A[(i + k) % p]``).  ``k`` is already
-    reduced modulo the plan size and non-zero (a zero shift lowers to no
-    instruction at all)."""
-
-    k: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,6 +259,18 @@ class Exchange(Instr):
         return wire(self.sends, self.recvs)
 
 
+@functools.lru_cache(maxsize=256)
+def rotation(k: int, p: int) -> Exchange:
+    """``rotate k`` over ``p`` ranks as the exchange it is: rank ``r``
+    reads from ``(r + k) % p`` (so ``out[i] = A[(i + k) % p]``) and sends
+    to ``(r - k) % p``.  One shared object per ``(k, p)`` — lowering
+    passes ``k`` already reduced modulo ``p`` — so a loop of rotates holds
+    one instruction and its :attr:`~Exchange.traffic` /
+    :attr:`~Exchange.wiring` are scanned once."""
+    return Exchange.from_sources(
+        "replace", [(r + k) % p for r in range(p)], f"rotate {k}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Collective(Instr):
     """A machine collective.
@@ -334,18 +333,22 @@ class Plan:
     """A lowered SPMD program: one instruction stream for ``nprocs`` ranks.
 
     ``grid`` carries the processor-grid shape for 2-D configurations
-    (indexed :class:`LocalApply` then receives ``(row, col)``);
-    ``returns_scalar`` is set when the outermost step is a reduction, so
-    drivers know to unwrap the :class:`Scalar` result.
+    (indexed :class:`LocalApply` then receives ``(row, col)``).
     """
 
     instrs: tuple[Instr, ...]
     nprocs: int
     grid: tuple[int, int] | None = None
-    returns_scalar: bool = False
 
     def __len__(self) -> int:
         return len(self.instrs)
+
+    @property
+    def returns_scalar(self) -> bool:
+        """True when the outermost step is a reduction, whose result every
+        rank holds wrapped in a :class:`Scalar`."""
+        return bool(self.instrs) and isinstance(self.instrs[-1], Collective) \
+            and self.instrs[-1].kind == "fold"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,8 +364,6 @@ def instr_title(instr: Instr) -> str:
     reports (so an instruction is called the same thing everywhere)."""
     if isinstance(instr, LocalApply):
         return f"local {instr.label}"
-    if isinstance(instr, Rotate):
-        return f"rotate k={instr.k}"
     if isinstance(instr, Exchange):
         return f"exchange {instr.label}"
     if isinstance(instr, Collective):

@@ -191,11 +191,9 @@ def tuned_lower(expr: N.Node, nprocs: int,
 def _tune_and_lower(expr: N.Node, nprocs: int, grid, opt, *,
                     beam: int, fn_ops: float,
                     element_bytes: int | None) -> TunedPlan:
-    from repro.machine.cost import PERFECT
     from repro.tune import tune_expression
 
-    spec = opt.spec if opt.spec is not None else PERFECT
-    res = tune_expression(expr, nprocs=nprocs, grid=grid, spec=spec,
+    res = tune_expression(expr, nprocs=nprocs, grid=grid, spec=opt.spec,
                           opt=opt, beam=beam, fn_ops=fn_ops,
                           element_bytes=element_bytes)
     winner = res.best if res.improved else res.original
@@ -238,9 +236,7 @@ def _lower(expr: N.Node, nprocs: int, grid: tuple[int, int] | None,
            memo: dict | None = None) -> ir.Plan:
     out: list[ir.Instr] = []
     _emit(expr, nprocs, grid, out, [], memo)
-    returns_scalar = bool(out) and isinstance(out[-1], ir.Collective) \
-        and out[-1].kind == "fold"
-    return ir.Plan(tuple(out), nprocs, grid, returns_scalar)
+    return ir.Plan(tuple(out), nprocs, grid)
 
 
 def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
@@ -329,35 +325,17 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
     if isinstance(node, N.RotateRow):
         _require_grid(grid, "rotate_row")
         rows, cols = grid
-        sends, recvs = [], []
-        for r in range(p):
-            i, j = divmod(r, cols)
-            k = node.df(i) % cols
-            if k == 0:
-                sends.append(())
-                recvs.append((r,))
-            else:
-                sends.append((i * cols + (j - k) % cols,))
-                recvs.append((i * cols + (j + k) % cols,))
-        out.append(ir.Exchange("replace", tuple(sends), tuple(recvs),
-                               label="rotate_row"))
+        srcs = [i * cols + (j + node.df(i)) % cols
+                for i in range(rows) for j in range(cols)]
+        out.append(ir.Exchange.from_sources("replace", srcs, "rotate_row"))
         return
 
     if isinstance(node, N.RotateCol):
         _require_grid(grid, "rotate_col")
         rows, cols = grid
-        sends, recvs = [], []
-        for r in range(p):
-            i, j = divmod(r, cols)
-            k = node.df(j) % rows
-            if k == 0:
-                sends.append(())
-                recvs.append((r,))
-            else:
-                sends.append((((i - k) % rows) * cols + j,))
-                recvs.append((((i + k) % rows) * cols + j,))
-        out.append(ir.Exchange("replace", tuple(sends), tuple(recvs),
-                               label="rotate_col"))
+        srcs = [((i + node.df(j)) % rows) * cols + j
+                for i in range(rows) for j in range(cols)]
+        out.append(ir.Exchange.from_sources("replace", srcs, "rotate_col"))
         return
 
     if isinstance(node, N.Fold):
@@ -373,7 +351,7 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
         _no_grid(grid, "rotate")
         k = node.k % p
         if k != 0:
-            out.append(ir.Rotate(k))
+            out.append(ir.rotation(k, p))
         return
 
     if isinstance(node, N.Fetch):

@@ -9,9 +9,10 @@ identity routing can bring two local applies together):
 
 1. **Exchange coalescing** — the paper's
    ``send f . send g = send (f ∘ g)``: adjacent pure-routing instructions
-   (``Rotate`` and replace-mode ``Exchange``) compose into a single
-   message round; ``Rotate k1 . Rotate k2`` folds to
-   ``Rotate (k1+k2 mod p)`` and identity routings are dropped entirely.
+   (replace-mode ``Exchange`` s, a rotate's shift among them) compose
+   into a single message round — ``rotate k1 . rotate k2`` comes out as
+   the tables of ``rotate (k1+k2)`` — and identity routings are dropped
+   entirely.
    Each composition is cost-guarded: it is kept only when
    :func:`~repro.plan.cost.plan_cost` predicts no more seconds and no
    more messages than the pair it replaces (a hot-spot ``fetch`` composed
@@ -61,8 +62,8 @@ class OptConfig:
     alias.
     """
 
-    #: Cost model of the coalescing guard; ``None`` prices on ``AP1000``.
-    spec: MachineSpec | None = None
+    #: Cost model of the coalescing guard (and of a tuned search's ranking).
+    spec: MachineSpec = AP1000
 
     @classmethod
     def for_machine(cls, machine: Any) -> "OptConfig":
@@ -88,15 +89,11 @@ def optimize_plan_report(plan: ir.Plan,
                          config: OptConfig) -> tuple[ir.Plan, tuple[PassNote, ...]]:
     """Like :func:`optimize_plan` but also reports what each pass did."""
     notes: list[PassNote] = []
-    guard_spec = config.spec if config.spec is not None else AP1000
-    instrs = _coalesce_seq(plan.instrs, plan, guard_spec, notes)
+    instrs = _coalesce_seq(plan.instrs, plan, config.spec, notes)
     instrs = _fuse_seq(instrs, notes)
     if instrs is plan.instrs:
         return plan, tuple(notes)
-    returns_scalar = bool(instrs) and isinstance(instrs[-1], ir.Collective) \
-        and instrs[-1].kind == "fold"
-    return (ir.Plan(tuple(instrs), plan.nprocs, plan.grid, returns_scalar),
-            tuple(notes))
+    return ir.Plan(tuple(instrs), plan.nprocs, plan.grid), tuple(notes)
 
 
 # ---------------------------------------------------------------- fusion
@@ -165,21 +162,13 @@ def _fuse_nested(instr: ir.Instr, notes: list[PassNote]) -> ir.Instr:
 
 def _route_map(instr: ir.Instr, p: int) -> tuple[int, ...] | None:
     """``srcs[r]`` of a pure-routing instruction, or ``None``."""
-    if isinstance(instr, ir.Rotate):
-        return tuple((r + instr.k) % p for r in range(p))
     if isinstance(instr, ir.Exchange) and instr.mode == "replace":
         return tuple(instr.recvs[r][0] for r in range(p))
     return None
 
 
-def _route_label(instr: ir.Instr) -> str:
-    return (f"rot{instr.k}" if isinstance(instr, ir.Rotate)
-            else instr.label)
-
-
 def _cost_of(instrs, plan: ir.Plan, spec: MachineSpec) -> tuple[float, int]:
-    c = plan_cost(ir.Plan(tuple(instrs), plan.nprocs, plan.grid, False),
-                  spec=spec)
+    c = plan_cost(ir.Plan(tuple(instrs), plan.nprocs, plan.grid), spec=spec)
     return c.seconds, c.messages
 
 
@@ -197,7 +186,7 @@ def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
         if srcs is not None and all(s == r for r, s in enumerate(srcs)):
             # identity routing: no traffic, no result change — drop it
             notes.append(PassNote(
-                "coalesce", f"dropped identity {_route_label(instr)}"))
+                "coalesce", f"dropped identity {instr.label}"))
             changed = True
             continue
         if out and srcs is not None:
@@ -224,14 +213,11 @@ def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
     identity (both dropped), or a 1-tuple with the merged instruction.
     """
     composed = tuple(srcs_a[srcs_b[r]] for r in range(p))
-    la, lb = _route_label(a), _route_label(b)
+    la, lb = a.label, b.label
     if all(s == r for r, s in enumerate(composed)):
         notes.append(PassNote("coalesce", f"{la} . {lb} cancels out"))
         return ()
-    if isinstance(a, ir.Rotate) and isinstance(b, ir.Rotate):
-        merged: ir.Instr = ir.Rotate((a.k + b.k) % p)
-    else:
-        merged = ir.Exchange.from_sources("replace", composed, f"{la}+{lb}")
+    merged = ir.Exchange.from_sources("replace", composed, f"{la}+{lb}")
     sec_m, msg_m = _cost_of([merged], plan, spec)
     sec_ab, msg_ab = _cost_of([a, b], plan, spec)
     if sec_m > sec_ab or msg_m > msg_ab:

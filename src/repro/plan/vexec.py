@@ -13,8 +13,7 @@ one whole instruction at a time.
   straight off the instruction's receive table — no message carries it.
 * **Time**: each instruction is one bulk step of the timeline — a
   ``LocalApply`` one :meth:`~repro.machine.lockstep.Lockstep.work_all`
-  of the charges the interpreter would have yielded, an ``Exchange`` (or
-  a ``Rotate``, which is the exchange of its shift) one
+  of the charges the interpreter would have yielded, an ``Exchange`` one
   :meth:`~repro.machine.lockstep.Lockstep.exchange` over its tables with
   each sender's value sized once, a ``Collective`` one ``exchange`` per
   round of its schedule (:func:`repro.machine.collectives.bcast_rounds`
@@ -30,17 +29,16 @@ one whole instruction at a time.
   error and the walk has no per-request path to fall back on.
 
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
-only — ``LocalApply`` / ``Rotate`` / ``Exchange`` / ``Collective`` /
-``Loop`` — whose exchanges are all wired.  Group instructions keep the
-interpreter path (their value is nesting, not throughput).  Whether a run
-takes the walk at all is the machine's decision
+only — ``LocalApply`` / ``Exchange`` / ``Collective`` / ``Loop`` — whose
+exchanges are all wired.  Group instructions keep the interpreter path
+(their value is nesting, not throughput).  Whether a run takes the walk
+at all is the machine's decision
 (:meth:`repro.machine.simulator.Machine.run`): traced, fault-injected and
 single-port machines interpret.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Sequence
 
 from repro.machine import collectives as C
@@ -59,8 +57,6 @@ def supported(plan: ir.Plan) -> bool:
 
 def _seq_supported(instrs, p: int) -> bool:
     for instr in instrs:
-        if isinstance(instr, ir.Rotate):
-            instr = _rotation(instr.k, p)
         if isinstance(instr, ir.Exchange):
             if instr.wiring is None or len(instr.sends) != p:
                 return False
@@ -72,69 +68,42 @@ def _seq_supported(instrs, p: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256)
-def _rotation(k: int, p: int) -> ir.Exchange:
-    """``Rotate(k)`` over ``p`` ranks as the exchange it is (a shift that
-    is a multiple of ``p`` is a self-send, which leaves it unwired)."""
-    return ir.Exchange("replace",
-                       tuple(((r - k) % p,) for r in range(p)),
-                       tuple(((r + k) % p,) for r in range(p)), "rotate")
-
-
-class _Ctx:
-    """Everything one walk threads through its steps."""
-
-    __slots__ = ("plan", "timeline", "default")
-
-    def __init__(self, plan, timeline, default):
-        self.plan = plan
-        self.timeline = timeline
-        self.default = default
-
-
-def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
-               default: float = ir.DEFAULT_FRAGMENT_OPS):
+def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep):
     """Walk one execution of ``plan`` over ``values`` on ``timeline``.
 
     Returns the final per-rank local values — with every rank's requests
     made on ``timeline`` along the way — or ``None``, before touching the
     timeline, when the plan contains instructions the walk does not
     cover.  This is the ``walk`` :meth:`Machine.run
-    <repro.machine.simulator.Machine.run>` accepts (bind ``plan``,
-    ``values`` and ``default``).
+    <repro.machine.simulator.Machine.run>` accepts (bind ``plan`` and
+    ``values``).
     """
     if not supported(plan):
         return None
-    return _run_seq(plan.instrs, _Ctx(plan, timeline, default), list(values))
+    return _run_seq(plan.instrs, plan, timeline, list(values))
 
 
 # ------------------------------------------------------------ data plane
 
-def _run_seq(instrs, ctx, values):
+def _run_seq(instrs, plan, timeline, values):
     for instr in instrs:
-        values = _step(instr, ctx, values)
+        values = _step(instr, plan, timeline, values)
     return values
 
 
-def _step(instr, ctx, values):
-    timeline = ctx.timeline
-
+def _step(instr, plan, timeline, values):
     if isinstance(instr, ir.LocalApply):
         # charge first (matching the interpreter's clock order), apply SoA
-        default = ctx.default
         if isinstance(instr.fn, ir.FusedKernel):
             ops = [0.0] * len(values)
             for a in instr.fn.applies:
                 ops = [total + charge for total, charge in
-                       zip(ops, ir.fragment_ops_all(a.fn, values, default))]
-                values = _apply_one(a, ctx.plan, values)
+                       zip(ops, ir.fragment_ops_all(a.fn, values))]
+                values = _apply_one(a, plan, values)
             timeline.work_all(ops)
             return values
-        timeline.work_all(ir.fragment_ops_all(instr.fn, values, default))
-        return _apply_one(instr, ctx.plan, values)
-
-    if isinstance(instr, ir.Rotate):
-        instr = _rotation(instr.k, ctx.plan.nprocs)
+        timeline.work_all(ir.fragment_ops_all(instr.fn, values))
+        return _apply_one(instr, plan, values)
 
     if isinstance(instr, ir.Exchange):
         _exchange(timeline, instr.sends, instr.wiring, values)
@@ -146,11 +115,11 @@ def _step(instr, ctx, values):
         return [values[src] for (src,) in instr.recvs]
 
     if isinstance(instr, ir.Collective):
-        return _collective(instr, values, timeline, ctx.default)
+        return _collective(instr, values, timeline)
 
     if isinstance(instr, ir.Loop):
         for body in instr.bodies:
-            values = _run_seq(body, ctx, values)
+            values = _run_seq(body, plan, timeline, values)
         return values
 
     raise AssertionError(f"unwalkable plan instruction {instr!r}")
@@ -178,7 +147,7 @@ def _apply_one(a: ir.LocalApply, plan, values):
 
 # ----------------------------------------------------------- collectives
 
-def _collective(instr, values, timeline, default):
+def _collective(instr, values, timeline):
     """A collective as the rounds of its schedule: each round one bulk
     exchange of what its senders hold *at that round*, then the receivers'
     combines — the requests, sizes and operand order of
@@ -206,7 +175,7 @@ def _collective(instr, values, timeline, default):
         piece = instr.value
     else:
         local = values[instr.root]
-        timeline.work(instr.root, ir.fragment_ops(op, local, default))
+        timeline.work(instr.root, ir.fragment_ops(op, local))
         piece = op(local)
     _bcast(timeline, piece, rounds)
     return [(piece, mine) for mine in values]

@@ -50,7 +50,6 @@ from repro.scl.nodes import (
     compose_nodes,
 )
 from repro.scl.compile import (
-    CompiledProgram,
     base_fragment,
     fragment_ops,
     run_expression,
@@ -81,7 +80,7 @@ __all__ = [
     "Rotate", "RotateRow", "RotateCol", "Fetch", "AlignFetch", "PermSend",
     "SendNode", "Brdcast", "ApplyBrdcast", "Compose", "Spmd", "Stage",
     "Split", "Combine", "Partition", "Gather", "Farm", "IterFor", "compose_nodes",
-    "CompiledProgram", "base_fragment", "fragment_ops", "run_expression",
+    "base_fragment", "fragment_ops", "run_expression",
     "evaluate",
     "Rule", "RewriteEngine", "RewriteStep",
     "MAP_FUSION", "MAP_DISTRIBUTION", "FETCH_FUSION", "SEND_FUSION",

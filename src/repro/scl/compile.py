@@ -42,25 +42,19 @@ The compiled program carries real data, so :func:`run_expression`'s
 result can be (and in the test-suite, is) cross-checked against the pure
 interpreter — the compiler's correctness statement — while the run's
 makespan prices the program on the machine.  The optimizer's
-:func:`~repro.scl.optimize.estimate_cost` prices the *same* plan the
-machine executes.
+:func:`~repro.scl.optimize.estimate_cost` prices the *raw* lowering of
+an expression; the machine runs the optimized plan unless ``opt="off"``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import Any
 
 from repro.core.pararray import ParArray
 from repro.errors import SkeletonError
 from repro.machine.simulator import Machine, RunResult
-from repro.plan.ir import (
-    DEFAULT_FRAGMENT_OPS,
-    Scalar as _Scalar,
-    base_fragment,
-    fragment_ops,
-)
+from repro.plan.ir import Scalar as _Scalar, base_fragment, fragment_ops
 # Bind the lowering module through sys.modules: `repro.plan.lower` imports
 # `repro.scl.nodes`, whose package __init__ imports this module back, so the
 # `lower` *name* may not exist yet at either import order — and the package
@@ -74,8 +68,7 @@ from repro.scl import nodes as N
 
 _plan_lower = sys.modules["repro.plan.lower"]
 
-__all__ = ["base_fragment", "fragment_ops", "CompiledProgram",
-           "run_expression", "resolve_opt"]
+__all__ = ["base_fragment", "fragment_ops", "run_expression", "resolve_opt"]
 
 
 def resolve_opt(opt: Any, machine: Machine):
@@ -102,7 +95,7 @@ def resolve_opt(opt: Any, machine: Machine):
 def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
                 make_program) -> tuple[Any, RunResult]:
     """Validate ``pa``, lower ``expr``, run, unwrap — what
-    :meth:`CompiledProgram.run` and ``run_expression_ft`` share (internal).
+    :func:`run_expression` and ``run_expression_ft`` share (internal).
     ``make_program(plan, values)`` builds the :meth:`Machine.run` arguments
     ``(program, walk)`` executing ``plan`` over the row-major per-rank
     ``values`` (``walk`` may be ``None``)."""
@@ -128,61 +121,40 @@ def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
     return ParArray(res.values), res
 
 
-@dataclasses.dataclass(frozen=True)
-class CompiledProgram:
-    """A skeleton expression bound to a machine, ready to run."""
-
-    expr: N.Node
-    machine: Machine
-    fragment_default_ops: float = DEFAULT_FRAGMENT_OPS
-    #: Root span label on traced machines (the skeleton/program name the
-    #: observability layer attributes every event to).
-    label: str = "program"
-    #: Plan-optimizer switch: ``"auto"`` (optimize for this machine),
-    #: ``"off"`` / ``None`` (raw plan), or a prebuilt
-    #: :class:`~repro.plan.opt.OptConfig`.
-    opt: Any = "auto"
-
-    def run(self, pa: ParArray) -> tuple[Any, RunResult]:
-        """Execute on the machine; returns (result, run statistics).
-
-        ``pa`` must have exactly one component per processor: 1-D arrays
-        map rank ``r`` to component ``r``; 2-D grids map row-major, and
-        enable the grid communication nodes (``RotateRow``/``RotateCol``).
-        The result is a ParArray of the final per-processor values (same
-        shape as the input), or the reduction scalar for expressions
-        ending in ``Fold``.
-
-        The machine gets the per-rank plan interpreter and the
-        whole-machine walk of :mod:`repro.plan.vexec`, which makes the
-        same requests in the same per-rank order.  Which of the two runs
-        is the machine's choice (:meth:`Machine.run`: the walk when
-        fault-free, untraced and multi-port and the plan is flat; the
-        interpreter otherwise) — the returned values and statistics are
-        identical either way.
-        """
-        from repro.machine.api import Comm
-        from repro.machine.plan_exec import execute_plan
-        from repro.plan import vexec
-
-        default = self.fragment_default_ops
-        label = self.label
-
-        def make_program(plan, values):
-            return (lambda env: execute_plan(plan, env, Comm.world(env),
-                                             values[env.pid], default, label),
-                    functools.partial(vexec.precompute, plan, values,
-                                      default=default))
-
-        return run_lowered(self.expr, pa, self.machine, self.opt,
-                           make_program)
-
-
 def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,
-                   fragment_default_ops: float = DEFAULT_FRAGMENT_OPS,
                    label: str = "program",
                    opt: Any = "auto") -> tuple[Any, RunResult]:
-    """Compile ``expr`` and run it on ``machine`` over ``pa`` (see
-    :class:`CompiledProgram`)."""
-    return CompiledProgram(expr, machine, fragment_default_ops, label,
-                           opt).run(pa)
+    """Compile ``expr`` and run it on ``machine`` over ``pa``; returns
+    (result, run statistics).
+
+    ``pa`` must have exactly one component per processor: 1-D arrays
+    map rank ``r`` to component ``r``; 2-D grids map row-major, and
+    enable the grid communication nodes (``RotateRow``/``RotateCol``).
+    The result is a ParArray of the final per-processor values (same
+    shape as the input), or the reduction scalar for expressions
+    ending in ``Fold``.
+
+    ``label`` is the root span label on traced machines (the
+    skeleton/program name the observability layer attributes every event
+    to); ``opt`` the plan-optimizer switch: ``"auto"`` (optimize for this
+    machine), ``"off"`` / ``None`` (raw plan), or a prebuilt
+    :class:`~repro.plan.opt.OptConfig`.
+
+    The machine gets the per-rank plan interpreter and the
+    whole-machine walk of :mod:`repro.plan.vexec`, which makes the
+    same requests in the same per-rank order.  Which of the two runs
+    is the machine's choice (:meth:`Machine.run`: the walk when
+    fault-free, untraced and multi-port and the plan is flat; the
+    interpreter otherwise) — the returned values and statistics are
+    identical either way.
+    """
+    from repro.machine.api import Comm
+    from repro.machine.plan_exec import execute_plan
+    from repro.plan import vexec
+
+    def make_program(plan, values):
+        return (lambda env: execute_plan(plan, env, Comm.world(env),
+                                         values[env.pid], label),
+                functools.partial(vexec.precompute, plan, values))
+
+    return run_lowered(expr, pa, machine, opt, make_program)

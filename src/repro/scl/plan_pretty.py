@@ -36,8 +36,6 @@ def _describe(instr: ir.Instr, tables: bool) -> str:
         if instr.farm_env is not ir.NO_ENV:
             detail += "  env=" + repr(instr.farm_env)
         return f"local    {kind} {detail}"
-    if isinstance(instr, ir.Rotate):
-        return f"rotate   k={instr.k}"
     if isinstance(instr, ir.Exchange):
         total = sum(len(s) for s in instr.sends)
         fan_in = max((sum(1 for s in r if s != i)

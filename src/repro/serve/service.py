@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.errors import SclError, SkeletonError
 from repro.machine import Machine, MachineSpec, PERFECT
 from repro.machine.simulator import RunResult
-from repro.machine.topology import FullyConnected, Ring
+from repro.machine.topology import Ring
 from repro.machine.trace import Span, TraceEvent
 from repro.obs.latency import rollup_by, summarize_latencies
 from repro.obs.metrics import (
@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     SloMonitor,
     register_plan_cache_gauges,
 )
-from repro.plan.ir import DEFAULT_FRAGMENT_OPS
 from repro.plan.lower import plan_cache_stats
 from repro.scl import nodes as N
 from repro.stream.plan import StreamOp, StreamPlan, StreamRunStats, Source
@@ -75,8 +74,6 @@ class PlanEndpoint:
     nprocs: int
     spec: MachineSpec = PERFECT
     opt: Any = "auto"
-    fragment_ops: float = DEFAULT_FRAGMENT_OPS
-    topology: str = "ring"
     #: Route the expression through :func:`repro.plan.lower.tuned_lower`:
     #: the first request pays a beam search over the rewrite space
     #: (scored against this endpoint's machine), every later request
@@ -88,9 +85,6 @@ class PlanEndpoint:
         if self.nprocs < 1:
             raise SkeletonError(f"endpoint {self.name!r}: nprocs must be "
                                 f">= 1, got {self.nprocs}")
-        if self.topology not in ("ring", "full"):
-            raise SkeletonError(f"endpoint {self.name!r}: topology must be "
-                                f"'ring' or 'full', got {self.topology!r}")
 
     def default_payload(self, rng: Any) -> list[float]:
         return [float(v) for v in rng.integers(1, 100, size=self.nprocs)]
@@ -98,9 +92,7 @@ class PlanEndpoint:
     def _machine(self) -> Machine:
         if self.nprocs == 1:
             return Machine(1, spec=self.spec)
-        topo = (Ring(self.nprocs) if self.topology == "ring"
-                else FullyConnected(self.nprocs))
-        return Machine(topo, spec=self.spec)
+        return Machine(Ring(self.nprocs), spec=self.spec)
 
     def execute(self, payload: Any, machines: dict[str, Machine],
                 metrics: Any = None) -> tuple[Any, int, float]:
@@ -127,10 +119,8 @@ class PlanEndpoint:
                                 opt=resolve_opt(self.opt, machine),
                                 beam=self.beam)
             expr = tuned.expr
-        out, result = run_expression(
-            expr, ParArray(values), machine,
-            fragment_default_ops=self.fragment_ops, label=self.name,
-            opt=self.opt)
+        out, result = run_expression(expr, ParArray(values), machine,
+                                     label=self.name, opt=self.opt)
         if isinstance(out, ParArray):
             out = out.to_list()
         return out, _run_events(result), result.makespan

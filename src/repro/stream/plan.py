@@ -52,7 +52,6 @@ from repro.errors import SkeletonError
 from repro.machine import Machine, MachineSpec, PERFECT
 from repro.machine.simulator import RunResult
 from repro.machine.topology import FullyConnected, Ring
-from repro.plan.ir import DEFAULT_FRAGMENT_OPS
 from repro.scl import nodes as N
 from repro.stream._runner import run_staged
 
@@ -204,7 +203,6 @@ class MapPlan(StreamOp):
     expr: N.Node
     spec: MachineSpec = PERFECT
     opt: Any = "auto"
-    fragment_ops: float = DEFAULT_FRAGMENT_OPS
     topology: str = "ring"
     label: str = "stream"
 
@@ -238,10 +236,8 @@ class MapPlan(StreamOp):
         machine = machines.get(m)
         if machine is None:
             machine = machines[m] = self._machine(m)
-        out, result = run_expression(
-            self.expr, ParArray(list(chunk)), machine,
-            fragment_default_ops=self.fragment_ops, label=self.label,
-            opt=self.opt)
+        out, result = run_expression(self.expr, ParArray(list(chunk)), machine,
+                                     label=self.label, opt=self.opt)
         if stats is not None:
             stats.observe_run(result)
         if isinstance(out, ParArray):

@@ -165,7 +165,7 @@ class TestEstimateNbytesFlatFastPath:
 
 
 def _reference_nbytes(payload, wb):
-    """The documented recursive definition, with no fast path or memo."""
+    """The documented recursive definition, with no fast path."""
     import numbers
 
     if isinstance(payload, np.ndarray):
@@ -199,9 +199,9 @@ _PAYLOADS = st.recursive(
 
 
 class TestEstimateNbytesArrayTuples:
-    """A small tuple directly holding an ndarray — every partner exchange
-    of the compiled hyperquicksort — is unhashable, so it is summed on the
-    spot instead of probing the tuple memo; sizes are unchanged."""
+    """A tuple directly holding an ndarray — every partner exchange of the
+    compiled hyperquicksort — is summed on the spot; sizes are those of
+    the recursive definition."""
 
     @given(_PAYLOADS, st.sampled_from([4, 8]))
     def test_every_shape_matches_the_recursive_definition(self, payload, wb):
@@ -215,26 +215,3 @@ class TestEstimateNbytesArrayTuples:
     ])
     def test_pinned_sizes(self, payload, expected):
         assert estimate_nbytes(payload, 4) == expected
-
-    def test_the_memo_is_not_consulted_for_array_tuples(self, monkeypatch):
-        from repro.machine import cost
-
-        probes = []
-
-        class Memo(dict):
-            def __getitem__(self, key):
-                probes.append(key)
-                return super().__getitem__(key)
-
-        monkeypatch.setattr(cost, "_NBYTES_CACHE", Memo())
-        halves = (np.arange(6), np.arange(3))
-        assert estimate_nbytes(halves, 4) == halves[0].nbytes + halves[1].nbytes
-        assert estimate_nbytes((1, halves[0]), 4) == 4 + halves[0].nbytes
-        assert probes == []
-        # ...while a hashable tuple still goes through it
-        assert estimate_nbytes((1, 2.5), 4) == 8
-        assert probes == [(4, (1, 2.5))]
-        # ...and so does an array nested one level down (unhashable: the
-        # probe raises and the walk answers)
-        assert estimate_nbytes((1, [halves[1]]), 4) == 4 + halves[1].nbytes
-        assert len(probes) == 2

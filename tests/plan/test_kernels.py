@@ -62,8 +62,8 @@ class TestElementwiseCostTag:
     def test_fragment_ops_scales_with_size(self):
         frag = elementwise(np.sqrt, ops_per_elem=3.0)
         v = np.ones((8, 16))
-        assert fragment_ops(frag, v, 1.0) == 3.0 * v.size
-        assert fragment_ops(frag, np.ones(5), 1.0) == 15.0
+        assert fragment_ops(frag, v) == 3.0 * v.size
+        assert fragment_ops(frag, np.ones(5)) == 15.0
 
     def test_registered_both_ways(self):
         frag = elementwise(np.exp, name="exp")

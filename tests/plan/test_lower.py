@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.partition import Block
 from repro.errors import SkeletonError
-from repro.machine import AP1000
+from repro.machine import AP1000, PERFECT
 from repro.plan import ir
 from repro.plan.cost import ExprCost, plan_cost
 from repro.plan.lower import (
@@ -74,11 +74,34 @@ class TestStructure:
     def test_rotate_index_arithmetic_is_pre_reduced(self):
         plan = lower(Rotate(-3), 8)
         (instr,) = plan.instrs
-        assert isinstance(instr, ir.Rotate) and instr.k == 5
+        assert instr is ir.rotation(5, 8) and instr.label == "rotate 5"
 
     def test_full_turn_rotation_is_elided(self):
         assert lower(Rotate(8), 8).instrs == ()
         assert lower(Rotate(0), 8).instrs == ()
+
+    @pytest.mark.parametrize("p", range(1, 18))
+    def test_a_rotate_lowers_to_the_tables_of_its_shift(self, p):
+        for k in range(-2 * p, 2 * p + 1):
+            instrs = lower(Rotate(k), p).instrs
+            if k % p == 0:
+                assert instrs == ()
+                continue
+            (shift,) = instrs
+            assert shift.mode == "replace"
+            assert shift.sends == tuple(((r - k) % p,) for r in range(p))
+            assert shift.recvs == tuple(((r + k) % p,) for r in range(p))
+            assert shift.wiring is not None and shift.traffic == (p, 1)
+
+    def test_a_loop_of_rotates_holds_one_exchange(self):
+        # one object per (k mod p, p), or 64 iterations x 4096 ranks of
+        # tables are built, scanned and wired 64 times over
+        (loop,) = lower(IterFor(64, lambda i: Rotate(1 + 4096 * i)),
+                        4096).instrs
+        assert len(loop.bodies) == 64
+        first = loop.bodies[0][0]
+        assert all(len(body) == 1 and body[0] is first
+                   for body in loop.bodies)
 
     def test_fetch_tables_are_static(self):
         plan = lower(Fetch(lambda r: 0), 4)
@@ -108,7 +131,8 @@ class TestStructure:
         (loop,) = plan.instrs
         assert isinstance(loop, ir.Loop) and len(loop.bodies) == 3
         assert loop.bodies[0] == ()  # rotate 0 elided
-        assert loop.bodies[1][0].k == 1
+        assert loop.bodies[1] == (ir.rotation(1, 8),)
+        assert loop.bodies[2] == (ir.rotation(2, 8),)
 
     def test_split_groups_and_subplans(self):
         inner = compose_nodes(Rotate(1), Map(lambda x: -x))
@@ -468,13 +492,16 @@ class TestTunedCache:
         assert plan_cache_stats()["tuned_misses"] == 2
 
     def test_opt_config_is_part_of_the_key(self):
-        from repro.machine.cost import AP1000
-        from repro.plan.opt import OptConfig
-
         expr = compose_nodes(Map(_inc), Rotate(1), Rotate(-1))
-        tuned_lower(expr, 8, opt=OptConfig())
         tuned_lower(expr, 8, opt=OptConfig(spec=AP1000))
+        tuned_lower(expr, 8, opt=OptConfig(spec=PERFECT))
         assert plan_cache_stats()["tuned_misses"] == 2
+
+    def test_no_config_is_the_default_config(self):
+        # guard and ranking price on one spec, so the entries are shared
+        expr = compose_nodes(Map(_inc), Rotate(1), Rotate(-1))
+        assert tuned_lower(expr, 8).plan \
+            is tuned_lower(expr, 8, opt=OptConfig(AP1000)).plan
 
     def test_clear_drops_the_tuned_tier(self):
         expr = compose_nodes(Map(_inc), Rotate(1), Rotate(-1))

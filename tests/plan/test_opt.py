@@ -130,7 +130,7 @@ class TestFusion:
 
         plan = optimize_plan(lower(compose_nodes(Map(g), Map(f)), 2), CFG)
         (instr,) = plan.instrs
-        result, ops = ir.apply_fused(instr.fn, 0, 5, 10.0)
+        result, ops = ir.apply_fused(instr.fn, 0, 5)
         assert result == (5 + 1) * 2
         assert ops == 100 + 10 * 6  # g is charged on f's output
 
@@ -140,7 +140,9 @@ class TestCoalesce:
         plan = optimize_plan(lower(compose_nodes(Rotate(2), Rotate(1)), 8),
                              CFG)
         (instr,) = plan.instrs
-        assert isinstance(instr, ir.Rotate) and instr.k == 3
+        shift = ir.rotation(3, 8)
+        assert (instr.mode, instr.sends, instr.recvs) == (
+            "replace", shift.sends, shift.recvs)
 
     def test_inverse_rotations_cancel_entirely(self):
         plan = optimize_plan(lower(compose_nodes(Rotate(5), Rotate(3)), 8),
@@ -221,6 +223,9 @@ class TestPassWitnesses:
     @shipped_specs
     def test_coalescing_sends_strictly_fewer_messages(self, spec):
         build, p = WITNESSES["coalesce"]
+        (merged,) = lower(build(), p, opt=OptConfig(spec=spec)).instrs
+        shift = ir.rotation(5, p)
+        assert (merged.sends, merged.recvs) == (shift.sends, shift.recvs)
         want, res_off = run_expression(
             build(), PA8, Machine(FullyConnected(p), spec=spec), opt="off")
         got, res_opt = run_expression(
@@ -353,7 +358,7 @@ class TestKernelRegistry:
         batched = kernels.batched_apply(frag, vals)
         for got, v in zip(batched, vals):
             assert np.array_equal(got, np.sqrt(v))
-        assert ir.fragment_ops(frag, vals[0], 10.0) == 2.0 * 5
+        assert ir.fragment_ops(frag, vals[0]) == 2.0 * 5
 
 
 class TestFaultTolerantPath:

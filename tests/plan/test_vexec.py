@@ -1,6 +1,6 @@
 """The whole-machine walk against the interpreter, through ``run_expression``.
 
-``CompiledProgram.run`` hands the machine :func:`repro.plan.vexec.precompute`
+``run_expression`` hands the machine :func:`repro.plan.vexec.precompute`
 beside the per-rank interpreter; on a fault-free, untraced, multi-port
 machine it takes the walk, which drives the lockstep timeline
 (:mod:`repro.machine.lockstep`) instead of any event engine.  The contract
@@ -334,7 +334,7 @@ BAD_PLANS = {
 
 
 def run_plan(plan, values, machine, *, walk):
-    """Hand ``machine`` what ``CompiledProgram.run`` would for ``plan``:
+    """Hand ``machine`` what ``run_expression`` would for ``plan``:
     the per-rank interpreter and, with ``walk``, the whole-machine walk."""
     return machine.run(
         lambda env: execute_plan(plan, env, Comm.world(env),
@@ -382,8 +382,11 @@ def test_an_exchange_built_for_another_size_is_declined():
 
 @pytest.mark.parametrize("k", [0, 4, -8])
 def test_a_rotate_by_a_multiple_of_p_is_left_to_the_interpreter(k):
-    # every rank would send to itself: the engines' error, not a silent no-op
-    plan = ir.Plan((ir.Rotate(k),), 4)
+    # hand-written shift tables (lowering elides such a rotate): every rank
+    # would send to itself — the engines' error, not a silent no-op
+    shift = _exchange(4, sends={r: ((r - k) % 4,) for r in range(4)},
+                      recvs={r: (r + k) % 4 for r in range(4)})
+    plan = ir.Plan((shift,), 4)
     assert not vexec.supported(plan)
     for walk in (True, False):
         with pytest.raises(MachineError, match="sent a message to itself"):

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from repro.core import Block, Cyclic, ParArray
 from repro.errors import SkeletonError
 from repro.machine import AP1000, PERFECT, Hypercube, Machine
+from repro.plan.ir import DEFAULT_FRAGMENT_OPS
 from repro.scl import (
     AlignFetch,
     ApplyBrdcast,
     Brdcast,
     Combine,
-    CompiledProgram,
     Farm,
     Fetch,
     Fold,
@@ -186,7 +186,7 @@ class TestCostCharging:
         assert fragment_ops(f, [1, 2, 3]) == 6
 
     def test_unannotated_uses_default(self):
-        assert fragment_ops(lambda x: x, None, default=7.5) == 7.5
+        assert fragment_ops(lambda x: x, None) == DEFAULT_FRAGMENT_OPS == 10.0
 
     def test_expensive_fragments_take_longer(self):
         @base_fragment(ops=1)
@@ -306,6 +306,15 @@ class TestCompiledHyperquicksort:
         vals = rng.integers(0, 10**6, size=1024).astype(np.int32)
         out, _res = hyperquicksort_compiled(vals, d)
         assert np.array_equal(out, np.sort(vals))
+
+    def test_no_cost_parameter_is_accepted_and_ignored(self):
+        # the fragments are module-level and charge the default
+        # SortCostParams; a params= here could only be dropped silently
+        from repro.apps.sort import SortCostParams, hyperquicksort_compiled
+
+        with pytest.raises(TypeError, match="params"):
+            hyperquicksort_compiled(np.arange(64, dtype=np.int32), 2,
+                                    params=SortCostParams())
 
     def test_expression_interprets_too(self, rng):
         from repro.apps.sort import hyperquicksort_expression, seq_quicksort
@@ -557,4 +566,4 @@ class TestGridCompilationEdgeCases:
 
     def test_3d_input_rejected(self):
         with pytest.raises(SkeletonError):
-            CompiledProgram(Id(), self.grid_machine()).run("nonsense")
+            run_expression(Id(), "nonsense", self.grid_machine())

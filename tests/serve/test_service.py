@@ -47,8 +47,6 @@ class TestRegistry:
     def test_endpoint_validation(self):
         with pytest.raises(SkeletonError, match="nprocs"):
             PlanEndpoint("x", Scan(operator.add), nprocs=0)
-        with pytest.raises(SkeletonError, match="topology"):
-            PlanEndpoint("x", Scan(operator.add), nprocs=2, topology="star")
 
 
 class TestExecution:

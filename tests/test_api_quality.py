@@ -13,7 +13,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * nothing current still points at the retired host-time harness,
 * the optimizer's config carries no field, and the compile/tune surface
   no ``topo`` parameter, that exists only to be passed along,
-* the whole-machine walk makes no per-request timeline call.
+* the whole-machine walk makes no per-request timeline call,
+* the Plan IR has one point-to-point instruction and its transports two
+  methods, and the un-annotated fragment cost is nobody's parameter.
 """
 
 from __future__ import annotations
@@ -167,6 +169,47 @@ def test_the_walk_makes_no_per_request_timeline_call():
                       for alias in node.names}
                      & {"Send", "Recv", "Compute", "DIRECT"})
     assert not calls and not imports, (calls, imports)
+
+
+def test_a_plan_transport_is_exchange_and_collective():
+    """A rotate is the exchange of its shift: the IR has no instruction
+    for it and neither transport a method."""
+    from repro.faults.plan_exec import ReliableTransport
+    from repro.machine.plan_exec import DirectTransport
+    from repro.plan import ir
+
+    assert not hasattr(ir, "Rotate")
+    for transport in (DirectTransport, ReliableTransport):
+        public = {name for name, member in vars(transport).items()
+                  if inspect.isfunction(member) and not name.startswith("_")}
+        assert public == {"exchange", "collective"}, transport.__name__
+
+
+@pytest.mark.parametrize("modname", [
+    "repro.scl.compile", "repro.machine.plan_exec", "repro.plan.vexec",
+    "repro.faults.plan_exec", "repro.serve.service", "repro.stream.plan"])
+def test_the_fragment_cost_default_is_not_passed_around(modname):
+    """``ir.DEFAULT_FRAGMENT_OPS`` has one value in use, read where a
+    charge is computed; no function, method or dataclass on the compiled
+    path takes it as a parameter or keeps it as a field."""
+    import dataclasses
+
+    banned = {"default", "fragment_default_ops", "fragment_ops"}
+    mod = importlib.import_module(modname)
+    owned = [obj for obj in vars(mod).values()
+             if getattr(obj, "__module__", None) == modname]
+    functions = [obj for obj in owned if inspect.isfunction(obj)]
+    offenders = []
+    for cls in (obj for obj in owned if inspect.isclass(obj)):
+        functions += [m for m in vars(cls).values() if inspect.isfunction(m)]
+        if dataclasses.is_dataclass(cls):
+            offenders += [f"{cls.__name__}.{f.name}"
+                          for f in dataclasses.fields(cls)
+                          if f.name in banned]
+    offenders += [f"{fn.__qualname__}({name}=)" for fn in functions
+                  for name in inspect.signature(fn).parameters
+                  if name in banned]
+    assert not offenders, f"{modname}: {offenders}"
 
 
 def test_top_level_all_is_complete():
