@@ -129,7 +129,12 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
     apply to the resilient run too; the whole-machine walk does not,
     since traffic here is retransmitted and timing-dependent), but
     execution over a :class:`ReliableChannel` per processor — use with a
-    machine constructed with a fault injector.
+    machine constructed with a fault injector.  On an injector-less
+    machine the result is the same, but every channel receive carries a
+    timeout, which the batched engine declines: the run moves to the
+    per-event engine at its first timed receive
+    (:func:`repro.faults.apps.ft_hyperquicksort_machine` always installs
+    an injector and never meets the batched engine).
     """
     def make_program(plan, values):
         def program(env):

@@ -13,31 +13,44 @@ Why this is sound
 -----------------
 
 The event engine processes requests in the global order ``(virtual time,
-pid, program order)``.  Three consequences (each proven against the
-reference semantics and guarded by ``tests/machine/test_equivalence.py``
-and ``tests/machine/test_batch.py``):
+pid, program order)``.  Two consequences (guarded by
+``tests/machine/test_equivalence.py`` and ``tests/machine/test_batch.py``):
 
 * A concrete ``(src, tag)`` receive matches the n-th unconsumed message of
   that stream in sender program order — independent of any other
-  processor's schedule.  Deep per-processor drives therefore commute.
-* An ``ANY`` receive posted at key ``R = (post_time, pid)`` takes the
-  minimum ``(arrival, send key)`` among matching messages with send key
-  below ``R``, else the matching send with the minimum key above ``R``
-  (the direct hand-off).  Both are decidable from a *frozen* message set
-  once every other processor is finished or provably unable to send below
-  the candidate key — the conservative-lookahead bound: a blocked
-  processor's future sends carry keys at or above ``(post_time, pid)``,
-  relaxed through chains of concrete waits (Bellman-style).
+  processor's schedule.  Deep per-processor drives therefore commute, and
+  a stream is a list plus a head index.
 * Per-processor float accounting (compute/overhead/idle) is accumulated
   in program order, so the sums see the exact addition sequence of the
   event engine and stay bit-identical.
 
-Epoch/lookahead invariant: between two quiescence points the engine only
-commits events whose outcome is independent of undriven processors; any
-receive whose outcome the bounds cannot decide parks until quiescence,
-and if quiescence cannot decide it either, the run restarts on the
-per-event oracle (:class:`BatchFallback`) — the same transparent-fallback
-contract traced and faulted runs use.
+A wildcard receive depends on the global order, so it parks until its
+processor is the last one alive.  Nobody can send any more: the remaining
+traffic is frozen into one snapshot sorted by send key, and when arrivals
+are non-decreasing in that order the mailbox minimum and the direct
+hand-off are both "the next unconsumed matching row" — a pointer walk
+(:class:`_Snap`).
+
+Declined, and why
+-----------------
+
+Everything else leaves through :class:`BatchFallback`, raised from the
+drive loop the moment it is seen; the run restarts on the per-event
+engine, the semantics oracle, which decides each of these shapes faster
+than a batched schedule measured on it (``docs/calibration.md``, "The
+batched event core"):
+
+* a receive that carries a timeout — whether it fires depends on where
+  every other processor's clock stands, which a deep drive has already
+  moved past;
+* a quiescence with two or more processors blocked — a wildcard race, or
+  a deadlock among concrete receives (the per-event engine reports the
+  canonical :class:`~repro.errors.DeadlockError`);
+* a last-processor snapshot whose arrivals are not monotone in send
+  order (a small message overtook a big one on the wire), which every
+  wildcard receive would have to rescan;
+* a program that issued a request without yielding it, and a message
+  sent to a processor that had already finished with it unconsumed.
 
 The engine is active only for ``faults is None``, untraced,
 multi-port runs; everything else takes the per-event path unchanged.
@@ -57,14 +70,12 @@ from repro.machine.events import ANY, Compute, Message, Recv, Send
 
 __all__ = ["BatchFallback", "run_batched"]
 
-_INF = float("inf")
-
 _R, _B, _D = 0, 1, 2  # ready / blocked / done
 
 # Accumulator slots (per-proc list; folded into ProcStats at finish so the
 # float sums see the exact per-event addition order of the event engine).
 _COMPUTE, _OVH, _IDLE = 0, 1, 2
-_MSG_TX, _MSG_RX, _BYT_TX, _BYT_RX, _RETRANS, _TIMEOUTS = 3, 4, 5, 6, 7, 8
+_MSG_RX, _BYT_TX, _BYT_RX, _RETRANS = 3, 4, 5, 6
 
 
 class BatchFallback(Exception):
@@ -81,14 +92,18 @@ class _Sentinel:
         return self._name
 
 
-#: Closure return values: effect applied / the drive loop must resolve
-#: the receive (pattern parked in ``rcell``).  A satisfied receive
-#: returns the delivered :class:`Message` itself — the drive loop
-#: recognises it by class.  A program that yields a *stale* Message it
-#: received earlier desynchronises ``issued``/``consumed`` and falls
-#: back to the per-event engine, which raises the canonical error.
+#: Closure return values: effect applied / the drive loop must park the
+#: receive (pattern in ``rcell``) / the receive carries a timeout, which
+#: the drive loop declines.  The closures run in the program's frame,
+#: where an ``except Exception`` could swallow a raise, so they only ever
+#: *return* the verdict.  A satisfied receive returns the delivered
+#: :class:`Message` itself — the drive loop recognises it by class.  A
+#: program that yields a *stale* Message it received earlier
+#: desynchronises ``issued``/``consumed`` and falls back to the
+#: per-event engine, which raises the canonical error.
 _OK = _Sentinel("<applied>")
 _RECVQ = _Sentinel("<recv-queued>")
+_TIMED = _Sentinel("<recv-timed>")
 
 # Message is a NamedTuple; building it through the raw C tuple constructor
 # skips the Python-level __new__ wrapper (~2x cheaper per delivery).
@@ -102,18 +117,15 @@ class _Stream:
     payload, nbytes)`` appended in sender program order (= global key
     order restricted to the stream) — the same row layout the solo
     snapshot uses, so freezing a stream is a C-level slice copy.
-    ``taken`` marks rows consumed out of order by wildcard receives;
-    ``head`` is the low-water mark (every row below it is taken);
-    ``ooo`` counts out-of-order takes still above ``head``.
+    Only concrete receives consume from a stream, in FIFO order: every
+    row below ``head`` is delivered, every row from it on is not.
     """
 
-    __slots__ = ("msgs", "taken", "head", "ooo")
+    __slots__ = ("msgs", "head")
 
     def __init__(self) -> None:
         self.msgs: list[tuple] = []
-        self.taken = bytearray()
         self.head = 0
-        self.ooo = 0
 
 
 class _View:
@@ -133,23 +145,18 @@ class _Snap:
     ``rows`` holds ``(sent_at, src, ordinal, tag, arrival, payload,
     nbytes)`` tuples — one unpack on the hot path instead of six column
     indexes; the key prefix is unique so sorting the tuples never
-    compares payloads."""
+    compares payloads.  Arrivals are non-decreasing in key order (a
+    snapshot where they are not is declined), so wildcard selection
+    degenerates to "next unconsumed matching row": mailbox minimum and
+    direct hand-off coincide."""
 
-    __slots__ = ("rows", "taken", "views", "mono", "m", "dlov", "total_nb")
+    __slots__ = ("rows", "taken", "views", "m", "total_nb")
 
-    def __init__(self, rows, mono, total_nb):
+    def __init__(self, rows, total_nb):
         self.rows = rows
         self.m = len(rows)
         self.taken = bytearray(self.m)
         self.views: dict[tuple, _View] = {}
-        #: Arrivals non-decreasing in key order: wildcard selection
-        #: degenerates to "next unconsumed row" (mailbox minimum and
-        #: direct hand-off coincide) — the pointer fast path.
-        self.mono = mono
-        #: Absolute-deadline override for quiescence re-probes (the
-        #: stored deadline must be compared bit-exactly, not rebuilt
-        #: from a relative timeout).
-        self.dlov: list = [None]
         #: Sum of all row nbytes: receive counters are *derived* at
         #: finish (delivered = taken.count, bytes = total - undelivered)
         #: instead of being bumped per call — integer sums are
@@ -162,8 +169,8 @@ class _BP:
 
     __slots__ = ("pid", "gen", "env", "status", "value", "streams", "sbuf",
                  "kord", "issued", "consumed", "rcell", "acc",
-                 "c_send", "c_recv", "pend_src", "pend_tag", "post",
-                 "deadline", "resume", "snap")
+                 "c_send", "c_recv", "pend_src", "pend_tag", "resume",
+                 "snap")
 
     def __init__(self, pid: int, gen: Any, env: Any):
         self.pid = pid
@@ -176,14 +183,12 @@ class _BP:
         self.kord = 0          # per-proc send ordinal base
         self.issued = [0]      # shared with closures (desync detection)
         self.consumed = 0
-        self.rcell: list[Any] = [None, None, None]
-        self.acc = [0.0, 0.0, 0.0, 0, 0, 0, 0, 0, 0]
+        self.rcell: list[Any] = [None, None]
+        self.acc = [0.0, 0.0, 0.0, 0, 0, 0, 0]
         self.c_send: Any = None
         self.c_recv: Any = None
         self.pend_src: Any = None
         self.pend_tag: Any = None
-        self.post = 0.0
-        self.deadline: float | None = None
         self.resume: Any = None
         self.snap: _Snap | None = None
 
@@ -192,9 +197,8 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
     """Run ``programs`` on ``machine`` under the batched schedule.
 
     Raises :class:`BatchFallback` when the run needs the per-event engine
-    (a program issued requests without yielding them, or a wildcard race
-    the conservative bounds cannot decide); the caller restarts on the
-    event engine, which is also the documented error-parity oracle.
+    (the module docstring lists the declined shapes); the caller restarts
+    on the event engine, which is also the documented error-parity oracle.
     """
     from repro.machine.simulator import ProcEnv, ProcStats, RunResult
 
@@ -275,21 +279,13 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
 
         def recv(src=ANY, *, tag=ANY, timeout=None):
             issued[0] += 1
-            if src is ANY or tag is ANY:
-                rcell[0] = src
-                rcell[1] = tag
-                rcell[2] = timeout
-                return _RECVQ
-            s = streams.get((src, tag))
+            if timeout is not None:
+                return _TIMED
+            s = None if src is ANY or tag is ANY else streams.get((src, tag))
             if s is not None:
                 msgs = s.msgs
-                taken = s.taken
                 h = s.head
-                nm = len(msgs)
-                while h < nm and taken[h]:
-                    h += 1
-                if h < nm:
-                    taken[h] = 1
+                if h < len(msgs):
                     s.head = h + 1
                     t0m, sr, k, tg, arr, payload, nb = msgs[h]
                     w = clock[pid]
@@ -302,10 +298,8 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                     acc[_BYT_RX] += nb
                     gseq[0] = sq = gseq[0] + 1
                     return _tnew(Message, (src, pid, tag, payload, nb, t0m, arr, sq))
-                s.head = h
             rcell[0] = src
             rcell[1] = tag
-            rcell[2] = timeout
             return _RECVQ
 
         return work, send, recv
@@ -357,7 +351,6 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         pdst = -1
         ptag = _OK  # never equals a user tag
         s_app = None
-        t_app = None
         wake = False
         for j in range(m):
             t0, dst, tag, payload, nb = sb[j]
@@ -383,11 +376,9 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                 if s is None:
                     s = dp.streams[(src, tag)] = _Stream()
                 s_app = s.msgs.append
-                t_app = s.taken.append
                 wake = (dstat == _B and dp.pend_src == src
                         and dp.pend_tag == tag)
             s_app((t0, src, kb + j, tag, arrs[j], payload, nb))
-            t_app(0)
             if wake and not queued[dst]:
                 queued[dst] = 1
                 wl.append(dst)
@@ -433,10 +424,7 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         else:
             for s in p.streams.values():
                 msgs = s.msgs
-                taken = s.taken
                 for i in range(s.head, len(msgs)):
-                    if taken[i]:
-                        continue
                     t0m, src, k, tag, arr, payload, nb = msgs[i]
                     if t0m < ft or (t0m == ft and src < pid):
                         unc += 1
@@ -461,32 +449,16 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         st.bytes_sent = acc[_BYT_TX]
         st.bytes_received = acc[_BYT_RX]
         st.retransmits = acc[_RETRANS]
-        st.timeouts = acc[_TIMEOUTS]
         p.value = value
         p.status = _D
         alive -= 1
 
-    def _fire_timeout(p: _BP) -> None:
-        """Resume a timed-out receive with ``None`` at its deadline."""
-        d = p.deadline
-        acc = p.acc
-        acc[_IDLE] += d - p.post
-        acc[_TIMEOUTS] += 1
-        clock[p.pid] = d
-        p.resume = None
-        p.status = _R
-        p.pend_src = p.pend_tag = None
-        p.deadline = None
-
-    def _complete(p: _BP, s: _Stream, i: int, src, tag, advance: bool) -> None:
-        """Deliver stream row ``i`` to blocked ``p`` (wake or quiescence)."""
+    def _complete(p: _BP, s: _Stream) -> None:
+        """Deliver the head of ``s`` to its flush-woken concrete waiter."""
         pid = p.pid
-        s.taken[i] = 1
-        if advance:
-            s.head = i + 1
-        else:
-            s.ooo += 1
-        t0m, sr, k, tg, arr, payload, nb = s.msgs[i]
+        i = s.head
+        s.head = i + 1
+        t0m, src, k, tag, arr, payload, nb = s.msgs[i]
         acc = p.acc
         w = clock[pid]
         ready = arr if arr > w else w
@@ -498,33 +470,28 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         gseq[0] = sq = gseq[0] + 1
         p.resume = _tnew(Message, (src, pid, tag, payload, nb, t0m, arr, sq))
         p.status = _R
-        p.pend_src = p.pend_tag = None
-        p.deadline = None
 
     def _enter_solo(p: _BP) -> None:
         """Freeze the remaining traffic into a sorted row snapshot and
-        swap in the pointer-walk receive closure (last live processor)."""
+        swap in the pointer-walk receive closure (last live processor).
+        Called from the drive loop, so it may decline."""
         rd: list = []
         for s in p.streams.values():
-            if not s.ooo:
-                # No out-of-order takes: everything from head on is live,
-                # and rows already carry the snapshot layout — C-level copy.
-                rd += s.msgs if s.head == 0 else s.msgs[s.head:]
-                continue
-            msgs = s.msgs
-            taken = s.taken
-            for i in range(s.head, len(msgs)):
-                if not taken[i]:
-                    rd.append(msgs[i])
-        mono = True
+            # Everything from head on is live, and rows already carry the
+            # snapshot layout — C-level copy.
+            rd += s.msgs if s.head == 0 else s.msgs[s.head:]
         if len(rd) > 1:
             # Tuple sort: the (time, src, ordinal) prefix is unique, so
             # comparisons never reach the payload column.
             rd.sort(key=None)  # lexicographic; key prefix unique
             av = np.fromiter((row[4] for row in rd), np.float64, len(rd))
-            mono = bool(np.all(av[1:] >= av[:-1]))
+            if not np.all(av[1:] >= av[:-1]):
+                # A small message overtook a big one: the mailbox minimum
+                # is no longer the next row in key order, and finding it
+                # means rescanning the rows on every wildcard receive.
+                raise BatchFallback
         p.streams = {}
-        p.snap = snap = _Snap(rd, mono, sum(row[6] for row in rd))
+        p.snap = snap = _Snap(rd, sum(row[6] for row in rd))
 
         pid = p.pid
         issued = p.issued
@@ -534,14 +501,13 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         taken = snap.taken
         rows_data = snap.rows
         nrows = snap.m
-        is_mono = snap.mono
         # (src, tag) -> view memo for the last pattern, as closure cells
         # (LOAD_DEREF beats list indexing on the per-receive hot path).
         lp_src = lp_tag = lp_view = None
-        #: Fast lane: monotone arrivals and a single live pattern mean
-        #: no row can be taken behind a view's pointer — delivery is a
-        #: pure pointer walk.  Creating a second view disables it.
-        fast = is_mono
+        #: Fast lane: a single live pattern means no row can be taken
+        #: behind a view's pointer — delivery is a pure pointer walk.
+        #: Creating a second view disables it.
+        fast = True
 
         def _mkview(rs, rt) -> _View:
             nonlocal fast
@@ -566,8 +532,9 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         def solo_recv(src=ANY, *, tag=ANY, timeout=None):
             nonlocal lp_src, lp_tag, lp_view
             issued[0] += 1
-            if (timeout is None and fast and src is lp_src
-                    and tag is lp_tag):
+            if timeout is not None:
+                return _TIMED
+            if fast and src is lp_src and tag is lp_tag:
                 v = lp_view
                 rows = v.rows
                 i = v.ptr
@@ -586,7 +553,6 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                     return _tnew(Message, (sr, pid, tg, payload, nb, t0m, arr, sq))
                 rcell[0] = src
                 rcell[1] = tag
-                rcell[2] = timeout
                 return _RECVQ
             if src is lp_src and tag is lp_tag:
                 v = lp_view
@@ -606,20 +572,9 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                 v.ptr = i
                 rcell[0] = src
                 rcell[1] = tag
-                rcell[2] = timeout
                 return _RECVQ
-            wildcard = src is ANY or tag is ANY
-            if timeout is not None or (wildcard and not is_mono):
-                v.ptr = i
-                r = _solo_pick(v, src, tag, timeout, wildcard)
-                if r is None:
-                    rcell[0] = src
-                    rcell[1] = tag
-                    rcell[2] = timeout
-                    return _RECVQ
-            else:
-                r = rows[i]
-                v.ptr = i + 1
+            r = rows[i]
+            v.ptr = i + 1
             taken[r] = 1
             t0m, sr, k, tg, arr, payload, nb = rows_data[r]
             w = clock[pid]
@@ -631,58 +586,6 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
             gseq[0] = sq = gseq[0] + 1
             return _tnew(Message, (sr, pid, tg, payload, nb, t0m, arr, sq))
 
-        def _solo_pick(v, src, tag, timeout, wildcard):
-            """Exact candidate under timeouts / non-monotone arrivals.
-
-            Returns the snapshot row to deliver, or ``None`` when the
-            timeout beats every candidate (the caller resumes with None).
-            Rows are key-sorted, so the messages below the post key — the
-            ones a mailbox receive would see — form a prefix of the view.
-            """
-            rows = v.rows
-            w = clock[pid]
-            best = None     # mailbox: min (arrival, key) below the post key
-            cand = None     # hand-off: min key at or above the post key
-            i = v.ptr
-            nr = len(rows)
-            while i < nr and taken[rows[i]]:
-                i += 1
-            if not wildcard:
-                # Concrete streams match FIFO: the first live row wins
-                # whether it is a mailbox hit or the direct hand-off.
-                r = rows[i]
-                t0m, sr = rows_data[r][0], rows_data[r][1]
-                if t0m < w or (t0m == w and sr < pid):
-                    return r
-                cand = r
-            else:
-                for j in range(i, nr):
-                    r = rows[j]
-                    if taken[r]:
-                        continue
-                    t0m, sr, k, tg, arr = rows_data[r][:5]
-                    if t0m < w or (t0m == w and sr < pid):
-                        key = (arr, t0m, sr, k)
-                        if best is None or key < best[0]:
-                            best = (key, r)
-                    else:
-                        cand = r
-                        break
-                if best is not None:
-                    return best[1]
-            if cand is None:
-                return None
-            if timeout is not None:
-                d = snap.dlov[0]
-                if d is None:
-                    d = w + timeout
-                else:
-                    snap.dlov[0] = None
-                t0c, src_c = rows_data[cand][0], rows_data[cand][1]
-                if t0c > d or (t0c == d and src_c > pid):
-                    return None
-            return cand
-
         p.c_recv = solo_recv
         p.env.recv = solo_recv
 
@@ -691,132 +594,24 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         pending receive against the frozen snapshot."""
         if p.snap is None:
             _enter_solo(p)
-        rs, rt = p.pend_src, p.pend_tag
-        d = p.deadline
-        timeout = None
-        if d is not None:
-            p.snap.dlov[0] = d
-            timeout = 0.0  # placeholder; the pick uses the exact deadline
-        r = p.c_recv(rs, tag=rt, timeout=timeout)
-        if p.snap.dlov[0] is not None:
-            p.snap.dlov[0] = None
+        r = p.c_recv(p.pend_src, tag=p.pend_tag)
         p.issued[0] -= 1  # internal probe, not a program request
-        if r.__class__ is Message:
-            p.resume = r
-            p.status = _R
-            p.pend_src = p.pend_tag = None
-            p.deadline = None
-        elif d is not None:
-            _fire_timeout(p)
-        else:
+        if r.__class__ is not Message:
             raise DeadlockError(
                 f"deadlock: processors {[p.pid]} blocked on receives "
                 f"that can never be satisfied")
+        p.resume = r
+        p.status = _R
         queued[p.pid] = 1
         wl.append(p.pid)
 
     def _quiesce() -> None:
-        """Every live processor is blocked: decide one parked receive
-        using the conservative lookahead bounds, or fall back."""
-        blocked = [q for q in bps if q.status == _B]
-        blocked_pids = [q.pid for q in blocked]
-        if alive == 1:
-            _solo_resolve(blocked[0])
-            return
-        # Lower bounds on every blocked processor's next send key.
-        bt = {q.pid: q.post for q in blocked}
-        for _ in range(len(blocked)):
-            changed = False
-            for q in blocked:
-                if (q.deadline is None and q.pend_src is not ANY
-                        and q.pend_tag is not ANY):
-                    ps = q.pend_src
-                    if type(ps) is int and 0 <= ps < n:
-                        sp = bps[ps]
-                        nb = _INF if sp.status == _D else bt.get(ps, 0.0)
-                    else:
-                        nb = _INF  # no such sender: blocked forever
-                    if nb > bt[q.pid]:
-                        bt[q.pid] = nb
-                        changed = True
-            if not changed:
-                break
-        waiters = [q for q in blocked
-                   if q.pend_src is ANY or q.pend_tag is ANY
-                   or q.deadline is not None]
-        any_candidate = False
-        for X in sorted(waiters, key=lambda q: (q.post, q.pid)):
-            w = X.post
-            xp = X.pid
-            d = X.deadline
-            rs, rt = X.pend_src, X.pend_tag
-            best = None
-            cand = None
-            for (src, tag), s in X.streams.items():
-                if (rs is not ANY and src != rs) or \
-                        (rt is not ANY and tag != rt):
-                    continue
-                msgs = s.msgs
-                taken = s.taken
-                for i in range(s.head, len(msgs)):
-                    if taken[i]:
-                        continue
-                    t0m, sr2, k, tg2, arr, payload, nb = msgs[i]
-                    if t0m < w or (t0m == w and src < xp):
-                        key = (arr, t0m, src, k)
-                        if best is None or key < best[0]:
-                            best = (key, s, i, src, tag)
-                    else:
-                        key = (t0m, src, k)
-                        if cand is None or key < cand[0]:
-                            cand = (key, s, i, src, tag)
-                        break  # stream rows are key-sorted
-            if best is not None or cand is not None or d is not None:
-                any_candidate = True
-            others = [q for q in blocked if q.pid != xp]
-            if best is not None:
-                # Mailbox minimum is exact iff nobody can still send a
-                # message with key below the post key.
-                if all(bt[q.pid] > w or (bt[q.pid] == w and q.pid > xp)
-                       for q in others):
-                    _, s, i, src, tag = best
-                    _complete(X, s, i, src, tag, advance=False)
-                    queued[xp] = 1
-                    wl.append(xp)
-                    return
-                continue
-            if cand is not None:
-                ck, s, i, src, tag = cand
-                t0c, src_c, _k = ck
-                if d is not None and (t0c > d or (t0c == d and src_c > xp)):
-                    if all(bt[q.pid] > d or (bt[q.pid] == d and q.pid > xp)
-                           for q in others):
-                        _fire_timeout(X)
-                        queued[xp] = 1
-                        wl.append(xp)
-                        return
-                elif all(q.pid == src_c or bt[q.pid] > t0c
-                         or (bt[q.pid] == t0c and q.pid > src_c)
-                         for q in others):
-                    # Hand-off: candidate key beats every possible future
-                    # send (the candidate's own sender only sends later
-                    # keys: its clock and ordinal both already passed it).
-                    _complete(X, s, i, src, tag, advance=False)
-                    queued[xp] = 1
-                    wl.append(xp)
-                    return
-            elif d is not None:
-                if all(bt[q.pid] > d or (bt[q.pid] == d and q.pid > xp)
-                       for q in others):
-                    _fire_timeout(X)
-                    queued[xp] = 1
-                    wl.append(xp)
-                    return
-        if not any_candidate:
-            raise DeadlockError(
-                f"deadlock: processors {blocked_pids} blocked on receives "
-                f"that can never be satisfied")
-        raise BatchFallback
+        """Every live processor is blocked.  The last one standing is
+        decided against its snapshot; two or more (a wildcard race, or a
+        deadlock among concrete receives) are the per-event engine's."""
+        if alive != 1:
+            raise BatchFallback
+        _solo_resolve(next(q for q in bps if q.status == _B))
 
     # ------------------------------------------------------------------
     # Main drive loop: run each queued processor as deep as it can go.
@@ -841,27 +636,11 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                     continue
                 if status == _B:
                     # Flush-woken concrete waiter: the new stream row is the
-                    # direct hand-off unless the timeout's key beats it.
+                    # direct hand-off.
                     s = p.streams.get((p.pend_src, p.pend_tag))
-                    h = -1
-                    if s is not None:
-                        msgs = s.msgs
-                        taken = s.taken
-                        h = s.head
-                        nm = len(msgs)
-                        while h < nm and taken[h]:
-                            h += 1
-                        if h >= nm:
-                            h = -1
-                    if h < 0:
+                    if s is None or s.head >= len(s.msgs):
                         raise BatchFallback  # wake invariant violated
-                    d = p.deadline
-                    t0m = s.msgs[h][0]
-                    if d is not None and (t0m > d or
-                                          (t0m == d and p.pend_src > pid)):
-                        _fire_timeout(p)
-                    else:
-                        _complete(p, s, h, p.pend_src, p.pend_tag, advance=True)
+                    _complete(p, s)
                 resume = p.resume
                 p.resume = None
                 gen_send = p.gen.send
@@ -894,7 +673,7 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                     # program never yielded) is deferred to the park/finish
                     # points and the error guard — zero cost per event.
                     rcls = req.__class__
-                    if req is not _RECVQ:
+                    if req is not _RECVQ and req is not _TIMED:
                         # Raw request objects (api.Comm, reliable, collectives
                         # construct events directly) — route through the same
                         # closures so accounting and matching stay identical.
@@ -933,42 +712,19 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                             c += 1
                             resume = req
                             continue
-                        # fall into the shared _RECVQ path
-                    # _RECVQ: wildcard, miss, or timeout-armed receive.
+                        # fall into the shared receive-verdict path
+                    if req is _TIMED:
+                        raise BatchFallback  # a receive with a timeout
+                    # _RECVQ: a wildcard or a miss parks until a flush wakes
+                    # it or every live processor is blocked.
                     c += 1
                     if issued[0] != c:
                         raise BatchFallback
-                    rc = p.rcell
-                    rs = rc[0]
-                    rt = rc[1]
-                    rto = rc[2]
                     if p.sbuf:
                         _flush(p)
-                    if alive == 1:
-                        if p.snap is None:
-                            _enter_solo(p)
-                            req = p.c_recv(rs, tag=rt, timeout=rto)
-                            issued[0] -= 1  # re-probe of the same request
-                            if req.__class__ is Message:
-                                resume = req
-                                continue
-                        if rto is not None:
-                            d = clock[pid] + rto
-                            p.acc[_IDLE] += d - clock[pid]
-                            p.acc[_TIMEOUTS] += 1
-                            clock[pid] = d
-                            resume = None
-                            continue
-                        p.consumed = c
-                        raise DeadlockError(
-                            f"deadlock: processors {[pid]} blocked on receives "
-                            f"that can never be satisfied")
                     p.consumed = c
                     p.status = _B
-                    p.pend_src = rs
-                    p.pend_tag = rt
-                    p.post = w = clock[pid]
-                    p.deadline = None if rto is None else w + rto
+                    p.pend_src, p.pend_tag = p.rcell
                     break
             if alive == 0:
                 break

@@ -504,11 +504,15 @@ class Machine:
         #: default: the base model is contention-free Hockney.
         self.single_port = single_port
         #: Batched drive-order engine (:mod:`repro.machine.batch`) for
-        #: fault-free, untraced, multi-port runs.  It produces bit-identical
-        #: results and transparently falls back to the per-event engine;
-        #: ``batch=False`` forces the per-event engine (the equivalence
-        #: suite uses this to compare the two directly) and, with it, the
-        #: per-processor programs over any ``walk`` handed to :meth:`run`.
+        #: fault-free, untraced, multi-port runs.  It serves segment drives
+        #: over FIFO ``(src, tag)`` streams and the last live processor's
+        #: monotone wildcard drain with bit-identical results, and hands
+        #: everything else (a timed receive, two or more processors blocked
+        #: at once, a non-monotone drain) to the per-event engine the moment
+        #: it sees it; ``batch=False`` forces the per-event engine (the
+        #: equivalence suite uses this to compare the two directly) and,
+        #: with it, the per-processor programs over any ``walk`` handed to
+        #: :meth:`run`.
         self.batch = batch
         self._clock: list[float] = []
         self._tx_free: list[float] = []
@@ -541,6 +545,12 @@ class Machine:
         untraced, multi-port runs (the batched engine's predicate), the
         per-processor programs otherwise.  Both produce the same
         :class:`RunResult`.
+
+        The per-processor programs run on the batched engine under the
+        same predicate; a run it declines (see
+        :mod:`repro.machine.batch`, "Declined, and why") restarts from
+        scratch on the per-event engine, so a program's host-side effects
+        before its first declined request happen twice.
         """
         n = self.nprocs
         if callable(program):

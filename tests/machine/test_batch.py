@@ -6,20 +6,27 @@ observationally identical to the per-event engine it accelerates —
 per-event core, so every test here is a paired run.  The cases target
 exactly the places where batching could diverge: ANY-wildcard arrival
 ordering *inside one flush epoch*, zero-latency machines (the PERFECT
-spec collapses all arrivals onto the send clock), timeouts racing
-hand-offs at quiescence, and the transparent per-event fallback for
-crash-fault runs and desynchronised (non-yielding) programs.
+spec collapses all arrivals onto the send clock), and the transparent
+per-event fallback — for the shapes the engine declines at first sight
+(timed receives, two or more processors blocked at once, a
+non-monotone wildcard drain), for crash-fault runs and for
+desynchronised (non-yielding) programs.  ``TestWhoServesWhat`` pins
+which engine ends up serving each shape.
 """
 
 from __future__ import annotations
 
+import operator
+
+import numpy as np
 import pytest
 
+import repro.machine.batch as batch_mod
 from repro.errors import DeadlockError, MachineError
 from repro.faults import FaultInjector, FaultSpec
-from repro.machine import AP1000, Machine
+from repro.machine import AP1000, Comm, Machine, ReliableChannel, collectives
 from repro.machine.cost import PERFECT
-from repro.machine.events import ANY
+from repro.machine.events import ANY, Recv
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 
 
@@ -94,8 +101,10 @@ class TestWildcardEpochOrdering:
             assert sorted(seqs) == list(range(1, len(seqs) + 1))
 
     def test_mixed_patterns_after_wildcard_takes(self):
-        """Concrete receives interleaved with ANY takes exercise the
-        taken-row skipping of both stream heads and solo views."""
+        """``(ANY, tag)`` takes, then ``(src, ANY)`` takes of what they
+        left behind.  The small second message of each sender overtakes
+        its big first one, so the drain is non-monotone and the per-event
+        engine serves it through the decline."""
 
         def program(env):
             p = env.nprocs
@@ -153,6 +162,37 @@ class TestPerfectMachine:
 
 
 class TestTimeouts:
+    """The batched engine declines a receive that carries a timeout the
+    moment it sees one, so the per-event engine serves every program
+    here; the pairing checks that the hand-over is transparent."""
+
+    def test_timed_receive_does_not_see_the_future(self):
+        """Rank 2 wakes rank 0 at once; rank 1's message is four virtual
+        seconds away.  By the time a drive-order schedule reaches rank
+        0's timed receive, rank 1 may already have been driven to its
+        send — the message is on the stream but does not exist yet in
+        virtual time, and the timeout must win."""
+
+        def program(env):
+            if env.pid == 0:
+                yield env.recv(2, tag=0)
+                verdict = "delivered"
+                msg = yield env.recv(1, tag=0, timeout=1e-6)
+                if msg is None:
+                    verdict = "timed out first"
+                    msg = yield env.recv(1, tag=0)
+                return (verdict, msg.payload)
+            if env.pid == 1:
+                yield env.work(ops=10_000_000)  # 4 virtual seconds on AP1000
+                yield env.send(0, "late", tag=0)
+            else:
+                yield env.send(0, "wake", tag=0)
+            return None
+
+        res = _paired(program, lambda: FullyConnected(3))
+        assert res.values[0] == ("timed out first", "late")
+        assert res.stats[0].timeouts == 1
+
     def test_timeout_vs_late_message_race(self):
         """A timeout deadline racing a hand-off: the later sender's message
         arrives after the receiver's deadline, so the receive times out
@@ -184,10 +224,15 @@ class TestTimeouts:
 
 
 class TestQuiescenceDecisions:
+    """Only the last live processor's receive is decided natively; a
+    quiescence with more than one processor blocked is declined and the
+    per-event engine serves the run."""
+
     def test_non_solo_wildcard_decided_by_bounds(self):
-        """Two receivers block at once; each wildcard pick must be decided
-        by the conservative lookahead bounds (neither is the last live
-        processor, so the solo snapshot path cannot apply)."""
+        """Two receivers block at once; neither is the last live
+        processor, so the solo snapshot cannot apply and the run moves to
+        the per-event engine (the id predates the decline: a lookahead
+        solver used to decide these picks)."""
 
         def program(env):
             p = env.nprocs
@@ -268,8 +313,10 @@ class TestFallbacks:
 
 class TestBatchedFlushPaths:
     def test_multi_destination_vectorised_flush(self):
-        """A fan-out bigger than the vectorisation threshold with many
-        distinct destinations exercises the hop-array gather path."""
+        """Every processor's one flush carries a message for each of the
+        31 others: many ``(dst, tag)`` streams in one flush, so the
+        stream lookup is never memoised across two sends (the id predates
+        the removal of the vectorised flush)."""
 
         def program(env):
             p = env.nprocs
@@ -286,8 +333,8 @@ class TestBatchedFlushPaths:
         _paired(program, lambda: Hypercube(5))
 
     def test_single_stream_bulk_flush(self):
-        """All sends of an epoch target one (dst, tag): the whole-batch
-        C-level append path."""
+        """All 40 sends of a flush target one ``(dst, tag)`` stream: the
+        memoised single-stream run of the flush loop."""
 
         def program(env):
             if env.pid == 0:
@@ -302,3 +349,186 @@ class TestBatchedFlushPaths:
 
         res = _paired(program, lambda: FullyConnected(4))
         assert res.values[0] == 3 * sum(range(40))
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """One entry per run that reached the batched engine: ``"served"`` if
+    ``run_batched`` returned, ``"declined"`` if it raised
+    ``BatchFallback``.  ``Machine.run`` imports the function at call
+    time, so patching the module attribute is enough."""
+    real = batch_mod.run_batched
+    log = []
+
+    def recording(machine, programs, extra):
+        try:
+            result = real(machine, programs, extra)
+        except batch_mod.BatchFallback:
+            log.append("declined")
+            raise
+        log.append("served")
+        return result
+
+    monkeypatch.setattr(batch_mod, "run_batched", recording)
+    return log
+
+
+def _ring(env):
+    right = (env.pid + 1) % env.nprocs
+    left = (env.pid - 1) % env.nprocs
+    total = 0
+    for r in range(6):
+        yield env.work(ops=50)
+        yield env.send(right, env.pid + r, tag=1, nbytes=64)
+        msg = yield env.recv(left, tag=1)
+        total += msg.payload
+    return total
+
+
+def _funnel(nbytes):
+    def program(env):
+        if env.pid == 0:
+            got = []
+            for _ in range(6 * (env.nprocs - 1)):
+                msg = yield env.recv(ANY, tag=ANY)
+                got.append((msg.src, msg.tag))
+            return got
+        for i in range(6):
+            yield env.work(ops=20 * env.pid)
+            yield env.send(0, env.pid, tag=env.pid % 5, nbytes=nbytes(i))
+        return None
+
+    return program
+
+
+def _allreduce(env):
+    acc = float(env.pid)
+    for _ in range(3):
+        acc = yield from collectives.allreduce(Comm.world(env), acc,
+                                               operator.add, nbytes=8)
+    return acc
+
+
+def _closure_recv(env, src):
+    return env.recv(src, tag=7, timeout=100.0)
+
+
+def _raw_recv(env, src):
+    return Recv(src, 7, 100.0)
+
+
+def _timed(make_recv, sender_first):
+    """One message, one timed receive that it beats.  With the sender on
+    the lower pid the drive order has it on the stream before the receive
+    is posted (satisfied at once); the other way round the receive is
+    posted first (parked)."""
+    sender, receiver = (0, 1) if sender_first else (1, 0)
+
+    def program(env):
+        if env.pid == receiver:
+            msg = yield make_recv(env, sender)
+            return msg.payload
+        yield env.send(receiver, "quick", tag=7)
+        return None
+
+    return program
+
+
+def _two_wildcard_receivers(env):
+    if env.pid < 2:
+        first = yield env.recv(ANY, tag=env.pid)
+        second = yield env.recv(ANY, tag=env.pid)
+        return (first.src, second.src)
+    yield env.work(ops=99 * env.pid)
+    yield env.send(0, env.pid, tag=0, nbytes=16)
+    yield env.send(1, env.pid, tag=1, nbytes=16)
+    return None
+
+
+def _farm(env):
+    """Request/reply: rank 0's next wildcard pick depends on replies it
+    has not sent yet, so it blocks together with its workers."""
+    if env.pid == 0:
+        for _ in range(3 * (env.nprocs - 1)):
+            msg = yield env.recv(ANY, tag=1)
+            yield env.work(ops=10)
+            yield env.send(msg.src, msg.payload, tag=2, nbytes=16)
+        return None
+    got = []
+    for i in range(3):
+        yield env.work(ops=30 * env.pid + 7 * i)
+        yield env.send(0, (env.pid, i), tag=1, nbytes=16)
+        got.append((yield env.recv(0, tag=2)).payload)
+    return got
+
+
+def _reliable_ring(env):
+    chan = ReliableChannel(env)
+    right = (env.pid + 1) % env.nprocs
+    left = (env.pid - 1) % env.nprocs
+    total = 0
+    for r in range(3):
+        yield from chan.send(right, env.pid + r, tag=1)
+        total += yield from chan.recv(left, tag=1)
+    yield from chan.drain()
+    return total
+
+
+class TestWhoServesWhat:
+    """The batched engine keeps the shapes it wins (``engine_raw``'s four
+    programs: ~2.2x over per-event, ``docs/calibration.md``) and declines
+    the rest at first sight.  A change that silently moved a kept shape
+    to the fallback would otherwise surface only as a 2x host timing."""
+
+    @pytest.mark.parametrize("program, topo", [
+        (_ring, lambda: Ring(8)),
+        (_funnel(lambda i: 16), lambda: FullyConnected(8)),
+        (_allreduce, lambda: Hypercube(3)),
+    ], ids=["ring", "monotone-funnel", "allreduce"])
+    def test_kept_shapes_are_served_natively(self, verdicts, program, topo):
+        _paired(program, topo)
+        assert verdicts == ["served"]
+
+    def test_table1_sort_is_served_natively(self, verdicts):
+        from repro.apps.sort import hyperquicksort_machine
+
+        values = np.random.default_rng(5).integers(0, 10_000, size=1_000)
+        out, _res = hyperquicksort_machine(values, 3)
+        assert np.array_equal(out, np.sort(values))
+        assert verdicts == ["served"]
+
+    @pytest.mark.parametrize("program, topo", [
+        (_timed(_closure_recv, sender_first=True), lambda: FullyConnected(2)),
+        (_timed(_closure_recv, sender_first=False), lambda: FullyConnected(2)),
+        (_timed(_raw_recv, sender_first=True), lambda: FullyConnected(2)),
+        (_two_wildcard_receivers, lambda: FullyConnected(4)),
+        (_farm, lambda: FullyConnected(5)),
+        (_funnel(lambda i: 200_000 if i % 3 == 0 else 16),
+         lambda: FullyConnected(8)),
+        (_reliable_ring, lambda: Ring(4)),
+    ], ids=["timed-satisfied-at-once", "timed-parked", "timed-raw-request",
+            "two-blocked-wildcard-receivers", "request-reply-farm",
+            "non-monotone-wildcard-drain", "reliable-channel-ring"])
+    def test_declined_shapes_equal_the_per_event_engine(
+            self, verdicts, program, topo):
+        _paired(program, topo)
+        assert verdicts == ["declined"]
+
+    def test_a_decline_cannot_be_swallowed_by_the_program(self, verdicts):
+        """The closures run in the program's frame; the decline is raised
+        from the drive loop, outside any ``except`` the program wraps
+        around its requests."""
+
+        def program(env):
+            if env.pid == 0:
+                try:
+                    msg = yield env.recv(1, tag=7, timeout=100.0)
+                except Exception:  # noqa: BLE001 - the point of the test
+                    return "swallowed"
+                return msg.payload
+            yield env.send(0, "quick", tag=7)
+            return None
+
+        res = _paired(program, lambda: FullyConnected(2))
+        assert res.values[0] == "quick"
+        assert verdicts == ["declined"]
