@@ -3,7 +3,10 @@
 The optimiser accepts rewrites based on the analytic cost model
 (`repro.scl.optimize`), not on simulation.  That is only defensible if the
 model's *ranking* agrees with the machine.  This bench prices a suite of
-expressions both ways on the same AP1000 constants and checks:
+expressions both ways on the same AP1000 constants — and the same
+program: one ``OptConfig.for_machine(machine)`` is handed to
+``estimate_cost`` and to ``run_expression``, so the plan priced is the
+plan run (``plan.opt`` passes included) — and checks:
 
 * every predicted/simulated ratio stays within one order of magnitude,
 * the rank order of programs by predicted cost matches the simulated
@@ -21,6 +24,7 @@ import pytest
 from benchmarks.conftest import write_table
 from repro.core import ParArray
 from repro.machine import AP1000, Hypercube, Machine
+from repro.plan.opt import OptConfig
 from repro.scl import (
     AlignFetch,
     Brdcast,
@@ -67,8 +71,11 @@ def measurements():
     pa = ParArray(list(range(P)))
     rows = []
     for name, expr in _suite():
-        predicted = estimate_cost(expr, n=P, spec=AP1000, fn_ops=FN_OPS).seconds
-        _out, res = run_expression(expr, pa, Machine(Hypercube(4), spec=AP1000))
+        machine = Machine(Hypercube(4), spec=AP1000)
+        opt = OptConfig.for_machine(machine)
+        predicted = estimate_cost(expr, n=P, spec=AP1000, fn_ops=FN_OPS,
+                                  opt=opt).seconds
+        _out, res = run_expression(expr, pa, machine, opt=opt)
         rows.append((name, predicted, res.makespan))
     return rows
 

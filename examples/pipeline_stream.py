@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Stream and pipeline skeletons — the task-parallel layer.
+"""Stream plans and the machine pipeline — the task-parallel layer.
 
 A small image-ish processing chain (decode → transform → encode) run
-three ways: sequentially, as a thread pipeline (stage overlap), and on the
-simulated machine with one stage per processor, where the textbook
-fill/drain law T ≈ (m + s - 1)·t_stage is directly observable.
+three ways: sequentially, as a stream plan with one thread per stage
+(stage overlap), and on the simulated machine with one stage per
+processor, where the textbook fill/drain law T ≈ (m + s - 1)·t_stage is
+directly observable.
 
 Run:  python examples/pipeline_stream.py
 """
@@ -14,8 +15,7 @@ import time
 import numpy as np
 
 from repro.machine import PERFECT
-from repro.stream import PipelineStage, pipeline, pipeline_machine, stream_farm, stream_map
-from repro.runtime import ThreadExecutor
+from repro.stream import PipelineStage, pipeline_machine, stream_plan
 
 
 def decode(seed):
@@ -33,32 +33,25 @@ def encode(img):
 
 def main():
     items = list(range(40))
+    plan = stream_plan(items).map_seq(decode).map_seq(transform).map_seq(encode)
 
-    print("1. ordered stream map (results always in input order)")
-    with ThreadExecutor(max_workers=4) as ex:
-        checksums = list(stream_map(lambda s: encode(transform(decode(s))),
-                                    items, executor=ex))
+    print("1. the plan's sequential reference (results always in input order)")
+    checksums = list(plan.run_seq())
     print(f"   processed {len(checksums)} frames; first 3: "
           f"{[f'{c:.2f}' for c in checksums[:3]]}")
 
-    print("\n2. thread pipeline: decode | transform | encode")
+    print("\n2. one thread per stage: decode | transform | encode")
     start = time.perf_counter()
-    piped = list(pipeline([decode, transform, encode])(items))
+    piped = list(plan.run())
     t_pipe = time.perf_counter() - start
     start = time.perf_counter()
     seq = [encode(transform(decode(s))) for s in items]
     t_seq = time.perf_counter() - start
-    assert piped == seq
+    assert piped == seq == checksums
     print(f"   identical results; sequential {t_seq * 1e3:.1f} ms, "
           f"pipelined {t_pipe * 1e3:.1f} ms")
 
-    print("\n3. unordered farm (throughput mode, order unspecified)")
-    with ThreadExecutor(max_workers=4) as ex:
-        unordered = list(stream_farm(lambda s: encode(decode(s)), items,
-                                     executor=ex, ordered=False))
-    print(f"   same multiset of results: {sorted(unordered) == sorted(encode(decode(s)) for s in items)}")
-
-    print("\n4. the fill/drain law on the simulated machine")
+    print("\n3. the fill/drain law on the simulated machine")
     ops = 10_000.0
     t_stage = PERFECT.compute_time(ops)
     for s, m in [(2, 10), (4, 10), (4, 40)]:

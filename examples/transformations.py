@@ -25,9 +25,9 @@ from repro.scl import (
     default_engine,
     estimate_cost,
     evaluate,
-    optimize,
     pretty,
 )
+from repro.tune import tune_expression
 
 PA = ParArray([3, 1, 4, 1, 5, 9, 2, 6])
 ENGINE = default_engine()
@@ -75,12 +75,12 @@ def main():
 
     print("\n--- cost-guided optimisation " + "-" * 28)
     prog = FoldrFused(operator.add, lambda x: x, op_associative=True)
-    cheap = optimize(prog, n=256, spec=AP1000, fn_ops=1)
-    dear = optimize(prog, n=256, spec=AP1000, fn_ops=500)
-    print("  trivial elements (1 op):   rewrite accepted =", cheap.accepted,
+    cheap = tune_expression(prog, nprocs=256, spec=AP1000, fn_ops=1)
+    dear = tune_expression(prog, nprocs=256, spec=AP1000, fn_ops=500)
+    print("  trivial elements (1 op):   rewrite accepted =", cheap.improved,
           "(latency dominates — stay sequential)")
-    print("  heavy elements (500 ops):  rewrite accepted =", dear.accepted,
-          f"(predicted speedup {dear.speedup:.1f}x)")
+    print("  heavy elements (500 ops):  rewrite accepted =", dear.improved,
+          f"(predicted speedup {dear.predicted_speedup:.1f}x)")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,7 @@ from repro.machine import tags
 from repro.machine.api import Comm
 from repro.machine.reliable import ReliableChannel
 
-__all__ = ["ft_bcast", "ft_scatter", "ft_gather", "ft_reduce",
-           "ft_allreduce", "ft_barrier"]
+__all__ = ["ft_bcast", "ft_scatter", "ft_gather", "ft_reduce", "ft_barrier"]
 
 # Tags disjoint per operation so back-to-back collectives cannot confuse
 # each other's frames; reserved centrally so no other subsystem can reuse
@@ -193,15 +192,6 @@ def ft_reduce(chan: ReliableChannel, comm: Comm, value: Any,
     for v in present[1:]:
         acc = op(acc, v)
     return acc
-
-
-def ft_allreduce(chan: ReliableChannel, comm: Comm, value: Any,
-                 op: Callable[[Any, Any], Any], *, root: int = 0,
-                 timeout: float | None = None) -> Gen:
-    """Survivor-degrading reduction whose result reaches every live member."""
-    acc = yield from ft_reduce(chan, comm, value, op, root=root,
-                               timeout=timeout)
-    return (yield from ft_bcast(chan, comm, acc, root=root, timeout=timeout))
 
 
 def ft_barrier(chan: ReliableChannel, comm: Comm, *, root: int = 0,

@@ -29,7 +29,7 @@ million-event chaos runs in constant memory.
 from __future__ import annotations
 
 import json
-from typing import Any, IO, Iterable, Protocol, runtime_checkable
+from typing import Any, IO, Protocol, runtime_checkable
 
 from repro.machine.trace import Span, TraceEvent
 
@@ -204,11 +204,3 @@ class ChromeTraceSink(_FileSink):
             self._write({"name": "thread_name", "ph": "M", "pid": 0,
                          "tid": tid, "args": {"name": f"proc {tid}"}})
         self._fh.write("\n]\n")
-
-
-def close_all(sinks: Iterable[Any]) -> None:
-    """Close every sink, ignoring ones without a ``close`` method."""
-    for sink in sinks:
-        close = getattr(sink, "close", None)
-        if close is not None:
-            close()

@@ -196,7 +196,7 @@ def _tune_and_lower(expr: N.Node, nprocs: int, grid, opt, *,
     res = tune_expression(expr, nprocs=nprocs, grid=grid, spec=opt.spec,
                           opt=opt, beam=beam, fn_ops=fn_ops,
                           element_bytes=element_bytes)
-    winner = res.best if res.improved else res.original
+    winner = res.winner
     plan = lower(winner.expr, nprocs, grid, opt=opt)
     return TunedPlan(winner.expr, plan, winner.steps,
                      res.original.cost, winner.cost, res.explored)

@@ -13,8 +13,9 @@ uniformly in terms of skeletons".  This package mechanises that claim:
   distribution, communication algebra, SPMD flattening) plus derived rules,
 * :mod:`repro.scl.rewrite` — the rewrite engine (windowed matching over
   composition chains, recursion into sub-expressions, fixpoint strategy),
-* :mod:`repro.scl.optimize` — cost-guided optimisation against a
-  :class:`~repro.machine.cost.MachineSpec`,
+* :mod:`repro.scl.optimize` — the cost model: an expression priced as the
+  plan it lowers to, against a :class:`~repro.machine.cost.MachineSpec`
+  (the optimiser built on it is :mod:`repro.tune`),
 * :mod:`repro.scl.pretty` — human-readable rendering of expressions,
 * :mod:`repro.scl.compile` — lowering to the :mod:`repro.plan` IR and
   execution on the simulated machine,
@@ -70,7 +71,7 @@ from repro.scl.rules import (
     ALL_RULES,
     default_engine,
 )
-from repro.scl.optimize import ExprCost, estimate_cost, optimize
+from repro.scl.optimize import ExprCost, estimate_cost
 from repro.scl.graph import to_dot, to_networkx, node_count, communication_count
 from repro.scl.pretty import pretty
 from repro.scl.plan_pretty import pretty_plan
@@ -87,7 +88,7 @@ __all__ = [
     "ROTATE_FUSION", "ROTATE_ROW_FUSION", "ROTATE_COL_FUSION", "GATHER_PARTITION_ELIM",
     "SPMD_FLATTENING", "SPMD_STAGE_MERGE",
     "ALL_RULES", "default_engine",
-    "ExprCost", "estimate_cost", "optimize",
+    "ExprCost", "estimate_cost",
     "to_dot", "to_networkx", "node_count", "communication_count",
     "pretty", "pretty_plan",
 ]

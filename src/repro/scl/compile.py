@@ -41,9 +41,12 @@ alias.
 The compiled program carries real data, so :func:`run_expression`'s
 result can be (and in the test-suite, is) cross-checked against the pure
 interpreter — the compiler's correctness statement — while the run's
-makespan prices the program on the machine.  The optimizer's
-:func:`~repro.scl.optimize.estimate_cost` prices the *raw* lowering of
-an expression; the machine runs the optimized plan unless ``opt="off"``.
+makespan prices the program on the machine.
+:func:`~repro.scl.optimize.estimate_cost` prices the plan lowered under
+the ``opt`` it is given: hand it the run's own
+``OptConfig.for_machine(machine)`` to price the optimized plan the
+machine runs, or leave ``opt=None`` for the raw lowering that
+``opt="off"`` runs.
 """
 
 from __future__ import annotations

@@ -1,29 +1,24 @@
-"""Cost-guided optimisation of skeleton expressions.
+"""The cost model of skeleton expressions: one price for one program.
 
-:func:`estimate_cost` prices an expression by **lowering it to the same
-plan the machine executes** (:mod:`repro.plan`) and walking that
-instruction stream with :func:`repro.plan.cost.plan_cost` — predicted
-and simulated cost describe the identical program, which is what lets
-the test-suite check the model's rankings against simulated makespans.
+:func:`estimate_cost` prices an expression by **lowering it to the plan
+the machine executes** (:mod:`repro.plan`) and walking that instruction
+stream with :func:`repro.plan.cost.plan_cost`.  ``opt`` names the
+:class:`~repro.plan.opt.OptConfig` the plan is lowered under, as it does
+for :func:`~repro.scl.compile.run_expression`: hand both the same
+``opt`` — ``OptConfig.for_machine(machine)``, which is what a run's
+default ``opt="auto"`` resolves to, or ``None`` for the raw lowering —
+and predicted and simulated cost describe the identical program, which
+is what lets the test-suite and
+``benchmarks/test_cost_model_validation.py`` check the model's rankings
+against simulated makespans.
 
-:func:`optimize` chooses among the programs reachable by the §4 rewrite
-rules — the mechanised version of the paper's "compile time optimisation
-can be systematically realised based on a class of transformation
-rules".  Two strategies:
-
-* ``strategy="search"`` (default) — :func:`repro.tune.tune_expression`'s
-  beam search: every candidate is scored through the *whole* pipeline
-  (lower → ``plan.opt`` passes → ``plan.cost``), so a symbolic rewrite
-  is only taken when it improves the plan the machine will actually
-  run.  Rewrites the post-lowering passes recover anyway (map fusion,
-  rotation folding) tie on cost and are accepted for the smaller
-  expression; rewrites that *concentrate* traffic (e.g. fusing two
-  sparse fetches into one high-degree exchange) price worse and are
-  declined — per law, not all-or-nothing.
-* ``strategy="greedy"`` — the original driver, kept as the fallback and
-  the test oracle: apply every rule to fixpoint, price original and
-  result on their **raw** lowerings with :func:`estimate_cost`, and
-  accept the whole package only if it is predicted no slower.
+The optimiser built on this price is :func:`repro.tune.tune_expression`
+— the mechanised version of the paper's "compile time optimisation can
+be systematically realised based on a class of transformation rules".
+It scores every program reachable by the §4 rewrite rules through
+:func:`price`, the one lower-then-``plan_cost`` body, so a symbolic
+rewrite is only taken when it improves the plan the machine will
+actually run.
 
 Expressions that have no plan form — ``FoldrFused`` (inherently
 sequential), ``Partition``/``Gather`` (data ingress/egress), grid
@@ -31,7 +26,7 @@ skeletons priced without a grid — fall back to the original
 expression-level model, whose per-node formulas the plan model
 deliberately preserves, so comparisons *across* the two paths (e.g. the
 map-distribution crossover between ``foldr`` and ``fold . map``) remain
-meaningful under both strategies.
+meaningful.
 
 The model is deliberately coarse (it prices *structure*, not user code —
 each opaque function application costs ``fn_ops`` elementary operations).
@@ -40,8 +35,6 @@ rankings against simulated execution.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from repro.errors import SkeletonError
 from repro.machine.cost import MachineSpec, PERFECT
@@ -56,26 +49,51 @@ from repro.scl import nodes as N
 
 _plan_lower = sys.modules["repro.plan.lower"]
 
-__all__ = ["ExprCost", "estimate_cost", "optimize", "OptimizeReport"]
+__all__ = ["ExprCost", "estimate_cost", "price"]
 
 _ceil_log2 = ceil_log2
 
 
+def price(node: N.Node, *, n: int, grid: tuple[int, int] | None = None,
+          opt=None, spec: MachineSpec = PERFECT, fn_ops: float = 1.0,
+          element_bytes: int | None = None,
+          memo: dict | None = None) -> tuple[ExprCost, bool]:
+    """Price ``node`` over ``n`` components: lower under ``opt``, then
+    :func:`plan_cost` on that plan.
+
+    Returns ``(cost, lowerable)``; an expression with no plan form
+    (lowering raises :class:`~repro.errors.SkeletonError`) is priced by
+    the expression-level model with ``lowerable=False`` — any other
+    exception is a bug and propagates.  Lowering bypasses the plan cache
+    (:func:`repro.plan.lower.lower_uncached`): priced expressions are
+    mostly throwaway search candidates that would evict hot entries and
+    distort the service-level hit-rate metric.  ``memo`` is handed to it
+    unchanged, so one search lowers each step its candidates share once.
+    """
+    try:
+        plan = _plan_lower.lower_uncached(node, n, grid, opt=opt, memo=memo)
+    except SkeletonError:
+        return _legacy_estimate(node, n=n, spec=spec, fn_ops=fn_ops,
+                                element_bytes=element_bytes), False
+    return plan_cost(plan, spec=spec, fn_ops=fn_ops,
+                     element_bytes=element_bytes), True
+
+
 def estimate_cost(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,
-                  fn_ops: float = 1.0, element_bytes: int | None = None) -> ExprCost:
+                  fn_ops: float = 1.0, element_bytes: int | None = None,
+                  grid: tuple[int, int] | None = None, opt=None) -> ExprCost:
     """Predicted cost of ``node`` over ``n`` components.
 
     ``fn_ops`` is the assumed per-element cost (elementary operations) of
     each opaque function application; ``element_bytes`` the wire size of a
-    component (defaults to one machine word).
+    component (defaults to one machine word); ``grid`` the 2-D process
+    grid of an expression using grid skeletons.  ``opt`` is the
+    :class:`~repro.plan.opt.OptConfig` the priced plan is lowered under —
+    pass the one the run uses to price the program that runs; ``None``
+    prices the raw lowering.
     """
-    try:
-        plan = _plan_lower.lower(node, n, None)
-    except SkeletonError:
-        return _legacy_estimate(node, n=n, spec=spec, fn_ops=fn_ops,
-                                element_bytes=element_bytes)
-    return plan_cost(plan, spec=spec, fn_ops=fn_ops,
-                     element_bytes=element_bytes)
+    return price(node, n=n, grid=grid, opt=opt, spec=spec, fn_ops=fn_ops,
+                 element_bytes=element_bytes)[0]
 
 
 def _legacy_estimate(node: N.Node, *, n: int, spec: MachineSpec,
@@ -143,82 +161,3 @@ def _legacy_estimate(node: N.Node, *, n: int, spec: MachineSpec,
         return ExprCost(0.0, 0, 0)
 
     return go(node, n)
-
-
-@dataclasses.dataclass(frozen=True)
-class OptimizeReport:
-    """Outcome of :func:`optimize`: the programs, costs and rule trace."""
-
-    original: N.Node
-    optimized: N.Node
-    cost_before: ExprCost
-    cost_after: ExprCost
-    steps: tuple
-
-    @property
-    def accepted(self) -> bool:
-        """True when the rewritten form was predicted no slower."""
-        return self.optimized is not self.original
-
-    @property
-    def speedup(self) -> float:
-        """Predicted ratio of original to optimised time."""
-        if self.cost_after.seconds == 0:
-            return float("inf") if self.cost_before.seconds > 0 else 1.0
-        return self.cost_before.seconds / self.cost_after.seconds
-
-    def __str__(self) -> str:
-        from repro.scl.pretty import pretty
-
-        lines = [f"original : {pretty(self.original)}",
-                 f"optimised: {pretty(self.optimized)}"]
-        for s in self.steps:
-            lines.append(f"  applied {s.rule}")
-        lines.append(
-            f"predicted: {self.cost_before.seconds:.3e}s -> "
-            f"{self.cost_after.seconds:.3e}s "
-            f"({self.cost_before.messages} -> {self.cost_after.messages} msgs, "
-            f"{self.cost_before.barriers} -> {self.cost_after.barriers} barriers)")
-        return "\n".join(lines)
-
-
-def optimize(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,
-             fn_ops: float = 1.0, element_bytes: int | None = None,
-             rules=None, strategy: str = "search", beam: int = 4,
-             grid: tuple[int, int] | None = None) -> OptimizeReport:
-    """Optimise ``node`` with the §4 rules under ``strategy`` (see the
-    module docstring for the two strategies).
-
-    ``beam`` only applies to ``strategy="search"``; ``grid`` names the
-    2-D process grid for expressions using grid skeletons.  Under ``"greedy"`` all the
-    paper's rules are individually improving against the raw lowering,
-    so in practice the rewritten form always wins; the cost guard
-    protects against user-supplied rule sets.
-    """
-    if strategy == "search":
-        from repro.tune import tune_expression
-
-        res = tune_expression(node, nprocs=n, grid=grid, spec=spec,
-                              rules=rules, beam=beam, fn_ops=fn_ops,
-                              element_bytes=element_bytes)
-        if not res.improved:
-            return OptimizeReport(node, node, res.original.cost,
-                                  res.original.cost, ())
-        return OptimizeReport(node, res.best.expr, res.original.cost,
-                              res.best.cost, res.best.steps)
-    if strategy != "greedy":
-        raise ValueError(
-            f"strategy must be 'search' or 'greedy', got {strategy!r}")
-
-    from repro.scl.rewrite import RewriteEngine
-    from repro.scl.rules import ALL_RULES
-
-    engine = RewriteEngine(ALL_RULES if rules is None else rules)
-    rewritten, steps = engine.rewrite(node)
-    before = estimate_cost(node, n=n, spec=spec, fn_ops=fn_ops,
-                           element_bytes=element_bytes)
-    after = estimate_cost(rewritten, n=n, spec=spec, fn_ops=fn_ops,
-                          element_bytes=element_bytes)
-    if after.seconds <= before.seconds:
-        return OptimizeReport(node, rewritten, before, after, tuple(steps))
-    return OptimizeReport(node, node, before, before, ())

@@ -6,30 +6,19 @@ tasks can be supported ... on top of the SCL layer; thus task parallelism
 is supported when it is needed".  This package is that layer: skeletons
 over *streams* (Python iterables) rather than distributed arrays:
 
-* :func:`stream_map` / :func:`stream_farm` — ordered and unordered
-  concurrent map over a stream with bounded in-flight work,
-* :func:`stream_filter`, :func:`stream_reduce`, :func:`stream_scan` —
-  the stream counterparts of the elementary skeletons,
-* :func:`pipeline` — stage-parallel composition: each stage runs in its
-  own thread, connected by bounded queues (P3L's ``pipe``),
-* :func:`pipeline_machine` — the same pipeline on the simulated machine,
+* :func:`pipeline_machine` — P3L's ``pipe`` on the simulated machine,
   one stage per processor, reproducing the textbook fill/drain law
   ``T ≈ (m + s - 1) · t_stage``,
 * :mod:`repro.stream.plan` — *stream plans*: the HsSkel ``Stream`` GADT
   (``stGen``/``stChunk``/``stUnChunk``/``stStop``) as a typed IR whose
   ``MapPlan`` stage executes each chunk through the SCL compiler, the
   plan optimizer and the vectorized data plane, with bounded-queue
-  backpressure and stateful stop conditions over infinite sources.
+  backpressure and stateful stop conditions over infinite sources.  A
+  host-thread pipeline of per-item functions is the plan
+  ``stream_plan(xs).map_seq(f).map_seq(g).run()``.
 """
 
-from repro.stream.skeletons import (
-    stream_map,
-    stream_farm,
-    stream_filter,
-    stream_reduce,
-    stream_scan,
-)
-from repro.stream.pipeline import pipeline, PipelineStage, pipeline_machine
+from repro.stream.pipeline import PipelineStage, pipeline_machine
 from repro.stream.plan import (
     Chunk,
     MapPlan,
@@ -43,12 +32,6 @@ from repro.stream.plan import (
 )
 
 __all__ = [
-    "stream_map",
-    "stream_farm",
-    "stream_filter",
-    "stream_reduce",
-    "stream_scan",
-    "pipeline",
     "PipelineStage",
     "pipeline_machine",
     "Source",

@@ -1,4 +1,4 @@
-"""Threaded stage runner shared by thread pipelines and stream plans.
+"""Threaded stage runner of stream plans (:meth:`StreamPlan.run`).
 
 A *staged stream* is a source iterable pushed through an ordered list of
 **transforms** — generator functions ``Iterator -> Iterator`` — each

@@ -1,39 +1,31 @@
-"""Stage-parallel pipelines — P3L's ``pipe`` skeleton.
+"""The stage pipeline on the simulated machine — P3L's ``pipe`` skeleton.
 
-:func:`pipeline` composes per-item stage functions into a pipeline where
-each stage runs in its own thread, connected by bounded queues.  The
-result stream is always in input order and element-wise identical to
-composing the stages sequentially; only the *timing* changes (stage
-overlap).
-
-:func:`pipeline_machine` runs the same structure on the simulated
-machine — stage ``s`` on processor ``s``, items flowing as messages — so
-the classic fill/drain law ``T ≈ (m + s - 1) · t_bottleneck`` can be
-measured rather than assumed (and is, in the test-suite).
+:func:`pipeline_machine` runs per-item stage functions with stage ``s``
+on processor ``s``, items flowing as messages — so the classic
+fill/drain law ``T ≈ (m + s - 1) · t_bottleneck`` can be measured rather
+than assumed (and is, in the test-suite).  The host-thread pipeline over
+the same stages is a stream plan of per-item maps:
+``stream_plan(xs).map_seq(f).map_seq(g).run()`` (:mod:`repro.stream.plan`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import SkeletonError
 from repro.machine import Comm, Machine, MachineSpec, PERFECT
 from repro.machine.cost import estimate_nbytes
 from repro.machine.simulator import RunResult
 from repro.machine.topology import Ring
-from repro.stream._runner import run_staged
 
-__all__ = ["PipelineStage", "pipeline", "pipeline_machine"]
+__all__ = ["PipelineStage", "pipeline_machine"]
 
 
 @dataclasses.dataclass(frozen=True)
 class PipelineStage:
-    """One pipeline stage: a per-item function plus an optional op cost.
-
-    ``ops`` is only consulted by :func:`pipeline_machine` (virtual time);
-    the thread pipeline just calls ``fn``.
-    """
+    """One pipeline stage: a per-item function plus its op cost (virtual
+    time charged per item)."""
 
     fn: Callable[[Any], Any]
     ops: float = 10.0
@@ -46,39 +38,6 @@ class PipelineStage:
         if callable(stage):
             return cls(fn=stage, name=getattr(stage, "__name__", ""))
         raise SkeletonError(f"pipeline stage must be callable, got {stage!r}")
-
-
-def pipeline(stages: Sequence["PipelineStage | Callable[[Any], Any]"], *,
-             buffer: int = 8) -> Callable[[Iterable[Any]], Iterator[Any]]:
-    """Compose stages into a thread-parallel pipeline over streams.
-
-    ``pipeline([f, g, h])(xs)`` yields ``h(g(f(x)))`` for each ``x`` in
-    order, with the three stages overlapping on consecutive items.
-    ``buffer`` bounds each inter-stage queue (backpressure).
-
-    When a stage raises, a poison marker propagates downstream
-    immediately (later stages stop at the failure point rather than
-    processing every in-flight item), the producer is cancelled (so an
-    infinite input terminates), and the *earliest* failure by stage
-    order is raised — concurrent failures in later stages never mask
-    the one that actually cut the stream.  See
-    :mod:`repro.stream._runner` for the full contract.
-    """
-    parsed = [PipelineStage.of(s) for s in stages]
-    if buffer <= 0:
-        raise SkeletonError(f"buffer must be positive, got {buffer}")
-
-    def stage_transform(fn: Callable[[Any], Any]):
-        def transform(it: Iterator[Any]) -> Iterator[Any]:
-            for x in it:
-                yield fn(x)
-        return transform
-
-    def run(items: Iterable[Any]) -> Iterator[Any]:
-        yield from run_staged(items, [stage_transform(s.fn) for s in parsed],
-                              buffer=buffer)
-
-    return run
 
 
 def pipeline_machine(

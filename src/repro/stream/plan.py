@@ -392,6 +392,8 @@ class StreamPlan:
         ``stream_queue_depth{stream, stage}`` occupancy gauges — one
         per inter-stage queue — labelled by ``name``.
         """
+        if buffer <= 0:  # here, not at the first next() of the generator
+            raise SkeletonError(f"buffer must be positive, got {buffer}")
         on_depth = None
         if metrics is not None and stats is None:
             stats = StreamRunStats()

@@ -5,25 +5,19 @@ rewrite rules (:mod:`repro.scl.rules`) are scored by lowering them
 through the existing pipeline — ``scl.compile`` → ``plan.opt`` →
 ``plan.cost`` — so pre-lowering rewrites are priced by what the
 post-lowering passes make of them on one machine spec.
-:func:`tune_expression` is the beam searcher; ``scl.optimize`` builds
-its default ``strategy="search"`` on it, ``plan.lower``'s tuned-plan
-cache tier memoises its winners per machine, and ``python -m repro plan
---search`` prints its explored frontier.
+:func:`tune_expression` is the optimiser and :class:`TuneResult` its
+report; ``plan.lower``'s tuned-plan cache tier memoises its winners per
+machine, and ``python -m repro plan --search`` prints its explored
+frontier beside the program that rewriting to fixpoint
+(``default_engine().rewrite``) would have picked.
 """
 
-from repro.tune.search import (
-    Candidate,
-    TuneResult,
-    score_expression,
-    tune_expression,
-)
-from repro.tune.workloads import run_tuned_hyperquicksort, tuned_sort_pipeline
+from repro.tune.search import Candidate, TuneResult, tune_expression
+from repro.tune.workloads import tuned_sort_pipeline
 
 __all__ = [
     "Candidate",
     "TuneResult",
-    "score_expression",
     "tune_expression",
-    "run_tuned_hyperquicksort",
     "tuned_sort_pipeline",
 ]

@@ -1,13 +1,10 @@
 """Beam search over SCL rewrite space, scored through the real pipeline.
 
-The §4 rewrite engine and the PR-5 post-lowering pass pipeline used to be
-two optimizers that never talked: :func:`repro.scl.optimize.optimize`
-rewrote greedily to fixpoint and priced the *raw* lowering, while
-:mod:`repro.plan.opt` ran unconditionally after lowering.  This module
-puts one cost model in charge of both: every candidate expression is
-scored by lowering it through the existing pipeline —
-``lower(expr, nprocs, grid, opt=OptConfig(spec))`` followed by
-:func:`repro.plan.cost.plan_cost` — so a *pre-lowering* rewrite is
+The optimiser of §4: one cost model judges both the symbolic rewrites
+(:mod:`repro.scl.rules`) and the post-lowering passes
+(:mod:`repro.plan.opt`).  Every candidate expression is priced by
+:func:`repro.scl.optimize.price` — lowered under ``OptConfig(spec)``,
+then :func:`repro.plan.cost.plan_cost` — so a *pre-lowering* rewrite is
 priced by what the *post-lowering* passes make of it on one machine
 spec.  That is what lets the search decline a symbolic law
 that is locally plausible but globally bad (e.g. fusing two sparse
@@ -26,24 +23,16 @@ the winner is never predicted worse than doing nothing.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from typing import Sequence
 
-from repro.errors import SkeletonError
 from repro.machine.cost import MachineSpec, PERFECT
-from repro.plan.cost import ExprCost, plan_cost
+from repro.plan.cost import ExprCost
 from repro.scl import nodes as N
+from repro.scl.optimize import price
+from repro.scl.pretty import pretty
 from repro.scl.rewrite import RewriteEngine, RewriteStep, Rule
 
-# sys.modules binding (see repro.scl.compile for why): survives both import
-# orders of the repro.plan <-> repro.scl cycle and the package-attribute
-# shadowing of the `lower` submodule by the `lower` function.
-import repro.plan.lower  # noqa: F401  (registers the module in sys.modules)
-
-_plan_lower = sys.modules["repro.plan.lower"]
-
-__all__ = ["Candidate", "TuneResult", "tune_expression", "score_expression",
-           "expr_size"]
+__all__ = ["Candidate", "TuneResult", "tune_expression", "expr_size"]
 
 
 def expr_size(node: N.Node) -> int:
@@ -105,42 +94,28 @@ class TuneResult:
             self.best.order_key() < self.original.order_key()
 
     @property
+    def winner(self) -> Candidate:
+        """The candidate to run: ``best`` when it is a real improvement,
+        else ``original``."""
+        return self.best if self.improved else self.original
+
+    @property
     def predicted_speedup(self) -> float:
         """Predicted ratio of original to winner time."""
         if self.best.cost.seconds == 0:
             return float("inf") if self.original.cost.seconds > 0 else 1.0
         return self.original.cost.seconds / self.best.cost.seconds
 
-
-def score_expression(expr: N.Node, *, nprocs: int,
-                     grid: tuple[int, int] | None = None,
-                     opt=None, spec: MachineSpec = PERFECT,
-                     fn_ops: float = 1.0,
-                     element_bytes: int | None = None,
-                     memo: dict | None = None) -> tuple[ExprCost, bool]:
-    """Price ``expr`` through the real pipeline: lower with ``opt``, then
-    :func:`plan_cost` on the optimized plan.
-
-    Returns ``(cost, lowerable)``; expressions with no plan form (lowering
-    raises :class:`~repro.errors.SkeletonError`) fall back to
-    :func:`repro.scl.optimize.estimate_cost`'s legacy model with
-    ``lowerable=False`` — any other exception is a bug and propagates.
-    Lowering bypasses the plan cache
-    (:func:`repro.plan.lower.lower_uncached`): search candidates are
-    throwaway expressions that would otherwise evict hot entries and
-    distort the service-level hit-rate metric.  ``memo`` is handed to it
-    unchanged, so one search lowers each step its candidates share once.
-    """
-    from repro.scl.optimize import estimate_cost
-
-    try:
-        plan = _plan_lower.lower_uncached(expr, nprocs, grid, opt=opt,
-                                          memo=memo)
-    except SkeletonError:
-        return estimate_cost(expr, n=nprocs, spec=spec, fn_ops=fn_ops,
-                             element_bytes=element_bytes), False
-    return plan_cost(plan, spec=spec, fn_ops=fn_ops,
-                     element_bytes=element_bytes), True
+    def __str__(self) -> str:
+        before, after = self.original.cost, self.winner.cost
+        lines = [f"original : {pretty(self.original.expr)}",
+                 f"optimised: {pretty(self.winner.expr)}"]
+        lines += [f"  applied {rule}" for rule in self.winner.rules]
+        lines.append(
+            f"predicted: {before.seconds:.3e}s -> {after.seconds:.3e}s "
+            f"({before.messages} -> {after.messages} msgs, "
+            f"{before.barriers} -> {after.barriers} barriers)")
+        return "\n".join(lines)
 
 
 def tune_expression(expr: N.Node, *, nprocs: int,
@@ -177,10 +152,9 @@ def tune_expression(expr: N.Node, *, nprocs: int,
     lowered_steps: dict = {}
 
     def score(e: N.Node) -> tuple[ExprCost, bool]:
-        return score_expression(e, nprocs=nprocs, grid=grid, opt=opt,
-                                spec=spec, fn_ops=fn_ops,
-                                element_bytes=element_bytes,
-                                memo=lowered_steps)
+        return price(e, n=nprocs, grid=grid, opt=opt, spec=spec,
+                     fn_ops=fn_ops, element_bytes=element_bytes,
+                     memo=lowered_steps)
 
     seen: set = set()
 

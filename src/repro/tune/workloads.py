@@ -1,4 +1,4 @@
-"""Tunable benchmark workloads: where search and greedy rewriting diverge.
+"""Tunable benchmark workloads: where search and rewriting to fixpoint diverge.
 
 ``tuned_sort_pipeline`` is hyperquicksort followed by a naively-written
 per-group summary epilogue: each round stamps the local block three times
@@ -7,16 +7,16 @@ blocks with two sparse ``fetch`` steps — first every quarter-leader
 (rank ``r - r%4``, fan-out 3), then every block-leader's quarter image
 (rank ``16*(r//16) + r%4``, fan-out 3).
 
-Both optimizers see the same §4 laws here, but they price them
-differently:
+The same §4 laws apply here either way, but the two ways of using them
+end in different programs:
 
-* **greedy** (:func:`repro.scl.optimize.optimize` with
-  ``strategy="greedy"``) rewrites to fixpoint and accepts the package
-  all-or-nothing against the *raw* lowering: the map fusions save two
+* **rewriting to fixpoint** (``default_engine().rewrite``) applies every
+  law that matches: the map fusions, and the fetch fusion with them —
+  composing the two fan-out-3 exchanges into one fan-out-15 funnel
+  (every rank reads the block leader directly).  Priced on the *raw*
+  lowering the package even looks good: the map fusions save two
   predicted barriers per round, which more than covers the fetch
-  fusion's penalty — so the fused ``fetch`` survives, composing the two
-  fan-out-3 exchanges into one fan-out-15 funnel (every rank reads the
-  block leader directly).
+  fusion's penalty.
 * **search** (:func:`repro.tune.tune_expression`) prices every candidate
   through ``plan.opt`` + ``plan.cost``: the post-lowering passes already
   fuse the adjacent maps for free, so the only thing the symbolic fetch
@@ -34,15 +34,9 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
-from repro.machine.cost import AP1000, MachineSpec
-from repro.machine.simulator import Machine
-from repro.machine.topology import Hypercube
 from repro.scl import nodes as N
 
-__all__ = ["tuned_sort_pipeline", "run_tuned_hyperquicksort",
-           "TUNED_REPEATS", "QUARTER", "BLOCK"]
+__all__ = ["tuned_sort_pipeline", "TUNED_REPEATS", "QUARTER", "BLOCK"]
 
 #: Epilogue rounds in the benchmark pipeline; each contributes three
 #: fusible maps and one fusible (but traffic-concentrating) fetch pair.
@@ -102,44 +96,3 @@ def tuned_sort_pipeline(d: int, repeats: int = TUNED_REPEATS) -> N.Node:
         steps.extend(_epilogue_round())
     steps.append(hyperquicksort_expression(d))
     return N.compose_nodes(*steps)
-
-
-def run_tuned_hyperquicksort(values, d: int, *,
-                             spec: MachineSpec = AP1000,
-                             strategy: str = "search", beam: int = 4,
-                             repeats: int = TUNED_REPEATS):
-    """Optimize the tuned pipeline with ``strategy`` and run the winner.
-
-    Returns ``(blocks_out, result, report)`` where ``report`` is the
-    :class:`~repro.scl.optimize.OptimizeReport` of the chosen strategy.
-    The machine is a single-port hypercube: the one-port contention
-    model is what the exchange pricing (``msg × degree``) assumes, so
-    predicted and simulated rankings describe the same machine.
-
-    The search path goes through :func:`repro.plan.lower.tuned_lower`,
-    so repeated runs (a served endpoint, a benchmark loop) pay the beam
-    search once and then hit the tuned-plan cache tier.
-    """
-    from repro.apps.sort import seq_quicksort
-    from repro.core import Block, parmap, partition
-    from repro.scl.compile import run_expression
-    from repro.scl.optimize import OptimizeReport, optimize
-
-    values = np.asarray(values)
-    p = 1 << d
-    expr = tuned_sort_pipeline(d, repeats)
-    machine = Machine(Hypercube(d), spec=spec, single_port=True)
-    if strategy == "search":
-        from repro.plan.lower import tuned_lower
-        from repro.plan.opt import OptConfig
-
-        tuned = tuned_lower(expr, p, opt=OptConfig.for_machine(machine),
-                            beam=beam)
-        report = OptimizeReport(expr, tuned.expr, tuned.cost_before,
-                                tuned.cost_after, tuned.steps)
-    else:
-        report = optimize(expr, n=p, spec=spec, strategy=strategy, beam=beam)
-    blocks = parmap(seq_quicksort, partition(Block(p), values))
-    out, result = run_expression(report.optimized, blocks, machine,
-                                 opt="auto")
-    return out, result, report

@@ -19,10 +19,10 @@ from repro.scl import (
     default_engine,
     estimate_cost,
     evaluate,
-    optimize,
     pretty,
     run_expression,
 )
+from repro.tune import tune_expression
 
 
 class TestTextToMachine:
@@ -134,11 +134,11 @@ class TestOptimizerEndToEnd:
     def test_optimize_report_round_trip(self):
         env = {"f": lambda x: x + 1, "g": lambda x: x * 3}
         prog = parse_scl("map f . map g . rotate 2 . rotate -2", env)
-        rep = optimize(prog, n=32, spec=AP1000)
-        assert rep.accepted
+        rep = tune_expression(prog, nprocs=32, spec=AP1000)
+        assert rep.improved
         assert "map-fusion" in str(rep)
         pa = ParArray(list(range(32)))
-        assert evaluate(rep.original, pa) == evaluate(rep.optimized, pa)
+        assert evaluate(rep.original.expr, pa) == evaluate(rep.winner.expr, pa)
 
     def test_pretty_of_every_layer(self):
         env = {"f": lambda x: x}

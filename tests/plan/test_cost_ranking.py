@@ -7,13 +7,16 @@ and their §4-rule rewrites, whenever the model predicts an improvement
 the simulated makespan must not get worse — on the same machine spec the
 model priced (with function costs aligned between model and fragments).
 
-Everything here pins ``strategy="greedy"``: these tests compare the
-*raw-lowering* cost model against *unoptimised* execution, which is the
-greedy oracle's world.  The search strategy prices through ``plan.opt``
-instead; its counterpart lives in ``tests/scl/test_tune_properties.py``.
+Everything here compares the *raw-lowering* cost model
+(``estimate_cost`` with no ``opt``) against *unoptimised* execution
+(``opt="off"``), with the rewrite being every rule applied to fixpoint.
+The search prices through ``plan.opt`` instead; its counterpart lives in
+``tests/scl/test_tune_properties.py``.
 """
 
 from __future__ import annotations
+
+import collections
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 from repro.core.pararray import ParArray
 from repro.machine import AP1000, Machine
 from repro.machine.topology import FullyConnected
-from repro.scl import Map, Rotate, compose_nodes, optimize
+from repro.scl import (Map, Rotate, compose_nodes, default_engine,
+                       estimate_cost)
 from repro.scl.compile import base_fragment, run_expression
 
 P = 8
@@ -50,6 +54,24 @@ def rewrite_candidates(draw):
     return compose_nodes(*steps)
 
 
+Report = collections.namedtuple(
+    "Report", "original optimized cost_before cost_after accepted")
+
+
+def _fixpoint_report(expr) -> Report:
+    """Rewrite to fixpoint and price both ends on their raw lowerings; the
+    package is accepted only when predicted no slower."""
+    def cost(node):
+        return estimate_cost(node, n=P, spec=AP1000, fn_ops=FN_OPS,
+                             element_bytes=AP1000.word_bytes)
+
+    rewritten, _steps = default_engine().rewrite(expr)
+    before, after = cost(expr), cost(rewritten)
+    if after.seconds <= before.seconds:
+        return Report(expr, rewritten, before, after, rewritten is not expr)
+    return Report(expr, expr, before, before, False)
+
+
 def _simulate(expr) -> tuple[list, float]:
     # opt="off" throughout this module: these tests compare the
     # *expression-level* model against the raw compiled execution; the
@@ -63,8 +85,7 @@ def _simulate(expr) -> tuple[list, float]:
 @settings(max_examples=40, deadline=None)
 @given(expr=rewrite_candidates())
 def test_predicted_improvements_are_real(expr):
-    report = optimize(expr, n=P, spec=AP1000, fn_ops=FN_OPS,
-                      element_bytes=AP1000.word_bytes, strategy="greedy")
+    report = _fixpoint_report(expr)
     before_out, before_s = _simulate(report.original)
     after_out, after_s = _simulate(report.optimized)
     # rewrites preserve meaning...
@@ -77,8 +98,7 @@ def test_predicted_improvements_are_real(expr):
 @settings(max_examples=40, deadline=None)
 @given(expr=rewrite_candidates())
 def test_predicted_message_counts_match_simulation(expr):
-    report = optimize(expr, n=P, spec=AP1000, fn_ops=FN_OPS,
-                      element_bytes=AP1000.word_bytes, strategy="greedy")
+    report = _fixpoint_report(expr)
     for node, cost in ((report.original, report.cost_before),
                        (report.optimized, report.cost_after)):
         _out, _ = _simulate(node)
@@ -99,9 +119,7 @@ def test_the_papers_headline_pairs_rank_correctly(rng):
          "mixed chain"),
     ]
     for expr, label in pairs:
-        report = optimize(expr, n=P, spec=AP1000, fn_ops=FN_OPS,
-                          element_bytes=AP1000.word_bytes,
-                          strategy="greedy")
+        report = _fixpoint_report(expr)
         assert report.accepted, label
         _out_b, before_s = _simulate(report.original)
         _out_a, after_s = _simulate(report.optimized)

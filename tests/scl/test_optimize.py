@@ -1,4 +1,5 @@
-"""Tests for repro.scl.optimize — the cost model and optimisation driver."""
+"""Tests for repro.scl.optimize — the cost model — and the optimiser that
+prices with it, ``repro.tune.tune_expression``."""
 
 from __future__ import annotations
 
@@ -19,11 +20,12 @@ from repro.scl import (
     RotateRow,
     Scan,
     compose_nodes,
+    default_engine,
     estimate_cost,
-    optimize,
 )
 from repro.scl.optimize import ExprCost
 from repro.scl.rewrite import Rule
+from repro.tune import tune_expression
 
 
 class TestExprCost:
@@ -122,61 +124,59 @@ class TestEstimateCost:
 
 class TestOptimize:
     def test_accepts_improving_rewrite(self):
-        # greedy oracle: prices the raw lowering, where map fusion shows
+        # the fixpoint priced on the raw lowering, where map fusion shows
         # up as a barrier saved (search's pipeline cost recovers the
         # fusion via plan.opt, so there the two forms tie on cost and
         # the rewrite is taken on expression size instead)
         prog = compose_nodes(Map(lambda x: x), Map(lambda x: x))
-        rep = optimize(prog, n=64, spec=AP1000, strategy="greedy")
-        assert rep.accepted
-        assert rep.speedup > 1.0
-        assert rep.cost_after.barriers < rep.cost_before.barriers
+        fused, steps = default_engine().rewrite(prog)
+        before = estimate_cost(prog, n=64, spec=AP1000)
+        after = estimate_cost(fused, n=64, spec=AP1000)
+        assert steps
+        assert before.seconds / after.seconds > 1.0
+        assert after.barriers < before.barriers
 
     def test_search_takes_cost_invisible_fusion_for_size(self):
         prog = compose_nodes(Map(lambda x: x), Map(lambda x: x))
-        rep = optimize(prog, n=64, spec=AP1000, strategy="search")
-        assert rep.accepted
-        assert rep.speedup == pytest.approx(1.0)
-        assert "map-fusion" in {s.rule for s in rep.steps}
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            optimize(Rotate(1), n=8, strategy="annealing")
+        res = tune_expression(prog, nprocs=64, spec=AP1000)
+        assert res.improved
+        assert res.predicted_speedup == pytest.approx(1.0)
+        assert "map-fusion" in set(res.winner.rules)
 
     def test_noop_when_nothing_matches(self):
         prog = Rotate(1)
-        rep = optimize(prog, n=8, spec=AP1000)
-        assert rep.optimized == prog
-        assert rep.cost_after == rep.cost_before
+        res = tune_expression(prog, nprocs=8, spec=AP1000)
+        assert res.winner.expr == prog
+        assert res.winner.cost == res.original.cost
 
     def test_rejects_worsening_rule_set(self):
         """A (terminating) rule that splits one rotation into many must be
         rejected by the cost guard."""
         unfuse = Rule("unfuse", 1, lambda w: (Rotate(w[0].k - 1), Rotate(1))
                       if isinstance(w[0], Rotate) and w[0].k > 1 else None)
-        rep = optimize(Rotate(4), n=8, spec=AP1000, rules=[unfuse])
-        assert not rep.accepted
-        assert rep.optimized == Rotate(4)
+        res = tune_expression(Rotate(4), nprocs=8, spec=AP1000, rules=[unfuse])
+        assert not res.improved
+        assert res.winner.expr == Rotate(4)
 
     def test_report_is_printable(self):
         prog = compose_nodes(Map(lambda x: x), Map(lambda x: x), Rotate(1),
                              Rotate(-1))
-        text = str(optimize(prog, n=16, spec=AP1000))
+        text = str(tune_expression(prog, nprocs=16, spec=AP1000))
         assert "map-fusion" in text and "predicted" in text
 
     def test_speedup_of_identity_rewrite_is_one(self):
-        rep = optimize(Rotate(2), n=4, spec=AP1000)
-        assert rep.speedup == pytest.approx(1.0)
+        res = tune_expression(Rotate(2), nprocs=4, spec=AP1000)
+        assert res.predicted_speedup == pytest.approx(1.0)
 
     def test_map_distribution_accepted_at_scale(self):
         prog = FoldrFused(operator.add, lambda x: x, op_associative=True)
-        rep = optimize(prog, n=4096, spec=AP1000, fn_ops=50)
-        assert rep.accepted and rep.speedup > 1.0
+        res = tune_expression(prog, nprocs=4096, spec=AP1000, fn_ops=50)
+        assert res.improved and res.predicted_speedup > 1.0
 
     def test_map_distribution_rejected_when_latency_dominates(self):
         prog = FoldrFused(operator.add, lambda x: x, op_associative=True)
-        rep = optimize(prog, n=256, spec=AP1000, fn_ops=1)
-        assert not rep.accepted
+        res = tune_expression(prog, nprocs=256, spec=AP1000, fn_ops=1)
+        assert not res.improved
 
 
 class TestPartitionGatherCosts:
@@ -201,7 +201,7 @@ class TestPartitionGatherCosts:
         from repro.scl import Gather, Partition
 
         wasteful = compose_nodes(Gather(), Partition(Block(8)))
-        rep = optimize(wasteful, n=64, spec=AP1000)
-        assert rep.accepted
-        assert rep.optimized == Id()
-        assert rep.cost_after.seconds < rep.cost_before.seconds
+        res = tune_expression(wasteful, nprocs=64, spec=AP1000)
+        assert res.improved
+        assert res.winner.expr == Id()
+        assert res.winner.cost.seconds < res.original.cost.seconds

@@ -14,45 +14,51 @@ property-suite pattern, applied to the *pre-lowering* optimizer):
    re-associated compute charges) and message count are bounded by the
    original's.  This is the model-fidelity half of the contract: a
    predicted improvement must not be a simulated regression.
-4. **beam=1 never loses to greedy** — hill-climbing on the unified
-   pipeline cost matches the old greedy fixpoint wherever greedy's
-   package is genuinely improving, and prices no worse everywhere.  On
-   the random space below the two agree exactly (every random ``Fetch``
-   is a bijective shift, so fusion can never concentrate traffic);
-   where they *can* diverge, search wins — the deterministic anchor at
-   the bottom pins the engineered case where greedy's all-or-nothing
-   package fuses sparse fetches into a traffic funnel and search
-   declines it.
+4. **beam=1 never loses to greedy, the fixpoint** — hill-climbing on the
+   pipeline cost matches rewriting to fixpoint
+   (``default_engine().rewrite``) wherever that package is genuinely
+   improving, and prices no worse everywhere.  On the random space below
+   the two agree exactly (every random ``Fetch`` is a bijective shift,
+   so fusion can never concentrate traffic); where they *can* diverge,
+   search wins — the deterministic anchor at the bottom pins the
+   engineered case where the fixpoint fuses sparse fetches into a
+   traffic funnel and search declines it.
 """
 
 from __future__ import annotations
 
 import collections
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.sort import seq_quicksort
+from repro.core import Block, parmap, partition
 from repro.core.pararray import ParArray
 from repro.machine import AP1000, Machine, PERFECT
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan.cost import ExprCost
-from repro.plan.lower import clear_plan_cache
+from repro.plan.lower import clear_plan_cache, plan_cache_stats, tuned_lower
+from repro.plan.opt import OptConfig
 from repro.scl import (
     Brdcast,
     Fetch,
     Fold,
+    FoldrFused,
     IMap,
     IterFor,
     Map,
     Rotate,
     Scan,
     compose_nodes,
+    default_engine,
+    estimate_cost,
 )
 from repro.scl.compile import base_fragment, run_expression
-from repro.scl.optimize import optimize
-from repro.tune import score_expression, tune_expression
+from repro.tune import tune_expression, tuned_sort_pipeline
 
 SLACK = 1 + 1e-9  # fused compute charges re-associate float additions
 
@@ -125,7 +131,7 @@ def test_searched_winner_is_bit_identical_and_never_regresses(
     # predicted: the original never leaves the pool, so the winner's
     # lexicographic key is bounded by the original's
     assert res.best.order_key() <= res.original.order_key()
-    winner = res.best if res.improved else res.original
+    winner = res.winner
 
     # single_port matches plan_cost's msg x degree exchange pricing —
     # the machine the search believed it was optimising for
@@ -146,62 +152,69 @@ def test_searched_winner_is_bit_identical_and_never_regresses(
 @given(prog=programs(),
        spec_name=st.sampled_from(sorted(SPECS)))
 def test_beam1_search_never_loses_to_greedy(prog, spec_name):
+    """"Greedy" is rewriting to fixpoint: ``default_engine().rewrite``."""
     p, expr = prog
     spec = SPECS[spec_name]
-    rep_search = optimize(expr, n=p, spec=spec, strategy="search",
-                          beam=1)
-    rep_greedy = optimize(expr, n=p, spec=spec, strategy="greedy")
+    searched = tune_expression(expr, nprocs=p, spec=spec, beam=1).winner.expr
+    fixpoint, _steps = default_engine().rewrite(expr)
 
-    # both strategies preserve meaning
+    # both preserve meaning
     pa = ParArray([float(3 * r + 1) for r in range(p)])
 
     def machine():
         return Machine(FullyConnected(p), spec=spec, single_port=True)
 
     want, _ = run_expression(expr, pa, machine(), opt="auto")
-    got_s, _ = run_expression(rep_search.optimized, pa, machine(),
-                              opt="auto")
-    got_g, _ = run_expression(rep_greedy.optimized, pa, machine(),
-                              opt="auto")
+    got_s, _ = run_expression(searched, pa, machine(), opt="auto")
+    got_f, _ = run_expression(fixpoint, pa, machine(), opt="auto")
     assert _values(got_s) == _values(want)
-    assert _values(got_g) == _values(want)
+    assert _values(got_f) == _values(want)
 
-    # priced through the one unified model, hill-climbing on pipeline
-    # cost is never worse than greedy's all-or-nothing package
-    cost_s, _ = score_expression(rep_search.optimized, nprocs=p, spec=spec)
-    cost_g, _ = score_expression(rep_greedy.optimized, nprocs=p, spec=spec)
-    assert cost_s.seconds <= cost_g.seconds * SLACK
+    # priced through the one function, hill-climbing on pipeline cost is
+    # never worse than taking every rewrite
+    cost_s = estimate_cost(searched, n=p, spec=spec)
+    cost_f = estimate_cost(fixpoint, n=p, spec=spec)
+    assert cost_s.seconds <= cost_f.seconds * SLACK
 
-    # on this space every Fetch is a bijective shift, so greedy's fusion
-    # package never concentrates traffic and the two agree exactly
-    assert rep_search.optimized == rep_greedy.optimized
+    # on this space every Fetch is a bijective shift, so the fixpoint's
+    # fusions never concentrate traffic and the two agree exactly
+    assert searched == fixpoint
 
 
 class TestSearchBeatsGreedyAnchor:
-    """The engineered divergence the benchmarks track: greedy's package
-    fuses two sparse fetches into one degree-15 funnel (2 barriers saved
-    beats the fetch penalty under its raw-lowering model), search prices
-    the funnel on the single-port machine and declines it."""
+    """The engineered divergence the benchmarks track: the fixpoint fuses
+    two sparse fetches into one degree-15 funnel (2 barriers saved beats
+    the fetch penalty on the raw lowering), search prices the funnel on
+    the single-port machine and declines it."""
 
     def test_search_strictly_beats_greedy_in_simulated_makespan(self):
-        from repro.tune import run_tuned_hyperquicksort
-
+        d = 5
         rng = np.random.default_rng(7)
         values = rng.integers(0, 2**31, size=4000).astype(np.int32)
+        blocks = parmap(seq_quicksort, partition(Block(1 << d), values))
+        expr = tuned_sort_pipeline(d)
 
-        out_s, res_s, rep_s = run_tuned_hyperquicksort(
-            values, 5, strategy="search", beam=2)
-        out_g, res_g, rep_g = run_tuned_hyperquicksort(
-            values, 5, strategy="greedy")
+        # the one-port contention model is what the exchange pricing
+        # (msg x degree) assumes
+        def run(program):
+            return run_expression(
+                program, blocks,
+                Machine(Hypercube(d), spec=AP1000, single_port=True),
+                opt="auto")
+
+        tuned = tuned_lower(expr, 1 << d, opt=OptConfig(spec=AP1000), beam=2)
+        fixpoint, fixpoint_steps = default_engine().rewrite(expr)
+        out_s, res_s = run(tuned.expr)
+        out_g, res_g = run(fixpoint)
 
         # per-rank blocks, exactly equal (not allclose)
         assert all(np.array_equal(np.asarray(a), np.asarray(b))
                    for a, b in zip(list(out_s), list(out_g)))
         assert res_s.makespan < res_g.makespan  # strict: the trap engaged
         # search took the fusions plan.opt cannot recover but declined
-        # the traffic-concentrating fetch fusion greedy bundled in
-        assert len(rep_s.steps) < len(rep_g.steps)
-        assert "fetch" not in " ".join(s.rule for s in rep_s.steps)
+        # the traffic-concentrating fetch fusion the fixpoint bundles in
+        assert len(tuned.steps) < len(fixpoint_steps)
+        assert "fetch" not in " ".join(s.rule for s in tuned.steps)
 
 
 class TestSearchWorkAndAnswerArePinned:
@@ -216,8 +229,6 @@ class TestSearchWorkAndAnswerArePinned:
                                beam=4)
 
     def test_explored_set_winner_and_cost(self):
-        from repro.tune import tuned_sort_pipeline
-
         res = self._search(tuned_sort_pipeline(self.DIM, self.REPEATS))
         assert res.explored == 116 and res.rounds == 9
         assert res.best.rules == ("map-fusion",) * 6
@@ -262,3 +273,22 @@ def test_a_bug_in_an_index_function_is_not_priced_as_unlowerable():
     expr = compose_nodes(Map(_inc), Fetch(broken))
     with pytest.raises(TypeError):
         tune_expression(expr, nprocs=4, spec=AP1000)
+
+
+def test_pricing_never_touches_the_plan_cache():
+    """Priced expressions are throwaway: neither a search nor one
+    ``estimate_cost`` may probe, fill or count against the plan cache —
+    not even for a candidate with no plan form, which is lowered once
+    (to find that out) and then priced by the expression-level model."""
+    prog = FoldrFused(operator.add, lambda x: x, op_associative=True)
+    untouched = {"hits": 0, "misses": 0, "size": 0}
+
+    def touched():
+        stats = plan_cache_stats()
+        return {key: stats[key] for key in untouched}
+
+    clear_plan_cache()
+    tune_expression(prog, nprocs=4096, spec=AP1000, fn_ops=50)
+    assert touched() == untouched
+    estimate_cost(prog, n=4096, spec=AP1000, fn_ops=50)
+    assert touched() == untouched

@@ -1,4 +1,6 @@
-"""Tests for repro.stream.pipeline — thread pipelines and the machine model."""
+"""Thread pipelines — per-item stages as a stream plan, the only tests of
+``run_staged``'s failure contract — and ``repro.stream.pipeline``'s
+machine model."""
 
 from __future__ import annotations
 
@@ -8,7 +10,17 @@ import pytest
 
 from repro.errors import SkeletonError
 from repro.machine import AP1000, PERFECT
-from repro.stream import PipelineStage, pipeline, pipeline_machine
+from repro.stream import PipelineStage, pipeline_machine, stream_plan
+
+
+def pipeline(stages, buffer=8):
+    """``items -> StreamPlan.run`` of one ``map_seq`` per stage function."""
+    def run(items):
+        plan = stream_plan(items)
+        for fn in stages:
+            plan = plan.map_seq(fn)
+        return plan.run(buffer=buffer)
+    return run
 
 
 def inc(x):
@@ -51,17 +63,10 @@ class TestThreadPipeline:
         sequential_estimate = 27 * 0.005
         assert piped < sequential_estimate * 0.8
 
-    def test_stage_objects_accepted(self):
-        run = pipeline([PipelineStage(fn=inc, ops=5, name="inc")])
-        assert list(run([1])) == [2]
-
-    def test_bad_stage_rejected(self):
-        with pytest.raises(SkeletonError):
-            pipeline(["not callable"])  # type: ignore[list-item]
-
     def test_bad_buffer_rejected(self):
+        # at the call, not at the first next() of the generator it returns
         with pytest.raises(SkeletonError):
-            pipeline([inc], buffer=0)
+            stream_plan([1]).map_seq(inc).run(buffer=0)
 
     def test_stage_exception_propagates(self):
         run = pipeline([inc, lambda x: 1 // (x - 3), inc])
@@ -210,6 +215,10 @@ class TestMachinePipeline:
     def test_empty_stage_list_rejected(self):
         with pytest.raises(SkeletonError):
             pipeline_machine([], [1])
+
+    def test_bad_stage_rejected(self):
+        with pytest.raises(SkeletonError):
+            pipeline_machine(["not callable"], [1])  # type: ignore[list-item]
 
     def test_message_count(self):
         s, m = 4, 10

@@ -13,6 +13,8 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * nothing current still points at the retired host-time harness,
 * the optimizer's config carries no field, and the compile/tune surface
   no ``topo`` parameter, that exists only to be passed along,
+* there is one optimiser with one price — no ``strategy`` to choose, one
+  caller of ``plan_cost`` under ``scl`` + ``tune`` — and one stream model,
 * the whole-machine walk makes no per-request timeline call,
 * the Plan IR has one point-to-point instruction and its transports two
   methods, and the un-annotated fragment cost is nobody's parameter,
@@ -142,16 +144,64 @@ def test_every_opt_config_field_is_read_by_the_optimizer():
     assert not unread, f"OptConfig fields nothing reads: {sorted(unread)}"
 
 
-@pytest.mark.parametrize("modname", ["repro.plan", "repro.tune",
-                                     "repro.scl.optimize"])
+@pytest.mark.parametrize("modname", [
+    "repro.plan", "repro.tune", "repro.scl.optimize", "repro.tune.search",
+    "repro.tune.workloads", "repro.plan.cli"])
 def test_no_compile_or_tune_callable_takes_a_topology(modname):
     """Plans are priced on a ``MachineSpec`` alone; a ``topo`` parameter
-    on this surface has nothing to feed."""
+    on this surface has nothing to feed.  Nor a ``strategy``: the beam
+    search is the optimiser, rewriting to fixpoint is one engine call."""
     mod = importlib.import_module(modname)
-    offenders = [name for name in mod.__all__
+    offenders = [f"{name}({banned}=)" for name in mod.__all__
                  if callable(getattr(mod, name))
-                 and "topo" in inspect.signature(getattr(mod, name)).parameters]
-    assert not offenders, f"{modname}: {offenders} take topo="
+                 for banned in ("topo", "strategy")
+                 if banned in inspect.signature(getattr(mod, name)).parameters]
+    assert not offenders, f"{modname}: {offenders}"
+
+
+def _module_tree(modname):
+    with open(importlib.util.find_spec(modname).origin,
+              encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def test_expressions_are_priced_in_one_place():
+    """One lower-then-``plan_cost`` body serves ``estimate_cost`` and the
+    search, so a predicted cost is always the cost of the plan that
+    lowering config produces; ``tune.search`` does no lowering of its own."""
+    callers = []
+    for modname in MODULES:
+        if not modname.startswith(("repro.scl", "repro.tune")):
+            continue
+        for fn in ast.walk(_module_tree(modname)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None)) == "plan_cost"
+                    for node in ast.walk(fn)):
+                callers.append(f"{modname}.{fn.name}")
+    assert callers == ["repro.scl.optimize.price"]
+    used = {getattr(node, field, None)
+            for node in ast.walk(_module_tree("repro.tune.search"))
+            for field in ("id", "attr", "name")}  # names, attributes, imports
+    assert not used & {"lower_uncached", "modules"}, used
+
+
+def test_there_is_one_stream_model():
+    """Stream plans are the stream layer: ``run_staged`` has one importer
+    and ``repro.stream`` exports ``stream.plan`` plus the machine
+    pipeline."""
+    importers = [modname for modname in MODULES
+                 if any(isinstance(node, ast.ImportFrom)
+                        and any(a.name == "run_staged" for a in node.names)
+                        for node in ast.walk(_module_tree(modname)))]
+    assert importers == ["repro.stream.plan"]
+    import repro.stream
+    import repro.stream.plan
+
+    foreign = (set(repro.stream.__all__) - set(repro.stream.plan.__all__)
+               - {"PipelineStage", "pipeline_machine"})
+    assert not foreign, sorted(foreign)
 
 
 def test_the_walk_makes_no_per_request_timeline_call():
