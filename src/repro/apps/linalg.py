@@ -174,7 +174,11 @@ def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
 
             return stack_uniform([v[1] for v in vals], xform)
 
-        vectorize_fragment(update, update_batched)
+        def update_ops_all(vals):
+            per_entry = params.update_ops_per_entry
+            return [float(per_entry * np.asarray(v[1]).size) for v in vals]
+
+        vectorize_fragment(update, update_batched, update_ops_all)
         return compose_nodes(Map(update), ApplyBrdcast(partial_pivot, owner))
 
     return IterFor(n, body)

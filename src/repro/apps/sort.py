@@ -59,6 +59,7 @@ from repro.errors import SkeletonError
 from repro.machine import AP1000, Comm, Hypercube, Machine, MachineSpec, collectives
 from repro.machine.simulator import RunResult
 from repro.plan.ir import base_fragment
+from repro.plan.kernels import vectorize_fragment
 from repro.runtime.chunking import chunk_indices
 from repro.runtime.executor import Executor
 
@@ -490,6 +491,35 @@ def _hq_split_on_leader_median(dp):
     return split_by_pivot(midvalue(leader_data), data)
 
 
+def _hq_split_batched(values):
+    # A sub-cube's ranks are adjacent and all hold the one object fetched
+    # from their leader, so its median is taken once per sub-cube.
+    out = []
+    seen, pivot = object(), None
+    for data, leader_data in values:
+        if leader_data is not seen:
+            seen = leader_data
+            pivot = midvalue(leader_data)
+        a = np.asarray(data)
+        k = a.searchsorted(pivot, side="right")
+        out.append((a[:k], a[k:]))
+    return out
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _hq_split_ops(m: int) -> float:
+    # the scalar cost tag itself, once per block length
+    return float(_HQ_PARAMS.median_ops + _HQ_PARAMS.split_ops(m))
+
+
+def _hq_split_ops_all(values):
+    return [_hq_split_ops(np.asarray(dp[0]).size) for dp in values]
+
+
+vectorize_fragment(_hq_split_on_leader_median, _hq_split_batched,
+                   _hq_split_ops_all)
+
+
 class _HqSelect:
     """The piece selector of one hyperquicksort step: lower-half
     processors keep and receive the low pieces, upper-half processors
@@ -512,6 +542,19 @@ class _HqSelect:
     np.asarray(kr[0]).size + np.asarray(kr[1]).size))
 def _hq_merge_pair(kr):
     return merge_sorted(kr[0], kr[1])
+
+
+def _hq_merge_batched(values):
+    return [merge_sorted(a, b) for a, b in values]
+
+
+def _hq_merge_ops_all(values):
+    per_elem = _HQ_PARAMS.merge_ops_per_elem
+    return [float(per_elem * (np.asarray(a).size + np.asarray(b).size))
+            for a, b in values]
+
+
+vectorize_fragment(_hq_merge_pair, _hq_merge_batched, _hq_merge_ops_all)
 
 
 @functools.lru_cache(maxsize=None)

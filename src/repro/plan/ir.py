@@ -79,7 +79,23 @@ def fragment_ops(fn: Any, value: Any) -> float:
 
 def fragment_ops_all(fn: Any, values: Sequence[Any]) -> list[float]:
     """:func:`fragment_ops` of one fragment for each of ``values`` (every
-    rank's input to one instruction); the annotation is read once."""
+    rank's input to one instruction), in one pass.
+
+    A fragment that registered a whole-machine cost form
+    (:func:`repro.plan.kernels.vectorize_fragment`, carried as
+    ``fn.scl_ops_all``) is asked once for all ranks; its answer must be
+    exactly ``[fragment_ops(fn, v) for v in values]`` — the per-rank
+    annotation stays what the interpreter charges.  Otherwise the
+    annotation is read once and called per rank.
+    """
+    ops_all = getattr(fn, "scl_ops_all", None)
+    if ops_all is not None:
+        charges = ops_all(values)
+        if not isinstance(charges, list) or len(charges) != len(values):
+            raise ValueError(
+                f"cost form of {getattr(fn, '__name__', fn)!r} did not "
+                f"return a list of {len(values)} per-rank charges")
+        return charges
     ops = getattr(fn, "scl_ops", DEFAULT_FRAGMENT_OPS)
     if callable(ops):
         return [float(ops(value)) for value in values]

@@ -7,13 +7,18 @@ the plan *once*, evolving all p ranks' values together, and advances the
 machine's lockstep timeline (:class:`repro.machine.lockstep.Lockstep`)
 one whole instruction at a time.
 
-* **Values**: known elementwise kernels (:mod:`repro.plan.kernels`) run
-  as one SoA numpy op across the ranks instead of p Python calls; opaque
-  fragments fall back to the per-rank loop.  What a rank receives is read
-  straight off the instruction's receive table — no message carries it.
+* **Values**: a fragment that registered its whole-machine form
+  (:mod:`repro.plan.kernels`) runs as one call across the ranks instead
+  of p Python calls — one SoA numpy op where the ranks' blocks are
+  uniform, one loop that shares what the ranks share where they are
+  ragged; opaque fragments fall back to the per-rank loop.  What a rank
+  receives is read straight off the instruction's receive table — no
+  message carries it.
 * **Time**: each instruction is one bulk step of the timeline — a
   ``LocalApply`` one :meth:`~repro.machine.lockstep.Lockstep.work_all`
-  of the charges the interpreter would have yielded, an ``Exchange`` one
+  of the charges the interpreter would have yielded (the registered
+  all-ranks cost when the fragment has one, else its per-rank tag on
+  each value: :func:`repro.plan.ir.fragment_ops_all`), an ``Exchange`` one
   :meth:`~repro.machine.lockstep.Lockstep.exchange` over its tables with
   each sender's value sized once, a ``Collective`` one ``exchange`` per
   round of its schedule (:func:`repro.machine.collectives.bcast_rounds`

@@ -11,8 +11,10 @@ program interpreted on a ``Machine(batch=False)`` exactly (``==`` on floats
 over the application anchors, every collective kind, looped and ragged
 point-to-point traffic and three topologies, plus the random flat-plan
 strategy of ``test_opt_properties`` — and each comparison first checks
-that the walk arm really walked, so a plan the walk declines can never
-turn the suite into interpreter-against-interpreter.  The remaining tests
+that the walk arm really walked, and went through every whole-machine
+form the program's fragments register, so neither a plan the walk
+declines nor a registry that stops being consulted can turn the suite
+into per-rank against per-rank.  The remaining tests
 pin the payload sizes the walk reports, the machine-side routing (who
 chooses the interpreter) and error parity on malformed hand-built plans.
 """
@@ -40,7 +42,8 @@ from repro.machine.lockstep import Lockstep
 from repro.machine.plan_exec import execute_plan
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan import ir, vexec
-from repro.plan.lower import clear_plan_cache
+from repro.plan.kernels import elementwise
+from repro.plan.lower import clear_plan_cache, lower
 from repro.scl import (
     ApplyBrdcast,
     Brdcast,
@@ -53,6 +56,7 @@ from repro.scl import (
     compose_nodes,
 )
 from repro.scl.compile import base_fragment, run_expression
+from tests.plan.test_kernels import plan_fragments
 from tests.plan.test_opt_properties import programs
 
 TOPOLOGIES = {
@@ -111,12 +115,39 @@ def walks_recorded():
         yield outcomes
 
 
+@contextlib.contextmanager
+def forms_recorded(expr, p):
+    """How often each whole-machine form registered by a fragment of
+    ``expr`` (values ``scl_batched``, charges ``scl_ops_all``) was called
+    inside the block, as ``{(fragment name, attribute): calls}``."""
+    calls = {}
+
+    def spy(key, real):
+        def wrapper(values):
+            calls[key] += 1
+            return real(values)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for fn in set(plan_fragments(lower(expr, p).instrs)):
+            for attr in ("scl_batched", "scl_ops_all"):
+                real = getattr(fn, attr, None)
+                if real is not None:
+                    key = (fn.__name__, attr)
+                    calls[key] = 0
+                    stack.enter_context(
+                        mock.patch.object(fn, attr, spy(key, real)))
+        yield calls
+
+
 def run_walked_and_interpreted(expr, pa, topology):
     """:func:`run_both`, having checked that the first arm was walked to
-    the end (and the second never offered to the walk)."""
-    with walks_recorded() as outcomes:
+    the end through every registered form (and the second never offered
+    to the walk)."""
+    with walks_recorded() as outcomes, forms_recorded(expr, pa.size) as forms:
         runs = run_both(expr, pa, topology)
     assert len(outcomes) == 1 and outcomes[0] is not None
+    assert all(forms.values()), forms
     return runs
 
 
@@ -127,9 +158,9 @@ def _grow(x):
     return np.append(x, np.sum(x))
 
 
-def _hyperquicksort(d):
+def _hyperquicksort(d, nkeys=None, key_range=10**6):
     rng = np.random.default_rng(40 + d)
-    keys = rng.integers(0, 10**6, size=37 << d).astype(np.int64)
+    keys = rng.integers(0, key_range, size=nkeys or 37 << d).astype(np.int64)
     return (hyperquicksort_expression(d),
             parmap(seq_quicksort, partition(Block(1 << d), keys)))
 
@@ -165,6 +196,12 @@ CASES = {
     "hyperquicksort-d3": functools.partial(_hyperquicksort, 3),
     "hyperquicksort-d4": functools.partial(_hyperquicksort, 4),
     "hyperquicksort-d5": functools.partial(_hyperquicksort, 5),
+    # fewer keys than ranks: empty blocks, empty pieces, leaders with none
+    "hyperquicksort-d3-sparse": functools.partial(_hyperquicksort, 3,
+                                                  nkeys=5),
+    # three distinct keys: every pivot ties with most of every block
+    "hyperquicksort-d3-duplicates": functools.partial(_hyperquicksort, 3,
+                                                      key_range=3),
     "gauss-jordan": _gauss_jordan,
     "scan": lambda: (Scan(lambda a, b: a + b), _numbers()),
     "fold": lambda: (Fold(lambda a, b: a + b), _numbers()),
@@ -180,6 +217,10 @@ CASES = {
         compose_nodes(Map(lambda got: sum(np.sum(v) for v in got)),
                       SendNode(lambda r: (0, 0, (r + 1) % 8))),
         _vector()),
+    # bare numbers through a registered kernel stay 0-d: one word on the
+    # wire, not an array of one
+    "zero-d-elementwise": lambda: (
+        compose_nodes(Rotate(1), Map(elementwise(np.square))), _numbers()),
 }
 
 
