@@ -207,12 +207,14 @@ class Exchange(Instr):
     The tables are built here, from whichever side a skeleton's index
     function names (:meth:`from_sources` for the ``fetch`` family,
     :meth:`from_destinations` for the ``send`` family), in one pass over
-    the ranks.  Two facts about the tables are worked out once per
+    the ranks.  Three facts about the tables are worked out once per
     instruction object and kept beside them (outside ``==``, ``hash`` and
     ``dataclasses.replace``): what they cost on the wire
-    (:attr:`traffic`), and which send each receive consumes
-    (:attr:`wiring`) — ``None`` when the tables do not match up, which
-    hand-built tables can fail to and the two constructors cannot.
+    (:attr:`traffic`), which send each receive consumes (:attr:`wiring`)
+    — ``None`` when the tables do not match up, which hand-built tables
+    can fail to and the two constructors cannot — and, for the
+    single-source modes, the rank each rank reads from
+    (:attr:`sources`).
     """
 
     mode: str
@@ -273,6 +275,14 @@ class Exchange(Instr):
         interpreter, whose engines report what is wrong with it."""
         from repro.machine.lockstep import wire
         return wire(self.sends, self.recvs)
+
+    @functools.cached_property
+    def sources(self) -> tuple[int, ...]:
+        """``recvs[r][0]`` for every rank ``r``: the one rank each rank
+        reads from in a ``replace`` / ``pair`` exchange (itself: no
+        message) — the routing map the optimizer composes.  Read once per
+        instruction object, like :attr:`traffic`."""
+        return tuple(srcs[0] for srcs in self.recvs)
 
 
 @functools.lru_cache(maxsize=256)

@@ -103,10 +103,10 @@ def lower(expr: N.Node, nprocs: int,
     return plan
 
 
-def _optimize(plan: ir.Plan, opt) -> ir.Plan:
+def _optimize(plan: ir.Plan, opt, memo: dict | None = None) -> ir.Plan:
     from repro.plan.opt import optimize_plan
 
-    return optimize_plan(plan, opt)
+    return optimize_plan(plan, opt, memo=memo)
 
 
 def lower_uncached(expr: N.Node, nprocs: int,
@@ -117,19 +117,23 @@ def lower_uncached(expr: N.Node, nprocs: int,
     For callers that lower *throwaway* expressions — the beam search
     scores hundreds of candidates that will never be lowered again, and
     routing them through the LRU would evict genuinely hot plans and
-    drown the hit-rate metric the service reports.  (Nested
-    ``map``-of-sub-expression lowerings still share the cache: group
-    sub-plans recur across candidates.)
+    drown the hit-rate metric the service reports.
 
     Such a caller's expressions differ from one another by a rewrite
     window, so it may pass one ``memo`` dict to all of its calls: every
     composition step lowered outside a ``split`` is then lowered once per
     ``(step, nprocs, grid)`` and its instruction objects are shared by
-    every plan containing the step.  The dict belongs to the caller and
-    lives no longer than it does.
+    every plan containing the step; the group plans of a ``map`` of a
+    sub-expression are lowered once per ``(sub-expression, group size)``;
+    and :func:`~repro.plan.opt.optimize_plan` gets the same dict for its
+    pass results.  The dict belongs to the caller and lives no longer
+    than it does; without one, a dict private to this call plays its part
+    (so equal-size groups still share one plan).
     """
+    if memo is None:
+        memo = {}
     plan = _lower(expr, nprocs, grid, memo)
-    return plan if opt is None else _optimize(plan, opt)
+    return plan if opt is None else _optimize(plan, opt, memo)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,7 +257,8 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
     instructions of a step that was met with no ``split`` open and left
     none open — only then are they a function of the key alone.  A step
     that cannot be hashed, or whose lowering raises, is never recorded, so
-    it is lowered (and checked) afresh every time.
+    it is lowered (and checked) afresh every time.  Without a memo, group
+    plans come from the plan cache (:func:`_group_plan`).
     """
     if isinstance(node, N.Compose):
         for step in reversed(node.steps):
@@ -304,7 +309,7 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
                     "map of a sub-expression requires a split (nested) "
                     "configuration — compile `... . split P` first")
             top = splits[-1]
-            plans = tuple(lower(node.f, len(members), None)
+            plans = tuple(_group_plan(node.f, len(members), memo)
                           for members in top.groups)
             out.append(ir.SubPlan(plans))
             return
@@ -453,6 +458,24 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
 
     raise SkeletonError(
         f"the SCL compiler does not support {type(node).__name__} nodes")
+
+
+def _group_plan(expr: N.Node, size: int, memo: dict | None) -> ir.Plan:
+    """The plan one group of ``size`` ranks runs for ``map expr``: from
+    the plan cache when the lowering has no memo, else from the memo under
+    ``("group", expr, size)`` — so a search's lowerings never touch the
+    cache, and equal-size groups share one :class:`~repro.plan.ir.Plan`
+    either way."""
+    if memo is None:
+        return lower(expr, size, None)
+    key = ("group", expr, size)
+    try:
+        known = memo.get(key)
+    except TypeError:
+        return _lower(expr, size, None, memo)
+    if known is None:
+        known = memo[key] = _lower(expr, size, None, memo)
+    return known
 
 
 def _require_grid(grid, who: str) -> None:

@@ -31,6 +31,22 @@ pricing no other schedule can be predicted cheaper on a spec where a
 message costs time (ROADMAP item 4 records what the simulator sees
 instead).
 
+**The memo.**  A pass result is a function of the instruction objects it
+saw, and a rewrite search prices hundreds of plans that share their
+``Loop`` s and exchanges (:func:`repro.plan.lower.lower_uncached` with
+one ``memo`` dict).  ``optimize_plan(..., memo=)`` takes that same dict
+— it belongs to the caller and lives no longer than it does — and stores
+three things in it: each ``Loop`` / ``SubPlan`` object's coalesce result
+and its fuse result, and each adjacent routing pair's composition
+verdict, each with the :class:`PassNote` s it emitted, which a hit
+replays.  Keys hold object ``id`` s, and the value pins those objects so
+no id can be reused while the dict lives; coalescing keys also carry the
+plan's ``nprocs`` and ``grid`` and the spec (fusion reads none of them),
+and every key starts with a string tag, so none can equal lowering's
+``(step, nprocs, grid)``.  With or without the memo the result and the
+notes are ``==``; ``memo=None`` (the plan cache, the ``plan`` CLI) runs
+every pass afresh.
+
 ``optimize_plan`` is wired into :func:`repro.plan.lower.lower` via the
 ``opt=`` cache key (so optimized and raw plans never share cache
 entries) and enabled by default in :mod:`repro.scl.compile`.  The third
@@ -79,26 +95,45 @@ class PassNote:
     detail: str
 
 
-def optimize_plan(plan: ir.Plan, config: OptConfig) -> ir.Plan:
-    """Apply the passes; returns a new (or the same) plan."""
-    plan, _notes = optimize_plan_report(plan, config)
+def optimize_plan(plan: ir.Plan, config: OptConfig, *,
+                  memo: dict | None = None) -> ir.Plan:
+    """Apply the passes; returns a new (or the same) plan.  ``memo`` is a
+    search's shared dict (see the module docstring)."""
+    plan, _notes = optimize_plan_report(plan, config, memo=memo)
     return plan
 
 
-def optimize_plan_report(plan: ir.Plan,
-                         config: OptConfig) -> tuple[ir.Plan, tuple[PassNote, ...]]:
+def optimize_plan_report(plan: ir.Plan, config: OptConfig, *,
+                         memo: dict | None = None,
+                         ) -> tuple[ir.Plan, tuple[PassNote, ...]]:
     """Like :func:`optimize_plan` but also reports what each pass did."""
     notes: list[PassNote] = []
-    instrs = _coalesce_seq(plan.instrs, plan, config.spec, notes)
-    instrs = _fuse_seq(instrs, notes)
+    instrs = _coalesce_seq(plan.instrs, plan, config.spec, notes, memo)
+    instrs = _fuse_seq(instrs, notes, memo)
     if instrs is plan.instrs:
         return plan, tuple(notes)
     return ir.Plan(tuple(instrs), plan.nprocs, plan.grid), tuple(notes)
 
 
+def _memoised(memo: dict | None, key: tuple, pinned, notes: list[PassNote],
+              run, *args):
+    """``run(*args, notes)``, computed once per ``key`` when there is a
+    ``memo``: the result is stored with the notes ``run`` emitted, which
+    every later hit replays into ``notes``.  ``pinned`` holds the objects
+    whose ``id`` s the key names, so none of those ids can be reused."""
+    if memo is None:
+        return run(*args, notes)
+    hit = memo.get(key)
+    if hit is None:
+        emitted: list[PassNote] = []
+        hit = memo[key] = (pinned, run(*args, emitted), tuple(emitted))
+    notes.extend(hit[2])
+    return hit[1]
+
+
 # ---------------------------------------------------------------- fusion
 
-def _fuse_seq(instrs, notes: list[PassNote]):
+def _fuse_seq(instrs, notes: list[PassNote], memo: dict | None):
     out: list[ir.Instr] = []
     run: list[ir.LocalApply] = []
     changed = False
@@ -121,9 +156,13 @@ def _fuse_seq(instrs, notes: list[PassNote]):
             run.append(instr)
             continue
         flush()
-        out.append(_fuse_nested(instr, notes))
-        if out[-1] is not instr:
-            changed = True
+        if isinstance(instr, (ir.Loop, ir.SubPlan)):
+            # fusion reads neither the machine nor the plan's shape
+            fused = _memoised(memo, ("fuse", id(instr)), instr, notes,
+                              _fuse_nested, instr, memo)
+            changed = changed or fused is not instr
+            instr = fused
+        out.append(instr)
     flush()
     return tuple(out) if changed else instrs
 
@@ -142,28 +181,27 @@ def _fuse_run(applies: tuple[ir.LocalApply, ...]) -> ir.LocalApply:
                          label=label)
 
 
-def _fuse_nested(instr: ir.Instr, notes: list[PassNote]) -> ir.Instr:
+def _fuse_nested(instr: ir.Loop | ir.SubPlan, memo: dict | None,
+                 notes: list[PassNote]) -> ir.Instr:
     if isinstance(instr, ir.Loop):
-        bodies = tuple(_fuse_seq(body, notes) for body in instr.bodies)
+        bodies = tuple(_fuse_seq(body, notes, memo) for body in instr.bodies)
         if all(b is o for b, o in zip(bodies, instr.bodies)):
             return instr
         return ir.Loop(bodies)
-    if isinstance(instr, ir.SubPlan):
-        plans = tuple(
-            dataclasses.replace(sub, instrs=_fuse_seq(sub.instrs, notes))
-            for sub in instr.plans)
-        if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
-            return instr
-        return ir.SubPlan(plans)
-    return instr
+    plans = tuple(
+        dataclasses.replace(sub, instrs=_fuse_seq(sub.instrs, notes, memo))
+        for sub in instr.plans)
+    if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
+        return instr
+    return ir.SubPlan(plans)
 
 
 # ---------------------------------------------------- exchange coalescing
 
-def _route_map(instr: ir.Instr, p: int) -> tuple[int, ...] | None:
+def _route_map(instr: ir.Instr) -> tuple[int, ...] | None:
     """``srcs[r]`` of a pure-routing instruction, or ``None``."""
     if isinstance(instr, ir.Exchange) and instr.mode == "replace":
-        return tuple(instr.recvs[r][0] for r in range(p))
+        return instr.sources
     return None
 
 
@@ -173,16 +211,17 @@ def _cost_of(instrs, plan: ir.Plan, spec: MachineSpec) -> tuple[float, int]:
 
 
 def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
-                  notes: list[PassNote]):
-    p = plan.nprocs
+                  notes: list[PassNote], memo: dict | None):
     out: list[ir.Instr] = []
     changed = False
     for instr in instrs:
-        nested = _coalesce_nested(instr, plan, spec, notes)
-        if nested is not instr:
-            changed = True
-        instr = nested
-        srcs = _route_map(instr, p)
+        if isinstance(instr, (ir.Loop, ir.SubPlan)):
+            nested = _memoised(
+                memo, ("coalesce", id(instr), plan.nprocs, plan.grid, spec),
+                instr, notes, _coalesce_nested, instr, plan, spec, memo)
+            changed = changed or nested is not instr
+            instr = nested
+        srcs = _route_map(instr)
         if srcs is not None and all(s == r for r, s in enumerate(srcs)):
             # identity routing: no traffic, no result change — drop it
             notes.append(PassNote(
@@ -190,10 +229,13 @@ def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
             changed = True
             continue
         if out and srcs is not None:
-            prev_srcs = _route_map(out[-1], p)
-            if prev_srcs is not None:
-                merged = _compose_routes(out[-1], prev_srcs, instr, srcs, p,
-                                         plan, spec, notes)
+            prev = out[-1]
+            if _route_map(prev) is not None:
+                merged = _memoised(
+                    memo, ("route", id(prev), id(instr), plan.nprocs,
+                           plan.grid, spec),
+                    (prev, instr), notes, _compose_routes, prev, instr,
+                    plan, spec)
                 if merged is not None:
                     out.pop()
                     if merged:
@@ -204,15 +246,15 @@ def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
     return tuple(out) if changed else instrs
 
 
-def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
-                    plan: ir.Plan, spec: MachineSpec,
-                    notes: list[PassNote]):
+def _compose_routes(a: ir.Exchange, b: ir.Exchange, plan: ir.Plan,
+                    spec: MachineSpec, notes: list[PassNote]):
     """Compose routing ``a`` then ``b`` into one round, if never costlier.
 
     Returns ``None`` to keep the pair, ``()`` when the composition is the
     identity (both dropped), or a 1-tuple with the merged instruction.
     """
-    composed = tuple(srcs_a[srcs_b[r]] for r in range(p))
+    srcs_a, srcs_b = a.sources, b.sources
+    composed = tuple(srcs_a[srcs_b[r]] for r in range(plan.nprocs))
     la, lb = a.label, b.label
     if all(s == r for r, s in enumerate(composed)):
         notes.append(PassNote("coalesce", f"{la} . {lb} cancels out"))
@@ -228,20 +270,19 @@ def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
     return (merged,)
 
 
-def _coalesce_nested(instr: ir.Instr, plan: ir.Plan, spec: MachineSpec,
+def _coalesce_nested(instr: ir.Loop | ir.SubPlan, plan: ir.Plan,
+                     spec: MachineSpec, memo: dict | None,
                      notes: list[PassNote]) -> ir.Instr:
     if isinstance(instr, ir.Loop):
-        bodies = tuple(_coalesce_seq(body, plan, spec, notes)
+        bodies = tuple(_coalesce_seq(body, plan, spec, notes, memo)
                        for body in instr.bodies)
         if all(b is o for b, o in zip(bodies, instr.bodies)):
             return instr
         return ir.Loop(bodies)
-    if isinstance(instr, ir.SubPlan):
-        plans = tuple(
-            dataclasses.replace(
-                sub, instrs=_coalesce_seq(sub.instrs, sub, spec, notes))
-            for sub in instr.plans)
-        if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
-            return instr
-        return ir.SubPlan(plans)
-    return instr
+    plans = tuple(
+        dataclasses.replace(
+            sub, instrs=_coalesce_seq(sub.instrs, sub, spec, notes, memo))
+        for sub in instr.plans)
+    if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
+        return instr
+    return ir.SubPlan(plans)

@@ -68,7 +68,8 @@ def price(node: N.Node, *, n: int, grid: tuple[int, int] | None = None,
     (:func:`repro.plan.lower.lower_uncached`): priced expressions are
     mostly throwaway search candidates that would evict hot entries and
     distort the service-level hit-rate metric.  ``memo`` is handed to it
-    unchanged, so one search lowers each step its candidates share once.
+    and to :func:`plan_cost` unchanged, so one search lowers, optimizes
+    and prices each step its candidates share once.
     """
     try:
         plan = _plan_lower.lower_uncached(node, n, grid, opt=opt, memo=memo)
@@ -76,7 +77,7 @@ def price(node: N.Node, *, n: int, grid: tuple[int, int] | None = None,
         return _legacy_estimate(node, n=n, spec=spec, fn_ops=fn_ops,
                                 element_bytes=element_bytes), False
     return plan_cost(plan, spec=spec, fn_ops=fn_ops,
-                     element_bytes=element_bytes), True
+                     element_bytes=element_bytes, memo=memo), True
 
 
 def estimate_cost(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,

@@ -10,6 +10,7 @@ plans compute what the interpreter computes) lives in
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 
 import pytest
@@ -29,7 +30,7 @@ from repro.plan.lower import (
     plan_cache_stats,
     tuned_lower,
 )
-from repro.plan.opt import OptConfig
+from repro.plan.opt import OptConfig, optimize_plan_report
 from repro.scl import (
     AlignFetch,
     Brdcast,
@@ -321,6 +322,9 @@ def _unfused(instrs):
     for instr in instrs:
         if isinstance(instr, ir.Loop):
             out.append(tuple(_unfused(body) for body in instr.bodies))
+        elif isinstance(instr, ir.SubPlan):
+            out.append(tuple((sub.nprocs, sub.grid, _unfused(sub.instrs))
+                             for sub in instr.plans))
         elif isinstance(getattr(instr, "fn", None), ir.FusedKernel):
             out.append((instr.label, instr.indexed, instr.fn.applies))
         else:
@@ -373,15 +377,22 @@ class TestStepReuse:
                              Split(Block(2)), before)
         memo: dict = {}
         plan = lower_uncached(expr, 8, memo=memo)
-        assert {key[0] for key in memo} == {before, after}
+        assert [key for key in memo if key[1:] == (8, None)] == [
+            (before, 8, None), (after, 8, None)]
         assert plan == lower_uncached(expr, 8)
+        # the group plan is a lowering of its own, at the group's size,
+        # kept under a tagged key and shared by both maps' equal groups
+        group = memo[("group", inner, 4)]
+        assert plan.instrs[2].plans == plan.instrs[3].plans == (group, group)
+        assert all(a is group for a in plan.instrs[2].plans)
         # an iterFor that opens and closes a split is one reusable step,
         # but the steps inside the split still are not
         loop = IterFor(2, lambda i: compose_nodes(
             Combine(), Map(inner), Split(Block(2))))
         memo.clear()
         first = lower_uncached(loop, 8, memo=memo)
-        assert list(memo) == [(loop, 8, None)]
+        assert [key for key in memo if key[1:] == (8, None)] == [
+            (loop, 8, None)]
         assert lower_uncached(loop, 8, memo=memo).instrs[0] is first.instrs[0]
 
     def test_the_key_includes_nprocs_and_grid(self):
@@ -407,6 +418,76 @@ class TestStepReuse:
             with pytest.raises(SkeletonError, match="source 99 out of range"):
                 lower_uncached(Fetch(far), 8, memo=memo)
         assert calls == [0, 0] and memo == {}
+
+
+#: The coalescing guard keeps this pair apart on AP1000 (at p = 8 the
+#: composition is a fan-out-7 funnel) and merges it where only message
+#: counts matter.
+_HOT_PAIR = (Fetch(lambda r: 4 * (r // 4)),
+             Fetch(lambda r: 0 if r % 4 == 0 else r))
+
+#: Steps that ``programs()`` never draws, each reaching a memoised path:
+#: a group stage (a ``SubPlan`` of shared group plans), a loop whose bodies
+#: hold routing pairs to compose — one of them spec-dependent — and the
+#: hot-spot pair on its own.
+_SHARED_SHAPES = (
+    compose_nodes(Combine(),
+                  Map(compose_nodes(Rotate(1), Map(lambda x: x + 1),
+                                    Map(lambda x: x * 2))),
+                  Split(Block(2))),
+    IterFor(2, lambda i: compose_nodes(Map(lambda x: x - 1), Rotate(i + 1),
+                                       Rotate(1), Map(lambda x: x * 3),
+                                       *_HOT_PAIR)),
+    *_HOT_PAIR,
+)
+
+
+@st.composite
+def plan_families(draw):
+    """``programs()`` with some of :data:`_SHARED_SHAPES` spliced in, and
+    the rewrite-like neighbours :class:`TestStepReuse` lowers with one
+    memo — plans whose instruction objects are shared."""
+    p, expr = draw(programs())
+    steps = list(expr.steps if hasattr(expr, "steps") else (expr,))
+    for shape in draw(st.lists(st.sampled_from(_SHARED_SHAPES), max_size=3)):
+        # after a leading Fold, which must stay the outermost step
+        steps.insert(draw(st.integers(1, len(steps))), shape)
+    return p, [compose_nodes(*steps), compose_nodes(*steps[1:]),
+               compose_nodes(*steps, *steps[1:]), compose_nodes(*steps)]
+
+
+#: Only message counts tell plans apart here, so the coalescing guard
+#: merges the hot-spot pair it rejects on AP1000.
+_COUNTS_ONLY = dataclasses.replace(PERFECT, flop_time=0.0,
+                                   bandwidth=float("inf"))
+
+
+class TestPassAndCostMemo:
+    """``optimize_plan_report(..., memo=)`` and ``plan_cost(..., memo=)``
+    over plans that share instruction objects: the memo's oracle is the
+    same call without it.  One dict serves two specs and every pricing
+    knob, so a key that left one of them out would hand a plan another
+    configuration's answer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=plan_families())
+    def test_memoised_report_and_cost_equal_fresh(self, family):
+        p, exprs = family
+        memo: dict = {}
+        for e in exprs:
+            plan = lower_uncached(e, p, memo=memo)
+            for spec in (AP1000, _COUNTS_ONLY):
+                config = OptConfig(spec=spec)
+                got, got_notes = optimize_plan_report(plan, config, memo=memo)
+                want, want_notes = optimize_plan_report(plan, config)
+                assert _unfused(got.instrs) == _unfused(want.instrs)
+                assert got_notes == want_notes
+                for priced, fn_ops, element_bytes in itertools.product(
+                        (plan, got), (1.0, 40.0), (None, 64)):
+                    knobs = dict(spec=spec, fn_ops=fn_ops,
+                                 element_bytes=element_bytes)
+                    assert plan_cost(priced, **knobs, memo=memo) == \
+                        plan_cost(priced, **knobs)
 
 
 class TestPlanCache:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import collections
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -40,11 +41,13 @@ from repro.core import Block, parmap, partition
 from repro.core.pararray import ParArray
 from repro.machine import AP1000, Machine, PERFECT
 from repro.machine.topology import FullyConnected, Hypercube, Ring
+from repro.plan import ir
 from repro.plan.cost import ExprCost
 from repro.plan.lower import clear_plan_cache, plan_cache_stats, tuned_lower
 from repro.plan.opt import OptConfig
 from repro.scl import (
     Brdcast,
+    Combine,
     Fetch,
     Fold,
     FoldrFused,
@@ -53,9 +56,11 @@ from repro.scl import (
     Map,
     Rotate,
     Scan,
+    Split,
     compose_nodes,
     default_engine,
     estimate_cost,
+    evaluate,
 )
 from repro.scl.compile import base_fragment, run_expression
 from repro.tune import tune_expression, tuned_sort_pipeline
@@ -132,6 +137,10 @@ def test_searched_winner_is_bit_identical_and_never_regresses(
     # lexicographic key is bounded by the original's
     assert res.best.order_key() <= res.original.order_key()
     winner = res.winner
+    # the search's memo priced each candidate as pricing it afresh does
+    for c in res.frontier:
+        assert c.cost == estimate_cost(c.expr, n=p, spec=spec,
+                                       opt=OptConfig(spec=spec))
 
     # single_port matches plan_cost's msg x degree exchange pricing —
     # the machine the search believed it was optimising for
@@ -234,6 +243,11 @@ class TestSearchWorkAndAnswerArePinned:
         assert res.best.rules == ("map-fusion",) * 6
         assert res.original.cost == res.best.cost
         assert res.best.cost == ExprCost(0.0217724, 433, 29)
+        # what the search's memo priced is what pricing afresh says
+        config = OptConfig(spec=AP1000)
+        for c in res.frontier:
+            assert c.cost == estimate_cost(c.expr, n=1 << self.DIM,
+                                           spec=AP1000, opt=config)
 
     def test_each_fetch_is_lowered_once_per_search(self, monkeypatch):
         from repro.tune import workloads
@@ -261,6 +275,53 @@ class TestSearchWorkAndAnswerArePinned:
         clear_plan_cache()
         self._search(expr)
         assert calls == {"_quarter_leader": 4 * p, "_block_pick": 4 * p}
+
+    def test_each_pass_and_price_runs_once_per_shared_instruction(
+            self, monkeypatch):
+        """The search's memo reaches ``plan.opt`` and ``plan_cost``: a
+        change that defeats it fails here, not only in a benchmark."""
+        from repro.plan import opt
+        from repro.scl import optimize
+
+        seen = collections.defaultdict(list)
+
+        def spy(module, name, record):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                seen[name].append(record(args, kwargs, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # the objects are kept in the records, so their ids stay unique
+        spy(opt, "_compose_routes", lambda a, kw, result: (*a[:2], result))
+        spy(opt, "_coalesce_nested", lambda a, kw, result: a[0])
+        spy(opt, "_fuse_nested", lambda a, kw, result: a[0])
+        for module in (opt, optimize, sys.modules["repro.plan.cost"]):
+            spy(module, "plan_cost",
+                lambda a, kw, result, m=module: (m, kw.get("memo")))
+
+        res = self._search(tuned_sort_pipeline(self.DIM, self.REPEATS))
+
+        pairs = [(id(a), id(b)) for a, b, _ in seen["_compose_routes"]]
+        assert pairs and len(set(pairs)) == len(pairs)
+        for name in ("_coalesce_nested", "_fuse_nested"):
+            groups = [id(instr) for instr in seen[name]]
+            assert groups and len(set(groups)) == len(groups), name
+            assert all(isinstance(instr, ir.Loop) for instr in seen[name])
+        # one price per candidate, two per routing pair the guard weighs
+        weighed = sum(1 for *_, result in seen["_compose_routes"]
+                      if result != ())
+        assert len(seen["plan_cost"]) == res.explored + 2 * weighed
+        # every candidate is priced with the search's memo, so the shared
+        # loop's cost term is worked out once
+        priced_with = [memo for module, memo in seen["plan_cost"]
+                       if module is optimize]
+        assert len(priced_with) == res.explored
+        assert priced_with[0] is not None
+        assert all(memo is priced_with[0] for memo in priced_with)
 
 
 def test_a_bug_in_an_index_function_is_not_priced_as_unlowerable():
@@ -292,3 +353,19 @@ def test_pricing_never_touches_the_plan_cache():
     assert touched() == untouched
     estimate_cost(prog, n=4096, spec=AP1000, fn_ops=50)
     assert touched() == untouched
+
+
+def test_a_search_over_groups_never_touches_the_plan_cache():
+    """The group plans of a ``map`` of a sub-expression are lowered through
+    the search's memo as well, not through the cached ``lower()``."""
+    inner = compose_nodes(Rotate(1), Map(_inc), Map(_dbl))
+    expr = compose_nodes(Map(_inc), Map(_dbl), Combine(), Map(inner),
+                         Split(Block(2)), Rotate(1), Rotate(2))
+    clear_plan_cache()
+    before = plan_cache_stats()
+    res = tune_expression(expr, nprocs=8, spec=AP1000)
+    assert plan_cache_stats() == before
+    pa = ParArray([float(3 * r + 1) for r in range(8)])
+    got, _ = run_expression(res.winner.expr, pa,
+                            Machine(FullyConnected(8), spec=AP1000))
+    assert _values(got) == _values(evaluate(expr, pa))
