@@ -322,22 +322,23 @@ class Round(NamedTuple):
     each per round.  ``slots`` is the :func:`~repro.machine.lockstep.wire`
     matching of the two tables, the form
     :meth:`Lockstep.exchange <repro.machine.lockstep.Lockstep.exchange>`
-    takes.
+    takes; ``tag`` the message tag the generator sends and receives on.
     """
 
     sends: tuple[tuple[int, ...], ...]
     recvs: tuple[tuple[int, ...], ...]
     slots: tuple[tuple[int, ...], ...]
+    tag: int
 
 
-def _round(size: int, pairs: Sequence[tuple[int, int]]) -> Round:
+def _round(size: int, pairs: Sequence[tuple[int, int]], tag: int) -> Round:
     """The round in which ``src`` sends to ``dst`` for each ``(src, dst)``."""
     sends: list[tuple[int, ...]] = [()] * size
     recvs: list[tuple[int, ...]] = [()] * size
     for src, dst in pairs:
         sends[src] = (dst,)
         recvs[dst] = (src,)
-    return Round(tuple(sends), tuple(recvs), wire(sends, recvs))
+    return Round(tuple(sends), tuple(recvs), wire(sends, recvs), tag)
 
 
 @functools.lru_cache(maxsize=256)
@@ -352,7 +353,7 @@ def bcast_rounds(size: int, root: int = 0) -> tuple[Round, ...]:
     while mask < size:
         rounds.append(_round(size, [
             ((v + root) % size, (v + mask + root) % size)
-            for v in range(min(mask, size - mask))]))
+            for v in range(min(mask, size - mask))], _TAG_BCAST))
         mask <<= 1
     return tuple(rounds)
 
@@ -367,7 +368,8 @@ def reduce_rounds(size: int) -> tuple[Round, ...]:
     mask = 1
     while mask < size:
         rounds.append(_round(size, [
-            (rank, rank - mask) for rank in range(mask, size, 2 * mask)]))
+            (rank, rank - mask) for rank in range(mask, size, 2 * mask)],
+            _TAG_REDUCE))
         mask <<= 1
     return tuple(rounds)
 
@@ -378,5 +380,5 @@ def scan_rounds(size: int) -> tuple[Round, ...]:
     every member sends its running value ``2**k`` ranks up, where it is
     combined on the left (``op(payload, my)``)."""
     return tuple(
-        _round(size, [(rank, rank + d) for rank in range(size - d)])
+        _round(size, [(rank, rank + d) for rank in range(size - d)], _TAG_SCAN)
         for d in (1 << k for k in range(_ceil_log2(size))))

@@ -30,12 +30,25 @@ arithmetic, with no generators, heap or request objects.
   with ``==`` (``tests/machine/test_lockstep.py::TestBulkSteps``).
 
 :meth:`Machine.run <repro.machine.simulator.Machine.run>` hands a
-``Lockstep`` to a program's ``walk`` on fault-free, untraced, multi-port
-runs and turns the walk's final values into the
+``Lockstep`` to a program's ``walk`` on fault-free, multi-port runs and
+turns the walk's final values into the
 :class:`~repro.machine.simulator.RunResult` the engines would have
 produced — equal in values, ``events`` and every
 :class:`~repro.machine.simulator.ProcStats` field, because each
 processor's float sums see the same additions in the same order.
+
+On a traced machine the timeline carries the run's
+:class:`~repro.machine.trace.Trace`, and every request — per-request or
+bulk — records the event the per-event engine records for it, with the
+same kind, start, end and detail, attributed to :attr:`Lockstep.span`
+(which the walk sets as it goes).  Each processor's events come out in
+its own program order, so per processor the two traces are equal.  What
+differs is the *global* interleaving: the walk records instruction by
+instruction, the engine in scheduling order.  That is the order a
+streaming sink sees, and it decides which events a ring-buffered trace
+(``trace_limit``) keeps; its ``dropped`` count and length are the same.
+The untraced steps pick their untraced loop up front and pay nothing per
+message for this.
 
 One restriction follows from walking instead of scheduling: a receive
 must find its message already sent.  A per-request receive that does not
@@ -53,6 +66,7 @@ from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
 from repro.machine.events import Message
 from repro.machine.simulator import ProcStats, RunResult
+from repro.machine.trace import Span, Trace
 
 __all__ = ["Lockstep", "wire"]
 
@@ -118,18 +132,23 @@ class Lockstep:
     ``pid``; requests of one processor must be made in its program order,
     requests of different processors in any order that sends before it
     receives.  :meth:`work_all` and :meth:`exchange` are one such request
-    sequence for *every* processor at once.
+    sequence for *every* processor at once.  With a ``trace`` every
+    request records its event there (see the module docstring).
     """
 
-    __slots__ = ("spec", "clock", "_topology", "_n", "_stats", "_boxes",
-                 "_hop_rows", "_events", "_seq")
+    __slots__ = ("spec", "clock", "trace", "span", "_topology", "_n",
+                 "_stats", "_boxes", "_hop_rows", "_events", "_seq")
 
-    def __init__(self, machine: Any):
+    def __init__(self, machine: Any, trace: Trace | None = None):
         self.spec = machine.spec
         self._topology = machine.topology
         n = self._n = machine.nprocs
         #: Per-processor virtual clocks (seconds).
         self.clock = [0.0] * n
+        #: The run's trace, or ``None`` when the run records none.
+        self.trace = trace
+        #: The span the events recorded from now on are attributed to.
+        self.span: Span | None = None
         self._stats = [ProcStats(pid=pid) for pid in range(n)]
         self._boxes: dict[tuple[int, int, Any], deque[Message]] = {}
         self._hop_rows: list[list[int] | None] = [None] * n
@@ -146,23 +165,30 @@ class Lockstep:
             raise MachineError(
                 f"processor {pid}: compute seconds must be non-negative, "
                 f"got {seconds!r}")
-        self.clock[pid] += seconds
-        self._stats[pid].compute_seconds += seconds
-        self._events += 1
+        self._charge(pid, seconds)
 
     def work(self, pid: int, ops: float) -> None:
         """Charge ``ops`` elementary operations (``yield env.work(ops)``)."""
         if not ops >= 0:
             raise MachineError(
                 f"processor {pid}: ops must be non-negative, got {ops!r}")
-        seconds = ops * self.spec.flop_time
-        self.clock[pid] += seconds
+        self._charge(pid, ops * self.spec.flop_time)
+
+    def _charge(self, pid: int, seconds: float) -> None:
+        start = self.clock[pid]
+        self.clock[pid] = end = start + seconds
         self._stats[pid].compute_seconds += seconds
         self._events += 1
+        if self.trace is not None:
+            self.trace.record(pid, "compute", start, end, span=self.span)
 
     def work_all(self, ops: Sequence[float]) -> None:
         """Charge processor ``pid`` ``ops[pid]`` elementary operations, for
         every processor: :meth:`work` in rank order."""
+        if self.trace is not None:
+            for pid, n in enumerate(ops):
+                self.work(pid, n)
+            return
         flop_time = self.spec.flop_time
         clock = self.clock
         stats = self._stats
@@ -215,6 +241,9 @@ class Lockstep:
             self._boxes[key] = box = deque()
         box.append(msg)
         self._events += 1
+        if self.trace is not None:
+            self.trace.record(pid, "send", t0, t1, span=self.span,
+                              dst=dst, tag=tag, nbytes=nbytes)
 
     def poll(self, pid: int, src: int, tag: Any) -> Message | None:
         """Complete ``pid``'s receive on ``(src, tag)`` if its message has
@@ -225,18 +254,21 @@ class Lockstep:
             return None
         msg = box.popleft()
         clock = self.clock
-        now = clock[pid]
+        now = start = clock[pid]
         arrival = msg[6]
         st = self._stats[pid]
         if arrival > now:
             st.idle_seconds += arrival - now
             now = arrival
         overhead = self.spec.recv_overhead
-        clock[pid] = now + overhead
+        clock[pid] = end = now + overhead
         st.overhead_seconds += overhead
         st.msgs_received += 1
         st.bytes_received += msg[4]
         self._events += 1
+        if self.trace is not None:
+            self.trace.record(pid, "recv", start, end, span=self.span,
+                              src=src, tag=tag, nbytes=msg[4])
         return msg
 
     def recv(self, pid: int, src: int, tag: Any) -> Message:
@@ -251,20 +283,24 @@ class Lockstep:
 
     def exchange(self, sends: Sequence[Sequence[int]],
                  slots: Sequence[Sequence[int]],
-                 sizes: Sequence[int]) -> None:
+                 sizes: Sequence[int], tag: Any = 0) -> None:
         """One static pattern for the whole machine: every processor's
         sends in table order, then every processor's receives in table
-        order.
+        order, all on ``tag``.
 
         ``sends`` is the pattern's send table and ``slots`` what
         :func:`wire` returned for it (not ``None``); processor ``pid``
         sends ``sizes[pid]`` bytes to each of its destinations (the entry
         of a processor that sends nothing is not read).  Only time and
         statistics move here — the caller knows from its receive table
-        whose value each receive delivers.  Equal, in every clock and
-        :class:`~repro.machine.simulator.ProcStats` field, to the same
-        requests made through :meth:`send` and :meth:`recv`.
+        whose value each receive delivers.  Equal, in every clock,
+        :class:`~repro.machine.simulator.ProcStats` field and traced
+        event, to the same requests made through :meth:`send` and
+        :meth:`recv`.
         """
+        if self.trace is not None:
+            self._exchange_traced(sends, slots, sizes, tag)
+            return
         spec = self.spec
         clock = self.clock
         stats = self._stats
@@ -327,6 +363,71 @@ class Lockstep:
                 st.bytes_received += nbytes
         self._events += 2 * len(arrivals)
 
+    def _exchange_traced(self, sends, slots, sizes, tag) -> None:
+        """:meth:`exchange`'s additions, recording each message's ``send``
+        and ``recv`` event as the engines do; a slot also remembers its
+        sender, which the receive's event names."""
+        spec = self.spec
+        clock = self.clock
+        stats = self._stats
+        hop_rows = self._hop_rows
+        record = self.trace.record
+        span = self.span
+        send_overhead = spec.send_overhead
+        latency = spec.latency
+        per_hop = spec.per_hop_latency
+        #: per send slot: when the message arrives, its size and its sender
+        arrivals: list[float] = []
+        carried: list[int] = []
+        senders: list[int] = []
+        for pid, dsts in enumerate(sends):
+            if not dsts:
+                continue
+            nbytes = sizes[pid]
+            if nbytes < 0:
+                raise MachineError(
+                    f"processor {pid}: nbytes must be non-negative, "
+                    f"got {nbytes}")
+            hops = hop_rows[pid]
+            if hops is None:
+                hops = hop_rows[pid] = self._topology.hop_row(pid)
+            wire_time = nbytes / spec.bandwidth
+            st = stats[pid]
+            t = clock[pid]
+            for dst in dsts:
+                start = t
+                t = t + send_overhead
+                st.overhead_seconds += send_overhead
+                arrivals.append(
+                    t + (latency + per_hop * (hops[dst] - 1) + wire_time))
+                record(pid, "send", start, t, span=span,
+                       dst=dst, tag=tag, nbytes=nbytes)
+            clock[pid] = t
+            st.msgs_sent += len(dsts)
+            st.bytes_sent += nbytes * len(dsts)
+            carried += [nbytes] * len(dsts)
+            senders += [pid] * len(dsts)
+        recv_overhead = spec.recv_overhead
+        for pid, row in enumerate(slots):
+            st = stats[pid]
+            now = clock[pid]
+            for slot in row:
+                if slot < 0:
+                    continue
+                start = now
+                arrival = arrivals[slot]
+                if arrival > now:
+                    st.idle_seconds += arrival - now
+                    now = arrival
+                now = now + recv_overhead
+                st.overhead_seconds += recv_overhead
+                st.msgs_received += 1
+                st.bytes_received += carried[slot]
+                record(pid, "recv", start, now, span=span,
+                       src=senders[slot], tag=tag, nbytes=carried[slot])
+            clock[pid] = now
+        self._events += 2 * len(arrivals)
+
     def finish(self, values: list) -> RunResult:
         """Every processor returns: check the mailboxes are empty and
         build the run's result over the per-processor ``values``."""
@@ -345,4 +446,5 @@ class Lockstep:
                 f"messages in its mailbox")
         for st, t in zip(stats, self.clock):
             st.finish_time = t
-        return RunResult(values=values, stats=stats, events=self._events)
+        return RunResult(values=values, stats=stats, trace=self.trace,
+                         events=self._events)

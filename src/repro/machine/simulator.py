@@ -509,10 +509,12 @@ class Machine:
         #: monotone wildcard drain with bit-identical results, and hands
         #: everything else (a timed receive, two or more processors blocked
         #: at once, a non-monotone drain) to the per-event engine the moment
-        #: it sees it; ``batch=False`` forces the per-event engine (the
-        #: equivalence suite uses this to compare the two directly) and,
-        #: with it, the per-processor programs over any ``walk`` handed to
-        #: :meth:`run`.
+        #: it sees it.  A ``walk`` handed to :meth:`run` is taken on
+        #: fault-free, multi-port runs, traced or not.  ``batch=False``
+        #: forces the per-event engine and, with it, the per-processor
+        #: programs over any ``walk``: the oracle the equivalence suites
+        #: compare both the batched engine and the walk (and its trace)
+        #: against.
         self.batch = batch
         self._clock: list[float] = []
         self._tx_free: list[float] = []
@@ -540,14 +542,19 @@ class Machine:
         callers whose communication structure is static (a lowered plan):
         ``walk(timeline)`` makes every processor's requests directly on a
         :class:`~repro.machine.lockstep.Lockstep` timeline and returns the
-        per-processor final values, or ``None`` to decline.  The machine —
-        not the caller — picks between the two: the walk on fault-free,
-        untraced, multi-port runs (the batched engine's predicate), the
+        per-processor final values, or ``None`` — before making any
+        request — to decline.  The machine, not the caller, picks between
+        the two: the walk on fault-free, multi-port runs, the
         per-processor programs otherwise.  Both produce the same
-        :class:`RunResult`.
+        :class:`RunResult`.  On a traced machine the walk records into the
+        run's trace: per processor the events equal the per-event
+        engine's, and only their global interleaving — the order a
+        ``trace_sink`` sees them in, and so which events a
+        ``trace_limit`` ring keeps — differs (see
+        :mod:`repro.machine.lockstep`).
 
-        The per-processor programs run on the batched engine under the
-        same predicate; a run it declines (see
+        The per-processor programs run on the batched engine when the
+        run is also untraced; a run it declines (see
         :mod:`repro.machine.batch`, "Declined, and why") restarts from
         scratch on the per-event engine, so a program's host-side effects
         before its first declined request happen twice.
@@ -564,32 +571,38 @@ class Machine:
         if len(extra) != n:
             raise MachineError(f"expected {n} arg tuples, got {len(extra)}")
 
-        if (self.batch and self.faults is None and not self.record_trace
-                and not self.single_port):
+        if self.batch and self.faults is None and not self.single_port:
             if walk is not None:
                 from repro.machine.lockstep import Lockstep
-                timeline = Lockstep(self)
+                timeline = Lockstep(self, self._new_trace())
                 values = walk(timeline)
                 if values is not None:
                     return timeline.finish(values)
-            from repro.machine.batch import BatchFallback, run_batched
-            try:
-                return run_batched(self, programs, extra)
-            except BatchFallback:
-                pass  # per-event oracle handles what batching cannot
+            if not self.record_trace:
+                from repro.machine.batch import BatchFallback, run_batched
+                try:
+                    return run_batched(self, programs, extra)
+                except BatchFallback:
+                    pass  # per-event oracle handles what batching cannot
         return self._run_events(programs, extra)
+
+    def _new_trace(self) -> Trace | None:
+        """A fresh trace for one run, or ``None`` on an untraced machine."""
+        if not self.record_trace:
+            return None
+        return Trace(sink=self.trace_sink, max_events=self.trace_limit)
 
     def _run_events(self, programs: list[Program],
                     extra: list[tuple]) -> RunResult:
         """The per-event engine: one heap-pop per request (see module
-        docstring).  The oracle for the batched engine, and the only path
-        supporting traces, faults and the single-port contention model."""
+        docstring).  The oracle for the batched engine and the walk, and
+        the only path supporting faults, the single-port contention model
+        and traces of runs that are not walked."""
         n = self.nprocs
         self._clock = [0.0] * n
         self._tx_free = [0.0] * n
         self._rx_free = [0.0] * n
-        trace = (Trace(sink=self.trace_sink, max_events=self.trace_limit)
-                 if self.record_trace else None)
+        trace = self._new_trace()
         if trace is None:
             self._span = None
             trace_record = None

@@ -32,13 +32,21 @@ one whole instruction at a time.
   instruction; a plan holding an exchange whose tables do not match up is
   declined before the timeline is touched, so the interpreter reports the
   error and the walk has no per-request path to fall back on.
+* **Trace**: on a traced timeline the walk sets, before each
+  instruction, the span :func:`~repro.machine.plan_exec.execute_plan`
+  pushes for it — ``label → [i] instruction → iter k → …`` — built once
+  and shared by all ranks, and sends on the tags the interpreter uses
+  (:data:`~repro.machine.plan_exec.EXCHANGE_TAG`, each collective
+  round's :attr:`~repro.machine.collectives.Round.tag`).  Every
+  processor's events then equal the interpreter's; only their global
+  order differs (:mod:`repro.machine.lockstep`).
 
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
 only — ``LocalApply`` / ``Exchange`` / ``Collective`` / ``Loop`` — whose
 exchanges are all wired.  Group instructions keep the interpreter path
 (their value is nesting, not throughput).  Whether a run takes the walk
 at all is the machine's decision
-(:meth:`repro.machine.simulator.Machine.run`): traced, fault-injected and
+(:meth:`repro.machine.simulator.Machine.run`): fault-injected and
 single-port machines interpret.
 """
 
@@ -49,6 +57,8 @@ from typing import Any, Sequence
 from repro.machine import collectives as C
 from repro.machine.cost import estimate_nbytes
 from repro.machine.lockstep import Lockstep
+from repro.machine.plan_exec import EXCHANGE_TAG
+from repro.machine.trace import Span
 from repro.plan import ir
 from repro.plan.kernels import batched_apply
 
@@ -73,25 +83,39 @@ def _seq_supported(instrs, p: int) -> bool:
     return True
 
 
-def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep):
+def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
+               label: str = "plan"):
     """Walk one execution of ``plan`` over ``values`` on ``timeline``.
 
     Returns the final per-rank local values — with every rank's requests
     made on ``timeline`` along the way — or ``None``, before touching the
     timeline, when the plan contains instructions the walk does not
     cover.  This is the ``walk`` :meth:`Machine.run
-    <repro.machine.simulator.Machine.run>` accepts (bind ``plan`` and
-    ``values``).
+    <repro.machine.simulator.Machine.run>` accepts (bind ``plan``,
+    ``values`` and the interpreter's ``label``, the root span of a traced
+    run).
     """
     if not supported(plan):
         return None
-    return _run_seq(plan.instrs, plan, timeline, list(values))
+    if timeline.trace is None:
+        return _run_seq(plan.instrs, plan, timeline, list(values))
+    return _run_traced(plan.instrs, plan, timeline, list(values),
+                       Span(label))
 
 
 # ------------------------------------------------------------ data plane
 
 def _run_seq(instrs, plan, timeline, values):
     for instr in instrs:
+        values = _step(instr, plan, timeline, values)
+    return values
+
+
+def _run_traced(instrs, plan, timeline, values, parent):
+    """:func:`_run_seq` setting each instruction's span, a child of
+    ``parent``, before its step."""
+    for i, instr in enumerate(instrs):
+        timeline.span = Span(ir.instr_title(instr), i, None, parent)
         values = _step(instr, plan, timeline, values)
     return values
 
@@ -111,7 +135,7 @@ def _step(instr, plan, timeline, values):
         return _apply_one(instr, plan, values)
 
     if isinstance(instr, ir.Exchange):
-        _exchange(timeline, instr.sends, instr.wiring, values)
+        _exchange(timeline, instr.sends, instr.wiring, values, EXCHANGE_TAG)
         if instr.mode == "collect":
             return [[values[src] for src in srcs] for srcs in instr.recvs]
         if instr.mode == "pair":
@@ -123,20 +147,25 @@ def _step(instr, plan, timeline, values):
         return _collective(instr, values, timeline)
 
     if isinstance(instr, ir.Loop):
-        for body in instr.bodies:
-            values = _run_seq(body, plan, timeline, values)
+        loop_span = timeline.span
+        for k, body in enumerate(instr.bodies):
+            if timeline.trace is None:
+                values = _run_seq(body, plan, timeline, values)
+            else:
+                values = _run_traced(body, plan, timeline, values,
+                                     Span(f"iter {k}", None, k, loop_span))
         return values
 
     raise AssertionError(f"unwalkable plan instruction {instr!r}")
 
 
-def _exchange(timeline, sends, slots, values) -> None:
+def _exchange(timeline, sends, slots, values, tag) -> None:
     """One bulk step in which every rank with destinations sends the value
     it holds, sized once however many copies go out."""
     word_bytes = timeline.spec.word_bytes
     timeline.exchange(sends, slots, [
         estimate_nbytes(value, word_bytes) if dsts else 0
-        for value, dsts in zip(values, sends)])
+        for value, dsts in zip(values, sends)], tag)
 
 
 def _apply_one(a: ir.LocalApply, plan, values):
@@ -162,13 +191,13 @@ def _collective(instr, values, timeline):
     op = instr.op
     if kind == "scan":
         for rnd in C.scan_rounds(p):
-            _exchange(timeline, rnd.sends, rnd.slots, values)
+            _exchange(timeline, rnd.sends, rnd.slots, values, rnd.tag)
             values = [op(values[srcs[0]], my) if srcs else my
                       for my, srcs in zip(values, rnd.recvs)]
         return values
     if kind == "fold":
         for rnd in C.reduce_rounds(p):
-            _exchange(timeline, rnd.sends, rnd.slots, values)
+            _exchange(timeline, rnd.sends, rnd.slots, values, rnd.tag)
             values = [op(acc, values[srcs[0]]) if srcs else acc
                       for acc, srcs in zip(values, rnd.recvs)]
         _bcast(timeline, values[0], C.bcast_rounds(p))
@@ -193,4 +222,4 @@ def _bcast(timeline, piece, rounds) -> None:
         sizes = [estimate_nbytes(piece, timeline.spec.word_bytes)] \
             * timeline.nprocs
         for rnd in rounds:
-            timeline.exchange(rnd.sends, rnd.slots, sizes)
+            timeline.exchange(rnd.sends, rnd.slots, sizes, rnd.tag)

@@ -32,7 +32,7 @@ machine's spec (exchange coalescing, cost-guarded to never predict
 worse, then fusion), and the machine is
 handed the whole-machine SoA walk of :mod:`repro.plan.vexec` alongside
 the per-instruction interpreter — it takes the walk on fault-free,
-untraced, multi-port runs and interprets otherwise.
+multi-port runs and interprets otherwise.
 ``opt="off"`` runs the raw lowering (a hand-built
 :class:`~repro.plan.opt.OptConfig` prices the passes on another spec) —
 the cache keys raw and optimized plans separately, so the two never
@@ -51,7 +51,6 @@ machine runs, or leave ``opt=None`` for the raw lowering that
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
 from repro.core.pararray import ParArray
@@ -147,9 +146,9 @@ def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,
     whole-machine walk of :mod:`repro.plan.vexec`, which makes the
     same requests in the same per-rank order.  Which of the two runs
     is the machine's choice (:meth:`Machine.run`: the walk when
-    fault-free, untraced and multi-port and the plan is flat; the
-    interpreter otherwise) — the returned values and statistics are
-    identical either way.
+    fault-free and multi-port and the plan is flat; the interpreter
+    otherwise) — the returned values and statistics are identical
+    either way, and so is each processor's traced event sequence.
     """
     from repro.machine.api import Comm
     from repro.machine.plan_exec import execute_plan
@@ -158,6 +157,7 @@ def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,
     def make_program(plan, values):
         return (lambda env: execute_plan(plan, env, Comm.world(env),
                                          values[env.pid], label),
-                functools.partial(vexec.precompute, plan, values))
+                lambda timeline: vexec.precompute(plan, values, timeline,
+                                                  label))
 
     return run_lowered(expr, pa, machine, opt, make_program)

@@ -296,16 +296,16 @@ class TestCollectiveCostScaling:
 
 class _RecordingComm:
     """The slice of ``Comm`` a collective generator touches; a request is
-    just its name and peer."""
+    just its name, peer and tag."""
 
     def __init__(self, rank, size):
         self.rank, self.size = rank, size
 
     def send(self, dst, payload, *, tag=0, nbytes=None):
-        return ("send", dst)
+        return ("send", dst, tag)
 
     def recv(self, src, *, tag=0, timeout=None):
-        return ("recv", src)
+        return ("recv", src, tag)
 
 
 def requests_of(collective, rank, size, **kwargs):
@@ -324,10 +324,11 @@ def requests_of(collective, rank, size, **kwargs):
 
 def requests_in(rounds, rank):
     """What the tables say ``rank`` does: per round its sends, then its
-    receives."""
+    receives, all on the round's tag."""
     return [request for rnd in rounds
-            for request in ([("send", dst) for dst in rnd.sends[rank]]
-                            + [("recv", src) for src in rnd.recvs[rank]])]
+            for request in ([("send", dst, rnd.tag) for dst in rnd.sends[rank]]
+                            + [("recv", src, rnd.tag)
+                               for src in rnd.recvs[rank]])]
 
 
 class TestRoundTables:

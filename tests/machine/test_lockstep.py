@@ -5,7 +5,8 @@ tests drive it by hand with the request sequence of a small generator
 program and require the ``RunResult`` the engines produce for that
 program — then pin each check it owns and the ``Machine.run(walk=...)``
 gateway.  The per-request methods are in turn the reference for the two
-whole-instruction steps (``TestBulkSteps``) and for the static matching
+whole-instruction steps — clocks, statistics and, on a traced timeline,
+events (``TestBulkSteps``) — and for the static matching
 they follow (``TestWiring``).  The plan-level differential suite is
 ``tests/plan/test_vexec.py``.
 """
@@ -22,6 +23,7 @@ from repro.errors import DeadlockError, MachineError, TopologyError
 from repro.machine import AP1000, MODERN_CLUSTER, PERFECT, Machine
 from repro.machine.lockstep import Lockstep, wire
 from repro.machine.topology import FullyConnected, Hypercube, Ring
+from repro.machine.trace import Span, Trace
 from repro.plan import ir
 
 P = 8
@@ -102,14 +104,31 @@ class TestMachineRunGateway:
         assert res.events == self._machine().run(ring_program).events
 
     @pytest.mark.parametrize("kw", [
-        {"batch": False}, {"single_port": True}, {"record_trace": True}],
-        ids=["per-event", "single-port", "traced"])
+        {"batch": False}, {"single_port": True}],
+        ids=["per-event", "single-port"])
     def test_other_machines_run_the_program(self, kw):
         def never(timeline):
             raise AssertionError("the walk must not run")
 
         res = self._machine(**kw).run(ring_program, walk=never)
         assert res.values == self._machine(**kw).run(ring_program).values
+
+    def test_traced_machines_take_the_walk(self):
+        """A hand-written walk on a traced machine records, request by
+        request, the events the per-event engine records for the program:
+        per processor equal in kind, start, end, detail and span."""
+        def never(env):
+            raise AssertionError("the program must not run")
+            yield
+
+        got = self._machine(record_trace=True).run(never, walk=ring_walk)
+        want = self._machine(record_trace=True, batch=False).run(ring_program)
+        assert got.values == want.values and got.events == want.events
+        assert [dataclasses.asdict(s) for s in got.stats] \
+            == [dataclasses.asdict(s) for s in want.stats]
+        assert len(got.trace) == len(want.trace) == 7 * P
+        for pid in range(P):
+            assert got.trace.events(pid=pid) == want.trace.events(pid=pid)
 
     def test_a_faulted_machine_runs_the_program(self):
         from repro.faults.models import FaultInjector, FaultSpec
@@ -220,13 +239,13 @@ def bulk_programs(draw):
 
 
 class TestBulkSteps:
-    @settings(max_examples=150, deadline=None)
-    @given(bulk_programs())
-    def test_bulk_steps_equal_the_same_requests_one_by_one(self, program):
-        machine, steps = program
-        p = machine.nprocs
-        bulk, ref = Lockstep(machine), Lockstep(machine)
-        for kind, *step in steps:
+    @staticmethod
+    def replay(steps, bulk, ref):
+        """Make each step on ``bulk`` as one bulk call and on ``ref`` as
+        the same requests one by one; return both results."""
+        p = bulk.nprocs
+        for i, (kind, *step) in enumerate(steps):
+            bulk.span = ref.span = Span(f"step {i}", instr=i)
             if kind == "work":
                 (ops,) = step
                 bulk.work_all(ops)
@@ -234,7 +253,7 @@ class TestBulkSteps:
                     ref.work(pid, ops[pid])
             else:
                 sends, recvs, sizes = step
-                bulk.exchange(sends, wire(sends, recvs), sizes)
+                bulk.exchange(sends, wire(sends, recvs), sizes, TAG)
                 for pid in range(p):
                     for dst in sends[pid]:
                         ref.send(pid, dst, None, TAG, sizes[pid])
@@ -247,6 +266,24 @@ class TestBulkSteps:
         assert got.events == want.events
         assert [dataclasses.asdict(s) for s in got.stats] \
             == [dataclasses.asdict(s) for s in want.stats]
+        return got, want
+
+    @settings(max_examples=150, deadline=None)
+    @given(bulk_programs())
+    def test_bulk_steps_equal_the_same_requests_one_by_one(self, program):
+        machine, steps = program
+        got, _ = self.replay(steps, Lockstep(machine), Lockstep(machine))
+        assert got.trace is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(bulk_programs())
+    def test_traced_bulk_steps_record_the_same_events(self, program):
+        machine, steps = program
+        got, want = self.replay(steps, Lockstep(machine, Trace()),
+                                Lockstep(machine, Trace()))
+        assert len(got.trace) == len(want.trace) == got.events
+        for pid in range(machine.nprocs):
+            assert got.trace.events(pid=pid) == want.trace.events(pid=pid)
 
     def test_work_all_names_the_first_negative_rank(self):
         timeline = Lockstep(Machine(Hypercube(2), spec=AP1000))

@@ -1,8 +1,8 @@
 """The whole-machine walk against the interpreter, through ``run_expression``.
 
 ``run_expression`` hands the machine :func:`repro.plan.vexec.precompute`
-beside the per-rank interpreter; on a fault-free, untraced, multi-port
-machine it takes the walk, which drives the lockstep timeline
+beside the per-rank interpreter; on a fault-free, multi-port machine it
+takes the walk, which drives the lockstep timeline
 (:mod:`repro.machine.lockstep`) instead of any event engine.  The contract
 is that nobody can tell: values, ``events`` and *every*
 :class:`~repro.machine.simulator.ProcStats` field equal those of the same
@@ -17,6 +17,8 @@ declines nor a registry that stops being consulted can turn the suite
 into per-rank against per-rank.  The remaining tests
 pin the payload sizes the walk reports, the machine-side routing (who
 chooses the interpreter) and error parity on malformed hand-built plans.
+The same contract on traced machines, event by event, is
+``tests/plan/test_traced_walk.py``.
 """
 
 from __future__ import annotations
@@ -326,8 +328,8 @@ class TestRouting:
         assert len(calls) == 1  # the batch=False arm interprets
 
     @pytest.mark.parametrize("machine_kw", [
-        {"single_port": True}, {"record_trace": True}, {"batch": False}],
-        ids=["single-port", "traced", "per-event"])
+        {"single_port": True}, {"batch": False}],
+        ids=["single-port", "per-event"])
     def test_other_machines_interpret_with_identical_results(
             self, machine_kw):
         expr, pa = _hyperquicksort(5)  # p=32, the tune_cold shape
@@ -336,8 +338,18 @@ class TestRouting:
                                            **machine_kw)
         assert calls == []  # the walk was handed over and not taken
         assert_identical_runs(res_vec, res_interp)
-        if "record_trace" in machine_kw:
-            assert len(res_vec.trace) == len(res_interp.trace) > 0
+
+    def test_traced_machines_take_the_walk(self):
+        expr, pa = _hyperquicksort(5)
+        with walks_recorded() as calls:
+            res_walk, res_interp = run_both(expr, pa, Hypercube.of_size,
+                                            record_trace=True)
+        assert len(calls) == 1 and calls[0] is not None
+        assert_identical_runs(res_walk, res_interp)
+        assert len(res_walk.trace) == len(res_interp.trace) > 0
+        for pid in range(pa.size):
+            assert res_walk.trace.events(pid=pid) \
+                == res_interp.trace.events(pid=pid)
 
 
 # -- error parity on malformed hand-built plans -----------------------------------
