@@ -73,8 +73,8 @@ def ft_hyperquicksort_machine(
     # Always install an injector (zero-rate if no faults requested): the
     # reliable protocol can leave benign duplicate frames in mailboxes even
     # on a healthy network (a retransmit raced a slow ack), which only the
-    # faults-enabled engine tolerates.  A zero-rate injector's arithmetic
-    # is bit-identical to the fault-free path.
+    # faults-enabled engine tolerates.  A zero-rate injector's verdicts
+    # are the ones the engine uses without an injector.
     injector = FaultInjector(faults if faults is not None else FaultSpec())
     machine = Machine(Hypercube(d), spec=spec, record_trace=record_trace,
                       faults=injector)

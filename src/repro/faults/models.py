@@ -14,9 +14,10 @@ mutable stream state.  Two consequences the test-suite leans on:
   depend on how many messages were sent before it, so unrelated program
   changes do not reshuffle the fault pattern wholesale.
 
-An all-zero-rate spec is the identity: the injector then asks the
-simulator for single, undelayed, uncorrupted deliveries whose arithmetic
-(``x * 1.0``, ``x + 0.0``) is bit-identical to the fault-free path.
+An all-zero-rate spec is the identity: the injector then returns the
+verdict the simulator uses for ``faults=None`` — one undelayed,
+uncorrupted delivery at wire factor ``1.0`` — so both go through the
+same send arithmetic with the same inputs.
 """
 
 from __future__ import annotations

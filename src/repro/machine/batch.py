@@ -248,7 +248,7 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
                     f"ops must be non-negative, got {float(ops)}")
             sec = ops * flop_time
             if not (sec >= 0):
-                raise ValueError(
+                raise MachineError(
                     f"Compute.seconds must be non-negative, got {sec!r}")
             clock[pid] += sec
             acc[_COMPUTE] += sec

@@ -32,6 +32,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, NamedTuple
 
+from repro.errors import MachineError
+
 __all__ = ["ANY", "Compute", "Send", "Recv", "Message"]
 
 
@@ -61,7 +63,8 @@ class Compute:
 
     def __post_init__(self) -> None:
         if not (self.seconds >= 0):
-            raise ValueError(f"Compute.seconds must be non-negative, got {self.seconds!r}")
+            raise MachineError(
+                f"Compute.seconds must be non-negative, got {self.seconds!r}")
 
 
 @dataclasses.dataclass(slots=True)

@@ -47,8 +47,8 @@ differs is the *global* interleaving: the walk records instruction by
 instruction, the engine in scheduling order.  That is the order a
 streaming sink sees, and it decides which events a ring-buffered trace
 (``trace_limit``) keeps; its ``dropped`` count and length are the same.
-The untraced steps pick their untraced loop up front and pay nothing per
-message for this.
+Tracing is an input to the one loop of each step, not a second copy of
+it: an untraced step pays one ``record is not None`` test per message.
 
 One restriction follows from walking instead of scheduling: a receive
 must find its message already sent.  A per-request receive that does not
@@ -185,20 +185,21 @@ class Lockstep:
     def work_all(self, ops: Sequence[float]) -> None:
         """Charge processor ``pid`` ``ops[pid]`` elementary operations, for
         every processor: :meth:`work` in rank order."""
-        if self.trace is not None:
-            for pid, n in enumerate(ops):
-                self.work(pid, n)
-            return
         flop_time = self.spec.flop_time
         clock = self.clock
         stats = self._stats
+        record = None if self.trace is None else self.trace.record
+        span = self.span
         for pid, n in enumerate(ops):
             if not n >= 0:
                 raise MachineError(
                     f"processor {pid}: ops must be non-negative, got {n!r}")
             seconds = n * flop_time
-            clock[pid] += seconds
+            start = clock[pid]
+            clock[pid] = end = start + seconds
             stats[pid].compute_seconds += seconds
+            if record is not None:
+                record(pid, "compute", start, end, span=span)
         self._events += len(ops)
 
     def send(self, pid: int, dst: int, payload: Any, tag: Any = 0,
@@ -298,13 +299,12 @@ class Lockstep:
         event, to the same requests made through :meth:`send` and
         :meth:`recv`.
         """
-        if self.trace is not None:
-            self._exchange_traced(sends, slots, sizes, tag)
-            return
         spec = self.spec
         clock = self.clock
         stats = self._stats
         hop_rows = self._hop_rows
+        record = None if self.trace is None else self.trace.record
+        span = self.span
         send_overhead = spec.send_overhead
         latency = spec.latency
         per_hop = spec.per_hop_latency
@@ -330,15 +330,22 @@ class Lockstep:
             for dst in dsts:
                 # the per-request rule, addition for addition: pay the
                 # overhead, then MachineSpec.transfer_time on top of it
+                start = t
                 t = t + send_overhead
                 overhead += send_overhead
                 arrivals.append(
                     t + (latency + per_hop * (hops[dst] - 1) + wire_time))
+                if record is not None:
+                    record(pid, "send", start, t, span=span,
+                           dst=dst, tag=tag, nbytes=nbytes)
             clock[pid] = t
             st.overhead_seconds = overhead
             st.msgs_sent += len(dsts)
             st.bytes_sent += nbytes * len(dsts)
             carried += [nbytes] * len(dsts)
+        if record is not None:
+            # per send slot, the sender a traced receive's event names
+            senders = [pid for pid, dsts in enumerate(sends) for _ in dsts]
         recv_overhead = spec.recv_overhead
         for pid, row in enumerate(slots):
             if not row:
@@ -349,6 +356,7 @@ class Lockstep:
             for slot in row:
                 if slot < 0:
                     continue
+                start = now
                 arrival = arrivals[slot]
                 if arrival > now:
                     st.idle_seconds += arrival - now
@@ -357,75 +365,13 @@ class Lockstep:
                 st.overhead_seconds += recv_overhead
                 received += 1
                 nbytes += carried[slot]
+                if record is not None:
+                    record(pid, "recv", start, now, span=span,
+                           src=senders[slot], tag=tag, nbytes=carried[slot])
             if received:
                 clock[pid] = now
                 st.msgs_received += received
                 st.bytes_received += nbytes
-        self._events += 2 * len(arrivals)
-
-    def _exchange_traced(self, sends, slots, sizes, tag) -> None:
-        """:meth:`exchange`'s additions, recording each message's ``send``
-        and ``recv`` event as the engines do; a slot also remembers its
-        sender, which the receive's event names."""
-        spec = self.spec
-        clock = self.clock
-        stats = self._stats
-        hop_rows = self._hop_rows
-        record = self.trace.record
-        span = self.span
-        send_overhead = spec.send_overhead
-        latency = spec.latency
-        per_hop = spec.per_hop_latency
-        #: per send slot: when the message arrives, its size and its sender
-        arrivals: list[float] = []
-        carried: list[int] = []
-        senders: list[int] = []
-        for pid, dsts in enumerate(sends):
-            if not dsts:
-                continue
-            nbytes = sizes[pid]
-            if nbytes < 0:
-                raise MachineError(
-                    f"processor {pid}: nbytes must be non-negative, "
-                    f"got {nbytes}")
-            hops = hop_rows[pid]
-            if hops is None:
-                hops = hop_rows[pid] = self._topology.hop_row(pid)
-            wire_time = nbytes / spec.bandwidth
-            st = stats[pid]
-            t = clock[pid]
-            for dst in dsts:
-                start = t
-                t = t + send_overhead
-                st.overhead_seconds += send_overhead
-                arrivals.append(
-                    t + (latency + per_hop * (hops[dst] - 1) + wire_time))
-                record(pid, "send", start, t, span=span,
-                       dst=dst, tag=tag, nbytes=nbytes)
-            clock[pid] = t
-            st.msgs_sent += len(dsts)
-            st.bytes_sent += nbytes * len(dsts)
-            carried += [nbytes] * len(dsts)
-            senders += [pid] * len(dsts)
-        recv_overhead = spec.recv_overhead
-        for pid, row in enumerate(slots):
-            st = stats[pid]
-            now = clock[pid]
-            for slot in row:
-                if slot < 0:
-                    continue
-                start = now
-                arrival = arrivals[slot]
-                if arrival > now:
-                    st.idle_seconds += arrival - now
-                    now = arrival
-                now = now + recv_overhead
-                st.overhead_seconds += recv_overhead
-                st.msgs_received += 1
-                st.bytes_received += carried[slot]
-                record(pid, "recv", start, now, span=span,
-                       src=senders[slot], tag=tag, nbytes=carried[slot])
-            clock[pid] = now
         self._events += 2 * len(arrivals)
 
     def finish(self, values: list) -> RunResult:

@@ -74,11 +74,15 @@ works)::
                                                 # 2 entries = duplicated
     injector.corrupt_payload(payload) -> Any    # corruption transform
 
-With ``faults=None`` (the default) the engine takes the exact pre-fault
-code paths — the equivalence suite proves the fault-free run stays
-bit-for-bit identical to the reference engine.  With faults enabled the
-run additionally records ``drop``/``timeout``/``crash`` trace events,
-counts drops/timeouts/retransmits in :class:`ProcStats`, drops messages
+The engine states each rule once; the injector is an input to it.
+``faults=None`` (the default) is the perfect network's verdict, one
+undelayed, intact copy (``_DELIVERED``) at wire factor ``1.0``, fed to
+the same send arithmetic — ``x * 1.0 == x`` and ``x + 0.0 == x``, so the
+equivalence suite still proves the fault-free run bit-for-bit identical
+to the reference engine, and an all-zero-rate injector identical to no
+injector.  With faults enabled the run additionally records
+``drop``/``timeout``/``crash`` trace events, counts
+drops/timeouts/retransmits in :class:`ProcStats`, drops messages
 addressed to crashed processors instead of raising, skips the
 unconsumed-mailbox check (stray retransmit duplicates are expected under
 chaos), and reports crashed pids in :attr:`RunResult.crashed`.
@@ -105,6 +109,9 @@ _READY = "ready"
 _BLOCKED = "blocked"
 _DONE = "done"
 _CRASHED = "crashed"
+
+#: The perfect network's delivery verdict: one copy, on time, intact.
+_DELIVERED = ((0.0, False),)
 
 
 @dataclasses.dataclass(slots=True)
@@ -413,26 +420,12 @@ class _Mailbox:
                 return msg
         return None
 
-    def pop_match(self, recv: Recv) -> Message | None:
-        """Remove and return the message ``recv`` matches, if any.
-
-        Concrete ``(src, tag)``: FIFO in send order.  Any wildcard: the
-        earliest-delivered candidate, i.e. min ``(arrival, seq)`` — the
-        exact selection rule of the reference engine.
+    def pop_wildcard(self, src: Any, tag: Any) -> Message | None:
+        """Remove and return the earliest-delivered message a receive on
+        ``(src, tag)``, either or both ``ANY``, matches — min ``(arrival,
+        seq)``, the exact selection rule of the reference engine — if any.
+        (A concrete receive pops its ``fifo`` deque in the engine.)
         """
-        src, tag = recv.src, recv.tag
-        if src is not ANY and tag is not ANY:
-            d = self.fifo.get((src, tag))
-            if not d:
-                return None
-            live = self.live
-            while d:
-                msg = d.popleft()
-                if msg.seq in live:
-                    live.remove(msg.seq)
-                    self.count -= 1
-                    return msg
-            return None
         self.heaped = True
         if src is not ANY:
             h = self.src_heaps.get(src)
@@ -494,8 +487,7 @@ class Machine:
         #: (``None`` outside traced runs — the ``env.span`` fast-path guard).
         self._span: list[Span | None] | None = None
         #: Deterministic fault injector (see module docstring), or ``None``
-        #: for the perfect machine.  ``None`` keeps the fault-free fast
-        #: path bit-for-bit identical to the reference engine.
+        #: for the perfect machine.
         self.faults = faults
         #: Single-port (full-duplex) contention model: each processor's
         #: network port transmits at most one message at a time, and
@@ -643,10 +635,9 @@ class Machine:
         single_port = self.single_port
         hop_rows: list[list[int] | None] = [None] * n
 
-        # Fault-model setup.  ``faults is None`` (the default) must leave
-        # every hot-path branch below untaken; ``crashes``/``compute_factors``
-        # additionally stay None when the injector models no crash/slowdown,
-        # so those per-event checks cost a single identity test.
+        # Fault-model setup.  ``crashes``/``compute_factors`` stay None
+        # unless the injector models a crash/slowdown, so those per-event
+        # checks cost a single identity test.
         faults = self.faults
         crashes: list[float | None] | None = None
         compute_factors: list[float] | None = None
@@ -675,10 +666,10 @@ class Machine:
                     heap.append((ct, cpid))
             heapify(heap)
 
-        def complete_recv(proc: _Proc, st: ProcStats, msg: Message) -> None:
-            """Finish ``proc``'s pending receive with ``msg`` and requeue it."""
-            pid = proc.pid
-            wait_start = proc.recv_posted_at
+        def complete_recv(pid: int, st: ProcStats, msg: Message,
+                          wait_start: float) -> float:
+            """Account ``pid``'s receive of ``msg``, posted at
+            ``wait_start``, and return its clock after it."""
             arrival = msg.arrival
             ready_at = arrival if arrival > wait_start else wait_start
             st.idle_seconds += ready_at - wait_start
@@ -690,11 +681,7 @@ class Machine:
             if trace_record is not None:
                 trace_record(pid, "recv", wait_start, t,
                              src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
-            proc.status = _READY
-            proc.pending_recv = None
-            proc.timeout_at = None
-            proc.resume_value = msg
-            heappush(heap, (t, pid))
+            return t
 
         def kill(proc: _Proc, at: float) -> None:
             """Crash ``proc`` at virtual time ``at``: permanent node death."""
@@ -832,144 +819,105 @@ class Machine:
                     nb = request.nbytes
                     nbytes = (estimate_nbytes(request.payload, word_bytes)
                               if nb is None else int(nb))
+                    if nbytes < 0:
+                        raise MachineError(
+                            f"nbytes must be non-negative, got {nbytes}")
                     start = clock[pid]
                     t = start + send_ovh
                     clock[pid] = t
                     st.overhead_seconds += send_ovh
-                    row = hop_rows[pid]
-                    if row is None:
-                        row = hop_rows[pid] = topology.hop_row(pid)
-                    hops = row[dst]
-                    if hops < 1:
-                        hops = 1
+                    tag = request.tag
+                    st.msgs_sent += 1
+                    st.bytes_sent += nbytes
+                    rtx = request.is_retransmit
+                    if rtx:
+                        st.retransmits += 1
+                    if trace_record is not None:
+                        trace_record(pid, "retransmit" if rtx else "send",
+                                     start, t, dst=dst, tag=tag, nbytes=nbytes)
+                    dproc = procs[dst]
+                    dstatus = dproc.status
+                    # Every wire attempt consumes a sequence number,
+                    # delivered or not: the injector's decisions hash the
+                    # sequence, so a retransmission must present a *fresh*
+                    # seq or it would inherit the original's drop verdict.
+                    send_seq += 1
                     if faults is None:
-                        if single_port:
-                            wire = nbytes / bandwidth
-                            startup = latency + per_hop * (hops - 1)
-                            txf = tx_free[pid]
-                            tx_start = t if t > txf else txf
-                            tx_free[pid] = tx_start + wire
-                            a0 = tx_start + startup
-                            rxf = rx_free[dst]
-                            arrival = (a0 if a0 > rxf else rxf) + wire
-                            rx_free[dst] = arrival
-                        else:
-                            if nbytes < 0:
-                                raise MachineError(
-                                    f"nbytes must be non-negative, got {nbytes}")
-                            arrival = t + (latency + per_hop * (hops - 1)
-                                           + nbytes / bandwidth)
-                        send_seq += 1
-                        tag = request.tag
-                        msg = Message(pid, dst, tag, request.payload, nbytes,
-                                      start, arrival, send_seq)
-                        st.msgs_sent += 1
-                        st.bytes_sent += nbytes
-                        if request.is_retransmit:
-                            st.retransmits += 1
-                            if trace_record is not None:
-                                trace_record(pid, "retransmit", start, t,
-                                             dst=dst, tag=tag, nbytes=nbytes)
-                        elif trace_record is not None:
-                            trace_record(pid, "send", start, t,
-                                         dst=dst, tag=tag, nbytes=nbytes)
-                        dproc = procs[dst]
-                        dstatus = dproc.status
-                        if dstatus == _DONE:
-                            raise MachineError(
-                                f"message {msg!r} sent to already-finished processor {dst}")
-                        recv = dproc.pending_recv
-                        if (dstatus == _BLOCKED and recv is not None
-                                and (recv.src is ANY or recv.src == pid)
-                                and (recv.tag is ANY or recv.tag == tag)):
-                            # Direct hand-off: a blocked processor's mailbox holds no
-                            # matching message (it would have unblocked already), so
-                            # the newcomer is the unique earliest candidate.
-                            complete_recv(dproc, stats[dst], msg)
-                        else:
-                            dproc.box.add(msg)
-                    else:
-                        # Fault-injection send path: the injector decides
-                        # which copies of the message (if any) reach dst,
-                        # how late they are, and whether they are corrupted.
-                        # With an all-zero-rate injector the arithmetic below
-                        # is bit-identical to the fault-free branch
-                        # (``x * 1.0 == x`` and ``x + 0.0 == x`` for the
-                        # non-negative times involved).
-                        tag = request.tag
-                        rtx = request.is_retransmit
-                        st.msgs_sent += 1
-                        st.bytes_sent += nbytes
-                        if rtx:
-                            st.retransmits += 1
+                        outcomes = _DELIVERED
+                        wire_factor = 1.0
+                    elif dstatus == _CRASHED or dstatus == _DONE:
+                        # The peer is gone: the network quietly eats the
+                        # message.  The resilience layer notices dead peers
+                        # through timeouts, not through errors.
+                        outcomes = ()
+                        st.msgs_dropped += 1
                         if trace_record is not None:
-                            trace_record(pid, "retransmit" if rtx else "send",
-                                         start, t, dst=dst, tag=tag,
-                                         nbytes=nbytes)
-                        dproc = procs[dst]
-                        dstatus = dproc.status
-                        # Every wire attempt consumes a sequence number,
-                        # delivered or not: the injector's decisions hash
-                        # the sequence, so a retransmission must present a
-                        # *fresh* seq or it would inherit the original's
-                        # drop verdict forever.
-                        send_seq += 1
-                        if dstatus == _CRASHED or dstatus == _DONE:
-                            # The peer is gone: the network quietly eats the
-                            # message.  The resilience layer notices dead
-                            # peers through timeouts, not through errors.
+                            trace_record(pid, "drop", t, t, dst=dst, tag=tag,
+                                         nbytes=nbytes, reason="peer-gone")
+                    else:
+                        # The injector decides which copies of the message
+                        # reach dst, how late and whether corrupted.
+                        outcomes = faults.deliveries(pid, dst, tag, nbytes,
+                                                     send_seq)
+                        if outcomes:
+                            wire_factor = faults.link_factor(pid, dst)
+                        else:
                             st.msgs_dropped += 1
                             if trace_record is not None:
                                 trace_record(pid, "drop", t, t, dst=dst,
                                              tag=tag, nbytes=nbytes,
-                                             reason="peer-gone")
+                                             reason="injected")
+                    if outcomes:
+                        row = hop_rows[pid]
+                        if row is None:
+                            row = hop_rows[pid] = topology.hop_row(pid)
+                        hops = row[dst]
+                        if hops < 1:
+                            hops = 1
+                        wire = nbytes / bandwidth * wire_factor
+                        if single_port:
+                            txf = tx_free[pid]
+                            tx_start = t if t > txf else txf
+                            tx_free[pid] = tx_start + wire
+                            a0 = tx_start + (latency + per_hop * (hops - 1))
+                            rxf = rx_free[dst]
+                            arrival = (a0 if a0 > rxf else rxf) + wire
+                            rx_free[dst] = arrival
                         else:
-                            outcomes = faults.deliveries(pid, dst, tag,
-                                                         nbytes, send_seq)
-                            if not outcomes:
-                                st.msgs_dropped += 1
-                                if trace_record is not None:
-                                    trace_record(pid, "drop", t, t, dst=dst,
-                                                 tag=tag, nbytes=nbytes,
-                                                 reason="injected")
+                            arrival = t + (latency + per_hop * (hops - 1)
+                                           + wire)
+                        duplicate = False
+                        for extra_delay, corrupt in outcomes:
+                            payload = request.payload
+                            if corrupt:
+                                payload = faults.corrupt_payload(payload)
+                            if duplicate:
+                                send_seq += 1  # each copy its own seq
+                            duplicate = True
+                            msg = Message(pid, dst, tag, payload, nbytes,
+                                          start, arrival + extra_delay,
+                                          send_seq)
+                            recv = dproc.pending_recv
+                            if (dproc.status == _BLOCKED and recv is not None
+                                    and (recv.src is ANY or recv.src == pid)
+                                    and (recv.tag is ANY or recv.tag == tag)):
+                                # Direct hand-off: a blocked processor's
+                                # mailbox holds no matching message (it
+                                # would have unblocked already), so the
+                                # newcomer is the unique earliest candidate.
+                                dproc.status = _READY
+                                dproc.pending_recv = None
+                                dproc.timeout_at = None
+                                heappush(heap, (complete_recv(
+                                    dst, stats[dst], msg,
+                                    dproc.recv_posted_at), dst))
+                                dproc.resume_value = msg
+                            elif dstatus == _DONE:  # only without faults
+                                raise MachineError(
+                                    f"message {msg!r} sent to "
+                                    f"already-finished processor {dst}")
                             else:
-                                wire_factor = faults.link_factor(pid, dst)
-                                if single_port:
-                                    wire = nbytes / bandwidth * wire_factor
-                                    startup = latency + per_hop * (hops - 1)
-                                    txf = tx_free[pid]
-                                    tx_start = t if t > txf else txf
-                                    tx_free[pid] = tx_start + wire
-                                    a0 = tx_start + startup
-                                    rxf = rx_free[dst]
-                                    base_arrival = (a0 if a0 > rxf else rxf) + wire
-                                    rx_free[dst] = base_arrival
-                                else:
-                                    if nbytes < 0:
-                                        raise MachineError(
-                                            f"nbytes must be non-negative, got {nbytes}")
-                                    base_arrival = t + (latency + per_hop * (hops - 1)
-                                                        + nbytes / bandwidth * wire_factor)
-                                first_copy = True
-                                for extra_delay, corrupt in outcomes:
-                                    payload = request.payload
-                                    if corrupt:
-                                        payload = faults.corrupt_payload(payload)
-                                    if first_copy:
-                                        first_copy = False
-                                    else:
-                                        send_seq += 1  # duplicate copies
-                                    arrival = base_arrival + extra_delay
-                                    msg = Message(pid, dst, tag, payload,
-                                                  nbytes, start, arrival,
-                                                  send_seq)
-                                    recv = dproc.pending_recv
-                                    if (dproc.status == _BLOCKED and recv is not None
-                                            and (recv.src is ANY or recv.src == pid)
-                                            and (recv.tag is ANY or recv.tag == tag)):
-                                        complete_recv(dproc, stats[dst], msg)
-                                    else:
-                                        dproc.box.add(msg)
+                                dproc.box.add(msg)
                 else:  # Recv
                     box = proc.box
                     msg = None
@@ -977,8 +925,7 @@ class Machine:
                         src = request.src
                         rtag = request.tag
                         if src is not ANY and rtag is not ANY:
-                            # Concrete receive: FIFO deque, inlined from
-                            # _Mailbox.pop_match (the dominant match kind).
+                            # Concrete receive: FIFO in send order.
                             d = box.fifo.get((src, rtag))
                             if d:
                                 live = box.live
@@ -990,7 +937,7 @@ class Machine:
                                         msg = m
                                         break
                         else:
-                            msg = box.pop_match(request)
+                            msg = box.pop_wildcard(src, rtag)
                     if msg is None:
                         proc.status = _BLOCKED
                         proc.pending_recv = request
@@ -1002,20 +949,8 @@ class Machine:
                             heappush(heap, (deadline, pid))
                         break
                     # Matching message already delivered: complete the
-                    # receive in place (same accounting as complete_recv,
-                    # without the transient blocked state or heap traffic).
-                    wait_start = clock[pid]
-                    arrival = msg.arrival
-                    ready_at = arrival if arrival > wait_start else wait_start
-                    st.idle_seconds += ready_at - wait_start
-                    t = ready_at + recv_ovh
-                    clock[pid] = t
-                    st.overhead_seconds += recv_ovh
-                    st.msgs_received += 1
-                    st.bytes_received += msg.nbytes
-                    if trace_record is not None:
-                        trace_record(pid, "recv", wait_start, t,
-                                     src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+                    # receive in place, with no transient blocked state.
+                    t = complete_recv(pid, st, msg, clock[pid])
                     proc.resume_value = msg
                 # The processor stays READY at time ``t`` after a Compute or
                 # Send.  If ``(t, pid)`` is still no later than every queued

@@ -97,25 +97,19 @@ def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
     """
     if not supported(plan):
         return None
-    if timeline.trace is None:
-        return _run_seq(plan.instrs, plan, timeline, list(values))
-    return _run_traced(plan.instrs, plan, timeline, list(values),
-                       Span(label))
+    return _run_seq(plan.instrs, plan, timeline, list(values),
+                    None if timeline.trace is None else Span(label))
 
 
 # ------------------------------------------------------------ data plane
 
-def _run_seq(instrs, plan, timeline, values):
-    for instr in instrs:
-        values = _step(instr, plan, timeline, values)
-    return values
-
-
-def _run_traced(instrs, plan, timeline, values, parent):
-    """:func:`_run_seq` setting each instruction's span, a child of
-    ``parent``, before its step."""
+def _run_seq(instrs, plan, timeline, values, parent):
+    """Step each instruction in turn.  A traced run passes the enclosing
+    span as ``parent`` (an untraced one ``None``), and each instruction's
+    own span, a child of it, is set before its step."""
     for i, instr in enumerate(instrs):
-        timeline.span = Span(ir.instr_title(instr), i, None, parent)
+        if parent is not None:
+            timeline.span = Span(ir.instr_title(instr), i, None, parent)
         values = _step(instr, plan, timeline, values)
     return values
 
@@ -149,11 +143,9 @@ def _step(instr, plan, timeline, values):
     if isinstance(instr, ir.Loop):
         loop_span = timeline.span
         for k, body in enumerate(instr.bodies):
-            if timeline.trace is None:
-                values = _run_seq(body, plan, timeline, values)
-            else:
-                values = _run_traced(body, plan, timeline, values,
-                                     Span(f"iter {k}", None, k, loop_span))
+            values = _run_seq(body, plan, timeline, values,
+                              None if loop_span is None
+                              else Span(f"iter {k}", None, k, loop_span))
         return values
 
     raise AssertionError(f"unwalkable plan instruction {instr!r}")

@@ -33,9 +33,12 @@ def _pingpong(env):
 
 
 class TestZeroRateIdentity:
-    def test_zero_rate_injector_is_bit_identical(self):
-        plain = Machine(2, spec=AP1000, record_trace=True).run(_pingpong)
+    @pytest.mark.parametrize("single_port", [False, True])
+    def test_zero_rate_injector_is_bit_identical(self, single_port):
+        plain = Machine(2, spec=AP1000, record_trace=True,
+                        single_port=single_port).run(_pingpong)
         injected = Machine(2, spec=AP1000, record_trace=True,
+                           single_port=single_port,
                            faults=FaultInjector(FaultSpec())).run(_pingpong)
         assert injected.makespan == plain.makespan
         assert injected.values == plain.values

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import MachineError
+from repro.machine import Machine
 from repro.machine.events import ANY, Compute, Message, Recv, Send
 
 
@@ -25,12 +27,37 @@ class TestCompute:
         Compute(0.0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MachineError):
             Compute(-0.1)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MachineError):
             Compute(float("nan"))
+
+    @pytest.mark.parametrize("engine", ["batched", "per-event", "lockstep"])
+    @pytest.mark.parametrize("bad", ["negative-compute", "nan-work"])
+    def test_invalid_charges_raise_machine_error_on_every_engine(
+            self, engine, bad):
+        """``compute(-1.0)`` and ``work(nan)`` are a :class:`MachineError`
+        (an :class:`SclError`) whichever engine serves the run."""
+
+        def program(env):
+            if env.pid == 0:
+                if bad == "negative-compute":
+                    yield env.compute(-1.0)
+                else:
+                    yield env.work(float("nan"))
+            yield env.work(1)
+
+        def walk(timeline):
+            if bad == "negative-compute":
+                timeline.compute(0, -1.0)
+            else:
+                timeline.work(0, float("nan"))
+
+        machine = Machine(2, batch=engine != "per-event")
+        with pytest.raises(MachineError, match="non-negative"):
+            machine.run(program, walk=walk if engine == "lockstep" else None)
 
 
 class TestRecvMatching:

@@ -12,7 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.machine import AP1000, Comm, Machine, MachineSpec, collectives as C
+from repro.errors import MachineError
+from repro.faults import FaultInjector, FaultSpec
+from repro.machine import (AP1000, Comm, Hypercube, Machine, MachineSpec,
+                           collectives as C)
 
 BW_SPEC = MachineSpec(name="bw", flop_time=1e-7, latency=1e-6,
                       bandwidth=1e6, per_hop_latency=0.0,
@@ -38,6 +41,27 @@ class TestSenderSerialisation:
         port = Machine(5, spec=BW_SPEC, single_port=True).run(prog)
         assert free.makespan == pytest.approx(wire, rel=0.01)
         assert port.makespan == pytest.approx(4 * wire, rel=0.01)
+
+
+class TestNegativeSize:
+    @pytest.mark.parametrize("single_port", [False, True])
+    @pytest.mark.parametrize("injector", [None, "zero-rate"])
+    def test_negative_nbytes_is_rejected_on_every_port_model(
+            self, single_port, injector):
+        """A negative wire size is an error before any port is reserved —
+        not a message that arrives before it was sent."""
+
+        def prog(env):
+            if env.pid == 0:
+                yield env.send(1, "x", nbytes=-4000)
+            else:
+                yield env.recv(0)
+
+        faults = None if injector is None else FaultInjector(FaultSpec())
+        machine = Machine(Hypercube(1), spec=AP1000, single_port=single_port,
+                          faults=faults)
+        with pytest.raises(MachineError, match="nbytes must be non-negative"):
+            machine.run(prog)
 
 
 class TestReceiverSerialisation:

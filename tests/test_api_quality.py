@@ -223,6 +223,23 @@ def test_the_walk_makes_no_per_request_timeline_call():
     assert not calls and not imports, (calls, imports)
 
 
+def test_each_engine_states_its_rules_once():
+    """Tracing and fault injection are inputs to an engine's one path, not
+    second copies of its timing rules: ``Lockstep`` has one exchange loop,
+    the walk one instruction loop, and the per-event engine builds its
+    messages in one place (the one Send arm, whatever the injector says)."""
+    defined = {modname: {node.name for node in ast.walk(_module_tree(modname))
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+               for modname in ("repro.machine.lockstep", "repro.plan.vexec")}
+    assert "_exchange_traced" not in defined["repro.machine.lockstep"]
+    assert "_run_traced" not in defined["repro.plan.vexec"]
+    builds = [node.lineno
+              for node in ast.walk(_module_tree("repro.machine.simulator"))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "Message"]
+    assert len(builds) == 1, builds
+
+
 def test_the_batched_engine_declines_what_it_does_not_win():
     """``machine.batch`` serves segment drives over FIFO streams and the
     last processor's monotone snapshot; timed receives, multi-blocked
