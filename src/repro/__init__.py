@@ -32,8 +32,9 @@ Supporting subsystems:
   machine (AP1000-calibrated cost model, hypercube/mesh topologies, MPI-like
   communicators and collectives) on which skeleton programs run with
   virtual timing — this regenerates the paper's Table 1 and Figure 3,
-* :mod:`repro.runtime` — real executors (sequential / threads / processes)
-  behind one protocol,
+* real host parallelism — every skeleton's ``executor=`` takes ``None``
+  (the calling thread) or a :class:`concurrent.futures.Executor` such as a
+  ``ThreadPoolExecutor``,
 * :mod:`repro.apps` — the paper's example applications (hyperquicksort,
   Gauss–Jordan) plus Cannon matrix multiply and Jacobi iteration.
 
@@ -96,13 +97,6 @@ from repro.core import (
     spmd,
     unalign,
 )
-from repro.runtime import (
-    Executor,
-    ProcessExecutor,
-    SequentialExecutor,
-    ThreadExecutor,
-    get_executor,
-)
 
 __all__ = [
     "__version__",
@@ -125,7 +119,4 @@ __all__ = [
     # computational skeletons
     "farm", "spmd", "SpmdStage", "iter_until", "iter_for",
     "divide_and_conquer",
-    # executors
-    "Executor", "SequentialExecutor", "ThreadExecutor", "ProcessExecutor",
-    "get_executor",
 ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from concurrent.futures import Executor
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from repro.machine import AP1000, Comm, Machine, MachineSpec, collectives
 from repro.machine.simulator import RunResult
 from repro.machine.topology import FullyConnected
 from repro.runtime.chunking import chunk_indices
-from repro.runtime.executor import Executor
 
 __all__ = [
     "gauss_jordan_seq",
@@ -86,7 +86,7 @@ def gauss_jordan_seq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gauss_jordan_solve(A: np.ndarray, b: np.ndarray, p: int, *,
-                       executor: Executor | str | None = None) -> np.ndarray:
+                       executor: Executor | None = None) -> np.ndarray:
     """Solve ``Ax = b`` with the paper's SCL program on ``p`` processors.
 
     ``gauss A p = iterFor n elimPivot (partition col_block_p [A|b])`` with

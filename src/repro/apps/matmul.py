@@ -19,6 +19,7 @@ The whole algorithm is a composition of configuration skeletons
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Executor
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from repro.errors import SkeletonError
 from repro.machine import AP1000, Machine, MachineSpec
 from repro.machine.simulator import RunResult
 from repro.machine.topology import Mesh2D
-from repro.runtime.executor import Executor
 
 __all__ = ["cannon_matmul", "blocked_matmul_seq", "CannonCostParams",
            "cannon_matmul_machine"]
@@ -50,7 +50,7 @@ def blocked_matmul_seq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def cannon_matmul(A: np.ndarray, B: np.ndarray, q: int, *,
-                  executor: Executor | str | None = None) -> np.ndarray:
+                  executor: Executor | None = None) -> np.ndarray:
     """Multiply ``A @ B`` on a ``q x q`` virtual-processor grid.
 
     Requires square matrices whose order is divisible by ``q`` (each block

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from concurrent.futures import Executor
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +62,6 @@ from repro.machine.simulator import RunResult
 from repro.plan.ir import base_fragment
 from repro.plan.kernels import vectorize_fragment
 from repro.runtime.chunking import chunk_indices
-from repro.runtime.executor import Executor
 
 __all__ = [
     "seq_quicksort",
@@ -145,7 +145,7 @@ def _exchange_step(dim: int, da: ParArray) -> ParArray:
     return parmap(lambda kr: merge_sorted(kr[0], kr[1]), align(kept, received))
 
 
-def _hsort(da: ParArray, dim: int, *, executor: Executor | str | None) -> ParArray:
+def _hsort(da: ParArray, dim: int, *, executor: Executor | None) -> ParArray:
     """The recursive ``hsort``: exchange, then recurse on both sub-cubes."""
     if dim == 0:
         return da
@@ -158,7 +158,7 @@ def _hsort(da: ParArray, dim: int, *, executor: Executor | str | None) -> ParArr
 
 
 def hyperquicksort(values: Sequence[float] | np.ndarray, d: int, *,
-                   executor: Executor | str | None = None) -> np.ndarray:
+                   executor: Executor | None = None) -> np.ndarray:
     """Sort ``values`` on a simulated ``d``-dimensional hypercube (§3).
 
     ``hypersort A d = gather (hsort d (map SEQ_QUICKSORT (partition block
@@ -178,7 +178,7 @@ def hyperquicksort(values: Sequence[float] | np.ndarray, d: int, *,
 # --------------------------------------------------------------------------
 
 def hyperquicksort_flat(values: Sequence[float] | np.ndarray, d: int, *,
-                        executor: Executor | str | None = None) -> np.ndarray:
+                        executor: Executor | None = None) -> np.ndarray:
     """The transformation-derived flat program: ``iterfor d step DA``.
 
     Each ``step i`` works on sub-cubes of dimension ``d - i``: the pivot
@@ -628,7 +628,7 @@ def hyperquicksort_compiled(
 
 def sample_sort(values: Sequence[float] | np.ndarray, p: int, *,
                 oversample: int = 8,
-                executor: Executor | str | None = None,
+                executor: Executor | None = None,
                 rng: np.random.Generator | None = None) -> np.ndarray:
     """Distributed sample sort over ``p`` processors (baseline comparator).
 

@@ -15,6 +15,7 @@ falls below a tolerance.  Parallel structure in SCL terms:
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Executor
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from repro.core import (
     partition,
 )
 from repro.errors import SkeletonError
-from repro.runtime.executor import Executor
 
 __all__ = ["jacobi_seq", "jacobi_solve", "JacobiResult", "JacobiCostParams", "jacobi_machine"]
 
@@ -78,7 +78,7 @@ def jacobi_seq(grid: np.ndarray, *, tol: float = 1e-4,
 
 def jacobi_solve(grid: np.ndarray, p: int, *, tol: float = 1e-4,
                  max_iter: int = 10_000,
-                 executor: Executor | str | None = None) -> JacobiResult:
+                 executor: Executor | None = None) -> JacobiResult:
     """Parallel Jacobi over ``p`` row blocks, written with SCL skeletons."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or min(grid.shape) < 3:

@@ -13,18 +13,18 @@
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Executor
 from typing import Any, Callable, Sequence
 
 from repro.core.elementary import imap, parmap
 from repro.core.pararray import ParArray
 from repro.errors import SkeletonError
-from repro.runtime.executor import Executor
 
 __all__ = ["farm", "spmd", "SpmdStage", "iter_until", "iter_for"]
 
 
 def farm(f: Callable[[Any, Any], Any], env: Any, pa: ParArray, *,
-         executor: Executor | str | None = None,
+         executor: Executor | None = None,
          retries: int = 0) -> ParArray:
     """Farm jobs out to processors: ``farm f env = map (f env)``.
 
@@ -78,7 +78,7 @@ class SpmdStage:
 
 
 def spmd(stages: Sequence["SpmdStage | tuple"], *,
-         executor: Executor | str | None = None) -> Callable[[ParArray], ParArray]:
+         executor: Executor | None = None) -> Callable[[ParArray], ParArray]:
     """Compose SPMD stages into one configuration transformer.
 
     ``spmd([]) = id``; ``spmd([(gf, lf)] + fs) = spmd(fs) . gf . imap(lf)``

@@ -12,7 +12,7 @@ the algorithmic-skeleton canon (Cole 1989):
 Parallelisation strategy (grain control — the paper's "full control over
 granularity"): the division tree is expanded in the calling thread down to
 ``fork_levels``; the resulting frontier of independent sub-problems is
-solved in **one** executor ``map`` (no nested pool usage, so bounded
+solved in **one** pool ``map`` (no nested pool usage, so bounded
 thread pools cannot starve); results are combined back up the recorded
 tree.  The result is identical to the fully sequential recursion.
 """
@@ -20,10 +20,10 @@ tree.  The result is identical to the fully sequential recursion.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Executor
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.errors import SkeletonError
-from repro.runtime.executor import Executor, SequentialExecutor, get_executor
 
 __all__ = ["divide_and_conquer"]
 
@@ -47,7 +47,7 @@ def divide_and_conquer(
     combine: Callable[[Sequence[_S]], _S],
     problem: _P,
     *,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     fork_levels: int = 3,
     max_depth: int | None = 10_000,
 ) -> _S:
@@ -60,7 +60,6 @@ def divide_and_conquer(
     """
     if fork_levels < 0:
         raise SkeletonError(f"fork_levels must be non-negative, got {fork_levels}")
-    ex = get_executor(executor)
 
     def sequential(prob: _P, depth: int) -> _S:
         if trivial(prob):
@@ -74,7 +73,7 @@ def divide_and_conquer(
             raise SkeletonError("divide produced no sub-problems")
         return combine([sequential(s, depth + 1) for s in subs])
 
-    if isinstance(ex, SequentialExecutor):
+    if executor is None:
         return sequential(problem, 0)
 
     # 1. expand the division tree down to fork_levels in this thread
@@ -95,8 +94,8 @@ def divide_and_conquer(
                          children=[expand(s, depth + 1) for s in subs])
 
     root = expand(problem, 0)
-    # 2. one flat executor map over the frontier (sequential below it)
-    solved = ex.map(lambda p: sequential(p, fork_levels), leaves)
+    # 2. one flat pool map over the frontier (sequential below it)
+    solved = list(executor.map(lambda p: sequential(p, fork_levels), leaves))
 
     # 3. combine back up the recorded tree
     def fold_up(node: _TreeNode) -> _S:

@@ -33,6 +33,7 @@ __all__ = ["reduce_scatter", "ring_allreduce", "pipelined_bcast",
 
 Gen = Generator[Any, Any, Any]
 
+# Raw-simulator tags, recorded as ``tags.INFRA_BLOCKS["collectives-ext"]``.
 _TAG_RS = 1_100_001
 _TAG_AG = 1_100_002
 _TAG_PB = 1_100_003

@@ -14,8 +14,9 @@ collided with ``ft_bcast``'s):
   ``ACK_TAG_BASE + t``).
 
 Two kinds of tag space exist above the user range and are *blocks*, not
-individual reservations: the plain collectives' raw-simulator tags and the
-reliable layer's data/ack frame tags.  They are recorded in
+individual reservations: the raw-simulator tags of the plain and the
+bandwidth-optimal collectives, and the reliable layer's data/ack frame
+tags.  They are recorded in
 :data:`INFRA_BLOCKS` so the disjointness test can cover the whole layout.
 """
 
@@ -49,6 +50,8 @@ SUBSYSTEM_RANGES: dict[str, tuple[int, int]] = {
 INFRA_BLOCKS: dict[str, tuple[int, int]] = {
     # raw-simulator tags of repro.machine.collectives (never reliable-framed)
     "collectives-raw": (1_000_001, 1_000_101),
+    # raw-simulator tags of repro.machine.collectives_ext
+    "collectives-ext": (1_100_001, 1_100_101),
     # reliable-layer frame blocks: user tag t -> base + t
     "reliable-data": (2_000_000, 3_000_000),
     "reliable-ack": (3_000_000, 4_000_000),

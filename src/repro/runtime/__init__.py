@@ -1,35 +1,16 @@
-"""Real execution backends for the skeleton library.
+"""Host-side helpers for the skeleton library.
 
-The paper's two-tier contract says the SCL layer owns all parallel control
-while base-language fragments stay sequential.  This package supplies the
-interchangeable *executors* the elementary skeletons hand their independent
-work items to:
-
-* :class:`SequentialExecutor` — deterministic in-process baseline,
-* :class:`ThreadExecutor` — a shared-memory thread pool (NumPy-heavy base
-  code releases the GIL; pure-Python base code will not speed up — see
-  DESIGN.md),
-* :class:`ProcessExecutor` — process pool for picklable CPU-bound work.
-
-All three implement the :class:`Executor` protocol (``map`` preserving input
-order), so any skeleton accepts any backend.
+Skeletons hand their independent work items to the host's own pool: every
+``executor=`` takes ``None`` (run in the calling thread) or a
+:class:`concurrent.futures.Executor`, whose ``map`` keeps input order.
+What is left here is deterministic chunking: contiguous spans of nearly
+equal size, shared by the partition patterns, the blocked ``scan`` and the
+apps.
 """
 
-from repro.runtime.executor import (
-    Executor,
-    SequentialExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
-    get_executor,
-)
 from repro.runtime.chunking import chunk_evenly, chunk_indices
 
 __all__ = [
-    "Executor",
-    "SequentialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "get_executor",
     "chunk_evenly",
     "chunk_indices",
 ]

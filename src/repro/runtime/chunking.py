@@ -1,4 +1,4 @@
-"""Deterministic chunking helpers used by partition patterns and executors."""
+"""Deterministic chunking helpers used by partition patterns, ``scan`` and apps."""
 
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ universe).
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from typing import Any
 
 from repro.core import communication as comm
@@ -17,7 +18,6 @@ from repro.core import config as cfg
 from repro.core import elementary as elem
 from repro.core.pararray import ParArray
 from repro.errors import SkeletonError
-from repro.runtime.executor import Executor
 from repro.scl import nodes as N
 from repro.util.functional import foldr
 
@@ -25,7 +25,7 @@ __all__ = ["evaluate"]
 
 
 def evaluate(node: N.Node, value: Any, *,
-             executor: Executor | str | None = None) -> Any:
+             executor: Executor | None = None) -> Any:
     """Evaluate expression ``node`` applied to ``value``.
 
     ``value`` is usually a :class:`~repro.core.pararray.ParArray`; reduction

@@ -51,7 +51,7 @@ class Node:
         return self
 
     def __call__(self, value: Any) -> Any:
-        """Evaluate this expression (sequential executor)."""
+        """Evaluate this expression in the calling thread."""
         from repro.scl.interp import evaluate
 
         return evaluate(self, value)

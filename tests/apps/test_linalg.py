@@ -78,10 +78,10 @@ class TestSkeletonSolver:
             gauss_jordan_solve(well_conditioned(rng, 4),
                                rng.standard_normal(5), 2)
 
-    def test_with_executor(self, rng):
+    def test_with_executor(self, rng, pool):
         A = well_conditioned(rng, 8)
         b = rng.standard_normal(8)
-        out = gauss_jordan_solve(A, b, 4, executor="threads")
+        out = gauss_jordan_solve(A, b, 4, executor=pool)
         assert np.allclose(out, np.linalg.solve(A, b))
 
     @settings(max_examples=20)

@@ -61,10 +61,10 @@ class TestCannon:
             cannon_matmul(rng.standard_normal((4, 4)),
                           rng.standard_normal((4, 4)), 0)
 
-    def test_with_executor(self, rng):
+    def test_with_executor(self, rng, pool):
         A = rng.standard_normal((8, 8))
         B = rng.standard_normal((8, 8))
-        assert np.allclose(cannon_matmul(A, B, 4, executor="threads"), A @ B)
+        assert np.allclose(cannon_matmul(A, B, 4, executor=pool), A @ B)
 
     @settings(max_examples=20)
     @given(st.integers(1, 4), st.integers(0, 10**6))

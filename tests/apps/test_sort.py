@@ -90,9 +90,9 @@ class TestParArrayLevelSorts:
         vals = np.array([3, 1])
         assert np.array_equal(hyperquicksort(vals, 3), [1, 3])
 
-    def test_with_thread_executor(self, rng):
+    def test_with_thread_executor(self, rng, pool):
         vals = rng.integers(0, 100, size=128)
-        out = hyperquicksort(vals, 2, executor="threads")
+        out = hyperquicksort(vals, 2, executor=pool)
         assert np.array_equal(out, np.sort(vals))
 
     def test_floats(self, rng):

@@ -77,9 +77,9 @@ class TestParallel:
         res = jacobi_solve(hot_top_grid(), 2, tol=0.0, max_iter=3)
         assert res.iterations == 3
 
-    def test_with_executor(self):
+    def test_with_executor(self, pool):
         ref = jacobi_seq(hot_top_grid(8), tol=1e-3)
-        par = jacobi_solve(hot_top_grid(8), 2, tol=1e-3, executor="threads")
+        par = jacobi_solve(hot_top_grid(8), 2, tol=1e-3, executor=pool)
         assert np.allclose(par.grid, ref.grid, atol=1e-12)
 
     def test_result_type(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,3 +24,10 @@ settings.load_profile("repro")
 def rng() -> np.random.Generator:
     """A fixed-seed NumPy generator for reproducible test data."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def pool() -> Iterator[ThreadPoolExecutor]:
+    """A two-thread stdlib pool: the host executor every ``executor=`` takes."""
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        yield ex

@@ -33,9 +33,9 @@ class TestFarm:
         out = farm(lambda e, x: x + e["offset"], env, ParArray([0, 1]))
         assert out.to_list() == [5, 6]
 
-    def test_with_executor(self):
+    def test_with_executor(self, pool):
         out = farm(lambda e, x: e + x, 1, ParArray(range(16)),
-                   executor="threads")
+                   executor=pool)
         assert out.to_list() == list(range(1, 17))
 
 

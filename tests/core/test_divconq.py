@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core import divide_and_conquer
 from repro.errors import SkeletonError
-from repro.runtime import ThreadExecutor
 
 
 def dc_mergesort(xs, **kw):
@@ -78,16 +78,17 @@ class TestSequential:
 class TestParallel:
     def test_results_identical_to_sequential(self):
         xs = list(np.random.default_rng(0).integers(0, 1000, size=200))
-        with ThreadExecutor(max_workers=4) as ex:
+        with ThreadPoolExecutor(max_workers=4) as ex:
             assert dc_mergesort(xs, executor=ex) == dc_mergesort(xs)
 
-    def test_string_executor(self):
-        assert dc_sum(range(64), executor="threads") == 2016
+    def test_string_executor(self, pool):
+        """What the ``"threads"`` spec string used to name: a stdlib pool."""
+        assert dc_sum(range(64), executor=pool) == 2016
 
     @pytest.mark.parametrize("fork_levels", [0, 1, 2, 5])
     def test_fork_levels_do_not_change_result(self, fork_levels):
         xs = list(range(50, 0, -1))
-        with ThreadExecutor(max_workers=3) as ex:
+        with ThreadPoolExecutor(max_workers=3) as ex:
             assert dc_mergesort(xs, executor=ex,
                                 fork_levels=fork_levels) == sorted(xs)
 
@@ -100,22 +101,23 @@ class TestParallel:
             barrier.wait()
             return sum(v)
 
-        out = divide_and_conquer(
-            trivial=lambda v: len(v) <= 4,
-            solve=solve,
-            divide=lambda v: [v[: len(v) // 2], v[len(v) // 2:]],
-            combine=sum,
-            problem=list(range(16)),
-            executor=ThreadExecutor(max_workers=4),
-            fork_levels=2,
-        )
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            out = divide_and_conquer(
+                trivial=lambda v: len(v) <= 4,
+                solve=solve,
+                divide=lambda v: [v[: len(v) // 2], v[len(v) // 2:]],
+                combine=sum,
+                problem=list(range(16)),
+                executor=ex,
+                fork_levels=2,
+            )
         assert out == sum(range(16))
 
     def test_no_nested_pool_starvation(self):
         """Deep recursion with a 1-worker pool must not deadlock (the
         frontier map is flat by construction)."""
         xs = list(range(64))
-        with ThreadExecutor(max_workers=1) as ex:
+        with ThreadPoolExecutor(max_workers=1) as ex:
             assert dc_sum(xs, executor=ex, fork_levels=6) == sum(xs)
 
 
@@ -145,7 +147,7 @@ class TestErrors:
                 problem=[1, 2],
             )
 
-    def test_non_terminating_parallel_expand_detected(self):
+    def test_non_terminating_parallel_expand_detected(self, pool):
         with pytest.raises(SkeletonError, match="max_depth"):
             divide_and_conquer(
                 trivial=lambda v: False,
@@ -153,7 +155,7 @@ class TestErrors:
                 divide=lambda v: [v],
                 combine=lambda rs: rs[0],
                 problem=[1],
-                executor="threads",
+                executor=pool,
                 fork_levels=100,
                 max_depth=20,
             )
@@ -162,7 +164,7 @@ class TestErrors:
 class TestHyperquicksortViaDc:
     """The paper's recursive hypersort *is* a divide-and-conquer instance."""
 
-    def test_quicksort_as_dc(self, rng):
+    def test_quicksort_as_dc(self, rng, pool):
         vals = rng.integers(0, 1000, size=300).tolist()
 
         def divide(v):
@@ -177,6 +179,6 @@ class TestHyperquicksortViaDc:
             divide=divide,
             combine=lambda parts: parts[0] + parts[1] + parts[2],
             problem=vals,
-            executor="threads",
+            executor=pool,
         )
         assert out == sorted(vals)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core import ParArray, fold, fold_map, imap, parmap, scan, scan_seq
 from repro.errors import SkeletonError
-from repro.runtime.executor import ThreadExecutor
 
 
 class TestParmap:
@@ -33,14 +32,15 @@ class TestParmap:
         with pytest.raises(SkeletonError):
             parmap(lambda x: x, [1, 2])  # type: ignore[arg-type]
 
-    def test_with_thread_executor(self):
-        with ThreadExecutor(max_workers=4) as ex:
-            out = parmap(lambda x: x * x, ParArray(range(64)), executor=ex)
+    def test_with_thread_executor(self, pool):
+        out = parmap(lambda x: x * x, ParArray(range(64)), executor=pool)
         assert out.to_list() == [x * x for x in range(64)]
 
     def test_with_string_executor_spec(self):
-        out = parmap(lambda x: x, ParArray([1]), executor="sequential")
-        assert out.to_list() == [1]
+        """A spec string is not a pool: it fails loudly instead of quietly
+        running in the calling thread."""
+        with pytest.raises(AttributeError):
+            parmap(lambda x: x, ParArray([1]), executor="sequential")
 
     @given(st.lists(st.integers(), min_size=1, max_size=40))
     def test_map_fusion_semantics_property(self, xs):
@@ -102,9 +102,8 @@ class TestFold:
         """Tree grouping must be invisible for any associative op."""
         assert fold(operator.add, ParArray(xs)) == "".join(xs)
 
-    def test_with_executor(self):
-        with ThreadExecutor(max_workers=2) as ex:
-            assert fold(operator.add, ParArray(range(100)), executor=ex) == 4950
+    def test_with_executor(self, pool):
+        assert fold(operator.add, ParArray(range(100)), executor=pool) == 4950
 
 
 class _EmptyView(ParArray):
@@ -149,9 +148,8 @@ class TestScan:
         out = scan(operator.add, ParArray(xs), blocks=blocks)
         assert out.to_list() == scan_seq(operator.add, xs)
 
-    def test_with_executor(self):
-        with ThreadExecutor(max_workers=3) as ex:
-            out = scan(operator.add, ParArray(range(32)), executor=ex)
+    def test_with_executor(self, pool):
+        out = scan(operator.add, ParArray(range(32)), executor=pool)
         assert out.to_list() == scan_seq(operator.add, list(range(32)))
 
 

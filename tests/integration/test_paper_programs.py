@@ -121,12 +121,12 @@ class TestExpressionPipelineEndToEnd:
         expected = np.cumsum([x * 2 for x in xs]).tolist()
         assert out.to_list() == expected
 
-    def test_rewritten_program_runs_on_executor(self, rng):
+    def test_rewritten_program_runs_on_executor(self, rng, pool):
         xs = rng.integers(0, 100, size=64).tolist()
         prog = compose_nodes(Map(lambda x: x + 1), Map(lambda x: x * 3))
         rewritten, _ = default_engine().rewrite(prog)
-        a = evaluate(prog, ParArray(xs), executor="threads")
-        b = evaluate(rewritten, ParArray(xs), executor="threads")
+        a = evaluate(prog, ParArray(xs), executor=pool)
+        b = evaluate(rewritten, ParArray(xs), executor=pool)
         assert a == b
 
 

@@ -17,6 +17,7 @@ from repro.machine import reliable, tags
 # Importing every tag-owning subsystem populates the registry.
 import repro.faults.plan_exec  # noqa: F401
 import repro.faults.runtime  # noqa: F401
+import repro.machine.collectives_ext
 import repro.machine.collectives_ft  # noqa: F401
 import repro.machine.plan_exec  # noqa: F401
 
@@ -69,6 +70,11 @@ class TestGlobalLayout:
         assert EXCHANGE_TAG != _TAG_FT_BCAST
         assert tags.subsystem_of(EXCHANGE_TAG) == "plan"
         assert tags.subsystem_of(_TAG_FT_BCAST) == "collectives-ft"
+
+    def test_the_ring_collectives_tags_sit_in_a_recorded_block(self):
+        ext = repro.machine.collectives_ext
+        for tag in (ext._TAG_RS, ext._TAG_AG, ext._TAG_PB):
+            assert tags.subsystem_of(tag) == "collectives-ext", tag
 
 
 class TestReserve:

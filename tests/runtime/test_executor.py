@@ -1,44 +1,24 @@
-"""Tests for repro.runtime.executor."""
+"""The ``executor=`` contract: ``None`` or a stdlib pool.
+
+``None`` runs every work item in the calling thread; a
+:class:`concurrent.futures.Executor` runs them through its ``map``.
+Either way results follow input order and a fragment's exception reaches
+the caller with its type.  ``tests/core/test_executors.py`` checks that
+every entry point computes the same result both ways.
+"""
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import SkeletonError
-from repro.runtime.executor import (
-    Executor,
-    ProcessExecutor,
-    SequentialExecutor,
-    ThreadExecutor,
-    get_executor,
-)
+from repro.core import ParArray, divide_and_conquer, fold, imap, parmap, scan
 
 
 def square(x):
     return x * x
-
-
-class TestSequentialExecutor:
-    def test_map_preserves_order(self):
-        ex = SequentialExecutor()
-        assert ex.map(square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_starmap_unpacks(self):
-        ex = SequentialExecutor()
-        assert ex.starmap(lambda a, b: a - b, [(5, 2), (1, 1)]) == [3, 0]
-
-    def test_empty_input(self):
-        assert SequentialExecutor().map(square, []) == []
-
-    def test_exceptions_propagate(self):
-        with pytest.raises(ZeroDivisionError):
-            SequentialExecutor().map(lambda x: 1 // x, [1, 0])
-
-    def test_context_manager(self):
-        with SequentialExecutor() as ex:
-            assert ex.map(square, [2]) == [4]
 
 
 def fail_on_one(x):
@@ -47,80 +27,68 @@ def fail_on_one(x):
     return x
 
 
-class _PoolExecutorCases:
-    """What both pool-backed executors must do; subclasses set ``make``."""
-
-    make: type
+class TestSequentialExecutor:
+    """``executor=None``: the calling thread, in index order."""
 
     def test_map_preserves_order(self):
-        with self.make(max_workers=4) as ex:
-            assert ex.map(square, range(32)) == [x * x for x in range(32)]
+        assert parmap(square, ParArray([3, 1, 2])).to_list() == [9, 1, 4]
 
-    def test_close_is_idempotent(self):
-        ex = self.make(max_workers=1)
-        ex.map(square, [1])
-        ex.close()
-        ex.close()
+    def test_starmap_unpacks(self):
+        out = imap(lambda i, x: x - i, ParArray([5, 2]))
+        assert out.to_list() == [5, 1]
 
-    def test_pool_recreated_after_close(self):
-        ex = self.make(max_workers=1)
-        assert ex.map(square, [2]) == [4]
-        ex.close()
-        assert ex.map(square, [3]) == [9]
-        ex.close()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(SkeletonError):
-            self.make(max_workers=0)
-
-    def test_worker_exception_keeps_its_type(self):
-        with self.make(max_workers=2) as ex:
-            with pytest.raises(ValueError, match="bad 1"):
-                ex.map(fail_on_one, [0, 1, 2])
+    def test_exceptions_propagate(self):
+        with pytest.raises(ZeroDivisionError):
+            parmap(lambda x: 1 // x, ParArray([1, 0]))
 
 
-class TestThreadExecutor(_PoolExecutorCases):
-    make = ThreadExecutor
+class TestThreadExecutor:
+    """A ``ThreadPoolExecutor``: the pool's threads, results in index order."""
 
-    def test_actually_uses_multiple_threads(self):
+    def test_map_preserves_order(self):
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            out = parmap(square, ParArray(range(32)), executor=ex)
+        assert out.to_list() == [x * x for x in range(32)]
+
+    def test_worker_exception_keeps_its_type(self, pool):
+        with pytest.raises(ValueError, match="bad 1"):
+            parmap(fail_on_one, ParArray([0, 1, 2]), executor=pool)
+
+    def test_actually_uses_multiple_threads(self, pool):
         seen = set()
         barrier = threading.Barrier(2, timeout=10)
 
         def record(_x):
-            barrier.wait()
+            barrier.wait()  # returns only once both items run at the same time
             seen.add(threading.get_ident())
-            return None
 
-        with ThreadExecutor(max_workers=2) as ex:
-            ex.map(record, [1, 2])
+        parmap(record, ParArray([1, 2]), executor=pool)
         assert len(seen) == 2
 
 
-class TestProcessExecutor(_PoolExecutorCases):
-    make = ProcessExecutor
-
-    def test_map_with_picklable_function(self):
-        with ProcessExecutor(max_workers=2) as ex:
-            assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
-
-
 class TestGetExecutor:
-    def test_none_gives_sequential(self):
-        assert isinstance(get_executor(None), SequentialExecutor)
+    """What ``executor=`` accepts: nothing, a pool, and no spec string."""
 
-    def test_string_specs(self):
-        assert isinstance(get_executor("sequential"), SequentialExecutor)
-        assert isinstance(get_executor("threads"), ThreadExecutor)
-        assert isinstance(get_executor("processes"), ProcessExecutor)
+    def test_none_gives_sequential(self):
+        seen = set()
+        parmap(lambda x: seen.add(threading.get_ident()), ParArray(range(8)))
+        assert seen == {threading.get_ident()}
 
     def test_instance_passes_through(self):
-        ex = SequentialExecutor()
-        assert get_executor(ex) is ex
+        with ThreadPoolExecutor(max_workers=2,
+                                thread_name_prefix="caller-pool") as ex:
+            names = parmap(lambda _x: threading.current_thread().name,
+                           ParArray(range(8)), executor=ex)
+        assert all(n.startswith("caller-pool") for n in names.to_list())
+
+    def test_string_specs(self):
+        for skeleton in (parmap, imap, fold, scan):
+            with pytest.raises(AttributeError):
+                skeleton(max, ParArray([1, 2, 3]), executor="threads")
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(SkeletonError):
-            get_executor("gpu")
-
-    def test_executor_is_abstract(self):
-        with pytest.raises(TypeError):
-            Executor()  # type: ignore[abstract]
+        with pytest.raises(AttributeError):
+            divide_and_conquer(
+                trivial=lambda v: len(v) <= 1, solve=sum,
+                divide=lambda v: [v[:1], v[1:]], combine=sum,
+                problem=[1, 2, 3], executor="gpu")

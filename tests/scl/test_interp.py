@@ -181,9 +181,9 @@ class TestSpmdAndIter:
         pa = ParArray(list(range(5)))
         assert evaluate(prog, pa) == comm.rotate(3, pa)
 
-    def test_executor_threading(self):
+    def test_executor_threading(self, pool):
         prog = Map(lambda x: x * 2)
-        out = evaluate(prog, PA, executor="threads")
+        out = evaluate(prog, PA, executor=pool)
         assert out == elem.parmap(lambda x: x * 2, PA)
 
 

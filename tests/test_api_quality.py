@@ -19,7 +19,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * the Plan IR has one point-to-point instruction and its transports two
   methods, and the un-annotated fragment cost is nobody's parameter,
 * the batched engine declines what it does not win instead of growing
-  the machinery back.
+  the machinery back,
+* ``executor=`` takes the host's own pool or nothing: no executor classes
+  or string specs of the package's own.
 """
 
 from __future__ import annotations
@@ -310,6 +312,39 @@ def test_the_fragment_cost_default_is_not_passed_around(modname):
                   for name in inspect.signature(fn).parameters
                   if name in banned]
     assert not offenders, f"{modname}: {offenders}"
+
+
+def test_executor_is_a_stdlib_pool_or_nothing():
+    """Every ``executor=`` takes ``None`` or a
+    :class:`concurrent.futures.Executor`: no module defines or imports an
+    executor class or spec coercion of its own, ``repro.runtime`` is the
+    chunking helpers alone, and no ``executor`` parameter admits a ``str``."""
+    import re
+
+    import repro.runtime
+
+    assert repro.runtime.__all__ == ["chunk_evenly", "chunk_indices"]
+    banned = {"SequentialExecutor", "ThreadExecutor", "ProcessExecutor",
+              "get_executor"}
+    offenders = []
+    for modname in MODULES:
+        for node in ast.walk(_module_tree(modname)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and node.name in banned | {"Executor"}:
+                offenders.append(f"{modname}:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.ImportFrom):
+                offenders += [
+                    f"{modname}:{node.lineno} imports {a.name}"
+                    for a in node.names
+                    if a.name in banned or (
+                        a.name == "Executor"
+                        and (node.module or "").startswith("repro.runtime"))]
+            elif isinstance(node, ast.arg) and node.arg == "executor" \
+                    and node.annotation is not None \
+                    and re.search(r"\bstr\b", ast.unparse(node.annotation)):
+                offenders.append(f"{modname}:{node.lineno} executor: str")
+    assert not offenders, "\n".join(offenders)
 
 
 def test_top_level_all_is_complete():
