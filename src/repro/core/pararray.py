@@ -15,7 +15,8 @@ what makes the transformation laws of §4 equational.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar, Union
+from collections.abc import Mapping
+from typing import Any, Callable, Iterator, Sequence, TypeVar, Union
 
 from repro.errors import ConfigurationError
 
@@ -72,6 +73,12 @@ class ParArray:
             data = {normalize_index(k): v for k, v in items.items()}
         else:
             items = list(items)
+            if shape is None and items:
+                # A 1-D sequence covers its own shape: no coverage proof.
+                self._shape = (len(items),)
+                self._data = {(i,): v for i, v in enumerate(items)}
+                self.dist = dist
+                return
             if shape is None:
                 shape = (len(items),)
             if len(shape) == 1:
@@ -139,7 +146,7 @@ class ParArray:
         return (self._data[idx] for idx in _grid(self._shape))
 
     def __contains__(self, value: Any) -> bool:
-        return any(v is value or v == value for v in self)
+        return any(v is value or _values_equal(v, value) for v in self)
 
     # ------------------------------------------------------------ conversion
 

@@ -28,7 +28,7 @@ direct transport's; the computed values do not.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.pararray import ParArray
 from repro.machine import tags
@@ -115,7 +115,8 @@ class ReliableTransport:
         return (piece, local)
 
 
-def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
+def run_expression_ft(expr, pa: ParArray | Sequence[Any],
+                      machine: Machine, *,
                       channel_timeout: float | None = None,
                       max_retries: int = 8,
                       label: str = "program",
@@ -134,7 +135,9 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
     timeout, which the batched engine declines: the run moves to the
     per-event engine at its first timed receive
     (:func:`repro.faults.apps.ft_hyperquicksort_machine` always installs
-    an injector and never meets the batched engine).
+    an injector and never meets the batched engine).  ``pa`` takes both
+    of :func:`~repro.scl.compile.run_expression`'s forms: a ParArray in
+    gives a ParArray out, a list of per-rank values a list.
     """
     def make_program(plan, values):
         def program(env):

@@ -51,7 +51,7 @@ machine runs, or leave ``opt=None`` for the raw lowering that
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.pararray import ParArray
 from repro.errors import SkeletonError
@@ -94,36 +94,47 @@ def resolve_opt(opt: Any, machine: Machine):
         f"got {opt!r}")
 
 
-def run_lowered(expr: N.Node, pa: ParArray, machine: Machine, opt: Any,
+def run_lowered(expr: N.Node, pa: ParArray | Sequence[Any],
+                machine: Machine, opt: Any,
                 make_program) -> tuple[Any, RunResult]:
     """Validate ``pa``, lower ``expr``, run, unwrap — what
     :func:`run_expression` and ``run_expression_ft`` share (internal).
     ``make_program(plan, values)`` builds the :meth:`Machine.run` arguments
     ``(program, walk)`` executing ``plan`` over the row-major per-rank
-    ``values`` (``walk`` may be ``None``)."""
-    if not isinstance(pa, ParArray) or pa.ndim not in (1, 2):
-        raise SkeletonError("compiled programs take a 1-D or 2-D ParArray input")
-    if pa.size != machine.nprocs:
+    ``values`` (``walk`` may be ``None``).  A ParArray ``pa`` gets a
+    ParArray of its shape back; a list (or tuple) of per-rank values runs
+    as it is and gets ``RunResult.values`` itself back.  A fold returns
+    its scalar either way."""
+    if isinstance(pa, ParArray) and pa.ndim in (1, 2):
+        values, shape = pa.to_list(), pa.shape
+    elif isinstance(pa, (list, tuple)):
+        values, shape = pa, None
+    else:
+        raise SkeletonError("compiled programs take a 1-D or 2-D ParArray "
+                            "input, or a list of per-rank values")
+    if len(values) != machine.nprocs:
         raise SkeletonError(
-            f"expression input has {pa.size} components but the machine "
+            f"expression input has {len(values)} components but the machine "
             f"has {machine.nprocs} processors")
-    shape = pa.shape
-    plan = _plan_lower.lower(expr, machine.nprocs,
-                             shape if len(shape) == 2 else None,
+    grid = shape if shape is not None and len(shape) == 2 else None
+    plan = _plan_lower.lower(expr, machine.nprocs, grid,
                              opt=resolve_opt(opt, machine))
-    program, walk = make_program(plan, pa.to_list())
+    program, walk = make_program(plan, values)
     res = machine.run(program, walk=walk)
     if res.values and isinstance(res.values[0], _Scalar):
         return res.values[0].value, res
-    if len(shape) == 2:
-        rows, cols = shape
+    if shape is None:
+        return res.values, res
+    if grid is not None:
+        rows, cols = grid
         return ParArray(
             {(i, j): res.values[i * cols + j]
-             for i in range(rows) for j in range(cols)}, shape), res
+             for i in range(rows) for j in range(cols)}, grid), res
     return ParArray(res.values), res
 
 
-def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,
+def run_expression(expr: N.Node, pa: ParArray | Sequence[Any],
+                   machine: Machine, *,
                    label: str = "program",
                    opt: Any = "auto") -> tuple[Any, RunResult]:
     """Compile ``expr`` and run it on ``machine`` over ``pa``; returns
@@ -135,6 +146,14 @@ def run_expression(expr: N.Node, pa: ParArray, machine: Machine, *,
     The result is a ParArray of the final per-processor values (same
     shape as the input), or the reduction scalar for expressions
     ending in ``Fold``.
+
+    ``pa`` may instead be a plain list (or tuple) of the per-rank values,
+    rank ``r`` holding item ``r`` — the 1-D case without the ParArray
+    view.  The result is then the run's list of final per-rank values,
+    ``RunResult.values`` itself (or the fold scalar), and no ParArray is
+    built on the way in or out: the form for callers that hold values,
+    not arrays (stream chunks, service payloads).  Both forms run the
+    same plan to the same values and statistics.
 
     ``label`` is the root span label on traced machines (the
     skeleton/program name the observability layer attributes every event

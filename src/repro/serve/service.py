@@ -3,8 +3,8 @@
 See the package docstring for the architecture.  The pieces:
 
 * :class:`PlanEndpoint` / :class:`StreamEndpoint` / :class:`PyEndpoint`
-  — the three endpoint kinds: a compiled skeleton expression over an
-  ``nprocs``-wide ParArray, a stream plan applied to the request's
+  — the three endpoint kinds: a compiled skeleton expression over
+  ``nprocs`` per-rank values, a stream plan applied to the request's
   items, and an opaque Python callable (escape hatch, also what the
   fairness tests use to control timing).
 * :class:`Service` — worker threads, per-tenant stride scheduling,
@@ -96,7 +96,6 @@ class PlanEndpoint:
 
     def execute(self, payload: Any, machines: dict[str, Machine],
                 metrics: Any = None) -> tuple[Any, int, float]:
-        from repro.core.pararray import ParArray
         from repro.scl.compile import run_expression
 
         if payload is None:
@@ -119,10 +118,8 @@ class PlanEndpoint:
                                 opt=resolve_opt(self.opt, machine),
                                 beam=self.beam)
             expr = tuned.expr
-        out, result = run_expression(expr, ParArray(values), machine,
+        out, result = run_expression(expr, values, machine,
                                      label=self.name, opt=self.opt)
-        if isinstance(out, ParArray):
-            out = out.to_list()
         return out, _run_events(result), result.makespan
 
 

@@ -21,8 +21,8 @@ The five constructors:
   shorter.
 * :class:`UnChunk` — ``stUnChunk``: flatten chunks back to elements.
 * :class:`MapPlan` — ``stMap`` with a *skeleton expression*: each chunk
-  of ``m`` items becomes a ParArray over an ``m``-processor simulated
-  machine and runs the compiled plan.  A reducing expression (outermost
+  of ``m`` items is the per-rank input of an ``m``-processor simulated
+  machine running the compiled plan.  A reducing expression (outermost
   ``Fold``) maps each chunk to one scalar, leaving the stream
   unchunked.  :class:`MapSeq` is ``stMap`` with an opaque per-item
   callable.
@@ -191,7 +191,7 @@ class MapSeq(StreamOp):
 class MapPlan(StreamOp):
     """``stMap`` with a compiled skeleton expression (per chunk).
 
-    Each chunk of ``m`` items becomes a 1-D ParArray over an
+    Each chunk of ``m`` items is the per-rank input of an
     ``m``-processor machine (``topology`` rings or fully connects it)
     and executes through the SCL compiler — optimizer passes and the
     vectorized data plane included, per ``opt``.  Machines are created
@@ -229,19 +229,20 @@ class MapPlan(StreamOp):
     def run_chunk(self, chunk: Sequence[Any], machines: dict[int, Machine],
                   stats: StreamRunStats | None) -> Any:
         """Execute one chunk; returns the output chunk (or fold scalar)."""
-        from repro.core.pararray import ParArray
         from repro.scl.compile import run_expression
 
         m = len(chunk)
         machine = machines.get(m)
         if machine is None:
             machine = machines[m] = self._machine(m)
-        out, result = run_expression(self.expr, ParArray(list(chunk)), machine,
+        if not isinstance(chunk, (tuple, list)):
+            chunk = list(chunk)
+        out, result = run_expression(self.expr, chunk, machine,
                                      label=self.label, opt=self.opt)
         if stats is not None:
             stats.observe_run(result)
-        if isinstance(out, ParArray):
-            return tuple(out.to_list())
+        if out is result.values:
+            return tuple(out)
         return out  # a reducing expression: one scalar per chunk
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,57 @@ class TestConstruction:
             ParArray([1], shape=(1, 1, 1))
 
 
+class TestConstructionChecks:
+    """A plain 1-D sequence skips the index-coverage proof it cannot fail;
+    every other construction keeps each check and its message."""
+
+    @pytest.mark.parametrize("shape", [None, (3,)])
+    def test_1d_sequence_equals_the_mapping_construction(self, shape):
+        pa = ParArray(["a", "b", "c"], shape, dist="d")
+        via_mapping = ParArray({0: "a", 1: "b", 2: "c"}, shape=(3,))
+        assert pa == via_mapping
+        assert pa.shape == (3,) and type(pa.shape[0]) is int
+        assert list(pa.indices()) == [(0,), (1,), (2,)]
+        assert pa.dist == "d"
+
+    def test_1d_sequence_with_a_wrong_shape(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "indices do not cover shape (3,): missing [(2,)], extra []")):
+            ParArray([1, 2], shape=(3,))
+
+    @pytest.mark.parametrize("items, shape", [([], None), ([1], (0,)),
+                                              ([1, 2], (2.0,))])
+    def test_1d_sequence_with_an_invalid_shape(self, items, shape):
+        with pytest.raises(ConfigurationError,
+                           match="invalid ParArray shape"):
+            ParArray(items, shape)
+
+    def test_mapping_messages(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "mapping construction requires an explicit shape")):
+            ParArray({0: "a"})
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "indices do not cover shape (2, 2): missing [(1, 1)], "
+                "extra [(2, 0)]")):
+            ParArray({(0, 0): 1, (0, 1): 2, (1, 0): 3, (2, 0): 4},
+                     shape=(2, 2))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "invalid ParArray shape (2, -1)")):
+            ParArray({}, shape=(2, -1))
+
+    def test_2d_messages(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "nested list does not match shape (2, 2)")):
+            ParArray([[1, 2], [3]], shape=(2, 2))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "sequence construction supports 1-D/2-D shapes, got "
+                "(1, 1, 1)")):
+            ParArray([1], shape=(1, 1, 1))
+        pa = ParArray([[1, 2], [3, 4]], shape=(2, 2))
+        assert pa == ParArray({(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4},
+                              shape=(2, 2))
+
+
 class TestAccess:
     def test_int_and_tuple_index_equivalent(self):
         pa = ParArray([5, 6, 7])
@@ -95,6 +147,14 @@ class TestAccess:
     def test_contains(self):
         assert 2 in ParArray([1, 2, 3])
         assert 9 not in ParArray([1, 2, 3])
+
+    def test_contains_compares_ndarray_components_by_value(self):
+        # a sort's blocks: `==` on two arrays is an array, not a bool
+        pa = ParArray([np.arange(3), np.arange(3) + 1])
+        assert np.arange(3) + 1 in pa
+        assert np.arange(3) + 2 not in pa
+        assert np.arange(4) not in pa
+        assert 1 not in pa
 
     def test_to_nested_list_on_1d(self):
         assert ParArray([1, 2]).to_nested_list() == [1, 2]
