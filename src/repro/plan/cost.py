@@ -15,15 +15,6 @@ The model remains deliberately coarse: it prices structure, not user
 code (each opaque fragment costs ``fn_ops`` elementary operations).  Its
 job is to rank alternatives; the test-suite checks its rankings against
 simulated makespans.
-
-**The memo.**  A rewrite search prices hundreds of plans that share their
-``Loop`` and ``SubPlan`` objects (see :mod:`repro.plan.opt`).
-``plan_cost(..., memo=)`` takes the search's dict and stores the cost
-term of each such object under a ``("cost", id, nprocs, grid, spec,
-fn_ops, element_bytes)`` key, pinning the object in the value so its id
-cannot be reused while the dict lives.  The term is a function of exactly
-those, so the total is ``==`` with or without the memo; ``memo=None``
-prices every instruction afresh.
 """
 
 from __future__ import annotations
@@ -64,14 +55,12 @@ def ceil_log2(n: int) -> int:
 
 def plan_cost(plan: ir.Plan, *, spec: MachineSpec = PERFECT,
               fn_ops: float = 1.0,
-              element_bytes: int | None = None,
-              memo: dict | None = None) -> ExprCost:
+              element_bytes: int | None = None) -> ExprCost:
     """Predicted cost of one execution of ``plan``.
 
     ``fn_ops`` is the assumed per-element cost of each opaque fragment
     application; ``element_bytes`` the wire size of a component (defaults
-    to one machine word).  ``memo`` is a search's shared dict (see the
-    module docstring).
+    to one machine word).
     """
     eb = spec.word_bytes if element_bytes is None else element_bytes
     n = max(plan.nprocs, 1)
@@ -86,15 +75,14 @@ def plan_cost(plan: ir.Plan, *, spec: MachineSpec = PERFECT,
             total = total + one(instr)
         return total
 
+    key = ("cost", plan.nprocs, plan.grid, spec, fn_ops, element_bytes)
+
     def one(instr: ir.Instr) -> ExprCost:
-        if memo is not None and isinstance(instr, (ir.SubPlan, ir.Loop)):
-            key = ("cost", id(instr), plan.nprocs, plan.grid, spec, fn_ops,
-                   element_bytes)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (instr, term(instr))
-            return hit[1]
-        return term(instr)
+        if not isinstance(instr, (ir.SubPlan, ir.Loop)):
+            return term(instr)
+        if key not in instr.results:  # worked out once per instruction
+            instr.results[key] = term(instr)
+        return instr.results[key]
 
     def term(instr: ir.Instr) -> ExprCost:
         if isinstance(instr, ir.LocalApply):
@@ -124,7 +112,7 @@ def plan_cost(plan: ir.Plan, *, spec: MachineSpec = PERFECT,
             # groups run concurrently: elapsed time is the slowest group's,
             # traffic is everyone's; plus the map-level synchronisation
             inner = [plan_cost(sub, spec=spec, fn_ops=fn_ops,
-                               element_bytes=element_bytes, memo=memo)
+                               element_bytes=element_bytes)
                      for sub in instr.plans]
             return ExprCost(max(c.seconds for c in inner) + barrier,
                             sum(c.messages for c in inner),

@@ -25,6 +25,11 @@ Instruction set:
 :class:`Loop`        ``iterFor``: per-iteration instruction sequences
 ==================  =====================================================
 
+Instructions are **hash-consed**: structurally equal ones are one object
+(so ``==`` is identity), with payloads (``fn``, ``op``, ``value``,
+``farm_env``) compared by identity — ``1``, ``1.0`` and ``True`` stay
+three broadcasts — and tables, labels, modes and ints by value.
+
 The base-fragment cost annotations (:func:`base_fragment`,
 :func:`fragment_ops`) live here because charging opaque fragments to the
 machine clock is part of the IR's execution contract: every executor of a
@@ -35,7 +40,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Sequence
+import threading
+import weakref
+from typing import Any, Callable, ClassVar, Sequence
 
 __all__ = [
     "DEFAULT_FRAGMENT_OPS", "base_fragment", "fragment_ops",
@@ -112,12 +119,48 @@ class _NoEnv:
 NO_ENV = _NoEnv()
 
 
-@dataclasses.dataclass(frozen=True)
+#: The canonical table, weak: an entry goes with the last plan holding it.
+_CANON: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_CANON_LOCK = threading.Lock()
+
+
+def _instruction(cls):
+    """A frozen dataclass whose constructor returns the live instruction of
+    that structure if there is one (a ``__new__`` hook: a metaclass would
+    slow every ``isinstance`` on it).  A payload is keyed by ``id``, which
+    no other object takes while the entry lives: the instruction holds it."""
+    cls = dataclasses.dataclass(frozen=True, eq=False)(cls)
+    fill = cls.__init__
+
+    @functools.wraps(fill, assigned=())  # inspect shows fill's signature
+    def __new__(cls, *args, **kwargs):
+        obj = object.__new__(cls)
+        fill(obj, *args, **kwargs)
+        key = (cls, *[id(value) if name in cls._payloads else value
+                      for name, value in vars(obj).items()])  # the fields
+        with _CANON_LOCK:
+            return _CANON.setdefault(key, obj)
+
+    cls.__new__ = __new__
+    cls.__init__ = object.__init__  # already filled in
+    return cls
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class Instr:
-    """Base class of plan instructions."""
+    """Base class of plan instructions (interned)."""
+
+    #: Fields holding opaque payloads, interned by identity.
+    _payloads: ClassVar[tuple[str, ...]] = ()
+
+    @functools.cached_property
+    def results(self) -> dict:
+        """What a pass or the cost model worked out about this instruction,
+        keyed by a tag and all else it depends on; it goes with the object."""
+        return {}
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class LocalApply(Instr):
     """Apply fragment ``fn`` to the local value (charging its cost first).
 
@@ -129,6 +172,8 @@ class LocalApply(Instr):
     form of a run of adjacent ``LocalApply`` s (§4 map fusion); executors
     handle it through :func:`apply_fused`.
     """
+
+    _payloads = ("fn", "farm_env")
 
     fn: Callable[..., Any]
     indexed: bool = False
@@ -187,7 +232,7 @@ def apply_fused(fk: FusedKernel, idx: Any, local: Any) -> tuple[Any, float]:
     return local, total
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class Exchange(Instr):
     """A static point-to-point pattern with precomputed per-rank tables.
 
@@ -208,7 +253,7 @@ class Exchange(Instr):
     function names (:meth:`from_sources` for the ``fetch`` family,
     :meth:`from_destinations` for the ``send`` family), in one pass over
     the ranks.  Three facts about the tables are worked out once per
-    instruction object and kept beside them (outside ``==``, ``hash`` and
+    instruction and kept beside them (outside ``==``, ``hash`` and
     ``dataclasses.replace``): what they cost on the wire
     (:attr:`traffic`), which send each receive consumes (:attr:`wiring`)
     — ``None`` when the tables do not match up, which hand-built tables
@@ -255,8 +300,8 @@ class Exchange(Instr):
         """``(total messages, max port degree)`` of the tables: every send
         is one message, and a rank's port carries the larger of what it
         sends and what it receives from others.  Scanned once per
-        instruction object — the cost model prices the same exchange for
-        every plan that contains it."""
+        instruction — the cost model prices the same exchange for every
+        plan that contains it."""
         total = degree = 0
         for r, out in enumerate(self.sends):
             incoming = self.recvs[r]
@@ -281,23 +326,22 @@ class Exchange(Instr):
         """``recvs[r][0]`` for every rank ``r``: the one rank each rank
         reads from in a ``replace`` / ``pair`` exchange (itself: no
         message) — the routing map the optimizer composes.  Read once per
-        instruction object, like :attr:`traffic`."""
+        instruction, like :attr:`traffic`."""
         return tuple(srcs[0] for srcs in self.recvs)
 
 
-@functools.lru_cache(maxsize=256)
 def rotation(k: int, p: int) -> Exchange:
     """``rotate k`` over ``p`` ranks as the exchange it is: rank ``r``
     reads from ``(r + k) % p`` (so ``out[i] = A[(i + k) % p]``) and sends
-    to ``(r - k) % p``.  One shared object per ``(k, p)`` — lowering
-    passes ``k`` already reduced modulo ``p`` — so a loop of rotates holds
-    one instruction and its :attr:`~Exchange.traffic` /
+    to ``(r - k) % p``.  Interned: one live object per ``(k, p)`` —
+    lowering passes ``k`` already reduced modulo ``p`` — so a loop of
+    rotates holds one instruction and its :attr:`~Exchange.traffic` /
     :attr:`~Exchange.wiring` are scanned once."""
     return Exchange.from_sources(
         "replace", [(r + k) % p for r in range(p)], f"rotate {k}")
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class Collective(Instr):
     """A machine collective.
 
@@ -309,6 +353,8 @@ class Collective(Instr):
     doubling schedules of :mod:`repro.machine.collectives`.
     """
 
+    _payloads = ("op", "value")
+
     kind: str
     op: Callable[..., Any] | None = None
     value: Any = None
@@ -316,7 +362,7 @@ class Collective(Instr):
     label: str = "collective"
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class GroupSplit(Instr):
     """Split the current communicator into processor groups.
 
@@ -331,7 +377,7 @@ class GroupSplit(Instr):
     label: str = "split"
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class SubPlan(Instr):
     """Run a nested plan inside the current group (``map`` of a
     sub-expression).  ``plans[g]`` is the plan for group ``g`` — groups of
@@ -340,12 +386,12 @@ class SubPlan(Instr):
     plans: tuple["Plan", ...]
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class GroupCombine(Instr):
     """Return to the parent communicator (inverse of :class:`GroupSplit`)."""
 
 
-@dataclasses.dataclass(frozen=True)
+@_instruction
 class Loop(Instr):
     """``iterFor n body``: ``bodies[i]`` is the instruction sequence of
     iteration ``i`` (bodies differ per iteration — the expression family

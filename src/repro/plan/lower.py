@@ -103,10 +103,10 @@ def lower(expr: N.Node, nprocs: int,
     return plan
 
 
-def _optimize(plan: ir.Plan, opt, memo: dict | None = None) -> ir.Plan:
+def _optimize(plan: ir.Plan, opt) -> ir.Plan:
     from repro.plan.opt import optimize_plan
 
-    return optimize_plan(plan, opt, memo=memo)
+    return optimize_plan(plan, opt)
 
 
 def lower_uncached(expr: N.Node, nprocs: int,
@@ -124,16 +124,15 @@ def lower_uncached(expr: N.Node, nprocs: int,
     composition step lowered outside a ``split`` is then lowered once per
     ``(step, nprocs, grid)`` and its instruction objects are shared by
     every plan containing the step; the group plans of a ``map`` of a
-    sub-expression are lowered once per ``(sub-expression, group size)``;
-    and :func:`~repro.plan.opt.optimize_plan` gets the same dict for its
-    pass results.  The dict belongs to the caller and lives no longer
-    than it does; without one, a dict private to this call plays its part
-    (so equal-size groups still share one plan).
+    sub-expression are lowered once per ``(sub-expression, group size)``.
+    The dict belongs to the caller and lives no longer than it does;
+    without one, a dict private to this call plays its part (so equal-size
+    groups still share one plan).
     """
     if memo is None:
         memo = {}
     plan = _lower(expr, nprocs, grid, memo)
-    return plan if opt is None else _optimize(plan, opt, memo)
+    return plan if opt is None else _optimize(plan, opt)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -31,22 +31,6 @@ pricing no other schedule can be predicted cheaper on a spec where a
 message costs time (ROADMAP item 4 records what the simulator sees
 instead).
 
-**The memo.**  A pass result is a function of the instruction objects it
-saw, and a rewrite search prices hundreds of plans that share their
-``Loop`` s and exchanges (:func:`repro.plan.lower.lower_uncached` with
-one ``memo`` dict).  ``optimize_plan(..., memo=)`` takes that same dict
-— it belongs to the caller and lives no longer than it does — and stores
-three things in it: each ``Loop`` / ``SubPlan`` object's coalesce result
-and its fuse result, and each adjacent routing pair's composition
-verdict, each with the :class:`PassNote` s it emitted, which a hit
-replays.  Keys hold object ``id`` s, and the value pins those objects so
-no id can be reused while the dict lives; coalescing keys also carry the
-plan's ``nprocs`` and ``grid`` and the spec (fusion reads none of them),
-and every key starts with a string tag, so none can equal lowering's
-``(step, nprocs, grid)``.  With or without the memo the result and the
-notes are ``==``; ``memo=None`` (the plan cache, the ``plan`` CLI) runs
-every pass afresh.
-
 ``optimize_plan`` is wired into :func:`repro.plan.lower.lower` via the
 ``opt=`` cache key (so optimized and raw plans never share cache
 entries) and enabled by default in :mod:`repro.scl.compile`.  The third
@@ -95,51 +79,42 @@ class PassNote:
     detail: str
 
 
-def optimize_plan(plan: ir.Plan, config: OptConfig, *,
-                  memo: dict | None = None) -> ir.Plan:
-    """Apply the passes; returns a new (or the same) plan.  ``memo`` is a
-    search's shared dict (see the module docstring)."""
-    plan, _notes = optimize_plan_report(plan, config, memo=memo)
+def optimize_plan(plan: ir.Plan, config: OptConfig) -> ir.Plan:
+    """Apply the passes; returns a new (or the same) plan."""
+    plan, _notes = optimize_plan_report(plan, config)
     return plan
 
 
-def optimize_plan_report(plan: ir.Plan, config: OptConfig, *,
-                         memo: dict | None = None,
+def optimize_plan_report(plan: ir.Plan, config: OptConfig,
                          ) -> tuple[ir.Plan, tuple[PassNote, ...]]:
     """Like :func:`optimize_plan` but also reports what each pass did."""
     notes: list[PassNote] = []
-    instrs = _coalesce_seq(plan.instrs, plan, config.spec, notes, memo)
-    instrs = _fuse_seq(instrs, notes, memo)
-    if instrs is plan.instrs:
+    instrs = _fuse_seq(_coalesce_seq(plan.instrs, plan, config.spec, notes),
+                       notes)
+    if instrs == plan.instrs:
         return plan, tuple(notes)
-    return ir.Plan(tuple(instrs), plan.nprocs, plan.grid), tuple(notes)
+    return ir.Plan(instrs, plan.nprocs, plan.grid), tuple(notes)
 
 
-def _memoised(memo: dict | None, key: tuple, pinned, notes: list[PassNote],
+def _memoised(instr: ir.Instr, key: tuple, notes: list[PassNote],
               run, *args):
-    """``run(*args, notes)``, computed once per ``key`` when there is a
-    ``memo``: the result is stored with the notes ``run`` emitted, which
-    every later hit replays into ``notes``.  ``pinned`` holds the objects
-    whose ``id`` s the key names, so none of those ids can be reused."""
-    if memo is None:
-        return run(*args, notes)
-    hit = memo.get(key)
+    """``run(*args, notes)``, kept in ``instr.results`` under ``key`` (all
+    else it depends on) with the notes it emitted, which a hit replays."""
+    hit = instr.results.get(key)
     if hit is None:
         emitted: list[PassNote] = []
-        hit = memo[key] = (pinned, run(*args, emitted), tuple(emitted))
-    notes.extend(hit[2])
-    return hit[1]
+        hit = instr.results[key] = (run(*args, emitted), tuple(emitted))
+    notes.extend(hit[1])
+    return hit[0]
 
 
 # ---------------------------------------------------------------- fusion
 
-def _fuse_seq(instrs, notes: list[PassNote], memo: dict | None):
+def _fuse_seq(instrs, notes: list[PassNote]) -> tuple[ir.Instr, ...]:
     out: list[ir.Instr] = []
     run: list[ir.LocalApply] = []
-    changed = False
 
     def flush():
-        nonlocal changed
         if len(run) == 1:
             out.append(run[0])
         elif run:
@@ -148,7 +123,6 @@ def _fuse_seq(instrs, notes: list[PassNote], memo: dict | None):
                 "fuse", f"merged {len(run)} local applies -> "
                         f"local {merged.label}"))
             out.append(merged)
-            changed = True
         run.clear()
 
     for instr in instrs:
@@ -158,42 +132,39 @@ def _fuse_seq(instrs, notes: list[PassNote], memo: dict | None):
         flush()
         if isinstance(instr, (ir.Loop, ir.SubPlan)):
             # fusion reads neither the machine nor the plan's shape
-            fused = _memoised(memo, ("fuse", id(instr)), instr, notes,
-                              _fuse_nested, instr, memo)
-            changed = changed or fused is not instr
-            instr = fused
+            instr = _memoised(instr, ("fuse",), notes, _fuse_nested, instr)
         out.append(instr)
     flush()
-    return tuple(out) if changed else instrs
+    return tuple(out)
 
 
 def _fuse_run(applies: tuple[ir.LocalApply, ...]) -> ir.LocalApply:
-    # Flatten: a constituent that is itself fused contributes its parts.
-    flat: list[ir.LocalApply] = []
-    for a in applies:
-        if isinstance(a.fn, ir.FusedKernel):
-            flat.extend(a.fn.applies)
-        else:
-            flat.append(a)
-    label = "+".join(a.label for a in flat)
-    return ir.LocalApply(ir.FusedKernel(tuple(flat)),
-                         indexed=any(a.indexed for a in flat),
-                         label=label)
+    """The instruction ``applies`` fuse into, kept on the first of them so
+    that every plan holding the run gets the same one."""
+    key = ("fuse", applies[1:])
+    fused = applies[0].results.get(key)
+    if fused is None:
+        # Flatten: a constituent that is itself fused contributes its parts.
+        flat: list[ir.LocalApply] = []
+        for a in applies:
+            if isinstance(a.fn, ir.FusedKernel):
+                flat.extend(a.fn.applies)
+            else:
+                flat.append(a)
+        fused = applies[0].results[key] = ir.LocalApply(
+            ir.FusedKernel(tuple(flat)), indexed=any(a.indexed for a in flat),
+            label="+".join(a.label for a in flat))
+    return fused
 
 
-def _fuse_nested(instr: ir.Loop | ir.SubPlan, memo: dict | None,
+def _fuse_nested(instr: ir.Loop | ir.SubPlan,
                  notes: list[PassNote]) -> ir.Instr:
+    # interned: an unchanged loop or group stage comes back as itself
     if isinstance(instr, ir.Loop):
-        bodies = tuple(_fuse_seq(body, notes, memo) for body in instr.bodies)
-        if all(b is o for b, o in zip(bodies, instr.bodies)):
-            return instr
-        return ir.Loop(bodies)
-    plans = tuple(
-        dataclasses.replace(sub, instrs=_fuse_seq(sub.instrs, notes, memo))
-        for sub in instr.plans)
-    if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
-        return instr
-    return ir.SubPlan(plans)
+        return ir.Loop(tuple(_fuse_seq(body, notes) for body in instr.bodies))
+    return ir.SubPlan(tuple(
+        dataclasses.replace(sub, instrs=_fuse_seq(sub.instrs, notes))
+        for sub in instr.plans))
 
 
 # ---------------------------------------------------- exchange coalescing
@@ -211,39 +182,32 @@ def _cost_of(instrs, plan: ir.Plan, spec: MachineSpec) -> tuple[float, int]:
 
 
 def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
-                  notes: list[PassNote], memo: dict | None):
+                  notes: list[PassNote]) -> tuple[ir.Instr, ...]:
     out: list[ir.Instr] = []
-    changed = False
     for instr in instrs:
         if isinstance(instr, (ir.Loop, ir.SubPlan)):
-            nested = _memoised(
-                memo, ("coalesce", id(instr), plan.nprocs, plan.grid, spec),
-                instr, notes, _coalesce_nested, instr, plan, spec, memo)
-            changed = changed or nested is not instr
-            instr = nested
+            instr = _memoised(
+                instr, ("coalesce", plan.nprocs, plan.grid, spec), notes,
+                _coalesce_nested, instr, plan, spec)
         srcs = _route_map(instr)
         if srcs is not None and all(s == r for r, s in enumerate(srcs)):
             # identity routing: no traffic, no result change — drop it
             notes.append(PassNote(
                 "coalesce", f"dropped identity {instr.label}"))
-            changed = True
             continue
         if out and srcs is not None:
             prev = out[-1]
             if _route_map(prev) is not None:
                 merged = _memoised(
-                    memo, ("route", id(prev), id(instr), plan.nprocs,
-                           plan.grid, spec),
-                    (prev, instr), notes, _compose_routes, prev, instr,
-                    plan, spec)
+                    prev, ("route", instr, plan.nprocs, plan.grid, spec),
+                    notes, _compose_routes, prev, instr, plan, spec)
                 if merged is not None:
                     out.pop()
                     if merged:
                         out.append(merged[0])
-                    changed = True
                     continue
         out.append(instr)
-    return tuple(out) if changed else instrs
+    return tuple(out)
 
 
 def _compose_routes(a: ir.Exchange, b: ir.Exchange, plan: ir.Plan,
@@ -271,18 +235,11 @@ def _compose_routes(a: ir.Exchange, b: ir.Exchange, plan: ir.Plan,
 
 
 def _coalesce_nested(instr: ir.Loop | ir.SubPlan, plan: ir.Plan,
-                     spec: MachineSpec, memo: dict | None,
-                     notes: list[PassNote]) -> ir.Instr:
+                     spec: MachineSpec, notes: list[PassNote]) -> ir.Instr:
     if isinstance(instr, ir.Loop):
-        bodies = tuple(_coalesce_seq(body, plan, spec, notes, memo)
-                       for body in instr.bodies)
-        if all(b is o for b, o in zip(bodies, instr.bodies)):
-            return instr
-        return ir.Loop(bodies)
-    plans = tuple(
+        return ir.Loop(tuple(_coalesce_seq(body, plan, spec, notes)
+                             for body in instr.bodies))
+    return ir.SubPlan(tuple(
         dataclasses.replace(
-            sub, instrs=_coalesce_seq(sub.instrs, sub, spec, notes, memo))
-        for sub in instr.plans)
-    if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
-        return instr
-    return ir.SubPlan(plans)
+            sub, instrs=_coalesce_seq(sub.instrs, sub, spec, notes))
+        for sub in instr.plans))

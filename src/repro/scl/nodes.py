@@ -10,7 +10,9 @@ composing nodes exactly as SCL composes skeletons::
 Nodes are immutable; opaque base-language callables compare by identity,
 while :class:`~repro.util.functional.Composed` pipelines compare
 structurally — so rewriting is purely syntactic and its soundness is
-checked behaviourally by the test-suite.
+checked behaviourally by the test-suite.  A :class:`Brdcast` value and a
+:class:`Farm` environment compare by identity too: ``1 == 1.0``, but an
+equality-keyed cache must not serve one's plan for the other.
 
 Nested parallelism appears as a :class:`Map` whose function is itself a
 *node*: ``Map(Spmd(...))`` applies a parallel operation to every component
@@ -194,6 +196,9 @@ class Brdcast(Node):
 
     a: Any
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Brdcast and other.a is self.a
+
 
 @dataclasses.dataclass(frozen=True)
 class ApplyBrdcast(Node):
@@ -309,6 +314,10 @@ class Farm(Node):
 
     f: Fn
     env: Any
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Farm and other.f == self.f \
+            and other.env is self.env
 
 
 @dataclasses.dataclass(frozen=True)

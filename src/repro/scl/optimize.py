@@ -67,9 +67,8 @@ def price(node: N.Node, *, n: int, grid: tuple[int, int] | None = None,
     exception is a bug and propagates.  Lowering bypasses the plan cache
     (:func:`repro.plan.lower.lower_uncached`): priced expressions are
     mostly throwaway search candidates that would evict hot entries and
-    distort the service-level hit-rate metric.  ``memo`` is handed to it
-    and to :func:`plan_cost` unchanged, so one search lowers, optimizes
-    and prices each step its candidates share once.
+    distort the service-level hit-rate metric.  ``memo`` is handed to it,
+    so one search lowers each step its candidates share once.
     """
     try:
         plan = _plan_lower.lower_uncached(node, n, grid, opt=opt, memo=memo)
@@ -77,7 +76,7 @@ def price(node: N.Node, *, n: int, grid: tuple[int, int] | None = None,
         return _legacy_estimate(node, n=n, spec=spec, fn_ops=fn_ops,
                                 element_bytes=element_bytes), False
     return plan_cost(plan, spec=spec, fn_ops=fn_ops,
-                     element_bytes=element_bytes, memo=memo), True
+                     element_bytes=element_bytes), True
 
 
 def estimate_cost(node: N.Node, *, n: int, spec: MachineSpec = PERFECT,

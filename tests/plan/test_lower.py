@@ -315,23 +315,6 @@ class TestLinearTables:
                                     instr.label)
 
 
-def _unfused(instrs):
-    """``instrs`` with every fused kernel (compared by identity) replaced
-    by the ``LocalApply`` s it merged, so two optimized plans compare."""
-    out = []
-    for instr in instrs:
-        if isinstance(instr, ir.Loop):
-            out.append(tuple(_unfused(body) for body in instr.bodies))
-        elif isinstance(instr, ir.SubPlan):
-            out.append(tuple((sub.nprocs, sub.grid, _unfused(sub.instrs))
-                             for sub in instr.plans))
-        elif isinstance(getattr(instr, "fn", None), ir.FusedKernel):
-            out.append((instr.label, instr.indexed, instr.fn.applies))
-        else:
-            out.append(instr)
-    return tuple(out)
-
-
 class TestStepReuse:
     """``lower_uncached(..., memo=)``: steps shared between a caller's
     expressions are lowered once, and the plans cannot tell."""
@@ -349,11 +332,9 @@ class TestStepReuse:
         memo: dict = {}
         for e in family:
             assert lower_uncached(e, p, memo=memo) == lower_uncached(e, p)
-            reused = lower_uncached(e, p, opt=config, memo=memo)
-            fresh = lower_uncached(e, p, opt=config)
-            assert _unfused(reused.instrs) == _unfused(fresh.instrs)
-            assert dataclasses.replace(reused, instrs=()) == \
-                dataclasses.replace(fresh, instrs=())
+            # interned, fused runs included: equal plans are equal objects
+            assert lower_uncached(e, p, opt=config, memo=memo) == \
+                lower_uncached(e, p, opt=config)
 
     def test_shared_steps_share_instruction_objects(self):
         calls = []
@@ -368,7 +349,10 @@ class TestStepReuse:
         b = lower_uncached(compose_nodes(g, fetch), 8, memo=memo)
         assert a.instrs[1] is b.instrs[0]
         assert calls == list(range(8))  # the index function ran once per rank
-        assert lower_uncached(fetch, 8).instrs[0] is not a.instrs[1]
+        # lowered afresh (no memo) it runs again, and interning hands back
+        # the same instruction
+        assert lower_uncached(fetch, 8).instrs[0] is a.instrs[1]
+        assert calls == list(range(8)) * 2
 
     def test_nothing_is_recorded_while_a_split_is_open(self):
         before, after = Map(lambda x: x + 1), Map(lambda x: x * 2)
@@ -462,12 +446,45 @@ _COUNTS_ONLY = dataclasses.replace(PERFECT, flop_time=0.0,
                                    bandwidth=float("inf"))
 
 
+def _cold(x):
+    """``x`` rebuilt from new objects: every instruction an un-interned
+    copy that carries no pass or cost results (nor cached table facts),
+    so whatever is asked of it is worked out afresh."""
+    if isinstance(x, ir.Plan):
+        return ir.Plan(_cold(x.instrs), x.nprocs, x.grid)
+    if isinstance(x, tuple):
+        return tuple(_cold(v) for v in x)
+    if isinstance(x, ir.Instr):
+        copy = object.__new__(type(x))  # past the canonical table
+        for f in dataclasses.fields(x):
+            object.__setattr__(copy, f.name, _cold(getattr(x, f.name)))
+        return copy
+    return x
+
+
+def _structure(x):
+    """``x`` as nested tuples, so an interned plan and a :func:`_cold` one
+    compare by structure (fragments and other payloads still by ``==``,
+    which is identity for a plain function)."""
+    if isinstance(x, ir.Plan):
+        return ("plan", _structure(x.instrs), x.nprocs, x.grid)
+    if isinstance(x, tuple):
+        return tuple(_structure(v) for v in x)
+    if isinstance(x, ir.FusedKernel):
+        return ("fused", _structure(x.applies))
+    if isinstance(x, ir.Instr):
+        return (type(x).__name__, *(_structure(getattr(x, f.name))
+                                    for f in dataclasses.fields(x)))
+    return x
+
+
 class TestPassAndCostMemo:
-    """``optimize_plan_report(..., memo=)`` and ``plan_cost(..., memo=)``
-    over plans that share instruction objects: the memo's oracle is the
-    same call without it.  One dict serves two specs and every pricing
-    knob, so a key that left one of them out would hand a plan another
-    configuration's answer."""
+    """``optimize_plan_report`` and ``plan_cost`` over plans that share
+    instruction objects, so the results kept on those instructions are
+    warm: the oracle is the same pass or price on a structurally equal
+    :func:`_cold` plan, which carries no results.  The family is priced
+    under two specs and every pricing knob, so a key that left one of them
+    out would hand a plan another configuration's answer."""
 
     @settings(max_examples=60, deadline=None)
     @given(family=plan_families())
@@ -478,16 +495,26 @@ class TestPassAndCostMemo:
             plan = lower_uncached(e, p, memo=memo)
             for spec in (AP1000, _COUNTS_ONLY):
                 config = OptConfig(spec=spec)
-                got, got_notes = optimize_plan_report(plan, config, memo=memo)
-                want, want_notes = optimize_plan_report(plan, config)
-                assert _unfused(got.instrs) == _unfused(want.instrs)
+                got, got_notes = optimize_plan_report(plan, config)
+                want, want_notes = optimize_plan_report(_cold(plan), config)
+                assert _structure(got) == _structure(want)
                 assert got_notes == want_notes
                 for priced, fn_ops, element_bytes in itertools.product(
                         (plan, got), (1.0, 40.0), (None, 64)):
                     knobs = dict(spec=spec, fn_ops=fn_ops,
                                  element_bytes=element_bytes)
-                    assert plan_cost(priced, **knobs, memo=memo) == \
-                        plan_cost(priced, **knobs)
+                    assert plan_cost(priced, **knobs) == \
+                        plan_cost(_cold(priced), **knobs)
+
+    def test_a_cold_copy_is_structurally_equal_and_shares_nothing(self):
+        loop = _SHARED_SHAPES[1]
+        plan = lower_uncached(compose_nodes(loop, Rotate(1)), 8)
+        optimize_plan_report(plan, OptConfig(spec=AP1000))
+        assert plan.instrs[0].results  # the passes left results behind
+        cold = _cold(plan)
+        assert _structure(cold) == _structure(plan)
+        assert all(c is not w and "results" not in vars(c)
+                   for c, w in zip(cold.instrs, plan.instrs))
 
 
 class TestPlanCache:

@@ -28,6 +28,7 @@ property-suite pattern, applied to the *pre-lowering* optimizer):
 from __future__ import annotations
 
 import collections
+import gc
 import operator
 import sys
 
@@ -278,10 +279,17 @@ class TestSearchWorkAndAnswerArePinned:
 
     def test_each_pass_and_price_runs_once_per_shared_instruction(
             self, monkeypatch):
-        """The search's memo reaches ``plan.opt`` and ``plan_cost``: a
-        change that defeats it fails here, not only in a benchmark."""
+        """Pass results and nested cost terms live on the (interned)
+        instructions the candidates share: a change that defeats that fails
+        here, not only in a benchmark."""
         from repro.plan import opt
         from repro.scl import optimize
+
+        # Results live as long as their instruction: start from
+        # instructions no earlier test keeps alive, or there is nothing
+        # left for this search to work out.
+        clear_plan_cache()
+        gc.collect()
 
         seen = collections.defaultdict(list)
 
@@ -301,7 +309,7 @@ class TestSearchWorkAndAnswerArePinned:
         spy(opt, "_fuse_nested", lambda a, kw, result: a[0])
         for module in (opt, optimize, sys.modules["repro.plan.cost"]):
             spy(module, "plan_cost",
-                lambda a, kw, result, m=module: (m, kw.get("memo")))
+                lambda a, kw, result, m=module: (m, a[0], kw))
 
         res = self._search(tuned_sort_pipeline(self.DIM, self.REPEATS))
 
@@ -315,13 +323,19 @@ class TestSearchWorkAndAnswerArePinned:
         weighed = sum(1 for *_, result in seen["_compose_routes"]
                       if result != ())
         assert len(seen["plan_cost"]) == res.explored + 2 * weighed
-        # every candidate is priced with the search's memo, so the shared
-        # loop's cost term is worked out once
-        priced_with = [memo for module, memo in seen["plan_cost"]
-                       if module is optimize]
-        assert len(priced_with) == res.explored
-        assert priced_with[0] is not None
-        assert all(memo is priced_with[0] for memo in priced_with)
+        # every candidate's loop carries its cost term for the search's
+        # pricing, where the next candidate sharing the loop finds it
+        priced = [(plan, kw) for module, plan, kw in seen["plan_cost"]
+                  if module is optimize]
+        assert len(priced) == res.explored
+        loops = {instr for plan, _ in priced for instr in plan.instrs
+                 if isinstance(instr, ir.Loop)}
+        assert loops and len(loops) < len(priced)
+        for plan, kw in priced:
+            key = ("cost", plan.nprocs, plan.grid, kw["spec"], kw["fn_ops"],
+                   kw["element_bytes"])
+            assert all(key in instr.results for instr in plan.instrs
+                       if isinstance(instr, ir.Loop))
 
 
 def test_a_bug_in_an_index_function_is_not_priced_as_unlowerable():

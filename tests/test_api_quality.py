@@ -21,7 +21,10 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * the batched engine declines what it does not win instead of growing
   the machinery back,
 * ``executor=`` takes the host's own pool or nothing: no executor classes
-  or string specs of the package's own.
+  or string specs of the package's own,
+* a pass or price result belongs to its (interned) instruction: no
+  ``memo=`` on the passes or the plan price, no ``id``-keyed cache beside
+  them.
 """
 
 from __future__ import annotations
@@ -345,6 +348,27 @@ def test_executor_is_a_stdlib_pool_or_nothing():
                     and re.search(r"\bstr\b", ast.unparse(node.annotation)):
                 offenders.append(f"{modname}:{node.lineno} executor: str")
     assert not offenders, "\n".join(offenders)
+
+
+def test_pass_and_price_results_live_on_instructions():
+    """``plan.opt`` and ``plan.cost`` keep what they work out on the
+    instruction it is about (``Instr.results``): no caller-owned
+    ``memo=``, no cache keyed by object ``id`` (which must pin its
+    objects), and no immortal ``lru_cache`` on ``ir.rotation`` — interning
+    already shares the object, and an immortal one would pin its results'
+    route partners forever."""
+    from repro.plan import ir
+    from repro.plan.cost import plan_cost
+    from repro.plan.opt import optimize_plan, optimize_plan_report
+
+    for fn in (optimize_plan, optimize_plan_report, plan_cost):
+        assert "memo" not in inspect.signature(fn).parameters, fn.__name__
+    for modname in ("repro.plan.opt", "repro.plan.cost"):
+        calls = [node.lineno for node in ast.walk(_module_tree(modname))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "id"]
+        assert not calls, (modname, calls)
+    assert not hasattr(ir.rotation, "cache_info")
 
 
 def test_top_level_all_is_complete():
