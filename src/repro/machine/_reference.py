@@ -23,7 +23,7 @@ from repro.machine.cost import estimate_nbytes
 from repro.machine.events import ANY, Compute, Message, Recv, Send
 from repro.machine.simulator import (Machine, ProcEnv, ProcStats, Program,
                                      RunResult, _BLOCKED, _DONE, _READY)
-from repro.machine.trace import Trace
+from repro.machine.trace import Trace, TraceEvent, frozendetail
 
 __all__ = ["ReferenceMachine"]
 
@@ -119,7 +119,8 @@ class ReferenceMachine(Machine):
                 self._clock[pid] = start + request.seconds
                 st.compute_seconds += request.seconds
                 if trace is not None:
-                    trace.record(pid, "compute", start, self._clock[pid])
+                    trace.extend((TraceEvent(pid, "compute", start,
+                                             self._clock[pid]),))
             elif isinstance(request, Send):
                 self.topology.check_node(request.dst)
                 if request.dst == pid:
@@ -148,8 +149,9 @@ class ReferenceMachine(Machine):
                 st.msgs_sent += 1
                 st.bytes_sent += nbytes
                 if trace is not None:
-                    trace.record(pid, "send", start, self._clock[pid],
-                                 dst=request.dst, tag=request.tag, nbytes=nbytes)
+                    trace.extend((TraceEvent(
+                        pid, "send", start, self._clock[pid], frozendetail(
+                            dst=request.dst, tag=request.tag, nbytes=nbytes)),))
                 deliver(msg)
             elif isinstance(request, Recv):
                 proc.status = _BLOCKED
@@ -190,8 +192,9 @@ class ReferenceMachine(Machine):
         st.msgs_received += 1
         st.bytes_received += msg.nbytes
         if trace is not None:
-            trace.record(pid, "recv", wait_start, self._clock[pid],
-                         src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+            trace.extend((TraceEvent(
+                pid, "recv", wait_start, self._clock[pid], frozendetail(
+                    src=msg.src, tag=msg.tag, nbytes=msg.nbytes)),))
         proc.status = _READY
         proc.pending_recv = None
         proc.resume_value = msg

@@ -48,7 +48,9 @@ instruction, the engine in scheduling order.  That is the order a
 streaming sink sees, and it decides which events a ring-buffered trace
 (``trace_limit``) keeps; its ``dropped`` count and length are the same.
 Tracing is an input to the one loop of each step, not a second copy of
-it: an untraced step pays one ``record is not None`` test per message.
+it: a bulk step builds its events in that loop and hands them to the
+trace in one :meth:`~repro.machine.trace.Trace.extend`, and an untraced
+step pays one ``add is not None`` test per message.
 
 One restriction follows from walking instead of scheduling: a receive
 must find its message already sent.  A per-request receive that does not
@@ -66,12 +68,13 @@ from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
 from repro.machine.events import Message
 from repro.machine.simulator import ProcStats, RunResult
-from repro.machine.trace import Span, Trace
+from repro.machine.trace import NO_DETAIL, Span, Trace, TraceEvent, frozendetail
 
 __all__ = ["Lockstep", "wire"]
 
-# Message is a NamedTuple; the raw tuple constructor skips its Python-level
-# __new__ wrapper (the same shortcut the batched engine takes per delivery).
+# Message and TraceEvent are named tuples; the raw tuple constructor skips
+# their Python-level __new__ (the same shortcut the batched engine takes per
+# delivery).  A bulk step's events carry an already-frozen detail.
 _tnew = tuple.__new__
 
 
@@ -188,7 +191,8 @@ class Lockstep:
         flop_time = self.spec.flop_time
         clock = self.clock
         stats = self._stats
-        record = None if self.trace is None else self.trace.record
+        batch: list[TraceEvent] = []
+        add = None if self.trace is None else batch.append
         span = self.span
         for pid, n in enumerate(ops):
             if not n >= 0:
@@ -198,9 +202,12 @@ class Lockstep:
             start = clock[pid]
             clock[pid] = end = start + seconds
             stats[pid].compute_seconds += seconds
-            if record is not None:
-                record(pid, "compute", start, end, span=span)
+            if add is not None:
+                add(_tnew(TraceEvent,
+                          (pid, "compute", start, end, NO_DETAIL, span)))
         self._events += len(ops)
+        if batch:
+            self.trace.extend(batch)
 
     def send(self, pid: int, dst: int, payload: Any, tag: Any = 0,
              nbytes: int | None = None) -> None:
@@ -303,7 +310,8 @@ class Lockstep:
         clock = self.clock
         stats = self._stats
         hop_rows = self._hop_rows
-        record = None if self.trace is None else self.trace.record
+        batch: list[TraceEvent] = []
+        add = None if self.trace is None else batch.append
         span = self.span
         send_overhead = spec.send_overhead
         latency = spec.latency
@@ -335,15 +343,15 @@ class Lockstep:
                 overhead += send_overhead
                 arrivals.append(
                     t + (latency + per_hop * (hops[dst] - 1) + wire_time))
-                if record is not None:
-                    record(pid, "send", start, t, span=span,
-                           dst=dst, tag=tag, nbytes=nbytes)
+                if add is not None:
+                    add(_tnew(TraceEvent, (pid, "send", start, t, frozendetail(
+                        dst=dst, tag=tag, nbytes=nbytes), span)))
             clock[pid] = t
             st.overhead_seconds = overhead
             st.msgs_sent += len(dsts)
             st.bytes_sent += nbytes * len(dsts)
             carried += [nbytes] * len(dsts)
-        if record is not None:
+        if add is not None:
             # per send slot, the sender a traced receive's event names
             senders = [pid for pid, dsts in enumerate(sends) for _ in dsts]
         recv_overhead = spec.recv_overhead
@@ -365,14 +373,17 @@ class Lockstep:
                 st.overhead_seconds += recv_overhead
                 received += 1
                 nbytes += carried[slot]
-                if record is not None:
-                    record(pid, "recv", start, now, span=span,
-                           src=senders[slot], tag=tag, nbytes=carried[slot])
+                if add is not None:
+                    add(_tnew(TraceEvent, (pid, "recv", start, now, frozendetail(
+                        src=senders[slot], tag=tag, nbytes=carried[slot]),
+                        span)))
             if received:
                 clock[pid] = now
                 st.msgs_received += received
                 st.bytes_received += nbytes
         self._events += 2 * len(arrivals)
+        if batch:
+            self.trace.extend(batch)
 
     def finish(self, values: list) -> RunResult:
         """Every processor returns: check the mailboxes are empty and

@@ -99,7 +99,7 @@ from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import MachineSpec, estimate_nbytes, PERFECT
 from repro.machine.events import ANY, Compute, Message, Recv, Send
 from repro.machine.topology import FullyConnected, Topology
-from repro.machine.trace import Span, Trace
+from repro.machine.trace import NO_DETAIL, Span, Trace, TraceEvent, frozendetail
 
 __all__ = ["Machine", "ProcEnv", "ProcStats", "RunResult"]
 
@@ -112,6 +112,10 @@ _CRASHED = "crashed"
 
 #: The perfect network's delivery verdict: one copy, on time, intact.
 _DELIVERED = ((0.0, False),)
+
+# A traced run builds its TraceEvents with the raw tuple constructor: the
+# recorder hands over a detail that is already frozen.
+_tnew = tuple.__new__
 
 
 @dataclasses.dataclass(slots=True)
@@ -601,13 +605,16 @@ class Machine:
         else:
             # Span-tagged recording: one closure layer, one list index per
             # event — paid only on traced runs (untraced hot path unchanged).
+            # Callers pass the detail already frozen; the event is built
+            # here, with no second copy of it.
             spans: list[Span | None] = [None] * n
             self._span = spans
-            raw_record = trace.record
+            extend = trace.extend
 
             def trace_record(pid: int, kind: str, start: float, end: float,
-                             **detail: Any) -> None:
-                raw_record(pid, kind, start, end, span=spans[pid], **detail)
+                             detail: frozendetail = NO_DETAIL) -> None:
+                extend((_tnew(TraceEvent,
+                              (pid, kind, start, end, detail, spans[pid])),))
         stats = [ProcStats(pid=p) for p in range(n)]
         procs = []
         for pid in range(n):
@@ -679,8 +686,8 @@ class Machine:
             st.msgs_received += 1
             st.bytes_received += msg.nbytes
             if trace_record is not None:
-                trace_record(pid, "recv", wait_start, t,
-                             src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+                trace_record(pid, "recv", wait_start, t, frozendetail(
+                    src=msg.src, tag=msg.tag, nbytes=msg.nbytes))
             return t
 
         def kill(proc: _Proc, at: float) -> None:
@@ -746,7 +753,7 @@ class Machine:
                     clock[pid] = t
                     if trace_record is not None:
                         trace_record(pid, "timeout", proc.recv_posted_at, t,
-                                     src=recv.src, tag=recv.tag)
+                                     frozendetail(src=recv.src, tag=recv.tag))
                     proc.status = _READY
                     proc.pending_recv = None
                     proc.timeout_at = None
@@ -834,7 +841,8 @@ class Machine:
                         st.retransmits += 1
                     if trace_record is not None:
                         trace_record(pid, "retransmit" if rtx else "send",
-                                     start, t, dst=dst, tag=tag, nbytes=nbytes)
+                                     start, t, frozendetail(
+                                         dst=dst, tag=tag, nbytes=nbytes))
                     dproc = procs[dst]
                     dstatus = dproc.status
                     # Every wire attempt consumes a sequence number,
@@ -852,8 +860,9 @@ class Machine:
                         outcomes = ()
                         st.msgs_dropped += 1
                         if trace_record is not None:
-                            trace_record(pid, "drop", t, t, dst=dst, tag=tag,
-                                         nbytes=nbytes, reason="peer-gone")
+                            trace_record(pid, "drop", t, t, frozendetail(
+                                dst=dst, tag=tag, nbytes=nbytes,
+                                reason="peer-gone"))
                     else:
                         # The injector decides which copies of the message
                         # reach dst, how late and whether corrupted.
@@ -864,9 +873,9 @@ class Machine:
                         else:
                             st.msgs_dropped += 1
                             if trace_record is not None:
-                                trace_record(pid, "drop", t, t, dst=dst,
-                                             tag=tag, nbytes=nbytes,
-                                             reason="injected")
+                                trace_record(pid, "drop", t, t, frozendetail(
+                                    dst=dst, tag=tag, nbytes=nbytes,
+                                    reason="injected"))
                     if outcomes:
                         row = hop_rows[pid]
                         if row is None:

@@ -48,9 +48,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter, deque
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-__all__ = ["Span", "TraceEvent", "Trace", "frozendetail"]
+__all__ = ["Span", "TraceEvent", "Trace", "frozendetail", "NO_DETAIL"]
+
+_tnew = tuple.__new__
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -99,6 +101,8 @@ class frozendetail(dict):
 
     Construction copies the source mapping, so events never alias a
     caller's (possibly reused) dict; all mutators raise ``TypeError``.
+    Pickling and (deep) copying rebuild it through the constructor, never
+    through the mutators.
     """
 
     __slots__ = ()
@@ -118,26 +122,51 @@ class frozendetail(dict):
     def __hash__(self) -> int:  # type: ignore[override]
         return hash(frozenset(self.items()))
 
+    def __reduce__(self) -> tuple:
+        return frozendetail, (dict(self),)
 
-@dataclasses.dataclass(frozen=True)
-class TraceEvent:
-    """One timed interval on one processor."""
 
+#: The detail of every event that has none (every ``"compute"``).
+NO_DETAIL = frozendetail()
+
+
+class _TraceEventFields(NamedTuple):
     pid: int
     #: "compute" | "send" | "recv", plus under fault injection
     #: "retransmit" | "drop" | "timeout" | "crash".
     kind: str
     start: float
     end: float
-    detail: dict[str, Any] = dataclasses.field(default_factory=dict)
+    detail: frozendetail
     #: Innermost span frame active when the event was recorded (or None).
-    span: Span | None = None
+    span: Span | None
 
-    def __post_init__(self) -> None:
-        # Freeze (and defensively copy) the detail mapping so events are
-        # hashable, shareable and never alias the recorder's dict.
-        if type(self.detail) is not frozendetail:
-            object.__setattr__(self, "detail", frozendetail(self.detail))
+
+class TraceEvent(_TraceEventFields):
+    """One timed interval on one processor.
+
+    A named tuple, like :class:`~repro.machine.events.Message` and for the
+    same reason: a traced run builds one per request.  The constructor
+    freezes (and defensively copies) ``detail`` into a
+    :class:`frozendetail`, so events are hashable, shareable and never
+    alias the recorder's dict; ``_replace`` and ``_make`` go through it
+    too.  Recorders that already hold a frozen detail skip it with
+    ``tuple.__new__(TraceEvent, (pid, kind, start, end, detail, span))``.
+    Being a tuple, an event is ``==`` to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pid: int, kind: str, start: float, end: float,
+                detail: Mapping[str, Any] = NO_DETAIL,
+                span: Span | None = None) -> "TraceEvent":
+        if type(detail) is not frozendetail:
+            detail = frozendetail(detail)
+        return _tnew(cls, (pid, kind, start, end, detail, span))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "TraceEvent":
+        return cls(*iterable)
 
     @property
     def duration(self) -> float:
@@ -169,14 +198,40 @@ class Trace:
 
     def record(self, pid: int, kind: str, start: float, end: float,
                *, span: Span | None = None, **detail: Any) -> None:
-        """Append one event (called by the simulator)."""
-        event = TraceEvent(pid, kind, start, end, detail, span)
+        """Append one event built from its fields (a per-request recorder)."""
+        event = _tnew(TraceEvent, (pid, kind, start, end,
+                                   frozendetail(detail) if detail
+                                   else NO_DETAIL, span))
         events = self._events
         if self._maxlen is not None and len(events) == self._maxlen:
             self.dropped += 1
         events.append(event)
         if self._sink is not None:
             self._sink.emit(event)
+
+    def extend(self, events: Sequence[TraceEvent]) -> None:
+        """Append a batch of built events in order: the same store,
+        ``dropped`` count and sink emissions as recording them one at a
+        time (a bulk recorder, e.g. one walked plan instruction)."""
+        store = self._events
+        if self._maxlen is not None:
+            self.dropped += max(0, len(store) + len(events) - self._maxlen)
+        store.extend(events)
+        sink = self._sink
+        if sink is not None:
+            for event in events:
+                sink.emit(event)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal events, in order, under the same bound and ``dropped``
+        count; the sink a trace streams to is not part of its value."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self._maxlen == other._maxlen
+                and self.dropped == other.dropped
+                and list(self._events) == list(other._events))
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __len__(self) -> int:
         return len(self._events)

@@ -24,8 +24,11 @@ from hypothesis import strategies as st
 
 from repro.core.pararray import ParArray
 from repro.core.partition import Block
+from repro.faults.models import FaultInjector, FaultSpec
+from repro.faults.plan_exec import run_expression_ft
 from repro.machine import AP1000, Machine
 from repro.machine.topology import FullyConnected, Hypercube
+from repro.machine.trace import TraceEvent, frozendetail
 from repro.obs import analyze
 from repro.obs.sinks import MemorySink
 from repro.plan import ir
@@ -150,6 +153,48 @@ def test_a_fused_kernel_in_a_loop_is_one_compute_event_per_iteration():
             for e in computes] \
         == [(ir.instr_title(a), f"iter {it}", "program")
             for it, (a,) in enumerate(applies)]
+
+
+# -- what a recorded event is ----------------------------------------------------
+
+def _walked():
+    expr, pa = _hyperquicksort(3)
+    return run_traced(expr, pa, Hypercube.of_size)[0]
+
+
+def _interpreted():
+    expr, pa = _hyperquicksort(3)
+    return run_expression(expr, pa, Machine(Hypercube.of_size(pa.size),
+                                            spec=AP1000, record_trace=True,
+                                            batch=False))[1]
+
+
+def _fault_injected():
+    expr, pa = _hyperquicksort(3)
+    machine = Machine(Hypercube.of_size(pa.size), spec=AP1000,
+                      record_trace=True,
+                      faults=FaultInjector(FaultSpec(seed=5, drop_rate=0.05)))
+    res = run_expression_ft(expr, pa, machine)[1]
+    assert {"drop", "retransmit"} <= set(res.trace.kind_counts())
+    return res
+
+
+@pytest.mark.parametrize("run", [_walked, _interpreted, _fault_injected],
+                         ids=["walked", "interpreted", "fault-injected"])
+def test_every_recorded_event_is_a_frozen_trace_event(run):
+    """The recorders build events without the constructor that freezes
+    ``detail``; every event they record is still a ``TraceEvent`` over a
+    ``frozendetail``, and hashable."""
+    trace = run().trace
+    assert len(trace) > 0
+    for e in trace:
+        assert type(e) is TraceEvent, e
+        assert type(e.detail) is frozendetail, e
+        hash(e)
+    # a user-built event equals a recorded one with the same fields
+    compute = trace.events(kind="compute")[0]
+    assert TraceEvent(compute.pid, "compute", compute.start, compute.end,
+                      span=compute.span) == compute
 
 
 # -- sinks, the ring buffer and the decline path --------------------------------
