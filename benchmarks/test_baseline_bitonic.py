@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_table
-from repro.apps.bitonic import bitonic_sort_machine
+from repro.apps.bitonic import bitonic_sort_compiled
 from repro.apps.sort import hyperquicksort_machine
 from repro.machine import AP1000
 
@@ -41,7 +41,7 @@ def comparison(workload):
     for d in DIMS:
         hq_out, hq = hyperquicksort_machine(workload, d, spec=AP1000,
                                             include_distribution=False)
-        bt_out, bt = bitonic_sort_machine(workload, d, spec=AP1000)
+        bt_out, bt = bitonic_sort_compiled(workload, d, spec=AP1000)
         ss_out, ss = sample_sort_machine(workload, 1 << d, spec=AP1000)
         assert np.array_equal(hq_out, expected)
         assert np.array_equal(bt_out, expected)
@@ -68,7 +68,7 @@ def test_baseline_table(benchmark, workload, comparison, results_dir):
                "(p(p-1) messages) — competitive until message startups "
                "dominate at large p."))
     benchmark.pedantic(
-        lambda: bitonic_sort_machine(workload, 4, spec=AP1000),
+        lambda: bitonic_sort_compiled(workload, 4, spec=AP1000),
         rounds=2, iterations=1)
 
 

@@ -1,10 +1,10 @@
 """Extension bench — Gauss–Jordan solver scaling (the paper's §3 example 1).
 
 The paper presents the Gauss–Jordan SCL program but evaluates only
-hyperquicksort; this bench completes the picture by running the hand-
-compiled Gauss–Jordan on the simulated AP1000 across processor counts,
-showing the same qualitative behaviour: falling runtime with growing p
-until the per-iteration pivot broadcast dominates.
+hyperquicksort; this bench completes the picture by running the compiled
+§3 expression on the simulated AP1000 across processor counts, showing
+the same qualitative behaviour: falling runtime with growing p until the
+per-iteration pivot broadcast dominates.
 
 Results → ``benchmarks/results/gauss_scaling.txt``.
 """
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_table
-from repro.apps.linalg import gauss_jordan_machine
+from repro.apps.linalg import gauss_jordan_compiled
 from repro.machine import AP1000
 
 N = 96
@@ -35,7 +35,7 @@ def test_gauss_scaling(benchmark, system, results_dir):
     rows = []
     times = {}
     for p in PROCS:
-        x, res = gauss_jordan_machine(A, b, p, spec=AP1000)
+        x, res = gauss_jordan_compiled(A, b, p, spec=AP1000)
         assert np.allclose(x, x_ref)
         times[p] = res.makespan
         speedup = times[1] / res.makespan
@@ -51,15 +51,19 @@ def test_gauss_scaling(benchmark, system, results_dir):
         rows,
         notes=("Per-iteration pivot broadcast costs grow with log p while "
                "local update work shrinks as 1/p: efficiency declines, the "
-               "same communication/computation trade-off as Table 1."))
+               "same communication/computation trade-off as Table 1.  The "
+               "compiled expression runs the n iterations; the final gather "
+               "of the column blocks is no longer on the machine, so each "
+               "row has p - 1 fewer messages than the hand-written "
+               "program's."))
 
-    benchmark.pedantic(lambda: gauss_jordan_machine(A, b, 8, spec=AP1000),
+    benchmark.pedantic(lambda: gauss_jordan_compiled(A, b, 8, spec=AP1000),
                        rounds=2, iterations=1)
 
 
 def test_gauss_efficiency_declines(system):
     A, b = system
-    _x1, r1 = gauss_jordan_machine(A, b, 2, spec=AP1000)
-    _x2, r2 = gauss_jordan_machine(A, b, 32, spec=AP1000)
+    _x1, r1 = gauss_jordan_compiled(A, b, 2, spec=AP1000)
+    _x2, r2 = gauss_jordan_compiled(A, b, 32, spec=AP1000)
     eff2 = r1.makespan * 2 / (r2.makespan * 32)
     assert eff2 < 1.0

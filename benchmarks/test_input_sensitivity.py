@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_table
-from repro.apps.bitonic import bitonic_sort_machine
+from repro.apps.bitonic import bitonic_sort_compiled
 from repro.apps.sort import hyperquicksort_machine, sample_sort_machine
 from repro.machine import AP1000
 from repro.machine.metrics import load_imbalance
@@ -42,7 +42,7 @@ def results(bench_rng):
         hq_out, hq = hyperquicksort_machine(values, D, spec=AP1000,
                                             include_distribution=False)
         ss_out, ss = sample_sort_machine(values, 1 << D, spec=AP1000)
-        bt_out, bt = bitonic_sort_machine(values, D, spec=AP1000)
+        bt_out, bt = bitonic_sort_compiled(values, D, spec=AP1000)
         assert np.array_equal(hq_out, expected), name
         assert np.array_equal(ss_out, expected), name
         assert np.array_equal(bt_out, expected), name

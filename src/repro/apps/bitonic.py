@@ -9,13 +9,19 @@ communication, perfectly balanced load.  On the simulated AP1000 this
 reproduces the textbook result: hyperquicksort wins on uniform random
 input, and the gap grows with the number of processors.
 
-Two renderings, mirroring :mod:`repro.apps.sort`:
+The program is one SCL expression, :func:`bitonic_expression`:
+``iterFor (d(d+1)/2)`` compare-split rounds, each ``imap compare_split .
+align id (fetch (j ^ 2**sub))``, after ``map SEQ_QUICKSORT``.  It has two
+renderings, mirroring :mod:`repro.apps.sort`:
 
-* :func:`bitonic_sort` — the skeleton program over a ParArray
-  (``iter_for`` over compare-split steps built from ``AlignFetch``-style
-  ``align``/``fetch``/``imap`` compositions),
-* :func:`bitonic_sort_machine` — the message-passing program on the
-  simulated machine, returning virtual timing.
+* :func:`bitonic_sort` — the expression interpreted over a ParArray,
+* :func:`bitonic_sort_compiled` — the expression compiled onto the
+  simulated hypercube, returning virtual timing too.
+
+Its fragments charge the default :class:`~repro.apps.sort.SortCostParams`
+(``SEQ_QUICKSORT`` and the merge of a compare-split), as the
+hyperquicksort expression's do, so the two sorts' timings compare
+directly.
 
 Requires ``len(values)`` divisible by ``2**d`` (blocks must stay equal for
 the compare-split invariant).
@@ -23,17 +29,20 @@ the compare-split invariant).
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from repro.apps.sort import SortCostParams, seq_quicksort
-from repro.core import Block, ParArray, align, fetch, gather, imap, iter_for, parmap, partition
+from repro.core import Block, partition
 from repro.errors import SkeletonError
-from repro.machine import AP1000, Comm, Hypercube, Machine, MachineSpec
+from repro.machine import AP1000, Hypercube, Machine, MachineSpec
 from repro.machine.simulator import RunResult
+from repro.plan.ir import base_fragment
 
-__all__ = ["compare_split", "bitonic_steps", "bitonic_sort", "bitonic_sort_machine"]
+__all__ = ["compare_split", "bitonic_steps", "bitonic_expression",
+           "bitonic_sort", "bitonic_sort_compiled"]
 
 
 def compare_split(mine: np.ndarray, theirs: np.ndarray, keep_low: bool) -> np.ndarray:
@@ -58,71 +67,76 @@ def bitonic_steps(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i, -1, -1)]
 
 
-def _keep_low(rank: int, stage: int, sub: int) -> bool:
-    return ((rank >> sub) & 1) == ((rank >> (stage + 1)) & 1)
+#: The hyperquicksort expression's constants (``seq_quicksort`` charges
+#: them too), so the two sorts' timings compare directly.
+_SORT_PARAMS = SortCostParams()
 
 
-def bitonic_sort(values: Sequence[float] | np.ndarray, d: int) -> np.ndarray:
-    """Sort with the skeleton-level block bitonic network on ``2**d`` procs."""
+def _merge_ops(pair) -> float:
+    return _SORT_PARAMS.merge_ops(np.size(pair[0]) + np.size(pair[1]))
+
+
+@functools.lru_cache(maxsize=None)
+def bitonic_expression(d: int):
+    """Block bitonic sort on a ``d``-cube as one SCL expression.
+
+    ``iterFor (d(d+1)/2) step . map SEQ_QUICKSORT`` where round ``k`` of
+    :func:`bitonic_steps` is ``imap compare_split . align id (fetch (j ^
+    2**sub))``.  Memoised on ``d``, so every compile after the first is a
+    plan-cache hit.
+    """
+    from repro.scl import AlignFetch, IMap, IterFor, Map, compose_nodes
+
+    steps = bitonic_steps(d)
+
+    def step(k: int):
+        stage, sub = steps[k]
+        half = 1 << sub
+
+        @base_fragment(ops=_merge_ops)
+        def compare_split_step(r, pair):
+            keep_low = ((r >> sub) & 1) == ((r >> (stage + 1)) & 1)
+            return compare_split(pair[0], pair[1], keep_low)
+
+        return compose_nodes(IMap(compare_split_step),
+                             AlignFetch(lambda j: j ^ half))
+
+    return compose_nodes(IterFor(len(steps), step), Map(seq_quicksort))
+
+
+def _blocks(values, d: int) -> tuple[np.ndarray, int]:
     values = np.asarray(values)
     p = 1 << d
     if values.size % p != 0:
         raise SkeletonError(
             f"bitonic sort needs len(values) divisible by {p}, got {values.size}")
-    da = parmap(seq_quicksort, partition(Block(p), values))
-
-    steps = bitonic_steps(d)
-
-    def step(k: int, x: ParArray) -> ParArray:
-        stage, sub = steps[k]
-        half = 1 << sub
-        partner_blocks = fetch(lambda r: r ^ half, x)
-        return imap(
-            lambda r, pair: compare_split(pair[0], pair[1],
-                                          keep_low=_keep_low(r, stage, sub)),
-            align(x, partner_blocks))
-
-    sorted_da = iter_for(len(steps), step, da)
-    return np.asarray(gather(ParArray(sorted_da.to_list(), dist=Block(p))))
+    return values, p
 
 
-def bitonic_sort_machine(
+def bitonic_sort(values: Sequence[float] | np.ndarray, d: int) -> np.ndarray:
+    """:func:`bitonic_expression` interpreted on ``2**d`` virtual procs."""
+    from repro.scl import evaluate
+
+    values, p = _blocks(values, d)
+    out = evaluate(bitonic_expression(d), partition(Block(p), values))
+    return np.concatenate(out.to_list())
+
+
+def bitonic_sort_compiled(
     values: Sequence[int] | np.ndarray,
     d: int,
     *,
     spec: MachineSpec = AP1000,
-    params: SortCostParams = SortCostParams(),
 ) -> tuple[np.ndarray, RunResult]:
-    """The message-passing block bitonic sort on the simulated hypercube.
+    """:func:`bitonic_expression` compiled onto the simulated ``d``-cube.
 
     Data is pre-distributed (no scatter/gather phase) so its timing
     compares against ``hyperquicksort_machine(..., include_distribution=
-    False)``; both charge the same :class:`SortCostParams` constants.
+    False)``.
     """
-    values = np.asarray(values)
-    p = 1 << d
-    if values.size % p != 0:
-        raise SkeletonError(
-            f"bitonic sort needs len(values) divisible by {p}, got {values.size}")
-    machine = Machine(Hypercube(d), spec=spec)
-    blocks = np.split(values, p)
-    steps = bitonic_steps(d)
+    from repro.scl.compile import run_expression
 
-    def program(env):
-        comm = Comm.world(env)
-        rank = comm.rank
-        local = np.asarray(blocks[rank])
-        yield env.work(params.sort_ops(local.size))
-        local = seq_quicksort(local)
-        for tag, (stage, sub) in enumerate(steps):
-            partner = rank ^ (1 << sub)
-            yield comm.send(partner, local, tag=tag,
-                            nbytes=max(int(local.nbytes), 1))
-            msg = yield comm.recv(partner, tag=tag)
-            yield env.work(params.merge_ops(local.size * 2))
-            local = compare_split(local, np.asarray(msg.payload),
-                                  keep_low=_keep_low(rank, stage, sub))
-        return local
-
-    res = machine.run(program)
-    return np.concatenate([np.asarray(v) for v in res.values]), res
+    values, p = _blocks(values, d)
+    out, res = run_expression(bitonic_expression(d), np.split(values, p),
+                              Machine(Hypercube(d), spec=spec))
+    return np.concatenate(out), res

@@ -6,33 +6,41 @@ coefficients block-distributed over ``p = 2**d`` processors, the first
 ``d`` butterfly stages pair elements on *different* processors (partner =
 ``rank ^ 2**(d-1-s)``, a single full-block exchange per stage) and the
 remaining ``log2(n) - d`` stages are purely local.  Output emerges in
-bit-reversed order and is permuted during the final gather.
+bit-reversed order and is permuted once the blocks are collected.
 
-Three renderings, as for the sorting apps:
+The parallel program is one SCL expression, :func:`fft_expression`:
+``iterFor (log2 n)`` over the stages, a cross-processor stage being
+``imap butterfly . align id (fetch (j ^ dist))`` and a local stage one
+``imap butterfly``.  It has two renderings:
 
-* :func:`fft_seq` — the same DIF algorithm sequentially (reference),
-* :func:`fft_parallel` — the skeleton program (``iter_for`` over stages,
-  partner exchange via ``fetch``/``align``),
-* :func:`fft_machine` — the message-passing program on the simulated
-  machine, with butterfly work charged per element.
+* :func:`fft_parallel` — the expression interpreted over a ParArray,
+* :func:`fft_compiled` — the expression compiled onto the simulated
+  hypercube, returning the run's virtual timing too.
 
+:func:`fft_seq` is the same DIF algorithm sequentially (the reference).
 All three agree with ``numpy.fft.fft`` to floating-point accuracy.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
 
-from repro.core import Block, ParArray, align, fetch, imap, iter_for, partition
+from repro.core import Block, partition
 from repro.errors import SkeletonError
-from repro.machine import AP1000, Comm, Hypercube, Machine, MachineSpec
+from repro.machine import AP1000, Hypercube, Machine, MachineSpec
 from repro.machine.simulator import RunResult
+from repro.plan.ir import base_fragment
 from repro.util.validation import ilog2, is_power_of_two
 
-__all__ = ["FftCostParams", "fft_seq", "fft_parallel", "fft_machine", "bit_reverse"]
+__all__ = ["fft_seq", "fft_expression", "fft_parallel", "fft_compiled",
+           "bit_reverse"]
+
+#: Operations per element of one butterfly stage: complex multiply, add
+#: and twiddle, charged by every stage's fragment.
+_BUTTERFLY_OPS_PER_ELEM = 14.0
 
 
 def bit_reverse(i: int, bits: int) -> int:
@@ -44,14 +52,23 @@ def bit_reverse(i: int, bits: int) -> int:
     return out
 
 
-def _check_input(x: np.ndarray, p: int) -> tuple[int, int]:
-    n = x.size
+def _check_length(n: int, p: int) -> int:
+    """``log2 n``, once ``n`` is a power of two with a coefficient per
+    processor."""
     if not is_power_of_two(n):
         raise SkeletonError(f"FFT length must be a power of two, got {n}")
     if n < p:
         raise SkeletonError(f"need at least one coefficient per processor "
                             f"({n} < {p})")
-    return n, ilog2(n)
+    return ilog2(n)
+
+
+def _unscramble(flat: np.ndarray, bits: int) -> np.ndarray:
+    """Undo the DIF output's bit-reversed order."""
+    out = np.empty_like(flat)
+    for g in range(flat.size):
+        out[bit_reverse(g, bits)] = flat[g]
+    return out
 
 
 def _butterfly_block(block: np.ndarray, g0: int, h: int, n: int,
@@ -85,111 +102,87 @@ def _butterfly_block(block: np.ndarray, g0: int, h: int, n: int,
 def fft_seq(x: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Sequential DIF FFT (the exact algorithm the parallel versions run)."""
     data = np.asarray(x, dtype=complex).copy()
-    n, bits = _check_input(data, 1)
+    n = data.size
+    bits = _check_length(n, 1)
     h = n // 2
     while h >= 1:
         data = _butterfly_block(data, 0, h, n)
         h //= 2
-    out = np.empty_like(data)
-    for g in range(n):
-        out[bit_reverse(g, bits)] = data[g]
-    return out
+    return _unscramble(data, bits)
+
+
+@functools.lru_cache(maxsize=None)
+def fft_expression(n: int, d: int):
+    """The binary-exchange FFT of ``n`` coefficients on ``2**d`` processors
+    as one SCL expression over their blocks.
+
+    ``iterFor (log2 n) stage``: stage ``s`` pairs coefficients ``h =
+    n / 2**(s+1)`` apart.  While ``h`` spans whole blocks the partner
+    block is fetched (``align id (fetch (j ^ dist))``) and each side of
+    the butterfly computed from the pair; after that every stage is local
+    to a block.  Each stage's fragment charges
+    ``_BUTTERFLY_OPS_PER_ELEM`` per element of its block.
+
+    Memoised on ``(n, d)``, so every compile after the first is a
+    plan-cache hit.
+    """
+    from repro.scl import AlignFetch, IMap, IterFor, compose_nodes
+
+    p = 1 << d
+    m = n // p
+
+    def stage(s: int):
+        h = n >> (s + 1)
+        if h < m:
+            @base_fragment(ops=lambda blk: _BUTTERFLY_OPS_PER_ELEM
+                           * np.size(blk))
+            def butterfly(r, blk):
+                return _butterfly_block(np.asarray(blk), r * m, h, n)
+
+            return IMap(butterfly)
+        dist = h // m
+
+        @base_fragment(ops=lambda pair: _BUTTERFLY_OPS_PER_ELEM
+                       * np.size(pair[0]))
+        def butterfly_pair(r, pair):
+            return _butterfly_block(
+                np.asarray(pair[0]), r * m, h, n,
+                is_low=(r // dist) % 2 == 0, partner=np.asarray(pair[1]))
+
+        return compose_nodes(IMap(butterfly_pair),
+                             AlignFetch(lambda j: j ^ dist))
+
+    return IterFor(_check_length(n, p), stage)
 
 
 def fft_parallel(x: Sequence[complex] | np.ndarray, d: int) -> np.ndarray:
-    """The skeleton-program FFT on ``2**d`` virtual processors."""
+    """:func:`fft_expression` interpreted on ``2**d`` virtual processors."""
+    from repro.scl import evaluate
+
     data = np.asarray(x, dtype=complex)
-    p = 1 << d
-    n, bits = _check_input(data, p)
-    m = n // p
-    da = partition(Block(p), data)
-
-    def stage(s: int, blocks: ParArray) -> ParArray:
-        h = n >> (s + 1)
-        if h >= m:  # cross-processor butterfly: exchange with partner
-            dist = h // m
-            partners = fetch(lambda r: r ^ dist, blocks)
-            return imap(
-                lambda r, pair: _butterfly_block(
-                    np.asarray(pair[0]), r * m, h, n,
-                    is_low=(r // dist) % 2 == 0,
-                    partner=np.asarray(pair[1])),
-                align(blocks, partners))
-        return imap(
-            lambda r, blk: _butterfly_block(np.asarray(blk), r * m, h, n),
-            blocks)
-
-    out_blocks = iter_for(bits, stage, da)
-    flat = np.concatenate([np.asarray(b) for b in out_blocks])
-    out = np.empty_like(flat)
-    for g in range(n):
-        out[bit_reverse(g, bits)] = flat[g]
-    return out
+    bits = _check_length(data.size, 1 << d)
+    out = evaluate(fft_expression(data.size, d), partition(Block(1 << d), data))
+    return _unscramble(np.concatenate(out.to_list()), bits)
 
 
-@dataclasses.dataclass(frozen=True)
-class FftCostParams:
-    """Operation counts for the machine-level FFT."""
-
-    butterfly_ops_per_elem: float = 14.0  # complex mul + add + twiddle
-    permute_ops_per_elem: float = 2.0
-
-
-def fft_machine(
+def fft_compiled(
     x: Sequence[complex] | np.ndarray,
     d: int,
     *,
     spec: MachineSpec = AP1000,
-    params: FftCostParams = FftCostParams(),
 ) -> tuple[np.ndarray, RunResult]:
-    """The message-passing binary-exchange FFT on the simulated hypercube.
+    """:func:`fft_expression` compiled onto the simulated ``d``-cube.
 
-    Data is pre-distributed block-wise; the bit-reversal permutation runs
-    on processor 0 after a tree gather (charged per element).
+    Data is pre-distributed block-wise; the blocks are collected and put
+    in natural order off the machine, so the run prices the butterfly
+    stages alone.
     """
+    from repro.scl.compile import run_expression
+
     data = np.asarray(x, dtype=complex)
     p = 1 << d
-    n, bits = _check_input(data, p)
-    m = n // p
-    machine = Machine(Hypercube(d), spec=spec)
-    blocks = np.split(data, p)
-
-    def program(env):
-        from repro.machine import collectives as C
-
-        comm = Comm.world(env)
-        rank = comm.rank
-        local = np.asarray(blocks[rank]).copy()
-        for s in range(bits):
-            h = n >> (s + 1)
-            if h >= m and p > 1:
-                dist = h // m
-                partner = rank ^ dist
-                yield comm.send(partner, local, tag=s,
-                                nbytes=max(int(local.nbytes), 1))
-                msg = yield comm.recv(partner, tag=s)
-                other = np.asarray(msg.payload)
-                yield env.work(params.butterfly_ops_per_elem * m)
-                is_low = (rank // dist) % 2 == 0
-                local = _butterfly_block(
-                    local, rank * m, h, n, is_low=is_low,
-                    partner=other)
-            else:
-                yield env.work(params.butterfly_ops_per_elem * m)
-                local = _butterfly_block(local, rank * m, h, n)
-        if p > 1:
-            parts = yield from C.gather(comm, local, root=0,
-                                        nbytes=max(int(local.nbytes), 1))
-        else:
-            parts = [local]
-        if rank == 0:
-            yield env.work(params.permute_ops_per_elem * n)
-            flat = np.concatenate([np.asarray(b) for b in parts])
-            out = np.empty_like(flat)
-            for g in range(n):
-                out[bit_reverse(g, bits)] = flat[g]
-            return out
-        return None
-
-    res = machine.run(program)
-    return np.asarray(res.values[0]), res
+    bits = _check_length(data.size, p)
+    out, res = run_expression(fft_expression(data.size, d),
+                              np.split(data, p),
+                              Machine(Hypercube(d), spec=spec))
+    return _unscramble(np.concatenate(out), bits), res

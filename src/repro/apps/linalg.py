@@ -16,35 +16,39 @@ program in the paper.  Gauss–Jordan annihilates above *and* below the
 pivot, so after ``n`` iterations the solution is simply the augmented
 column.
 
-Besides the skeleton program (:func:`gauss_jordan_solve`) this module has
-the same algorithm as a sequential reference (:func:`gauss_jordan_seq`) and
-as a message-passing program on the simulated machine
-(:func:`gauss_jordan_machine`) for scaling studies.
+The program is one SCL expression, :func:`gauss_jordan_expression`,
+with two renderings: :func:`gauss_jordan_solve` interprets it over a
+ParArray of column blocks, and :func:`gauss_jordan_compiled` compiles it
+onto the simulated machine for scaling studies.  The column-block
+partition and the final gather bracket the expression in both.
+:func:`gauss_jordan_seq` is the same algorithm on one processor (the
+reference).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from concurrent.futures import Executor
 
 import numpy as np
 
-from repro.core import ColBlock, ParArray, apply_brdcast, gather, iter_for, parmap, partition
+from repro.core import ColBlock, partition
 from repro.errors import SkeletonError
-from repro.machine import AP1000, Comm, Machine, MachineSpec, collectives
+from repro.machine import AP1000, Machine, MachineSpec
 from repro.machine.simulator import RunResult
 from repro.machine.topology import FullyConnected
-from repro.runtime.chunking import chunk_indices
 
 __all__ = [
     "gauss_jordan_seq",
     "gauss_jordan_solve",
     "gauss_jordan_expression",
     "gauss_jordan_compiled",
-    "GaussCostParams",
-    "gauss_jordan_machine",
 ]
+
+#: Operations per row of the ``PARTIAL_PIVOT`` search (abs + compare).
+_PIVOT_OPS_PER_ROW = 2.0
+#: Operations per matrix entry of ``UPDATE`` (multiply-sub + row ops).
+_UPDATE_OPS_PER_ENTRY = 4.0
 
 
 def _partial_pivot(i: int, local_col: np.ndarray) -> tuple[int, np.ndarray]:
@@ -73,50 +77,45 @@ def _update(i: int, pivot: tuple[int, np.ndarray], local: np.ndarray) -> np.ndar
     return block
 
 
-def gauss_jordan_seq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sequential reference: the same algorithm on one 'processor'."""
+def _augment(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[A|b]``, once ``A`` is square and ``b`` has a row per row of ``A``."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise SkeletonError(f"A must be square, got {A.shape}")
     n = A.shape[0]
-    m = np.hstack([A, b.reshape(n, -1)])
-    for i in range(n):
-        _r, c = _partial_pivot(i, m[:, i])
-        m = _update(i, (_r, c), m)
-    return m[:, A.shape[1]:].reshape(b.shape)
+    if b.ndim == 0 or b.shape[0] != n:
+        raise SkeletonError(f"b of shape {b.shape} does not match A ({n})")
+    return np.hstack([A, b.reshape(n, -1)])
+
+
+def _solution(aug: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solved augmented columns, in the shape of ``b``."""
+    return aug[:, aug.shape[0]:].reshape(np.shape(b))
+
+
+def gauss_jordan_seq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sequential reference: the same algorithm on one 'processor'."""
+    m = _augment(A, b)
+    for i in range(m.shape[0]):
+        m = _update(i, _partial_pivot(i, m[:, i]), m)
+    return _solution(m, b)
 
 
 def gauss_jordan_solve(A: np.ndarray, b: np.ndarray, p: int, *,
                        executor: Executor | None = None) -> np.ndarray:
     """Solve ``Ax = b`` with the paper's SCL program on ``p`` processors.
 
-    ``gauss A p = iterFor n elimPivot (partition col_block_p [A|b])`` with
-    ``elimPivot i x = map (UPDATE i) (applybrdcast (PARTIAL_PIVOT i)
-    owner(i) x)``.
+    ``gauss A p = iterFor n elimPivot (partition col_block_p [A|b])``:
+    :func:`gauss_jordan_expression` interpreted, with ``executor`` running
+    the ``map (UPDATE i)`` of every iteration.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise SkeletonError(f"A must be square, got {A.shape}")
-    if b.shape[0] != n:
-        raise SkeletonError(f"b length {b.shape[0]} does not match A ({n})")
-    aug = np.hstack([A, b.reshape(n, -1)])
-    pattern = ColBlock(p)
-    da = partition(pattern, aug)
+    from repro.scl import evaluate
 
-    def elim_pivot(i: int, x: ParArray) -> ParArray:
-        (owner,), (_row, lcol) = pattern.index_map((0, i), aug.shape)
-
-        def partial_pivot(local_block: np.ndarray) -> tuple[int, np.ndarray]:
-            return _partial_pivot(i, np.asarray(local_block)[:, lcol])
-
-        conf = apply_brdcast(partial_pivot, owner, x)
-        return parmap(lambda pv_loc: _update(i, pv_loc[0], pv_loc[1]),
-                      conf, executor=executor)
-
-    result = iter_for(n, elim_pivot, da)
-    solved = np.asarray(gather(ParArray(result.to_list(), dist=pattern)))
-    return solved[:, A.shape[1]:].reshape(b.shape)
+    aug = _augment(A, b)
+    expr = gauss_jordan_expression(aug.shape[0], p, aug.shape)
+    out = evaluate(expr, partition(ColBlock(p), aug), executor=executor)
+    return _solution(np.concatenate(out.to_list(), axis=1), b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,16 +138,15 @@ def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
     from repro.scl.compile import base_fragment
 
     pattern = ColBlock(p)
-    params = GaussCostParams()
 
     def body(i: int):
         (owner,), (_row, lcol) = pattern.index_map((0, i), aug_shape)
 
-        @base_fragment(ops=params.pivot_ops_per_row * (aug_shape[0] - i))
+        @base_fragment(ops=_PIVOT_OPS_PER_ROW * (aug_shape[0] - i))
         def partial_pivot(block):
             return _partial_pivot(i, np.asarray(block)[:, lcol])
 
-        @base_fragment(ops=lambda pv_blk: params.update_ops_per_entry
+        @base_fragment(ops=lambda pv_blk: _UPDATE_OPS_PER_ENTRY
                        * np.asarray(pv_blk[1]).size)
         def update(pv_blk):
             return _update(i, pv_blk[0], pv_blk[1])
@@ -175,8 +173,8 @@ def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
             return stack_uniform([v[1] for v in vals], xform)
 
         def update_ops_all(vals):
-            per_entry = params.update_ops_per_entry
-            return [float(per_entry * np.asarray(v[1]).size) for v in vals]
+            return [float(_UPDATE_OPS_PER_ENTRY * np.asarray(v[1]).size)
+                    for v in vals]
 
         vectorize_fragment(update, update_batched, update_ops_all)
         return compose_nodes(Map(update), ApplyBrdcast(partial_pivot, owner))
@@ -195,87 +193,16 @@ def gauss_jordan_compiled(
     """Run the §3 expression through the SCL compiler on the simulator.
 
     The column-block partition and the final gather bracket the compiled
-    iteration, exactly as in :func:`gauss_jordan_solve`.  ``opt`` is the
-    plan-optimizer switch of :func:`repro.scl.compile.run_expression`.
+    iteration off the machine, exactly as in :func:`gauss_jordan_solve`,
+    so the run prices the ``n`` pivot broadcasts and updates alone.
+    ``opt`` is the plan-optimizer switch of
+    :func:`repro.scl.compile.run_expression`.
     """
-    from repro.core import parmap, partition
-    from repro.core import gather as cfg_gather
-    from repro.core.pararray import ParArray
-    from repro.machine.topology import FullyConnected
     from repro.scl.compile import run_expression
 
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    aug = np.hstack([A, b.reshape(n, -1)])
-    pattern = ColBlock(p)
-    blocks = partition(pattern, aug)
-    machine = Machine(FullyConnected(p), spec=spec)
-    expr = gauss_jordan_expression(n, p, aug.shape)
-    out, result = run_expression(expr, blocks, machine, opt=opt)
-    solved = np.asarray(cfg_gather(ParArray(out.to_list(), dist=pattern)))
-    return solved[:, A.shape[1]:].reshape(b.shape), result
-
-
-@dataclasses.dataclass(frozen=True)
-class GaussCostParams:
-    """Operation counts for the simulated-machine Gauss–Jordan."""
-
-    update_ops_per_entry: float = 4.0   # multiply-sub + row ops per entry
-    pivot_ops_per_row: float = 2.0      # abs + compare in the pivot search
-
-
-def gauss_jordan_machine(
-    A: np.ndarray,
-    b: np.ndarray,
-    p: int,
-    *,
-    spec: MachineSpec = AP1000,
-    params: GaussCostParams = GaussCostParams(),
-) -> tuple[np.ndarray, RunResult]:
-    """The hand-compiled message-passing Gauss–Jordan on the simulator.
-
-    Column blocks live on ``p`` processors; each iteration the owner of the
-    pivot column broadcasts ``(r, c)`` and everyone updates locally.
-    Returns the solution (assembled on processor 0) and the run result
-    whose makespan gives the virtual solve time.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    aug = np.hstack([A, b.reshape(n, -1)])
-    cols = aug.shape[1]
-    spans = chunk_indices(cols, p)
-    machine = Machine(FullyConnected(p), spec=spec)
-
-    def owner_of(col: int) -> int:
-        for k, (lo, hi) in enumerate(spans):
-            if lo <= col < hi:
-                return k
-        raise SkeletonError(f"column {col} out of range")
-
-    def program(env):
-        comm = Comm.world(env)
-        rank = comm.rank
-        lo, hi = spans[rank]
-        local = aug[:, lo:hi].copy()
-        for i in range(n):
-            owner = owner_of(i)
-            if rank == owner:
-                yield env.work(params.pivot_ops_per_row * (n - i))
-                pivot = _partial_pivot(i, local[:, i - lo])
-            else:
-                pivot = None
-            pivot = yield from collectives.bcast(
-                comm, pivot, root=owner, nbytes=(n + 1) * spec.word_bytes)
-            yield env.work(params.update_ops_per_entry * n * max(hi - lo, 1))
-            local = _update(i, pivot, local)
-        blocks = yield from collectives.gather(
-            comm, local, root=0, nbytes=max(int(local.nbytes), 1))
-        if rank == 0:
-            return np.hstack(blocks)
-        return None
-
-    result = machine.run(program)
-    solved = np.asarray(result.values[0])
-    return solved[:, A.shape[1]:].reshape(b.shape), result
+    aug = _augment(A, b)
+    expr = gauss_jordan_expression(aug.shape[0], p, aug.shape)
+    out, result = run_expression(expr, partition(ColBlock(p), aug),
+                                 Machine(FullyConnected(p), spec=spec),
+                                 opt=opt)
+    return _solution(np.concatenate(out.to_list(), axis=1), b), result

@@ -60,7 +60,7 @@ from repro.errors import SkeletonError
 from repro.machine import AP1000, Comm, Hypercube, Machine, MachineSpec, collectives
 from repro.machine.simulator import RunResult
 from repro.plan.ir import base_fragment
-from repro.plan.kernels import vectorize_fragment
+from repro.plan.kernels import stack_uniform, vectorize_fragment
 from repro.runtime.chunking import chunk_indices
 
 __all__ = [
@@ -88,7 +88,11 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 def seq_quicksort(a: np.ndarray) -> np.ndarray:
-    """``SEQ_QUICKSORT``: sort a local array (NumPy introsort)."""
+    """``SEQ_QUICKSORT``: sort a local array (NumPy introsort).
+
+    Also a registered expression fragment (``map SEQ_QUICKSORT``) charged
+    :meth:`SortCostParams.sort_ops` of its block; see ``_HQ_PARAMS``.
+    """
     return np.sort(np.asarray(a))
 
 
@@ -482,6 +486,21 @@ def hyperquicksort_machine_nested(
 #: Cost parameters for the module-level expression fragments below (one
 #: set of top-level callables shared by the expressions of every ``d``).
 _HQ_PARAMS = SortCostParams()
+
+
+# ``SEQ_QUICKSORT`` as an expression fragment (``map SEQ_QUICKSORT``):
+# charged ``sort_ops`` of its block, and equal blocks sorted row-wise in
+# one SoA pass.
+def _sort_rows(stacked):
+    if stacked.ndim > 1:
+        return np.sort(stacked, axis=-1)
+    return [seq_quicksort(v) for v in stacked]  # scalars: raise as per rank
+
+
+base_fragment(ops=lambda a: _HQ_PARAMS.sort_ops(np.size(a)))(seq_quicksort)
+vectorize_fragment(
+    seq_quicksort, lambda values: stack_uniform(values, _sort_rows),
+    lambda values: [float(_HQ_PARAMS.sort_ops(np.size(a))) for a in values])
 
 
 @base_fragment(ops=lambda dp: _HQ_PARAMS.median_ops

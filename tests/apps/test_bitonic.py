@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.apps.bitonic import (
     bitonic_sort,
-    bitonic_sort_machine,
+    bitonic_sort_compiled,
     bitonic_steps,
     compare_split,
 )
@@ -96,21 +96,21 @@ class TestMachineLevel:
     def test_sorts_correctly(self, rng, d):
         n = (1 << d) * 64
         vals = rng.integers(0, 2**31, size=n).astype(np.int32)
-        out, _res = bitonic_sort_machine(vals, d)
+        out, _res = bitonic_sort_compiled(vals, d)
         assert np.array_equal(out, np.sort(vals))
 
     def test_runtime_decreases_with_processors(self, rng):
         vals = rng.integers(0, 2**31, size=8192).astype(np.int32)
         times = []
         for d in (1, 2, 3, 4):
-            _o, res = bitonic_sort_machine(vals, d)
+            _o, res = bitonic_sort_compiled(vals, d)
             times.append(res.makespan)
         assert all(a > b for a, b in zip(times, times[1:]))
 
     def test_message_count_matches_schedule(self, rng):
         d = 3
         vals = rng.integers(0, 100, size=(1 << d) * 8).astype(np.int32)
-        _o, res = bitonic_sort_machine(vals, d)
+        _o, res = bitonic_sort_compiled(vals, d)
         # every processor sends one block per (stage, substep)
         assert res.total_messages == (1 << d) * len(bitonic_steps(d))
 
@@ -119,8 +119,25 @@ class TestMachineLevel:
         from repro.machine.metrics import load_imbalance
 
         vals = rng.integers(0, 10**6, size=2048).astype(np.int32)
-        _o, res = bitonic_sort_machine(vals, 3, spec=PERFECT)
+        _o, res = bitonic_sort_compiled(vals, 3, spec=PERFECT)
         assert load_imbalance(res) == pytest.approx(1.0, abs=1e-9)
+
+    def test_d3_run_is_pinned(self):
+        """The compiled expression reproduces the hand-written
+        message-passing program it replaced, figure for figure: these are
+        that program's numbers on this input."""
+        vals = np.random.default_rng(3).integers(0, 10**6, size=8 * 64)
+        out, res = bitonic_sort_compiled(vals, 3)
+        assert np.array_equal(out, np.sort(vals))
+        assert res.makespan == 0.01269648
+        assert res.total_messages == 48
+        assert [s.bytes_sent for s in res.stats] == [3072] * 8
+
+    def test_empty_input_sends_empty_blocks(self):
+        out, res = bitonic_sort_compiled(np.array([], dtype=np.int64), 3)
+        assert out.size == 0
+        assert res.total_messages == 48
+        assert res.total_bytes == 0
 
 
 class TestBaselineComparison:
@@ -128,7 +145,7 @@ class TestBaselineComparison:
 
     def test_hyperquicksort_beats_bitonic_on_random_input(self, rng):
         vals = rng.integers(0, 2**31, size=32768).astype(np.int32)
-        _b, bt = bitonic_sort_machine(vals, 4, spec=AP1000)
+        _b, bt = bitonic_sort_compiled(vals, 4, spec=AP1000)
         _h, hq = hyperquicksort_machine(vals, 4, spec=AP1000,
                                         include_distribution=False)
         assert hq.makespan < bt.makespan
@@ -137,7 +154,7 @@ class TestBaselineComparison:
         vals = rng.integers(0, 2**31, size=32768).astype(np.int32)
         ratios = []
         for d in (2, 4):
-            _b, bt = bitonic_sort_machine(vals, d, spec=AP1000)
+            _b, bt = bitonic_sort_compiled(vals, d, spec=AP1000)
             _h, hq = hyperquicksort_machine(vals, d, spec=AP1000,
                                             include_distribution=False)
             ratios.append(bt.makespan / hq.makespan)
@@ -145,6 +162,6 @@ class TestBaselineComparison:
 
     def test_bitonic_sends_more_data(self, rng):
         vals = rng.integers(0, 2**31, size=16384).astype(np.int32)
-        _b, bt = bitonic_sort_machine(vals, 4)
+        _b, bt = bitonic_sort_compiled(vals, 4)
         _h, hq = hyperquicksort_machine(vals, 4, include_distribution=False)
         assert bt.total_bytes > hq.total_bytes

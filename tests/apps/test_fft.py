@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.fft import FftCostParams, bit_reverse, fft_machine, fft_parallel, fft_seq
+from repro.apps.fft import bit_reverse, fft_compiled, fft_parallel, fft_seq
 from repro.errors import SkeletonError
 from repro.machine import MODERN_CLUSTER, PERFECT
 
@@ -90,34 +90,29 @@ class TestMachine:
     def test_matches_numpy(self, rng, d):
         n = max(128, 1 << d)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out, _res = fft_machine(x, d)
+        out, _res = fft_compiled(x, d)
         assert np.allclose(out, np.fft.fft(x))
 
     def test_cross_stage_message_count(self, rng):
-        """d cross-processor stages, one full-block exchange each, plus the
-        final tree gather (p - 1 block messages)."""
+        """d cross-processor stages, one full-block exchange each.  The
+        blocks are collected off the machine, so the p - 1 messages of a
+        final tree gather are not among them."""
         d, n = 3, 256
         p = 1 << d
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        _out, res = fft_machine(x, d, spec=PERFECT)
-        assert res.total_messages == d * p + (p - 1)
+        _out, res = fft_compiled(x, d, spec=PERFECT)
+        assert res.total_messages == d * p
 
     def test_runtime_decreases_with_processors(self, rng):
         x = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
         times = []
         for d in (0, 2, 4):
-            _o, res = fft_machine(x, d)
+            _o, res = fft_compiled(x, d)
             times.append(res.makespan)
         assert times[0] > times[1] > times[2]
 
-    def test_cost_params_scale(self, rng):
-        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        _a, cheap = fft_machine(x, 2, params=FftCostParams(butterfly_ops_per_elem=1))
-        _b, dear = fft_machine(x, 2, params=FftCostParams(butterfly_ops_per_elem=100))
-        assert dear.makespan > cheap.makespan
-
     def test_modern_cluster(self, rng):
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        out, res = fft_machine(x, 3, spec=MODERN_CLUSTER)
+        out, res = fft_compiled(x, 3, spec=MODERN_CLUSTER)
         assert np.allclose(out, np.fft.fft(x))
         assert res.makespan < 0.01

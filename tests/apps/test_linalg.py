@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.linalg import (
-    GaussCostParams,
-    gauss_jordan_machine,
+    gauss_jordan_compiled,
     gauss_jordan_seq,
     gauss_jordan_solve,
 )
@@ -99,7 +98,7 @@ class TestMachineSolver:
     def test_solves_correctly(self, rng, p):
         A = well_conditioned(rng, 16)
         b = rng.standard_normal(16)
-        x, _res = gauss_jordan_machine(A, b, p)
+        x, _res = gauss_jordan_compiled(A, b, p)
         assert np.allclose(x, np.linalg.solve(A, b))
 
     def test_virtual_time_decreases_with_processors(self, rng):
@@ -107,7 +106,7 @@ class TestMachineSolver:
         b = rng.standard_normal(48)
         times = []
         for p in (1, 2, 4, 8):
-            _x, res = gauss_jordan_machine(A, b, p)
+            _x, res = gauss_jordan_compiled(A, b, p)
             times.append(res.makespan)
         assert times[0] > times[1] > times[2]
 
@@ -116,25 +115,26 @@ class TestMachineSolver:
         the speedup curve must flatten or reverse."""
         A = well_conditioned(rng, 12)
         b = rng.standard_normal(12)
-        _x1, r1 = gauss_jordan_machine(A, b, 1)
-        _x2, r12 = gauss_jordan_machine(A, b, 12)
+        _x1, r1 = gauss_jordan_compiled(A, b, 1)
+        _x2, r12 = gauss_jordan_compiled(A, b, 12)
         speedup = r1.makespan / r12.makespan
         assert speedup < 12
-
-    def test_cost_params_scale(self, rng):
-        A = well_conditioned(rng, 16)
-        b = rng.standard_normal(16)
-        _x, cheap = gauss_jordan_machine(A, b, 2,
-                                         params=GaussCostParams(update_ops_per_entry=1))
-        _y, dear = gauss_jordan_machine(A, b, 2,
-                                        params=GaussCostParams(update_ops_per_entry=100))
-        assert dear.makespan > cheap.makespan
 
     def test_modern_spec(self, rng):
         A = well_conditioned(rng, 8)
         b = rng.standard_normal(8)
-        x, res = gauss_jordan_machine(A, b, 4, spec=MODERN_CLUSTER)
+        x, res = gauss_jordan_compiled(A, b, 4, spec=MODERN_CLUSTER)
         assert np.allclose(x, np.linalg.solve(A, b))
+
+    def test_non_square_rejected(self, rng):
+        with pytest.raises(SkeletonError, match="square"):
+            gauss_jordan_compiled(rng.standard_normal((3, 4)),
+                                  rng.standard_normal(3), 2)
+
+    def test_mismatched_rhs_rejected(self, rng):
+        with pytest.raises(SkeletonError, match="match"):
+            gauss_jordan_compiled(well_conditioned(rng, 4),
+                                  rng.standard_normal(5), 2)
 
 
 class TestCompiledGauss:
@@ -187,8 +187,12 @@ class TestCompiledGauss:
         A = well_conditioned(rng, 24)
         b = rng.standard_normal(24)
         _x1, compiled = gauss_jordan_compiled(A, b, 4)
-        _x2, hand = gauss_jordan_machine(A, b, 4)
-        ratio = compiled.makespan / hand.makespan
+        # the makespan the hand-written message-passing Gauss-Jordan took
+        # on this input (75 messages: the compiled run's 72 plus the
+        # p - 1 of its final tree gather, which the compiled run leaves
+        # off the machine)
+        hand = 0.008211679999999996
+        ratio = compiled.makespan / hand
         assert 0.5 < ratio < 2.0
 
     def test_pivoting_exercised_compiled(self):

@@ -72,16 +72,60 @@ class TestHyperquicksortEquivalence:
         _assert_same_result(res_new, res_ref, check_trace=False)
 
 
-class TestFftEquivalence:
-    def test_p16_end_to_end(self, monkeypatch):
-        import repro.apps.fft as fft_mod
+def _fft_exchange_gather(x, d):
+    """The binary-exchange FFT as a hand-written message-passing program
+    on a ``d``-cube: partner exchanges of whole blocks, local butterfly
+    stages, then a binomial ``collectives.gather`` of the blocks to
+    processor 0, which puts them in natural order."""
+    from repro.apps.fft import _butterfly_block, bit_reverse
 
+    p = 1 << d
+    n = x.size
+    bits = n.bit_length() - 1
+    m = n // p
+    blocks = np.split(x, p)
+
+    def program(env):
+        comm = Comm.world(env)
+        rank = comm.rank
+        local = np.asarray(blocks[rank]).copy()
+        for s in range(bits):
+            h = n >> (s + 1)
+            if h >= m and p > 1:
+                dist = h // m
+                partner = rank ^ dist
+                yield comm.send(partner, local, tag=s,
+                                nbytes=max(int(local.nbytes), 1))
+                msg = yield comm.recv(partner, tag=s)
+                yield env.work(14.0 * m)
+                local = _butterfly_block(
+                    local, rank * m, h, n, is_low=(rank // dist) % 2 == 0,
+                    partner=np.asarray(msg.payload))
+            else:
+                yield env.work(14.0 * m)
+                local = _butterfly_block(local, rank * m, h, n)
+        parts = yield from collectives.gather(
+            comm, local, root=0, nbytes=max(int(local.nbytes), 1))
+        if rank == 0:
+            yield env.work(2.0 * n)
+            flat = np.concatenate(parts)
+            out = np.empty_like(flat)
+            for g in range(n):
+                out[bit_reverse(g, bits)] = flat[g]
+            return out
+        return None
+
+    return program
+
+
+class TestFftEquivalence:
+    def test_p16_end_to_end(self):
         x = np.random.default_rng(3).normal(size=512) \
             + 1j * np.random.default_rng(4).normal(size=512)
-        out_new, res_new = fft_mod.fft_machine(x, 4)
-        monkeypatch.setattr(fft_mod, "Machine", ReferenceMachine)
-        out_ref, res_ref = fft_mod.fft_machine(x, 4)
-        assert np.array_equal(out_new, out_ref)
+        program = _fft_exchange_gather(x, 4)
+        res_new = Machine(Hypercube(4), spec=AP1000).run(program)
+        res_ref = ReferenceMachine(Hypercube(4), spec=AP1000).run(program)
+        assert np.allclose(res_new.values[0], np.fft.fft(x))
         _assert_same_result(res_new, res_ref)
 
 

@@ -1,7 +1,8 @@
 """Lowered plans compute exactly what the pure interpreter computes.
 
-The compiler's correctness statement, exercised end-to-end on the two
-real §3/§5 applications: lower the expression, execute the plan on the
+The compiler's correctness statement, exercised end-to-end on the
+§3/§5 applications and the two hypercube baselines written as
+expressions (bitonic sort, FFT): lower the expression, execute the plan on the
 simulated machine, and compare element-for-element against
 :func:`repro.scl.interp.evaluate` on the same input.  A second set of
 checks pins the *cost* side of the contract on the same plans: the plan
@@ -14,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.bitonic import bitonic_expression
+from repro.apps.fft import fft_expression
 from repro.apps.linalg import gauss_jordan_expression
 from repro.apps.sort import hyperquicksort_expression, seq_quicksort
 from repro.core import parmap, partition
@@ -81,3 +84,36 @@ class TestGaussJordanCrosscheck:
                                    Machine(FullyConnected(p), spec=AP1000))
         predicted = plan_cost(lower(expr, p), spec=AP1000)
         assert predicted.messages == res.total_messages
+
+
+#: app -> (expression, 1-D input) builder for a d-cube
+HYPERCUBE_APPS = {
+    "bitonic": lambda rng, d: (
+        bitonic_expression(d),
+        partition(Block(1 << d),
+                  rng.integers(0, 10**6, size=32 << d).astype(np.int32))),
+    "fft": lambda rng, d: (
+        fft_expression(256, d),
+        partition(Block(1 << d),
+                  rng.normal(size=256) + 1j * rng.normal(size=256))),
+}
+
+
+@pytest.mark.parametrize("app", sorted(HYPERCUBE_APPS))
+class TestHypercubeAppsCrosscheck:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+    def test_compiled_equals_interpreted(self, rng, app, d):
+        expr, blocks = HYPERCUBE_APPS[app](rng, d)
+        want = evaluate(expr, blocks)
+        got, _res = run_expression(expr, blocks,
+                                   Machine(Hypercube(d), spec=AP1000))
+        for w, g in zip(want, got, strict=True):
+            assert np.array_equal(np.asarray(w), np.asarray(g))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_predicted_messages_equal_simulated(self, rng, app, d):
+        expr, blocks = HYPERCUBE_APPS[app](rng, d)
+        _got, res = run_expression(expr, blocks,
+                                   Machine(Hypercube(d), spec=AP1000))
+        predicted = plan_cost(lower(expr, 1 << d), spec=AP1000)
+        assert predicted.messages == res.total_messages > 0

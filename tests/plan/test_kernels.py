@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import sort
+from repro.apps.bitonic import bitonic_expression
+from repro.apps.fft import fft_expression
 from repro.apps.linalg import ColBlock, gauss_jordan_expression
 from repro.apps.sort import hyperquicksort_expression
 from repro.core import partition
@@ -220,6 +222,20 @@ class TestSortForms:
             == [fragment_ops(fn, v) for v in values]
         assert fragment_ops_all(fn, values[:3]) == [18.0, 18.0, 18.0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 12),
+           dtype=st.sampled_from([np.int32, np.int64, np.float64, np.int8]))
+    def test_seq_quicksort(self, data, p, dtype):
+        # unsorted blocks, equal lengths (one SoA group) or ragged
+        lengths = data.draw(st.one_of(
+            st.integers(0, 9).map(lambda m: [m] * p),
+            st.lists(st.integers(0, 9), min_size=p, max_size=p)))
+        blocks = [np.asarray(data.draw(st.lists(st.integers(-3, 3),
+                                                min_size=m, max_size=m)),
+                             dtype=dtype)
+                  for m in lengths]
+        assert_forms_equal_per_rank(sort.seq_quicksort, blocks)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=st.integers(1, 12), dtype=KEY_DTYPES)
     def test_merge(self, data, p, dtype):
@@ -265,10 +281,13 @@ def test_no_app_fragment_is_half_registered():
     cost form stands without its kernel."""
     gauss = gauss_jordan_expression(6, 3, (6, 7))
     fragments = [*plan_fragments(lower(hyperquicksort_expression(3), 8).instrs),
-                 *plan_fragments(lower(gauss, 3).instrs)]
+                 *plan_fragments(lower(gauss, 3).instrs),
+                 *plan_fragments(lower(bitonic_expression(3), 8).instrs),
+                 *plan_fragments(lower(fft_expression(64, 3), 8).instrs)]
     registered = [fn for fn in fragments if has_batched(fn)]
     assert {fn.__name__ for fn in registered} \
-        == {"_hq_split_on_leader_median", "_hq_merge_pair", "update"}
+        == {"_hq_split_on_leader_median", "_hq_merge_pair", "update",
+            "seq_quicksort"}
     for fn in fragments:
         has_cost = getattr(fn, "scl_ops_all", None) is not None
         needs_cost = has_batched(fn) and callable(

@@ -33,6 +33,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.bitonic import bitonic_expression
+from repro.apps.fft import fft_expression
 from repro.apps.linalg import ColBlock, gauss_jordan_expression
 from repro.apps.sort import hyperquicksort_expression, seq_quicksort
 from repro.core import parmap, partition
@@ -176,6 +178,17 @@ def _gauss_jordan():
             partition(ColBlock(p), aug))
 
 
+def _bitonic(d):
+    keys = np.random.default_rng(50 + d).integers(0, 10**6, size=16 << d)
+    return bitonic_expression(d), partition(Block(1 << d), keys)
+
+
+def _fft(d):
+    rng = np.random.default_rng(60 + d)
+    x = rng.normal(size=64) + 1j * rng.normal(size=64)
+    return fft_expression(64, d), partition(Block(1 << d), x)
+
+
 def _vector(p=8):
     return ParArray([np.arange(3 + r, dtype=np.float64) * (r + 1)
                      for r in range(p)])
@@ -205,6 +218,8 @@ CASES = {
     "hyperquicksort-d3-duplicates": functools.partial(_hyperquicksort, 3,
                                                       key_range=3),
     "gauss-jordan": _gauss_jordan,
+    "bitonic-d3": functools.partial(_bitonic, 3),
+    "fft-d3": functools.partial(_fft, 3),
     "scan": lambda: (Scan(lambda a, b: a + b), _numbers()),
     "fold": lambda: (Fold(lambda a, b: a + b), _numbers()),
     "bcast": lambda: (compose_nodes(Map(lambda pair: pair[0] + pair[1]),

@@ -24,7 +24,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
   or string specs of the package's own,
 * a pass or price result belongs to its (interned) instruction: no
   ``memo=`` on the passes or the plan price, no ``id``-keyed cache beside
-  them.
+  them,
+* an application ported to an SCL expression states its program once:
+  no hand-written machine program or ``ParArray`` step loop beside it.
 """
 
 from __future__ import annotations
@@ -369,6 +371,25 @@ def test_pass_and_price_results_live_on_instructions():
                  and getattr(node.func, "id", None) == "id"]
         assert not calls, (modname, calls)
     assert not hasattr(ir.rotation, "cache_info")
+
+
+@pytest.mark.parametrize("modname", ["repro.apps.linalg", "repro.apps.fft",
+                                     "repro.apps.bitonic"])
+def test_ported_apps_state_their_program_once(modname):
+    """Gauss-Jordan, FFT and bitonic sort are each one SCL expression that
+    every rendering runs: a generator function (a hand-written
+    message-passing program) or a call to ``iter_for`` (a second
+    ``ParArray`` step loop) beside it is a second copy of the program."""
+    offenders = [
+        f"{modname}:{node.lineno} "
+        + ("yields" if isinstance(node, (ast.Yield, ast.YieldFrom))
+           else "calls iter_for")
+        for node in ast.walk(_module_tree(modname))
+        if isinstance(node, (ast.Yield, ast.YieldFrom))
+        or (isinstance(node, ast.Call)
+            and "iter_for" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_top_level_all_is_complete():
