@@ -16,13 +16,14 @@
 * :mod:`repro.apps.nbody` — all-pairs N-body forces on a systolic ring
   (the rotation-pipeline workout for ``rotate``).
 
-Gauss–Jordan, bitonic sort and the FFT are each one SCL expression
-(``*_expression``): the ParArray rendering interprets it and the
-``*_compiled`` rendering runs it through the SCL compiler on the
-simulated machine, so the compiler, optimizer and search see the program
-the interpreter runs.  Hyperquicksort has an expression too, beside the
-hand-written program behind Table 1; the other applications still pair a
-ParArray-level program with a hand-written ``*_machine`` twin.
+Gauss–Jordan, bitonic sort, the FFT, n-body and Cannon's multiply are
+each one SCL expression (``*_expression``): the ParArray rendering
+interprets it and the ``*_compiled`` rendering runs it through the SCL
+compiler on the simulated machine, so the compiler, optimizer and search
+see the program the interpreter runs.  Hyperquicksort has an expression
+too, beside the hand-written program behind Table 1; Jacobi and sample
+sort still pair a ParArray-level program with a hand-written
+``*_machine`` twin.
 """
 
 from repro.apps import bitonic, fft, linalg, matmul, nbody, sort, stencil

@@ -6,32 +6,39 @@ the forces its resident bodies feel from the currently *visiting* block,
 then the visiting blocks rotate one position around the ring.  After ``p``
 rounds every pair has met exactly once per direction.
 
-* :func:`forces_seq` — direct O(n²) reference,
-* :func:`forces_parallel` — the skeleton program: ``iter_for p`` over a
-  configuration of (resident, visiting, accumulated) triples moved by
-  ``rotate``,
-* :func:`forces_machine` — the ring message-passing program on the
-  simulated machine (each round is one neighbour send/recv, so the
-  communication pattern is exactly the paper's regular-data-movement
-  story: the destination is a uniform function of the index).
+The parallel program is one SCL expression, :func:`nbody_expression`:
+``iterFor p`` over a configuration of ``(resident, visiting, forces)``
+triples, each round ``map accumulate`` followed by ``redistribution [id,
+rotate 1, id]`` — only the visiting block moves (the communication
+pattern is exactly the paper's regular-data-movement story: the
+destination is a uniform function of the index).  It has two renderings:
 
-Gravitational softening keeps the maths finite for coincident bodies.
+* :func:`forces_parallel` — the expression interpreted over a ParArray,
+* :func:`forces_compiled` — the expression compiled onto a simulated
+  ring, returning the run's virtual timing too.
+
+:func:`forces_seq` is the direct O(n²) reference.  Gravitational
+softening keeps the maths finite for coincident bodies.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 
 import numpy as np
 
-from repro.core import Block, ParArray, align, iter_for, parmap, partition, rotate, unalign
+from repro.core import Block, ParArray, partition
 from repro.errors import SkeletonError
-from repro.machine import AP1000, Comm, Machine, MachineSpec, Ring
+from repro.machine import AP1000, Machine, MachineSpec, Ring
 from repro.machine.simulator import RunResult
-from repro.runtime.chunking import chunk_indices
+from repro.plan.ir import base_fragment
 
-__all__ = ["NBodyCostParams", "pairwise_forces", "forces_seq",
-           "forces_parallel", "forces_machine"]
+__all__ = ["pairwise_forces", "forces_seq", "nbody_expression",
+           "forces_parallel", "forces_compiled"]
+
+#: Operations per body-body interaction (3 subs, 3 mults, rsqrt,
+#: accumulate), charged by :func:`accumulate`.
+_OPS_PER_INTERACTION = 20.0
 
 #: Softening length squared: keeps self/coincident interactions finite.
 _EPS2 = 1e-6
@@ -67,76 +74,63 @@ def _check(positions: np.ndarray, masses: np.ndarray, p: int) -> None:
             f"need at least one body per processor ({positions.shape[0]} < {p})")
 
 
-def forces_parallel(positions: np.ndarray, masses: np.ndarray, p: int) -> np.ndarray:
-    """The systolic skeleton program over ``p`` virtual processors."""
+@base_fragment(ops=lambda state: _OPS_PER_INTERACTION
+               * state[0].shape[0] * state[1][0].shape[0])
+def accumulate(state):
+    """One round on one processor: add the forces the visiting block
+    exerts on the resident one."""
+    resident, (vis_pos, vis_mass), forces = state
+    return (resident, (vis_pos, vis_mass),
+            forces + pairwise_forces(resident, vis_pos, vis_mass))
+
+
+@functools.lru_cache(maxsize=None)
+def nbody_expression(p: int):
+    """The systolic ring over ``p`` processors as one SCL expression.
+
+    ``iterFor p``: every round is ``map accumulate``, and every round but
+    the last is followed by ``redistribution [id, rotate 1, id]``, which
+    hands each visiting block to the left neighbour.  Memoised on ``p``,
+    so every compile after the first is a plan-cache hit.
+    """
+    from repro.scl import Id, IterFor, Map, Redistribute, Rotate, compose_nodes
+
+    step = Map(accumulate)
+    pass_left = compose_nodes(Redistribute((Id(), Rotate(1), Id())), step)
+    return IterFor(p, lambda k: step if k == p - 1 else pass_left)
+
+
+def _initial_states(positions: np.ndarray, masses: np.ndarray,
+                    p: int) -> list:
+    """Each processor's ``(resident, (positions, masses), forces)`` before
+    round 0, its own block its first visitor."""
     positions = np.asarray(positions, dtype=float)
     masses = np.asarray(masses, dtype=float)
     _check(positions, masses, p)
-
-    resident = partition(Block(p), positions)
-    res_mass = partition(Block(p), masses)
-    visiting = align(partition(Block(p), positions), res_mass)
-    acc = parmap(lambda blk: np.zeros_like(np.asarray(blk)), resident)
-
-    def round_(_k: int, state: ParArray) -> ParArray:
-        res, vis, forces = unalign(state)
-        new_forces = parmap(
-            lambda rvf: rvf[2] + pairwise_forces(
-                np.asarray(rvf[0]), np.asarray(rvf[1][0]),
-                np.asarray(rvf[1][1])),
-            align(res, vis, forces))
-        return align(res, rotate(1, vis), new_forces)
-
-    final = iter_for(p, round_, align(resident, visiting, acc))
-    _res, _vis, forces = unalign(final)
-    return np.concatenate([np.asarray(f) for f in forces])
+    return [(pos, (pos, mass), np.zeros_like(pos)) for pos, mass in
+            zip(partition(Block(p), positions), partition(Block(p), masses))]
 
 
-@dataclasses.dataclass(frozen=True)
-class NBodyCostParams:
-    """Operation counts for the machine-level N-body round."""
+def forces_parallel(positions: np.ndarray, masses: np.ndarray, p: int) -> np.ndarray:
+    """:func:`nbody_expression` interpreted over ``p`` virtual processors."""
+    from repro.scl import evaluate
 
-    ops_per_interaction: float = 20.0  # 3 subs, 3 mults, rsqrt, accumulate
+    final = evaluate(nbody_expression(p),
+                     ParArray(_initial_states(positions, masses, p)))
+    return np.concatenate([forces for _res, _vis, forces in final])
 
 
-def forces_machine(
+def forces_compiled(
     positions: np.ndarray,
     masses: np.ndarray,
     p: int,
     *,
     spec: MachineSpec = AP1000,
-    params: NBodyCostParams = NBodyCostParams(),
 ) -> tuple[np.ndarray, RunResult]:
-    """The systolic ring program on the simulated machine."""
-    positions = np.asarray(positions, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    _check(positions, masses, p)
+    """:func:`nbody_expression` compiled onto a simulated ``p``-ring."""
+    from repro.scl.compile import run_expression
+
+    states = _initial_states(positions, masses, p)
     machine = Machine(Ring(p), spec=spec) if p > 1 else Machine(1, spec=spec)
-    spans = chunk_indices(positions.shape[0], p)
-
-    def program(env):
-        comm = Comm.world(env)
-        rank = comm.rank
-        lo, hi = spans[rank]
-        resident = positions[lo:hi]
-        vis_pos = resident.copy()
-        vis_mass = masses[lo:hi].copy()
-        forces = np.zeros_like(resident)
-        for k in range(p):
-            yield env.work(params.ops_per_interaction
-                           * resident.shape[0] * vis_pos.shape[0])
-            forces = forces + pairwise_forces(resident, vis_pos, vis_mass)
-            if p > 1 and k < p - 1:
-                nxt = (rank - 1) % p          # visiting block moves left
-                prv = (rank + 1) % p
-                payload = (vis_pos, vis_mass)
-                nbytes = int(vis_pos.nbytes + vis_mass.nbytes)
-                yield comm.send(nxt, payload, tag=k, nbytes=max(nbytes, 1))
-                msg = yield comm.recv(prv, tag=k)
-                vis_pos, vis_mass = msg.payload
-                vis_pos = np.asarray(vis_pos)
-                vis_mass = np.asarray(vis_mass)
-        return forces
-
-    res = machine.run(program)
-    return np.concatenate([np.asarray(f) for f in res.values]), res
+    final, res = run_expression(nbody_expression(p), states, machine)
+    return np.concatenate([forces for _res, _vis, forces in final]), res

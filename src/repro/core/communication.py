@@ -18,10 +18,11 @@ order for reproducibility, but callers must treat the vector as a multiset
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Callable, Iterable
 
 from repro.core.pararray import ParArray
-from repro.errors import SkeletonError
+from repro.errors import ConfigurationError, SkeletonError
 
 __all__ = [
     "rotate",
@@ -58,7 +59,23 @@ def rotate(k: int, pa: ParArray) -> ParArray:
     ``rotate(k)``.
     """
     n = _require_1d(pa, "rotate")
+    k = _integer(k, "rotate", "shift")
     return pa.with_items(lambda idx, _v: pa[(idx[0] + k) % n])
+
+
+def _integer(value: Any, who: str, what: str) -> int:
+    """``value`` as an int — any integral number is one, as it is to
+    lowering — or a :class:`ConfigurationError` naming ``who``."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value
+    if not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{who}: {what} {value!r} is not an integer")
+    return int(value)
+
+
+def _shifted(at: int, shift: Any, n: int, who: str) -> int:
+    """``(at + shift) mod n``, which must be an index."""
+    return (at + _integer(shift, who, "shift")) % n
 
 
 def rotate_row(df: Callable[[int], int], pa: ParArray) -> ParArray:
@@ -69,13 +86,15 @@ def rotate_row(df: Callable[[int], int], pa: ParArray) -> ParArray:
     with ``df = lambda i: i``).
     """
     _m, n = _require_2d(pa, "rotate_row")
-    return pa.with_items(lambda idx, _v: pa[(idx[0], (idx[1] + df(idx[0])) % n)])
+    return pa.with_items(lambda idx, _v: pa[
+        (idx[0], _shifted(idx[1], df(idx[0]), n, "rotate_row"))])
 
 
 def rotate_col(df: Callable[[int], int], pa: ParArray) -> ParArray:
     """Rotate every column: ``out[i, j] = A[(i + df(j)) mod m, j]``."""
     m, _n = _require_2d(pa, "rotate_col")
-    return pa.with_items(lambda idx, _v: pa[((idx[0] + df(idx[1])) % m, idx[1])])
+    return pa.with_items(lambda idx, _v: pa[
+        (_shifted(idx[0], df(idx[1]), m, "rotate_col"), idx[1])])
 
 
 def brdcast(a: Any, pa: ParArray) -> ParArray:
@@ -123,7 +142,7 @@ def fetch(f: Callable[[int], int], pa: ParArray) -> ParArray:
     n = _require_1d(pa, "fetch")
 
     def pick(idx: tuple[int, ...], _v: Any) -> Any:
-        src = f(idx[0])
+        src = _integer(f(idx[0]), "fetch", "source")
         if not (0 <= src < n):
             raise SkeletonError(
                 f"fetch: source {src} for index {idx[0]} out of range 0..{n - 1}")

@@ -47,8 +47,10 @@ SCAN_TAG = tags.reserve("plan", "scan-chain", 1)
 
 
 def _is_pair_swap(instr: ir.Exchange, r: int) -> bool:
-    """True when rank ``r``'s row of the tables is a mutual 1:1 swap."""
-    if len(instr.sends[r]) != 1 or len(instr.recvs[r]) != 1:
+    """True when rank ``r``'s row of a single-source exchange's tables is
+    a mutual 1:1 swap."""
+    if instr.mode == "collect" or len(instr.sends[r]) != 1 \
+            or len(instr.recvs[r]) != 1:
         return False
     (peer,) = instr.sends[r]
     if peer == r or instr.recvs[r] != (peer,):
@@ -72,11 +74,13 @@ class ReliableTransport:
         r = comm.rank
         if _is_pair_swap(instr, r):
             (peer,) = instr.sends[r]
-            theirs = yield from chan.exchange(comm.pid_of(peer), local,
-                                              tag=EXCHANGE_TAG)
-            return (local, theirs) if instr.mode == "pair" else theirs
-        for dst in instr.sends[r]:
-            yield from chan.send(comm.pid_of(dst), local, tag=EXCHANGE_TAG)
+            theirs = yield from chan.exchange(
+                comm.pid_of(peer), instr.carried(local), tag=EXCHANGE_TAG)
+            return instr.landed(local, theirs)
+        if instr.sends[r]:
+            sent = instr.carried(local)
+            for dst in instr.sends[r]:
+                yield from chan.send(comm.pid_of(dst), sent, tag=EXCHANGE_TAG)
         if instr.mode == "collect":
             arrivals = []
             for src in instr.recvs[r]:
@@ -87,9 +91,9 @@ class ReliableTransport:
                         comm.pid_of(src), tag=EXCHANGE_TAG)))
             return arrivals
         (src,) = instr.recvs[r]
-        fetched = local if src == r else (yield from chan.recv(
-            comm.pid_of(src), tag=EXCHANGE_TAG))
-        return (local, fetched) if instr.mode == "pair" else fetched
+        fetched = instr.carried(local) if src == r else (
+            yield from chan.recv(comm.pid_of(src), tag=EXCHANGE_TAG))
+        return instr.landed(local, fetched)
 
     def collective(self, instr: ir.Collective, env, comm: Comm, local: Any):
         """Run the collective as a crash-aware linear pattern (the

@@ -75,9 +75,10 @@ class DirectTransport:
         dsts = instr.sends[r]
         if dsts:
             # one value, however many copies go out: size it once
-            nbytes = estimate_nbytes(local, env.spec.word_bytes)
+            sent = instr.carried(local)
+            nbytes = estimate_nbytes(sent, env.spec.word_bytes)
             for dst in dsts:
-                yield comm.send(dst, local, tag=EXCHANGE_TAG, nbytes=nbytes)
+                yield comm.send(dst, sent, tag=EXCHANGE_TAG, nbytes=nbytes)
         if instr.mode == "collect":
             arrivals = []
             for src in instr.recvs[r]:
@@ -88,9 +89,9 @@ class DirectTransport:
                     arrivals.append(msg.payload)
             return arrivals
         (src,) = instr.recvs[r]
-        fetched = local if src == r else (
+        fetched = instr.carried(local) if src == r else (
             yield comm.recv(src, tag=EXCHANGE_TAG)).payload
-        return (local, fetched) if instr.mode == "pair" else fetched
+        return instr.landed(local, fetched)
 
     def collective(self, instr: ir.Collective, env: ProcEnv, comm: Comm,
                    local: Any):

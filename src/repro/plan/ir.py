@@ -44,6 +44,8 @@ import threading
 import weakref
 from typing import Any, Callable, ClassVar, Sequence
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "DEFAULT_FRAGMENT_OPS", "base_fragment", "fragment_ops",
     "fragment_ops_all",
@@ -249,6 +251,13 @@ class Exchange(Instr):
     * ``"collect"`` — any number of sources in source-rank order; the
       result is the list of arrivals (the general ``send``).
 
+    ``part`` is ``None`` when a rank sends its whole local value.  A
+    ``replace`` exchange lowered from one movement of a ``redistribution``
+    carries ``(k, n)`` instead: every local value is an aligned ``n``-tuple
+    (a bare value counts as a 1-tuple) and only component ``k`` moves.
+    What a rank sends (:meth:`carried`) and what it holds afterwards
+    (:meth:`landed`) are stated here once, for every executor.
+
     The tables are built here, from whichever side a skeleton's index
     function names (:meth:`from_sources` for the ``fetch`` family,
     :meth:`from_destinations` for the ``send`` family), in one pass over
@@ -266,10 +275,12 @@ class Exchange(Instr):
     sends: tuple[tuple[int, ...], ...]
     recvs: tuple[tuple[int, ...], ...]
     label: str = "exchange"
+    part: tuple[int, int] | None = None
 
     @classmethod
     def from_sources(cls, mode: str, srcs: Sequence[int],
-                     label: str = "exchange") -> "Exchange":
+                     label: str = "exchange",
+                     part: tuple[int, int] | None = None) -> "Exchange":
         """The exchange in which rank ``r`` reads from ``srcs[r]`` (itself:
         no message).  Every entry must be a rank in ``0..len(srcs)-1``."""
         sends: list[list[int]] = [[] for _ in srcs]
@@ -277,7 +288,7 @@ class Exchange(Instr):
             if src != r:
                 sends[src].append(r)
         return cls(mode, tuple(map(tuple, sends)),
-                   tuple((src,) for src in srcs), label)
+                   tuple((src,) for src in srcs), label, part)
 
     @classmethod
     def from_destinations(cls, mode: str, dsts: Sequence[Sequence[int]],
@@ -294,6 +305,39 @@ class Exchange(Instr):
                    tuple(tuple(d for d in out if d != r)
                          for r, out in enumerate(dsts)),
                    tuple(map(tuple, recvs)), label)
+
+    def carried(self, local: Any) -> Any:
+        """What a rank holding ``local`` sends — and reads when it is its
+        own source: the whole value, or the component :attr:`part` names.
+        A value not shaped as that part's configuration is a
+        :class:`~repro.errors.ConfigurationError`, as it is to
+        :func:`repro.core.config.redistribution`."""
+        if self.part is None:
+            return local
+        k, width = self.part
+        if isinstance(local, tuple):
+            if len(local) == width:
+                return local[k]
+            got = f"a width-{len(local)} configuration"
+        elif width == 1:
+            return local
+        else:
+            got = "a configuration of bare values"
+        raise ConfigurationError(f"{width} movement operators for {got}")
+
+    def landed(self, local: Any, fetched: Any) -> Any:
+        """What a rank holding ``local`` holds once a single-source
+        exchange has brought it ``fetched`` (what its source
+        :meth:`carried`)."""
+        if self.mode == "pair":
+            return (local, fetched)
+        if self.part is None:
+            return fetched
+        self.carried(local)  # the receiver's shape is checked too
+        if not isinstance(local, tuple):
+            return fetched
+        k = self.part[0]
+        return (*local[:k], fetched, *local[k + 1:])
 
     @functools.cached_property
     def traffic(self) -> tuple[int, int]:

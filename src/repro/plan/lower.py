@@ -21,6 +21,7 @@ virtual processor starts.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import threading
 from collections import OrderedDict
 
@@ -280,18 +281,80 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
         memo[key] = tuple(out[start:])
 
 
-def _check_rank(rank, p: int, who: str, what: str) -> None:
+def _integer(value, who: str, what: str) -> int:
+    """``value`` as an int, or a :class:`SkeletonError` naming ``who``."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value
+    if not isinstance(value, numbers.Integral):
+        raise SkeletonError(f"{who}: {what} {value!r} is not an integer")
+    return int(value)
+
+
+def _check_rank(rank, p: int, who: str, what: str) -> int:
+    rank = _integer(rank, who, what)
     if not (0 <= rank < p):
         raise SkeletonError(f"{who}: {what} {rank} out of range 0..{p - 1}")
+    return rank
 
 
 def _index_map(f, p: int, who: str, what: str) -> list[int]:
     """``[f(0), ..., f(p - 1)]``, each checked to name a rank."""
-    ranks = []
-    for r in range(p):
-        ranks.append(f(r))
-        _check_rank(ranks[-1], p, who, what)
-    return ranks
+    return [_check_rank(f(r), p, who, what) for r in range(p)]
+
+
+def _sources(node: N.Node, p: int, grid: tuple[int, int] | None,
+             ) -> tuple[list[int], str]:
+    """The rank each rank reads from under a single-source data movement,
+    and the movement's label."""
+    if isinstance(node, N.RotateRow):
+        _require_grid(grid, "rotate_row")
+        rows, cols = grid
+        shifts = [_integer(node.df(i), "rotate_row", "shift")
+                  for i in range(rows)]
+        return [i * cols + (j + shifts[i]) % cols
+                for i in range(rows) for j in range(cols)], "rotate_row"
+    if isinstance(node, N.RotateCol):
+        _require_grid(grid, "rotate_col")
+        rows, cols = grid
+        shifts = [_integer(node.df(j), "rotate_col", "shift")
+                  for j in range(cols)]
+        return [((i + shifts[j]) % rows) * cols + j
+                for i in range(rows) for j in range(cols)], "rotate_col"
+    if isinstance(node, N.Rotate):
+        _no_grid(grid, "rotate")
+        k = _integer(node.k, "rotate", "shift") % p
+        return [(r + k) % p for r in range(p)], f"rotate {k}"
+    if isinstance(node, N.Fetch):
+        _no_grid(grid, "fetch")
+        return _index_map(node.f, p, "fetch", "source"), "fetch"
+    _no_grid(grid, "send")  # a permutation send
+    srcs = [[] for _ in range(p)]
+    for r, dst in enumerate(_index_map(node.f, p, "send", "destination")):
+        srcs[dst].append(r)
+    for r, sources in enumerate(srcs):
+        if len(sources) != 1:
+            raise SkeletonError(
+                f"send: index {r} receives {len(sources)} elements — "
+                f"the index map is not a permutation")
+    return [src for (src,) in srcs], "send"
+
+
+def _root(i, p: int, grid: tuple[int, int] | None) -> int:
+    """The rank ``applybrdcast``'s index ``i`` names: an int on a 1-D
+    configuration, a tuple of coordinates on either — every index the
+    interpreter's ``A[i]`` accepts, and no other."""
+    shape = (p,) if grid is None else grid
+    idx = i if isinstance(i, tuple) else (i,)
+    if (not isinstance(i, (tuple, int)) or isinstance(i, bool)
+            or len(idx) != len(shape)
+            or not all(c in range(n) for c, n in zip(idx, shape))):
+        raise SkeletonError(
+            f"applybrdcast: root {i!r} is not an index of the "
+            f"{'x'.join(map(str, shape))} configuration")
+    root = 0
+    for c, n in zip(idx, shape):
+        root = root * n + int(c)
+    return root
 
 
 def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
@@ -326,20 +389,26 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
         out.append(ir.LocalApply(node.f, farm_env=node.env, label="farm"))
         return
 
-    if isinstance(node, N.RotateRow):
-        _require_grid(grid, "rotate_row")
-        rows, cols = grid
-        srcs = [i * cols + (j + node.df(i)) % cols
-                for i in range(rows) for j in range(cols)]
-        out.append(ir.Exchange.from_sources("replace", srcs, "rotate_row"))
+    if isinstance(node, N.Rotate):
+        _no_grid(grid, "rotate")
+        k = _integer(node.k, "rotate", "shift") % p
+        if k != 0:
+            out.append(ir.rotation(k, p))
         return
 
-    if isinstance(node, N.RotateCol):
-        _require_grid(grid, "rotate_col")
-        rows, cols = grid
-        srcs = [((i + node.df(j)) % rows) * cols + j
-                for i in range(rows) for j in range(cols)]
-        out.append(ir.Exchange.from_sources("replace", srcs, "rotate_col"))
+    if isinstance(node, (N.RotateRow, N.RotateCol, N.Fetch, N.PermSend)):
+        srcs, label = _sources(node, p, grid)
+        out.append(ir.Exchange.from_sources("replace", srcs, label))
+        return
+
+    if isinstance(node, N.Redistribute):
+        # one exchange per moving component, carrying that component only
+        width = len(node.moves)
+        for k, move in enumerate(node.moves):
+            if not isinstance(move, N.Id):
+                srcs, label = _sources(move, p, grid)
+                out.append(ir.Exchange.from_sources(
+                    "replace", srcs, f"{label} (part {k})", (k, width)))
         return
 
     if isinstance(node, N.Fold):
@@ -351,46 +420,16 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
         out.append(ir.Collective("scan", op=node.op, label="scan"))
         return
 
-    if isinstance(node, N.Rotate):
-        _no_grid(grid, "rotate")
-        k = node.k % p
-        if k != 0:
-            out.append(ir.rotation(k, p))
-        return
-
-    if isinstance(node, N.Fetch):
-        _no_grid(grid, "fetch")
-        srcs = _index_map(node.f, p, "fetch", "source")
-        out.append(ir.Exchange.from_sources("replace", srcs, "fetch"))
-        return
-
     if isinstance(node, N.AlignFetch):
         _no_grid(grid, "align-fetch")
         srcs = _index_map(node.f, p, "align-fetch", "source")
         out.append(ir.Exchange.from_sources("pair", srcs, "align-fetch"))
         return
 
-    if isinstance(node, N.PermSend):
-        _no_grid(grid, "send")
-        dsts = _index_map(node.f, p, "send", "destination")
-        exchange = ir.Exchange.from_destinations(
-            "replace", [(dst,) for dst in dsts], "send")
-        for r, sources in enumerate(exchange.recvs):
-            if len(sources) != 1:
-                raise SkeletonError(
-                    f"send: index {r} receives {len(sources)} elements — "
-                    f"the index map is not a permutation")
-        out.append(exchange)
-        return
-
     if isinstance(node, N.SendNode):
         _no_grid(grid, "send")
-        dst_lists = []
-        for r in range(p):
-            dsts = tuple(node.f(r))
-            for dst in dsts:
-                _check_rank(dst, p, "send", "destination")
-            dst_lists.append(dsts)
+        dst_lists = [tuple(_check_rank(dst, p, "send", "destination")
+                           for dst in node.f(r)) for r in range(p)]
         out.append(ir.Exchange.from_destinations("collect", dst_lists,
                                                  "send*"))
         return
@@ -400,11 +439,8 @@ def _emit_step(node: N.Node, p: int, grid: tuple[int, int] | None,
         return
 
     if isinstance(node, N.ApplyBrdcast):
-        if grid is not None and isinstance(node.i, tuple):
-            root = node.i[0] * grid[1] + node.i[1]
-        else:
-            root = node.i if isinstance(node.i, int) else node.i[0]
-        out.append(ir.Collective("apply_bcast", op=node.f, root=root,
+        out.append(ir.Collective("apply_bcast", op=node.f,
+                                 root=_root(node.i, p, grid),
                                  label="applybrdcast"))
         return
 

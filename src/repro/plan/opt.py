@@ -9,7 +9,8 @@ identity routing can bring two local applies together):
 
 1. **Exchange coalescing** — the paper's
    ``send f . send g = send (f ∘ g)``: adjacent pure-routing instructions
-   (replace-mode ``Exchange`` s, a rotate's shift among them) compose
+   (replace-mode ``Exchange`` s of whole values, a rotate's shift among
+   them — never one part of a ``redistribution``) compose
    into a single message round — ``rotate k1 . rotate k2`` comes out as
    the tables of ``rotate (k1+k2)`` — and identity routings are dropped
    entirely.
@@ -170,8 +171,13 @@ def _fuse_nested(instr: ir.Loop | ir.SubPlan,
 # ---------------------------------------------------- exchange coalescing
 
 def _route_map(instr: ir.Instr) -> tuple[int, ...] | None:
-    """``srcs[r]`` of a pure-routing instruction, or ``None``."""
-    if isinstance(instr, ir.Exchange) and instr.mode == "replace":
+    """``srcs[r]`` of a pure-routing instruction, or ``None``.
+
+    An exchange moving one part of a tuple is no pure routing: composed
+    with the routing of another part it would move both parts by one map,
+    and even alone it checks the shape of what it moves."""
+    if isinstance(instr, ir.Exchange) and instr.mode == "replace" \
+            and instr.part is None:
         return instr.sources
     return None
 

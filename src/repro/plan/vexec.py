@@ -129,13 +129,13 @@ def _step(instr, plan, timeline, values):
         return _apply_one(instr, plan, values)
 
     if isinstance(instr, ir.Exchange):
-        _exchange(timeline, instr.sends, instr.wiring, values, EXCHANGE_TAG)
+        sent = values if instr.part is None else [
+            instr.carried(local) for local in values]
+        _exchange(timeline, instr.sends, instr.wiring, sent, EXCHANGE_TAG)
         if instr.mode == "collect":
-            return [[values[src] for src in srcs] for srcs in instr.recvs]
-        if instr.mode == "pair":
-            return [(local, values[src])
-                    for local, (src,) in zip(values, instr.recvs)]
-        return [values[src] for (src,) in instr.recvs]
+            return [[sent[src] for src in srcs] for srcs in instr.recvs]
+        return [instr.landed(local, sent[src])
+                for local, (src,) in zip(values, instr.recvs)]
 
     if isinstance(instr, ir.Collective):
         return _collective(instr, values, timeline)

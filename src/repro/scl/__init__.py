@@ -39,6 +39,7 @@ from repro.scl.nodes import (
     SendNode,
     Brdcast,
     ApplyBrdcast,
+    Redistribute,
     Compose,
     Spmd,
     Stage,
@@ -79,7 +80,8 @@ from repro.scl.plan_pretty import pretty_plan
 __all__ = [
     "Node", "Id", "Map", "IMap", "Fold", "Scan", "FoldrFused",
     "Rotate", "RotateRow", "RotateCol", "Fetch", "AlignFetch", "PermSend",
-    "SendNode", "Brdcast", "ApplyBrdcast", "Compose", "Spmd", "Stage",
+    "SendNode", "Brdcast", "ApplyBrdcast", "Redistribute", "Compose",
+    "Spmd", "Stage",
     "Split", "Combine", "Partition", "Gather", "Farm", "IterFor", "compose_nodes",
     "base_fragment", "fragment_ops", "run_expression",
     "evaluate",

@@ -85,7 +85,7 @@ def node_count(node: N.Node) -> int:
 
 _COMM_NODES = (N.Rotate, N.RotateRow, N.RotateCol, N.Fetch, N.AlignFetch,
                N.PermSend, N.SendNode, N.Brdcast, N.ApplyBrdcast,
-               N.Partition, N.Gather)
+               N.Redistribute, N.Partition, N.Gather)
 
 
 def communication_count(node: N.Node) -> int:

@@ -91,6 +91,12 @@ def evaluate(node: N.Node, value: Any, *,
     if isinstance(node, N.ApplyBrdcast):
         return comm.apply_brdcast(node.f, node.i, value)
 
+    if isinstance(node, N.Redistribute):
+        return cfg.redistribution(
+            [None if isinstance(move, N.Id)
+             else (lambda da, move=move: evaluate(move, da))
+             for move in node.moves], value)
+
     if isinstance(node, N.Split):
         return cfg.split(node.pattern, value)
 

@@ -11,8 +11,10 @@ Nodes are immutable; opaque base-language callables compare by identity,
 while :class:`~repro.util.functional.Composed` pipelines compare
 structurally — so rewriting is purely syntactic and its soundness is
 checked behaviourally by the test-suite.  A :class:`Brdcast` value and a
-:class:`Farm` environment compare by identity too: ``1 == 1.0``, but an
-equality-keyed cache must not serve one's plan for the other.
+:class:`Farm` environment compare by identity too, and a :class:`Rotate`
+shift and an :class:`ApplyBrdcast` root by type as well as value:
+``1 == 1.0 == True``, but an equality-keyed cache must not serve one's
+plan for the other.
 
 Nested parallelism appears as a :class:`Map` whose function is itself a
 *node*: ``Map(Spmd(...))`` applies a parallel operation to every component
@@ -25,14 +27,14 @@ import dataclasses
 from typing import Any, Callable, Union
 
 from repro.core.partition import PartitionPattern
-from repro.errors import RewriteError
+from repro.errors import RewriteError, SkeletonError
 
 __all__ = [
     "Node", "Id", "Map", "IMap", "Fold", "Scan", "FoldrFused",
     "Rotate", "RotateRow", "RotateCol", "Fetch", "AlignFetch", "PermSend",
-    "SendNode", "Brdcast", "ApplyBrdcast", "Compose", "Stage", "Spmd",
-    "Split", "Combine", "Partition", "Gather", "Farm", "IterFor",
-    "compose_nodes",
+    "SendNode", "Brdcast", "ApplyBrdcast", "Redistribute", "Compose",
+    "Stage", "Spmd", "Split", "Combine", "Partition", "Gather", "Farm",
+    "IterFor", "compose_nodes",
 ]
 
 Fn = Callable[..., Any]
@@ -135,6 +137,9 @@ class Rotate(Node):
 
     k: int
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Rotate and _same_index(other.k, self.k)
+
 
 @dataclasses.dataclass(frozen=True)
 class RotateRow(Node):
@@ -206,6 +211,53 @@ class ApplyBrdcast(Node):
 
     f: Fn
     i: Any
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ApplyBrdcast and other.f == self.f \
+            and _same_index(other.i, self.i)
+
+
+def _same_index(a: Any, b: Any) -> bool:
+    """``a == b`` with every number, and every coordinate of a tuple, of
+    the same type."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(_same_index, a, b))
+    return a == b
+
+
+@dataclasses.dataclass(frozen=True)
+class Redistribute(Node):
+    """``redistribution [f1, .., fn]``: move each component of an aligned
+    configuration by its own movement, ``(f1 DA1, .., fn DAn)``.
+
+    A movement is :class:`Id` (the component stays) or a single-source
+    data movement — :class:`Rotate`, :class:`RotateRow`,
+    :class:`RotateCol`, :class:`Fetch` or a permutation
+    :class:`PermSend` — and at least one component moves.  Compiled, each
+    moving component is its own exchange carrying that component alone,
+    so the parts that stay never touch the wire (the arrow combinators'
+    ``second`` / ``***``).
+    """
+
+    moves: tuple[Node, ...]
+
+    def __post_init__(self) -> None:
+        moves = tuple(self.moves)
+        for move in moves:
+            if not isinstance(move, _MOVEMENTS):
+                raise SkeletonError(
+                    f"redistribution: a movement is Id or one of "
+                    f"{', '.join(m.__name__ for m in _MOVEMENTS[1:])}, "
+                    f"got {move!r}")
+        if all(isinstance(move, Id) for move in moves):
+            raise SkeletonError(
+                "redistribution: no component moves — that is Id()")
+        object.__setattr__(self, "moves", moves)
+
+
+_MOVEMENTS = (Id, Rotate, RotateRow, RotateCol, Fetch, PermSend)
 
 
 @dataclasses.dataclass(frozen=True)

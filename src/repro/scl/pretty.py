@@ -61,6 +61,9 @@ def pretty(node: N.Node) -> str:
         return f"brdcast {node.a!r}"
     if isinstance(node, N.ApplyBrdcast):
         return f"applybrdcast {_fn_name(node.f)} {node.i!r}"
+    if isinstance(node, N.Redistribute):
+        return "redistribute [" + ", ".join(
+            pretty(move) for move in node.moves) + "]"
     if isinstance(node, N.Split):
         return f"split {node.pattern!r}"
     if isinstance(node, N.Combine):

@@ -79,70 +79,89 @@ class TestCannon:
 class TestCannonMachine:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_matches_numpy(self, rng, q):
-        from repro.apps.matmul import cannon_matmul_machine
+        from repro.apps.matmul import cannon_matmul_compiled
 
         n = q * 3
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        out, _res = cannon_matmul_machine(A, B, q)
+        out, _res = cannon_matmul_compiled(A, B, q)
         assert np.allclose(out, A @ B)
 
     def test_runtime_decreases_with_grid_size(self, rng):
-        from repro.apps.matmul import cannon_matmul_machine
+        from repro.apps.matmul import cannon_matmul_compiled
 
         n = 48
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         times = []
         for q in (1, 2, 4):
-            _o, res = cannon_matmul_machine(A, B, q)
+            _o, res = cannon_matmul_compiled(A, B, q)
             times.append(res.makespan)
         assert times[0] > times[1] > times[2]
 
     def test_nearest_neighbour_rounds(self, rng):
         """After the skew, every round is 2 messages per processor."""
-        from repro.apps.matmul import cannon_matmul_machine
+        from repro.apps.matmul import cannon_matmul_compiled
         from repro.machine import PERFECT
 
         q, n = 3, 12
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        _o, res = cannon_matmul_machine(A, B, q, spec=PERFECT)
+        _o, res = cannon_matmul_compiled(A, B, q, spec=PERFECT)
         p = q * q
         rounds = 2 * p * (q - 1)
         skew_max = 2 * p
         assert rounds <= res.total_messages <= rounds + skew_max
 
-    def test_cost_params_scale(self, rng):
-        from repro.apps.matmul import CannonCostParams, cannon_matmul_machine
+    #: q -> messages and per-rank bytes sent of the hand-written torus
+    #: program the expression replaced, on 64 x 64 matrices
+    HANDWRITTEN = {
+        1: (0, [0]),
+        2: (12, [16384, 24576, 24576, 32768]),
+        4: (120, [12288, 14336, 14336, 14336, 14336, 16384, 16384, 16384,
+                  14336, 16384, 16384, 16384, 14336, 16384, 16384, 16384]),
+    }
 
-        n = 8
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        _a, cheap = cannon_matmul_machine(A, B, 2,
-                                          params=CannonCostParams(flops_per_madd=1))
-        _b, dear = cannon_matmul_machine(A, B, 2,
-                                         params=CannonCostParams(flops_per_madd=50))
-        assert dear.makespan > cheap.makespan
+    @pytest.mark.parametrize("q", sorted(HANDWRITTEN))
+    def test_messages_are_the_handwritten_programs(self, q):
+        """Only the A and B blocks are on the wire, C stays put: the
+        compiled expression sends what the hand-written program sent."""
+        from repro.apps.matmul import cannon_matmul_compiled
+
+        r = np.random.default_rng(11)
+        A = r.standard_normal((64, 64))
+        B = r.standard_normal((64, 64))
+        out, res = cannon_matmul_compiled(A, B, q)
+        assert np.allclose(out, A @ B)
+        messages, bytes_sent = self.HANDWRITTEN[q]
+        assert res.total_messages == messages
+        assert [s.bytes_sent for s in res.stats] == bytes_sent
 
     def test_indivisible_rejected(self, rng):
-        from repro.apps.matmul import cannon_matmul_machine
+        from repro.apps.matmul import cannon_matmul_compiled
         from repro.errors import SkeletonError
 
         with pytest.raises(SkeletonError):
-            cannon_matmul_machine(rng.standard_normal((5, 5)),
-                                  rng.standard_normal((5, 5)), 2)
+            cannon_matmul_compiled(rng.standard_normal((5, 5)),
+                                   rng.standard_normal((5, 5)), 2)
 
     def test_torus_beats_plain_mesh(self, rng):
         """Wrap-around shifts are 1 hop on a torus but q-1 hops on a mesh:
-        with per-hop latency, the torus run must be faster."""
-        from repro.apps.matmul import cannon_matmul_machine
-        from repro.machine import AP1000
+        with per-hop latency, the same expression runs faster on the
+        torus."""
+        from repro.apps.matmul import _initial_states, cannon_expression
+        from repro.machine import AP1000, Machine
+        from repro.machine.topology import Mesh2D
+        from repro.scl import run_expression
 
         spec = AP1000.replace(per_hop_latency=5e-4)
         q, n = 4, 16
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        _o1, torus = cannon_matmul_machine(A, B, q, spec=spec, torus=True)
-        _o2, mesh = cannon_matmul_machine(A, B, q, spec=spec, torus=False)
+        states = _initial_states(A, B, q)
+        torus, mesh = (
+            run_expression(cannon_expression(q), states,
+                           Machine(Mesh2D(q, q, torus=wrap), spec=spec))[1]
+            for wrap in (True, False))
+        assert torus.total_messages == mesh.total_messages
         assert torus.makespan < mesh.makespan

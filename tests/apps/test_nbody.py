@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.nbody import (
-    NBodyCostParams,
-    forces_machine,
+    forces_compiled,
     forces_parallel,
     forces_seq,
+    nbody_expression,
     pairwise_forces,
 )
 from repro.errors import SkeletonError
@@ -100,21 +100,21 @@ class TestMachine:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_matches_sequential(self, rng, p):
         pos, mass = cluster(rng, 40)
-        out, _res = forces_machine(pos, mass, p)
+        out, _res = forces_compiled(pos, mass, p)
         assert np.allclose(out, forces_seq(pos, mass), atol=1e-10)
 
     def test_ring_message_pattern(self, rng):
         """p procs x (p - 1) rotation rounds, one message each."""
         p = 4
         pos, mass = cluster(rng, 16)
-        _out, res = forces_machine(pos, mass, p, spec=PERFECT)
+        _out, res = forces_compiled(pos, mass, p, spec=PERFECT)
         assert res.total_messages == p * (p - 1)
 
     def test_runtime_decreases_with_processors(self, rng):
         pos, mass = cluster(rng, 512)
         times = []
         for p in (1, 4, 16):
-            _o, res = forces_machine(pos, mass, p)
+            _o, res = forces_compiled(pos, mass, p)
             times.append(res.makespan)
         assert times[0] > times[1] > times[2]
 
@@ -122,13 +122,58 @@ class TestMachine:
         from repro.machine.metrics import load_imbalance
 
         pos, mass = cluster(rng, 64)
-        _o, res = forces_machine(pos, mass, 8, spec=PERFECT)
+        _o, res = forces_compiled(pos, mass, 8, spec=PERFECT)
         assert load_imbalance(res) == pytest.approx(1.0, abs=1e-6)
 
-    def test_cost_params_scale(self, rng):
-        pos, mass = cluster(rng, 128)
-        _a, cheap = forces_machine(pos, mass, 4,
-                                   params=NBodyCostParams(ops_per_interaction=1))
-        _b, dear = forces_machine(pos, mass, 4,
-                                  params=NBodyCostParams(ops_per_interaction=100))
-        assert dear.makespan > cheap.makespan
+    #: (bodies, p) -> makespan, messages and per-rank bytes sent of the
+    #: hand-written ring program the expression replaced, on this input
+    HANDWRITTEN = {
+        (40, 1): (0.012799999999999999, 0, [0]),
+        (40, 2): (0.006575599999999999, 2, [640, 640]),
+        (40, 3): (0.00481584, 6, [864, 832, 864]),
+        (40, 4): (0.0036883999999999997, 12, [960] * 4),
+        (40, 8): (0.0026948, 56, [1120] * 8),
+        (512, 16): (0.13393639999999993, 240, [15360] * 16),
+    }
+
+    @pytest.mark.parametrize("n,p", sorted(HANDWRITTEN))
+    def test_run_is_pinned(self, n, p):
+        """Only the visiting block is on the wire: the compiled expression
+        reproduces the hand-written message-passing program figure for
+        figure."""
+        makespan, messages, bytes_sent = self.HANDWRITTEN[n, p]
+        pos, mass = cluster(np.random.default_rng(7), n)
+        out, res = forces_compiled(pos, mass, p)
+        assert np.allclose(out, forces_seq(pos, mass), atol=1e-10)
+        assert res.makespan == makespan
+        assert res.total_messages == messages
+        assert [s.bytes_sent for s in res.stats] == bytes_sent
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_interpreted_run_is_the_walked_run(self, p):
+        from repro.core import ParArray
+        from repro.apps.nbody import _initial_states
+        from repro.machine import AP1000, Machine, Ring
+        from repro.scl import run_expression
+
+        pos, mass = cluster(np.random.default_rng(7), 40)
+        states = ParArray(_initial_states(pos, mass, p))
+        walked, interpreted = (
+            run_expression(nbody_expression(p), states,
+                           Machine(Ring(p), spec=AP1000, **kw))[1]
+            for kw in ({}, {"batch": False}))
+        assert walked.makespan == interpreted.makespan \
+            == self.HANDWRITTEN[40, p][0]
+        assert walked.stats == interpreted.stats
+
+
+class TestExpression:
+    def test_one_rotate_per_round_but_the_last(self):
+        from repro.scl import Id, Map, Redistribute, Rotate, pretty
+
+        expr = nbody_expression(4)
+        assert expr.n == 4
+        assert pretty(expr.body(0)) \
+            == "redistribute [id, rotate 1, id] . map accumulate"
+        assert isinstance(expr.body(3), Map)
+        assert expr.body(0).steps[0] == Redistribute((Id(), Rotate(1), Id()))

@@ -60,6 +60,13 @@ class TestFaultFree:
         assert list(got) == list(want)
         assert res.total_retransmits == 0
 
+    def test_collect_by_pairwise_swap_is_a_list_of_arrivals(self):
+        """A send in which every rank swaps with a partner still collects:
+        each rank holds the list of what arrived, not the bare value."""
+        expr = SendNode(lambda r: (r ^ 1,))
+        got, _res = run_expression_ft(expr, PA8, _faulty_machine(8))
+        assert got.to_list() == [[1], [3], [1], [4], [9], [5], [6], [2]]
+
     def test_fold_returns_the_scalar(self):
         want, _ = run_expression(Fold(lambda a, b: a + b), PA8,
                                  Machine(FullyConnected(8), spec=AP1000))

@@ -13,13 +13,16 @@ import dataclasses
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pararray import ParArray
 from repro.core.partition import Block
-from repro.errors import SkeletonError
-from repro.machine import AP1000, PERFECT
+from repro.errors import ConfigurationError, SkeletonError
+from repro.machine import AP1000, Machine, PERFECT
+from repro.machine.topology import FullyConnected, Mesh2D
 from repro.plan import ir
 from repro.plan.cost import ExprCost, plan_cost
 from repro.plan.lower import (
@@ -33,6 +36,7 @@ from repro.plan.lower import (
 from repro.plan.opt import OptConfig, optimize_plan_report
 from repro.scl import (
     AlignFetch,
+    ApplyBrdcast,
     Brdcast,
     Combine,
     Fetch,
@@ -43,12 +47,16 @@ from repro.scl import (
     IterFor,
     Map,
     PermSend,
+    Redistribute,
     Rotate,
+    RotateCol,
     RotateRow,
     Scan,
     SendNode,
     Split,
     compose_nodes,
+    evaluate,
+    run_expression,
 )
 from tests.plan.test_opt_properties import programs
 
@@ -194,6 +202,104 @@ class TestLoweringErrors:
             with pytest.raises(SkeletonError):
                 lower(expr, 8)
         assert plan_cache_stats()["size"] == 0
+
+
+def _first(x):
+    return x[0]
+
+
+class TestIndexChecks:
+    """Lowering rejects, as a :class:`SkeletonError` naming the skeleton,
+    every root, shift and rank the interpreter cannot index with — before
+    a plan is cached or a processor starts."""
+
+    GRID = ParArray([[1, 2], [3, 4]], (2, 2))
+
+    @pytest.mark.parametrize("root", [(0, 2), (1, -1), 3, (1,), True,
+                                      (0, 0, 0)])
+    def test_grid_applybrdcast_root_out_of_range(self, root):
+        expr = ApplyBrdcast(_first, root)
+        with pytest.raises(ConfigurationError):
+            evaluate(expr, self.GRID)
+        with pytest.raises(SkeletonError, match="applybrdcast"):
+            run_expression(expr, self.GRID,
+                           Machine(Mesh2D(2, 2), spec=AP1000))
+        assert plan_cache_stats()["size"] == 0
+
+    @pytest.mark.parametrize("root", [7, -1, (0, 0), 1.5, None])
+    def test_flat_applybrdcast_root_out_of_range(self, root):
+        pa = ParArray([5, 6, 7, 8])
+        expr = ApplyBrdcast(_first, root)
+        with pytest.raises(ConfigurationError):
+            evaluate(expr, pa)
+        with pytest.raises(SkeletonError, match="applybrdcast"):
+            run_expression(expr, pa, Machine(FullyConnected(4), spec=AP1000))
+        assert plan_cache_stats()["size"] == 0
+
+    @pytest.mark.parametrize("root,grid,rank", [
+        ((1, 0), (2, 2), 2), ((0, 1), (2, 2), 1), ((1, 1), (2, 3), 4),
+        (3, None, 3), ((2,), None, 2)])
+    def test_applybrdcast_roots_the_interpreter_accepts(self, root, grid,
+                                                         rank):
+        (instr,) = lower(ApplyBrdcast(_first, root), 6 if grid else 4,
+                         grid).instrs
+        assert instr.root == rank
+
+    @pytest.mark.parametrize("expr,grid", [
+        (Rotate(1.0), None),
+        (Fetch(lambda i: 1.0), None),
+        (AlignFetch(lambda i: 0.5), None),
+        (PermSend(lambda i: float(i)), None),
+        (SendNode(lambda i: (0.0,)), None),
+        (RotateRow(lambda i: 1.0), (2, 2)),
+        (RotateCol(lambda j: 1.0), (2, 2)),
+    ], ids=["rotate", "fetch", "align-fetch", "send", "send*", "rotate_row",
+            "rotate_col"])
+    def test_non_integer_shift_or_rank(self, expr, grid):
+        with pytest.raises(SkeletonError, match="is not an integer"):
+            lower(expr, 4, grid)
+
+    @pytest.mark.parametrize("expr", [RotateRow(lambda i: 1.0),
+                                      RotateCol(lambda j: 1.0)])
+    def test_interpreter_rejects_a_non_integer_grid_shift(self, expr):
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            evaluate(expr, self.GRID)
+
+    @pytest.mark.parametrize("warm,cold", [
+        (Rotate(1), Rotate(1.0)),
+        (ApplyBrdcast(_first, 1), ApplyBrdcast(_first, True)),
+        (ApplyBrdcast(_first, 1), ApplyBrdcast(_first, 1.0)),
+        (Redistribute((Id(), Rotate(1))), Redistribute((Id(), Rotate(1.0)))),
+    ], ids=["rotate", "root-bool", "root-float", "redistribute"])
+    def test_a_cached_integer_twin_is_not_served(self, warm, cold):
+        """``1 == 1.0 == True`` with one hash, but the plan cached for the
+        integer form must not run the other: it is rejected, as the
+        interpreter rejects it."""
+        pa = ParArray([(r, r * 10) for r in range(4)])
+        machine = Machine(FullyConnected(4), spec=AP1000)
+        run_expression(warm, pa, machine)
+        cached = plan_cache_stats()["size"]
+        assert cached > 0
+        with pytest.raises(ConfigurationError):
+            evaluate(cold, pa)
+        with pytest.raises(SkeletonError, match="applybrdcast|rotate"):
+            run_expression(cold, pa, machine)
+        assert plan_cache_stats()["size"] == cached
+
+    @pytest.mark.parametrize("expr,grid", [
+        (Rotate(np.int64(1)), None),
+        (Fetch(lambda i: np.int64(3 - i)), None),
+        (RotateRow(lambda i: np.int64(i + 1)), (2, 2)),
+        (RotateCol(lambda j: np.int64(j)), (2, 2)),
+    ], ids=["rotate", "fetch", "rotate_row", "rotate_col"])
+    def test_a_numpy_integer_shift_or_rank_runs_on_both_paths(self, expr,
+                                                              grid):
+        if grid is None:
+            pa, topo = ParArray([5, 6, 7, 8]), FullyConnected(4)
+        else:
+            pa, topo = self.GRID, Mesh2D(*grid)
+        out, _ = run_expression(expr, pa, Machine(topo, spec=AP1000))
+        assert out == evaluate(expr, pa)
 
 
 # The quadratic definitions of the communication tables and the in-line

@@ -31,10 +31,14 @@ from repro.scl import (
     Combine,
     Fetch,
     Fold,
+    Id,
     IMap,
     IterFor,
     Map,
+    Redistribute,
     Rotate,
+    RotateCol,
+    RotateRow,
     Scan,
     SendNode,
     Split,
@@ -185,6 +189,54 @@ class TestCoalesce:
         assert list(got) == list(want)
         assert res_opt.total_messages < res_off.total_messages
         assert res_opt.makespan <= res_off.makespan
+
+
+def _one(_i):
+    return 1
+
+
+class TestPartExchangesStayApart:
+    """An exchange that moves one part of a tuple is never coalesced or
+    dropped: merged with another part's routing it would move both parts
+    by one map (Cannon's A and B rotations, merged, multiply wrongly)."""
+
+    @pytest.mark.parametrize("expr,nprocs,grid", [
+        # Cannon's step: A along rows, B along columns
+        (Redistribute((RotateRow(_one), RotateCol(_one), Id())), 16,
+         (4, 4)),
+        # two parts around the ring, then the same part back: each pair
+        # would compose (or cancel) as whole-value routings
+        (compose_nodes(Redistribute((Rotate(-1), Id())),
+                       Redistribute((Rotate(1), Id())),
+                       Redistribute((Id(), Rotate(2)))), 8, None),
+        # an identity routing of one part still checks the configuration
+        (Redistribute((Fetch(lambda r: r), Id())), 8, None),
+    ], ids=["cannon-step", "ring-parts", "identity-part"])
+    def test_part_exchanges_survive_the_passes(self, expr, nprocs, grid):
+        raw = lower(expr, nprocs, grid)
+        assert all(instr.part is not None for instr in raw.instrs)
+        plan, notes = optimize_plan_report(raw, CFG)
+        assert plan.instrs == raw.instrs
+        assert not any(n.pass_name == "coalesce" for n in notes)
+
+    def test_cannon_step_multiplies_right_under_auto(self):
+        """The run that a merged A/B rotation got wrong."""
+        from repro.apps.matmul import cannon_matmul_compiled
+
+        rng = np.random.default_rng(3)
+        for q in (2, 3, 4):
+            A, B = rng.normal(size=(2, 4 * q, 4 * q))
+            out, _res = cannon_matmul_compiled(A, B, q)
+            assert np.allclose(out, A @ B)
+
+    def test_whole_value_neighbours_still_coalesce_around_them(self):
+        expr = compose_nodes(Rotate(1), Rotate(2),
+                             Redistribute((Rotate(1), Id())))
+        plan, notes = optimize_plan_report(lower(expr, 8), CFG)
+        part, whole = plan.instrs
+        assert part.part == (0, 2) and whole.part is None
+        assert (whole.sends, whole.recvs) == (ir.rotation(3, 8).sends,
+                                              ir.rotation(3, 8).recvs)
 
 
 #: Pass name -> (program it must change, nprocs).  A pass without a row

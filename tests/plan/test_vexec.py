@@ -36,6 +36,9 @@ from hypothesis import strategies as st
 from repro.apps.bitonic import bitonic_expression
 from repro.apps.fft import fft_expression
 from repro.apps.linalg import ColBlock, gauss_jordan_expression
+from repro.apps.matmul import _initial_states as _cannon_states
+from repro.apps.matmul import cannon_expression
+from repro.apps.nbody import _initial_states, nbody_expression
 from repro.apps.sort import hyperquicksort_expression, seq_quicksort
 from repro.core import parmap, partition
 from repro.core.pararray import ParArray
@@ -120,10 +123,11 @@ def walks_recorded():
 
 
 @contextlib.contextmanager
-def forms_recorded(expr, p):
+def forms_recorded(expr, p, grid=None):
     """How often each whole-machine form registered by a fragment of
-    ``expr`` (values ``scl_batched``, charges ``scl_ops_all``) was called
-    inside the block, as ``{(fragment name, attribute): calls}``."""
+    ``expr`` over ``p`` ranks (on ``grid``, if 2-D) — values
+    ``scl_batched``, charges ``scl_ops_all`` — was called inside the
+    block, as ``{(fragment name, attribute): calls}``."""
     calls = {}
 
     def spy(key, real):
@@ -133,7 +137,7 @@ def forms_recorded(expr, p):
         return wrapper
 
     with contextlib.ExitStack() as stack:
-        for fn in set(plan_fragments(lower(expr, p).instrs)):
+        for fn in set(plan_fragments(lower(expr, p, grid).instrs)):
             for attr in ("scl_batched", "scl_ops_all"):
                 real = getattr(fn, attr, None)
                 if real is not None:
@@ -148,7 +152,9 @@ def run_walked_and_interpreted(expr, pa, topology):
     """:func:`run_both`, having checked that the first arm was walked to
     the end through every registered form (and the second never offered
     to the walk)."""
-    with walks_recorded() as outcomes, forms_recorded(expr, pa.size) as forms:
+    grid = pa.shape if pa.ndim == 2 else None
+    with walks_recorded() as outcomes, \
+            forms_recorded(expr, pa.size, grid) as forms:
         runs = run_both(expr, pa, topology)
     assert len(outcomes) == 1 and outcomes[0] is not None
     assert all(forms.values()), forms
@@ -189,6 +195,21 @@ def _fft(d):
     return fft_expression(64, d), partition(Block(1 << d), x)
 
 
+def _nbody(p, n):
+    """Ragged blocks when ``p`` does not divide ``n``: the visiting block
+    each rank passes on changes size from round to round."""
+    rng = np.random.default_rng(70 + p)
+    states = _initial_states(rng.normal(size=(n, 3)),
+                             rng.uniform(0.5, 2.0, size=n), p)
+    return nbody_expression(p), ParArray(states)
+
+
+def _cannon(q, n):
+    rng = np.random.default_rng(80 + q)
+    return cannon_expression(q), _cannon_states(
+        rng.normal(size=(n, n)), rng.normal(size=(n, n)), q)
+
+
 def _vector(p=8):
     return ParArray([np.arange(3 + r, dtype=np.float64) * (r + 1)
                      for r in range(p)])
@@ -220,6 +241,8 @@ CASES = {
     "gauss-jordan": _gauss_jordan,
     "bitonic-d3": functools.partial(_bitonic, 3),
     "fft-d3": functools.partial(_fft, 3),
+    "nbody": functools.partial(_nbody, 8, 29),
+    "cannon": functools.partial(_cannon, 4, 8),
     "scan": lambda: (Scan(lambda a, b: a + b), _numbers()),
     "fold": lambda: (Fold(lambda a, b: a + b), _numbers()),
     "bcast": lambda: (compose_nodes(Map(lambda pair: pair[0] + pair[1]),

@@ -18,6 +18,7 @@ from repro.scl import (
     IterFor,
     Map,
     PermSend,
+    Redistribute,
     Rotate,
     RotateCol,
     RotateRow,
@@ -62,6 +63,8 @@ class TestPretty:
         assert pretty(SendNode(named)) == "send* named"
         assert pretty(RotateRow(named)) == "rotate_row named"
         assert pretty(RotateCol(named)) == "rotate_col named"
+        assert pretty(Redistribute((Id(), Rotate(1), RotateRow(named)))) \
+            == "redistribute [id, rotate 1, rotate_row named]"
 
     def test_brdcast_nodes(self):
         assert pretty(Brdcast(5)) == "brdcast 5"

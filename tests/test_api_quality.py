@@ -374,10 +374,11 @@ def test_pass_and_price_results_live_on_instructions():
 
 
 @pytest.mark.parametrize("modname", ["repro.apps.linalg", "repro.apps.fft",
-                                     "repro.apps.bitonic"])
+                                     "repro.apps.bitonic", "repro.apps.nbody",
+                                     "repro.apps.matmul"])
 def test_ported_apps_state_their_program_once(modname):
-    """Gauss-Jordan, FFT and bitonic sort are each one SCL expression that
-    every rendering runs: a generator function (a hand-written
+    """Gauss-Jordan, FFT, bitonic sort, n-body and Cannon's multiply are
+    each one SCL expression that every rendering runs: a generator function (a hand-written
     message-passing program) or a call to ``iter_for`` (a second
     ``ParArray`` step loop) beside it is a second copy of the program."""
     offenders = [
