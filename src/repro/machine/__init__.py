@@ -12,7 +12,8 @@ a **discrete-event simulator** of a distributed-memory machine:
   by an event loop with per-processor virtual clocks,
 * :mod:`repro.machine.lockstep` — the same clock rules as plain arithmetic,
   for callers (compiled plans) that can walk all processors' requests
-  themselves instead of having them scheduled,
+  themselves instead of having them scheduled, and a recorder of those
+  requests for the per-event engine to time on a single-port machine,
 * :mod:`repro.machine.api` — an MPI-like communicator layer (groups, ranks,
   ``split``) on top of simulator point-to-point messages,
 * :mod:`repro.machine.collectives` — broadcast / reduce / scan / gather /

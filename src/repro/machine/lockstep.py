@@ -37,6 +37,16 @@ produced — equal in values, ``events`` and every
 :class:`~repro.machine.simulator.ProcStats` field, because each
 processor's float sums see the same additions in the same order.
 
+That argument needs each clock to depend only on its own processor's
+requests and the arrivals it consumes.  The one-port contention model
+breaks it: the engine reserves a processor's send and receive ports in
+its global ``(issue time, pid)`` order, and across instructions a fast
+processor's next send can take a port before a slow processor's send of
+an earlier instruction.  So a single-port run's walk gets a
+:class:`Recorder` instead — the same interface, with the same request
+checks, timing nothing — and the engine replays and times what it
+recorded.
+
 On a traced machine the timeline carries the run's
 :class:`~repro.machine.trace.Trace`, and every request — per-request or
 bulk — records the event the per-event engine records for it, with the
@@ -66,16 +76,17 @@ from typing import Any, Sequence
 
 from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
-from repro.machine.events import Message
+from repro.machine.events import Compute, Message, Recv, Send
 from repro.machine.simulator import ProcStats, RunResult
 from repro.machine.trace import NO_DETAIL, Span, Trace, TraceEvent, frozendetail
 
-__all__ = ["Lockstep", "wire"]
+__all__ = ["Lockstep", "Recorder", "wire"]
 
 # Message and TraceEvent are named tuples; the raw tuple constructor skips
 # their Python-level __new__ (the same shortcut the batched engine takes per
 # delivery).  A bulk step's events carry an already-frozen detail.
 _tnew = tuple.__new__
+_NAN = float("nan")
 
 
 def wire(sends: Sequence[Sequence[int]], recvs: Sequence[Sequence[int]]
@@ -128,7 +139,92 @@ def wire(sends: Sequence[Sequence[int]], recvs: Sequence[Sequence[int]]
     return tuple(slots) if unreceived == 0 else None
 
 
-class Lockstep:
+def _negative(pid: int, what: str, got: Any) -> MachineError:
+    return MachineError(
+        f"processor {pid}: {what} must be non-negative, got {got!r}")
+
+
+class _Timeline:
+    """What a walk sees of the machine, the per-``(src, dst, tag)`` FIFO
+    mailboxes of its per-request sends, and the checks the engines make on
+    each request, with their messages — shared by both timelines, so a
+    request raises the same error whichever of them a walk drives.  A
+    timeline adds ``_charge`` (a checked compute request) and ``poll``."""
+
+    __slots__ = ("spec", "span", "_topology", "_n", "_boxes", "_seq")
+
+    def __init__(self, machine: Any):
+        self.spec = machine.spec
+        self._topology = machine.topology
+        self._n = machine.nprocs
+        #: The span the requests made from now on are attributed to.
+        self.span: Span | None = None
+        self._boxes: dict[tuple[int, int, Any], deque[Message]] = {}
+        self._seq = 0
+
+    @property
+    def nprocs(self) -> int:
+        return self._n
+
+    def compute(self, pid: int, seconds: float) -> None:
+        """Charge ``seconds`` of CPU time (``yield env.compute(seconds)``)."""
+        if not seconds >= 0:
+            raise _negative(pid, "compute seconds", seconds)
+        self._charge(pid, seconds)
+
+    def work(self, pid: int, ops: float) -> None:
+        """Charge ``ops`` elementary operations (``yield env.work(ops)``)."""
+        if not ops >= 0:
+            raise _negative(pid, "ops", ops)
+        self._charge(pid, ops * self.spec.flop_time)
+
+    def recv(self, pid: int, src: int, tag: Any) -> Message:
+        """``pid``'s blocking receive on ``(src, tag)``
+        (``msg = yield env.recv(src, tag=tag)``)."""
+        msg = self.poll(pid, src, tag)
+        if msg is None:
+            raise DeadlockError(
+                f"deadlock: processor {pid} blocked on a receive from "
+                f"{src} (tag {tag}) that no send matches")
+        return msg
+
+    def _send_size(self, pid: int, dst: int, payload: Any,
+                   nbytes: int | None) -> int:
+        """Check ``pid``'s send to ``dst`` and return its size in bytes."""
+        if dst.__class__ is not int or not 0 <= dst < self._n:
+            self._topology.check_node(dst)
+        if dst == pid:
+            raise MachineError(f"processor {pid} sent a message to itself")
+        if nbytes is None:
+            nbytes = estimate_nbytes(payload, self.spec.word_bytes)
+        elif nbytes.__class__ is not int:
+            nbytes = int(nbytes)
+        if nbytes < 0:
+            raise _negative(pid, "nbytes", nbytes)
+        return nbytes
+
+    def _post(self, pid: int, dst: int, tag: Any, payload: Any, nbytes: int,
+              sent_at: float, arrival: float) -> None:
+        self._seq = seq = self._seq + 1
+        key = (pid, dst, tag)
+        box = self._boxes.get(key)
+        if box is None:
+            self._boxes[key] = box = deque()
+        box.append(_tnew(Message, (pid, dst, tag, payload, nbytes, sent_at,
+                                   arrival, seq)))
+
+    def _take(self, pid: int, src: int, tag: Any) -> Message | None:
+        """The oldest message from ``src`` to ``pid`` on ``tag``, if any."""
+        box = self._boxes.get((src, pid, tag))
+        return box.popleft() if box else None
+
+    def _check_values(self, values: list) -> None:
+        if len(values) != self._n:
+            raise MachineError(
+                f"expected {self._n} final values, got {len(values)}")
+
+
+class Lockstep(_Timeline):
     """Clocks, mailboxes and accounting of all p processors of one run.
 
     A per-request method is one simulator request made by processor
@@ -139,43 +235,23 @@ class Lockstep:
     request records its event there (see the module docstring).
     """
 
-    __slots__ = ("spec", "clock", "trace", "span", "_topology", "_n",
-                 "_stats", "_boxes", "_hop_rows", "_events", "_seq")
+    __slots__ = ("clock", "trace", "_stats", "_hop_rows", "_events")
 
     def __init__(self, machine: Any, trace: Trace | None = None):
-        self.spec = machine.spec
-        self._topology = machine.topology
-        n = self._n = machine.nprocs
+        super().__init__(machine)
+        n = self._n
         #: Per-processor virtual clocks (seconds).
         self.clock = [0.0] * n
         #: The run's trace, or ``None`` when the run records none.
         self.trace = trace
-        #: The span the events recorded from now on are attributed to.
-        self.span: Span | None = None
         self._stats = [ProcStats(pid=pid) for pid in range(n)]
-        self._boxes: dict[tuple[int, int, Any], deque[Message]] = {}
         self._hop_rows: list[list[int] | None] = [None] * n
         self._events = 0
-        self._seq = 0
 
     @property
-    def nprocs(self) -> int:
-        return self._n
-
-    def compute(self, pid: int, seconds: float) -> None:
-        """Charge ``seconds`` of CPU time (``yield env.compute(seconds)``)."""
-        if not seconds >= 0:
-            raise MachineError(
-                f"processor {pid}: compute seconds must be non-negative, "
-                f"got {seconds!r}")
-        self._charge(pid, seconds)
-
-    def work(self, pid: int, ops: float) -> None:
-        """Charge ``ops`` elementary operations (``yield env.work(ops)``)."""
-        if not ops >= 0:
-            raise MachineError(
-                f"processor {pid}: ops must be non-negative, got {ops!r}")
-        self._charge(pid, ops * self.spec.flop_time)
+    def tracing(self) -> bool:
+        """True when the run records a trace."""
+        return self.trace is not None
 
     def _charge(self, pid: int, seconds: float) -> None:
         start = self.clock[pid]
@@ -196,8 +272,7 @@ class Lockstep:
         span = self.span
         for pid, n in enumerate(ops):
             if not n >= 0:
-                raise MachineError(
-                    f"processor {pid}: ops must be non-negative, got {n!r}")
+                raise _negative(pid, "ops", n)
             seconds = n * flop_time
             start = clock[pid]
             clock[pid] = end = start + seconds
@@ -217,18 +292,8 @@ class Lockstep:
         :meth:`MachineSpec.transfer_time
         <repro.machine.cost.MachineSpec.transfer_time>` after that.
         """
-        if dst.__class__ is not int or not 0 <= dst < self._n:
-            self._topology.check_node(dst)
-        if dst == pid:
-            raise MachineError(f"processor {pid} sent a message to itself")
+        nbytes = self._send_size(pid, dst, payload, nbytes)
         spec = self.spec
-        if nbytes is None:
-            nbytes = estimate_nbytes(payload, spec.word_bytes)
-        elif nbytes.__class__ is not int:
-            nbytes = int(nbytes)
-        if nbytes < 0:
-            raise MachineError(
-                f"processor {pid}: nbytes must be non-negative, got {nbytes}")
         clock = self.clock
         overhead = spec.send_overhead
         t0 = clock[pid]
@@ -240,14 +305,8 @@ class Lockstep:
         row = self._hop_rows[pid]
         if row is None:
             row = self._hop_rows[pid] = self._topology.hop_row(pid)
-        self._seq = seq = self._seq + 1
-        msg = _tnew(Message, (pid, dst, tag, payload, nbytes, t0,
-                              t1 + spec.transfer_time(nbytes, row[dst]), seq))
-        key = (pid, dst, tag)
-        box = self._boxes.get(key)
-        if box is None:
-            self._boxes[key] = box = deque()
-        box.append(msg)
+        self._post(pid, dst, tag, payload, nbytes, t0,
+                   t1 + spec.transfer_time(nbytes, row[dst]))
         self._events += 1
         if self.trace is not None:
             self.trace.record(pid, "send", t0, t1, span=self.span,
@@ -257,10 +316,9 @@ class Lockstep:
         """Complete ``pid``'s receive on ``(src, tag)`` if its message has
         been sent — FIFO per ``(src, dst, tag)`` — else return ``None``
         and change nothing."""
-        box = self._boxes.get((src, pid, tag))
-        if not box:
+        msg = self._take(pid, src, tag)
+        if msg is None:
             return None
-        msg = box.popleft()
         clock = self.clock
         now = start = clock[pid]
         arrival = msg[6]
@@ -277,16 +335,6 @@ class Lockstep:
         if self.trace is not None:
             self.trace.record(pid, "recv", start, end, span=self.span,
                               src=src, tag=tag, nbytes=msg[4])
-        return msg
-
-    def recv(self, pid: int, src: int, tag: Any) -> Message:
-        """``pid``'s blocking receive on ``(src, tag)``
-        (``msg = yield env.recv(src, tag=tag)``)."""
-        msg = self.poll(pid, src, tag)
-        if msg is None:
-            raise DeadlockError(
-                f"deadlock: processor {pid} blocked on a receive from "
-                f"{src} (tag {tag}) that no send matches")
         return msg
 
     def exchange(self, sends: Sequence[Sequence[int]],
@@ -325,9 +373,7 @@ class Lockstep:
                 continue
             nbytes = sizes[pid]
             if nbytes < 0:
-                raise MachineError(
-                    f"processor {pid}: nbytes must be non-negative, "
-                    f"got {nbytes}")
+                raise _negative(pid, "nbytes", nbytes)
             hops = hop_rows[pid]
             if hops is None:
                 hops = hop_rows[pid] = self._topology.hop_row(pid)
@@ -389,9 +435,7 @@ class Lockstep:
         """Every processor returns: check the mailboxes are empty and
         build the run's result over the per-processor ``values``."""
         stats = self._stats
-        if len(values) != self._n:
-            raise MachineError(
-                f"expected {self._n} final values, got {len(values)}")
+        self._check_values(values)
         if (sum(st.msgs_sent for st in stats)
                 != sum(st.msgs_received for st in stats)):
             left = [0] * self._n
@@ -405,3 +449,116 @@ class Lockstep:
             st.finish_time = t
         return RunResult(values=values, stats=stats, trace=self.trace,
                          events=self._events)
+
+
+class Recorder(_Timeline):
+    """What each of the p processors of one run asks for, in its order.
+
+    The second timeline a walk can drive: the interface of
+    :class:`Lockstep` — the per-request methods and the bulk steps, with
+    the same request checks and messages, raised as each request is made
+    — but nothing is timed.  Each call appends the processor's
+    :class:`~repro.machine.events.Compute`, ``Send`` or ``Recv`` request
+    to its list, beside the :attr:`span` current at the time on a
+    tracing recorder.  :meth:`finish` hands the lists to
+    :meth:`Machine.run <repro.machine.simulator.Machine.run>`, which
+    replays them on the per-event engine: every processor issues the
+    requests the per-rank programs would have issued, in the same order,
+    so clocks, statistics, ``events`` and a traced run's whole event list
+    are the engine's own.  This is how a single-port machine runs a walk:
+    its port reservations depend on the global ``(time, pid)`` order in
+    which the engine issues sends *across* instructions, which a walk in
+    instruction order does not see (``tests/machine/test_single_port.py``
+    holds a counterexample), so its timing rule stays stated in the
+    engine alone.
+
+    A received :class:`~repro.machine.events.Message` carries its payload
+    and size; its ``sent_at`` and ``arrival`` are NaN, and there is no
+    ``clock``: a walk on a recorder reads payloads, never time.
+    """
+
+    __slots__ = ("_requests", "_spans")
+
+    def __init__(self, machine: Any):
+        super().__init__(machine)
+        n = self._n
+        self._requests: list[list[Any]] = [[] for _ in range(n)]
+        #: per processor, the span of each request (tracing machines only)
+        self._spans: list[list[Span | None]] | None = (
+            [[] for _ in range(n)] if machine.record_trace else None)
+
+    @property
+    def tracing(self) -> bool:
+        """True when the run records a trace (so spans are kept)."""
+        return self._spans is not None
+
+    def _add(self, pid: int, request: Any) -> None:
+        self._requests[pid].append(request)
+        if self._spans is not None:
+            self._spans[pid].append(self.span)
+
+    def _charge(self, pid: int, seconds: float) -> None:
+        self._add(pid, Compute(float(seconds)))
+
+    def work_all(self, ops: Sequence[float]) -> None:
+        """:meth:`work` for every processor, in rank order."""
+        flop_time = self.spec.flop_time
+        spans = self._spans
+        span = self.span
+        for pid, (n, requests) in enumerate(zip(ops, self._requests)):
+            if not n >= 0:
+                raise _negative(pid, "ops", n)
+            requests.append(Compute(float(n * flop_time)))
+            if spans is not None:
+                spans[pid].append(span)
+
+    def send(self, pid: int, dst: int, payload: Any, tag: Any = 0,
+             nbytes: int | None = None) -> None:
+        """Record ``pid``'s send of ``payload`` to ``dst``."""
+        nbytes = self._send_size(pid, dst, payload, nbytes)
+        self._add(pid, Send(dst, None, tag, nbytes))
+        self._post(pid, dst, tag, payload, nbytes, _NAN, _NAN)
+
+    def poll(self, pid: int, src: int, tag: Any) -> Message | None:
+        """Record ``pid``'s receive on ``(src, tag)`` and return its
+        message if that has been sent, else return ``None`` and record
+        nothing."""
+        msg = self._take(pid, src, tag)
+        if msg is not None:
+            self._add(pid, Recv(src, tag))
+        return msg
+
+    def exchange(self, sends: Sequence[Sequence[int]],
+                 slots: Sequence[Sequence[int]],
+                 sizes: Sequence[int], tag: Any = 0) -> None:
+        """Record one static pattern (:meth:`Lockstep.exchange`): every
+        processor's sends in table order, then every processor's receives
+        in table order."""
+        requests = self._requests
+        spans = self._spans
+        span = self.span
+        senders: list[int] = []
+        for pid, dsts in enumerate(sends):
+            if not dsts:
+                continue
+            nbytes = sizes[pid]
+            if nbytes < 0:
+                raise _negative(pid, "nbytes", nbytes)
+            requests[pid] += [Send(dst, None, tag, nbytes) for dst in dsts]
+            if spans is not None:
+                spans[pid] += [span] * len(dsts)
+            senders += [pid] * len(dsts)
+        for pid, row in enumerate(slots):
+            got = [Recv(senders[slot], tag) for slot in row if slot >= 0]
+            if got:
+                requests[pid] += got
+                if spans is not None:
+                    spans[pid] += [span] * len(got)
+
+    def finish(self, values: list) -> list[tuple]:
+        """Every processor returns: per processor, ``(requests, spans,
+        value)`` — its recorded requests, their spans (``None`` when the
+        run records no trace) and its final value."""
+        self._check_values(values)
+        spans = self._spans or [None] * self._n
+        return list(zip(self._requests, spans, values))

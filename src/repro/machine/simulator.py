@@ -465,6 +465,21 @@ class _Proc:
         self.value: Any = None
 
 
+def _replay(env: ProcEnv, requests: list, spans: list | None, value: Any):
+    """The program of one processor of a recorded walk
+    (:class:`repro.machine.lockstep.Recorder`): issue ``requests`` in
+    order — each in its span, on a traced run — and return ``value``."""
+    if spans is None:
+        for request in requests:
+            yield request
+    else:
+        current, pid = env._machine._span, env.pid
+        for request, span in zip(requests, spans):
+            current[pid] = span
+            yield request
+    return value
+
+
 class Machine:
     """A simulated distributed-memory machine (see module docstring)."""
 
@@ -506,7 +521,7 @@ class Machine:
         #: everything else (a timed receive, two or more processors blocked
         #: at once, a non-monotone drain) to the per-event engine the moment
         #: it sees it.  A ``walk`` handed to :meth:`run` is taken on
-        #: fault-free, multi-port runs, traced or not.  ``batch=False``
+        #: fault-free runs, traced or not.  ``batch=False``
         #: forces the per-event engine and, with it, the per-processor
         #: programs over any ``walk``: the oracle the equivalence suites
         #: compare both the batched engine and the walk (and its trace)
@@ -537,17 +552,29 @@ class Machine:
         ``walk`` is an optional second form of the *same* computation for
         callers whose communication structure is static (a lowered plan):
         ``walk(timeline)`` makes every processor's requests directly on a
-        :class:`~repro.machine.lockstep.Lockstep` timeline and returns the
-        per-processor final values, or ``None`` — before making any
-        request — to decline.  The machine, not the caller, picks between
-        the two: the walk on fault-free, multi-port runs, the
+        timeline and returns the per-processor final values, or ``None``
+        — before making any request — to decline.  The machine, not the
+        caller, picks between the two: the walk on fault-free runs, the
         per-processor programs otherwise.  Both produce the same
-        :class:`RunResult`.  On a traced machine the walk records into the
+        :class:`RunResult`.
+
+        On a multi-port machine the timeline is a
+        :class:`~repro.machine.lockstep.Lockstep`, whose arithmetic is
+        the run's timing.  On a traced machine the walk records into the
         run's trace: per processor the events equal the per-event
         engine's, and only their global interleaving — the order a
         ``trace_sink`` sees them in, and so which events a
         ``trace_limit`` ring keeps — differs (see
         :mod:`repro.machine.lockstep`).
+
+        On a single-port machine the timeline is a
+        :class:`~repro.machine.lockstep.Recorder`: the walk's values are
+        the run's values, and each processor's recorded requests are
+        replayed, in order, on the per-event engine, which times them
+        with its port model — so the result, and a traced run's whole
+        event list, global order included, are the per-processor
+        programs'.  A walk on a recorder reads payloads, never clocks:
+        a received message's ``sent_at`` and ``arrival`` are NaN.
 
         The per-processor programs run on the batched engine when the
         run is also untraced; a run it declines (see
@@ -567,14 +594,20 @@ class Machine:
         if len(extra) != n:
             raise MachineError(f"expected {n} arg tuples, got {len(extra)}")
 
-        if self.batch and self.faults is None and not self.single_port:
+        if self.batch and self.faults is None:
             if walk is not None:
-                from repro.machine.lockstep import Lockstep
-                timeline = Lockstep(self, self._new_trace())
+                from repro.machine.lockstep import Lockstep, Recorder
+                # on one port the walk only says what each processor asks
+                # for: the engine reserves ports in its global issue order
+                timeline = (Recorder(self) if self.single_port
+                            else Lockstep(self, self._new_trace()))
                 values = walk(timeline)
                 if values is not None:
+                    if self.single_port:
+                        return self._run_events([_replay] * n,
+                                                timeline.finish(values))
                     return timeline.finish(values)
-            if not self.record_trace:
+            if not self.record_trace and not self.single_port:
                 from repro.machine.batch import BatchFallback, run_batched
                 try:
                     return run_batched(self, programs, extra)
@@ -593,7 +626,8 @@ class Machine:
         """The per-event engine: one heap-pop per request (see module
         docstring).  The oracle for the batched engine and the walk, and
         the only path supporting faults, the single-port contention model
-        and traces of runs that are not walked."""
+        (a single-port walk's recorded requests are timed here) and
+        traces of runs the walk does not record."""
         n = self.nprocs
         self._clock = [0.0] * n
         self._tx_free = [0.0] * n

@@ -4,8 +4,11 @@ Fault-free plan execution is fully deterministic: every message's source,
 payload and size — and every compute charge — is a pure function of the
 plan and the input values.  :func:`precompute` exploits that: it walks
 the plan *once*, evolving all p ranks' values together, and advances the
-machine's lockstep timeline (:class:`repro.machine.lockstep.Lockstep`)
-one whole instruction at a time.
+machine's timeline one whole instruction at a time: the lockstep
+arithmetic (:class:`repro.machine.lockstep.Lockstep`) on a multi-port
+machine, the request recorder (:class:`repro.machine.lockstep.Recorder`)
+whose lists the per-event engine times on a single-port one.  The walk
+cannot tell the two apart.
 
 * **Values**: a fragment that registered its whole-machine form
   (:mod:`repro.plan.kernels`) runs as one call across the ranks instead
@@ -32,22 +35,24 @@ one whole instruction at a time.
   instruction; a plan holding an exchange whose tables do not match up is
   declined before the timeline is touched, so the interpreter reports the
   error and the walk has no per-request path to fall back on.
-* **Trace**: on a traced timeline the walk sets, before each
-  instruction, the span :func:`~repro.machine.plan_exec.execute_plan`
-  pushes for it — ``label → [i] instruction → iter k → …`` — built once
-  and shared by all ranks, and sends on the tags the interpreter uses
+* **Trace**: on a tracing timeline (``timeline.tracing``) the walk
+  sets, before each instruction, the span
+  :func:`~repro.machine.plan_exec.execute_plan` pushes for it —
+  ``label → [i] instruction → iter k → …`` — built once and shared by
+  all ranks, and sends on the tags the interpreter uses
   (:data:`~repro.machine.plan_exec.EXCHANGE_TAG`, each collective
   round's :attr:`~repro.machine.collectives.Round.tag`).  Every
-  processor's events then equal the interpreter's; only their global
-  order differs (:mod:`repro.machine.lockstep`).
+  processor's events then equal the interpreter's; on a multi-port
+  machine only their global order differs (:mod:`repro.machine.lockstep`),
+  on a single-port one not even that.
 
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
 only — ``LocalApply`` / ``Exchange`` / ``Collective`` / ``Loop`` — whose
 exchanges are all wired.  Group instructions keep the interpreter path
 (their value is nesting, not throughput).  Whether a run takes the walk
 at all is the machine's decision
-(:meth:`repro.machine.simulator.Machine.run`): fault-injected and
-single-port machines interpret.
+(:meth:`repro.machine.simulator.Machine.run`): fault-injected machines
+and ``batch=False`` interpret.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from typing import Any, Sequence
 
 from repro.machine import collectives as C
 from repro.machine.cost import estimate_nbytes
-from repro.machine.lockstep import Lockstep
+from repro.machine.lockstep import Lockstep, Recorder
 from repro.machine.plan_exec import EXCHANGE_TAG
 from repro.machine.trace import Span
 from repro.plan import ir
@@ -83,8 +88,8 @@ def _seq_supported(instrs, p: int) -> bool:
     return True
 
 
-def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
-               label: str = "plan"):
+def precompute(plan: ir.Plan, values: Sequence[Any],
+               timeline: Lockstep | Recorder, label: str = "plan"):
     """Walk one execution of ``plan`` over ``values`` on ``timeline``.
 
     Returns the final per-rank local values — with every rank's requests
@@ -98,7 +103,7 @@ def precompute(plan: ir.Plan, values: Sequence[Any], timeline: Lockstep,
     if not supported(plan):
         return None
     return _run_seq(plan.instrs, plan, timeline, list(values),
-                    None if timeline.trace is None else Span(label))
+                    Span(label) if timeline.tracing else None)
 
 
 # ------------------------------------------------------------ data plane

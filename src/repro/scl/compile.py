@@ -31,8 +31,9 @@ on by default: lowering is asked for the plan optimized for this
 machine's spec (exchange coalescing, cost-guarded to never predict
 worse, then fusion), and the machine is
 handed the whole-machine SoA walk of :mod:`repro.plan.vexec` alongside
-the per-instruction interpreter — it takes the walk on fault-free,
-multi-port runs and interprets otherwise.
+the per-instruction interpreter — it takes the walk on fault-free runs
+(a single-port machine has the per-event engine time the walk's
+requests) and interprets otherwise.
 ``opt="off"`` runs the raw lowering (a hand-built
 :class:`~repro.plan.opt.OptConfig` prices the passes on another spec) —
 the cache keys raw and optimized plans separately, so the two never

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, MachineError, TopologyError
 from repro.machine import AP1000, MODERN_CLUSTER, PERFECT, Machine
-from repro.machine.lockstep import Lockstep, wire
+from repro.machine.lockstep import Lockstep, Recorder, wire
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.machine.trace import Span, Trace
 from repro.plan import ir
@@ -107,11 +107,25 @@ class TestMachineRunGateway:
         {"batch": False}, {"single_port": True}],
         ids=["per-event", "single-port"])
     def test_other_machines_run_the_program(self, kw):
-        def never(timeline):
+        """``batch=False`` runs the program and never the walk.  A
+        single-port machine runs the walk on a request recorder instead
+        of the program, and the engine times the recorded requests: the
+        run equals the program's."""
+        def never_walk(timeline):
             raise AssertionError("the walk must not run")
 
-        res = self._machine(**kw).run(ring_program, walk=never)
-        assert res.values == self._machine(**kw).run(ring_program).values
+        def never_run(env):
+            raise AssertionError("the program must not run")
+            yield
+
+        want = self._machine(**kw).run(ring_program)
+        if kw.get("single_port"):
+            got = self._machine(**kw).run(never_run, walk=ring_walk)
+        else:
+            got = self._machine(**kw).run(ring_program, walk=never_walk)
+        assert got.values == want.values and got.events == want.events
+        assert [dataclasses.asdict(s) for s in got.stats] \
+            == [dataclasses.asdict(s) for s in want.stats]
 
     def test_traced_machines_take_the_walk(self):
         """A hand-written walk on a traced machine records, request by
@@ -238,29 +252,37 @@ def bulk_programs(draw):
     return machine, draw(st.lists(work | exchange, max_size=8))
 
 
+def drive(steps, bulk, ref):
+    """Make each step on ``bulk`` as one bulk call and on ``ref`` as the
+    same requests one by one, yielding after each step."""
+    p = bulk.nprocs
+    for i, (kind, *step) in enumerate(steps):
+        bulk.span = ref.span = Span(f"step {i}", instr=i)
+        if kind == "work":
+            (ops,) = step
+            bulk.work_all(ops)
+            for pid in range(p):
+                ref.work(pid, ops[pid])
+        else:
+            sends, recvs, sizes = step
+            bulk.exchange(sends, wire(sends, recvs), sizes, TAG)
+            for pid in range(p):
+                for dst in sends[pid]:
+                    ref.send(pid, dst, None, TAG, sizes[pid])
+            for pid in range(p):
+                for src in recvs[pid]:
+                    if src != pid:
+                        ref.recv(pid, src, TAG)
+        yield
+
+
 class TestBulkSteps:
     @staticmethod
     def replay(steps, bulk, ref):
-        """Make each step on ``bulk`` as one bulk call and on ``ref`` as
-        the same requests one by one; return both results."""
+        """:func:`drive` two timelines, their clocks equal after every
+        step; return both results."""
         p = bulk.nprocs
-        for i, (kind, *step) in enumerate(steps):
-            bulk.span = ref.span = Span(f"step {i}", instr=i)
-            if kind == "work":
-                (ops,) = step
-                bulk.work_all(ops)
-                for pid in range(p):
-                    ref.work(pid, ops[pid])
-            else:
-                sends, recvs, sizes = step
-                bulk.exchange(sends, wire(sends, recvs), sizes, TAG)
-                for pid in range(p):
-                    for dst in sends[pid]:
-                        ref.send(pid, dst, None, TAG, sizes[pid])
-                for pid in range(p):
-                    for src in recvs[pid]:
-                        if src != pid:
-                            ref.recv(pid, src, TAG)
+        for _ in drive(steps, bulk, ref):
             assert bulk.clock == ref.clock
         got, want = bulk.finish([None] * p), ref.finish([None] * p)
         assert got.events == want.events
@@ -296,6 +318,99 @@ class TestBulkSteps:
         sends, recvs = ((1,), (), (), ()), ((), (0,), (), ())
         with pytest.raises(MachineError, match="processor 0.*nbytes"):
             timeline.exchange(sends, wire(sends, recvs), [-8, 0, 0, 0])
+
+
+class TestRecorder:
+    """The single-port timeline: the walk's requests, recorded per
+    processor in its order and timed afterwards by the per-event engine."""
+
+    @staticmethod
+    def _timelines():
+        machine = Machine(Hypercube(2), spec=AP1000, single_port=True)
+        return Lockstep(machine), Recorder(machine)
+
+    @pytest.mark.parametrize("request_", [
+        ("send", 0, 4, None), ("send", 0, -1, None), ("send", 0, 1.0, None),
+        ("send", 2, 2, None), ("send", 1, 0, None, 0, -8),
+        ("work", 3, -1.0), ("work", 3, float("nan")),
+        ("compute", 3, -1.0), ("compute", 3, float("nan")),
+    ], ids=["too-large", "negative", "not-an-int", "self-send",
+            "negative-size", "negative-ops", "nan-ops", "negative-seconds",
+            "nan-seconds"])
+    def test_a_bad_request_raises_what_the_timeline_raises(self, request_):
+        """Raised as the request is recorded, before any engine runs."""
+        name, *call = request_
+        errors = []
+        for timeline in self._timelines():
+            with pytest.raises((MachineError, TopologyError)) as err:
+                getattr(timeline, name)(*call)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
+    def test_bulk_checks_raise_what_the_timeline_raises(self):
+        sends, recvs = ((1,), (), (), ()), ((), (0,), (), ())
+        for timeline in self._timelines():
+            with pytest.raises(MachineError, match="processor 1: ops must "
+                                                   "be non-negative"):
+                timeline.work_all([1.0, -2.0, float("nan"), 3.0])
+            with pytest.raises(MachineError, match="processor 0.*nbytes"):
+                timeline.exchange(sends, wire(sends, recvs), [-8, 0, 0, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(bulk_programs(), st.booleans())
+    def test_bulk_steps_record_the_same_requests_one_by_one(self, program,
+                                                            traced):
+        machine, steps = program
+        machine.record_trace = traced
+        bulk, ref = Recorder(machine), Recorder(machine)
+        for _ in drive(steps, bulk, ref):
+            pass
+        p = machine.nprocs
+        assert bulk.finish([None] * p) == ref.finish([None] * p)
+
+    def test_a_received_message_carries_its_payload_and_no_time(self):
+        recorder = Recorder(Machine(Hypercube(2), spec=AP1000,
+                                    single_port=True))
+        recorder.send(0, 1, [1, 2, 3], TAG)
+        assert recorder.poll(1, 0, 0) is None        # other tag
+        with pytest.raises(DeadlockError, match="processor 1 .* from 2"):
+            recorder.recv(1, 2, TAG)
+        msg = recorder.recv(1, 0, TAG)
+        assert (msg.payload, msg.nbytes) == ([1, 2, 3], 3 * AP1000.word_bytes)
+        assert msg.arrival != msg.arrival and msg.sent_at != msg.sent_at
+        assert not hasattr(recorder, "clock")
+        ((sent, _, _), (got, _, _), *_) = recorder.finish([None] * 4)
+        assert [type(r).__name__ for r in sent + got] == ["Send", "Recv"]
+
+    def test_one_value_per_processor(self):
+        recorder = Recorder(Machine(Hypercube(2), spec=AP1000))
+        with pytest.raises(MachineError, match="expected 4 final values"):
+            recorder.finish([None] * 3)
+
+    @pytest.mark.parametrize("topology", [Hypercube(3), Ring(P),
+                                          FullyConnected(P)], ids=repr)
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_a_recorded_hand_walk_is_the_programs_run(self, topology, traced):
+        """Per-request calls record too, so a hand-written walk runs on a
+        single-port machine, and its run — traced, the whole event list in
+        global order — is the program's on the per-event engine."""
+        def never(env):
+            raise AssertionError("the program must not run")
+            yield
+
+        def machine():
+            return Machine(topology, spec=AP1000, single_port=True,
+                           record_trace=traced)
+
+        got = machine().run(never, walk=ring_walk)
+        want = machine().run(ring_program)
+        assert got.values == want.values and got.events == want.events
+        assert [dataclasses.asdict(s) for s in got.stats] \
+            == [dataclasses.asdict(s) for s in want.stats]
+        if traced:
+            assert list(got.trace) == list(want.trace)
+            assert len(got.trace) == 7 * P
 
 
 class TestWiring:

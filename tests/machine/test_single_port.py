@@ -9,13 +9,18 @@ tree broadcast gap, and that the Table 1 shape survives contention.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.errors import MachineError
 from repro.faults import FaultInjector, FaultSpec
-from repro.machine import (AP1000, Comm, Hypercube, Machine, MachineSpec,
-                           collectives as C)
+from repro.machine import (AP1000, Comm, FullyConnected, Hypercube, Machine,
+                           MachineSpec, collectives as C)
+from repro.machine.plan_exec import execute_plan
+from repro.plan import ir, vexec
+from repro.scl.compile import base_fragment
 
 BW_SPEC = MachineSpec(name="bw", flop_time=1e-7, latency=1e-6,
                       bandwidth=1e6, per_hop_latency=0.0,
@@ -167,3 +172,63 @@ class TestTable1UnderContention:
         _o2, port = hyperquicksort_machine(vals, 4, spec=AP1000,
                                            single_port=True)
         assert port.makespan >= free.makespan
+
+
+@base_fragment(ops=lambda block: 5000.0 if block[0] == 0 else 0.0)
+def _slow_on_rank_0(block):
+    return block
+
+
+class TestPortsAreReservedInEngineOrder:
+    """The smallest plan on which reserving ports in instruction order is
+    wrong, and why a single-port walk only *records* its requests.
+
+    Three ranks.  ``[0]`` charges rank 0 2 ms and the others nothing;
+    ``[1]`` sends rank 0's block to rank 2; ``[2]`` sends rank 1's block to
+    rank 2.  Rank 1 has nothing to do in ``[1]``, so it issues its ``[2]``
+    send at 25 µs, long before rank 0 issues its ``[1]`` send at 2.025 ms.
+    The engine reserves rank 2's receive port in that global order: rank
+    1's block arrives at 0.285 ms, rank 0's at 2.285 ms, and rank 2 is done
+    at 2.335 ms.  Reserving in instruction order would queue rank 1's block
+    behind rank 0's on that port — arrival 2.445 ms, makespan 2.47 ms.  A
+    walk visits instructions in order, so port reservation stays in the
+    engine, and the walk hands it each rank's requests to time.
+    """
+
+    PLAN = ir.Plan((
+        ir.LocalApply(_slow_on_rank_0),
+        ir.Exchange("replace", ((2,), (), ()), ((0,), (1,), (0,))),
+        ir.Exchange("replace", ((), (2,), ()), ((0,), (1,), (1,))),
+    ), 3)
+
+    def _run(self, **kw):
+        values = [np.full(1000, r, dtype=np.int32) for r in range(3)]
+        machine = Machine(FullyConnected(3), spec=AP1000, single_port=True,
+                          **kw)
+        return machine.run(
+            lambda env: execute_plan(self.PLAN, env, Comm.world(env),
+                                     values[env.pid]),
+            walk=functools.partial(vexec.precompute, self.PLAN, values))
+
+    @pytest.mark.parametrize("kw", [{}, {"batch": False},
+                                    {"record_trace": True}],
+                             ids=["walked", "interpreted", "traced"])
+    def test_the_engines_numbers(self, kw):
+        # captured from the interpreter (batch=False) before single-port
+        # runs were walked
+        res = self._run(**kw)
+        assert res.makespan == 0.0023349999999999994
+        assert (res.total_messages, res.events) == (2, 7)
+        assert [s.finish_time for s in res.stats] \
+            == [0.002025, 2.5e-05, 0.0023349999999999994]
+        assert [s.idle_seconds for s in res.stats] \
+            == [0.0, 0.0, 0.0022849999999999997]
+        assert [int(v[0]) for v in res.values] == [0, 1, 1]
+
+    def test_rank_2_is_sent_the_later_instructions_block_first(self):
+        sends = [(e.pid, e.span.instr)
+                 for e in self._run(record_trace=True).trace
+                 if e.kind == "send" and e.detail["dst"] == 2]
+        # rank 1's send for [2] is issued, and its port slot reserved,
+        # before rank 0's send for [1]
+        assert sends == [(1, 2), (0, 1)]

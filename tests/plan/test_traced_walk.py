@@ -100,6 +100,21 @@ def test_traced_walk_records_the_interpreters_events(case, topology):
     assert_identical_traces(res_walk, res_interp)
 
 
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("case", CASES)
+def test_a_traced_single_port_walk_records_the_interpreters_trace(
+        case, topology):
+    """A single-port walk is timed by the per-event engine, which replays
+    each rank's recorded requests in the interpreter's order: the *whole*
+    trace, global order included, is the interpreter's."""
+    expr, pa = CASES[case]()
+    res_walk, res_interp = run_traced(expr, pa, TOPOLOGIES[topology],
+                                      single_port=True)
+    assert res_walk.total_messages > 0
+    assert_identical_traces(res_walk, res_interp)
+    assert list(res_walk.trace) == list(res_interp.trace)
+
+
 def _loop_body(i):
     # two maps that plan.opt fuses into one kernel, then a rotate
     return compose_nodes(Map(_dbl), Map(_inc), Rotate(i + 1))
@@ -153,6 +168,18 @@ def test_a_fused_kernel_in_a_loop_is_one_compute_event_per_iteration():
             for e in computes] \
         == [(ir.instr_title(a), f"iter {it}", "program")
             for it, (a,) in enumerate(applies)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(prog=traced_programs(), topology=st.sampled_from(["full", "ring"]))
+def test_random_flat_plans_trace_identically_on_one_port(prog, topology):
+    p, expr = prog
+    clear_plan_cache()
+    pa = ParArray([float(3 * r + 1) for r in range(p)])
+    res_walk, res_interp = run_traced(expr, pa, TOPOLOGIES[topology],
+                                      single_port=True)
+    assert_identical_traces(res_walk, res_interp)
+    assert list(res_walk.trace) == list(res_interp.trace)
 
 
 # -- what a recorded event is ----------------------------------------------------
@@ -213,6 +240,26 @@ def test_a_memory_sink_sees_each_event_of_a_traced_walk_once():
     for pid in range(pa.size):
         assert [e for e in walked.events if e.pid == pid] \
             == [e for e in interpreted.events if e.pid == pid]
+
+
+@pytest.mark.parametrize("limit", [None, 50])
+def test_a_single_port_walk_streams_the_interpreters_events(limit):
+    """On one port the global order is the engine's too, so a streaming
+    sink sees the interpreter's sequence and a ring keeps its events."""
+    expr, pa = _hyperquicksort(3)
+    sinks = [MemorySink(), MemorySink()]
+    with walks_recorded() as outcomes:
+        res_walk, res_interp = [
+            run_expression(expr, pa, Machine(
+                Hypercube.of_size(pa.size), spec=AP1000, single_port=True,
+                trace_sink=sink, trace_limit=limit, **kw))[1]
+            for sink, kw in zip(sinks, ({}, {"batch": False}))]
+    assert len(outcomes) == 1 and outcomes[0] is not None
+    assert_identical_runs(res_walk, res_interp)
+    assert sinks[0].events == sinks[1].events
+    assert len(sinks[0].events) == res_walk.events
+    assert list(res_walk.trace) == list(res_interp.trace)
+    assert res_walk.trace.dropped == res_interp.trace.dropped
 
 
 @pytest.mark.parametrize("limit", [1, 50, 10**6])

@@ -45,7 +45,7 @@ from repro.core.pararray import ParArray
 from repro.core.partition import Block
 from repro.errors import DeadlockError, MachineError
 from repro.machine import AP1000, Comm, Machine
-from repro.machine.lockstep import Lockstep
+from repro.machine.lockstep import Lockstep, Recorder
 from repro.machine.plan_exec import execute_plan
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan import ir, vexec
@@ -148,14 +148,14 @@ def forms_recorded(expr, p, grid=None):
         yield calls
 
 
-def run_walked_and_interpreted(expr, pa, topology):
+def run_walked_and_interpreted(expr, pa, topology, **machine_kw):
     """:func:`run_both`, having checked that the first arm was walked to
     the end through every registered form (and the second never offered
     to the walk)."""
     grid = pa.shape if pa.ndim == 2 else None
     with walks_recorded() as outcomes, \
             forms_recorded(expr, pa.size, grid) as forms:
-        runs = run_both(expr, pa, topology)
+        runs = run_both(expr, pa, topology, **machine_kw)
     assert len(outcomes) == 1 and outcomes[0] is not None
     assert all(forms.values()), forms
     return runs
@@ -276,6 +276,20 @@ def test_walk_is_indistinguishable_from_the_interpreter(case, topology):
     assert_identical_runs(res_walk, res_interp)
 
 
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("case", CASES)
+def test_a_single_port_walk_is_indistinguishable_from_the_interpreter(
+        case, topology):
+    """On a single-port machine the walk records each rank's requests and
+    the per-event engine times them, so its port reservations are the
+    interpreter's: the same values, makespan, ``events`` and statistics."""
+    expr, pa = CASES[case]()
+    res_walk, res_interp = run_walked_and_interpreted(
+        expr, pa, TOPOLOGIES[topology], single_port=True)
+    assert res_walk.total_messages > 0
+    assert_identical_runs(res_walk, res_interp)
+
+
 #: collective -> expression over ``p`` ranks
 COLLECTIVES = {
     "fold": lambda p: Fold(lambda a, b: a + b),
@@ -365,16 +379,21 @@ class TestRouting:
             run_both(expr, pa, Hypercube.of_size)
         assert len(calls) == 1  # the batch=False arm interprets
 
-    @pytest.mark.parametrize("machine_kw", [
-        {"single_port": True}, {"batch": False}],
+    @pytest.mark.parametrize("machine_kw, walks", [
+        ({"single_port": True}, 1), ({"batch": False}, 0)],
         ids=["single-port", "per-event"])
     def test_other_machines_interpret_with_identical_results(
-            self, machine_kw):
+            self, machine_kw, walks):
+        """A single-port machine walks onto a request recorder and the
+        per-event engine times the recorded requests; ``batch=False``
+        never walks.  Either way the run equals the per-rank
+        interpreter's."""
         expr, pa = _hyperquicksort(5)  # p=32, the tune_cold shape
         with walks_recorded() as calls:
             res_vec, res_interp = run_both(expr, pa, Hypercube.of_size,
                                            **machine_kw)
-        assert calls == []  # the walk was handed over and not taken
+        # run_both's second arm is batch=False, which never walks
+        assert len(calls) == walks and None not in calls
         assert_identical_runs(res_vec, res_interp)
 
     def test_traced_machines_take_the_walk(self):
@@ -439,22 +458,36 @@ def test_malformed_plans_raise_the_same_error_class_on_every_path(name):
     plan, error, names = BAD_PLANS[name]
     values = [float(r) for r in range(plan.nprocs)]
     timeline = Lockstep(Machine(FullyConnected(4), spec=AP1000))
+    recorder = Recorder(Machine(FullyConnected(4), spec=AP1000,
+                                single_port=True))
     if name == "negative-ops":
-        # a charge is data, not structure: only the walk itself finds it
+        # a charge is data, not structure: only the walk itself finds it,
+        # on the recorder as it records, before any engine runs
         assert vexec.supported(plan)
-        with pytest.raises(error, match=names):
-            vexec.precompute(plan, values, timeline)
+        for walked in (timeline, recorder):
+            with pytest.raises(error, match=names):
+                vexec.precompute(plan, values, walked)
     else:
         # tables that do not match up are declined on sight, before any
         # clock moves; the engines then say what is wrong with them
         assert not vexec.supported(plan)
         assert vexec.precompute(plan, values, timeline) is None
         assert timeline.finish([None] * 4).events == 0
+        assert vexec.precompute(plan, values, recorder) is None
+        assert all(requests == [] for requests, _, _ in
+                   recorder.finish([None] * 4))
     with pytest.raises(error) as walk_err:
         run_plan(plan, values, Machine(FullyConnected(4), spec=AP1000),
                  walk=True)
     # whichever path reports it names the processor (or address) at fault
     assert names in str(walk_err.value)
+    # a single-port machine walks onto the recorder: the same class, the
+    # same processor
+    with pytest.raises(error) as port_err:
+        run_plan(plan, values, Machine(FullyConnected(4), spec=AP1000,
+                                       single_port=True), walk=True)
+    assert type(port_err.value) is type(walk_err.value)
+    assert names in str(port_err.value)
     for batch in (True, False):
         with pytest.raises(error) as interp_err:
             run_plan(plan, values,

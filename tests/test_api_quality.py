@@ -234,7 +234,11 @@ def test_each_engine_states_its_rules_once():
     """Tracing and fault injection are inputs to an engine's one path, not
     second copies of its timing rules: ``Lockstep`` has one exchange loop,
     the walk one instruction loop, and the per-event engine builds its
-    messages in one place (the one Send arm, whatever the injector says)."""
+    messages in one place (the one Send arm, whatever the injector says).
+    The single-port walk's ``Recorder`` times nothing — no cost-model
+    term, no port — so the single-port rule stays stated once in the
+    engine (and once in ``_reference``)."""
+    lockstep = _module_tree("repro.machine.lockstep")
     defined = {modname: {node.name for node in ast.walk(_module_tree(modname))
                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
                for modname in ("repro.machine.lockstep", "repro.plan.vexec")}
@@ -245,6 +249,30 @@ def test_each_engine_states_its_rules_once():
               if isinstance(node, ast.Call)
               and getattr(node.func, "id", None) == "Message"]
     assert len(builds) == 1, builds
+    # the recorder and the base class it shares with ``Lockstep``
+    untimed = [node for node in lockstep.body if isinstance(node, ast.ClassDef)
+               and node.name in ("Recorder", "_Timeline")]
+    assert len(untimed) == 2
+    used = {getattr(node, field, None) for cls in untimed
+            for node in ast.walk(cls)
+            for field in ("id", "attr", "arg", "name")}
+    timing = {"latency", "per_hop_latency", "bandwidth", "send_overhead",
+              "recv_overhead", "tx_free", "rx_free"}
+    assert not used & timing, sorted(used & timing)
+    # a receive-port reservation: a store into ``rx_free[...]``
+    reservations = {modname: sum(
+        isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", getattr(node.value, "attr", None))
+        in ("rx_free", "_rx_free")
+        for node in ast.walk(_module_tree(modname)))
+        for modname in ("repro.machine.simulator", "repro.machine._reference",
+                        "repro.machine.lockstep", "repro.machine.batch",
+                        "repro.plan.vexec")}
+    assert reservations == {"repro.machine.simulator": 1,
+                            "repro.machine._reference": 1,
+                            "repro.machine.lockstep": 0,
+                            "repro.machine.batch": 0,
+                            "repro.plan.vexec": 0}, reservations
 
 
 def test_the_batched_engine_declines_what_it_does_not_win():
