@@ -160,6 +160,8 @@ def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
     directly holds an ndarray (every partner exchange of the compiled
     sort) is summed on the spot.
     """
+    if type(payload) is float:  # the commonest scalar, before the ABCs
+        return word_bytes
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
     if type(payload) is tuple:

@@ -37,6 +37,17 @@ produced — equal in values, ``events`` and every
 :class:`~repro.machine.simulator.ProcStats` field, because each
 processor's float sums see the same additions in the same order.
 
+The same argument makes one ``Lockstep`` enough for ``k`` independent
+runs: on :meth:`Machine.copies <repro.machine.simulator.Machine.copies>`
+it spans ``k`` copies of the machine, processor ``c·m + j`` being copy
+``c``'s processor ``j``.  Its hop rows are the copies topology's
+(:class:`~repro.machine.topology.Copies`: the base row laid over each
+copy's block, so a send is priced on its own copy's route), no message
+crosses copies, and each processor's float additions are those of its
+solo run — so :meth:`RunResult.split
+<repro.machine.simulator.RunResult.split>` of the finished run is ``==``
+the ``k`` solo runs, with no line of this module knowing about copies.
+
 That argument needs each clock to depend only on its own processor's
 requests and the arrivals it consumes.  The one-port contention model
 breaks it: the engine reserves a processor's send and receive ports in

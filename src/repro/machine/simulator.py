@@ -98,7 +98,7 @@ from typing import Any, Callable, Generator, Iterable, Sequence
 from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import MachineSpec, estimate_nbytes, PERFECT
 from repro.machine.events import ANY, Compute, Message, Recv, Send
-from repro.machine.topology import FullyConnected, Topology
+from repro.machine.topology import Copies, FullyConnected, Topology
 from repro.machine.trace import NO_DETAIL, Span, Trace, TraceEvent, frozendetail
 
 __all__ = ["Machine", "ProcEnv", "ProcStats", "RunResult"]
@@ -215,6 +215,24 @@ class RunResult:
             f"{self.total_messages} msgs / {self.total_bytes} bytes, "
             f"efficiency {self.efficiency():.1%}"
         )
+
+    def split(self, copies: int) -> list["RunResult"]:
+        """The runs of ``copies`` independent jobs run side by side on
+        :meth:`Machine.copies`: copy ``c`` gets processors ``c·m …
+        c·m + m − 1`` renumbered from 0 — their values and statistics,
+        which move to the parts — and an equal share of ``events`` (copies
+        of one static program make the same requests).  For an untraced,
+        crash-free run."""
+        m = len(self.stats) // copies
+        events = self.events // copies
+        parts = []
+        for first in range(0, m * copies, m):
+            stats = self.stats[first:first + m]
+            for pid, st in enumerate(stats):
+                st.pid = pid
+            parts.append(RunResult(self.values[first:first + m], stats,
+                                   events=events))
+        return parts
 
 
 class _SpanScope:
@@ -538,6 +556,20 @@ class Machine:
     def nprocs(self) -> int:
         """Number of virtual processors."""
         return self.topology.size
+
+    def copies(self, k: int) -> "Machine | None":
+        """``k`` copies of this machine side by side, as one machine over
+        :class:`~repro.machine.topology.Copies` — the machine ``k``
+        independent runs share (:meth:`RunResult.split` takes its result
+        apart) — or ``None`` where one run on the copies could be told
+        from ``k`` runs on this machine: fault injection draws per
+        processor, a trace is one list, one port is reserved in one global
+        order across processors, and ``batch=False`` is the oracle that
+        runs every program the long way."""
+        if (self.faults is not None or self.record_trace
+                or self.single_port or not self.batch):
+            return None
+        return Machine(Copies(self.topology, k), spec=self.spec)
 
     def run(self, program: Program | Sequence[Program], *,
             args: Iterable[tuple] | None = None,

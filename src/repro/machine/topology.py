@@ -16,6 +16,9 @@ Topologies provided:
 * :class:`Ring` — 1-D torus.
 * :class:`FullyConnected` — every pair one hop apart (an idealisation,
   also a good model for modern fat-tree networks at this scale).
+* :class:`Copies` — k disjoint copies of another topology side by side
+  (the machine k independent runs share, :meth:`Machine.copies
+  <repro.machine.simulator.Machine.copies>`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from typing import Iterator
 from repro.errors import TopologyError
 from repro.util.validation import ilog2, require_power_of_two
 
-__all__ = ["Topology", "Hypercube", "Ring", "Mesh2D", "FullyConnected"]
+__all__ = ["Topology", "Hypercube", "Ring", "Mesh2D", "FullyConnected",
+           "Copies"]
 
 
 class Topology(abc.ABC):
@@ -327,3 +331,48 @@ class FullyConnected(Topology):
 
     def diameter(self) -> int:
         return 1 if self._size > 1 else 0
+
+
+class Copies(Topology):
+    """``copies`` disjoint copies of ``base`` side by side.
+
+    Processor ``c·m + j`` is processor ``j`` of copy ``c`` (``m =
+    base.size``); within a copy the routes are ``base``'s, and no route
+    joins two copies — a partitioned machine, each partition running its
+    own job.  The hop row of processor ``c·m + j`` is ``base``'s row for
+    ``j`` laid once over each copy's block: every copy reads its own
+    block, so the ``m`` rows of the base are all there is — O(k·m) each,
+    shared by the ``k`` copies — and what a row holds outside its own
+    copy's block is not a route.
+    """
+
+    def __init__(self, base: Topology, copies: int):
+        super().__init__(base.size * copies)
+        self.base = base
+        self.copies = copies
+        # a walk sends from every processor: lay every row out at once
+        rows = [base.hop_row(rank) * copies for rank in range(base.size)]
+        self._hop_rows = dict(enumerate(rows * copies))
+
+    def hops(self, src: int, dst: int) -> int:
+        self.check_node(src)
+        self.check_node(dst)
+        m = self.base.size
+        if src // m != dst // m:
+            raise TopologyError(
+                f"no route from {src} to {dst}: they are in different "
+                f"copies of {self.base!r}")
+        return self.base.hops(src % m, dst % m)
+
+    def neighbors(self, node: int) -> tuple[int, ...]:
+        self.check_node(node)
+        m = self.base.size
+        first = node - node % m
+        return tuple(first + n for n in self.base.neighbors(node % m))
+
+    def diameter(self) -> int:
+        """The longest route within a copy (none joins two)."""
+        return self.base.diameter()
+
+    def __repr__(self) -> str:
+        return f"Copies({self.base!r}, {self.copies})"

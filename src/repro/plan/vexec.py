@@ -46,6 +46,19 @@ cannot tell the two apart.
   machine only their global order differs (:mod:`repro.machine.lockstep`),
   on a single-port one not even that.
 
+* **Copies**: ``values`` may hold the inputs of ``k`` independent runs
+  of the plan back to back — ``k = len(values) // plan.nprocs`` — on a
+  timeline of ``k`` copies of the plan's machine
+  (:meth:`Machine.copies <repro.machine.simulator.Machine.copies>`),
+  copy ``c``'s rank ``j`` being rank ``c·m + j``.  Each instruction is
+  still one bulk step: its send / receive tables and each collective
+  round are walked as ``k`` block-diagonal copies (:func:`copied`,
+  worked out once per instruction and ``k``), a broadcast root and its
+  piece, the fold's reduce-then-broadcast and an indexed fragment's rank
+  (``r mod m``) are per copy.  Copies share no message, and each rank's
+  requests are those of its solo run, in the same order — so are its
+  clock's float additions.  ``k = 1`` walks the instruction's own tables.
+
 Eligibility (:func:`precompute` returns ``None`` otherwise): flat plans
 only — ``LocalApply`` / ``Exchange`` / ``Collective`` / ``Loop`` — whose
 exchanges are all wired.  Group instructions keep the interpreter path
@@ -67,7 +80,7 @@ from repro.machine.trace import Span
 from repro.plan import ir
 from repro.plan.kernels import batched_apply
 
-__all__ = ["precompute", "supported"]
+__all__ = ["copied", "precompute", "supported"]
 
 
 def supported(plan: ir.Plan) -> bool:
@@ -98,28 +111,67 @@ def precompute(plan: ir.Plan, values: Sequence[Any],
     cover.  This is the ``walk`` :meth:`Machine.run
     <repro.machine.simulator.Machine.run>` accepts (bind ``plan``,
     ``values`` and the interpreter's ``label``, the root span of a traced
-    run).
+    run).  ``values`` holding ``k`` runs' inputs back to back walks the
+    ``k`` copies at once (see the module docstring).
     """
     if not supported(plan):
         return None
     return _run_seq(plan.instrs, plan, timeline, list(values),
-                    Span(label) if timeline.tracing else None)
+                    Span(label) if timeline.tracing else None,
+                    len(values) // plan.nprocs)
+
+
+def copied(sends, recvs, slots, m: int, k: int) -> tuple:
+    """One ``m``-rank pattern's tables — ``sends``, ``recvs`` and their
+    :func:`~repro.machine.lockstep.wire` ``slots`` — for ``k`` copies of
+    the machine side by side: copy ``c``'s rank ``j`` is rank ``c·m + j``
+    and talks only to ranks of its own copy, and its send numbers follow
+    those of the copies before it (a local ``-1`` stays).  The slots are
+    therefore what ``wire`` would make of the copied tables."""
+    per_copy = sum(map(len, sends))
+    out_sends, out_recvs, out_slots = [], [], []
+    for c in range(k):
+        base, first = c * m, c * per_copy
+        out_sends += [tuple(d + base for d in row) for row in sends]
+        out_recvs += [tuple(s + base for s in row) for row in recvs]
+        out_slots += [tuple(s + first if s >= 0 else -1 for s in row)
+                      for row in slots]
+    return tuple(out_sends), tuple(out_recvs), tuple(out_slots)
+
+
+def _copies_of(instr, m: int, k: int):
+    """:func:`copied` of ``instr``'s tables (an exchange's; a collective's
+    per round of its :func:`_schedule`), worked out once per ``(m, k)``
+    and kept on the instruction."""
+    key = ("copies", m, k)
+    tables = instr.results.get(key)
+    if tables is None:
+        if isinstance(instr, ir.Exchange):
+            tables = copied(instr.sends, instr.recvs, instr.wiring, m, k)
+        else:
+            tables = tuple(
+                tuple(C.Round(*copied(rnd.sends, rnd.recvs, rnd.slots, m, k),
+                              rnd.tag) for rnd in rounds)
+                for rounds in _schedule(instr, m))
+        instr.results[key] = tables
+    return tables
 
 
 # ------------------------------------------------------------ data plane
 
-def _run_seq(instrs, plan, timeline, values, parent):
-    """Step each instruction in turn.  A traced run passes the enclosing
-    span as ``parent`` (an untraced one ``None``), and each instruction's
-    own span, a child of it, is set before its step."""
+def _run_seq(instrs, plan, timeline, values, parent, k):
+    """Step each instruction in turn, for ``k`` copies.  A traced run
+    passes the enclosing span as ``parent`` (an untraced one ``None``),
+    and each instruction's own span, a child of it, is set before its
+    step."""
     for i, instr in enumerate(instrs):
         if parent is not None:
             timeline.span = Span(ir.instr_title(instr), i, None, parent)
-        values = _step(instr, plan, timeline, values)
+        values = _step(instr, plan, timeline, values, k)
     return values
 
 
-def _step(instr, plan, timeline, values):
+def _step(instr, plan, timeline, values, k):
     if isinstance(instr, ir.LocalApply):
         # charge first (matching the interpreter's clock order), apply SoA
         if isinstance(instr.fn, ir.FusedKernel):
@@ -134,23 +186,26 @@ def _step(instr, plan, timeline, values):
         return _apply_one(instr, plan, values)
 
     if isinstance(instr, ir.Exchange):
+        sends, recvs, wiring = (
+            (instr.sends, instr.recvs, instr.wiring) if k == 1
+            else _copies_of(instr, plan.nprocs, k))
         sent = values if instr.part is None else [
             instr.carried(local) for local in values]
-        _exchange(timeline, instr.sends, instr.wiring, sent, EXCHANGE_TAG)
+        _exchange(timeline, sends, wiring, sent, EXCHANGE_TAG)
         if instr.mode == "collect":
-            return [[sent[src] for src in srcs] for srcs in instr.recvs]
+            return [[sent[src] for src in srcs] for srcs in recvs]
         return [instr.landed(local, sent[src])
-                for local, (src,) in zip(values, instr.recvs)]
+                for local, (src,) in zip(values, recvs)]
 
     if isinstance(instr, ir.Collective):
-        return _collective(instr, values, timeline)
+        return _collective(instr, values, timeline, plan.nprocs, k)
 
     if isinstance(instr, ir.Loop):
         loop_span = timeline.span
-        for k, body in enumerate(instr.bodies):
+        for i, body in enumerate(instr.bodies):
             values = _run_seq(body, plan, timeline, values,
                               None if loop_span is None
-                              else Span(f"iter {k}", None, k, loop_span))
+                              else Span(f"iter {i}", None, i, loop_span), k)
         return values
 
     raise AssertionError(f"unwalkable plan instruction {instr!r}")
@@ -167,10 +222,12 @@ def _exchange(timeline, sends, slots, values, tag) -> None:
 
 def _apply_one(a: ir.LocalApply, plan, values):
     if a.indexed:
+        m = plan.nprocs  # a copy's rank r is rank r mod m of its own run
         if plan.grid is not None:
             cols = plan.grid[1]
-            return [a.fn(divmod(r, cols), v) for r, v in enumerate(values)]
-        return [a.fn(r, v) for r, v in enumerate(values)]
+            return [a.fn(divmod(r % m, cols), v)
+                    for r, v in enumerate(values)]
+        return [a.fn(r % m, v) for r, v in enumerate(values)]
     if a.farm_env is not ir.NO_ENV:
         return [a.fn(a.farm_env, v) for v in values]
     return batched_apply(a.fn, values)
@@ -178,45 +235,70 @@ def _apply_one(a: ir.LocalApply, plan, values):
 
 # ----------------------------------------------------------- collectives
 
-def _collective(instr, values, timeline):
+def _schedule(instr, m: int) -> tuple:
+    """A collective's rounds over ``m`` ranks: ``(combining, broadcast)``
+    — a scan's or a fold's reduce rounds, then the rounds that broadcast
+    a result (the fold's total, a ``bcast`` / ``apply_bcast`` piece)."""
+    kind = instr.kind
+    if kind == "scan":
+        return C.scan_rounds(m), ()
+    if kind == "fold":
+        return C.reduce_rounds(m), C.bcast_rounds(m)
+    if kind in ("bcast", "apply_bcast"):
+        return (), C.bcast_rounds(m, instr.root)
+    raise AssertionError(f"unknown collective kind {kind!r}")
+
+
+def _collective(instr, values, timeline, m, k):
     """A collective as the rounds of its schedule: each round one bulk
     exchange of what its senders hold *at that round*, then the receivers'
     combines — the requests, sizes and operand order of
-    :meth:`repro.machine.plan_exec.DirectTransport.collective`."""
-    p = len(values)
+    :meth:`repro.machine.plan_exec.DirectTransport.collective`.  Over
+    ``k`` copies the rounds are block-diagonal, and what a root holds,
+    applies or broadcasts is its own copy's."""
+    combining, rounds = (_schedule(instr, m) if k == 1
+                         else _copies_of(instr, m, k))
     kind = instr.kind
     op = instr.op
     if kind == "scan":
-        for rnd in C.scan_rounds(p):
+        for rnd in combining:
             _exchange(timeline, rnd.sends, rnd.slots, values, rnd.tag)
             values = [op(values[srcs[0]], my) if srcs else my
                       for my, srcs in zip(values, rnd.recvs)]
         return values
     if kind == "fold":
-        for rnd in C.reduce_rounds(p):
+        for rnd in combining:
             _exchange(timeline, rnd.sends, rnd.slots, values, rnd.tag)
             values = [op(acc, values[srcs[0]]) if srcs else acc
                       for acc, srcs in zip(values, rnd.recvs)]
-        _bcast(timeline, values[0], C.bcast_rounds(p))
-        return [ir.Scalar(values[0])] * p
-    if kind not in ("bcast", "apply_bcast"):
-        raise AssertionError(f"unknown collective kind {kind!r}")
-    rounds = C.bcast_rounds(p, instr.root)
+        totals = values[::m]  # each copy's rank 0
+        _bcast(timeline, totals, rounds, m)
+        scalars: list = []
+        for total in totals:
+            scalars += [ir.Scalar(total)] * m
+        return scalars
     if kind == "bcast":
-        piece = instr.value
+        pieces = [instr.value] * k
     else:
-        local = values[instr.root]
-        timeline.work(instr.root, ir.fragment_ops(op, local))
-        piece = op(local)
-    _bcast(timeline, piece, rounds)
-    return [(piece, mine) for mine in values]
+        pieces = []
+        for root in range(instr.root, k * m, m):
+            local = values[root]
+            timeline.work(root, ir.fragment_ops(op, local))
+            pieces.append(op(local))
+    _bcast(timeline, pieces, rounds, m)
+    if k == 1:
+        piece = pieces[0]
+        return [(piece, mine) for mine in values]
+    return [(pieces[r // m], mine) for r, mine in enumerate(values)]
 
 
-def _bcast(timeline, piece, rounds) -> None:
+def _bcast(timeline, pieces, rounds, m) -> None:
     """Every sender of a broadcast forwards the one object it received,
-    so one sizing serves all the rounds."""
+    so one sizing per copy serves all the rounds."""
     if rounds:
-        sizes = [estimate_nbytes(piece, timeline.spec.word_bytes)] \
-            * timeline.nprocs
+        word_bytes = timeline.spec.word_bytes
+        sizes: list[int] = []
+        for piece in pieces:
+            sizes += [estimate_nbytes(piece, word_bytes)] * m
         for rnd in rounds:
             timeline.exchange(rnd.sends, rnd.slots, sizes, rnd.tag)

@@ -52,6 +52,7 @@ machine runs, or leave ``opt=None`` for the raw lowering that
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
 from repro.core.pararray import ParArray
@@ -71,7 +72,8 @@ from repro.scl import nodes as N
 
 _plan_lower = sys.modules["repro.plan.lower"]
 
-__all__ = ["base_fragment", "fragment_ops", "run_expression", "resolve_opt"]
+__all__ = ["base_fragment", "fragment_ops", "run_expression",
+           "run_expression_many", "resolve_opt"]
 
 
 def resolve_opt(opt: Any, machine: Machine):
@@ -106,6 +108,19 @@ def run_lowered(expr: N.Node, pa: ParArray | Sequence[Any],
     ParArray of its shape back; a list (or tuple) of per-rank values runs
     as it is and gets ``RunResult.values`` itself back.  A fold returns
     its scalar either way."""
+    values, shape = _per_rank(pa, machine)
+    plan = _plan_lower.lower(expr, machine.nprocs, _grid(shape),
+                             opt=resolve_opt(opt, machine))
+    program, walk = make_program(plan, values)
+    res = machine.run(program, walk=walk)
+    return _result(res, shape), res
+
+
+def _per_rank(pa: ParArray | Sequence[Any], machine: Machine
+              ) -> tuple[Sequence[Any], tuple | None]:
+    """The row-major per-rank values of one input and its ParArray shape
+    (``None`` for a list of per-rank values), checked against
+    ``machine``."""
     if isinstance(pa, ParArray) and pa.ndim in (1, 2):
         values, shape = pa.to_list(), pa.shape
     elif isinstance(pa, (list, tuple)):
@@ -117,21 +132,26 @@ def run_lowered(expr: N.Node, pa: ParArray | Sequence[Any],
         raise SkeletonError(
             f"expression input has {len(values)} components but the machine "
             f"has {machine.nprocs} processors")
-    grid = shape if shape is not None and len(shape) == 2 else None
-    plan = _plan_lower.lower(expr, machine.nprocs, grid,
-                             opt=resolve_opt(opt, machine))
-    program, walk = make_program(plan, values)
-    res = machine.run(program, walk=walk)
+    return values, shape
+
+
+def _grid(shape: tuple | None) -> tuple[int, int] | None:
+    return shape if shape is not None and len(shape) == 2 else None
+
+
+def _result(res: RunResult, shape: tuple | None) -> Any:
+    """What a run over an input of ``shape`` returns: the fold scalar, the
+    values themselves (a list input) or a ParArray of that shape."""
     if res.values and isinstance(res.values[0], _Scalar):
-        return res.values[0].value, res
+        return res.values[0].value
     if shape is None:
-        return res.values, res
-    if grid is not None:
-        rows, cols = grid
+        return res.values
+    if len(shape) == 2:
+        rows, cols = shape
         return ParArray(
             {(i, j): res.values[i * cols + j]
-             for i in range(rows) for j in range(cols)}, grid), res
-    return ParArray(res.values), res
+             for i in range(rows) for j in range(cols)}, shape)
+    return ParArray(res.values)
 
 
 def run_expression(expr: N.Node, pa: ParArray | Sequence[Any],
@@ -170,14 +190,65 @@ def run_expression(expr: N.Node, pa: ParArray | Sequence[Any],
     otherwise) — the returned values and statistics are identical
     either way, and so is each processor's traced event sequence.
     """
+    return run_lowered(expr, pa, machine, opt,
+                       functools.partial(_program, label=label))
+
+
+def run_expression_many(expr: N.Node,
+                        inputs: Sequence[ParArray | Sequence[Any]],
+                        machine: Machine, *, label: str = "program",
+                        opt: Any = "auto") -> list[tuple[Any, RunResult]]:
+    """``[run_expression(expr, x, machine, label=label, opt=opt) for x in
+    inputs]`` — each ``(result, run statistics)`` ``==`` its solo run —
+    with one lowering and, where the machine allows it, one run (internal:
+    the stream layer's batched chunks).
+
+    The inputs run as independent jobs side by side on
+    :meth:`machine.copies(k) <repro.machine.simulator.Machine.copies>`,
+    whose one :meth:`~repro.machine.simulator.Machine.run` takes the
+    :mod:`repro.plan.vexec` walk of all ``k`` copies at once — one bulk
+    step per instruction for the lot — and whose result
+    :meth:`~repro.machine.simulator.RunResult.split` hands each job its
+    own values and statistics.  A walk the plan declines leaves the copies
+    to the per-rank interpreter, each copy in its own communicator.  A
+    machine that has no copies (fault-injected, traced, single-port or
+    ``batch=False``), fewer than two inputs, or inputs of different
+    shapes run one by one through :func:`run_expression`.  Every input is
+    checked as :func:`run_expression` checks it.
+    """
+    checked = [_per_rank(pa, machine) for pa in inputs]
+    shapes = {_grid(shape) for _, shape in checked}
+    copies = machine.copies(len(checked)) if len(checked) > 1 else None
+    if copies is None or len(shapes) > 1:
+        return [run_expression(expr, pa, machine, label=label, opt=opt)
+                for pa in inputs]
+    plan = _plan_lower.lower(expr, machine.nprocs, shapes.pop(),
+                             opt=resolve_opt(opt, machine))
+    program, walk = _program(
+        plan, [v for values, _ in checked for v in values], label)
+    res = copies.run(program, walk=walk)
+    return [(_result(part, shape), part)
+            for part, (_, shape) in zip(res.split(len(checked)), checked)]
+
+
+def _program(plan, values, label):
+    """The :meth:`Machine.run` arguments ``(program, walk)`` running
+    ``plan`` over the row-major per-rank ``values`` — of one run, or of
+    several back to back on the copies of the plan's machine — with the
+    per-rank interpreter (on copies, each in its own copy's communicator)
+    and the whole-machine walk."""
     from repro.machine.api import Comm
     from repro.machine.plan_exec import execute_plan
     from repro.plan import vexec
 
-    def make_program(plan, values):
-        return (lambda env: execute_plan(plan, env, Comm.world(env),
-                                         values[env.pid], label),
-                lambda timeline: vexec.precompute(plan, values, timeline,
-                                                  label))
+    m = plan.nprocs
 
-    return run_lowered(expr, pa, machine, opt, make_program)
+    def program(env):
+        comm = Comm.world(env)
+        if env.nprocs != m:
+            first = env.pid - env.pid % m
+            comm = comm.subgroup(range(first, first + m))
+        return execute_plan(plan, env, comm, values[env.pid], label)
+
+    return program, lambda timeline: vexec.precompute(plan, values,
+                                                      timeline, label)

@@ -13,7 +13,9 @@ Runs three phases against a default registry of compiled endpoints:
    but a p99 latency SLO — arrivals outrun capacity, queue wait drives
    the rolling p99 over target, and admission flips to
    ``Rejection(reason="slo-shed")``; once the arrivals stop and the
-   window ages out, probe requests confirm admission recovers.
+   window ages out, probe requests confirm admission recovers.  Its
+   requests hold the worker for a fixed time without the GIL, so the
+   overload does not depend on how fast the compiled endpoints are.
 
 The whole run shares one
 :class:`~repro.obs.metrics.MetricsRegistry` sampled by a
@@ -59,6 +61,7 @@ from repro.serve.loadgen import closed_loop, open_loop
 from repro.serve.service import (
     AdmissionError,
     PlanEndpoint,
+    PyEndpoint,
     Service,
     StreamEndpoint,
 )
@@ -76,6 +79,12 @@ SCHEMA = "repro.serve.latency/v3"
 SLO_P99_MS = 10.0
 SLO_WINDOW_S = 0.75
 SLO_MIN_SAMPLES = 8
+#: What one SLO-phase request holds its worker for.  A sleep, not a
+#: compiled endpoint: one worker then serves at most 500 requests/s on
+#: any host and releases the GIL to the arrival generator meanwhile, so
+#: the phase's offered load outruns it by the same margin everywhere,
+#: however fast the compiled endpoints get.
+SLO_HOLD_S = 0.002
 
 #: Tenant weights for the default registry: ``pro`` is entitled to 3x
 #: the dispatch rate of ``free`` under contention.
@@ -88,6 +97,11 @@ def _square(x: float) -> float:
 
 def _halve(x: float) -> float:
     return x * 0.5
+
+
+def _hold(x: float) -> float:
+    time.sleep(SLO_HOLD_S)
+    return x
 
 
 def build_service(*, workers: int = 4, max_queue: int = 128,
@@ -153,7 +167,8 @@ def run_slo_phase(*, nprocs: int, requests: int, rate_rps: float, seed: int,
     """The latency-aware-shedding demonstration phase.
 
     One worker behind a queue too deep to ever hit ``queue-full``, an
-    open-loop overload on the heaviest endpoint, and an
+    open-loop overload of requests that hold it ``SLO_HOLD_S`` each
+    (``slo-hold``, registered beside the default endpoints), and an
     :class:`SloMonitor`: queue wait drives the rolling p99 over target,
     so the only shed reason available is ``slo-shed``.  After draining
     and one window of quiet, ``probes`` probe requests must all be
@@ -161,20 +176,21 @@ def run_slo_phase(*, nprocs: int, requests: int, rate_rps: float, seed: int,
     """
     monitor = SloMonitor(p99_ms / 1e3, window_s=window_s,
                          min_samples=min_samples)
-    slo_mix = [("stream-scan", "free"), ("stream-scan", "pro")]
+    slo_mix = [("slo-hold", "free"), ("slo-hold", "pro")]
     with build_service(workers=1, max_queue=4096, nprocs=nprocs,
                        metrics=metrics, slo=monitor) as svc:
+        svc.register(PyEndpoint("slo-hold", _hold))
         load = open_loop(svc, slo_mix, requests=requests,
                          rate_rps=rate_rps, seed=seed)
         shed_during = sum(r.reason == "slo-shed" for r in svc.rejections)
         svc.wait_idle(timeout=120.0)
         time.sleep(window_s)  # breached latencies age out of the window
-        probe = svc.endpoint("stream-scan")
+        probe = svc.endpoint("slo-hold")
         admitted = 0
         for i in range(probes):
             payload = probe.default_payload(np.random.default_rng((seed, i)))
             try:
-                svc.submit("stream-scan", payload, tenant="pro").result(30.0)
+                svc.submit("slo-hold", payload, tenant="pro").result(30.0)
                 admitted += 1
             except AdmissionError:
                 pass

@@ -6,7 +6,11 @@ running in its own thread, connected by bounded queues (backpressure).
 :func:`run_staged` is the transport; the transforms carry all semantics,
 so the sequential composition of the same transforms (no threads, no
 queues) is the *reference executor* and the two are element-wise
-identical by construction.
+identical by construction.  The one thing a transform may ask of its
+transport is whether its next input has arrived
+(:meth:`_QueueIter.ready`; a plain iterator, which has no ``ready``,
+always has it): that decides how many items a stage takes at once, never
+what it emits.
 
 Failure and cancellation semantics (the part the seed pipeline got
 wrong):
@@ -21,7 +25,11 @@ wrong):
   or a satisfied stop condition terminates instead of being drained
   forever.
 * Every stage still drains its input queue to the sentinel before
-  exiting, so upstream ``put`` calls can never block forever.
+  exiting, so upstream ``put`` calls can never block forever.  A
+  consumer that stops early drains the output queue the same way, so no
+  stage is left blocked on a full queue and every thread joins before
+  its ``close()`` returns; a stage that sees the abandonment stops
+  transforming and only drains.
 * After all threads join, the **earliest failure by stage order** is
   raised — the source counts as stage ``-1`` — not whichever thread
   happened to lose the race into a shared list.
@@ -84,6 +92,18 @@ class _QueueIter:
             elif item is _POISON:
                 self.poisoned = True
 
+    def ready(self) -> bool:
+        """True when the next item has arrived — an item, not the end of
+        the stream or a poison — so that taking it will not block.  A
+        stage that groups items (a ``MapPlan`` batch) takes only those,
+        and never waits for one that has not arrived."""
+        if self._stopped:
+            return False
+        with self._q.mutex:
+            pending = self._q.queue
+            return bool(pending) and pending[0] is not _SENTINEL \
+                and pending[0] is not _POISON
+
     @property
     def exhausted(self) -> bool:
         return self._stopped
@@ -115,6 +135,7 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
     queues: list[queue.Queue] = [queue.Queue(maxsize=buffer)
                                  for _ in range(len(transforms) + 1)]
     cancel = threading.Event()
+    abandoned = threading.Event()  # the consumer stopped iterating
     failures: dict[int, BaseException] = {}
     failures_lock = threading.Lock()
 
@@ -142,11 +163,11 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
         it = _QueueIter(q_in)
         try:
             for out in transform(iter(it)):
-                if it.poisoned:
+                if it.poisoned or abandoned.is_set():
                     # The input was poisoned mid-stream: suppress trailing
                     # outputs derived from the truncated input (a partial
                     # chunk, say) — they are not a prefix of the healthy
-                    # stream.
+                    # stream.  Nobody reads what follows an abandonment.
                     break
                 q_out.put(out)
                 if on_depth is not None:
@@ -178,8 +199,15 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                 break
             yield item
     except GeneratorExit:
-        # Consumer stopped early: stop the source; daemon threads drain.
+        # Consumer stopped early: stop the source and the stages, and take
+        # what they still hold off the output queue (to the sentinel), so
+        # no stage is left blocked on a full queue and every thread joins.
+        abandoned.set()
         cancel.set()
+        while queues[-1].get() is not _SENTINEL:
+            pass
+        for t in threads:
+            t.join()
         raise
     for t in threads:
         t.join()

@@ -40,12 +40,39 @@ Execution comes in two semantically identical forms: :meth:`StreamPlan
 and :meth:`StreamPlan.run` runs one thread per stage connected by
 bounded queues (backpressure), via :mod:`repro.stream._runner`.  Both
 produce bit-identical output streams; the property suite in
-``tests/stream/test_plan_properties.py`` holds them to that.
+``tests/stream/test_plan_properties.py`` holds them to that, and the
+state machine in ``tests/stream/test_stream_state.py`` holds the two to
+the same prefix under failures, stops and abandoning consumers.
+
+**Several chunks, one walk.**  A stream of equal-size chunks through
+``MapPlan(e)`` is the paper's ``map e`` over a nested ParArray, the
+chunks its outer dimension — one SPMD program, not one per chunk.  So a
+``MapPlan`` stage hands each run of equal-size chunks, at most
+``buffer`` of them (``run``'s queue bound, 8 by default, which
+``run_seq`` shares), to :func:`repro.scl.compile.run_expression_many`:
+one lowering and one walk over that many copies of the chunk machine.
+A chunk of another size (a short last chunk) starts a batch of its own.
+In ``run`` a batch takes only the chunks that have already arrived —
+it never waits for one — while ``run_seq`` pulls up to ``buffer``.  A
+batch that raises is re-run chunk by chunk, so the chunks before the
+failing one are emitted and that chunk raises its own error; an
+exception upstream while a batch fills is re-raised once the chunks
+already pulled have been run and emitted.
+
+**What the counters count.**  ``plan_runs``, ``sim_events``,
+``sim_messages`` and ``virtual_seconds`` count the chunk runs
+*performed*.  A batch may run up to ``buffer − 1`` chunks past the point
+where a downstream :class:`Stop` or an early-stopping consumer ends the
+stream, as ``run``'s queues already run ahead; ``items_out`` counts only
+what was emitted.  With no early end every counter equals a
+chunk-by-chunk run's, and ``walks`` counts the batches, so ``plan_runs /
+walks`` is the batch width.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SkeletonError
@@ -54,6 +81,10 @@ from repro.machine.simulator import RunResult
 from repro.machine.topology import FullyConnected, Ring
 from repro.scl import nodes as N
 from repro.stream._runner import run_staged
+
+#: ``run``'s default queue bound — and every ``MapPlan`` batch's, in
+#: ``run_seq`` too.
+BUFFER = 8
 
 __all__ = [
     "Source", "Chunk", "UnChunk", "MapSeq", "MapPlan", "Stop",
@@ -70,6 +101,13 @@ class StreamRunStats:
     over every compiled chunk run; ``virtual_seconds`` sums the per-chunk
     makespans (chunks are independent machine runs, so this is total
     simulated compute, not a wall-clock claim).
+
+    ``plan_runs`` and the simulated counters count the chunk runs
+    performed, which may run up to ``buffer − 1`` chunks past a
+    downstream :class:`Stop` or an early-stopping consumer (see the
+    module docstring); ``items_out`` counts only what was emitted.
+    ``walks`` counts the batches ``MapPlan`` ran — a lone or short chunk
+    is a batch of one — so ``plan_runs / walks`` is the batch width.
     """
 
     items_in: int = 0
@@ -79,15 +117,17 @@ class StreamRunStats:
     sim_events: int = 0
     sim_messages: int = 0
     virtual_seconds: float = 0.0
+    walks: int = 0
     #: Counter children bound by :meth:`attach_metrics` (``None`` keeps
     #: every stats update registry-free).
     _m_chunks: Any = None
     _m_runs: Any = None
     _m_events: Any = None
+    _m_walks: Any = None
 
     def attach_metrics(self, registry: Any,
                        name: str = "stream") -> "StreamRunStats":
-        """Mirror chunk/run/event counts into ``registry`` as the
+        """Mirror chunk/run/event/walk counts into ``registry`` as the
         ``stream_*_total{stream=name}`` counters, live (per chunk, not
         post-run).  Returns ``self`` for chaining."""
         self._m_chunks = registry.counter(
@@ -100,12 +140,21 @@ class StreamRunStats:
             "stream_sim_events_total",
             "simulated events across compiled chunk runs",
             ("stream",)).labels(name)
+        self._m_walks = registry.counter(
+            "stream_walks_total",
+            "batches of chunks run as one compiled walk",
+            ("stream",)).labels(name)
         return self
 
     def tick_chunk(self) -> None:
         self.chunks += 1
         if self._m_chunks is not None:
             self._m_chunks.inc()
+
+    def tick_walk(self) -> None:
+        self.walks += 1
+        if self._m_walks is not None:
+            self._m_walks.inc()
 
     def observe_run(self, result: RunResult) -> None:
         self.plan_runs += 1
@@ -171,6 +220,7 @@ class Chunk(StreamOp):
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _count(self.n, "Chunk size"))
         if self.n < 1:
             raise SkeletonError(f"Chunk size must be >= 1, got {self.n}")
 
@@ -197,7 +247,10 @@ class MapPlan(StreamOp):
     vectorized data plane included, per ``opt``.  Machines are created
     once per chunk size and reused; plans are cached per
     ``(expression, m, opt)`` by :mod:`repro.plan.lower`, so a stream of
-    equal-size chunks lowers exactly once.
+    equal-size chunks lowers exactly once.  The stage runs its
+    equal-size chunks in batches (:meth:`run_chunks`): each batch is one
+    walk over copies of the chunk machine, each chunk's output and
+    statistics ``==`` its own run's (:meth:`run_chunk`).
     """
 
     expr: N.Node
@@ -229,21 +282,57 @@ class MapPlan(StreamOp):
     def run_chunk(self, chunk: Sequence[Any], machines: dict[int, Machine],
                   stats: StreamRunStats | None) -> Any:
         """Execute one chunk; returns the output chunk (or fold scalar)."""
-        from repro.scl.compile import run_expression
+        if not isinstance(chunk, (tuple, list)):
+            chunk = list(chunk)
+        return self.run_chunks([chunk], machines, stats)[0]
 
-        m = len(chunk)
+    def run_chunks(self, chunks: Sequence[Sequence[Any]],
+                   machines: dict[int, Machine],
+                   stats: StreamRunStats | None) -> list[Any]:
+        """Execute equal-size chunks (lists or tuples) as one batch;
+        returns their outputs, each ``==`` what :meth:`run_chunk` returns
+        for it."""
+        from repro.scl.compile import run_expression_many
+
+        m = len(chunks[0])
         machine = machines.get(m)
         if machine is None:
             machine = machines[m] = self._machine(m)
-        if not isinstance(chunk, (tuple, list)):
-            chunk = list(chunk)
-        out, result = run_expression(self.expr, chunk, machine,
-                                     label=self.label, opt=self.opt)
+        runs = run_expression_many(self.expr, chunks, machine,
+                                   label=self.label, opt=self.opt)
         if stats is not None:
-            stats.observe_run(result)
-        if out is result.values:
-            return tuple(out)
-        return out  # a reducing expression: one scalar per chunk
+            stats.tick_walk()
+        outputs = []
+        for out, result in runs:
+            if stats is not None:
+                stats.observe_run(result)
+            # a reducing expression gives one scalar per chunk
+            outputs.append(tuple(out) if out is result.values else out)
+        return outputs
+
+    def _emit(self, batch: list, machines: dict[int, Machine],
+              stats: StreamRunStats | None) -> Iterator[Any]:
+        """Yield the outputs of ``batch``, in order.  A batch that raises
+        is re-run chunk by chunk: the chunks before the failing one are
+        emitted, and that one raises its own error."""
+        if len(batch) > 1:
+            try:
+                outs = self.run_chunks(batch, machines, stats)
+            except Exception:
+                pass  # found again, and raised, by the chunk at fault
+            else:
+                yield from outs
+                return
+        for chunk in batch:
+            yield self.run_chunk(chunk, machines, stats)
+
+
+def _count(value: Any, what: str) -> int:
+    """``value`` as an int: a stream size is a count, so anything but an
+    integer (``bool`` included) is a :class:`SkeletonError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SkeletonError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reduces(expr: N.Node) -> bool:
@@ -341,17 +430,20 @@ class StreamPlan:
 
     def take(self, k: int) -> "StreamPlan":
         """Keep the first ``k`` items (a counting :class:`Stop`)."""
+        k = _count(k, "take")
         if k < 0:
             raise SkeletonError(f"take needs k >= 0, got {k}")
         return self.stop(lambda c, _x: c + 1, 0, lambda c: c >= k)
 
     # -- execution ----------------------------------------------------------
 
-    def _transforms(self, stats: StreamRunStats | None) -> list:
+    def _transforms(self, stats: StreamRunStats | None,
+                    batch: int) -> list:
         transforms = []
         first = True
         for op in self.ops:
-            transforms.append(_transform(op, stats, count_in=first))
+            transforms.append(_transform(op, stats, count_in=first,
+                                         batch=batch))
             first = False
         if first and stats is not None:
             # No stages at all: still count the pass-through items.
@@ -372,13 +464,14 @@ class StreamPlan:
         return transforms
 
     def run_seq(self, *, stats: StreamRunStats | None = None) -> Iterator[Any]:
-        """Sequential reference execution (one thread, lazy pulls)."""
+        """Sequential reference execution (one thread, lazy pulls; a
+        ``MapPlan`` batches up to ``run``'s default ``buffer`` chunks)."""
         it: Iterator[Any] = self.source.items()
-        for transform in self._transforms(stats):
+        for transform in self._transforms(stats, BUFFER):
             it = transform(it)
         return it
 
-    def run(self, *, buffer: int = 8,
+    def run(self, *, buffer: int = BUFFER,
             stats: StreamRunStats | None = None,
             metrics: Any = None, name: str = "stream") -> Iterator[Any]:
         """Threaded execution: one thread per stage, bounded queues.
@@ -387,18 +480,20 @@ class StreamPlan:
         :class:`Stop` (or a consumer that stops early, or a stage
         failure) cancels the source, so infinite generators terminate.
 
-        ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
+        ``buffer`` bounds every inter-stage queue and every ``MapPlan``
+        batch.  ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         exports chunk/run/event counters via
         :meth:`StreamRunStats.attach_metrics` plus live
         ``stream_queue_depth{stream, stage}`` occupancy gauges — one
         per inter-stage queue — labelled by ``name``.
         """
-        if buffer <= 0:  # here, not at the first next() of the generator
+        # here, not at the first next() of the generator
+        if _count(buffer, "buffer") <= 0:
             raise SkeletonError(f"buffer must be positive, got {buffer}")
         on_depth = None
         if metrics is not None and stats is None:
             stats = StreamRunStats()
-        transforms = self._transforms(stats)
+        transforms = self._transforms(stats, buffer)
         if metrics is not None:
             stats.attach_metrics(metrics, name=name)
             depth = metrics.gauge(
@@ -417,8 +512,9 @@ class StreamPlan:
 
 
 def _transform(op: StreamOp, stats: StreamRunStats | None,
-               count_in: bool):
-    """The generator transform of one stage (fresh closure per run)."""
+               count_in: bool, batch: int):
+    """The generator transform of one stage (fresh closure per run); a
+    ``MapPlan`` runs up to ``batch`` chunks at once."""
 
     def tick_in(x: Any) -> Any:
         if stats is not None and count_in:
@@ -461,8 +557,30 @@ def _transform(op: StreamOp, stats: StreamRunStats | None,
     if isinstance(op, MapPlan):
         def plan_t(it: Iterator[Any], _op: MapPlan = op) -> Iterator[Any]:
             machines: dict[int, Machine] = {}
-            for chunk in it:
-                yield _op.run_chunk(tick_in(chunk), machines, stats)
+            # threaded: take only the chunks that have arrived
+            ready = getattr(it, "ready", None)
+            pulled: list = []
+            while True:
+                try:
+                    chunk = next(it)
+                except StopIteration:
+                    break
+                except Exception:
+                    # an upstream failure: what was pulled runs first
+                    yield from _op._emit(pulled, machines, stats)
+                    raise
+                tick_in(chunk)
+                if not isinstance(chunk, (tuple, list)):
+                    chunk = list(chunk)
+                if pulled and len(chunk) != len(pulled[0]):
+                    yield from _op._emit(pulled, machines, stats)
+                    pulled = []
+                pulled.append(chunk)
+                if len(pulled) == batch or (ready is not None
+                                            and not ready()):
+                    yield from _op._emit(pulled, machines, stats)
+                    pulled = []
+            yield from _op._emit(pulled, machines, stats)
         return plan_t
 
     if isinstance(op, Stop):

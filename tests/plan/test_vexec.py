@@ -19,6 +19,13 @@ pin the payload sizes the walk reports, the machine-side routing (who
 chooses the interpreter) and error parity on malformed hand-built plans.
 The same contract on traced machines, event by event, is
 ``tests/plan/test_traced_walk.py``.
+
+The suite has a second axis, *copies*: ``run_expression_many`` runs ``k``
+inputs as one walk over ``k`` copies of the machine, and each of its
+results must equal the solo ``run_expression`` run of that input under the
+same ``assert_identical_runs`` — over every case, the random flat plans
+and the stream's chunked ``MapPlan`` — while machines that have no copies
+(traced, single-port, fault-injected) run each input alone.
 """
 
 from __future__ import annotations
@@ -44,8 +51,10 @@ from repro.core import parmap, partition
 from repro.core.pararray import ParArray
 from repro.core.partition import Block
 from repro.errors import DeadlockError, MachineError
+from repro.faults import FaultInjector, FaultSpec
 from repro.machine import AP1000, Comm, Machine
-from repro.machine.lockstep import Lockstep, Recorder
+from repro.machine import collectives as C
+from repro.machine.lockstep import Lockstep, Recorder, wire
 from repro.machine.plan_exec import execute_plan
 from repro.machine.topology import FullyConnected, Hypercube, Ring
 from repro.plan import ir, vexec
@@ -54,15 +63,22 @@ from repro.plan.lower import clear_plan_cache, lower
 from repro.scl import (
     ApplyBrdcast,
     Brdcast,
+    Combine,
     Fold,
     IterFor,
     Map,
     Rotate,
     Scan,
     SendNode,
+    Split,
     compose_nodes,
 )
-from repro.scl.compile import base_fragment, run_expression
+from repro.scl.compile import (
+    base_fragment,
+    run_expression,
+    run_expression_many,
+)
+from repro.stream.plan import MapPlan, StreamRunStats
 from tests.plan.test_kernels import plan_fragments
 from tests.plan.test_opt_properties import programs
 
@@ -322,6 +338,165 @@ def test_random_flat_plans_walk_identically(prog, topology):
     res_walk, res_interp = run_walked_and_interpreted(expr, pa,
                                                       TOPOLOGIES[topology])
     assert_identical_runs(res_walk, res_interp)
+
+
+# -- the copies axis: k inputs, one walk ----------------------------------------------
+
+#: How many independent runs one walk carries (1 is the solo path).
+COPIES = [1, 2, 3, 8]
+
+
+def _variant(value, c):
+    """Input ``c`` of a copies run: ``value`` with every number scaled by
+    ``c + 1`` — the same shapes, types and structure, other data."""
+    if isinstance(value, ParArray):
+        return ParArray(_variant(value.to_list(), c)) if value.ndim == 1 \
+            else ParArray({key: _variant(value[key], c)
+                           for key in value.indices()}, value.shape)
+    if isinstance(value, np.ndarray):
+        return value * (c + 1)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_variant(item, c) for item in value)
+    if isinstance(value, (int, float, complex)) and not isinstance(value,
+                                                                 bool):
+        return value * (c + 1)
+    return value
+
+
+def run_copies_and_solo(expr, pa, topology, k, **machine_kw):
+    """``(walks, together, alone)``: what each ``vexec.precompute`` call
+    returned while ``run_expression_many`` ran ``k`` variants of ``pa`` on
+    one machine, its ``(result, run)`` pairs, and those of
+    ``run_expression`` over the same inputs one by one on a second machine
+    built the same way.  ``machine_kw`` values are called per machine."""
+    def machine():
+        return Machine(topology(pa.size), spec=AP1000,
+                       **{key: make() for key, make in machine_kw.items()})
+
+    inputs = [_variant(pa, c) for c in range(k)]
+    with walks_recorded() as walks:
+        together = run_expression_many(expr, inputs, machine())
+    alone_on = machine()
+    alone = [run_expression(expr, x, alone_on) for x in inputs]
+    return walks, together, alone
+
+
+def assert_copies_identical(together, alone):
+    for (got, res), (want, want_res) in zip(together, alone, strict=True):
+        assert type(got) is type(want)
+        assert_identical_runs(res, want_res)
+
+
+@pytest.mark.parametrize("k", COPIES)
+@pytest.mark.parametrize("p", [4, 5, 8])
+def test_copied_tables_are_wired_as_the_copies_of_their_wiring(p, k):
+    """Block-diagonal copies of a pattern's tables carry the copied slots
+    ``wire`` would work out for them: FIFO repeats and local entries
+    included."""
+    patterns = [rnd for rounds in (C.scan_rounds(p), C.reduce_rounds(p),
+                                   C.bcast_rounds(p, p - 1))
+                for rnd in rounds]
+    fan_in = ir.Exchange.from_destinations(
+        "collect", [(0, 0, (r + 1) % p) for r in range(p)])
+    patterns.append(C.Round(fan_in.sends, fan_in.recvs, fan_in.wiring, 0))
+    for rnd in patterns:
+        sends, recvs, slots = vexec.copied(rnd.sends, rnd.recvs, rnd.slots,
+                                           p, k)
+        assert len(sends) == len(recvs) == k * p
+        assert wire(sends, recvs) == slots
+
+
+@pytest.mark.parametrize("k", COPIES)
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("case", CASES)
+def test_a_copies_walk_is_indistinguishable_from_solo_runs(case, topology, k):
+    expr, pa = CASES[case]()
+    walks, together, alone = run_copies_and_solo(expr, pa,
+                                                 TOPOLOGIES[topology], k)
+    # one walk carried all k inputs
+    assert len(walks) == 1 and len(walks[0]) == k * pa.size
+    assert_copies_identical(together, alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prog=programs(), topology=st.sampled_from(sorted(TOPOLOGIES)),
+       k=st.sampled_from(COPIES))
+def test_random_flat_plans_walk_copies_identically(prog, topology, k):
+    p, expr = prog
+    if topology == "hypercube" and p & (p - 1):
+        p = 4
+    clear_plan_cache()
+    pa = ParArray([float(3 * r + 1) for r in range(p)])
+    walks, together, alone = run_copies_and_solo(expr, pa,
+                                                 TOPOLOGIES[topology], k)
+    assert len(walks) == 1 and len(walks[0]) == k * p
+    assert_copies_identical(together, alone)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_a_declined_walk_runs_the_copies_on_the_interpreter(k):
+    """A group plan is not walked; the copies machine then interprets each
+    copy in its own communicator, with the same results."""
+    expr = compose_nodes(Combine(), Map(Scan(lambda a, b: a + b)),
+                         Split(Block(2)))
+    walks, together, alone = run_copies_and_solo(expr, _runs(8),
+                                                 FullyConnected, k)
+    assert walks == [None]
+    assert_copies_identical(together, alone)
+
+
+@pytest.mark.parametrize("machine_kw", [
+    {"record_trace": lambda: True},
+    {"single_port": lambda: True},
+    {"faults": lambda: FaultInjector(FaultSpec())},
+    {"batch": lambda: False}],
+    ids=["traced", "single-port", "zero-rate-faults", "per-event"])
+def test_machines_without_copies_run_each_input_alone(machine_kw):
+    expr, pa = _hyperquicksort(3)
+    walks, together, alone = run_copies_and_solo(
+        expr, pa, Hypercube.of_size, 3, **machine_kw)
+    # the walk's own machines walk each input alone; the others never walk
+    walked = 3 if set(machine_kw) <= {"record_trace", "single_port"} else 0
+    assert len(walks) == walked and all(len(w) == pa.size for w in walks)
+    assert_copies_identical(together, alone)
+    for (_, res), (_, want) in zip(together, alone):
+        if want.trace is not None:
+            for pid in range(pa.size):
+                assert res.trace.events(pid=pid) == want.trace.events(pid=pid)
+
+
+@pytest.mark.parametrize("expr", [Fold(lambda a, b: a + b),
+                                  Scan(lambda a, b: a + b)],
+                         ids=["fold", "scan"])
+def test_a_map_plan_batch_is_its_chunks_run_one_by_one(expr):
+    """The stream's side of the axis: ``MapPlan.run_chunks`` returns what
+    ``run_chunk`` returns for each chunk — value and type — and counts
+    the same runs, events and virtual time, in one walk."""
+    stage = MapPlan(expr, spec=AP1000)
+    chunks = [tuple(float(4 * c + j + 1) for j in range(4))
+              for c in range(5)]
+    batched, alone = StreamRunStats(), StreamRunStats()
+    with walks_recorded() as walks:
+        got = stage.run_chunks(chunks, {}, batched)
+    want = [stage.run_chunk(chunk, {}, alone) for chunk in chunks]
+    assert len(walks) == 1 and len(walks[0]) == 4 * len(chunks)
+    assert _same(got, want)
+    assert batched.walks == 1 and alone.walks == len(chunks)
+    for counter in ("plan_runs", "sim_events", "sim_messages",
+                    "virtual_seconds"):
+        assert getattr(batched, counter) == getattr(alone, counter)
+
+
+def test_a_short_last_chunk_runs_alone():
+    from repro.stream.plan import stream_plan
+
+    plan = (stream_plan([float(i) for i in range(7)]).chunk(4)
+            .map_plan(Fold(lambda a, b: a + b), spec=AP1000))
+    stats = StreamRunStats()
+    with walks_recorded() as walks:
+        assert list(plan.run_seq(stats=stats)) == [6.0, 15.0]
+    assert [len(w) for w in walks] == [4, 3]
+    assert stats.walks == stats.plan_runs == 2
 
 
 # -- payload sizes ------------------------------------------------------------------

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import operator
+import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import SkeletonError
+from repro.obs.metrics import MetricsRegistry
 from repro.plan.lower import plan_cache_reset, plan_cache_stats
 from repro.scl import Fold, Map, Scan, compose_nodes
 from repro.stream.plan import (
@@ -63,6 +65,30 @@ class TestShapeValidation:
     def test_chunk_size_validated(self):
         with pytest.raises(SkeletonError, match="Chunk"):
             Chunk(0)
+
+    @pytest.mark.parametrize("size", [2.5, True, "2", None])
+    def test_chunk_size_must_be_an_integer(self, size):
+        # Chunk(2.5) never filled: the whole stream came out as one chunk
+        with pytest.raises(SkeletonError, match="Chunk size"):
+            stream_plan(range(7)).chunk(size)
+
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_take_count_must_be_an_integer(self, k):
+        # take(1.5) kept two items
+        with pytest.raises(SkeletonError, match="take"):
+            stream_plan(range(7)).take(k)
+
+    @pytest.mark.parametrize("buffer", [2.5, True])
+    def test_buffer_must_be_an_integer(self, buffer):
+        with pytest.raises(SkeletonError, match="buffer"):
+            stream_plan(range(7)).map_seq(abs).run(buffer=buffer)
+
+    def test_numpy_integers_are_sizes(self):
+        n = np.int64(2)
+        plan = stream_plan(range(7)).chunk(n).take(n)
+        assert list(plan.run_seq()) == [(0, 1), (2, 3)]
+        assert list(plan.run(buffer=n)) == [(0, 1), (2, 3)]
+        assert type(plan.ops[0].n) is int
 
     def test_bad_stage_rejected(self):
         with pytest.raises(SkeletonError, match="unknown"):
@@ -148,16 +174,21 @@ class TestExecution:
 class TestPlanCacheAmortization:
     def test_one_lowering_many_chunks(self):
         # Counter deltas only — keep any warm plans (a warm cache just
-        # turns the first chunk's miss into a hit; both bounds hold).
+        # turns the first walk's miss into a hit; both bounds hold).
         plan_cache_reset()
         expr = Scan(operator.add)
         plan = (stream_plan([float(i) for i in range(64)]).chunk(8)
                 .map_plan(expr).unchunk())
-        list(plan.run_seq())
+        run = StreamRunStats()
+        list(plan.run_seq(stats=run))
         stats = plan_cache_stats()
-        # 8 equal-size chunks: one miss (first chunk), hits after.
+        # 8 equal-size chunks, lowered once ...
         assert stats["misses"] <= 2  # auto-opt may lower raw + optimized
-        assert stats["hits"] >= 7
+        # ... and looked up once per walk, not once per chunk (a cold
+        # optimized entry also looks up the raw plan it builds on)
+        assert run.plan_runs == 8 and run.walks == 1
+        assert stats["hits"] + stats["misses"] \
+            == run.walks + stats["optimized"]
 
     def test_stats_counters(self):
         stats = StreamRunStats()
@@ -181,6 +212,96 @@ class TestPlanCacheAmortization:
         assert seq == thr
         assert dataclass_tuple(seq_stats) == dataclass_tuple(thr_stats)
         assert thr_stats.chunks == thr_stats.plan_runs == 20 // 4
+
+
+class TestBatching:
+    """A ``MapPlan`` runs its equal-size chunks as batches: one walk each,
+    at most ``buffer`` chunks, with the stream's outputs and counters
+    those of chunk-by-chunk runs."""
+
+    @staticmethod
+    def scan_plan(n_items, n=4):
+        return (stream_plan([float(i) for i in range(n_items)]).chunk(n)
+                .map_plan(Scan(operator.add)).unchunk())
+
+    def test_equal_chunks_share_a_walk_and_a_short_one_runs_alone(self):
+        for n_items, walks in ((32, 1), (34, 2), (36, 2), (68, 3)):
+            stats = StreamRunStats()
+            out = list(self.scan_plan(n_items).run_seq(stats=stats))
+            assert len(out) == n_items
+            assert stats.plan_runs == -(-n_items // 4)
+            assert stats.walks == walks, n_items
+
+    def test_a_batch_holds_at_most_buffer_chunks(self):
+        seq, thr = StreamRunStats(), StreamRunStats()
+        plan = self.scan_plan(80)
+        assert list(plan.run_seq(stats=seq)) == list(plan.run(
+            buffer=2, stats=thr))
+        assert seq.plan_runs == thr.plan_runs == 20
+        assert seq.walks == 3  # 8 + 8 + 4
+        assert thr.walks >= 10  # never more than 2 chunks a walk
+
+    def test_a_failing_batch_is_rerun_chunk_by_chunk(self):
+        def poisoned(x):
+            if x == 13.0:
+                raise ArithmeticError("chunk 3")
+            return x
+
+        plan = (stream_plan([float(i) for i in range(32)]).chunk(4)
+                .map_plan(compose_nodes(Scan(operator.add), Map(poisoned)))
+                .unchunk())
+        for run in (plan.run_seq, plan.run):
+            stats = StreamRunStats()
+            got = []
+            with pytest.raises(ArithmeticError, match="chunk 3"):
+                for x in run(stats=stats):
+                    got.append(x)
+            # the three chunks before the failing one are emitted
+            assert got == [0.0, 1.0, 3.0, 6.0, 4.0, 9.0, 15.0, 22.0,
+                           8.0, 17.0, 27.0, 38.0]
+            assert stats.plan_runs == 3
+
+    def test_an_upstream_failure_waits_for_the_pulled_chunks(self):
+        def items():
+            yield from (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+            raise LookupError("source broke")
+
+        plan = (stream_plan(items()).chunk(2)
+                .map_plan(Fold(operator.add)))
+        got = []
+        with pytest.raises(LookupError, match="source broke"):
+            for x in plan.run_seq():
+                got.append(x)
+        # the three whole chunks pulled before the failure ran; the
+        # partial fourth never formed
+        assert got == [3.0, 7.0, 11.0]
+
+    def test_a_threaded_batch_never_waits_for_a_chunk(self):
+        """The first chunk's output reaches the consumer while the source
+        is still holding back the second chunk."""
+        go = threading.Event()
+        waited = []
+
+        def items():
+            yield from (1.0, 2.0, 3.0, 4.0)
+            waited.append(go.wait(timeout=10))
+            yield from (5.0, 6.0, 7.0, 8.0)
+
+        gen = (stream_plan(items()).chunk(4).map_plan(Scan(operator.add))
+               .unchunk().run())
+        assert [next(gen) for _ in range(4)] == [1.0, 3.0, 6.0, 10.0]
+        go.set()
+        assert list(gen) == [5.0, 11.0, 18.0, 26.0]
+        assert waited == [True]
+
+    def test_walks_are_mirrored_into_metrics(self):
+        registry = MetricsRegistry()
+        stats = StreamRunStats().attach_metrics(registry, name="s")
+        list(self.scan_plan(36).run_seq(stats=stats))
+        snap = registry.snapshot()
+        assert stats.walks == 2
+        assert snap.value("stream_walks_total", {"stream": "s"}) == 2
+        assert snap.value("stream_plan_runs_total", {"stream": "s"}) == 9
 
 
 def dataclass_tuple(stats: StreamRunStats):
