@@ -40,13 +40,15 @@ processor's float sums see the same additions in the same order.
 The same argument makes one ``Lockstep`` enough for ``k`` independent
 runs: on :meth:`Machine.copies <repro.machine.simulator.Machine.copies>`
 it spans ``k`` copies of the machine, processor ``c·m + j`` being copy
-``c``'s processor ``j``.  Its hop rows are the copies topology's
-(:class:`~repro.machine.topology.Copies`: the base row laid over each
-copy's block, so a send is priced on its own copy's route), no message
-crosses copies, and each processor's float additions are those of its
-solo run — so :meth:`RunResult.split
-<repro.machine.simulator.RunResult.split>` of the finished run is ``==``
-the ``k`` solo runs, with no line of this module knowing about copies.
+``c``'s processor ``j``.  Its hop rows are block-diagonal views of the
+base topology's: processor ``c·m + j`` reads the base row of ``j``, with
+the destinations of a bulk step's send table named within the sender's
+copy (:meth:`~Lockstep.exchange`), so a send is priced on its own copy's
+route, the copies share the base's rows (O(k·m) references, no row built
+per copy) and ``k = 1`` is the ordinary machine.  No message crosses
+copies, and each processor's float additions are those of its solo run
+— so :meth:`RunResult.split <repro.machine.simulator.RunResult.split>`
+of the finished run is ``==`` the ``k`` solo runs.
 
 That argument needs each clock to depend only on its own processor's
 requests and the arrivals it consumes.  The one-port contention model
@@ -89,6 +91,7 @@ from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
 from repro.machine.events import Compute, Message, Recv, Send
 from repro.machine.simulator import ProcStats, RunResult
+from repro.machine.topology import Copies
 from repro.machine.trace import NO_DETAIL, Span, Trace, TraceEvent, frozendetail
 
 __all__ = ["Lockstep", "Recorder", "wire"]
@@ -246,7 +249,8 @@ class Lockstep(_Timeline):
     request records its event there (see the module docstring).
     """
 
-    __slots__ = ("clock", "trace", "_stats", "_hop_rows", "_events")
+    __slots__ = ("clock", "trace", "_stats", "_hop_rows", "_routes",
+                 "_block", "_events")
 
     def __init__(self, machine: Any, trace: Trace | None = None):
         super().__init__(machine)
@@ -257,6 +261,13 @@ class Lockstep(_Timeline):
         self.trace = trace
         self._stats = [ProcStats(pid=pid) for pid in range(n)]
         self._hop_rows: list[list[int] | None] = [None] * n
+        # on copies of a machine, processor ``pid`` routes as processor
+        # ``pid % block`` of the base; an ordinary machine is its own one
+        # copy
+        topology = self._topology
+        self._routes = topology.base if isinstance(topology, Copies) \
+            else topology
+        self._block = self._routes.size
         self._events = 0
 
     @property
@@ -304,6 +315,13 @@ class Lockstep(_Timeline):
         <repro.machine.cost.MachineSpec.transfer_time>` after that.
         """
         nbytes = self._send_size(pid, dst, payload, nbytes)
+        block = self._block
+        within = dst - (pid - pid % block)  # dst's rank in pid's copy
+        if not 0 <= within < block:
+            self._topology.hops(pid, dst)  # no route: raises
+        row = self._hop_rows[pid]
+        if row is None:
+            row = self._hop_rows[pid] = self._routes.hop_row(pid % block)
         spec = self.spec
         clock = self.clock
         overhead = spec.send_overhead
@@ -313,11 +331,8 @@ class Lockstep(_Timeline):
         st.overhead_seconds += overhead
         st.msgs_sent += 1
         st.bytes_sent += nbytes
-        row = self._hop_rows[pid]
-        if row is None:
-            row = self._hop_rows[pid] = self._topology.hop_row(pid)
         self._post(pid, dst, tag, payload, nbytes, t0,
-                   t1 + spec.transfer_time(nbytes, row[dst]))
+                   t1 + spec.transfer_time(nbytes, row[within]))
         self._events += 1
         if self.trace is not None:
             self.trace.record(pid, "send", t0, t1, span=self.span,
@@ -364,6 +379,14 @@ class Lockstep(_Timeline):
         :class:`~repro.machine.simulator.ProcStats` field and traced
         event, to the same requests made through :meth:`send` and
         :meth:`recv`.
+
+        A destination is read for its route alone (and a traced event's
+        detail): ``slots`` say which send each receive takes.  So on
+        copies of a machine (:meth:`Machine.copies
+        <repro.machine.simulator.Machine.copies>`) ``sends`` names each
+        destination within its sender's copy, as
+        :func:`repro.plan.vexec.copied` does, and the step is the
+        ordinary machine's, addition for addition.
         """
         spec = self.spec
         clock = self.clock
@@ -387,7 +410,7 @@ class Lockstep(_Timeline):
                 raise _negative(pid, "nbytes", nbytes)
             hops = hop_rows[pid]
             if hops is None:
-                hops = hop_rows[pid] = self._topology.hop_row(pid)
+                hops = hop_rows[pid] = self._routes.hop_row(pid % self._block)
             wire_time = nbytes / bandwidth
             st = stats[pid]
             t = clock[pid]

@@ -339,20 +339,15 @@ class Copies(Topology):
     Processor ``c·m + j`` is processor ``j`` of copy ``c`` (``m =
     base.size``); within a copy the routes are ``base``'s, and no route
     joins two copies — a partitioned machine, each partition running its
-    own job.  The hop row of processor ``c·m + j`` is ``base``'s row for
-    ``j`` laid once over each copy's block: every copy reads its own
-    block, so the ``m`` rows of the base are all there is — O(k·m) each,
-    shared by the ``k`` copies — and what a row holds outside its own
-    copy's block is not a route.
+    own job.  A walk on copies reads ``base``'s own hop rows, processor
+    ``c·m + j`` the row of ``j`` (:class:`repro.machine.lockstep.Lockstep`),
+    so the copies build no row of their own.
     """
 
     def __init__(self, base: Topology, copies: int):
         super().__init__(base.size * copies)
         self.base = base
         self.copies = copies
-        # a walk sends from every processor: lay every row out at once
-        rows = [base.hop_row(rank) * copies for rank in range(base.size)]
-        self._hop_rows = dict(enumerate(rows * copies))
 
     def hops(self, src: int, dst: int) -> int:
         self.check_node(src)

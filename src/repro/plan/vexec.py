@@ -53,7 +53,8 @@ cannot tell the two apart.
   copy ``c``'s rank ``j`` being rank ``c·m + j``.  Each instruction is
   still one bulk step: its send / receive tables and each collective
   round are walked as ``k`` block-diagonal copies (:func:`copied`,
-  worked out once per instruction and ``k``), a broadcast root and its
+  worked out once per instruction and ``k``; a send table names its
+  destinations within the sender's copy), a broadcast root and its
   piece, the fold's reduce-then-broadcast and an indexed fragment's rank
   (``r mod m``) are per copy.  Copies share no message, and each rank's
   requests are those of its solo run, in the same order — so are its
@@ -126,17 +127,21 @@ def copied(sends, recvs, slots, m: int, k: int) -> tuple:
     :func:`~repro.machine.lockstep.wire` ``slots`` — for ``k`` copies of
     the machine side by side: copy ``c``'s rank ``j`` is rank ``c·m + j``
     and talks only to ranks of its own copy, and its send numbers follow
-    those of the copies before it (a local ``-1`` stays).  The slots are
-    therefore what ``wire`` would make of the copied tables."""
+    those of the copies before it (a local ``-1`` stays).  The receive
+    table names whole-machine ranks; the send table names each
+    destination within its sender's copy, the form
+    :meth:`Lockstep.exchange <repro.machine.lockstep.Lockstep.exchange>`
+    prices copies in — so it is ``sends`` itself, ``k`` times.  The
+    slots are what ``wire`` makes of the copied tables (send table
+    offset like the receive table)."""
     per_copy = sum(map(len, sends))
-    out_sends, out_recvs, out_slots = [], [], []
+    out_recvs, out_slots = [], []
     for c in range(k):
         base, first = c * m, c * per_copy
-        out_sends += [tuple(d + base for d in row) for row in sends]
         out_recvs += [tuple(s + base for s in row) for row in recvs]
         out_slots += [tuple(s + first if s >= 0 else -1 for s in row)
                       for row in slots]
-    return tuple(out_sends), tuple(out_recvs), tuple(out_slots)
+    return tuple(sends) * k, tuple(out_recvs), tuple(out_slots)
 
 
 def _copies_of(instr, m: int, k: int):

@@ -56,7 +56,7 @@ import functools
 from typing import Any, Sequence
 
 from repro.core.pararray import ParArray
-from repro.errors import SkeletonError
+from repro.errors import MachineError, SkeletonError
 from repro.machine.simulator import Machine, RunResult
 from repro.plan.ir import Scalar as _Scalar, base_fragment, fragment_ops
 # Bind the lowering module through sys.modules: `repro.plan.lower` imports
@@ -209,46 +209,46 @@ def run_expression_many(expr: N.Node,
     :mod:`repro.plan.vexec` walk of all ``k`` copies at once — one bulk
     step per instruction for the lot — and whose result
     :meth:`~repro.machine.simulator.RunResult.split` hands each job its
-    own values and statistics.  A walk the plan declines leaves the copies
-    to the per-rank interpreter, each copy in its own communicator.  A
-    machine that has no copies (fault-injected, traced, single-port or
-    ``batch=False``), fewer than two inputs, or inputs of different
-    shapes run one by one through :func:`run_expression`.  Every input is
-    checked as :func:`run_expression` checks it.
+    own values and statistics.  A machine that has no copies
+    (fault-injected, traced, single-port or ``batch=False``), a plan the
+    walk declines (:func:`repro.plan.vexec.supported`), fewer than two
+    inputs, or inputs of different shapes run one by one through
+    :func:`run_expression`.  Every input is checked as
+    :func:`run_expression` checks it.
     """
+    from repro.plan import vexec
+
     checked = [_per_rank(pa, machine) for pa in inputs]
     shapes = {_grid(shape) for _, shape in checked}
     copies = machine.copies(len(checked)) if len(checked) > 1 else None
-    if copies is None or len(shapes) > 1:
+    plan = None
+    if copies is not None and len(shapes) == 1:
+        plan = _plan_lower.lower(expr, machine.nprocs, shapes.pop(),
+                                 opt=resolve_opt(opt, machine))
+    if plan is None or not vexec.supported(plan):
         return [run_expression(expr, pa, machine, label=label, opt=opt)
                 for pa in inputs]
-    plan = _plan_lower.lower(expr, machine.nprocs, shapes.pop(),
-                             opt=resolve_opt(opt, machine))
-    program, walk = _program(
-        plan, [v for values, _ in checked for v in values], label)
-    res = copies.run(program, walk=walk)
+    values = [v for per_rank, _ in checked for v in per_rank]
+    res = copies.run(_walked_only, walk=lambda timeline: vexec.precompute(
+        plan, values, timeline, label))
     return [(_result(part, shape), part)
             for part, (_, shape) in zip(res.split(len(checked)), checked)]
 
 
+def _walked_only(env):
+    """The per-processor program of a run on copies, which a copies
+    machine never interprets: it walks every plan it is given."""
+    raise MachineError("a run on machine copies takes the plan walk")
+
+
 def _program(plan, values, label):
     """The :meth:`Machine.run` arguments ``(program, walk)`` running
-    ``plan`` over the row-major per-rank ``values`` — of one run, or of
-    several back to back on the copies of the plan's machine — with the
-    per-rank interpreter (on copies, each in its own copy's communicator)
-    and the whole-machine walk."""
+    ``plan`` over the row-major per-rank ``values``: the per-rank
+    interpreter and the whole-machine walk."""
     from repro.machine.api import Comm
     from repro.machine.plan_exec import execute_plan
     from repro.plan import vexec
 
-    m = plan.nprocs
-
-    def program(env):
-        comm = Comm.world(env)
-        if env.nprocs != m:
-            first = env.pid - env.pid % m
-            comm = comm.subgroup(range(first, first + m))
-        return execute_plan(plan, env, comm, values[env.pid], label)
-
-    return program, lambda timeline: vexec.precompute(plan, values,
-                                                      timeline, label)
+    return (lambda env: execute_plan(plan, env, Comm.world(env),
+                                     values[env.pid], label),
+            lambda timeline: vexec.precompute(plan, values, timeline, label))

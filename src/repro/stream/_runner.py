@@ -25,11 +25,14 @@ wrong):
   or a satisfied stop condition terminates instead of being drained
   forever.
 * Every stage still drains its input queue to the sentinel before
-  exiting, so upstream ``put`` calls can never block forever.  A
-  consumer that stops early drains the output queue the same way, so no
-  stage is left blocked on a full queue and every thread joins before
-  its ``close()`` returns; a stage that sees the abandonment stops
-  transforming and only drains.
+  exiting, so upstream ``put`` calls can never block forever.
+* A consumer that stops early **releases** every queue: puts no longer
+  wait for room, and each queue gets a sentinel, so a stage waiting for
+  input — behind a source blocked in ``next`` — ends at once.  A stage
+  that sees the abandonment stops transforming, and every stage thread
+  joins before ``close()`` returns.  The source thread is not waited
+  for: it may be blocked in the source's own ``next``, and it stops as
+  soon as that returns.
 * After all threads join, the **earliest failure by stage order** is
   raised — the source counts as stage ``-1`` — not whichever thread
   happened to lose the race into a shared list.
@@ -38,6 +41,7 @@ wrong):
 from __future__ import annotations
 
 import queue
+import sys
 import threading
 from typing import Any, Callable, Iterable, Iterator
 
@@ -107,6 +111,15 @@ class _QueueIter:
     @property
     def exhausted(self) -> bool:
         return self._stopped
+
+
+def _release(q: "queue.Queue[Any]") -> None:
+    """Let every put on ``q``, waiting or to come, go through at once,
+    and end the stream for whoever takes from it next."""
+    with q.not_full:
+        q.maxsize = sys.maxsize
+        q.not_full.notify_all()
+    q.put(_SENTINEL)
 
 
 def run_staged(source: Iterable[Any], transforms: list[Transform], *,
@@ -186,9 +199,11 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
             it.drain()
             q_out.put(_SENTINEL)
 
-    threads = [threading.Thread(target=feeder, daemon=True)]
-    threads += [threading.Thread(target=worker, args=(i, t), daemon=True)
-                for i, t in enumerate(transforms)]
+    stages = [threading.Thread(target=worker, args=(i, t),
+                               name=f"stream-stage-{i}", daemon=True)
+              for i, t in enumerate(transforms)]
+    threads = [threading.Thread(target=feeder, name="stream-source",
+                                daemon=True), *stages]
     for t in threads:
         t.start()
 
@@ -199,14 +214,13 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                 break
             yield item
     except GeneratorExit:
-        # Consumer stopped early: stop the source and the stages, and take
-        # what they still hold off the output queue (to the sentinel), so
-        # no stage is left blocked on a full queue and every thread joins.
+        # Consumer stopped early: stop the source and the stages, and
+        # release every queue so that none of them waits on another.
         abandoned.set()
         cancel.set()
-        while queues[-1].get() is not _SENTINEL:
-            pass
-        for t in threads:
+        for q in queues:
+            _release(q)
+        for t in stages:
             t.join()
         raise
     for t in threads:

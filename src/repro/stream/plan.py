@@ -314,17 +314,22 @@ class MapPlan(StreamOp):
               stats: StreamRunStats | None) -> Iterator[Any]:
         """Yield the outputs of ``batch``, in order.  A batch that raises
         is re-run chunk by chunk: the chunks before the failing one are
-        emitted, and that one raises its own error."""
+        emitted, and that one raises its own error.  A batch error that
+        no chunk reproduces is a fault of the batch itself, and is raised
+        after the chunks' outputs."""
+        failed = None
         if len(batch) > 1:
             try:
                 outs = self.run_chunks(batch, machines, stats)
-            except Exception:
-                pass  # found again, and raised, by the chunk at fault
+            except Exception as exc:
+                failed = exc
             else:
                 yield from outs
                 return
         for chunk in batch:
             yield self.run_chunk(chunk, machines, stats)
+        if failed is not None:
+            raise failed
 
 
 def _count(value: Any, what: str) -> int:

@@ -276,6 +276,53 @@ def drive(steps, bulk, ref):
         yield
 
 
+class _Copy:
+    """Copy ``c`` of a timeline over ``Machine.copies``, seen as a machine
+    of its own: processor ``j`` is the timeline's ``c·m + j``."""
+
+    def __init__(self, timeline, c, m):
+        self.nprocs, self._t, self._first = m, timeline, c * m
+
+    def work(self, pid, ops):
+        self._t.work(self._first + pid, ops)
+
+    def compute(self, pid, seconds):
+        self._t.compute(self._first + pid, seconds)
+
+    def send(self, pid, dst, payload, tag, nbytes):
+        self._t.send(self._first + pid, self._first + dst, payload, tag,
+                     nbytes)
+
+    def recv(self, pid, src, tag):
+        return self._t.recv(self._first + pid, self._first + src, tag)
+
+
+class TestCopies:
+    """One ``Lockstep`` over :meth:`Machine.copies`: each copy routes on
+    the base topology's own hop rows at its offset, and no route joins
+    two copies."""
+
+    @pytest.mark.parametrize("topology", [Hypercube(3), Ring(P)], ids=repr)
+    def test_a_hand_walk_on_copies_is_the_solo_walks(self, topology):
+        k = 3
+        machine = Machine(topology, spec=AP1000)
+        solo = Lockstep(machine)
+        want = solo.finish(ring_walk(solo))
+        timeline = Lockstep(machine.copies(k))
+        values = [v for c in range(k) for v in ring_walk(_Copy(timeline, c, P))]
+        for got in timeline.finish(values).split(k):
+            assert got.values == want.values
+            assert got.events == want.events
+            assert [dataclasses.asdict(st) for st in got.stats] \
+                == [dataclasses.asdict(st) for st in want.stats]
+
+    def test_no_route_joins_two_copies(self):
+        timeline = Lockstep(Machine(Ring(4), spec=AP1000).copies(2))
+        with pytest.raises(TopologyError, match="different copies"):
+            timeline.send(3, 4, "x", TAG, 8)
+        assert timeline.clock == [0.0] * 8
+
+
 class TestBulkSteps:
     @staticmethod
     def replay(steps, bulk, ref):

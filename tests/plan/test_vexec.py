@@ -391,8 +391,9 @@ def assert_copies_identical(together, alone):
 @pytest.mark.parametrize("p", [4, 5, 8])
 def test_copied_tables_are_wired_as_the_copies_of_their_wiring(p, k):
     """Block-diagonal copies of a pattern's tables carry the copied slots
-    ``wire`` would work out for them: FIFO repeats and local entries
-    included."""
+    ``wire`` would work out for them — FIFO repeats and local entries
+    included — and a send table that names destinations within each
+    sender's copy."""
     patterns = [rnd for rounds in (C.scan_rounds(p), C.reduce_rounds(p),
                                    C.bcast_rounds(p, p - 1))
                 for rnd in rounds]
@@ -403,7 +404,10 @@ def test_copied_tables_are_wired_as_the_copies_of_their_wiring(p, k):
         sends, recvs, slots = vexec.copied(rnd.sends, rnd.recvs, rnd.slots,
                                            p, k)
         assert len(sends) == len(recvs) == k * p
-        assert wire(sends, recvs) == slots
+        assert sends == tuple(rnd.sends) * k
+        whole = [tuple(dst + r - r % p for dst in dsts)
+                 for r, dsts in enumerate(sends)]
+        assert wire(whole, recvs) == slots
 
 
 @pytest.mark.parametrize("k", COPIES)
@@ -434,14 +438,14 @@ def test_random_flat_plans_walk_copies_identically(prog, topology, k):
 
 
 @pytest.mark.parametrize("k", [2, 8])
-def test_a_declined_walk_runs_the_copies_on_the_interpreter(k):
-    """A group plan is not walked; the copies machine then interprets each
-    copy in its own communicator, with the same results."""
+def test_a_declined_walk_runs_each_input_alone(k):
+    """A group plan is not walked: its inputs run one by one, each
+    declining its own walk, with the solo runs' results."""
     expr = compose_nodes(Combine(), Map(Scan(lambda a, b: a + b)),
                          Split(Block(2)))
     walks, together, alone = run_copies_and_solo(expr, _runs(8),
                                                  FullyConnected, k)
-    assert walks == [None]
+    assert walks == [None] * k
     assert_copies_identical(together, alone)
 
 

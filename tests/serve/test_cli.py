@@ -42,15 +42,14 @@ def validate_serve_artifact(artifact: dict) -> None:
     assert len(summary["by_tenant"]) >= 2
     assert summary["sim_events"] > 0
     # Steady state: the lowering cache absorbs every request after each
-    # endpoint's first lowering (raw and optimized; two workers may race
-    # to build the same plan), and the tuned tier (v2) absorbs every tuned
-    # request after the first worker's beam search.  Misses are bounded,
-    # not the hit rate: a stream request looks its plan up once per batch
-    # of chunks, so the rate says how many lookups a request makes.
+    # endpoint's first lowering — one raw and one optimized plan, with
+    # two more for workers racing to build the same plan — and the tuned
+    # tier (v2) absorbs every tuned request after the first worker's beam
+    # search.  Misses are bounded, not the hit rate, because a stream
+    # request looks its plan up once per batch of chunks, not per chunk.
     cache = summary["plan_cache"]
-    assert cache["misses"] \
-        <= 2 * config["workers"] * len(config["endpoints"])
-    assert cache["hits"] > cache["misses"]
+    assert cache["misses"] <= 2 * len(config["endpoints"]) + 2
+    assert cache["hits"] > 0
     assert cache["tuned_hits"] > 0
     assert cache["tuned_hit_rate"] > 0.5
 

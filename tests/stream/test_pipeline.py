@@ -201,6 +201,34 @@ class TestFailureSemantics:
         assert next(gen) == 1
         gen.close()  # must not hang
 
+    @pytest.mark.parametrize("stages", [[inc], [inc, dbl, inc]])
+    def test_abandoning_a_blocked_source_does_not_wait_for_it(self, stages):
+        """A consumer that stops while the source is blocked in ``next``
+        gets ``close()`` back at once, with every stage thread joined; the
+        source's thread ends as soon as the source yields again."""
+        import threading
+
+        more = threading.Event()
+
+        def live_feed():
+            yield from range(3)
+            more.wait(timeout=30)  # a feed with nothing to say yet
+            yield from range(3, 10)
+
+        want = list(pipeline(stages)(range(2)))
+        before = set(threading.enumerate())
+        gen = pipeline(stages, buffer=2)(live_feed())
+        assert [next(gen), next(gen)] == want
+        start = time.perf_counter()
+        gen.close()
+        assert time.perf_counter() - start < 5
+        new = [t for t in threading.enumerate() if t not in before]
+        assert [t.name for t in new if t.is_alive()] == ["stream-source"]
+        more.set()
+        for t in new:
+            t.join(timeout=10)
+            assert not t.is_alive()
+
 
 class TestMachinePipeline:
     def test_results_match_composition(self):

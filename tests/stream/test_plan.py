@@ -261,6 +261,24 @@ class TestBatching:
                            8.0, 17.0, 27.0, 38.0]
             assert stats.plan_runs == 3
 
+    def test_a_batch_fault_no_chunk_reproduces_still_surfaces(
+            self, monkeypatch):
+        """A failure of the batch itself (its chunks all run alone) is
+        raised after their outputs, not absorbed by the re-run."""
+        run_chunks = MapPlan.run_chunks
+
+        def broken_batches(self, chunks, machines, stats):
+            if len(chunks) > 1:
+                raise RuntimeError("the copies walk broke")
+            return run_chunks(self, chunks, machines, stats)
+
+        monkeypatch.setattr(MapPlan, "run_chunks", broken_batches)
+        got = []
+        with pytest.raises(RuntimeError, match="copies walk broke"):
+            for x in self.scan_plan(8).run_seq():
+                got.append(x)
+        assert got == [0.0, 1.0, 3.0, 6.0, 4.0, 9.0, 15.0, 22.0]
+
     def test_an_upstream_failure_waits_for_the_pulled_chunks(self):
         def items():
             yield from (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)

@@ -19,7 +19,8 @@ by chunk; ``run_seq``; ``run`` (one thread per stage) — and checks:
   ``run_seq`` makes one walk per bound's worth of equal-size chunks;
 * every stage thread has joined by the time the consumer's iteration
   ends or its ``close()`` returns (an abandoning consumer once left two
-  threads blocked on a full queue for good);
+  threads blocked on a full queue for good), and the source's thread
+  ends once the source's ``next`` returns;
 * the feeder stops pulling once the stream is cancelled: ``run``'s
   ``items_in`` exceeds what ``run_seq`` pulled for the same output by at
   most what the queues, the stages' hands and a ``MapPlan`` batch hold;
@@ -296,9 +297,12 @@ class StreamLifecycle(RuleBasedStateMachine):
         consumer.join(HANG_S)
         assert not consumer.is_alive(), "run hung"
         run_out, run_exc, thr = done["run"]
-        left = [t for t in threading.enumerate()
-                if t not in before and t.is_alive()]
-        assert not left, left
+        new = [t for t in threading.enumerate() if t not in before]
+        stages = [t for t in new if t.name != "stream-source"]
+        assert not [t for t in stages if t.is_alive()], stages
+        for t in new:  # the source thread ends once its ``next`` returns
+            t.join(HANG_S)
+            assert not t.is_alive(), "source thread hung"
 
         assert run_out == seq_out
         if seq_exc is not None:
