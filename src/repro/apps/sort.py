@@ -9,6 +9,7 @@ pipeline:
    cube into sub-cubes and recurse in parallel, ``combine`` at the end.
 2. :func:`hyperquicksort_flat` — the **flattened iterative SPMD program**
    of §5 (what the paper derives by transformation before hand-compiling):
+   the ``ParArray`` evaluation of :func:`hyperquicksort_expression`,
    ``iterFor d step`` over the distributed array, with pivot distribution
    expressed as a ``fetch`` from each sub-cube's leader.
 3. :func:`hyperquicksort_machine` — the **hand-compiled message-passing
@@ -20,9 +21,9 @@ pipeline:
 4. :func:`hyperquicksort_expression` / :func:`hyperquicksort_compiled` —
    the §5 program as a **pure skeleton expression**, run through the SCL
    compiler onto the machine.
-5. :func:`hyperquicksort_trace` — instrumented variant recording
-   per-processor contents after every stage, reproducing Figure 2's
-   (a)–(h) progression.
+5. :func:`hyperquicksort_trace` — the same expression evaluated one
+   exchange and one merge at a time, recording per-processor contents
+   after every stage, reproducing Figure 2's (a)–(h) progression.
 
 Distributed **sample sort** (:func:`sample_sort`,
 :func:`sample_sort_machine`) is included as a comparator, plus sequential
@@ -51,7 +52,6 @@ from repro.core import (
     fetch,
     gather,
     imap,
-    iter_for,
     parmap,
     partition,
     split,
@@ -185,33 +185,19 @@ def hyperquicksort_flat(values: Sequence[float] | np.ndarray, d: int, *,
                         executor: Executor | None = None) -> np.ndarray:
     """The transformation-derived flat program: ``iterfor d step DA``.
 
-    Each ``step i`` works on sub-cubes of dimension ``d - i``: the pivot
-    travels by ``fetch (mf d')`` from each sub-cube's leader
+    Evaluates :func:`hyperquicksort_expression` over the locally sorted
+    blocks: each ``step i`` works on sub-cubes of dimension ``d - i``,
+    the pivot travels by ``fetch (mf d')`` from each sub-cube's leader
     (``mf d' j = floor(j / 2^d') * 2^d'``) and the partner exchange uses
     ``mypartner j = xor(j, 2^(d'-1))`` — the exact index functions of the
     paper's flattened code.
     """
+    from repro.scl import evaluate
+
     values = np.asarray(values)
     p = 1 << d
     da = parmap(seq_quicksort, partition(Block(p), values), executor=executor)
-
-    def step(i: int, x: ParArray) -> ParArray:
-        dim = d - i          # the paper's d' = d - i
-        sub = 1 << dim
-        half = sub >> 1
-        # wpivot: align x with pivots fetched from each sub-cube leader
-        pivots = fetch(lambda j: (j // sub) * sub, parmap(midvalue, x))
-        conf = align(pivots, x)
-        low_high = parmap(
-            lambda pv_loc: split_by_pivot(pv_loc[0], pv_loc[1]), conf,
-            executor=executor)
-        kept = imap(lambda j, lh: lh[0] if j & half == 0 else lh[1], low_high)
-        to_send = imap(lambda j, lh: lh[1] if j & half == 0 else lh[0], low_high)
-        received = fetch(lambda j: j ^ half, to_send)  # getpartner
-        return parmap(lambda kr: merge_sorted(kr[0], kr[1]),
-                      align(kept, received), executor=executor)
-
-    sorted_da = iter_for(d, step, da)
+    sorted_da = evaluate(hyperquicksort_expression(d), da, executor=executor)
     return np.asarray(gather(ParArray(sorted_da.to_list(), dist=Block(p))))
 
 
@@ -235,13 +221,18 @@ class StageSnapshot:
 
 def hyperquicksort_trace(values: Sequence[float] | np.ndarray,
                          d: int) -> list[StageSnapshot]:
-    """Run the flat algorithm recording Figure 2's stage-by-stage states.
+    """Evaluate the §5 expression recording Figure 2's stage-by-stage states.
 
-    Snapshot labels follow the figure: the initial unsorted vector on p0
-    (a), the distributed+locally-sorted state (b/c), then per-iteration
-    post-exchange (d/f) and post-merge (e/g) states, and the final gather
-    to p0 (h).
+    Each ``step i`` of :func:`hyperquicksort_expression` runs in two
+    parts, its exchange (pivot fetch, split, partner fetch, selection)
+    and then its merge, with a snapshot after each.  Snapshot labels
+    follow the figure: the initial unsorted vector on p0 (a), the
+    distributed+locally-sorted state (b/c), then per-iteration
+    post-exchange (d/f) and post-merge (e/g) states, and the final
+    gather to p0 (h).
     """
+    from repro.scl import compose_nodes, evaluate
+
     values = np.asarray(values)
     p = 1 << d
     snaps: list[StageSnapshot] = []
@@ -254,20 +245,14 @@ def hyperquicksort_trace(values: Sequence[float] | np.ndarray,
     snap("initial-on-p0", ParArray(initial))
     da = parmap(seq_quicksort, partition(Block(p), values))
     snap("distributed-sorted", da)
+    expr = hyperquicksort_expression(d)
     for i in range(d):
-        dim = d - i
-        sub = 1 << dim
-        half = sub >> 1
-        pivots = fetch(lambda j: (j // sub) * sub, parmap(midvalue, da))
-        low_high = parmap(lambda pv_loc: split_by_pivot(pv_loc[0], pv_loc[1]),
-                          align(pivots, da))
-        kept = imap(lambda j, lh: lh[0] if j & half == 0 else lh[1], low_high)
-        to_send = imap(lambda j, lh: lh[1] if j & half == 0 else lh[0], low_high)
-        received = fetch(lambda j: j ^ half, to_send)
+        merge, *exchange = expr.body(i).steps
+        pairs = evaluate(compose_nodes(*exchange), da)
         snap(f"iter{i}-exchanged",
              parmap(lambda kr: np.concatenate([np.asarray(kr[0]), np.asarray(kr[1])]),
-                    align(kept, received)))
-        da = parmap(lambda kr: merge_sorted(kr[0], kr[1]), align(kept, received))
+                    pairs))
+        da = evaluate(merge, pairs)
         snap(f"iter{i}-merged", da)
     final = np.asarray(gather(ParArray(da.to_list(), dist=Block(p))))
     snap("gathered-on-p0",

@@ -29,15 +29,14 @@ commutativity): partial results are always combined in rank order, matching
 the paper's ``fold``/``scan`` contract ("the argument must be associative
 ... otherwise the result is undefined").
 
-A generator states its schedule one request at a time, to whichever
-engine pumps it.  The three schedules lowered plans use are also stated
-*statically*, as per-round send/receive tables a whole-machine walk can
-follow without running p generators: :func:`bcast_rounds`,
-:func:`reduce_rounds` and :func:`scan_rounds` (see :class:`Round`).  The
-generators remain the definition — the interpreter, the reliable
-transport and every hand-written program run them — and
-``tests/machine/test_collectives.py::TestRoundTables`` holds each table
-to the request sequence its generator yields.
+Three schedules are stated once, as data: the per-round send/receive
+tables :func:`bcast_rounds`, :func:`reduce_rounds` and
+:func:`scan_rounds` (see :class:`Round`).  A whole-machine walk follows
+them without running p generators, and :func:`bcast`, :func:`reduce` and
+:func:`scan` play a member's part of them — per round its sends, then
+its receives — for the plan interpreter and every hand-written
+program.  ``reduce``'s table is rooted at rank 0; its one
+forwarding message to another root is the only step it states itself.
 """
 
 from __future__ import annotations
@@ -93,43 +92,28 @@ def _from_vrank(comm: Comm, vrank: int, root: int) -> int:
     return (vrank + root) % comm.size
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _steps(rounds_of: Callable[..., tuple[Round, ...]], rank: int,
+           *args: int) -> tuple[tuple[bool, int, int], ...]:
+    """Member ``rank``'s part of the schedule ``rounds_of(*args)``: per
+    round its sends, then its receives, as ``(is_send, peer, tag)``."""
+    return tuple(
+        step for rnd in rounds_of(*args)
+        for step in ([(True, dst, rnd.tag) for dst in rnd.sends[rank]]
+                     + [(False, src, rnd.tag) for src in rnd.recvs[rank]]))
+
+
 def bcast(comm: Comm, value: Any = None, *, root: int = 0,
           nbytes: int | None = None) -> Gen:
     """Broadcast ``value`` from ``root`` to all members; returns it on all.
 
     Non-root members may pass ``value=None``; the broadcast value replaces it.
     """
-    size = comm.size
-    if root == 0:
-        # Dominant case: vrank == rank and no modular renaming.
-        v = comm.rank
-        if size == 1:
-            return value
-        mask = 1
-        while mask < size:
-            if v < mask:
-                dst = v + mask
-                if dst < size:
-                    yield comm.send(dst, value, tag=_TAG_BCAST, nbytes=nbytes)
-            elif v < 2 * mask:
-                msg = yield comm.recv(v - mask, tag=_TAG_BCAST)
-                value = msg.payload
-            mask <<= 1
-        return value
-    v = _vrank(comm, root)
-    if size == 1:  # singleton group: nothing moves
-        return value
-    mask = 1
-    while mask < size:
-        if v < mask:
-            dst = v + mask
-            if dst < size:
-                yield comm.send(_from_vrank(comm, dst, root), value,
-                                tag=_TAG_BCAST, nbytes=nbytes)
-        elif v < 2 * mask:
-            msg = yield comm.recv(_from_vrank(comm, v - mask, root), tag=_TAG_BCAST)
-            value = msg.payload
-        mask <<= 1
+    for is_send, peer, tag in _steps(bcast_rounds, comm.rank, comm.size, root):
+        if is_send:
+            yield comm.send(peer, value, tag=tag, nbytes=nbytes)
+        else:
+            value = (yield comm.recv(peer, tag=tag)).payload
     return value
 
 
@@ -142,33 +126,21 @@ def reduce(comm: Comm, value: Any, op: Callable[[Any, Any], Any], *,
     not required.  Non-root members return ``None``.  A non-zero root costs
     one extra message: the tree is rooted at rank 0, which forwards.
     """
-    size = comm.size
+    size, rank = comm.size, comm.rank
     if not (0 <= root < size):
         raise MachineError(f"root {root} out of range for size-{size} comm")
-    if size == 1:  # singleton group: the value is already reduced
-        return value
-    rank = comm.rank
     acc = value
-    mask = 1
-    done = False
-    while mask < size:
-        if rank & mask:
-            yield comm.send(rank - mask, acc, tag=_TAG_REDUCE, nbytes=nbytes)
-            done = True
-            break
-        src = rank + mask
-        if src < size:
-            msg = yield comm.recv(src, tag=_TAG_REDUCE)
-            acc = op(acc, msg.payload)
-        mask <<= 1
-    if root == 0:
-        return None if done else acc
+    for is_send, peer, tag in _steps(reduce_rounds, rank, size):
+        if is_send:
+            yield comm.send(peer, acc, tag=tag, nbytes=nbytes)
+        else:
+            acc = op(acc, (yield comm.recv(peer, tag=tag)).payload)
+    if rank == root == 0:
+        return acc
     if rank == 0:
         yield comm.send(root, acc, tag=_TAG_REDUCE, nbytes=nbytes)
-        return None
-    if rank == root:
-        msg = yield comm.recv(0, tag=_TAG_REDUCE)
-        return msg.payload
+    elif rank == root:
+        return (yield comm.recv(0, tag=_TAG_REDUCE)).payload
     return None
 
 
@@ -188,16 +160,12 @@ def scan(comm: Comm, value: Any, op: Callable[[Any, Any], Any], *,
     associativity of ``op`` suffices.  This is the machine-level counterpart
     of the paper's elementary ``scan`` skeleton.
     """
-    size = comm.size
-    rank = comm.rank
     my = value
-    for k in range(_ceil_log2(size)):
-        d = 1 << k
-        if rank + d < size:
-            yield comm.send(rank + d, my, tag=_TAG_SCAN, nbytes=nbytes)
-        if rank - d >= 0:
-            msg = yield comm.recv(rank - d, tag=_TAG_SCAN)
-            my = op(msg.payload, my)
+    for is_send, peer, tag in _steps(scan_rounds, comm.rank, comm.size):
+        if is_send:
+            yield comm.send(peer, my, tag=tag, nbytes=nbytes)
+        else:
+            my = op((yield comm.recv(peer, tag=tag)).payload, my)
     return my
 
 

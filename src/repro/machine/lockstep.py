@@ -88,9 +88,9 @@ from collections import deque
 from typing import Any, Sequence
 
 from repro.errors import DeadlockError, MachineError
-from repro.machine.cost import estimate_nbytes
 from repro.machine.events import Compute, Message, Recv, Send
-from repro.machine.simulator import ProcStats, RunResult
+from repro.machine.simulator import (ProcStats, RunResult, negative_error,
+                                     send_size)
 from repro.machine.topology import Copies
 from repro.machine.trace import NO_DETAIL, Span, Trace, TraceEvent, frozendetail
 
@@ -153,11 +153,6 @@ def wire(sends: Sequence[Sequence[int]], recvs: Sequence[Sequence[int]]
     return tuple(slots) if unreceived == 0 else None
 
 
-def _negative(pid: int, what: str, got: Any) -> MachineError:
-    return MachineError(
-        f"processor {pid}: {what} must be non-negative, got {got!r}")
-
-
 class _Timeline:
     """What a walk sees of the machine, the per-``(src, dst, tag)`` FIFO
     mailboxes of its per-request sends, and the checks the engines make on
@@ -183,13 +178,13 @@ class _Timeline:
     def compute(self, pid: int, seconds: float) -> None:
         """Charge ``seconds`` of CPU time (``yield env.compute(seconds)``)."""
         if not seconds >= 0:
-            raise _negative(pid, "compute seconds", seconds)
+            raise negative_error(pid, "compute seconds", seconds)
         self._charge(pid, seconds)
 
     def work(self, pid: int, ops: float) -> None:
         """Charge ``ops`` elementary operations (``yield env.work(ops)``)."""
         if not ops >= 0:
-            raise _negative(pid, "ops", ops)
+            raise negative_error(pid, "ops", ops)
         self._charge(pid, ops * self.spec.flop_time)
 
     def recv(self, pid: int, src: int, tag: Any) -> Message:
@@ -201,21 +196,6 @@ class _Timeline:
                 f"deadlock: processor {pid} blocked on a receive from "
                 f"{src} (tag {tag}) that no send matches")
         return msg
-
-    def _send_size(self, pid: int, dst: int, payload: Any,
-                   nbytes: int | None) -> int:
-        """Check ``pid``'s send to ``dst`` and return its size in bytes."""
-        if dst.__class__ is not int or not 0 <= dst < self._n:
-            self._topology.check_node(dst)
-        if dst == pid:
-            raise MachineError(f"processor {pid} sent a message to itself")
-        if nbytes is None:
-            nbytes = estimate_nbytes(payload, self.spec.word_bytes)
-        elif nbytes.__class__ is not int:
-            nbytes = int(nbytes)
-        if nbytes < 0:
-            raise _negative(pid, "nbytes", nbytes)
-        return nbytes
 
     def _post(self, pid: int, dst: int, tag: Any, payload: Any, nbytes: int,
               sent_at: float, arrival: float) -> None:
@@ -294,7 +274,7 @@ class Lockstep(_Timeline):
         span = self.span
         for pid, n in enumerate(ops):
             if not n >= 0:
-                raise _negative(pid, "ops", n)
+                raise negative_error(pid, "ops", n)
             seconds = n * flop_time
             start = clock[pid]
             clock[pid] = end = start + seconds
@@ -314,7 +294,8 @@ class Lockstep(_Timeline):
         :meth:`MachineSpec.transfer_time
         <repro.machine.cost.MachineSpec.transfer_time>` after that.
         """
-        nbytes = self._send_size(pid, dst, payload, nbytes)
+        nbytes = send_size(pid, dst, payload, nbytes, self._n,
+                            self._topology, self.spec.word_bytes)
         block = self._block
         within = dst - (pid - pid % block)  # dst's rank in pid's copy
         if not 0 <= within < block:
@@ -407,7 +388,7 @@ class Lockstep(_Timeline):
                 continue
             nbytes = sizes[pid]
             if nbytes < 0:
-                raise _negative(pid, "nbytes", nbytes)
+                raise negative_error(pid, "nbytes", nbytes)
             hops = hop_rows[pid]
             if hops is None:
                 hops = hop_rows[pid] = self._routes.hop_row(pid % self._block)
@@ -541,7 +522,7 @@ class Recorder(_Timeline):
         span = self.span
         for pid, (n, requests) in enumerate(zip(ops, self._requests)):
             if not n >= 0:
-                raise _negative(pid, "ops", n)
+                raise negative_error(pid, "ops", n)
             requests.append(Compute(float(n * flop_time)))
             if spans is not None:
                 spans[pid].append(span)
@@ -549,7 +530,8 @@ class Recorder(_Timeline):
     def send(self, pid: int, dst: int, payload: Any, tag: Any = 0,
              nbytes: int | None = None) -> None:
         """Record ``pid``'s send of ``payload`` to ``dst``."""
-        nbytes = self._send_size(pid, dst, payload, nbytes)
+        nbytes = send_size(pid, dst, payload, nbytes, self._n,
+                            self._topology, self.spec.word_bytes)
         self._add(pid, Send(dst, None, tag, nbytes))
         self._post(pid, dst, tag, payload, nbytes, _NAN, _NAN)
 
@@ -577,7 +559,7 @@ class Recorder(_Timeline):
                 continue
             nbytes = sizes[pid]
             if nbytes < 0:
-                raise _negative(pid, "nbytes", nbytes)
+                raise negative_error(pid, "nbytes", nbytes)
             requests[pid] += [Send(dst, None, tag, nbytes) for dst in dsts]
             if spans is not None:
                 spans[pid] += [span] * len(dsts)

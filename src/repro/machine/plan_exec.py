@@ -124,7 +124,8 @@ def execute_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
     stack ``label → [i] instruction → iter k → …`` (see
     :mod:`repro.machine.trace`), so each trace event — on the reliable
     transport each retransmit/drop/timeout too — is attributed to the plan
-    instruction that produced it.  Untraced runs build no span scope.
+    instruction that produced it.  Untraced, every scope is the shared
+    no-op of :meth:`ProcEnv.span <repro.machine.simulator.ProcEnv.span>`.
     """
     with env.span(label):
         return (yield from _run_seq(plan.instrs, plan, env, comm, transport,
@@ -133,14 +134,9 @@ def execute_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
 
 def _run_seq(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm, transport,
              local: Any):
-    if env.tracing:
-        for i, instr in enumerate(instrs):
-            with env.span(ir.instr_title(instr), instr=i):
-                local = yield from _step(instr, plan, env, comm, transport,
-                                         local)
-        return local
-    for instr in instrs:
-        local = yield from _step(instr, plan, env, comm, transport, local)
+    for i, instr in enumerate(instrs):
+        with env.span(ir.instr_title(instr), instr=i):
+            local = yield from _step(instr, plan, env, comm, transport, local)
     return local
 
 

@@ -118,6 +118,31 @@ _DELIVERED = ((0.0, False),)
 _tnew = tuple.__new__
 
 
+def negative_error(pid: int, what: str, got: Any) -> MachineError:
+    """The error for processor ``pid``'s negative ``what``."""
+    return MachineError(
+        f"processor {pid}: {what} must be non-negative, got {got!r}")
+
+
+def send_size(pid: int, dst: Any, payload: Any, nbytes: Any, n: int,
+               topology: Topology, word_bytes: int) -> int:
+    """Check ``pid``'s send to ``dst`` on an ``n``-processor ``topology``
+    and return its size in bytes (``nbytes``, or the payload's estimate).
+    The one statement of the send checks and their messages, shared by
+    the per-event engine and both walk timelines."""
+    if dst.__class__ is not int or not 0 <= dst < n:
+        topology.check_node(dst)
+    if dst == pid:
+        raise MachineError(f"processor {pid} sent a message to itself")
+    if nbytes is None:
+        nbytes = estimate_nbytes(payload, word_bytes)
+    elif nbytes.__class__ is not int:
+        nbytes = int(nbytes)
+    if nbytes < 0:
+        raise negative_error(pid, "nbytes", nbytes)
+    return nbytes
+
+
 @dataclasses.dataclass(slots=True)
 class ProcStats:
     """Per-processor accounting accumulated during a run."""
@@ -885,16 +910,9 @@ class Machine:
                         trace_record(pid, "compute", start, t)
                 elif cls is Send:
                     dst = request.dst
-                    if dst.__class__ is not int or not 0 <= dst < n:
-                        topology.check_node(dst)
-                    if dst == pid:
-                        raise MachineError(f"processor {pid} sent a message to itself")
-                    nb = request.nbytes
-                    nbytes = (estimate_nbytes(request.payload, word_bytes)
-                              if nb is None else int(nb))
-                    if nbytes < 0:
-                        raise MachineError(
-                            f"nbytes must be non-negative, got {nbytes}")
+                    nbytes = send_size(pid, dst, request.payload,
+                                        request.nbytes, n, topology,
+                                        word_bytes)
                     start = clock[pid]
                     t = start + send_ovh
                     clock[pid] = t

@@ -124,7 +124,7 @@ def _release(q: "queue.Queue[Any]") -> None:
 
 def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                buffer: int = 8,
-               on_depth: Callable[[int, int], None] | None = None
+               on_queues: Callable[[list[queue.Queue]], None] | None = None
                ) -> Iterator[Any]:
     """Run ``source`` through ``transforms``, one thread per stage.
 
@@ -133,11 +133,10 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
     only timing changes (stage overlap).  See the module docstring for
     the failure/cancellation contract.
 
-    ``on_depth(stage, depth)`` — when given — observes the occupancy of
-    each inter-stage queue after every put into it (stage ``i`` is the
-    queue *feeding* transform ``i``; ``len(transforms)`` is the output
-    queue).  It runs on producer threads and must be cheap and
-    exception-free; metrics gauges are the intended consumer.
+    ``on_queues(queues)`` — when given — is handed the inter-stage
+    queues once, before any stage starts (queue ``i`` *feeds* transform
+    ``i``; the last is the output queue), so that occupancy gauges can
+    read each one's live size.
     """
     if buffer <= 0:
         raise ValueError(f"buffer must be positive, got {buffer}")
@@ -147,6 +146,8 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
 
     queues: list[queue.Queue] = [queue.Queue(maxsize=buffer)
                                  for _ in range(len(transforms) + 1)]
+    if on_queues is not None:
+        on_queues(queues)
     cancel = threading.Event()
     abandoned = threading.Event()  # the consumer stopped iterating
     failures: dict[int, BaseException] = {}
@@ -163,8 +164,6 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                 if cancel.is_set():
                     break
                 queues[0].put(x)
-                if on_depth is not None:
-                    on_depth(0, queues[0].qsize())
         except BaseException as exc:
             fail(-1, exc)
             queues[0].put(_POISON)
@@ -183,8 +182,6 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                     # stream.  Nobody reads what follows an abandonment.
                     break
                 q_out.put(out)
-                if on_depth is not None:
-                    on_depth(order + 1, q_out.qsize())
             if it.poisoned:
                 q_out.put(_POISON)
             elif not it.exhausted:

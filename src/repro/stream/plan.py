@@ -490,12 +490,13 @@ class StreamPlan:
         exports chunk/run/event counters via
         :meth:`StreamRunStats.attach_metrics` plus live
         ``stream_queue_depth{stream, stage}`` occupancy gauges — one
-        per inter-stage queue — labelled by ``name``.
+        per inter-stage queue, reading its live size — labelled by
+        ``name``.
         """
         # here, not at the first next() of the generator
         if _count(buffer, "buffer") <= 0:
             raise SkeletonError(f"buffer must be positive, got {buffer}")
-        on_depth = None
+        on_queues = None
         if metrics is not None and stats is None:
             stats = StreamRunStats()
         transforms = self._transforms(stats, buffer)
@@ -505,15 +506,13 @@ class StreamPlan:
                 "stream_queue_depth",
                 "inter-stage bounded-queue occupancy",
                 ("stream", "stage"))
-            gauges = [depth.labels(name, str(i))
-                      for i in range(len(transforms) + 1)]
 
-            def on_depth(stage: int, size: int,
-                         _g: list = gauges) -> None:
-                _g[stage].set(size)
+            def on_queues(queues: list) -> None:
+                for i, q in enumerate(queues):
+                    depth.labels(name, str(i)).set_function(q.qsize)
 
         return run_staged(self.source.items(), transforms,
-                          buffer=buffer, on_depth=on_depth)
+                          buffer=buffer, on_queues=on_queues)
 
 
 def _transform(op: StreamOp, stats: StreamRunStats | None,

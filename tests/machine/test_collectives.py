@@ -331,10 +331,53 @@ def requests_in(rounds, rank):
                                for src in rnd.recvs[rank]])]
 
 
+class TestEveryRoot:
+    """The schedules checked against their sequential meaning, not
+    against each other: on every group size up to 33 and from every
+    root, each collective returns the sequential result on every member
+    (a non-commutative ``op``, tuple concatenation, pins rank order) and
+    sends the messages its tree needs, no more."""
+
+    SIZES = range(1, 34)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bcast(self, size):
+        for root in range(size):
+            def body(comm):
+                return (yield from C.bcast(
+                    comm, ("from", comm.rank) if comm.rank == root else None,
+                    root=root))
+
+            res = run_world(size, body)
+            assert res.values == [("from", root)] * size, root
+            assert res.total_messages == size - 1, root
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_reduce(self, size):
+        for root in range(size):
+            def body(comm):
+                return (yield from C.reduce(comm, (comm.rank,), operator.add,
+                                            root=root))
+
+            res = run_world(size, body)
+            assert res.values == [tuple(range(size)) if r == root else None
+                                  for r in range(size)], root
+            assert res.total_messages == size - 1 + (root != 0), root
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_scan(self, size):
+        def body(comm):
+            return (yield from C.scan(comm, (comm.rank,), operator.add))
+
+        assert run_world(size, body).values == [tuple(range(r + 1))
+                                                for r in range(size)]
+
+
 class TestRoundTables:
-    """A schedule has a second definition (the static tables a
-    whole-machine walk follows) only because these tests tie it to the
-    first (the generator every engine runs)."""
+    """The tables are the only statement of the three schedules, and the
+    generators play them: these tests check the player — that each
+    member's requests are its part of the tables, in order — while
+    :class:`TestEveryRoot` checks the schedules themselves."""
 
     SIZES = range(1, 34)
 

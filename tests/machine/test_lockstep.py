@@ -394,6 +394,31 @@ class TestRecorder:
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("request_", [
+        (0, 4, None), (0, -1, None), (0, 1.0, None), (2, 2, None),
+        (1, 0, -8), (1, 0, -8.0),
+    ], ids=["too-large", "negative", "not-an-int", "self-send",
+            "negative-size", "float-negative-size"])
+    def test_a_bad_send_raises_what_the_per_event_engine_raises(self,
+                                                                request_):
+        """One function states the send checks and their messages for
+        both timelines and the per-event engine's ``Send`` arm."""
+        pid, dst, nbytes = request_
+
+        def program(env):
+            if env.pid == pid:
+                yield env.send(dst, "x", nbytes=nbytes)
+
+        errors = []
+        for timeline in self._timelines():
+            with pytest.raises((MachineError, TopologyError)) as err:
+                timeline.send(pid, dst, "x", 0, nbytes)
+            errors.append((type(err.value), str(err.value)))
+        with pytest.raises((MachineError, TopologyError)) as err:
+            Machine(Hypercube(2), spec=AP1000, batch=False).run(program)
+        errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == errors[2]
+
     def test_bulk_checks_raise_what_the_timeline_raises(self):
         sends, recvs = ((1,), (), (), ()), ((), (0,), (), ())
         for timeline in self._timelines():

@@ -322,6 +322,19 @@ class TestBatching:
         assert snap.value("stream_plan_runs_total", {"stream": "s"}) == 9
 
 
+def test_queue_depth_gauges_read_each_queues_live_size():
+    """A finished stream's queues are empty, and its gauges say so."""
+    registry = MetricsRegistry()
+    out = list(stream_plan(range(20)).chunk(4).map_plan(Scan(operator.add))
+               .unchunk().run(metrics=registry, name="s"))
+    assert out == [v for lo in range(0, 20, 4)
+                   for v in itertools.accumulate(range(lo, lo + 4))]
+    snap = registry.snapshot()
+    depths = [snap.value("stream_queue_depth", {"stream": "s", "stage": str(i)})
+              for i in range(4)]
+    assert depths == [0, 0, 0, 0]
+
+
 def dataclass_tuple(stats: StreamRunStats):
     return (stats.items_in, stats.items_out, stats.chunks, stats.plan_runs,
             stats.sim_events, stats.sim_messages, stats.virtual_seconds)

@@ -26,7 +26,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
   ``memo=`` on the passes or the plan price, no ``id``-keyed cache beside
   them,
 * an application ported to an SCL expression states its program once:
-  no hand-written machine program or ``ParArray`` step loop beside it.
+  no hand-written machine program or ``ParArray`` step loop beside it,
+* a collective's schedule is its round table, and the §5 sort's step is
+  its expression: neither is restated by hand.
 """
 
 from __future__ import annotations
@@ -418,6 +420,36 @@ def test_ported_apps_state_their_program_once(modname):
         or (isinstance(node, ast.Call)
             and "iter_for" in (getattr(node.func, "id", None),
                                getattr(node.func, "attr", None)))]
+    assert not offenders, "\n".join(offenders)
+
+
+def _functions(modname, names):
+    return [node for node in ast.walk(_module_tree(modname))
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def test_schedules_and_the_sort_step_are_stated_once():
+    """``bcast``, ``reduce`` and ``scan`` play their round tables
+    (``bcast_rounds`` / ``reduce_rounds`` / ``scan_rounds``) instead of
+    restating them: no arithmetic on ranks, masks or shifts, no ``while``
+    loop.  The §5 sort's ``ParArray`` renderings evaluate
+    ``hyperquicksort_expression`` instead of restating its step: no
+    ``iter_for``, ``fetch`` or ``imap`` of their own."""
+    players = _functions("repro.machine.collectives",
+                         ("bcast", "reduce", "scan"))
+    assert len(players) == 3
+    offenders = [f"{fn.name}:{node.lineno}" for fn in players
+                 for stmt in fn.body for node in ast.walk(stmt)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign, ast.While))]
+    renderings = _functions("repro.apps.sort",
+                            ("hyperquicksort_flat", "hyperquicksort_trace"))
+    assert len(renderings) == 2
+    offenders += [f"{fn.name}:{node.lineno} calls {name}"
+                  for fn in renderings for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  for name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))
+                  if name in ("iter_for", "fetch", "imap")]
     assert not offenders, "\n".join(offenders)
 
 
