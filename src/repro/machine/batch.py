@@ -67,6 +67,7 @@ import numpy as np
 from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
 from repro.machine.events import ANY, Compute, Message, Recv, Send
+from repro.machine.simulator import negative_error
 
 __all__ = ["BatchFallback", "run_batched"]
 
@@ -243,9 +244,8 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
             ocls = ops.__class__
             if ocls is not int and ocls is not float:
                 ops = float(ops)
-            if ops < 0:
-                raise MachineError(
-                    f"ops must be non-negative, got {float(ops)}")
+            if not ops >= 0:
+                raise negative_error(pid, "ops", float(ops))
             sec = ops * flop_time
             if not (sec >= 0):
                 raise MachineError(
@@ -267,7 +267,7 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
             else:
                 nb = int(nbytes)
             if nb < 0:
-                raise MachineError(f"nbytes must be non-negative, got {nb}")
+                raise negative_error(pid, "nbytes", nb)
             t0 = clock[pid]
             clock[pid] = t0 + send_ovh
             acc[_OVH] += send_ovh

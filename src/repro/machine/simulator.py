@@ -335,17 +335,21 @@ class ProcEnv:
 
     def compute(self, seconds: float) -> Compute:
         """Request: charge ``seconds`` of CPU time."""
-        return Compute(float(seconds))
+        seconds = float(seconds)
+        if not seconds >= 0:
+            raise negative_error(self.pid, "compute seconds", seconds)
+        return Compute(seconds)
 
     def work(self, ops: float) -> Compute:
         """Request: charge CPU time for ``ops`` elementary operations."""
-        # Inlined ``spec.compute_time`` (identical arithmetic and error).
-        # ``float()`` demotes NumPy scalars to the identical IEEE double;
-        # otherwise one np.float64 turns every downstream clock comparison
-        # and heap operation into slow NumPy scalar arithmetic.
+        # Inlined ``spec.compute_time`` (identical arithmetic); the error
+        # names the processor, as the timelines' does.  ``float()``
+        # demotes NumPy scalars to the identical IEEE double; otherwise
+        # one np.float64 turns every downstream clock comparison and heap
+        # operation into slow NumPy scalar arithmetic.
         ops = float(ops)
-        if ops < 0:
-            raise MachineError(f"ops must be non-negative, got {ops}")
+        if not ops >= 0:
+            raise negative_error(self.pid, "ops", ops)
         return Compute(ops * self._flop_time)
 
     def send(self, dst: int, payload: Any, *, tag: int = 0,

@@ -13,6 +13,12 @@ state.  In front of them sits a service with the production shape:
   per-tenant FIFOs: a tenant with weight 3 gets 3x the dispatch rate of
   a weight-1 tenant under contention, and an idle tenant's unused share
   redistributes,
+* **one walk per queue** — a worker that takes a request for a
+  :class:`PlanEndpoint` also takes that endpoint's other requests
+  already queued (never waiting for more), in stride order, and runs
+  them as copies of one plan in one walk; every ticket still gets its
+  solo run's result and its own completion record (``batch`` gives the
+  batch size, ``service_s`` the batch's wall time),
 * **observability** — every completion and rejection is recorded
   through the :class:`~repro.obs.sinks.TraceSink` protocol and rolled
   up to p50/p99/throughput tables via :mod:`repro.obs.latency`; pass a

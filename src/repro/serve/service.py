@@ -8,7 +8,8 @@ See the package docstring for the architecture.  The pieces:
   items, and an opaque Python callable (escape hatch, also what the
   fairness tests use to control timing).
 * :class:`Service` — worker threads, per-tenant stride scheduling,
-  bounded-queue admission, completion/rejection records, sink events.
+  bounded-queue admission, completion/rejection records, sink events;
+  a worker runs a plan endpoint's queued requests as one batch.
 * :class:`Ticket` — the caller's handle on one accepted request.
 
 Requests execute on *simulated* machines: a worker thread owns one
@@ -53,9 +54,12 @@ __all__ = [
 ]
 
 
-def _run_events(result: RunResult) -> int:
-    """Engine-invariant event count: one per send plus one per receive."""
-    return result.total_messages + sum(s.msgs_received for s in result.stats)
+def _outcome(out: Any, result: RunResult) -> tuple[Any, int, float]:
+    """A plan run's ``(value, events, virtual seconds)``, with the
+    engine-invariant event count: one per send plus one per receive."""
+    events = result.total_messages + sum(s.msgs_received
+                                         for s in result.stats)
+    return out, events, result.makespan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,6 +71,18 @@ class PlanEndpoint:
     goes through :func:`repro.scl.compile.run_expression` — optimizer
     passes and the vectorized data plane included — so after the first
     request the lowered plan comes from the cache.
+
+    A :class:`Service` worker that takes a request for this endpoint
+    also takes the endpoint's other requests already queued — only
+    those, in the order stride scheduling dispatches them — and runs
+    them through :meth:`execute_many`: one plan lookup (one
+    ``tuned_lower`` on a tuned endpoint) and one walk over copies of the
+    machine, each ticket getting exactly its solo :meth:`execute`
+    outcome, value types, ``events`` and virtual time included.  A
+    payload :meth:`execute` would reject fails alone with that error;
+    a batch that raises is re-run request by request.  Each completion
+    record keeps its own latency and queue wait, and adds ``batch`` (the
+    batch size; ``service_s`` is the batch's wall time).
     """
 
     name: str
@@ -76,10 +92,16 @@ class PlanEndpoint:
     opt: Any = "auto"
     #: Route the expression through :func:`repro.plan.lower.tuned_lower`:
     #: the first request pays a beam search over the rewrite space
-    #: (scored against this endpoint's machine), every later request
-    #: hits the tuned-plan cache tier and runs the searched winner.
+    #: (scored against this endpoint's machine), every later lookup —
+    #: one per request, or one per batch of queued requests — hits the
+    #: tuned-plan cache tier and runs the searched winner.
     tune: bool = False
     beam: int = 4
+    #: Held around the tuned-tier lookup: a worker that asks while the
+    #: first search runs waits for its winner instead of searching again.
+    _tuning: threading.Lock = dataclasses.field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -94,10 +116,8 @@ class PlanEndpoint:
             return Machine(1, spec=self.spec)
         return Machine(Ring(self.nprocs), spec=self.spec)
 
-    def execute(self, payload: Any, machines: dict[str, Machine],
-                metrics: Any = None) -> tuple[Any, int, float]:
-        from repro.scl.compile import run_expression
-
+    def _values(self, payload: Any) -> list[Any]:
+        """The payload's per-rank values, or the error that rejects it."""
         if payload is None:
             raise SkeletonError(f"endpoint {self.name!r} needs a payload of "
                                 f"{self.nprocs} per-rank values")
@@ -106,21 +126,63 @@ class PlanEndpoint:
             raise SkeletonError(
                 f"endpoint {self.name!r} takes {self.nprocs} per-rank "
                 f"values, got {len(values)}")
+        return values
+
+    def _program(self, machines: dict[str, Machine]) -> tuple[N.Node,
+                                                              Machine]:
+        """The expression to run — the tuned winner on a tuned endpoint
+        — and this worker's machine for it."""
         machine = machines.get(self.name)
         if machine is None:
             machine = machines[self.name] = self._machine()
-        expr = self.expr
-        if self.tune:
-            from repro.plan.lower import tuned_lower
-            from repro.scl.compile import resolve_opt
+        if not self.tune:
+            return self.expr, machine
+        from repro.plan.lower import tuned_lower
+        from repro.scl.compile import resolve_opt
 
+        with self._tuning:
             tuned = tuned_lower(self.expr, self.nprocs,
                                 opt=resolve_opt(self.opt, machine),
                                 beam=self.beam)
-            expr = tuned.expr
-        out, result = run_expression(expr, values, machine,
-                                     label=self.name, opt=self.opt)
-        return out, _run_events(result), result.makespan
+        return tuned.expr, machine
+
+    def execute(self, payload: Any, machines: dict[str, Machine],
+                metrics: Any = None) -> tuple[Any, int, float]:
+        from repro.scl.compile import run_expression
+
+        values = self._values(payload)
+        expr, machine = self._program(machines)
+        return _outcome(*run_expression(expr, values, machine,
+                                        label=self.name, opt=self.opt))
+
+    def execute_many(self, payloads: Sequence[Any],
+                     machines: dict[str, Machine], metrics: Any = None
+                     ) -> list[tuple[Any, int, float] | BaseException]:
+        """One outcome per payload: what :meth:`execute` returns for it,
+        or the error it raises for a payload it rejects.
+
+        The accepted payloads run as copies of one plan in one walk
+        (:func:`repro.scl.compile.run_expression_many`), after one
+        ``tuned_lower`` lookup on a tuned endpoint, and each outcome is
+        ``==`` its solo run.  An error of the run itself is raised, for
+        the caller to re-run the payloads one by one.
+        """
+        from repro.scl.compile import run_expression_many
+
+        checked: list[Any] = []
+        for payload in payloads:
+            try:
+                checked.append(self._values(payload))
+            except Exception as exc:
+                checked.append(exc)
+        accepted = [c for c in checked if not isinstance(c, Exception)]
+        if not accepted:
+            return checked
+        expr, machine = self._program(machines)
+        runs = iter(run_expression_many(expr, accepted, machine,
+                                        label=self.name, opt=self.opt))
+        return [c if isinstance(c, Exception) else _outcome(*next(runs))
+                for c in checked]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,7 +229,9 @@ class PyEndpoint:
         return self.fn(payload), 0, 0.0
 
 
-Endpoint = Any  # structural: anything with .name / .execute / .default_payload
+#: Structural: anything with .name / .execute / .default_payload; one
+#: that also has .execute_many runs queued requests as one batch.
+Endpoint = Any
 
 
 @dataclasses.dataclass(frozen=True)
@@ -496,11 +560,22 @@ class Service:
         }, endpoint)
         return AdmissionError(rejection)
 
-    def _next_request(self) -> "tuple[Ticket, Endpoint, Any, float] | None":
-        """Dequeue from the backlogged tenant with the least pass value.
+    def _charge(self, tenant: _Tenant) -> None:
+        """Advance ``tenant``'s pass by one dispatch.  Caller holds the
+        lock."""
+        tenant.pass_value += tenant.stride
+        self._global_pass = max(self._global_pass, tenant.pass_value)
+
+    def _next_batch(self) -> "list[tuple[Ticket, Endpoint, Any, float]] | None":
+        """Dequeue from the backlogged tenant with the least pass value —
+        and, when that request's endpoint has ``execute_many``, every
+        other request for the endpoint already queued, in the order the
+        stride schedule would dispatch them.
 
         Caller holds the lock.  Ties break by tenant name, so dispatch
-        order is deterministic for a fixed arrival order.
+        order is deterministic for a fixed arrival order.  Each dispatch
+        is charged to its tenant as if dispatched alone; the batch takes
+        only what is queued, so ``max_queue`` bounds it.
         """
         best: _Tenant | None = None
         for tenant in self._tenants.values():
@@ -510,82 +585,126 @@ class Service:
                 best = tenant
         if best is None:
             return None
-        request = best.queue.pop(0)
-        best.pass_value += best.stride
-        self._global_pass = max(self._global_pass, best.pass_value)
-        self._queued -= 1
-        self._in_flight += 1
-        return request
+        batch = [best.queue.pop(0)]
+        self._charge(best)
+        endpoint = batch[0][1]
+        if self._queued > 1 and hasattr(endpoint, "execute_many"):
+            # each tenant's requests for this endpoint, the next one last
+            held = []
+            for tenant in self._tenants.values():
+                same = [r for r in tenant.queue if r[1] is endpoint]
+                if same:
+                    tenant.queue[:] = [r for r in tenant.queue
+                                       if r[1] is not endpoint]
+                    held.append((tenant, same[::-1]))
+            while held:
+                tenant, same = entry = min(
+                    held, key=lambda e: (e[0].pass_value, e[0].name))
+                batch.append(same.pop())
+                self._charge(tenant)
+                if not same:
+                    held.remove(entry)
+        self._queued -= len(batch)
+        self._in_flight += len(batch)
+        return batch
+
+    def _execute(self, batch: "list[tuple[Ticket, Endpoint, Any, float]]",
+                 machines: dict[str, Machine]
+                 ) -> list[tuple[Any, int, float] | BaseException]:
+        """One outcome per request of ``batch``: ``(value, events,
+        virtual seconds)`` or the error raised.  Several requests run
+        through their endpoint's ``execute_many``; if that raises, each
+        runs alone, so every ticket gets its own outcome."""
+        endpoint = batch[0][1]
+        # The metrics kwarg only reaches endpoints on an instrumented
+        # service, so structural endpoints written against the
+        # two-argument contract keep working.
+        kwargs = {} if self._metrics is None else {"metrics": self._metrics}
+        if len(batch) > 1:
+            try:
+                return endpoint.execute_many(
+                    [payload for _t, _e, payload, _s in batch], machines,
+                    **kwargs)
+            except BaseException:
+                pass
+        outcomes: list[Any] = []
+        for _ticket, _endpoint, payload, _submitted in batch:
+            try:
+                outcomes.append(endpoint.execute(payload, machines,
+                                                 **kwargs))
+            except BaseException as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def _worker(self, idx: int) -> None:
         machines: dict[str, Machine] = {}
         while True:
             with self._lock:
-                request = self._next_request()
-                while request is None:
+                batch = self._next_batch()
+                while batch is None:
                     if not self._running:
                         return
                     self._work_ready.wait()
-                    request = self._next_request()
-            ticket, endpoint, payload, t_submit = request
+                    batch = self._next_batch()
             t_start = self._now()
-            value: Any = None
-            error: BaseException | None = None
-            events = 0
-            makespan = 0.0
-            try:
-                # The metrics kwarg only reaches endpoints on an
-                # instrumented service, so structural endpoints written
-                # against the two-argument contract keep working.
-                if self._metrics is not None:
-                    value, events, makespan = endpoint.execute(
-                        payload, machines, metrics=self._metrics)
-                else:
-                    value, events, makespan = endpoint.execute(payload,
-                                                               machines)
-            except BaseException as exc:
-                error = exc
+            outcomes = self._execute(batch, machines)
             t_end = self._now()
-            record = {
-                "request_id": ticket.request_id,
-                "endpoint": ticket.endpoint,
-                "tenant": ticket.tenant,
-                "worker": idx,
-                "status": "error" if error is not None else "ok",
-                "latency_s": t_end - t_submit,
-                "service_s": t_end - t_start,
-                "queue_s": t_start - t_submit,
-                "events": events,
-                "virtual_seconds": makespan,
-            }
-            if error is not None:
-                record["error"] = repr(error)
-            if self._slo is not None and error is None:
-                self._slo.observe(record["latency_s"], now=t_end)
-            if self._metrics is not None:
-                self._m_requests.labels(ticket.endpoint, ticket.tenant,
-                                        record["status"]).inc()
-                self._m_latency.labels(ticket.endpoint,
-                                       str(idx)).observe(record["latency_s"])
-                self._m_queue_wait.labels(ticket.endpoint) \
-                    .observe(record["queue_s"])
-            with self._lock:
-                self.completions.append(record)
-                self._in_flight -= 1
-                self._idle.notify_all()
-            self._emit_event(idx, "request", t_submit, t_end, {
-                "endpoint": ticket.endpoint, "tenant": ticket.tenant,
-                "status": record["status"],
-                "queue_ms": round(record["queue_s"] * 1e3, 3),
-                "events": events,
-            }, ticket.endpoint)
-            ticket._resolve(value, error, record)
+            for request, outcome in zip(batch, outcomes):
+                self._complete(idx, request, outcome, t_start, t_end,
+                               len(batch))
             # Drain mode: exit once the queue is empty.
             with self._lock:
                 if not self._running and (not self._draining
                                           or self._queued == 0):
                     self._work_ready.notify_all()
                     return
+
+    def _complete(self, idx: int,
+                  request: "tuple[Ticket, Endpoint, Any, float]",
+                  outcome: tuple[Any, int, float] | BaseException,
+                  t_start: float, t_end: float, size: int) -> None:
+        """Record, count and resolve one request of a batch of ``size``
+        that worker ``idx`` ran from ``t_start`` to ``t_end``."""
+        ticket, _endpoint, _payload, t_submit = request
+        if isinstance(outcome, BaseException):
+            value, error, events, makespan = None, outcome, 0, 0.0
+        else:
+            (value, events, makespan), error = outcome, None
+        record = {
+            "request_id": ticket.request_id,
+            "endpoint": ticket.endpoint,
+            "tenant": ticket.tenant,
+            "worker": idx,
+            "status": "error" if error is not None else "ok",
+            "latency_s": t_end - t_submit,
+            "service_s": t_end - t_start,
+            "queue_s": t_start - t_submit,
+            "events": events,
+            "virtual_seconds": makespan,
+            "batch": size,
+        }
+        if error is not None:
+            record["error"] = repr(error)
+        if self._slo is not None and error is None:
+            self._slo.observe(record["latency_s"], now=t_end)
+        if self._metrics is not None:
+            self._m_requests.labels(ticket.endpoint, ticket.tenant,
+                                    record["status"]).inc()
+            self._m_latency.labels(ticket.endpoint,
+                                   str(idx)).observe(record["latency_s"])
+            self._m_queue_wait.labels(ticket.endpoint) \
+                .observe(record["queue_s"])
+        with self._lock:
+            self.completions.append(record)
+            self._in_flight -= 1
+            self._idle.notify_all()
+        self._emit_event(idx, "request", t_submit, t_end, {
+            "endpoint": ticket.endpoint, "tenant": ticket.tenant,
+            "status": record["status"],
+            "queue_ms": round(record["queue_s"] * 1e3, 3),
+            "events": events,
+        }, ticket.endpoint)
+        ticket._resolve(value, error, record)
 
     def _emit_event(self, pid: int, kind: str, start: float, end: float,
                     detail: dict[str, Any], label: str) -> None:

@@ -32,7 +32,9 @@ wrong):
   that sees the abandonment stops transforming, and every stage thread
   joins before ``close()`` returns.  The source thread is not waited
   for: it may be blocked in the source's own ``next``, and it stops as
-  soon as that returns.
+  soon as that returns.  Once the stages have joined, every queue is
+  emptied and drops what the source still puts, so an abandoned
+  stream's occupancy gauges read 0, as a finished stream's do.
 * After all threads join, the **earliest failure by stage order** is
   raised — the source counts as stage ``-1`` — not whichever thread
   happened to lose the race into a shared list.
@@ -113,6 +115,22 @@ class _QueueIter:
         return self._stopped
 
 
+class _StageQueue(queue.Queue):
+    """A bounded inter-stage queue that can be emptied for good."""
+
+    discarded = False
+
+    def _put(self, item: Any) -> None:
+        if not self.discarded:
+            self.queue.append(item)
+
+    def discard(self) -> None:
+        """Drop every queued item and every later put."""
+        with self.mutex:
+            self.discarded = True
+            self.queue.clear()
+
+
 def _release(q: "queue.Queue[Any]") -> None:
     """Let every put on ``q``, waiting or to come, go through at once,
     and end the stream for whoever takes from it next."""
@@ -144,8 +162,8 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
         yield from source
         return
 
-    queues: list[queue.Queue] = [queue.Queue(maxsize=buffer)
-                                 for _ in range(len(transforms) + 1)]
+    queues = [_StageQueue(maxsize=buffer)
+              for _ in range(len(transforms) + 1)]
     if on_queues is not None:
         on_queues(queues)
     cancel = threading.Event()
@@ -219,6 +237,8 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
             _release(q)
         for t in stages:
             t.join()
+        for q in queues:
+            q.discard()
         raise
     for t in threads:
         t.join()

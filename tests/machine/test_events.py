@@ -59,6 +59,37 @@ class TestCompute:
         with pytest.raises(MachineError, match="non-negative"):
             machine.run(program, walk=walk if engine == "lockstep" else None)
 
+    @pytest.mark.parametrize("charge,amount,message", [
+        ("work", -1.0, "processor 3: ops must be non-negative, got -1.0"),
+        ("work", float("nan"), "processor 3: ops must be non-negative, "
+                               "got nan"),
+        ("compute", -1.0, "processor 3: compute seconds must be "
+                          "non-negative, got -1.0"),
+    ], ids=["negative-ops", "nan-ops", "negative-seconds"])
+    def test_a_bad_charge_names_its_processor_on_every_engine(
+            self, charge, amount, message):
+        """Both event engines raise the timelines' error, naming the
+        processor (``simulator.negative_error``)."""
+
+        def program(env):
+            if env.pid == 3:
+                yield getattr(env, charge)(amount)
+            yield env.work(1)
+
+        def walk(timeline):
+            getattr(timeline, charge)(3, amount)
+
+        runs = {
+            "batched": (Machine(4, batch=True), None),
+            "per-event": (Machine(4, batch=False), None),
+            "lockstep": (Machine(4), walk),
+            "recorder": (Machine(4, single_port=True), walk),
+        }
+        for engine, (machine, walk_) in runs.items():
+            with pytest.raises(MachineError) as err:
+                machine.run(program, walk=walk_)
+            assert str(err.value) == message, engine
+
 
 class TestRecvMatching:
     def _msg(self, src=1, tag=5):

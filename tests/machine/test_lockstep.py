@@ -402,7 +402,8 @@ class TestRecorder:
     def test_a_bad_send_raises_what_the_per_event_engine_raises(self,
                                                                 request_):
         """One function states the send checks and their messages for
-        both timelines and the per-event engine's ``Send`` arm."""
+        both timelines and the per-event engine's ``Send`` arm; the
+        batched engine's inlined copy raises the same."""
         pid, dst, nbytes = request_
 
         def program(env):
@@ -414,10 +415,11 @@ class TestRecorder:
             with pytest.raises((MachineError, TopologyError)) as err:
                 timeline.send(pid, dst, "x", 0, nbytes)
             errors.append((type(err.value), str(err.value)))
-        with pytest.raises((MachineError, TopologyError)) as err:
-            Machine(Hypercube(2), spec=AP1000, batch=False).run(program)
-        errors.append((type(err.value), str(err.value)))
-        assert errors[0] == errors[1] == errors[2]
+        for batch in (False, True):
+            with pytest.raises((MachineError, TopologyError)) as err:
+                Machine(Hypercube(2), spec=AP1000, batch=batch).run(program)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == errors[2] == errors[3]
 
     def test_bulk_checks_raise_what_the_timeline_raises(self):
         sends, recvs = ((1,), (), (), ()), ((), (0,), (), ())

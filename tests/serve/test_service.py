@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import SkeletonError
 from repro.obs import MemorySink
-from repro.scl import Fold, Scan
+from repro.scl import Fold, Map, Rotate, Scan, compose_nodes
 from repro.serve import (
     AdmissionError,
     MetricsRegistry,
@@ -355,6 +355,161 @@ class TestFairScheduling:
             svc.submit("fold-add", [1.0] * 4,
                        tenant="walk-in").result(timeout=30)
         assert "walk-in" in svc.summary()["by_tenant"]
+
+
+def _square(x):
+    return x * x
+
+
+def _halve(x):
+    return x * 0.5
+
+
+def _typed(value):
+    """``value`` with the type of every element spelled out: ``==`` on
+    these tells ``1`` from ``1.0``."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+class TestCoalescing:
+    """A worker that takes a request for a plan endpoint also takes that
+    endpoint's other queued requests and runs them as copies of one plan
+    in one walk; each ticket still gets exactly its solo run."""
+
+    ENDPOINTS = {
+        "scan": PlanEndpoint("scan", Scan(operator.add), nprocs=4),
+        "fold": PlanEndpoint("fold", Fold(operator.add), nprocs=4),
+        "tuned": PlanEndpoint(
+            "tuned", compose_nodes(Fold(operator.add), Map(_halve),
+                                   Map(_square), Rotate(1), Rotate(-1)),
+            nprocs=4, tune=True),
+        "one": PlanEndpoint("one", Scan(operator.add), nprocs=1),
+    }
+
+    @staticmethod
+    def _payloads(nprocs):
+        """Int and float payloads, and one of the wrong length."""
+        good = [[i + r for r in range(nprocs)] if i % 2 else
+                [float(i + r) * 1.5 for r in range(nprocs)]
+                for i in range(7)]
+        return good[:3] + [[1] * (nprocs + 1)] + good[3:]
+
+    @staticmethod
+    def _queued(endpoint, submissions, *, metrics=None):
+        """Hold the one worker, queue ``submissions`` (payload, tenant)
+        for ``endpoint``, then release it; returns the service and the
+        tickets, all done."""
+        svc = Service(workers=1, max_queue=10_000, metrics=metrics,
+                      tenants={"free": 1.0, "pro": 3.0})
+        svc.register(PyEndpoint("gate", lambda gate: gate.wait(10)))
+        svc.register(endpoint)
+        with svc:
+            gate, prime = TestFairScheduling._hold_worker(svc, "free")
+            tickets = [svc.submit(endpoint.name, payload, tenant=tenant)
+                       for payload, tenant in submissions]
+            gate.set()
+            prime.result(timeout=30)
+            for ticket in tickets:
+                assert ticket._done.wait(30)
+        return svc, tickets
+
+    @pytest.mark.parametrize("name", sorted(ENDPOINTS))
+    def test_every_ticket_is_its_solo_run(self, name):
+        endpoint = self.ENDPOINTS[name]
+        payloads = self._payloads(endpoint.nprocs)
+        _svc, tickets = self._queued(
+            endpoint, [(p, ("free", "pro")[i % 2])
+                       for i, p in enumerate(payloads)])
+        machines = {}
+        for payload, ticket in zip(payloads, tickets):
+            assert ticket.record["batch"] == len(payloads)
+            try:
+                value, events, makespan = endpoint.execute(payload,
+                                                           machines)
+            except SkeletonError as exc:
+                # the wrong-length payload fails alone, as it does solo
+                with pytest.raises(SkeletonError) as err:
+                    ticket.result(0)
+                assert str(err.value) == str(exc)
+                assert ticket.record["status"] == "error"
+                continue
+            assert _typed(ticket.result(0)) == _typed(value)
+            assert ticket.record["events"] == events
+            assert ticket.record["virtual_seconds"] == makespan
+
+    def test_completion_order_is_the_stride_order(self):
+        """Inside a batch, tickets complete in the order the stride
+        schedule dispatches the same requests one by one."""
+        submissions = [([float(i)] * 4, tenant)
+                       for i in range(6) for tenant in ("free", "pro")]
+        svc, _tickets = self._queued(self.ENDPOINTS["scan"], submissions)
+        solo, _tickets = self._queued(PyEndpoint("scan", lambda p: p),
+                                      submissions)
+        order = [(r["request_id"], r["tenant"]) for r in svc.completions]
+        assert [r["batch"] for r in svc.completions[1:]] == [12] * 12
+        assert [r["batch"] for r in solo.completions] == [1] * 13
+        assert order == [(r["request_id"], r["tenant"])
+                         for r in solo.completions]
+        assert [t for _, t in order[1:9]].count("pro") == 6
+
+    def test_a_batch_that_raises_reruns_each_request_alone(self):
+        class Broken(PlanEndpoint):
+            def execute_many(self, payloads, machines, metrics=None):
+                raise RuntimeError("the batch broke")
+
+        endpoint = Broken("scan", Scan(operator.add), nprocs=4)
+        payloads = self._payloads(4)
+        _svc, tickets = self._queued(endpoint,
+                                     [(p, "pro") for p in payloads])
+        bad = [t for t in tickets if t.record["status"] == "error"]
+        assert len(bad) == 1 and "got 5" in bad[0].record["error"]
+        for payload, ticket in zip(payloads, tickets):
+            assert ticket.record["batch"] == len(payloads)
+            if ticket not in bad:
+                assert _typed(ticket.result(0)) == _typed(
+                    endpoint.execute(payload, {})[0])
+
+    def test_workers_racing_on_a_tuned_endpoint_search_once(self):
+        """A worker that asks for the tuned plan while another searches
+        for it waits for that winner: one miss, every other lookup a
+        hit."""
+        from repro.plan.lower import clear_plan_cache, plan_cache_stats
+
+        endpoint = self.ENDPOINTS["tuned"]
+        clear_plan_cache()
+        start = threading.Barrier(4)
+        values = []
+
+        def worker():
+            start.wait()
+            values.append(endpoint.execute([1.0, 2.0, 3.0, 4.0], {})[0])
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        stats = plan_cache_stats()
+        assert values == [15.0] * 4
+        assert (stats["tuned_misses"], stats["tuned_hits"]) == (1, 3)
+
+    def test_metrics_and_records_are_per_ticket(self):
+        reg = MetricsRegistry()
+        svc, tickets = self._queued(
+            self.ENDPOINTS["fold"], [([1.0] * 4, "pro")] * 5, metrics=reg)
+        snapshot = reg.snapshot()
+        assert snapshot.value("serve_requests_total",
+                              {"endpoint": "fold", "tenant": "pro",
+                               "status": "ok"}) == 5.0
+        records = svc.completions[1:]
+        assert len({r["request_id"] for r in records}) == 5
+        assert len({r["service_s"] for r in records}) == 1
+        for record in records:
+            assert record["latency_s"] == pytest.approx(
+                record["queue_s"] + record["service_s"])
+        assert svc.summary()["by_endpoint"]["fold"]["count"] == 5
 
 
 class TestObservability:

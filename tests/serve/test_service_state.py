@@ -1,11 +1,13 @@
 """The service's lifecycle as a state machine: submit, drain, stop, restart.
 
 Hypothesis drives a :class:`~repro.serve.Service` over two
-:class:`~repro.serve.PyEndpoint` s through random sequences of submits,
-``wait_idle``, ``stop(drain=True)``, ``stop(drain=False)`` and restarts.
-One endpoint returns at once; the other holds its worker until a gate
-opens, so queues build up behind busy workers, and a stop without drain
-meets a full queue.  After every step:
+:class:`~repro.serve.PyEndpoint` s and a :class:`~repro.serve.PlanEndpoint`
+through random sequences of submits, ``wait_idle``, ``stop(drain=True)``,
+``stop(drain=False)`` and restarts.  One Python endpoint returns at once;
+the other holds its worker until a gate opens, so queues build up behind
+busy workers, a worker that is let go takes the queued plan requests as
+one batch, and a stop without drain meets a full queue.  After every
+step:
 
 * every request id has at most one outcome — one completion record or
   one :class:`~repro.serve.service.Rejection` — and once the service is
@@ -13,12 +15,16 @@ meets a full queue.  After every step:
   resolved accordingly;
 * the admission queue never holds more than ``max_queue`` requests;
 * ``stop`` returns, with or without draining (a stop without drain once
-  hung with requests still queued behind busy workers).
+  hung with requests still queued behind busy workers);
+* every ``ok`` value is its solo run, value types included — a batch a
+  worker has taken is in flight, so it completes even under
+  ``stop(drain=False)``.
 """
 
 from __future__ import annotations
 
 import collections
+import operator
 import threading
 import time
 
@@ -32,10 +38,19 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.serve import AdmissionError, PyEndpoint, Service
+from repro.scl import Scan
+from repro.serve import AdmissionError, PlanEndpoint, PyEndpoint, Service
 
 #: A stop (or a gated request) that takes longer than this is a hang.
 HANG_S = 10.0
+
+
+def _typed(value):
+    """``value`` with the type of every element spelled out: ``==`` on
+    these tells ``1`` from ``1.0``."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
 
 
 class ServiceLifecycle(RuleBasedStateMachine):
@@ -46,6 +61,8 @@ class ServiceLifecycle(RuleBasedStateMachine):
                            tenants={"free": 1.0, "pro": 3.0})
         self.svc.register(PyEndpoint("fast", lambda x: x))
         self.svc.register(PyEndpoint("gated", self._held))
+        self.plan = self.svc.register(
+            PlanEndpoint("plan", Scan(operator.add), nprocs=2))
         self.svc.start()
         self.running = True
         self.tickets = {}  # request id -> ticket
@@ -57,10 +74,27 @@ class ServiceLifecycle(RuleBasedStateMachine):
 
     # -- rules -------------------------------------------------------------
 
-    @rule(endpoint=st.sampled_from(["fast", "gated", "missing"]),
+    @rule(endpoint=st.sampled_from(["fast", "gated", "plan", "missing"]),
           tenant=st.sampled_from(["free", "pro", "new"]),
           payload=st.integers())
     def submit(self, endpoint, tenant, payload):
+        self._submit(endpoint, tenant, payload)
+
+    @rule(tenants=st.lists(st.sampled_from(["free", "pro"]), min_size=2,
+                           max_size=3),
+          payload=st.integers())
+    def submit_plans(self, tenants, payload):
+        """Back-to-back plan requests: behind busy workers they queue up
+        and leave as one batch."""
+        for i, tenant in enumerate(tenants):
+            self._submit("plan", tenant, payload + i)
+
+    def _submit(self, endpoint, tenant, payload):
+        expected = payload
+        if endpoint == "plan":
+            # all int ranks, or an int rank and a float rank
+            payload = [payload, payload / 2 if payload % 2 else payload]
+            expected = self.plan.execute(payload, {})[0]
         try:
             ticket = self.svc.submit(endpoint, payload, tenant=tenant)
         except AdmissionError as exc:
@@ -75,7 +109,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
                 assert rejection.reason == "queue-full"
         else:
             assert self.running and endpoint != "missing"
-            self.tickets[ticket.request_id] = (ticket, payload)
+            self.tickets[ticket.request_id] = (ticket, expected)
 
     @precondition(lambda self: self.running)
     @rule()
@@ -130,6 +164,12 @@ class ServiceLifecycle(RuleBasedStateMachine):
         assert self.shed_at_submit <= set(counts)
 
     @invariant()
+    def ok_values_are_solo_runs(self):
+        for ticket, expected in list(self.tickets.values()):
+            if ticket.done() and ticket.record["status"] == "ok":
+                assert _typed(ticket.result(0)) == _typed(expected)
+
+    @invariant()
     def queue_within_bound(self):
         assert 0 <= self.svc.queue_depth() <= self.svc.max_queue
 
@@ -141,7 +181,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
         assert set(counts) == issued
         assert all(n == 1 for n in counts.values()), counts
         rejected = {r.request_id for r in self.svc.rejections}
-        for request_id, (ticket, payload) in self.tickets.items():
+        for request_id, (ticket, expected) in self.tickets.items():
             assert ticket.done()
             if request_id in rejected:
                 assert ticket.record["status"] == "rejected"
@@ -154,7 +194,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
                     raise AssertionError("a shed ticket returned a value")
             else:
                 assert ticket.record["status"] == "ok"
-                assert ticket.result(0) == payload
+                assert _typed(ticket.result(0)) == _typed(expected)
 
     def teardown(self):
         self.gate.set()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -333,6 +334,23 @@ def test_queue_depth_gauges_read_each_queues_live_size():
     depths = [snap.value("stream_queue_depth", {"stream": "s", "stage": str(i)})
               for i in range(4)]
     assert depths == [0, 0, 0, 0]
+
+
+def test_an_abandoned_streams_queue_depth_gauges_read_zero():
+    """So do an abandoned stream's, though its source thread may still be
+    putting when ``close()`` returns."""
+    registry = MetricsRegistry()
+    gen = StreamPlan(Source.count(), (Chunk(4), MapPlan(Scan(operator.add)))
+                     ).run(metrics=registry)
+    assert [next(gen) for _ in range(3)] == [(0, 1, 3, 6), (4, 9, 15, 22),
+                                             (8, 17, 27, 38)]
+    gen.close()
+    for _ in range(2):
+        snap = registry.snapshot()
+        assert [snap.value("stream_queue_depth",
+                           {"stream": "stream", "stage": str(i)})
+                for i in range(3)] == [0, 0, 0]
+        time.sleep(0.05)
 
 
 def dataclass_tuple(stats: StreamRunStats):
