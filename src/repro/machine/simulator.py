@@ -335,10 +335,7 @@ class ProcEnv:
 
     def compute(self, seconds: float) -> Compute:
         """Request: charge ``seconds`` of CPU time."""
-        seconds = float(seconds)
-        if not seconds >= 0:
-            raise negative_error(self.pid, "compute seconds", seconds)
-        return Compute(seconds)
+        return Compute(float(seconds))
 
     def work(self, ops: float) -> Compute:
         """Request: charge CPU time for ``ops`` elementary operations."""

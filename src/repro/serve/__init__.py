@@ -15,10 +15,13 @@ state.  In front of them sits a service with the production shape:
   redistributes,
 * **one walk per queue** — a worker that takes a request for a
   :class:`PlanEndpoint` also takes that endpoint's other requests
-  already queued (never waiting for more), in stride order, and runs
-  them as copies of one plan in one walk; every ticket still gets its
-  solo run's result and its own completion record (``batch`` gives the
-  batch size, ``service_s`` the batch's wall time),
+  already queued (never waiting for more), in stride order over that
+  endpoint's requests alone, and runs them as copies of one plan in one
+  walk.  Each tenant's requests stay FIFO per endpoint, but a tenant's
+  later plan request can leave ahead of its earlier request for another
+  endpoint.  Every ticket still gets its solo run's result and its own
+  completion record (``batch`` gives the batch size, ``service_s`` the
+  batch's wall time),
 * **observability** — every completion and rejection is recorded
   through the :class:`~repro.obs.sinks.TraceSink` protocol and rolled
   up to p50/p99/throughput tables via :mod:`repro.obs.latency`; pass a

@@ -74,15 +74,18 @@ class PlanEndpoint:
 
     A :class:`Service` worker that takes a request for this endpoint
     also takes the endpoint's other requests already queued — only
-    those, in the order stride scheduling dispatches them — and runs
-    them through :meth:`execute_many`: one plan lookup (one
-    ``tuned_lower`` on a tuned endpoint) and one walk over copies of the
-    machine, each ticket getting exactly its solo :meth:`execute`
-    outcome, value types, ``events`` and virtual time included.  A
-    payload :meth:`execute` would reject fails alone with that error;
-    a batch that raises is re-run request by request.  Each completion
-    record keeps its own latency and queue wait, and adds ``batch`` (the
-    batch size; ``service_s`` is the batch's wall time).
+    those, in the order stride scheduling would dispatch them were they
+    the only requests queued, so a tenant's later request here can leave
+    ahead of its earlier one for another endpoint — and runs them
+    through :meth:`execute_many`: one plan lookup (one ``tuned_lower`` on
+    a tuned endpoint) and one walk over copies of the machine, each
+    ticket getting exactly its solo :meth:`execute` outcome, value
+    types, ``events`` and virtual time included.  A batch that raises —
+    a payload :meth:`execute` would reject, or the run itself — is
+    re-run request by request, so a bad payload fails alone with
+    :meth:`execute`'s error.  Each completion record keeps its own
+    latency and queue wait, and adds ``batch`` (the batch size;
+    ``service_s`` is the batch's wall time).
     """
 
     name: str
@@ -157,32 +160,20 @@ class PlanEndpoint:
 
     def execute_many(self, payloads: Sequence[Any],
                      machines: dict[str, Machine], metrics: Any = None
-                     ) -> list[tuple[Any, int, float] | BaseException]:
-        """One outcome per payload: what :meth:`execute` returns for it,
-        or the error it raises for a payload it rejects.
-
-        The accepted payloads run as copies of one plan in one walk
-        (:func:`repro.scl.compile.run_expression_many`), after one
-        ``tuned_lower`` lookup on a tuned endpoint, and each outcome is
-        ``==`` its solo run.  An error of the run itself is raised, for
-        the caller to re-run the payloads one by one.
+                     ) -> list[tuple[Any, int, float]]:
+        """What :meth:`execute` returns for each payload, from copies of
+        one plan in one walk (:func:`repro.scl.compile
+        .run_expression_many`) after one ``tuned_lower`` lookup on a tuned
+        endpoint.  Raises if any payload is rejected or the run fails;
+        the :class:`Service` then runs each request alone, so a bad
+        payload gets :meth:`execute`'s own error.
         """
         from repro.scl.compile import run_expression_many
 
-        checked: list[Any] = []
-        for payload in payloads:
-            try:
-                checked.append(self._values(payload))
-            except Exception as exc:
-                checked.append(exc)
-        accepted = [c for c in checked if not isinstance(c, Exception)]
-        if not accepted:
-            return checked
+        values = [self._values(payload) for payload in payloads]
         expr, machine = self._program(machines)
-        runs = iter(run_expression_many(expr, accepted, machine,
-                                        label=self.name, opt=self.opt))
-        return [c if isinstance(c, Exception) else _outcome(*next(runs))
-                for c in checked]
+        return [_outcome(*run) for run in run_expression_many(
+            expr, values, machine, label=self.name, opt=self.opt)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -560,22 +551,19 @@ class Service:
         }, endpoint)
         return AdmissionError(rejection)
 
-    def _charge(self, tenant: _Tenant) -> None:
-        """Advance ``tenant``'s pass by one dispatch.  Caller holds the
-        lock."""
-        tenant.pass_value += tenant.stride
-        self._global_pass = max(self._global_pass, tenant.pass_value)
-
     def _next_batch(self) -> "list[tuple[Ticket, Endpoint, Any, float]] | None":
         """Dequeue from the backlogged tenant with the least pass value —
         and, when that request's endpoint has ``execute_many``, every
-        other request for the endpoint already queued, in the order the
-        stride schedule would dispatch them.
+        other request for the endpoint already queued.
 
         Caller holds the lock.  Ties break by tenant name, so dispatch
-        order is deterministic for a fixed arrival order.  Each dispatch
-        is charged to its tenant as if dispatched alone; the batch takes
-        only what is queued, so ``max_queue`` bounds it.
+        order is deterministic for a fixed arrival order.  A batch leaves
+        in the stride schedule's order over this endpoint's requests
+        alone, each charged to its tenant as if dispatched alone; each
+        tenant's requests for the endpoint keep their FIFO order, and its
+        requests for other endpoints keep theirs and their place at the
+        head of its queue.  The batch takes only what is queued, so
+        ``max_queue`` bounds it.
         """
         best: _Tenant | None = None
         for tenant in self._tenants.values():
@@ -586,7 +574,8 @@ class Service:
         if best is None:
             return None
         batch = [best.queue.pop(0)]
-        self._charge(best)
+        best.pass_value += best.stride
+        self._global_pass = max(self._global_pass, best.pass_value)
         endpoint = batch[0][1]
         if self._queued > 1 and hasattr(endpoint, "execute_many"):
             # each tenant's requests for this endpoint, the next one last
@@ -601,40 +590,45 @@ class Service:
                 tenant, same = entry = min(
                     held, key=lambda e: (e[0].pass_value, e[0].name))
                 batch.append(same.pop())
-                self._charge(tenant)
+                tenant.pass_value += tenant.stride
+                self._global_pass = max(self._global_pass,
+                                        tenant.pass_value)
                 if not same:
                     held.remove(entry)
-        self._queued -= len(batch)
-        self._in_flight += len(batch)
+        size = len(batch)
+        self._queued -= size
+        self._in_flight += size
         return batch
 
-    def _execute(self, batch: "list[tuple[Ticket, Endpoint, Any, float]]",
+    def _execute(self, endpoint: Endpoint, payload: Any,
                  machines: dict[str, Machine]
-                 ) -> list[tuple[Any, int, float] | BaseException]:
-        """One outcome per request of ``batch``: ``(value, events,
-        virtual seconds)`` or the error raised.  Several requests run
-        through their endpoint's ``execute_many``; if that raises, each
-        runs alone, so every ticket gets its own outcome."""
+                 ) -> tuple[Any, int, float] | BaseException:
+        """One request's ``(value, events, virtual seconds)``, or the
+        error it raised."""
+        try:
+            # The metrics kwarg only reaches endpoints on an instrumented
+            # service, so structural endpoints written against the
+            # two-argument contract keep working.
+            if self._metrics is None:
+                return endpoint.execute(payload, machines)
+            return endpoint.execute(payload, machines, metrics=self._metrics)
+        except BaseException as exc:
+            return exc
+
+    def _execute_batch(self, batch: "list[tuple[Ticket, Endpoint, Any, float]]",
+                       machines: dict[str, Machine]
+                       ) -> list[tuple[Any, int, float] | BaseException]:
+        """One outcome per request of ``batch``, from one call of its
+        endpoint's ``execute_many``; if that raises, each request runs
+        alone, so every ticket gets its own outcome."""
         endpoint = batch[0][1]
-        # The metrics kwarg only reaches endpoints on an instrumented
-        # service, so structural endpoints written against the
-        # two-argument contract keep working.
-        kwargs = {} if self._metrics is None else {"metrics": self._metrics}
-        if len(batch) > 1:
-            try:
-                return endpoint.execute_many(
-                    [payload for _t, _e, payload, _s in batch], machines,
-                    **kwargs)
-            except BaseException:
-                pass
-        outcomes: list[Any] = []
-        for _ticket, _endpoint, payload, _submitted in batch:
-            try:
-                outcomes.append(endpoint.execute(payload, machines,
-                                                 **kwargs))
-            except BaseException as exc:
-                outcomes.append(exc)
-        return outcomes
+        payloads = [payload for _t, _e, payload, _s in batch]
+        try:
+            return endpoint.execute_many(payloads, machines,
+                                         metrics=self._metrics)
+        except BaseException:
+            return [self._execute(endpoint, payload, machines)
+                    for payload in payloads]
 
     def _worker(self, idx: int) -> None:
         machines: dict[str, Machine] = {}
@@ -647,11 +641,15 @@ class Service:
                     self._work_ready.wait()
                     batch = self._next_batch()
             t_start = self._now()
-            outcomes = self._execute(batch, machines)
+            size = len(batch)
+            if size == 1:
+                _ticket, endpoint, payload, _submitted = batch[0]
+                outcomes = [self._execute(endpoint, payload, machines)]
+            else:
+                outcomes = self._execute_batch(batch, machines)
             t_end = self._now()
             for request, outcome in zip(batch, outcomes):
-                self._complete(idx, request, outcome, t_start, t_end,
-                               len(batch))
+                self._complete(idx, request, outcome, t_start, t_end, size)
             # Drain mode: exit once the queue is empty.
             with self._lock:
                 if not self._running and (not self._draining

@@ -59,25 +59,22 @@ class TestCompute:
         with pytest.raises(MachineError, match="non-negative"):
             machine.run(program, walk=walk if engine == "lockstep" else None)
 
-    @pytest.mark.parametrize("charge,amount,message", [
-        ("work", -1.0, "processor 3: ops must be non-negative, got -1.0"),
-        ("work", float("nan"), "processor 3: ops must be non-negative, "
-                               "got nan"),
-        ("compute", -1.0, "processor 3: compute seconds must be "
-                          "non-negative, got -1.0"),
-    ], ids=["negative-ops", "nan-ops", "negative-seconds"])
-    def test_a_bad_charge_names_its_processor_on_every_engine(
-            self, charge, amount, message):
+    @pytest.mark.parametrize("ops,message", [
+        (-1.0, "processor 3: ops must be non-negative, got -1.0"),
+        (float("nan"), "processor 3: ops must be non-negative, got nan"),
+    ], ids=["negative", "nan"])
+    def test_bad_work_names_its_processor_on_every_engine(self, ops,
+                                                          message):
         """Both event engines raise the timelines' error, naming the
         processor (``simulator.negative_error``)."""
 
         def program(env):
             if env.pid == 3:
-                yield getattr(env, charge)(amount)
+                yield env.work(ops)
             yield env.work(1)
 
         def walk(timeline):
-            getattr(timeline, charge)(3, amount)
+            timeline.work(3, ops)
 
         runs = {
             "batched": (Machine(4, batch=True), None),

@@ -397,18 +397,19 @@ class TestCoalescing:
         return good[:3] + [[1] * (nprocs + 1)] + good[3:]
 
     @staticmethod
-    def _queued(endpoint, submissions, *, metrics=None):
-        """Hold the one worker, queue ``submissions`` (payload, tenant)
-        for ``endpoint``, then release it; returns the service and the
-        tickets, all done."""
+    def _queued(submissions, *endpoints, metrics=None):
+        """Hold the one worker, queue ``submissions`` (endpoint name,
+        payload, tenant) for ``endpoints``, then release it; returns the
+        service and the tickets, all done."""
         svc = Service(workers=1, max_queue=10_000, metrics=metrics,
                       tenants={"free": 1.0, "pro": 3.0})
         svc.register(PyEndpoint("gate", lambda gate: gate.wait(10)))
-        svc.register(endpoint)
+        for endpoint in endpoints:
+            svc.register(endpoint)
         with svc:
             gate, prime = TestFairScheduling._hold_worker(svc, "free")
-            tickets = [svc.submit(endpoint.name, payload, tenant=tenant)
-                       for payload, tenant in submissions]
+            tickets = [svc.submit(name, payload, tenant=tenant)
+                       for name, payload, tenant in submissions]
             gate.set()
             prime.result(timeout=30)
             for ticket in tickets:
@@ -420,8 +421,8 @@ class TestCoalescing:
         endpoint = self.ENDPOINTS[name]
         payloads = self._payloads(endpoint.nprocs)
         _svc, tickets = self._queued(
-            endpoint, [(p, ("free", "pro")[i % 2])
-                       for i, p in enumerate(payloads)])
+            [(name, p, ("free", "pro")[i % 2])
+             for i, p in enumerate(payloads)], endpoint)
         machines = {}
         for payload, ticket in zip(payloads, tickets):
             assert ticket.record["batch"] == len(payloads)
@@ -442,17 +443,37 @@ class TestCoalescing:
     def test_completion_order_is_the_stride_order(self):
         """Inside a batch, tickets complete in the order the stride
         schedule dispatches the same requests one by one."""
-        submissions = [([float(i)] * 4, tenant)
+        submissions = [("scan", [float(i)] * 4, tenant)
                        for i in range(6) for tenant in ("free", "pro")]
-        svc, _tickets = self._queued(self.ENDPOINTS["scan"], submissions)
-        solo, _tickets = self._queued(PyEndpoint("scan", lambda p: p),
-                                      submissions)
+        svc, _tickets = self._queued(submissions, self.ENDPOINTS["scan"])
+        solo, _tickets = self._queued(submissions,
+                                      PyEndpoint("scan", lambda p: p))
         order = [(r["request_id"], r["tenant"]) for r in svc.completions]
         assert [r["batch"] for r in svc.completions[1:]] == [12] * 12
         assert [r["batch"] for r in solo.completions] == [1] * 13
         assert order == [(r["request_id"], r["tenant"])
                          for r in solo.completions]
         assert [t for _, t in order[1:9]].count("pro") == 6
+
+    def test_a_batch_with_mixed_tenant_queues(self):
+        """With other endpoints' requests queued between, a batch leaves
+        in the stride order of its endpoint's requests alone: each
+        tenant's scans in FIFO order, and free's fold, passed by its
+        later scan, keeps its place at the head of free's queue."""
+        submissions = [("scan", [1.0] * 4, "free"), ("scan", [2.0] * 4, "pro"),
+                       ("fold", [3.0] * 4, "free"), ("scan", [4.0] * 4, "pro"),
+                       ("scan", [5.0] * 4, "free"), ("scan", [6.0] * 4, "pro")]
+        svc, _tickets = self._queued(submissions, self.ENDPOINTS["scan"],
+                                     self.ENDPOINTS["fold"])
+        order = [(r["request_id"], r["endpoint"], r["batch"])
+                 for r in svc.completions[1:]]
+        assert order == [(1, "scan", 5), (2, "scan", 5), (4, "scan", 5),
+                         (6, "scan", 5), (5, "scan", 5), (3, "fold", 1)]
+        scans = [(name, payload, tenant)
+                 for name, payload, tenant in submissions if name == "scan"]
+        solo, _tickets = self._queued(scans, PyEndpoint("scan", lambda p: p))
+        assert [r["tenant"] for r in svc.completions[1:6]] == \
+            [r["tenant"] for r in solo.completions[1:]]
 
     def test_a_batch_that_raises_reruns_each_request_alone(self):
         class Broken(PlanEndpoint):
@@ -461,8 +482,8 @@ class TestCoalescing:
 
         endpoint = Broken("scan", Scan(operator.add), nprocs=4)
         payloads = self._payloads(4)
-        _svc, tickets = self._queued(endpoint,
-                                     [(p, "pro") for p in payloads])
+        _svc, tickets = self._queued([("scan", p, "pro") for p in payloads],
+                                     endpoint)
         bad = [t for t in tickets if t.record["status"] == "error"]
         assert len(bad) == 1 and "got 5" in bad[0].record["error"]
         for payload, ticket in zip(payloads, tickets):
@@ -497,8 +518,8 @@ class TestCoalescing:
 
     def test_metrics_and_records_are_per_ticket(self):
         reg = MetricsRegistry()
-        svc, tickets = self._queued(
-            self.ENDPOINTS["fold"], [([1.0] * 4, "pro")] * 5, metrics=reg)
+        svc, tickets = self._queued([("fold", [1.0] * 4, "pro")] * 5,
+                                    self.ENDPOINTS["fold"], metrics=reg)
         snapshot = reg.snapshot()
         assert snapshot.value("serve_requests_total",
                               {"endpoint": "fold", "tenant": "pro",
