@@ -1,33 +1,28 @@
 """Hyperquicksort — the paper's flagship example (§3, §5, Table 1, Fig. 2/3).
 
-Renderings of the same algorithm, each at a different point of the paper's
-pipeline:
+The algorithm is two SCL expressions, the paper's two ends of one
+derivation, and every rendering runs one of them or is a named baseline:
 
-1. :func:`hyperquicksort` — the **recursive nested-parallel SCL program**
-   of §3: pivot broadcast (``apply_brdcast``), split, partner exchange
-   (``fetch`` over the hypercube partner map), merge, then ``split`` the
-   cube into sub-cubes and recurse in parallel, ``combine`` at the end.
-2. :func:`hyperquicksort_flat` — the **flattened iterative SPMD program**
-   of §5 (what the paper derives by transformation before hand-compiling):
-   the ``ParArray`` evaluation of :func:`hyperquicksort_expression`,
-   ``iterFor d step`` over the distributed array, with pivot distribution
-   expressed as a ``fetch`` from each sub-cube's leader.
+1. :func:`hyperquicksort_nested_expression` — the **recursive
+   nested-parallel program** of §3, ``hsort d = combine ∘ map (hsort
+   (d-1)) ∘ split ∘ step``, unrolled for a concrete ``d``.
+   :func:`hyperquicksort` evaluates it over a ParArray.
+2. :func:`hyperquicksort_expression` — the **flattened iterative SPMD
+   program** of §5, ``iterFor d step`` with the pivot fetched from each
+   sub-cube's leader.  :func:`hyperquicksort_flat` evaluates it,
+   :func:`hyperquicksort_compiled` runs it through the SCL compiler on the
+   simulated machine, and :func:`hyperquicksort_trace` evaluates it one
+   exchange and one merge at a time, reproducing Figure 2's (a)–(h)
+   progression.
 3. :func:`hyperquicksort_machine` — the **hand-compiled message-passing
    program** running on the simulated AP1000: real data, real messages,
-   virtual time.  This regenerates Table 1 and Figure 3.
-   :func:`hyperquicksort_machine_nested` is its §3-faithful sibling,
-   recursing on communicator splits instead of iterating — measured to be
-   runtime-identical, which is why the paper could flatten for free.
-4. :func:`hyperquicksort_expression` / :func:`hyperquicksort_compiled` —
-   the §5 program as a **pure skeleton expression**, run through the SCL
-   compiler onto the machine.
-5. :func:`hyperquicksort_trace` — the same expression evaluated one
-   exchange and one merge at a time, recording per-processor contents
-   after every stage, reproducing Figure 2's (a)–(h) progression.
+   virtual time.  It regenerates Table 1 and Figure 3, beside the
+   one-processor reference :func:`sequential_sort_machine`.
 
-Distributed **sample sort** (:func:`sample_sort`,
-:func:`sample_sort_machine`) is included as a comparator, plus sequential
-references; the bitonic baseline lives in :mod:`repro.apps.bitonic`.
+Distributed **sample sort** is one expression too
+(:func:`sample_sort_expression`): :func:`sample_sort` evaluates it and
+:func:`sample_sort_compiled` runs it, as a comparator; the bitonic
+baseline lives in :mod:`repro.apps.bitonic`.
 
 The base-language fragments (``SEQ_QUICKSORT``, ``MIDVALUE``, ``SPLIT``,
 ``MERGE``) are plain NumPy procedures, exactly as the paper keeps them
@@ -43,19 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import (
-    Block,
-    ParArray,
-    align,
-    apply_brdcast,
-    combine,
-    fetch,
-    gather,
-    imap,
-    parmap,
-    partition,
-    split,
-)
+from repro.core import Block, ParArray, gather, parmap, partition
 from repro.errors import SkeletonError
 from repro.machine import AP1000, Comm, Hypercube, Machine, MachineSpec, collectives
 from repro.machine.simulator import RunResult
@@ -74,12 +57,13 @@ __all__ = [
     "StageSnapshot",
     "SortCostParams",
     "hyperquicksort_machine",
-    "hyperquicksort_machine_nested",
     "hyperquicksort_expression",
+    "hyperquicksort_nested_expression",
     "hyperquicksort_compiled",
     "sequential_sort_machine",
+    "sample_sort_expression",
     "sample_sort",
-    "sample_sort_machine",
+    "sample_sort_compiled",
 ]
 
 
@@ -129,36 +113,18 @@ def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# 1. Recursive nested-parallel SCL program (§3)
+# 1. The two programs evaluated over a ParArray (§3, §5)
 # --------------------------------------------------------------------------
 
-def _exchange_step(dim: int, da: ParArray) -> ParArray:
-    """One pivot/split/exchange/merge step on a ``2**dim``-cube ParArray.
+def _evaluate_sort(expr, values, d: int, executor: Executor | None):
+    """``gather (expr (map SEQ_QUICKSORT (partition block 2^d values)))``."""
+    from repro.scl import evaluate
 
-    Mirrors the paper's composition: ``map MERGE . exPart d . wpivot d``
-    with the partner map ``myPart i = xor(i, 2^(d-1))``.
-    """
-    half = 1 << (dim - 1)
-    conf = apply_brdcast(midvalue, 0, da)  # spreadPivot: (pivot, local) pairs
-    low_high = parmap(lambda pv_loc: split_by_pivot(pv_loc[0], pv_loc[1]), conf)
-    # lower-half processors keep the low part and send the high part;
-    # upper-half processors keep high, send low (Fig. 2 (d)/(f))
-    kept = imap(lambda i, lh: lh[0] if i & half == 0 else lh[1], low_high)
-    to_send = imap(lambda i, lh: lh[1] if i & half == 0 else lh[0], low_high)
-    received = fetch(lambda i: i ^ half, to_send)  # fetchPartner
-    return parmap(lambda kr: merge_sorted(kr[0], kr[1]), align(kept, received))
-
-
-def _hsort(da: ParArray, dim: int, *, executor: Executor | None) -> ParArray:
-    """The recursive ``hsort``: exchange, then recurse on both sub-cubes."""
-    if dim == 0:
-        return da
-    merged = _exchange_step(dim, da)
-    sub_cubes = split(Block(2), merged)  # mergeAndDiv's division step
-    sorted_subs = parmap(
-        lambda cube: _hsort(cube, dim - 1, executor=None),
-        sub_cubes, executor=executor)
-    return combine(sorted_subs)
+    p = 1 << d
+    da = parmap(seq_quicksort, partition(Block(p), np.asarray(values)),
+                executor=executor)
+    sorted_da = evaluate(expr, da, executor=executor)
+    return np.asarray(gather(ParArray(sorted_da.to_list(), dist=Block(p))))
 
 
 def hyperquicksort(values: Sequence[float] | np.ndarray, d: int, *,
@@ -166,20 +132,13 @@ def hyperquicksort(values: Sequence[float] | np.ndarray, d: int, *,
     """Sort ``values`` on a simulated ``d``-dimensional hypercube (§3).
 
     ``hypersort A d = gather (hsort d (map SEQ_QUICKSORT (partition block
-    2^d A)))``.  Nested parallelism: after each exchange the cube splits
-    into two sub-cubes sorted recursively (and, with an executor,
-    concurrently).
+    2^d A)))``, evaluating :func:`hyperquicksort_nested_expression`: after
+    each exchange the cube splits into two sub-cubes sorted recursively
+    (nested parallelism).
     """
-    values = np.asarray(values)
-    p = 1 << d
-    da = parmap(seq_quicksort, partition(Block(p), values), executor=executor)
-    sorted_da = _hsort(da, d, executor=executor)
-    return np.asarray(gather(ParArray(sorted_da.to_list(), dist=Block(p))))
+    return _evaluate_sort(hyperquicksort_nested_expression(d), values, d,
+                          executor)
 
-
-# --------------------------------------------------------------------------
-# 2. Flattened iterative SPMD program (§5)
-# --------------------------------------------------------------------------
 
 def hyperquicksort_flat(values: Sequence[float] | np.ndarray, d: int, *,
                         executor: Executor | None = None) -> np.ndarray:
@@ -192,17 +151,11 @@ def hyperquicksort_flat(values: Sequence[float] | np.ndarray, d: int, *,
     ``mypartner j = xor(j, 2^(d'-1))`` — the exact index functions of the
     paper's flattened code.
     """
-    from repro.scl import evaluate
-
-    values = np.asarray(values)
-    p = 1 << d
-    da = parmap(seq_quicksort, partition(Block(p), values), executor=executor)
-    sorted_da = evaluate(hyperquicksort_expression(d), da, executor=executor)
-    return np.asarray(gather(ParArray(sorted_da.to_list(), dist=Block(p))))
+    return _evaluate_sort(hyperquicksort_expression(d), values, d, executor)
 
 
 # --------------------------------------------------------------------------
-# 3. Figure 2 stage tracer
+# 2. Figure 2 stage tracer
 # --------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -261,7 +214,7 @@ def hyperquicksort_trace(values: Sequence[float] | np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# 4. Machine-level program (the hand compilation of §5) — Table 1 / Fig. 3
+# 3. Machine-level program (the hand compilation of §5) — Table 1 / Fig. 3
 # --------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -402,74 +355,13 @@ def sequential_sort_machine(
     return np.asarray(result.values[0]), result
 
 
-def hyperquicksort_machine_nested(
-    values: Sequence[int] | np.ndarray,
-    d: int,
-    *,
-    spec: MachineSpec = AP1000,
-    params: SortCostParams = SortCostParams(),
-) -> tuple[np.ndarray, RunResult]:
-    """The §3 *nested* program on the machine: recursion on sub-groups.
-
-    Where :func:`hyperquicksort_machine` runs the §5 flattened iteration,
-    this version keeps the paper's recursive structure: after each
-    exchange the communicator **splits** into two half-cube groups
-    (``combine . map (hsort (d-1)) . split``) and the recursion continues
-    inside each group — nested parallelism mapped to MPI-style groups
-    exactly as §2.1 prescribes.  Results and per-processor contents match
-    the flat version; the measured times quantify what flattening buys
-    (slightly fewer, cheaper group-relative operations and no recursive
-    communicator bookkeeping).
-    """
-    values = np.asarray(values)
-    p = 1 << d
-    machine = Machine(Hypercube(d), spec=spec)
-    blocks = [values[lo:hi] for lo, hi in chunk_indices(len(values), p)]
-    word = values.dtype.itemsize
-
-    def hsort(env, cube, local, dim):
-        if dim == 0:
-            return local
-        half = 1 << (dim - 1)
-        if cube.rank == 0:
-            yield env.work(params.median_ops)
-            pivot = midvalue(local)
-        else:
-            pivot = None
-        pivot = yield from collectives.bcast(cube, pivot, root=0, nbytes=word)
-        yield env.work(params.split_ops(local.size))
-        low, high = split_by_pivot(pivot, local)
-        keep, send_part = (low, high) if cube.rank & half == 0 else (high, low)
-        partner = cube.rank ^ half
-        yield cube.send(partner, send_part, tag=100 + dim,
-                        nbytes=max(int(send_part.nbytes), 1))
-        msg = yield cube.recv(partner, tag=100 + dim)
-        recv_part = np.asarray(msg.payload)
-        yield env.work(params.merge_ops(keep.size + recv_part.size))
-        local = merge_sorted(keep, recv_part)
-        # split the cube into two half-cube groups and recurse inside
-        sub = cube.split(lambda r, half=half: r // half)
-        local = yield from hsort(env, sub, local, dim - 1)
-        return local
-
-    def program(env):
-        comm = Comm.world(env)
-        local = np.asarray(blocks[comm.rank])
-        yield env.work(params.sort_ops(local.size))
-        local = seq_quicksort(local)
-        local = yield from hsort(env, comm, local, d)
-        return local
-
-    res = machine.run(program)
-    return np.concatenate([np.asarray(v) for v in res.values]), res
-
-
 # --------------------------------------------------------------------------
-# 5. Hyperquicksort as a compilable SCL expression
+# 4. Hyperquicksort as compilable SCL expressions
 # --------------------------------------------------------------------------
 
 #: Cost parameters for the module-level expression fragments below (one
-#: set of top-level callables shared by the expressions of every ``d``).
+#: set of top-level callables shared by the hyperquicksort expressions of
+#: every ``d`` and the sample sort expressions of every ``p``).
 _HQ_PARAMS = SortCostParams()
 
 
@@ -561,6 +453,21 @@ def _hq_merge_ops_all(values):
 vectorize_fragment(_hq_merge_pair, _hq_merge_batched, _hq_merge_ops_all)
 
 
+def _hq_step(leader, half: int):
+    """One pivot/split/exchange/merge step over a cube of ``2 * half``
+    ranks: ``map MERGE ∘ imap select ∘ align id (fetch partner) ∘ map
+    SPLIT ∘ align id (fetch leader)``, with the partner ``j ^ half``."""
+    from repro.scl import AlignFetch, IMap, Map, compose_nodes
+
+    return compose_nodes(
+        Map(_hq_merge_pair),
+        IMap(_HqSelect(half)),
+        AlignFetch(lambda j: j ^ half),   # getpartner
+        Map(_hq_split_on_leader_median),
+        AlignFetch(leader),               # wpivot
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def hyperquicksort_expression(d: int):
     """The flattened §5 program as a :mod:`repro.scl` expression.
@@ -575,27 +482,42 @@ def hyperquicksort_expression(d: int):
 
     The fragments are module-level callables (see :data:`_HQ_PARAMS`);
     the index functions inside ``AlignFetch`` stay local — they are
-    evaluated once at lowering time.
+    evaluated once at lowering time.  ``step i`` works on sub-cubes of
+    ``sub = 2^(d-i)`` ranks, so its leader is the flat
+    ``mf j = floor(j / sub) * sub``.
 
     Memoised on ``d``: repeated calls return the *same* expression object,
     so every compile after the first is a plan-cache hit (plans are keyed
     by the expression).
     """
-    from repro.scl import AlignFetch, IMap, IterFor, Map, compose_nodes
+    from repro.scl import IterFor
 
     def step(i):
-        dim = d - i
-        sub = 1 << dim
-        half = sub >> 1
-        return compose_nodes(
-            Map(_hq_merge_pair),
-            IMap(_HqSelect(half)),
-            AlignFetch(lambda j, half=half: j ^ half),   # getpartner
-            Map(_hq_split_on_leader_median),
-            AlignFetch(lambda j, sub=sub: (j // sub) * sub),  # wpivot
-        )
+        sub = 1 << (d - i)
+        return _hq_step(lambda j: (j // sub) * sub, sub >> 1)
 
     return IterFor(d, step)
+
+
+@functools.lru_cache(maxsize=None)
+def hyperquicksort_nested_expression(d: int):
+    """The recursive §3 program as a :mod:`repro.scl` expression.
+
+    ``hsort d = combine ∘ map (hsort (d-1)) ∘ split (block 2) ∘ step d``
+    and ``hsort 0 = id``, unrolled for this ``d``: the step of
+    :func:`hyperquicksort_expression` with group-relative index functions
+    (every sub-cube's leader is its rank 0), then the cube splits into two
+    half-cubes that sort themselves recursively.  Compiled, each ``split``
+    is a processor-group split (MPI-style groups, §2.1).  Memoised on
+    ``d``, like the flat expression.
+    """
+    from repro.scl import Combine, Id, Map, Split, compose_nodes
+
+    if d == 0:
+        return Id()
+    return compose_nodes(
+        Combine(), Map(hyperquicksort_nested_expression(d - 1)),
+        Split(Block(2)), _hq_step(lambda j: 0, 1 << (d - 1)))
 
 
 def hyperquicksort_compiled(
@@ -627,107 +549,118 @@ def hyperquicksort_compiled(
 
 
 # --------------------------------------------------------------------------
-# 6. Sample sort baseline (extension)
+# 5. Sample sort as a compilable SCL expression (extension)
 # --------------------------------------------------------------------------
 
-def sample_sort(values: Sequence[float] | np.ndarray, p: int, *,
-                oversample: int = 8,
-                executor: Executor | None = None,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Distributed sample sort over ``p`` processors (baseline comparator).
+#: Regular samples each processor contributes to the splitter pool.
+_SAMPLES_PER_BLOCK = 8
 
-    Classic structure: local sort, regular sampling, splitter selection,
-    all-to-all bucket exchange (expressed with the ``send`` skeleton's
-    accumulate-vector semantics), local merge, concatenate.
+
+class _SsShareSamples:
+    """``with_samples``: a sorted block paired with ``p`` copies of its
+    regular sample, the tuple the sample allgather redistributes.
+    Sampling is charged nothing (it reads ``_SAMPLES_PER_BLOCK`` keys)."""
+
+    scl_ops = 0.0
+
+    def __init__(self, p: int):
+        self.p = p
+        self.__name__ = f"with_samples_{p}"
+
+    def __call__(self, a):
+        a = np.asarray(a)
+        k = min(_SAMPLES_PER_BLOCK, max(a.size, 1))
+        sample = a[np.linspace(0, max(a.size - 1, 0), k).astype(int)] \
+            if a.size else a
+        return (a,) + (sample,) * self.p
+
+
+class _SsBucket:
+    """``bucket``: sort the gathered samples, pick ``p - 1`` regular
+    splitters and cut the sorted block at them.  Component ``s`` of the
+    result is the bucket bound for rank ``(j - s) mod p``, so the
+    rotation ``s`` of the next redistribution delivers it."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.__name__ = f"bucket_{p}"
+
+    def scl_ops(self, state) -> float:
+        data, *samples = state
+        pool = sum(np.size(s) for s in samples)
+        return (_HQ_PARAMS.sort_ops(pool)
+                + _HQ_PARAMS.split_ops(max(np.size(data), 1)) * self.p)
+
+    def __call__(self, j, state):
+        data, *samples = state
+        p = self.p
+        pool = np.sort(np.concatenate(samples))
+        cut = np.linspace(0, max(pool.size - 1, 0), p + 1).astype(int)[1:-1]
+        splitters = pool[cut] if pool.size else np.zeros(p - 1, data.dtype)
+        buckets = np.split(data, np.searchsorted(data, splitters))
+        return tuple(buckets[(j - s) % p] for s in range(p))
+
+
+@base_fragment(ops=lambda buckets: _HQ_PARAMS.merge_ops(
+    sum(np.size(b) for b in buckets)))
+def _ss_merge(buckets):
+    return np.sort(np.concatenate(buckets))
+
+
+@functools.lru_cache(maxsize=None)
+def sample_sort_expression(p: int):
+    """Distributed sample sort over ``p`` processors as one expression.
+
+    ``map merge ∘ redistribution [id, rotate 1 … rotate (p-1)] ∘ imap
+    bucket ∘ redistribution [id, id, rotate 1 … rotate (p-1)] ∘ map
+    with_samples ∘ map SEQ_QUICKSORT``: local sort, an allgather of the
+    regular samples (each rank's sample replicated ``p`` times and
+    rotated), splitter selection and bucketing, then the personalised
+    all-to-all (component ``s`` rotated by ``s``) and a local merge —
+    ``2p(p-1)`` messages.  ``p = 1`` is ``map SEQ_QUICKSORT`` alone.  The
+    fragments charge :data:`_HQ_PARAMS`.  Memoised on ``p``.
     """
-    values = np.asarray(values)
+    from repro.scl import IMap, Id, Map, Redistribute, Rotate, compose_nodes
+
     if p <= 0:
         raise SkeletonError(f"p must be positive, got {p}")
-    if values.size == 0:
-        return values.copy()
-    da = parmap(seq_quicksort, partition(Block(p), values), executor=executor)
-    # regular sampling: up to `oversample` evenly-spaced samples per part
-    def sample(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        if a.size == 0:
-            return a
-        k = min(oversample, a.size)
-        idx = np.linspace(0, a.size - 1, k).astype(int)
-        return a[idx]
-
-    samples = np.sort(np.concatenate([np.asarray(s) for s in parmap(sample, da)]))
-    splitter_idx = np.linspace(0, samples.size - 1, p + 1).astype(int)[1:-1]
-    splitters = samples[splitter_idx]
-    # bucket the local data; route bucket b of every source to processor b.
-    # The p*p chunks form a ParArray on which the irregular `send` skeleton
-    # performs the all-to-all: chunk k belongs to destination k mod p.
-    buckets = parmap(lambda a: [np.asarray(chunk) for chunk in
-                                np.split(np.asarray(a), np.searchsorted(a, splitters))],
-                     da)
-    flat = [chunk for src in range(p) for chunk in buckets[src]]
-    from repro.core import send
-
-    arrived = send(lambda k: [k % p], ParArray(flat))
-    merged = [np.sort(np.concatenate([np.asarray(c) for c in arrived[i]]))
-              if arrived[i] else np.asarray([], dtype=values.dtype)
-              for i in range(p)]
-    return np.concatenate(merged)
+    if p == 1:
+        return Map(seq_quicksort)
+    rotations = tuple(Rotate(k) for k in range(1, p))
+    return compose_nodes(
+        Map(_ss_merge),
+        Redistribute((Id(),) + rotations),        # all-to-all of the buckets
+        IMap(_SsBucket(p)),
+        Redistribute((Id(), Id()) + rotations),   # allgather of the samples
+        Map(_SsShareSamples(p)),
+        Map(seq_quicksort),
+    )
 
 
-def sample_sort_machine(
+def sample_sort(values: Sequence[float] | np.ndarray, p: int, *,
+                executor: Executor | None = None) -> np.ndarray:
+    """Distributed sample sort over ``p`` processors (baseline comparator):
+    :func:`sample_sort_expression` evaluated over ``p`` blocks."""
+    from repro.scl import evaluate
+
+    expr = sample_sort_expression(p)
+    out = evaluate(expr, partition(Block(p), np.asarray(values)),
+                   executor=executor)
+    return np.concatenate([np.asarray(b) for b in out])
+
+
+def sample_sort_compiled(
     values: Sequence[int] | np.ndarray,
     p: int,
     *,
     spec: MachineSpec = AP1000,
-    params: SortCostParams = SortCostParams(),
-    oversample: int = 8,
 ) -> tuple[np.ndarray, RunResult]:
-    """Distributed sample sort on the simulated machine (third comparator).
+    """:func:`sample_sort_expression` compiled onto a simulated
+    ``p``-processor machine, from pre-distributed blocks (as the other
+    no-distribution-phase comparators)."""
+    from repro.scl.compile import run_expression
 
-    The all-to-all bucket exchange makes this the communication-heavy
-    contrast to hyperquicksort's ``d`` pairwise exchanges: one round of
-    ``p(p-1)`` messages moving (on average) all data once.  Data starts
-    pre-distributed block-wise, as in the other no-distribution-phase
-    comparators.
-    """
-    values = np.asarray(values)
-    if p <= 0:
-        raise SkeletonError(f"p must be positive, got {p}")
-    machine = Machine(p, spec=spec)
-    spans = chunk_indices(len(values), p)
-
-    def program(env):
-        comm = Comm.world(env)
-        rank = comm.rank
-        lo, hi = spans[rank]
-        local = np.asarray(values[lo:hi])
-        yield env.work(params.sort_ops(local.size))
-        local = seq_quicksort(local)
-        if p == 1:
-            return local
-        # regular sampling + allgather + splitter selection (everywhere)
-        k = min(oversample, max(local.size, 1))
-        idx = np.linspace(0, max(local.size - 1, 0), k).astype(int)
-        sample = local[idx] if local.size else local
-        samples = yield from collectives.allgather(
-            comm, sample, nbytes=max(int(np.asarray(sample).nbytes), 1))
-        pool = np.sort(np.concatenate([np.asarray(s) for s in samples]))
-        yield env.work(params.sort_ops(pool.size))
-        cut = np.linspace(0, max(pool.size - 1, 0), p + 1).astype(int)[1:-1]
-        splitters = pool[cut] if pool.size else pool
-        # bucket local data and exchange all-to-all
-        yield env.work(params.split_ops(max(local.size, 1)) * p)
-        buckets = np.split(local, np.searchsorted(local, splitters))
-        got = yield from collectives.alltoall(
-            comm, buckets,
-            nbytes=max(int(local.nbytes) // p, 1))
-        pieces = [np.asarray(b) for b in got]
-        total = sum(b.size for b in pieces)
-        yield env.work(params.merge_ops(total))
-        merged = np.sort(np.concatenate(pieces)) if total else \
-            np.asarray([], dtype=values.dtype)
-        return merged
-
-    res = machine.run(program)
-    out = np.concatenate([np.asarray(v) for v in res.values])
-    return out, res
+    expr = sample_sort_expression(p)
+    out, result = run_expression(expr, partition(Block(p), np.asarray(values)),
+                                 Machine(p, spec=spec))
+    return np.concatenate([np.asarray(b) for b in out]), result

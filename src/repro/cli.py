@@ -34,14 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.machine import AP1000, MODERN_CLUSTER, PERFECT, MachineSpec
+from repro.machine import SPECS, MachineSpec
 from repro.machine.metrics import scaling_series
 from repro.util.tables import render_table
 
 __all__ = ["main", "cmd_table1", "cmd_figure3", "cmd_figure2",
            "cmd_ablations", "cmd_baselines"]
-
-_SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
 
 
 def _workload(n: int, seed: int) -> np.ndarray:
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload size (default: the paper's 100,000)")
     parser.add_argument("--seed", type=int, default=19950701,
                         help="workload RNG seed")
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="ap1000",
+    parser.add_argument("--spec", choices=sorted(SPECS), default="ap1000",
                         help="machine cost model")
     parser.add_argument("--max-dim", type=int, default=5,
                         help="largest hypercube dimension (p = 2^dim)")
@@ -222,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return metrics_cli.main(argv[1:])
     args = build_parser().parse_args(argv)
-    args.spec = _SPECS[args.spec]
+    args.spec = SPECS[args.spec]
     if args.max_dim < 1 or args.max_dim > 10:
         print("error: --max-dim must be between 1 and 10", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.machine import AP1000, MODERN_CLUSTER, PERFECT
+from repro.machine import SPECS
 from repro.machine.metrics import fault_counters
 from repro.runtime.chunking import chunk_indices
 from repro.util.tables import render_table
@@ -38,7 +38,6 @@ from repro.faults.runtime import CheckpointStore, ft_map_machine
 
 __all__ = ["main", "build_parser", "run_sweep"]
 
-_SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
 #: Default drop-rate sweep when no rates are given on the command line.
 _DEFAULT_SWEEP = [0.0, 0.005, 0.01, 0.02]
 
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--crash-master", action="store_true",
                         help="mapreduce: crash the master mid-run to "
                              "exercise checkpoint/restart")
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="ap1000",
+    parser.add_argument("--spec", choices=sorted(SPECS), default="ap1000",
                         help="machine cost model")
     parser.add_argument("--out", default=None,
                         help="also write the table as JSON to this path")
@@ -191,7 +190,7 @@ def run_sweep(args: argparse.Namespace) -> list[dict[str, Any]]:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro chaos``; returns an exit code."""
     args = build_parser().parse_args(argv)
-    args.spec = _SPECS[args.spec]
+    args.spec = SPECS[args.spec]
 
     rows = run_sweep(args)
 

@@ -29,7 +29,7 @@ charges *virtual time* from the cost model (so the paper's performance shape
 is reproducible on one laptop, independent of Python's GIL).
 """
 
-from repro.machine.cost import MachineSpec, AP1000, MODERN_CLUSTER, PERFECT, estimate_nbytes
+from repro.machine.cost import MachineSpec, AP1000, MODERN_CLUSTER, PERFECT, SPECS, estimate_nbytes
 from repro.machine.topology import (
     Topology,
     Hypercube,
@@ -48,6 +48,7 @@ __all__ = [
     "AP1000",
     "MODERN_CLUSTER",
     "PERFECT",
+    "SPECS",
     "estimate_nbytes",
     "Topology",
     "Hypercube",

@@ -50,6 +50,7 @@ __all__ = [
     "AP1000",
     "MODERN_CLUSTER",
     "PERFECT",
+    "SPECS",
     "estimate_nbytes",
 ]
 
@@ -136,6 +137,9 @@ PERFECT = MachineSpec(
     recv_overhead=0.0,
     word_bytes=8,
 )
+
+#: The presets by the name every command line's ``--spec`` takes.
+SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
 
 
 #: Scalar types known to cost exactly one word each.  Seeded with the

@@ -26,9 +26,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.machine import SPECS
 from repro.obs import analyze, report
 from repro.obs.sinks import ChromeTraceSink, JsonlSink
-from repro.plan.cli import APPS, SPECS
+from repro.plan.cli import APPS
 from repro.plan.lower import lower
 
 __all__ = ["main"]

@@ -51,16 +51,14 @@ import sys
 
 import numpy as np
 
-from repro.machine import AP1000, MODERN_CLUSTER, PERFECT
+from repro.machine import SPECS
 from repro.plan import ir
 from repro.plan.cost import plan_cost
 from repro.plan.lower import lower, plan_cache_stats
 from repro.plan.opt import OptConfig, optimize_plan_report
 from repro.util.tables import render_table
 
-__all__ = ["main", "run_hyperquicksort", "run_gauss_jordan", "APPS", "SPECS"]
-
-SPECS = {"ap1000": AP1000, "modern": MODERN_CLUSTER, "perfect": PERFECT}
+__all__ = ["main", "run_hyperquicksort", "run_gauss_jordan", "APPS"]
 
 
 def _cost_rows(plan: ir.Plan, spec, fn_ops: float, element_bytes: int | None):

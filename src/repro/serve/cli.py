@@ -10,12 +10,15 @@ Runs three phases against a default registry of compiled endpoints:
    admission bound, offered arrivals far beyond capacity — exercising
    queue-depth shedding and the structured :class:`Rejection` path.
 3. **slo** (open-loop overload): one worker behind a *generous* queue
-   but a p99 latency SLO — arrivals outrun capacity, queue wait drives
-   the rolling p99 over target, and admission flips to
-   ``Rejection(reason="slo-shed")``; once the arrivals stop and the
-   window ages out, probe requests confirm admission recovers.  Its
-   requests hold the worker for a fixed time without the GIL, so the
-   overload does not depend on how fast the compiled endpoints are.
+   but a p99 latency SLO — a first batch of requests queues behind the
+   held worker for longer than the target, their queue wait drives the
+   rolling p99 over it, and admission flips to
+   ``Rejection(reason="slo-shed")`` for the open-loop arrivals that
+   follow; once the arrivals stop and the window ages out, probe
+   requests confirm admission recovers.  Its requests hold the worker
+   for a fixed time without the GIL, and the breach is set up before
+   the arrivals start, so neither depends on how fast the host or the
+   compiled endpoints are.
 
 The whole run shares one
 :class:`~repro.obs.metrics.MetricsRegistry` sampled by a
@@ -44,6 +47,7 @@ import argparse
 import json
 import operator
 import sys
+import threading
 import time
 from typing import Any
 
@@ -166,26 +170,45 @@ def run_slo_phase(*, nprocs: int, requests: int, rate_rps: float, seed: int,
                   probes: int = 5) -> dict[str, Any]:
     """The latency-aware-shedding demonstration phase.
 
-    One worker behind a queue too deep to ever hit ``queue-full``, an
-    open-loop overload of requests that hold it ``SLO_HOLD_S`` each
-    (``slo-hold``, registered beside the default endpoints), and an
-    :class:`SloMonitor`: queue wait drives the rolling p99 over target,
-    so the only shed reason available is ``slo-shed``.  After draining
-    and one window of quiet, ``probes`` probe requests must all be
-    admitted — the recovery half of the ROADMAP item.
+    One worker behind a queue too deep to ever hit ``queue-full``,
+    requests that hold it ``SLO_HOLD_S`` each (``slo-hold``, registered
+    beside the default endpoints), and an :class:`SloMonitor`, so the
+    only shed reason available is ``slo-shed``.  The breach comes first,
+    on any host: the worker waits at a gate while ``min_samples``
+    requests queue for longer than the p99 target, then serves them, and
+    their queue wait puts the rolling p99 over target.  The open-loop
+    overload of ``requests`` arrivals then meets a breached monitor.
+    After draining and one window of quiet, ``probes`` probe requests
+    must all be admitted — the recovery half of the ROADMAP item.
     """
     monitor = SloMonitor(p99_ms / 1e3, window_s=window_s,
                          min_samples=min_samples)
     slo_mix = [("slo-hold", "free"), ("slo-hold", "pro")]
+    gate = threading.Event()
+
+    def hold(x: float) -> float:
+        gate.wait()
+        return _hold(x)
+
     with build_service(workers=1, max_queue=4096, nprocs=nprocs,
                        metrics=metrics, slo=monitor) as svc:
-        svc.register(PyEndpoint("slo-hold", _hold))
+        svc.register(PyEndpoint("slo-hold", hold))
+        probe = svc.endpoint("slo-hold")
+        try:
+            for i in range(min_samples):
+                endpoint_name, tenant = slo_mix[i % len(slo_mix)]
+                payload = probe.default_payload(
+                    np.random.default_rng((seed, i)))
+                svc.submit(endpoint_name, payload, tenant=tenant)
+            time.sleep(p99_ms / 1e3)  # every queued request is now late
+        finally:
+            gate.set()
+        svc.wait_idle(timeout=120.0)
         load = open_loop(svc, slo_mix, requests=requests,
                          rate_rps=rate_rps, seed=seed)
         shed_during = sum(r.reason == "slo-shed" for r in svc.rejections)
         svc.wait_idle(timeout=120.0)
         time.sleep(window_s)  # breached latencies age out of the window
-        probe = svc.endpoint("slo-hold")
         admitted = 0
         for i in range(probes):
             payload = probe.default_payload(np.random.default_rng((seed, i)))

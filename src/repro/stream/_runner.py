@@ -24,18 +24,21 @@ wrong):
   source stops producing: an infinite generator upstream of a failure
   or a satisfied stop condition terminates instead of being drained
   forever.
-* Every stage still drains its input queue to the sentinel before
-  exiting, so upstream ``put`` calls can never block forever.
-* A consumer that stops early **releases** every queue: puts no longer
-  wait for room, and each queue gets a sentinel, so a stage waiting for
-  input — behind a source blocked in ``next`` — ends at once.  A stage
-  that sees the abandonment stops transforming, and every stage thread
-  joins before ``close()`` returns.  The source thread is not waited
-  for: it may be blocked in the source's own ``next``, and it stops as
-  soon as that returns.  Once the stages have joined, every queue is
-  emptied and drops what the source still puts, so an abandoned
-  stream's occupancy gauges read 0, as a finished stream's do.
-* After all threads join, the **earliest failure by stage order** is
+* Every stage drains its input queue to the sentinel before exiting,
+  so upstream ``put`` calls can never block forever.
+* A stage whose stop condition truncates the stream, and a consumer
+  that stops early, **release** every queue upstream of them: puts no
+  longer wait for room, and each queue gets a sentinel, so a stage
+  waiting for input — behind a source blocked in ``next`` — ends at
+  once.  A stage that sees the consumer's abandonment stops
+  transforming.
+* Every stage thread joins before the consumer's iteration ends or its
+  ``close()`` returns.  The source thread is not waited for: it may be
+  blocked in the source's own ``next``, and it stops as soon as that
+  returns.  Once the stages have joined, every queue is emptied and
+  drops what the source still puts, so the occupancy gauges of a
+  truncated or abandoned stream read 0, as a finished stream's do.
+* After every stage joins, the **earliest failure by stage order** is
   raised — the source counts as stage ``-1`` — not whichever thread
   happened to lose the race into a shared list.
 """
@@ -176,6 +179,13 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
             failures.setdefault(order, exc)
         cancel.set()
 
+    def release(upto: int) -> None:
+        """Stop the source, and release the queues ``[0, upto)`` so that
+        no thread upstream of them waits on another."""
+        cancel.set()
+        for q in queues[:upto]:
+            _release(q)
+
     def feeder() -> None:
         try:
             for x in source:
@@ -204,9 +214,9 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                 q_out.put(_POISON)
             elif not it.exhausted:
                 # The transform returned without consuming its whole
-                # input — a stop condition truncated the stream.  Tell
-                # the source to stop generating.
-                cancel.set()
+                # input — a stop condition truncated the stream.  What
+                # is upstream may end without this stage.
+                release(order + 1)
         except BaseException as exc:
             fail(order, exc)
             q_out.put(_POISON)
@@ -217,10 +227,15 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
     stages = [threading.Thread(target=worker, args=(i, t),
                                name=f"stream-stage-{i}", daemon=True)
               for i, t in enumerate(transforms)]
-    threads = [threading.Thread(target=feeder, name="stream-source",
-                                daemon=True), *stages]
-    for t in threads:
+    threading.Thread(target=feeder, name="stream-source", daemon=True).start()
+    for t in stages:
         t.start()
+
+    def finish() -> None:
+        for t in stages:
+            t.join()
+        for q in queues:
+            q.discard()
 
     try:
         while True:
@@ -229,18 +244,11 @@ def run_staged(source: Iterable[Any], transforms: list[Transform], *,
                 break
             yield item
     except GeneratorExit:
-        # Consumer stopped early: stop the source and the stages, and
-        # release every queue so that none of them waits on another.
+        # Consumer stopped early: stop the source and the stages.
         abandoned.set()
-        cancel.set()
-        for q in queues:
-            _release(q)
-        for t in stages:
-            t.join()
-        for q in queues:
-            q.discard()
+        release(len(queues))
+        finish()
         raise
-    for t in threads:
-        t.join()
+    finish()
     if failures:
         raise failures[min(failures)]

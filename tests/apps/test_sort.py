@@ -1,4 +1,4 @@
-"""Tests for repro.apps.sort — all four hyperquicksort renderings."""
+"""Tests for repro.apps.sort — every hyperquicksort and sample sort rendering."""
 
 from __future__ import annotations
 
@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from repro.apps.sort import (
     SortCostParams,
     hyperquicksort,
+    hyperquicksort_expression,
     hyperquicksort_flat,
     hyperquicksort_machine,
+    hyperquicksort_nested_expression,
     hyperquicksort_trace,
     merge_sorted,
     midvalue,
     sample_sort,
+    sample_sort_compiled,
     seq_quicksort,
     sequential_sort_machine,
     split_by_pivot,
@@ -68,11 +71,14 @@ class TestParArrayLevelSorts:
         vals = rng.integers(0, 1000, size=512)
         assert np.array_equal(hyperquicksort_flat(vals, d), np.sort(vals))
 
-    def test_recursive_and_flat_agree(self, rng):
+    @settings(max_examples=25)
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=300),
+           st.integers(0, 3))
+    def test_recursive_and_flat_agree(self, xs, d):
         """The §5 flattening transformation must not change results."""
-        vals = rng.integers(0, 10**6, size=256)
-        assert np.array_equal(hyperquicksort(vals, 3),
-                              hyperquicksort_flat(vals, 3))
+        vals = np.array(xs, dtype=int)
+        assert np.array_equal(hyperquicksort(vals, d),
+                              hyperquicksort_flat(vals, d))
 
     def test_duplicates(self):
         vals = np.array([5] * 16 + [3] * 16)
@@ -242,89 +248,104 @@ class TestSampleSort:
             sample_sort(np.array([1]), 0)
 
     @settings(max_examples=20)
-    @given(st.lists(st.integers(-1000, 1000), min_size=0, max_size=200),
+    @given(st.one_of(st.lists(st.integers(-1000, 1000), max_size=200),
+                     st.lists(st.integers(0, 2), max_size=200)),
            st.integers(1, 6))
     def test_sorts_anything_property(self, xs, p):
+        """Any input, empty and duplicate-heavy ones included."""
         out = sample_sort(np.array(xs, dtype=int), p)
         assert list(out) == sorted(xs)
 
 
 class TestSampleSortMachine:
+    """The sample sort expression compiled onto the machine."""
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16])
     def test_sorts_correctly(self, rng, p):
-        from repro.apps.sort import sample_sort_machine
-
         vals = rng.integers(0, 2**31, size=4096).astype(np.int32)
-        out, _res = sample_sort_machine(vals, p)
+        out, _res = sample_sort_compiled(vals, p)
         assert np.array_equal(out, np.sort(vals))
+        assert np.array_equal(out, sample_sort(vals, p))
 
     def test_all_equal_values(self):
-        from repro.apps.sort import sample_sort_machine
-
         vals = np.full(256, 7, dtype=np.int32)
-        out, _res = sample_sort_machine(vals, 4)
+        out, _res = sample_sort_compiled(vals, 4)
         assert np.array_equal(out, vals)
 
     def test_alltoall_message_pattern(self, rng):
-        from repro.apps.sort import sample_sort_machine
-
         p = 6
         vals = rng.integers(0, 1000, size=600).astype(np.int32)
-        _out, res = sample_sort_machine(vals, p)
-        # one all-to-all for buckets (p(p-1)) + allgather of samples
+        _out, res = sample_sort_compiled(vals, p)
+        # the bucket all-to-all (p(p-1)) plus the rotation allgather of
+        # the samples (p(p-1))
         assert res.total_messages >= p * (p - 1)
+        assert res.total_messages == 2 * p * (p - 1)
 
     def test_runtime_decreases_with_processors(self, rng):
-        from repro.apps.sort import sample_sort_machine
-
         vals = rng.integers(0, 2**31, size=16384).astype(np.int32)
         times = []
         for p in (1, 4, 16):
-            _o, res = sample_sort_machine(vals, p)
+            _o, res = sample_sort_compiled(vals, p)
             times.append(res.makespan)
         assert times[0] > times[1] > times[2]
 
     def test_invalid_p(self):
-        from repro.apps.sort import sample_sort_machine
         from repro.errors import SkeletonError
 
         with pytest.raises(SkeletonError):
-            sample_sort_machine(np.arange(4), 0)
+            sample_sort_compiled(np.arange(4), 0)
 
 
 class TestNestedMachineSort:
-    """The §3 nested program on the machine via recursive Comm.split."""
+    """The §3 recursion as an expression, compiled onto the machine: each
+    ``split`` is a processor-group split."""
+
+    @staticmethod
+    def _run(expr, vals, d):
+        from repro.core import Block, partition
+        from repro.machine import Hypercube, Machine
+        from repro.scl import Map, compose_nodes
+        from repro.scl.compile import run_expression
+
+        out, res = run_expression(compose_nodes(expr, Map(seq_quicksort)),
+                                  partition(Block(1 << d), vals),
+                                  Machine(Hypercube(d)))
+        return np.concatenate([np.asarray(b) for b in out]), res
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
     def test_sorts_correctly(self, rng, d):
-        from repro.apps.sort import hyperquicksort_machine_nested
-
         vals = rng.integers(0, 2**31, size=2048).astype(np.int32)
-        out, _res = hyperquicksort_machine_nested(vals, d)
+        out, _res = self._run(hyperquicksort_nested_expression(d), vals, d)
         assert np.array_equal(out, np.sort(vals))
 
     def test_flattening_is_runtime_neutral(self, rng):
-        """Flat and nested renderings produce the same message pattern and
-        virtual time: §4's flattening is a *compilation* enabler (flat SPMD
-        code generation), not a runtime optimisation — both programs do
-        exactly the same communication."""
-        from repro.apps.sort import (hyperquicksort_machine,
-                                     hyperquicksort_machine_nested)
-
+        """Nested and flat programs produce the same values, message
+        pattern and virtual time: §4's flattening is a *compilation*
+        enabler (flat SPMD code generation), not a runtime optimisation."""
         vals = rng.integers(0, 2**31, size=8192).astype(np.int32)
-        _a, nested = hyperquicksort_machine_nested(vals, 4)
-        _b, flat = hyperquicksort_machine(vals, 4, include_distribution=False)
-        assert nested.total_messages == flat.total_messages
-        assert nested.makespan == pytest.approx(flat.makespan, rel=1e-9)
+        for d in (1, 2, 3, 4):
+            nested_out, nested = self._run(
+                hyperquicksort_nested_expression(d), vals, d)
+            flat_out, flat = self._run(hyperquicksort_expression(d), vals, d)
+            assert np.array_equal(nested_out, flat_out), d
+            assert nested.total_messages == flat.total_messages, d
+            assert nested.makespan == flat.makespan, d
 
     def test_group_recursion_depth(self, rng):
-        """d levels of communicator splitting must occur (smoke via trace:
-        message tags encode the recursion dimension)."""
-        from repro.apps.sort import hyperquicksort_machine_nested
+        """The compiled recursion splits the cube d levels deep, and each
+        level makes one partner exchange per processor."""
+        from repro.plan import ir
+        from repro.plan.lower import lower
 
-        vals = rng.integers(0, 1000, size=512).astype(np.int32)
         d = 3
-        _out, res = hyperquicksort_machine_nested(vals, d)
-        # one partner exchange per processor per level
-        exchange_msgs = (1 << d) * d
-        assert res.total_messages >= exchange_msgs
+        plan = lower(hyperquicksort_nested_expression(d), 1 << d, None)
+        depth = 0
+        while any(isinstance(i, ir.GroupSplit) for i in plan.instrs):
+            depth += 1
+            (plan,) = {sub for i in plan.instrs if isinstance(i, ir.SubPlan)
+                       for sub in i.plans}
+        assert depth == d
+        vals = rng.integers(0, 1000, size=512).astype(np.int32)
+        _out, res = self._run(hyperquicksort_nested_expression(d), vals, d)
+        assert res.total_messages >= (1 << d) * d
+

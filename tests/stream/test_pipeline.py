@@ -230,6 +230,40 @@ class TestFailureSemantics:
             assert not t.is_alive()
 
 
+    @pytest.mark.parametrize("stages", [["take"], [inc, "take"],
+                                        ["take", dbl], [inc, "take", dbl]])
+    def test_a_stop_over_a_blocked_source_does_not_wait_for_it(self, stages):
+        """A stop condition satisfied while the source is blocked in
+        ``next`` ends the stream at once, with every stage thread joined;
+        the source's thread ends as soon as the source yields again."""
+        import threading
+
+        more = threading.Event()
+
+        def live_feed():
+            yield from range(3)
+            more.wait(timeout=10)  # a feed with nothing to say yet
+            yield from range(3, 10)
+
+        def plan_over(items):
+            plan = stream_plan(items)
+            for fn in stages:
+                plan = plan.take(2) if fn == "take" else plan.map_seq(fn)
+            return plan
+
+        want = list(plan_over(range(10)).run_seq())
+        before = set(threading.enumerate())
+        start = time.perf_counter()
+        assert list(plan_over(live_feed()).run(buffer=2)) == want
+        assert time.perf_counter() - start < 5
+        new = [t for t in threading.enumerate() if t not in before]
+        assert [t.name for t in new if t.is_alive()] == ["stream-source"]
+        more.set()
+        for t in new:
+            t.join(timeout=10)
+            assert not t.is_alive()
+
+
 class TestMachinePipeline:
     def test_results_match_composition(self):
         out, _res = pipeline_machine([inc, dbl], list(range(10)))

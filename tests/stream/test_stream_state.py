@@ -5,7 +5,10 @@ Hypothesis builds a :class:`~repro.stream.plan.StreamPlan` stage by stage
 per-item stage that raises at its k-th item or a ``MapPlan`` whose
 expression raises on one value, a counting ``Stop`` (``take``) — over a
 finite or an infinite (``Source.count``) source, with a consumer that may
-stop after a few items and a queue bound of 1–3.  Each ``execute`` step
+stop after a few items and a queue bound of 1–3.  A finite source may be
+a live feed that blocks in ``next`` after its items: in ``run`` it stays
+blocked until the run is over unless ``run_seq`` needed its end or
+failed.  Each ``execute`` step
 runs the plan three ways — a plain-Python model of what it means, chunk
 by chunk; ``run_seq``; ``run`` (one thread per stage) — and checks:
 
@@ -19,7 +22,8 @@ by chunk; ``run_seq``; ``run`` (one thread per stage) — and checks:
   ``run_seq`` makes one walk per bound's worth of equal-size chunks;
 * every stage thread has joined by the time the consumer's iteration
   ends or its ``close()`` returns (an abandoning consumer once left two
-  threads blocked on a full queue for good), and the source's thread
+  threads blocked on a full queue for good, and a satisfied ``Stop``
+  once waited for a blocked source's end), and the source's thread
   ends once the source's ``next`` returns;
 * the feeder stops pulling once the stream is cancelled: ``run``'s
   ``items_in`` exceeds what ``run_seq`` pulled for the same output by at
@@ -92,6 +96,23 @@ class RaiseAt:
         return x
 
 
+class GatedFeed:
+    """A finite live feed: its items, then a wait for ``gate`` before the
+    end of the stream — a source blocked in ``next`` while the gate is
+    shut.  ``ended`` records that an iteration asked for the end."""
+
+    def __init__(self, items):
+        self.items = items
+        self.gate = threading.Event()
+        self.gate.set()
+        self.ended = False
+
+    def __iter__(self):
+        yield from self.items
+        self.ended = True
+        self.gate.wait(2 * HANG_S)  # past the hang verdict
+
+
 class RaiseOn:
     """A fragment that raises :class:`StageError` on one value — a chunk
     that holds it fails however often it is run."""
@@ -156,6 +177,7 @@ class StreamLifecycle(RuleBasedStateMachine):
         self.take_after_raiser = False
         self.has_take = False
         self.limit = None
+        self.feed = None
 
     def _add(self, op, model, hand):
         """Append ``op`` (meaning ``model``): a stage holding up to
@@ -229,6 +251,12 @@ class StreamLifecycle(RuleBasedStateMachine):
     def consumer_stops_after(self, limit):
         self.limit = limit
 
+    @precondition(lambda self: not self.infinite and self.feed is None)
+    @rule()
+    def source_blocks_at_its_end(self):
+        self.feed = GatedFeed(self.src.iterable)
+        self.src = Source.of(self.feed)
+
     def _chunk_size(self):
         return next(op.n for op in reversed(self.ops)
                     if isinstance(op, Chunk))
@@ -279,11 +307,15 @@ class StreamLifecycle(RuleBasedStateMachine):
     def execute(self):
         plan = StreamPlan(self.src, tuple(self.ops))
         want_out, want_exc, _ = self._consume(lambda _stats: self._meant())
+        if self.feed is not None:
+            self.feed.ended = False
         seq_out, seq_exc, seq = self._consume(
             lambda stats: plan.run_seq(stats=stats))
         assert seq_out == want_out
         assert type(seq_exc) is type(want_exc)
         assert str(seq_exc) == str(want_exc)
+        if self.feed is not None and not self.feed.ended and seq_exc is None:
+            self.feed.gate.clear()  # blocked for the whole threaded run
 
         before = set(threading.enumerate())
         done = {}
@@ -300,6 +332,8 @@ class StreamLifecycle(RuleBasedStateMachine):
         new = [t for t in threading.enumerate() if t not in before]
         stages = [t for t in new if t.name != "stream-source"]
         assert not [t for t in stages if t.is_alive()], stages
+        if self.feed is not None:
+            self.feed.gate.set()
         for t in new:  # the source thread ends once its ``next`` returns
             t.join(HANG_S)
             assert not t.is_alive(), "source thread hung"

@@ -28,7 +28,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * an application ported to an SCL expression states its program once:
   no hand-written machine program or ``ParArray`` step loop beside it,
 * a collective's schedule is its round table, and the §5 sort's step is
-  its expression: neither is restated by hand.
+  its expression: neither is restated by hand,
+* the §3 recursion and sample sort are their expressions too: the only
+  hand-written programs in ``repro.apps.sort`` are Table 1's baselines.
 """
 
 from __future__ import annotations
@@ -451,6 +453,39 @@ def test_schedules_and_the_sort_step_are_stated_once():
                                getattr(node.func, "attr", None))
                   if name in ("iter_for", "fetch", "imap")]
     assert not offenders, "\n".join(offenders)
+
+
+def test_the_sorts_are_their_expressions():
+    """The §3 recursion and sample sort are SCL expressions: the only
+    hand-written message-passing programs (generator functions) in
+    ``repro.apps.sort`` are the Table 1 baselines, and ``hyperquicksort``
+    and ``sample_sort`` — with every module function they reach — make
+    no skeleton call of their own that the expression already states."""
+    tree = _module_tree("repro.apps.sort")
+    top = {node.name: node for node in tree.body
+           if isinstance(node, ast.FunctionDef)}
+    programs = sorted(
+        {fn.name for fn in top.values() for node in ast.walk(fn)
+         if isinstance(node, (ast.Yield, ast.YieldFrom))}
+        - {"hyperquicksort_machine", "sequential_sort_machine"})
+    banned = ("fetch", "imap", "send", "apply_brdcast", "split", "combine")
+    offenders = []
+    for rendering in ("hyperquicksort", "sample_sort"):
+        seen, todo = set(), [rendering]
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in top:
+                continue
+            seen.add(name)
+            for node in ast.walk(top[name]):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) \
+                        or getattr(node.func, "attr", None)
+                    if called in banned:
+                        offenders.append(f"{rendering} -> {name}:"
+                                         f"{node.lineno} calls {called}")
+                    todo.append(called)
+    assert not programs and not offenders, "\n".join(programs + offenders)
 
 
 def test_top_level_all_is_complete():
