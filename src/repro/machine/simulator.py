@@ -215,6 +215,20 @@ class RunResult:
     def total_messages(self) -> int:
         return sum(s.msgs_sent for s in self.stats)
 
+    def tally(self) -> tuple[int, int, float]:
+        """``(messages, sends + receives, makespan)`` in one pass over the
+        statistics: :attr:`total_messages`, the engine-invariant event
+        count (one per send plus one per receive; not :attr:`events`)
+        and :attr:`makespan`."""
+        sent = received = 0
+        makespan = 0.0
+        for s in self.stats:
+            sent += s.msgs_sent
+            received += s.msgs_received
+            if s.finish_time > makespan:
+                makespan = s.finish_time
+        return sent, sent + received, makespan
+
     @property
     def total_bytes(self) -> int:
         return sum(s.bytes_sent for s in self.stats)

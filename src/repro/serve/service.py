@@ -9,7 +9,8 @@ See the package docstring for the architecture.  The pieces:
   fairness tests use to control timing).
 * :class:`Service` — worker threads, per-tenant stride scheduling,
   bounded-queue admission, completion/rejection records, sink events;
-  a worker runs a plan endpoint's queued requests as one batch.
+  a worker runs a plan or stream endpoint's queued requests as one
+  batch.
 * :class:`Ticket` — the caller's handle on one accepted request.
 
 Requests execute on *simulated* machines: a worker thread owns one
@@ -41,7 +42,14 @@ from repro.obs.metrics import (
 )
 from repro.plan.lower import plan_cache_stats
 from repro.scl import nodes as N
-from repro.stream.plan import StreamOp, StreamPlan, StreamRunStats, Source
+from repro.stream.plan import (
+    Source,
+    Stop,
+    StreamOp,
+    StreamPlan,
+    StreamRunStats,
+    run_many,
+)
 
 __all__ = [
     "AdmissionError",
@@ -57,9 +65,8 @@ __all__ = [
 def _outcome(out: Any, result: RunResult) -> tuple[Any, int, float]:
     """A plan run's ``(value, events, virtual seconds)``, with the
     engine-invariant event count: one per send plus one per receive."""
-    events = result.total_messages + sum(s.msgs_received
-                                         for s in result.stats)
-    return out, events, result.makespan
+    _messages, events, makespan = result.tally()
+    return out, events, makespan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,6 +191,19 @@ class StreamEndpoint:
     .StreamPlan` *without* its source — each request's payload (an
     iterable of items) becomes the source.  Within one request the
     stream runs sequentially; the service parallelises across requests.
+
+    A :class:`Service` worker takes this endpoint's queued requests as
+    one batch, as it does a :class:`PlanEndpoint`'s, and
+    :meth:`execute_many` runs them stage by stage
+    (:func:`repro.stream.plan.run_many`): each ``MapPlan`` stage runs the
+    chunks of one size, across all the requests, as copies of one plan
+    in one walk, on chunk machines kept in the worker's cache.  Each
+    ticket gets exactly its solo outcome — value, ``events`` and virtual
+    time, which is the ``run_seq`` run's.  :meth:`execute` is the batch
+    of one.  An endpoint with a ``Stop`` stage runs each request through
+    ``run_seq``: a stop is lazy, and a stage-major run would compute
+    past it.  A batch that raises is re-run request by request, so a bad
+    payload fails alone with :meth:`execute`'s error.
     """
 
     name: str
@@ -192,17 +212,33 @@ class StreamEndpoint:
     def default_payload(self, rng: Any, *, items: int = 32) -> list[float]:
         return [float(v) for v in rng.integers(1, 100, size=items)]
 
-    def execute(self, payload: Any, machines: dict[str, Machine],
+    def execute(self, payload: Any, machines: dict[str, Any],
                 metrics: Any = None) -> tuple[Any, int, float]:
-        if payload is None:
+        return self.execute_many((payload,), machines, metrics)[0]
+
+    def execute_many(self, payloads: Sequence[Any],
+                     machines: dict[str, Any], metrics: Any = None
+                     ) -> list[tuple[Any, int, float]]:
+        """What :meth:`execute` returns for each payload.  Raises if any
+        payload is rejected or any stream fails; the :class:`Service`
+        then runs each request alone."""
+        if any(payload is None for payload in payloads):
             raise SkeletonError(f"endpoint {self.name!r} needs an iterable "
                                 "payload of stream items")
-        stats = StreamRunStats()
+        stats = [StreamRunStats() for _ in payloads]
         if metrics is not None:
-            stats.attach_metrics(metrics, name=self.name)
-        plan = StreamPlan(Source.of(list(payload)), self.ops)
-        out = list(plan.run_seq(stats=stats))
-        return out, stats.sim_events, stats.virtual_seconds
+            for st in stats:
+                st.attach_metrics(metrics, name=self.name)
+        if any(isinstance(op, Stop) for op in self.ops):
+            outs = [list(StreamPlan(Source.of(list(payload)),
+                                    self.ops).run_seq(stats=st))
+                    for payload, st in zip(payloads, stats)]
+        else:
+            # this worker's chunk machines, per MapPlan stage
+            outs = run_many(self.ops, payloads, stats=stats,
+                            machines=machines.setdefault(self.name, {}))
+        return [(out, st.sim_events, st.virtual_seconds)
+                for out, st in zip(outs, stats)]
 
 
 @dataclasses.dataclass(frozen=True)

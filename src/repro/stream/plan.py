@@ -59,6 +59,16 @@ failing one are emitted and that chunk raises its own error; an
 exception upstream while a batch fills is re-raised once the chunks
 already pulled have been run and emitted.
 
+**Several streams, one walk per chunk size.**  The same holds across
+streams: several streams of chunks through one ``MapPlan`` are one
+nested ParArray too.  :func:`run_many` runs a Stop-free plan over
+several sources stage by stage: a ``MapPlan`` stage hands every
+source's chunks of one size to one walk (:meth:`MapPlan.run_streams`),
+and ``Chunk``, ``UnChunk`` and ``MapSeq`` run each stream through their
+own transforms.  Each stream's output and counters are its ``run_seq``
+run's (``walks`` aside).  A stream endpoint of :mod:`repro.serve` runs
+its queued requests this way.
+
 **What the counters count.**  ``plan_runs``, ``sim_events``,
 ``sim_messages`` and ``virtual_seconds`` count the chunk runs
 *performed*.  A batch may run up to ``buffer − 1`` chunks past the point
@@ -66,7 +76,14 @@ where a downstream :class:`Stop` or an early-stopping consumer ends the
 stream, as ``run``'s queues already run ahead; ``items_out`` counts only
 what was emitted.  With no early end every counter equals a
 chunk-by-chunk run's, and ``walks`` counts the batches, so ``plan_runs /
-walks`` is the batch width.
+walks`` is the batch width.  Under :func:`run_many` every counter but
+``walks`` equals each stream's own ``run_seq`` run's, and ``walks``
+counts the walks performed, each on the first stream it ran a chunk of:
+so the ``stream_*_total`` counters of a batch of requests add up to the
+sum of their solo runs, and ``stream_walks_total`` to the walks
+performed.  A batch that raises counts what it performed before the
+failure, and the requests a service then re-runs one by one count
+again.
 """
 
 from __future__ import annotations
@@ -88,7 +105,7 @@ BUFFER = 8
 
 __all__ = [
     "Source", "Chunk", "UnChunk", "MapSeq", "MapPlan", "Stop",
-    "StreamOp", "StreamPlan", "StreamRunStats", "stream_plan",
+    "StreamOp", "StreamPlan", "StreamRunStats", "run_many", "stream_plan",
 ]
 
 
@@ -108,6 +125,9 @@ class StreamRunStats:
     module docstring); ``items_out`` counts only what was emitted.
     ``walks`` counts the batches ``MapPlan`` ran — a lone or short chunk
     is a batch of one — so ``plan_runs / walks`` is the batch width.
+    Under :func:`run_many`, one stats per stream, every other counter
+    is that stream's ``run_seq`` run's, and ``walks`` counts each walk
+    performed once, on the first stream it ran a chunk of.
     """
 
     items_in: int = 0
@@ -157,12 +177,11 @@ class StreamRunStats:
             self._m_walks.inc()
 
     def observe_run(self, result: RunResult) -> None:
+        messages, events, makespan = result.tally()
         self.plan_runs += 1
-        self.sim_messages += result.total_messages
-        events = result.total_messages + sum(
-            s.msgs_received for s in result.stats)
+        self.sim_messages += messages
         self.sim_events += events
-        self.virtual_seconds += result.makespan
+        self.virtual_seconds += makespan
         if self._m_runs is not None:
             self._m_runs.inc()
             self._m_events.inc(events)
@@ -292,22 +311,68 @@ class MapPlan(StreamOp):
         """Execute equal-size chunks (lists or tuples) as one batch;
         returns their outputs, each ``==`` what :meth:`run_chunk` returns
         for it."""
+        runs = self._walk(chunks, machines)
+        if stats is not None:
+            stats.tick_walk()
+            for _out, result in runs:
+                stats.observe_run(result)
+        return [out for out, _result in runs]
+
+    def _walk(self, chunks: Sequence[Sequence[Any]],
+              machines: dict[int, Machine]) -> list[tuple[Any, RunResult]]:
+        """The output and run of each of the equal-size ``chunks``, from
+        one :func:`~repro.scl.compile.run_expression_many` call."""
         from repro.scl.compile import run_expression_many
 
         m = len(chunks[0])
         machine = machines.get(m)
         if machine is None:
             machine = machines[m] = self._machine(m)
-        runs = run_expression_many(self.expr, chunks, machine,
-                                   label=self.label, opt=self.opt)
-        if stats is not None:
-            stats.tick_walk()
+        # a reducing expression gives one scalar per chunk
+        return [(tuple(out) if out is result.values else out, result)
+                for out, result in run_expression_many(
+                    self.expr, chunks, machine, label=self.label,
+                    opt=self.opt)]
+
+    def run_streams(self, streams: list[list[Any]],
+                    machines: dict[int, Machine],
+                    stats: Sequence[StreamRunStats | None]) -> list[list[Any]]:
+        """This stage over several streams of chunks at once: the chunks
+        of one size, across all the streams, run as one walk.  Returns
+        each stream's outputs; they and its ``stats`` are what the stage
+        gives that stream alone, except ``walks``: each walk counts once,
+        on the stats of the first stream with a chunk in it.  Each stats
+        observes its own chunks' runs in chunk order, so its float sums
+        match.  If a walk raises, each stream runs the stage alone, as
+        :meth:`StreamPlan.run_seq` runs it, and so meets its own error."""
+        sized: dict[int, list[tuple[int, int, Sequence[Any]]]] = {}
+        for s, chunks in enumerate(streams):
+            for j, chunk in enumerate(chunks):
+                if not isinstance(chunk, (tuple, list)):
+                    chunk = list(chunk)
+                sized.setdefault(len(chunk), []).append((s, j, chunk))
+        runs: list[list[Any]] = [[None] * len(chunks) for chunks in streams]
+        try:
+            for batch in sized.values():
+                walked = self._walk([chunk for _s, _j, chunk in batch],
+                                    machines)
+                for (s, j, _chunk), run in zip(batch, walked):
+                    runs[s][j] = run
+        except Exception:
+            # a MapPlan is never a plan's first stage: it counts no items_in
+            return [list(_transform(self, st, count_in=False,
+                                    batch=BUFFER)(iter(chunks)))
+                    for chunks, st in zip(streams, stats)]
+        for batch in sized.values():
+            first = stats[batch[0][0]]
+            if first is not None:
+                first.tick_walk()
         outputs = []
-        for out, result in runs:
-            if stats is not None:
-                stats.observe_run(result)
-            # a reducing expression gives one scalar per chunk
-            outputs.append(tuple(out) if out is result.values else out)
+        for stream_runs, st in zip(runs, stats):
+            if st is not None:
+                for _out, result in stream_runs:
+                    st.observe_run(result)
+            outputs.append([out for out, _result in stream_runs])
         return outputs
 
     def _emit(self, batch: list, machines: dict[int, Machine],
@@ -602,6 +667,50 @@ def _transform(op: StreamOp, stats: StreamRunStats | None,
         return stop_t
 
     raise SkeletonError(f"unknown stream stage {op!r}")  # pragma: no cover
+
+
+def run_many(ops: Sequence[StreamOp], sources: Sequence[Iterable[Any]], *,
+             stats: Sequence[StreamRunStats | None] | None = None,
+             machines: dict[int, dict[int, Machine]] | None = None
+             ) -> list[list[Any]]:
+    """``[list(StreamPlan(Source.of(src), ops).run_seq(stats=st)) for src,
+    st in zip(sources, stats)]`` for Stop-free ``ops``, run stage by stage
+    over all the sources: each :class:`MapPlan` stage runs every source's
+    chunks of one size as one walk (:meth:`MapPlan.run_streams`), and
+    every other stage runs each stream through its own transform.
+
+    Each ``stats`` (one per source, or ``None``) ends as that source's
+    ``run_seq`` leaves it, except ``walks``, which counts the walks
+    performed (each on the first stream it ran a chunk of).  A stream
+    that raises raises the error of its earliest failing stage; ``run_seq``
+    pulls lazily, and raises the error of the first item to fail.
+    ``machines`` caches each ``MapPlan`` stage's chunk machines, keyed by
+    the stage's index and then the chunk size, across calls.  A
+    :class:`Stop` is lazy — a stage-major run would compute past it — so
+    a stream with one is refused: run it through ``run_seq``.
+    """
+    plan = StreamPlan(Source.of(()), tuple(ops))
+    if any(isinstance(op, Stop) for op in plan.ops):
+        raise SkeletonError("run_many runs no Stop stage; use run_seq")
+    streams = [list(source) for source in sources]
+    if stats is None:
+        stats = [None] * len(streams)
+    if machines is None:
+        machines = {}
+    for i, op in enumerate(plan.ops):
+        if isinstance(op, MapPlan):
+            streams = op.run_streams(streams, machines.setdefault(i, {}),
+                                     stats)
+        else:
+            streams = [list(_transform(op, st, count_in=i == 0,
+                                       batch=BUFFER)(iter(items)))
+                       for items, st in zip(streams, stats)]
+    for items, st in zip(streams, stats):
+        if st is not None:
+            if not plan.ops:
+                st.items_in += len(items)
+            st.items_out += len(items)
+    return streams
 
 
 def stream_plan(source: "Source | Iterable[Any]") -> StreamPlan:

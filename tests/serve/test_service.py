@@ -20,7 +20,16 @@ from repro.serve import (
     SloMonitor,
     StreamEndpoint,
 )
-from repro.stream.plan import Chunk, MapPlan
+from repro.stream.plan import (
+    Chunk,
+    MapPlan,
+    MapSeq,
+    Source,
+    Stop,
+    StreamPlan,
+    StreamRunStats,
+    UnChunk,
+)
 
 
 def make_service(**kwargs):
@@ -374,9 +383,11 @@ def _typed(value):
 
 
 class TestCoalescing:
-    """A worker that takes a request for a plan endpoint also takes that
-    endpoint's other queued requests and runs them as copies of one plan
-    in one walk; each ticket still gets exactly its solo run."""
+    """A worker that takes a request for a plan or stream endpoint also
+    takes that endpoint's other queued requests and runs them as copies
+    of one plan in one walk (a stream endpoint: one walk per chunk size
+    and ``MapPlan`` stage); each ticket still gets exactly its solo
+    run."""
 
     ENDPOINTS = {
         "scan": PlanEndpoint("scan", Scan(operator.add), nprocs=4),
@@ -439,6 +450,98 @@ class TestCoalescing:
             assert _typed(ticket.result(0)) == _typed(value)
             assert ticket.record["events"] == events
             assert ticket.record["virtual_seconds"] == makespan
+
+    STREAMS = {
+        "stream-scan": StreamEndpoint(
+            "stream-scan", (Chunk(4), MapPlan(Scan(operator.add)))),
+        "stream-fold": StreamEndpoint(
+            "stream-fold", (Chunk(4), MapPlan(Fold(operator.add)))),
+        "stream-seq": StreamEndpoint(
+            "stream-seq", (Chunk(3), MapPlan(Scan(operator.add)), UnChunk(),
+                           MapSeq(_halve))),
+        "stream-stop": StreamEndpoint(
+            "stream-stop", (Chunk(4), MapPlan(Scan(operator.add)), UnChunk(),
+                            Stop(operator.add, 0, lambda acc: acc > 60))),
+    }
+
+    @staticmethod
+    def _stream_payloads():
+        """Int and float items; lengths that leave short last chunks of
+        one size and another, none at all, and an empty stream."""
+        return [[i + k for k in range(n)] if i % 2 else
+                [float(i + k) * 1.5 for k in range(n)]
+                for i, n in enumerate((8, 10, 0, 5, 12, 7))]
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_every_stream_ticket_is_its_solo_run(self, name):
+        endpoint = self.STREAMS[name]
+        payloads = self._stream_payloads()
+        _svc, tickets = self._queued(
+            [(name, p, ("free", "pro")[i % 2])
+             for i, p in enumerate(payloads)], endpoint)
+        machines = {}
+        for payload, ticket in zip(payloads, tickets):
+            assert ticket.record["batch"] == len(payloads)
+            value, events, makespan = endpoint.execute(payload, machines)
+            stats = StreamRunStats()
+            ref = list(StreamPlan(Source.of(payload),
+                                  endpoint.ops).run_seq(stats=stats))
+            assert _typed(value) == _typed(ref)
+            assert (events, makespan) == (stats.sim_events,
+                                          stats.virtual_seconds)
+            assert _typed(ticket.result(0)) == _typed(value)
+            assert ticket.record["events"] == events
+            assert ticket.record["virtual_seconds"] == makespan
+
+    @pytest.mark.parametrize("name", ["stream-scan", "stream-stop"])
+    def test_a_none_stream_payload_fails_alone(self, name):
+        endpoint = self.STREAMS[name]
+        payloads = self._stream_payloads()
+        payloads.insert(2, None)
+        _svc, tickets = self._queued([(name, p, "pro") for p in payloads],
+                                     endpoint)
+        with pytest.raises(SkeletonError) as solo:
+            endpoint.execute(None, {})
+        for payload, ticket in zip(payloads, tickets):
+            assert ticket.record["batch"] == len(payloads)
+            if payload is not None:
+                assert _typed(ticket.result(0)) == _typed(
+                    endpoint.execute(payload, {})[0])
+                continue
+            with pytest.raises(SkeletonError) as err:
+                ticket.result(0)
+            assert str(err.value) == str(solo.value)
+            assert ticket.record["status"] == "error"
+
+    def test_stream_batch_counters_are_the_solo_runs_sum(self):
+        """A batch leaves every ``stream_*_total`` counter at the sum of
+        the requests' solo runs, except ``stream_walks_total``: one walk
+        per chunk size, 4 and the short lasts' 1, 2 and 3."""
+        endpoint = self.STREAMS["stream-scan"]
+        payloads = [p for p in self._stream_payloads() if p]
+        reg = MetricsRegistry()
+        _svc, tickets = self._queued([("stream-scan", p, "pro")
+                                      for p in payloads], endpoint,
+                                     metrics=reg)
+        assert [t.record["batch"] for t in tickets] == [len(payloads)] * 5
+        solo = []
+        for payload in payloads:
+            stats = StreamRunStats()
+            list(StreamPlan(Source.of(payload),
+                            endpoint.ops).run_seq(stats=stats))
+            solo.append(stats)
+        snapshot = reg.snapshot()
+
+        def counter(name):
+            return snapshot.value(name, {"stream": "stream-scan"})
+
+        assert counter("stream_chunks_total") == sum(s.chunks for s in solo)
+        assert counter("stream_plan_runs_total") == sum(
+            s.plan_runs for s in solo)
+        assert counter("stream_sim_events_total") == sum(
+            s.sim_events for s in solo)
+        assert counter("stream_walks_total") == 4
+        assert sum(s.walks for s in solo) == 8
 
     def test_completion_order_is_the_stride_order(self):
         """Inside a batch, tickets complete in the order the stride

@@ -1,12 +1,13 @@
 """The service's lifecycle as a state machine: submit, drain, stop, restart.
 
 Hypothesis drives a :class:`~repro.serve.Service` over two
-:class:`~repro.serve.PyEndpoint` s and a :class:`~repro.serve.PlanEndpoint`
-through random sequences of submits, ``wait_idle``, ``stop(drain=True)``,
-``stop(drain=False)`` and restarts.  One Python endpoint returns at once;
-the other holds its worker until a gate opens, so queues build up behind
-busy workers, a worker that is let go takes the queued plan requests as
-one batch, and a stop without drain meets a full queue.  After every
+:class:`~repro.serve.PyEndpoint` s, a :class:`~repro.serve.PlanEndpoint`
+and a :class:`~repro.serve.StreamEndpoint` through random sequences of
+submits, ``wait_idle``, ``stop(drain=True)``, ``stop(drain=False)`` and
+restarts.  One Python endpoint returns at once; the other holds its
+worker until a gate opens, so queues build up behind busy workers, a
+worker that is let go takes the queued plan or stream requests as one
+batch, and a stop without drain meets a full queue.  After every
 step:
 
 * every request id has at most one outcome — one completion record or
@@ -16,9 +17,9 @@ step:
 * the admission queue never holds more than ``max_queue`` requests;
 * ``stop`` returns, with or without draining (a stop without drain once
   hung with requests still queued behind busy workers);
-* every ``ok`` value is its solo run, value types included — a batch a
-  worker has taken is in flight, so it completes even under
-  ``stop(drain=False)``.
+* every ``ok`` outcome is its solo run — value types, ``events`` and
+  virtual time included — and a batch a worker has taken is in flight,
+  so it completes even under ``stop(drain=False)``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ from hypothesis.stateful import (
 )
 
 from repro.scl import Scan
-from repro.serve import AdmissionError, PlanEndpoint, PyEndpoint, Service
+from repro.serve import (
+    AdmissionError,
+    PlanEndpoint,
+    PyEndpoint,
+    Service,
+    StreamEndpoint,
+)
+from repro.stream.plan import Chunk, MapPlan
 
 #: A stop (or a gated request) that takes longer than this is a hang.
 HANG_S = 10.0
@@ -63,6 +71,8 @@ class ServiceLifecycle(RuleBasedStateMachine):
         self.svc.register(PyEndpoint("gated", self._held))
         self.plan = self.svc.register(
             PlanEndpoint("plan", Scan(operator.add), nprocs=2))
+        self.stream = self.svc.register(
+            StreamEndpoint("stream", (Chunk(2), MapPlan(Scan(operator.add)))))
         self.svc.start()
         self.running = True
         self.tickets = {}  # request id -> ticket
@@ -74,27 +84,34 @@ class ServiceLifecycle(RuleBasedStateMachine):
 
     # -- rules -------------------------------------------------------------
 
-    @rule(endpoint=st.sampled_from(["fast", "gated", "plan", "missing"]),
+    @rule(endpoint=st.sampled_from(["fast", "gated", "plan", "stream",
+                                    "missing"]),
           tenant=st.sampled_from(["free", "pro", "new"]),
           payload=st.integers())
     def submit(self, endpoint, tenant, payload):
         self._submit(endpoint, tenant, payload)
 
-    @rule(tenants=st.lists(st.sampled_from(["free", "pro"]), min_size=2,
+    @rule(endpoint=st.sampled_from(["plan", "stream"]),
+          tenants=st.lists(st.sampled_from(["free", "pro"]), min_size=2,
                            max_size=3),
           payload=st.integers())
-    def submit_plans(self, tenants, payload):
-        """Back-to-back plan requests: behind busy workers they queue up
-        and leave as one batch."""
+    def submit_batch(self, endpoint, tenants, payload):
+        """Back-to-back plan or stream requests: behind busy workers they
+        queue up and leave as one batch."""
         for i, tenant in enumerate(tenants):
-            self._submit("plan", tenant, payload + i)
+            self._submit(endpoint, tenant, payload + i)
 
     def _submit(self, endpoint, tenant, payload):
-        expected = payload
+        expected = (payload, 0, 0.0)
         if endpoint == "plan":
             # all int ranks, or an int rank and a float rank
             payload = [payload, payload / 2 if payload % 2 else payload]
-            expected = self.plan.execute(payload, {})[0]
+            expected = self.plan.execute(payload, {})
+        elif endpoint == "stream":
+            # 0 to 4 items, int or float: a short last chunk, or none
+            payload = [payload / 2 if (payload + k) % 3 else payload + k
+                       for k in range(payload % 5)]
+            expected = self.stream.execute(payload, {})
         try:
             ticket = self.svc.submit(endpoint, payload, tenant=tenant)
         except AdmissionError as exc:
@@ -164,10 +181,17 @@ class ServiceLifecycle(RuleBasedStateMachine):
         assert self.shed_at_submit <= set(counts)
 
     @invariant()
-    def ok_values_are_solo_runs(self):
+    def ok_outcomes_are_solo_runs(self):
         for ticket, expected in list(self.tickets.values()):
             if ticket.done() and ticket.record["status"] == "ok":
-                assert _typed(ticket.result(0)) == _typed(expected)
+                self.check_solo(ticket, expected)
+
+    @staticmethod
+    def check_solo(ticket, expected):
+        value, events, makespan = expected
+        assert _typed(ticket.result(0)) == _typed(value)
+        assert ticket.record["events"] == events
+        assert ticket.record["virtual_seconds"] == makespan
 
     @invariant()
     def queue_within_bound(self):
@@ -194,7 +218,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
                     raise AssertionError("a shed ticket returned a value")
             else:
                 assert ticket.record["status"] == "ok"
-                assert _typed(ticket.result(0)) == _typed(expected)
+                self.check_solo(ticket, expected)
 
     def teardown(self):
         self.gate.set()

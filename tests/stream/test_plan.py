@@ -23,6 +23,7 @@ from repro.stream.plan import (
     StreamPlan,
     StreamRunStats,
     UnChunk,
+    run_many,
     stream_plan,
 )
 
@@ -321,6 +322,49 @@ class TestBatching:
         assert stats.walks == 2
         assert snap.value("stream_walks_total", {"stream": "s"}) == 2
         assert snap.value("stream_plan_runs_total", {"stream": "s"}) == 9
+
+
+class TestRunMany:
+    """Several streams stage by stage: a ``MapPlan`` stage runs the
+    chunks of one size, across all the streams, as one walk."""
+
+    OPS = (Chunk(4), MapPlan(Scan(operator.add)), UnChunk())
+
+    def test_each_chunk_size_is_one_walk(self):
+        sources = [[float(i) for i in range(n)] for n in (8, 10, 6)]
+        stats = [StreamRunStats() for _ in sources]
+        machines = {}
+        outs = run_many(self.OPS, sources, stats=stats, machines=machines)
+        assert outs == [list(stream_plan(src).chunk(4)
+                             .map_plan(Scan(operator.add)).unchunk()
+                             .run_seq()) for src in sources]
+        # the walk of the 4s counts on stream 0, that of the 2s on 1
+        assert [s.walks for s in stats] == [1, 1, 0]
+        assert [s.plan_runs for s in stats] == [2, 3, 2]
+        assert list(machines) == [1] and sorted(machines[1]) == [2, 4]
+
+    def test_a_failing_walk_reruns_each_stream_alone(self):
+        def poisoned(x):
+            if x == 13.0:
+                raise ArithmeticError("chunk 3")
+            return x
+
+        ops = (Chunk(4), MapPlan(compose_nodes(Scan(operator.add),
+                                               Map(poisoned))))
+        sources = [[1.0] * 8, [float(i) for i in range(32)]]
+        with pytest.raises(ArithmeticError, match="chunk 3"):
+            run_many(ops, sources)
+        assert run_many(ops, sources[:1]) == [[(1.0, 2.0, 3.0, 4.0)] * 2]
+
+    def test_a_stop_is_refused(self):
+        with pytest.raises(SkeletonError, match="Stop"):
+            run_many(self.OPS + (Stop(add, 0, bool),), [[1.0]])
+
+    def test_no_stages_count_what_passes_through(self):
+        stats = [StreamRunStats(), StreamRunStats()]
+        assert run_many((), [[1, 2], []], stats=stats) == [[1, 2], []]
+        assert [(s.items_in, s.items_out) for s in stats] == [(2, 2),
+                                                               (0, 0)]
 
 
 def test_queue_depth_gauges_read_each_queues_live_size():

@@ -12,10 +12,14 @@ Three law families, each over random streams and chunk sizes:
    per-chunk sequential reference, and the threaded executor is
    bit-identical to ``run_seq`` for every case, stop truncation
    included.
+4. **Batched == per-stream reference** — ``run_many`` over several
+   streams, stage by stage, gives each stream what its own ``run_seq``
+   gives, outputs and every ``StreamRunStats`` counter but ``walks``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 
@@ -24,7 +28,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scl import Fold, Map, Scan
-from repro.stream.plan import Source, stream_plan
+from repro.stream.plan import (
+    Chunk,
+    MapPlan,
+    MapSeq,
+    Source,
+    StreamPlan,
+    StreamRunStats,
+    UnChunk,
+    run_many,
+    stream_plan,
+)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False, width=32)
@@ -127,3 +141,63 @@ def test_infinite_source_with_stop_terminates(n, limit):
     assert sum(out_seq) >= limit
     assert sum(out_seq[:-1]) < limit
     assert list(mk().run()) == out_seq
+
+
+def _halve(x):
+    return x * 0.5
+
+
+def _reverse(chunk):
+    return chunk[::-1]
+
+
+@st.composite
+def stop_free_stages(draw):
+    """A well-shaped Stop-free stage list: chunking, compiled maps
+    (reducing ones included), per-item and per-chunk ``MapSeq`` s."""
+    ops = []
+    chunked = False
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if not chunked:
+            op = draw(st.sampled_from(["chunk", "halve"]))
+        else:
+            op = draw(st.sampled_from(["scan", "map", "fold", "reverse",
+                                       "unchunk"]))
+        if op == "chunk":
+            ops.append(Chunk(draw(chunk_sizes)))
+        elif op == "halve":
+            ops.append(MapSeq(_halve))
+        elif op == "reverse":
+            ops.append(MapSeq(_reverse))
+        elif op == "unchunk":
+            ops.append(UnChunk())
+        else:
+            ops.append(MapPlan({"scan": Scan(operator.add),
+                                "map": Map(_halve),
+                                "fold": Fold(operator.add)}[op]))
+        chunked = op in ("chunk", "scan", "map", "reverse")
+    return tuple(ops)
+
+
+def _counters(stats):
+    counts = dataclasses.asdict(stats)
+    del counts["walks"]
+    return {k: v for k, v in counts.items() if not k.startswith("_m_")}
+
+
+@given(stop_free_stages(),
+       st.lists(st.lists(finite_floats, min_size=0, max_size=20),
+                min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_batched_runner_is_each_streams_run_seq(ops, sources):
+    """Several streams stage by stage (one walk per ``MapPlan`` stage and
+    chunk size) == each stream's own ``run_seq``, outputs and counters
+    alike; only ``walks`` counts the fewer walks performed."""
+    batched = [StreamRunStats() for _ in sources]
+    outs = run_many(ops, sources, stats=batched)
+    solo = [StreamRunStats() for _ in sources]
+    refs = [list(StreamPlan(Source.of(src), ops).run_seq(stats=stats))
+            for src, stats in zip(sources, solo)]
+    assert outs == refs
+    assert [_counters(b) for b in batched] == [_counters(s) for s in solo]
+    assert sum(b.walks for b in batched) <= sum(s.walks for s in solo)
