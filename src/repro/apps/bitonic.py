@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps.sort import SortCostParams, seq_quicksort
+from repro.apps.sort import SortCostParams, merge_sorted, seq_quicksort
 from repro.core import Block, partition
 from repro.errors import SkeletonError
 from repro.machine import AP1000, Hypercube, Machine, MachineSpec
@@ -47,13 +47,11 @@ __all__ = ["compare_split", "bitonic_steps", "bitonic_expression",
 
 def compare_split(mine: np.ndarray, theirs: np.ndarray, keep_low: bool) -> np.ndarray:
     """Merge two equal-length sorted blocks, keep the low or high half."""
-    mine = np.asarray(mine)
-    theirs = np.asarray(theirs)
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
     if mine.size != theirs.size:
         raise SkeletonError(
             f"compare_split needs equal blocks, got {mine.size} and {theirs.size}")
-    merged = np.concatenate([mine, theirs])
-    merged.sort(kind="mergesort")
+    merged = merge_sorted(mine, theirs)
     return merged[: mine.size] if keep_low else merged[mine.size:]
 
 

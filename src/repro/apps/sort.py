@@ -100,15 +100,15 @@ def split_by_pivot(pivot: float, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a[:k], a[k:]
 
 
-def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``MERGE``: merge two sorted arrays into one sorted array."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.size == 0:
-        return b.copy()
-    if b.size == 0:
-        return a.copy()
-    out = np.concatenate([a, b])
-    out.sort(kind="mergesort")  # stable two-run merge
+def merge_sorted(*runs: np.ndarray) -> np.ndarray:
+    """``MERGE``: merge sorted arrays into one sorted array of their
+    concatenation's dtype.  Integer and bool keys take NumPy's default
+    sort: equal keys cannot be told apart, so every correct sort returns
+    the same bytes, and on the sorts' merges the default is the fastest
+    (SIMD where the host has it).  Other keys keep the stable sort: their
+    equal keys can differ (−0.0 and 0.0, NaN payloads)."""
+    out = np.concatenate(runs)
+    out.sort(kind=None if out.dtype.kind in "biu" else "stable")
     return out
 
 
@@ -202,9 +202,7 @@ def hyperquicksort_trace(values: Sequence[float] | np.ndarray,
     for i in range(d):
         merge, *exchange = expr.body(i).steps
         pairs = evaluate(compose_nodes(*exchange), da)
-        snap(f"iter{i}-exchanged",
-             parmap(lambda kr: np.concatenate([np.asarray(kr[0]), np.asarray(kr[1])]),
-                    pairs))
+        snap(f"iter{i}-exchanged", parmap(np.concatenate, pairs))
         da = evaluate(merge, pairs)
         snap(f"iter{i}-merged", da)
     final = np.asarray(gather(ParArray(da.to_list(), dist=Block(p))))
@@ -324,13 +322,9 @@ def hyperquicksort_machine(
         return local
 
     result = machine.run(program)
-    if include_distribution and p > 1:
-        sorted_values = result.values[0]
-    elif p == 1:
-        sorted_values = result.values[0]
-    else:
-        sorted_values = np.concatenate([np.asarray(v) for v in result.values])
-    return np.asarray(sorted_values), result
+    if include_distribution or p == 1:
+        return np.asarray(result.values[0]), result
+    return np.concatenate([np.asarray(v) for v in result.values]), result
 
 
 def sequential_sort_machine(
@@ -594,7 +588,7 @@ class _SsBucket:
     def __call__(self, j, state):
         data, *samples = state
         p = self.p
-        pool = np.sort(np.concatenate(samples))
+        pool = merge_sorted(*samples)
         cut = np.linspace(0, max(pool.size - 1, 0), p + 1).astype(int)[1:-1]
         splitters = pool[cut] if pool.size else np.zeros(p - 1, data.dtype)
         buckets = np.split(data, np.searchsorted(data, splitters))
@@ -604,7 +598,7 @@ class _SsBucket:
 @base_fragment(ops=lambda buckets: _HQ_PARAMS.merge_ops(
     sum(np.size(b) for b in buckets)))
 def _ss_merge(buckets):
-    return np.sort(np.concatenate(buckets))
+    return merge_sorted(*buckets)
 
 
 @functools.lru_cache(maxsize=None)

@@ -221,22 +221,29 @@ class StreamEndpoint:
                      ) -> list[tuple[Any, int, float]]:
         """What :meth:`execute` returns for each payload.  Raises if any
         payload is rejected or any stream fails; the :class:`Service`
-        then runs each request alone."""
+        then runs each request alone, so a batch of several that raises
+        counts nothing, and a batch of one counts what it ran."""
         if any(payload is None for payload in payloads):
             raise SkeletonError(f"endpoint {self.name!r} needs an iterable "
                                 "payload of stream items")
         stats = [StreamRunStats() for _ in payloads]
-        if metrics is not None:
-            for st in stats:
-                st.attach_metrics(metrics, name=self.name)
-        if any(isinstance(op, Stop) for op in self.ops):
-            outs = [list(StreamPlan(Source.of(list(payload)),
-                                    self.ops).run_seq(stats=st))
-                    for payload, st in zip(payloads, stats)]
-        else:
-            # this worker's chunk machines, per MapPlan stage
-            outs = run_many(self.ops, payloads, stats=stats,
-                            machines=machines.setdefault(self.name, {}))
+        try:
+            if any(isinstance(op, Stop) for op in self.ops):
+                outs = [list(StreamPlan(Source.of(list(payload)),
+                                        self.ops).run_seq(stats=st))
+                        for payload, st in zip(payloads, stats)]
+            else:
+                # this worker's chunk machines, per MapPlan stage
+                outs = run_many(self.ops, payloads, stats=stats,
+                                machines=machines.setdefault(self.name, {}))
+        except BaseException:
+            if len(payloads) > 1:
+                metrics = None
+            raise
+        finally:
+            if metrics is not None:
+                for st in stats:
+                    st.attach_metrics(metrics, name=self.name)
         return [(out, st.sim_events, st.virtual_seconds)
                 for out, st in zip(outs, stats)]
 

@@ -148,22 +148,23 @@ class StreamRunStats:
     def attach_metrics(self, registry: Any,
                        name: str = "stream") -> "StreamRunStats":
         """Mirror chunk/run/event/walk counts into ``registry`` as the
-        ``stream_*_total{stream=name}`` counters, live (per chunk, not
-        post-run).  Returns ``self`` for chaining."""
-        self._m_chunks = registry.counter(
-            "stream_chunks_total", "chunks formed by stream plans",
-            ("stream",)).labels(name)
-        self._m_runs = registry.counter(
-            "stream_plan_runs_total", "compiled chunk executions",
-            ("stream",)).labels(name)
-        self._m_events = registry.counter(
+        ``stream_*_total{stream=name}`` counters: the counts so far, then
+        live (per chunk, not post-run).  Returns ``self`` for chaining."""
+        def counter(metric: str, help_: str, count: int) -> Any:
+            child = registry.counter(metric, help_, ("stream",)).labels(name)
+            child.inc(count)
+            return child
+
+        self._m_chunks = counter("stream_chunks_total",
+                                 "chunks formed by stream plans", self.chunks)
+        self._m_runs = counter("stream_plan_runs_total",
+                               "compiled chunk executions", self.plan_runs)
+        self._m_events = counter(
             "stream_sim_events_total",
-            "simulated events across compiled chunk runs",
-            ("stream",)).labels(name)
-        self._m_walks = registry.counter(
+            "simulated events across compiled chunk runs", self.sim_events)
+        self._m_walks = counter(
             "stream_walks_total",
-            "batches of chunks run as one compiled walk",
-            ("stream",)).labels(name)
+            "batches of chunks run as one compiled walk", self.walks)
         return self
 
     def tick_chunk(self) -> None:

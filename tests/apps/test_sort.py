@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.apps.bitonic import compare_split
 from repro.apps.sort import (
     SortCostParams,
     hyperquicksort,
@@ -24,6 +26,18 @@ from repro.apps.sort import (
     split_by_pivot,
 )
 from repro.machine import MODERN_CLUSTER
+
+#: Float keys whose equal-key order a sort can show: signed zeros, the
+#: infinities, and NaNs with distinct payloads (quiet, signed, payload 1).
+_FLOAT_EDGES = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan,
+                float(np.array(0x7FF8000000000001).view(np.float64))]
+
+
+def _merge_keys(dtype):
+    if dtype == np.float64:
+        return st.one_of(st.sampled_from(_FLOAT_EDGES),
+                         st.floats(-4, 4, width=64))
+    return hnp.from_dtype(np.dtype(dtype))
 
 
 class TestBaseFragments:
@@ -58,6 +72,26 @@ class TestBaseFragments:
         out = merge_sorted(np.sort(np.array(a, dtype=int)),
                            np.sort(np.array(b, dtype=int)))
         assert list(out) == sorted(a + b)
+
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64,
+                                       np.uint16, np.bool_, np.float64])
+    @given(data=st.data())
+    def test_merge_is_the_stable_sort_bytes(self, dtype, data):
+        """Whatever sort ``MERGE`` takes for its keys, it returns the
+        dtype and the bytes of the stable sort of the concatenation,
+        and ``compare_split``'s halves are slices of it."""
+        a, b = (np.sort(data.draw(hnp.arrays(
+            dtype, st.integers(0, 64), elements=_merge_keys(dtype))),
+            kind="stable") for _ in range(2))
+        want = np.sort(np.concatenate([a, b]), kind="stable")
+        got = merge_sorted(a, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        m = min(a.size, b.size)
+        whole = merge_sorted(a[:m], b[:m])
+        for keep_low, half in ((True, whole[:m]), (False, whole[m:])):
+            out = compare_split(a[:m], b[:m], keep_low)
+            assert out.dtype == half.dtype and out.tobytes() == half.tobytes()
 
 
 class TestParArrayLevelSorts:

@@ -32,6 +32,12 @@ from repro.stream.plan import (
 )
 
 
+def _refuse_13(x):
+    if x == 13:
+        raise ValueError("13 refused")
+    return x
+
+
 def make_service(**kwargs):
     svc = Service(**kwargs)
     svc.register(PlanEndpoint("scan-add", Scan(operator.add), nprocs=4))
@@ -542,6 +548,35 @@ class TestCoalescing:
             s.sim_events for s in solo)
         assert counter("stream_walks_total") == 4
         assert sum(s.walks for s in solo) == 8
+
+    def test_a_failed_stream_batch_counts_each_request_once(self):
+        """A batch with one failing stream request is re-run request by
+        request, and every ``stream_*_total`` counter reads the sum of
+        the solo runs — the failing one's up to its failure — not the
+        batch's counts on top of them."""
+        endpoint = StreamEndpoint("s", (Chunk(4), MapPlan(Scan(operator.add)),
+                                        UnChunk(), MapSeq(_refuse_13)))
+        payloads = [[1, 2, 3, 4, 5], [13, 0, 0, 0], [2] * 8, [3, 3, 3]]
+        reg = MetricsRegistry()
+        _svc, tickets = self._queued([("s", p, "pro") for p in payloads],
+                                     endpoint, metrics=reg)
+        assert [t.record["batch"] for t in tickets] == [4] * 4
+        assert [t.record["status"] for t in tickets] == ["ok", "error",
+                                                         "ok", "ok"]
+        solo = [StreamRunStats() for _ in payloads]
+        for payload, stats in zip(payloads, solo):
+            try:
+                list(StreamPlan(Source.of(payload),
+                                endpoint.ops).run_seq(stats=stats))
+            except ValueError:
+                assert payload[0] == 13
+        snapshot = reg.snapshot()
+        for name, field in (("stream_chunks_total", "chunks"),
+                            ("stream_plan_runs_total", "plan_runs"),
+                            ("stream_sim_events_total", "sim_events"),
+                            ("stream_walks_total", "walks")):
+            assert snapshot.value(name, {"stream": "s"}) == sum(
+                getattr(st, field) for st in solo), name
 
     def test_completion_order_is_the_stride_order(self):
         """Inside a batch, tickets complete in the order the stride

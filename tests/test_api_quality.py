@@ -30,7 +30,9 @@ exports are honest.  These tests walk every ``repro`` module and enforce:
 * a collective's schedule is its round table, and the §5 sort's step is
   its expression: neither is restated by hand,
 * the §3 recursion and sample sort are their expressions too: the only
-  hand-written programs in ``repro.apps.sort`` are Table 1's baselines.
+  hand-written programs in ``repro.apps.sort`` are Table 1's baselines,
+* ``MERGE`` is stated once: every merge of sorted runs in ``repro.apps``
+  calls ``merge_sorted``, which alone picks the sort.
 """
 
 from __future__ import annotations
@@ -486,6 +488,47 @@ def test_the_sorts_are_their_expressions():
                                          f"{node.lineno} calls {called}")
                     todo.append(called)
     assert not programs and not offenders, "\n".join(programs + offenders)
+
+
+def _merge_restatements(modname):
+    """The sorts in ``modname`` that restate ``MERGE``: a sort that names
+    its ``kind``, or a sort of what ``np.concatenate`` returned."""
+    offenders = []
+    for fn in ast.walk(_module_tree(modname)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "merge_sorted":
+            continue
+        concatenated = {
+            target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "concatenate"
+            for target in node.targets if isinstance(target, ast.Name)}
+
+        def merged(arg):
+            return (isinstance(arg, ast.Name) and arg.id in concatenated
+                    or isinstance(arg, ast.Call) and getattr(
+                        arg.func, "attr", None) == "concatenate")
+
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and "sort" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))):
+                continue
+            if (any(kw.arg == "kind" for kw in node.keywords)
+                    or any(merged(arg) for arg in node.args[:1])
+                    or merged(getattr(node.func, "value", None))):
+                offenders.append(f"{modname}:{fn.name}:{node.lineno}")
+    return offenders
+
+
+def test_merge_is_stated_once():
+    """Every merge of sorted runs in ``repro.apps`` calls
+    ``merge_sorted``, the one place that picks the sort its keys need: no
+    ``sort(kind=...)`` and no concatenate-then-sort anywhere else."""
+    apps = [m.name for m in pkgutil.iter_modules(
+        importlib.import_module("repro.apps").__path__, prefix="repro.apps.")]
+    assert "repro.apps.bitonic" in apps and "repro.apps.sort" in apps
+    offenders = [o for modname in apps for o in _merge_restatements(modname)]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_top_level_all_is_complete():
