@@ -28,6 +28,7 @@ reference).
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import Executor
 
 import numpy as np
@@ -133,7 +134,7 @@ def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
     ``body`` closure, so only the *same* expression object makes a second
     compile a plan-cache hit.
     """
-    from repro.plan.kernels import stack_uniform, vectorize_fragment
+    from repro.plan.kernels import vectorize_fragment
     from repro.scl import ApplyBrdcast, IterFor, Map, compose_nodes
     from repro.scl.compile import base_fragment
 
@@ -152,25 +153,39 @@ def gauss_jordan_expression(n: int, p: int, aug_shape: tuple[int, int]):
             return _update(i, pv_blk[0], pv_blk[1])
 
         def update_batched(vals):
-            # Every rank's value is ``(pivot, block)`` with the *same*
-            # broadcast pivot object; the swap/normalise/annihilate
-            # arithmetic is elementwise per block, so all p updates run
-            # as one broadcasted numpy pass over the stacked blocks.
-            first = vals[0][0]
-            if not all(v[0] is first for v in vals[1:]):
-                return [update(v) for v in vals]  # pragma: no cover
-            r, c = first
-            mult = c.copy()
-            mult[i] = 0.0
-
-            def xform(stacked):
-                B = np.array(stacked, dtype=float)
-                B[:, [i, r], :] = B[:, [r, i], :]
-                B[:, i, :] /= c[i]
-                B -= mult[None, :, None] * B[:, i, :][:, None, :]
-                return B
-
-            return stack_uniform([v[1] for v in vals], xform)
+            # Every rank's value is ``(pivot, block)``, and the ranks of
+            # one copy share one broadcast pivot object.  The swap,
+            # normalise and annihilate are elementwise per column, so
+            # each run of ranks sharing a pivot is one pass per copy
+            # over the whole matrix, whatever the block widths, and
+            # each rank gets its own columns back.  Blocks that do not
+            # concatenate into that matrix take the per-rank form,
+            # which raises its own error.
+            out = []
+            for _, run in itertools.groupby(vals, lambda v: id(v[0])):
+                run = list(run)
+                r, c = run[0][0]
+                blocks = [np.asarray(v[1]) for v in run]
+                try:
+                    m = np.concatenate(blocks, axis=1, dtype=float,
+                                       casting="unsafe")
+                except (TypeError, ValueError):
+                    m = None
+                if m is None or m.ndim != 2 or len(m) != len(c):
+                    out += [update(v) for v in run]
+                    continue
+                if r != i:  # swapping row i with itself moves no bit
+                    m[[i, r], :] = m[[r, i], :]
+                m[i, :] /= c[i]
+                mult = c.copy()
+                mult[i] = 0.0
+                m -= np.outer(mult, m[i, :])
+                lo = 0
+                for b in blocks:
+                    hi = lo + b.shape[1]
+                    out.append(m[:, lo:hi])
+                    lo = hi
+            return out
 
         def update_ops_all(vals):
             return [float(_UPDATE_OPS_PER_ENTRY * np.asarray(v[1]).size)

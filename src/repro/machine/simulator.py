@@ -349,7 +349,10 @@ class ProcEnv:
 
     def compute(self, seconds: float) -> Compute:
         """Request: charge ``seconds`` of CPU time."""
-        return Compute(float(seconds))
+        seconds = float(seconds)
+        if not seconds >= 0:
+            raise negative_error(self.pid, "compute seconds", seconds)
+        return Compute(seconds)
 
     def work(self, ops: float) -> Compute:
         """Request: charge CPU time for ``ops`` elementary operations."""

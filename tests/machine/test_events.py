@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MachineError
-from repro.machine import Machine
+from repro.machine import Machine, Ring
 from repro.machine.events import ANY, Compute, Message, Recv, Send
 
 
@@ -81,6 +81,35 @@ class TestCompute:
             "per-event": (Machine(4, batch=False), None),
             "lockstep": (Machine(4), walk),
             "recorder": (Machine(4, single_port=True), walk),
+        }
+        for engine, (machine, walk_) in runs.items():
+            with pytest.raises(MachineError) as err:
+                machine.run(program, walk=walk_)
+            assert str(err.value) == message, engine
+
+    @pytest.mark.parametrize("seconds,message", [
+        (-1.0, "processor 3: compute seconds must be non-negative, got -1.0"),
+        (float("nan"),
+         "processor 3: compute seconds must be non-negative, got nan"),
+    ], ids=["negative", "nan"])
+    def test_bad_compute_names_its_processor_on_every_engine(self, seconds,
+                                                             message):
+        """``env.compute`` raises the timelines' error on both event
+        engines, as ``env.work`` does."""
+
+        def program(env):
+            if env.pid == 3:
+                yield env.compute(seconds)
+            yield env.compute(1.0)
+
+        def walk(timeline):
+            timeline.compute(3, seconds)
+
+        runs = {
+            "batched": (Machine(Ring(4), batch=True), None),
+            "per-event": (Machine(Ring(4), batch=False), None),
+            "lockstep": (Machine(Ring(4)), walk),
+            "recorder": (Machine(Ring(4), single_port=True), walk),
         }
         for engine, (machine, walk_) in runs.items():
             with pytest.raises(MachineError) as err:

@@ -15,12 +15,14 @@ conventions").
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import sort
+from repro.apps import linalg, sort
 from repro.apps.bitonic import bitonic_expression
 from repro.apps.fft import fft_expression
 from repro.apps.linalg import ColBlock, gauss_jordan_expression
@@ -246,21 +248,64 @@ class TestSortForms:
 
 
 class TestGaussUpdateForms:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 6), p=st.integers(1, 4), seed=st.integers(0, 99),
-           data=st.data())
-    def test_update(self, n, p, seed, data):
-        i = data.draw(st.integers(0, n - 1))
-        rng = np.random.default_rng(seed)
-        aug = np.hstack([rng.normal(size=(n, n)) + n * np.eye(n),
-                         rng.normal(size=(n, 1))])
-        plan = lower(gauss_jordan_expression(n, p, aug.shape), p)
+    """``UPDATE``'s whole-machine form is one pass per copy over that
+    copy's whole matrix: every rank's columns come back with the per-rank
+    form's bytes, and the per-rank form runs only on blocks that do not
+    make a matrix."""
+
+    @staticmethod
+    def _update_and_pivot(n, p, i):
+        plan = lower(gauss_jordan_expression(n, p, (n, n + 1)), p)
         pivot_bcast, update = plan.instrs[0].bodies[i]
-        # n + 1 columns over p ranks: ragged column blocks
-        blocks = partition(ColBlock(p), aug).to_list()
-        pivot = pivot_bcast.op(blocks[pivot_bcast.root])
-        assert_forms_equal_per_rank(update.fn,
-                                    [(pivot, blk) for blk in blocks])
+        return update.fn, lambda blocks: pivot_bcast.op(
+            blocks[pivot_bcast.root])
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 6), p=st.integers(1, 9), k=st.integers(1, 3),
+           seed=st.integers(0, 99), integer=st.booleans(), data=st.data())
+    def test_update(self, n, p, k, seed, integer, data):
+        i = data.draw(st.integers(0, n - 1))
+        update, pivot_of = self._update_and_pivot(n, p, i)
+        rng = np.random.default_rng(seed)
+        values = []
+        for _ in range(k):  # each copy its own matrix and pivot object
+            if integer:  # no zero entries, so every pivot is nonzero
+                aug = (rng.integers(1, 10, size=(n, n + 1))
+                       * rng.choice([-1, 1], size=(n, n + 1)))
+            else:
+                aug = rng.normal(size=(n, n + 1))
+            # n + 1 columns over p ranks: ragged column blocks, and
+            # empty ones when p > n + 1
+            blocks = partition(ColBlock(p), aug).to_list()
+            pivot = pivot_of(blocks)
+            values += [(pivot, blk) for blk in blocks]
+        with mock.patch.object(linalg, "_update",
+                               side_effect=AssertionError("per-rank UPDATE")):
+            got = batched_apply(update, values)
+        want = [update(v) for v in values]
+        assert [g.shape for g in got] == [w.shape for w in want]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert_forms_equal_per_rank(update, values)
+
+    @pytest.mark.parametrize("malform", [
+        lambda blocks: [blocks[0], blocks[1][:-1]],
+        lambda blocks: [np.vstack([b, b[:1]]) for b in blocks],
+        lambda blocks: [b[:, :, None] for b in blocks],
+    ], ids=["a-row-short", "taller-than-the-pivot", "3-d"])
+    def test_blocks_that_make_no_matrix_raise_the_per_rank_error(self,
+                                                                 malform):
+        n, p, i = 4, 2, 1
+        update, pivot_of = self._update_and_pivot(n, p, i)
+        blocks = partition(ColBlock(p), np.arange(20.0).reshape(n, n + 1)
+                           ).to_list()
+        pivot = pivot_of(blocks)
+        values = [(pivot, blk) for blk in malform(blocks)]
+        with pytest.raises(Exception) as want:
+            [update(v) for v in values]
+        with pytest.raises(Exception) as got:
+            batched_apply(update, values)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestElementwiseForms:
